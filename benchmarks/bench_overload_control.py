@@ -54,7 +54,6 @@ from repro.serving import (
     MultiProcessServer,
     OverloadControl,
     ServingConfig,
-    generate_request_arenas,
     parse_priority_spec,
     synthetic_request_arenas,
 )
@@ -114,7 +113,7 @@ def admission_runs(models, profiles, topology):
     )
     names, shares = parse_priority_spec(PRIORITY_SPEC)
     arenas = list(
-        generate_request_arenas(
+        synthetic_request_arenas(
             model, OVERLOAD_REQUESTS, process, seed=7,
             deadline_ms=deadline_ms, priority_shares=shares,
         )
@@ -170,7 +169,7 @@ def brownout_runs(models, profiles):
         burst_ms=burst_ms, idle_ms=2 * burst_ms,
     )
     arenas = list(
-        generate_request_arenas(
+        synthetic_request_arenas(
             model, OVERLOAD_REQUESTS // 2, process, seed=11
         )
     )

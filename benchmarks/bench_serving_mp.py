@@ -51,7 +51,6 @@ from repro.serving import (
     LookupServer,
     MultiProcessServer,
     ServingConfig,
-    generate_request_arenas,
     synthetic_request_arenas,
 )
 from repro.serving.arena import SHM_NAME_PREFIX
@@ -207,7 +206,7 @@ def test_mp_overload_p99_and_shedding(mp_world):
             idle_ms=100.0,
         )
         overload = list(
-            generate_request_arenas(
+            synthetic_request_arenas(
                 model, MP_REQUESTS // 2, process, seed=17
             )
         )

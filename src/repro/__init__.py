@@ -66,7 +66,6 @@ from repro.serving import (
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import (
     FrequencyCDF,
@@ -125,6 +124,5 @@ __all__ = [
     "shard_sweep",
     "speedup_table",
     "synthetic_request_arenas",
-    "synthetic_request_stream",
     "three_tier_node",
 ]

@@ -16,14 +16,14 @@ Examples::
     python -m repro compare --model rm3 --features 97 --gpus 8 --iters 3
     python -m repro replay --model rm2 --vectorized --iters 3
     python -m repro serve --model rm2 --qps 20000 --requests 4000
-    python -m repro serve --model rm2 --reference --requests 4000
     python -m repro serve --model rm3 --tiers hbm,dram:8,ssd --staging-gib 2
     python -m repro serve --model rm3 --tiers hbm,dram:8,ssd \
         --precisions dram=fp16,ssd=int8
     python -m repro serve --model rm2 --replicate-gib 1
     python -m repro serve --model rm2 --workers 4 --requests 20000
     python -m repro serve --model rm2 --workers 2 --paced --burst \
-        --arrival-rate 30000 --queue-depth 2
+        --qps 30000 --queue-depth 2
+    python -m repro serve --model rm2 --burst --drift-months 6
     python -m repro serve --model rm2 --replicate-gib 1 \
         --chaos fail@250:1,recover@900:1
     python -m repro serve --model rm2 --workers 2 --chaos kill@100:0
@@ -70,9 +70,7 @@ from repro.serving import (
     LookupServer,
     MultiProcessServer,
     OverloadControl,
-    PoissonArrivals,
     ServingConfig,
-    generate_request_arenas,
     parse_chaos_spec,
     parse_priority_spec,
     synthetic_request_arenas,
@@ -465,11 +463,6 @@ def _dump_report_json(path, metrics) -> None:
 
 def _cmd_serve(args) -> int:
     """Run a seeded synthetic serving workload and report QPS/latency."""
-    if args.arrival_rate is not None:
-        if args.arrival_rate <= 0:
-            print("error: --arrival-rate must be > 0", file=sys.stderr)
-            return 2
-        args.qps = args.arrival_rate
     if args.qps <= 0:
         print("error: --qps must be > 0", file=sys.stderr)
         return 2
@@ -494,17 +487,9 @@ def _cmd_serve(args) -> int:
               "requires the single-process runtime (--workers 0)",
               file=sys.stderr)
         return 2
-    if args.burst and args.drift_months > 0:
-        print("error: --burst streams have no drift model; drop "
-              "--drift-months", file=sys.stderr)
-        return 2
     if args.paced and not args.workers:
         print("error: --paced (wall-clock pacing + shedding) requires "
               "--workers N", file=sys.stderr)
-        return 2
-    if args.workers and not args.fast_serving:
-        print("error: --reference is single-process only; the "
-              "multi-process runtime is columnar", file=sys.stderr)
         return 2
     if args.batch_requests < 1:
         print("error: --batch-requests must be >= 1", file=sys.stderr)
@@ -605,10 +590,14 @@ def _cmd_serve(args) -> int:
         replication = ReplicationPolicy(
             capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
         )
-    # Stream: inline Poisson by default; an explicit arrival process
-    # (bursty on/off) through the loadgen when --burst is given.
+    # One generator for every stream shape: steady Poisson at --qps or
+    # bursty on/off arrivals, optionally drifting, optionally carrying
+    # QoS columns (drawn from a dedicated RNG stream, so they never move
+    # arrivals or lookup content).
+    rate = args.qps
+    offered = f"offered load {args.qps:.0f} QPS"
     if args.burst:
-        process = BurstyArrivals(
+        rate = BurstyArrivals(
             burst_qps=(
                 args.burst_qps if args.burst_qps is not None
                 else 4.0 * args.qps
@@ -620,47 +609,20 @@ def _cmd_serve(args) -> int:
             burst_ms=args.burst_ms,
             idle_ms=args.idle_ms,
         )
-        arenas = generate_request_arenas(
-            model, args.requests, process, seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
-        offered = (f"bursty {process.burst_qps:.0f}/{process.idle_qps:.0f} "
-                   f"QPS over {process.burst_ms:g}/{process.idle_ms:g} ms "
-                   f"(mean {process.mean_qps:.0f})")
-    elif with_qos and args.drift_months <= 0:
-        # QoS columns ride the loadgen stream; PoissonArrivals
-        # bit-reproduces the inline generator's timestamps, so adding
-        # deadlines/priorities changes no arrival or lookup content.
-        arenas = generate_request_arenas(
-            model, args.requests, PoissonArrivals(args.qps),
-            seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
-        offered = f"offered load {args.qps:.0f} QPS"
-    else:
-        # The synthetic stream carries drift and the QoS columns
-        # together: deadlines/priorities come from a dedicated RNG
-        # stream, so they match the undrifted stream's columns
-        # bit-for-bit, and the overload controller's EWMA/admission
-        # state lives on the server — drift replans swap only the plan.
-        drift = None
-        if args.drift_months > 0:
-            drift = DriftModel(feature_noise=4.0, alpha_noise=4.0)
-        arenas = synthetic_request_arenas(
-            model,
-            num_requests=args.requests,
-            qps=args.qps,
-            seed=args.seed,
-            drift=drift,
-            months_per_request=(
-                args.drift_months / args.requests if args.requests else 0.0
-            ),
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
-        offered = f"offered load {args.qps:.0f} QPS"
+        offered = (f"bursty {rate.burst_qps:.0f}/{rate.idle_qps:.0f} "
+                   f"QPS over {rate.burst_ms:g}/{rate.idle_ms:g} ms "
+                   f"(mean {rate.mean_qps:.0f})")
+    arenas = synthetic_request_arenas(
+        model, args.requests, rate, seed=args.seed,
+        drift=(
+            DriftModel(feature_noise=4.0, alpha_noise=4.0)
+            if args.drift_months > 0
+            else None
+        ),
+        months_per_request=args.drift_months / args.requests,
+        deadline_ms=args.deadline_ms,
+        priority_shares=priority_shares,
+    )
     tiers = "/".join(topology.tier_names)
     if args.workers:
         server = MultiProcessServer(
@@ -695,16 +657,12 @@ def _cmd_serve(args) -> int:
         overload=overload,
     )
     start = time.perf_counter()
-    if args.fast_serving:
-        metrics = server.serve_arenas(arenas)
-    else:
-        metrics = server.serve(r for arena in arenas for r in arena)
+    metrics = server.serve_arenas(arenas)
     elapsed = time.perf_counter() - start
-    path = "columnar fast path" if args.fast_serving else "reference object path"
     print(f"served {model.name} on {args.gpus} GPUs over {tiers} "
           f"({offered}, "
           f"microbatch <= {args.batch_requests} reqs / "
-          f"{args.max_delay_ms:g} ms, {path}):")
+          f"{args.max_delay_ms:g} ms):")
     print(metrics.format_report())
     print(f"simulation wall-clock: {elapsed:.2f} s")
     _dump_report_json(args.report_json, metrics)
@@ -800,16 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="per-feature reference engine",
             )
         if name == "serve":
-            path = p.add_mutually_exclusive_group()
-            path.add_argument(
-                "--fast", dest="fast_serving", action="store_true",
-                default=True,
-                help="columnar arena fast path (default)",
-            )
-            path.add_argument(
-                "--reference", dest="fast_serving", action="store_false",
-                help="per-request object path (parity reference)",
-            )
             p.add_argument("--tiers", default=None, metavar="NAMES",
                            help="comma-separated tier presets, fastest "
                                 "first (hbm,uvm|dram,ssd,hdd); each may "
@@ -853,10 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="offer batches on the wall clock at their "
                                 "simulated release times and shed on a "
                                 "full queue (requires --workers)")
-            p.add_argument("--arrival-rate", type=float, default=None,
-                           metavar="QPS",
-                           help="alias for --qps (open-loop mean arrival "
-                                "rate, requests/s)")
             p.add_argument("--burst", action="store_true",
                            help="bursty on/off arrivals instead of steady "
                                 "Poisson (burst/idle rates default to "

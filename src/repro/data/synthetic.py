@@ -104,7 +104,7 @@ class SamplerBank:
     """Reusable per-feature sampler state shared across model revisions.
 
     Drifting request streams re-derive the model spec chunk after chunk
-    (:func:`repro.serving.server.synthetic_request_arenas`); rebuilding
+    (:func:`repro.serving.loadgen.synthetic_request_arenas`); rebuilding
     every feature's post-hash CDF per chunk dominated generation cost.
     A bank keeps one :class:`_FeatureSampler` per table and
     :meth:`refresh` updates each in place, rebuilding only the state

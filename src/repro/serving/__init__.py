@@ -42,11 +42,12 @@ Components:
   :func:`~repro.serving.faults.parse_chaos_spec`) replayed on the
   serving clock; drives the degraded-mode failover, emergency replan,
   and self-healing worker-pool drills.
-* :mod:`~repro.serving.loadgen` — first-class arrival processes
+* :mod:`~repro.serving.loadgen` — the one request generator,
+  :func:`~repro.serving.loadgen.synthetic_request_arenas`: seeded
+  open-loop arena streams with optional drift, per-request deadline
+  budgets, and priority classes, timed by a rate or an arrival process
   (:class:`~repro.serving.loadgen.PoissonArrivals`,
-  :class:`~repro.serving.loadgen.BurstyArrivals`) for open-loop load
-  generation under arbitrary traffic shapes, with optional per-request
-  deadline budgets and priority classes.
+  :class:`~repro.serving.loadgen.BurstyArrivals`).
 * :mod:`~repro.serving.overload` — SLO-driven overload control
   (:class:`~repro.serving.overload.OverloadControl`): deadline-aware
   admission from an EWMA service-time estimator, priority-class
@@ -55,20 +56,22 @@ Components:
 
 Quickstart::
 
-    from repro import rm2, paper_node, analytic_profile
+    from repro import analytic_profile, paper_node, rm2
     from repro.core import RecShardFastSharder
-    from repro.serving import LookupServer, ServingConfig, synthetic_request_stream
+    from repro.memory import paper_scales
+    from repro.serving import LookupServer, ServingConfig, synthetic_request_arenas
 
-    model = rm2(num_features=97, row_scale=1e-3 * 97 / 397)
-    topology = paper_node(num_gpus=8, scale=1e-3 * 97 / 397)
+    topo_scale, row_scale = paper_scales(num_features=13, num_gpus=2)
+    model = rm2(num_features=13, row_scale=row_scale)
+    topology = paper_node(num_gpus=2, scale=topo_scale)
     profile = analytic_profile(model)
     server = LookupServer(
         model, profile, topology,
         sharder=RecShardFastSharder(batch_size=256),
         config=ServingConfig(max_batch_size=256, max_delay_ms=2.0),
     )
-    arenas = synthetic_request_arenas(model, num_requests=2000, qps=20000, seed=7)
-    metrics = server.serve_arenas(arenas)   # columnar fast path
+    arenas = synthetic_request_arenas(model, num_requests=500, qps=20000, seed=7)
+    metrics = server.serve_arenas(arenas)
     print(metrics.format_report())
 """
 
@@ -86,7 +89,7 @@ from repro.serving.faults import (
 from repro.serving.loadgen import (
     BurstyArrivals,
     PoissonArrivals,
-    generate_request_arenas,
+    synthetic_request_arenas,
 )
 from repro.serving.metrics import ServingMetrics
 from repro.serving.mp import MultiProcessServer, WorkerCrashError
@@ -102,13 +105,7 @@ from repro.serving.queue import (
     coalesce_requests,
     iter_microbatch_arenas,
 )
-from repro.serving.server import (
-    DriftMonitor,
-    LookupServer,
-    ServingConfig,
-    synthetic_request_arenas,
-    synthetic_request_stream,
-)
+from repro.serving.server import DriftMonitor, LookupServer, ServingConfig
 
 __all__ = [
     "BurstyArrivals",
@@ -134,11 +131,9 @@ __all__ = [
     "device_degrade",
     "device_fail",
     "device_recover",
-    "generate_request_arenas",
     "iter_microbatch_arenas",
     "parse_chaos_spec",
     "parse_priority_spec",
     "synthetic_request_arenas",
-    "synthetic_request_stream",
     "worker_kill",
 ]

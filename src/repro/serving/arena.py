@@ -17,9 +17,9 @@ only slices views.
 
 :class:`~repro.serving.queue.LookupRequest` remains the object API:
 :meth:`RequestArena.request` materializes one as zero-copy views into
-the arena's arrays, which is what keeps the PR-1 object path (and every
-caller of ``synthetic_request_stream``) working unchanged on top of
-arena-backed generation.
+the arena's arrays, which is what keeps the object path working
+unchanged on top of arena-backed generation: iterating an arena yields
+its requests.
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
 """Open-loop load generation for the serving runtimes.
 
-The single-process simulator draws Poisson arrivals inline
-(:func:`~repro.serving.server.synthetic_request_arenas`); the
-multi-process runtime needs the arrival *process* as a first-class
-object so the same request stream can be generated under different
-traffic shapes — steady Poisson for scaling measurements, bursty
-on/off cycles for overload and shedding tests.
+:func:`synthetic_request_arenas` is the one request generator: both
+the single-process :class:`~repro.serving.server.LookupServer` and the
+multi-process runtime serve its seeded arena streams.  Timestamps come
+from an arrival *process*, so the same request content can be offered
+under different traffic shapes — steady Poisson for scaling
+measurements, bursty on/off cycles for overload and shedding tests.
 
 Both processes here are frozen dataclasses whose arrival draws are pure
 functions of ``(rng, now_ms, count)``: streams replay bit-for-bit per
-seed, and :class:`PoissonArrivals` reproduces the inline generator's
-gap sequence exactly (same ``rng.exponential`` call, same prepended
-cumulative sum), so swapping a ``qps`` float for
-``PoissonArrivals(qps)`` changes nothing downstream.
+seed, and a plain ``qps`` rate is exactly ``PoissonArrivals(qps)``.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
+from repro.data.drift import DriftModel
 from repro.data.model import ModelSpec
 from repro.data.synthetic import SamplerBank
 from repro.serving.arena import RequestArena
@@ -46,10 +44,8 @@ class ArrivalProcess(Protocol):
 class PoissonArrivals:
     """Steady open-loop traffic: exponential gaps at a fixed rate.
 
-    Bit-reproduces the gap sequence of
-    :func:`~repro.serving.server.synthetic_request_arenas` for the same
-    generator state, so single- and multi-process runs of the same
-    seeded stream see identical timestamps.
+    What :func:`synthetic_request_arenas` uses for a plain ``qps``
+    rate.
 
     Attributes:
         qps: mean arrival rate (requests/second, > 0).
@@ -70,7 +66,7 @@ class PoissonArrivals:
     ) -> np.ndarray:
         gaps = rng.exponential(1e3 / self.qps, size=count)
         # Prepending ``now`` keeps float associativity identical to a
-        # scalar ``now += gap`` loop (see synthetic_request_arenas).
+        # scalar ``now += gap`` loop, so streams replay bit-for-bit.
         return np.cumsum(np.concatenate(([now_ms], gaps)))[1:]
 
 
@@ -163,40 +159,52 @@ class BurstyArrivals:
 _QOS_STREAM = 0x51D
 
 
-def generate_request_arenas(
+def synthetic_request_arenas(
     model: ModelSpec,
     num_requests: int,
-    process: ArrivalProcess,
+    qps: float | ArrivalProcess,
     seed: int = 0,
     start_ms: float = 0.0,
+    drift: DriftModel | None = None,
+    months_per_request: float = 0.0,
     chunk_size: int = 512,
     deadline_ms: float | None = None,
     priority_shares: tuple[float, ...] | None = None,
 ) -> Iterator[RequestArena]:
-    """Seeded open-loop arena stream under an arbitrary arrival process.
+    """Generate a seeded open-loop request stream, columnar.
 
-    The traffic-shape-generic twin of
-    :func:`~repro.serving.server.synthetic_request_arenas`: sample
-    content is drawn identically (same per-chunk child seeds from the
-    same parent generator), only the timestamps come from ``process``.
-    With ``PoissonArrivals(qps)`` the two functions yield bit-identical
-    streams per seed — pinned by the loadgen tests and relied on by the
-    mp-vs-single-process parity suite.
+    Chunks of samples are drawn feature-major from the model's feature
+    statistics and timestamped by the arrival process; each chunk is
+    one :class:`~repro.serving.arena.RequestArena`.  With a ``drift``
+    model, each successive chunk is drawn from feature statistics
+    drifted to ``months_per_request * requests_so_far`` —
+    fast-forwarding the months-long drift of Figure 9 into one serving
+    run so drift-triggered replanning can be exercised end to end.
+    Per-feature sampler state (hashed value space, post-hash CDFs) is
+    reused across chunks and only rebuilt for the spec fields drift
+    actually changed.  Iterate an arena for its per-request
+    :class:`~repro.serving.queue.LookupRequest` views.
 
     Args:
         model: workload spec.
         num_requests: stream length.
-        process: arrival process (Poisson, bursty, ...).
+        qps: offered load — a mean rate in requests/second (Poisson
+            arrivals, exactly ``PoissonArrivals(qps)``) or any
+            :class:`ArrivalProcess` such as :class:`BurstyArrivals`.
         seed: RNG seed; streams replay identically per seed.
         start_ms: timestamp of the stream's start.
+        drift: optional :class:`~repro.data.drift.DriftModel`.
+        months_per_request: simulated months elapsed per request.
         chunk_size: samples drawn per arena chunk (efficiency knob).
         deadline_ms: when set (> 0), every request carries the absolute
             deadline ``arrival + deadline_ms``.
         priority_shares: when set, per-request priority classes are
             drawn i.i.d. with these probabilities (class ``i`` gets
             ``priority_shares[i]``; shares must be positive and sum to
-            1).  Drawn from a dedicated RNG stream, so arrivals and
-            lookup content stay bit-identical with QoS on or off.
+            1).  QoS columns come from a dedicated RNG stream
+            (``default_rng((seed, 0x51D))``), so arrivals and lookup
+            content stay bit-identical with QoS on or off — and, with
+            drift, identical to the undrifted stream's QoS columns.
 
     Yields:
         :class:`~repro.serving.arena.RequestArena` chunks in arrival
@@ -204,6 +212,7 @@ def generate_request_arenas(
     """
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
+    process = PoissonArrivals(qps) if np.isscalar(qps) else qps
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if deadline_ms is not None and deadline_ms <= 0:
@@ -224,11 +233,16 @@ def generate_request_arenas(
     )
     rng = np.random.default_rng(seed)
     bank = SamplerBank()
-    bank.refresh(model)
     now = float(start_ms)
     emitted = 0
     while emitted < num_requests:
         count = min(chunk_size, num_requests - emitted)
+        chunk_model = model
+        if drift is not None and months_per_request > 0:
+            month = months_per_request * emitted
+            if month > 0:
+                chunk_model = drift.drift_model(model, month)
+        bank.refresh(chunk_model)
         chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
         batch = bank.sample_batch(count, chunk_rng)
         arrivals = process.arrivals(rng, now, count)

@@ -236,8 +236,8 @@ class MultiProcessServer:
             overload=overload,
         )
         # Freeze the plan: the pool never replans, so the spine's drift
-        # machinery (monitor, profiler, sharder) is dropped and its
-        # _execute-equivalent below skips the observation branch.
+        # machinery (monitor, profiler, sharder) is dropped; _account
+        # runs only the spine's per-batch accounting steps.
         spine.sharder = None
         spine.monitor = None
         spine._profiler = None
@@ -673,68 +673,28 @@ class MultiProcessServer:
     ):
         """Reduce one classified batch on the spine (sequential state).
 
-        Mirrors ``LookupServer._execute`` exactly, with the executor's
+        The spine's own before/after-batch steps run around
         :meth:`~repro.engine.executor.ShardedExecutor.reduce_classified`
-        standing in for ``run_batch`` — same busy-clock advance, same
-        brownout decision point, same ``record_batch`` call — which is
-        why the merged metrics match the single-process run bit for
-        bit.
+        exactly as ``LookupServer._execute`` runs them around
+        ``run_batch`` — which is why the merged metrics match the
+        single-process run bit for bit.  Device chaos events land in
+        the before step; the spine has no sharder, so a device failure
+        runs reroute-only degraded mode (no emergency replan on a
+        frozen plan).
         """
         spine = self._spine
-        start = max(trigger_ms, spine._busy_until_ms)
-        if spine._chaos_armed:
-            # Device events land here, in batch order on the simulated
-            # clock — the same point the single-process loop applies
-            # them.  The spine has no sharder, so a device failure runs
-            # reroute-only degraded mode (no emergency replan on a
-            # frozen plan).
-            spine._apply_due_faults(trigger_ms, start)
-        ctrl = spine._ovl
-        brownout_now = False
-        if ctrl is not None and ctrl.control.brownout:
-            active = ctrl.update_brownout()
-            if active != spine.executor.brownout_active:
-                spine.executor.set_brownout(active)
-                spine.metrics.record_brownout(start, active)
-            brownout_now = active
-        # Full classified lookup count, before the brownout/fault
-        # reductions reshape the served matrix — the single-process
-        # loop's ``batch.total_lookups``.
-        total_classified = int(counts.sum())
+        start, brownout_now = spine._begin_batch(trigger_ms)
+        # The full classified count, before brownout/fault reductions
+        # reshape the served matrix: the single-process loop's
+        # ``batch.total_lookups``.
+        lookups = int(counts.sum())
         device_times, accesses, _, reps = spine.executor.reduce_classified(
             counts, hits, replicas, cuts
         )
-        service = (
-            float(device_times.max()) + spine.config.overhead_ms_per_batch
+        spine._finish_batch(
+            start, brownout_now, device_times, accesses, reps, lookups,
+            arrivals_ms, deadlines_ms, priorities,
         )
-        finish = start + service
-        spine._busy_until_ms = finish
-        faults_active = spine._chaos_armed and spine.executor.has_faults
-        spine.metrics.record_batch(
-            arrivals_ms,
-            start_ms=start,
-            finish_ms=finish,
-            device_times_ms=device_times,
-            total_lookups=int(accesses.sum()),
-            tier_accesses=accesses,
-            replica_accesses=(
-                reps if spine.executor.replication is not None else None
-            ),
-            dropped_lookups=(
-                spine.executor.last_dropped.copy() if faults_active else None
-            ),
-            deadlines_ms=deadlines_ms,
-            priorities=priorities,
-            browned_lookups=(
-                spine.executor.last_browned.copy() if brownout_now else None
-            ),
-        )
-        if ctrl is not None:
-            ctrl.observe_batch(
-                service,
-                total_classified,
-                finish - np.asarray(arrivals_ms, dtype=np.float64),
-            )
 
     def _fire_worker_faults(
         self, trigger_ms: float, pending: dict, results: dict

@@ -11,18 +11,26 @@ completes when its slowest device does, and a plan with balanced,
 HBM-resident hot rows serves strictly higher QPS at lower tail latency
 — the serving-side restatement of the paper's Table 3 result.
 
-Two admission paths produce bit-identical metrics:
+Request streams come from
+:func:`~repro.serving.loadgen.synthetic_request_arenas`.  Two admission
+paths produce bit-identical metrics:
 
-* **columnar fast path** (:meth:`LookupServer.serve_arenas`, default in
-  the CLI): requests stay feature-major in
+* **columnar path** (:meth:`LookupServer.serve_arenas`, what
+  ``repro serve`` runs): requests stay feature-major in
   :class:`~repro.serving.arena.RequestArena` chunks; release points
   (size cap / delay deadline) are computed vectorized over the
   arrival-time array, and each microbatch is an offset slice of the
   arena — no per-request objects, no per-batch re-concatenation.
-* **object reference path** (:meth:`LookupServer.serve`): the original
+* **object path** (:meth:`LookupServer.serve`): the original
   per-request loop through a
-  :class:`~repro.serving.queue.MicroBatchQueue`.  Kept as the ground
-  truth the serving parity tests check the fast path against.
+  :class:`~repro.serving.queue.MicroBatchQueue`.  It has no CLI entry;
+  it is the ground truth the serving parity tests check the columnar
+  path against.
+
+Either way a released batch is accounted by the same two steps around
+the engine call (:meth:`LookupServer._begin_batch` and
+:meth:`LookupServer._finish_batch`), which the multi-process
+aggregator also runs around its reduction.
 
 Serving also closes the loop the paper opens in Section 3.5: feature
 statistics drift, so a plan optimal at deployment decays.  The server
@@ -41,9 +49,10 @@ its wall-clock build cost surfaced in
 from __future__ import annotations
 
 import inspect
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,16 +65,13 @@ from repro.core.replicate import (
 from repro.core.plan import ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace
 from repro.data.batch import JaggedBatch
-from repro.data.drift import DriftModel
 from repro.data.model import ModelSpec
-from repro.data.synthetic import SamplerBank
 from repro.engine.cache import CacheModel, TierStagingModel
 from repro.engine.executor import ShardedExecutor
 from repro.engine.ranked import RankRemapper
 from repro.memory.topology import SystemTopology
 from repro.serving.arena import RequestArena
 from repro.serving.faults import FaultInjector, FaultSchedule
-from repro.serving.loadgen import _QOS_STREAM
 from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadControl, OverloadController
 from repro.serving.queue import (
@@ -246,14 +252,12 @@ class LookupServer:
             replica routing lane (replicated lookups reroute, home-lane
             lookups drop and are counted), (2) with a ``sharder``,
             builds an emergency warm-start replan onto the surviving
-            devices and commits it once the build's (wall-clock) cost
-            has elapsed on the simulated clock, and (3) records the
+            devices and commits it once its modelled re-materialization
+            time has elapsed on the simulated clock, and (3) records the
             recovery timeline in the metrics.  Worker events are
             rejected here — they need the multi-process runtime.
-        emergency_commit_ms: override the emergency replan's commit
-            delay with a fixed simulated value instead of the measured
-            wall-clock build cost — what makes a chaos run
-            deterministic for parity tests.
+        emergency_commit_ms: override the emergency replan's modelled
+            commit delay with a fixed simulated value.
         overload: optional :class:`~repro.serving.overload.
             OverloadControl` enabling SLO-driven overload control:
             deadline-aware admission, priority-class shedding, and
@@ -359,7 +363,7 @@ class LookupServer:
         # a second stream replay the no-fault baseline bit for bit.
         self._initial_install = (self.plan, self.profile)
 
-    def _build_plan(self, profile, warm_start=None):
+    def _build_plan(self, profile, warm_start=None, surviving=None):
         """Shard from ``profile``, reusing the server's planner state.
 
         Warm start (previous plan's cut points and homes) and the
@@ -370,6 +374,11 @@ class LookupServer:
         topology and the replica set is recomputed from the same
         refreshed workspace, so drift replans rebalance the replica
         lane along with the placement.
+
+        ``surviving`` (physical device ids, for emergency replans)
+        plans on a reduced topology holding only those devices; the
+        warm start must then be in that compact index space, and the
+        result is mapped back to physical ids before replication.
         """
         kwargs = {}
         if self._sharder_takes_workspace:
@@ -382,12 +391,15 @@ class LookupServer:
                 self._workspace.refresh(profile)
             kwargs["workspace"] = self._workspace
         if warm_start is not None and self._sharder_warm_starts:
-            if isinstance(warm_start, ReplicatedPlan):
-                warm_start = warm_start.plan
-            kwargs["warm_start"] = warm_start
-        plan = self.sharder.shard(
-            self.model, profile, self._plan_topology, **kwargs
-        )
+            kwargs["warm_start"] = _base_plan(warm_start)
+        topology = self._plan_topology
+        if surviving is not None:
+            topology = SystemTopology(
+                num_devices=len(surviving), tiers=topology.tiers
+            )
+        plan = self.sharder.shard(self.model, profile, topology, **kwargs)
+        if surviving is not None:
+            plan = _with_devices(plan, [surviving[p.device] for p in plan])
         if self.replication is not None:
             plan = build_replication(
                 self.replication, plan, profile, self.model, self.topology,
@@ -490,7 +502,9 @@ class LookupServer:
 
         Args:
             requests: requests in non-decreasing ``arrival_ms`` order
-                (e.g. from :func:`synthetic_request_stream`).
+                (e.g. the requests of
+                :func:`~repro.serving.loadgen.synthetic_request_arenas`
+                chunks, iterated).
             on_replan: optional callback invoked with the simulated time
                 of every drift-triggered replan.
 
@@ -546,7 +560,7 @@ class LookupServer:
 
         Args:
             arenas: columnar request chunks in arrival order (e.g. from
-                :func:`synthetic_request_arenas`).
+                :func:`~repro.serving.loadgen.synthetic_request_arenas`).
             on_replan: optional callback, as in :meth:`serve`.
         """
         for arena, trigger in iter_microbatch_arenas(
@@ -614,27 +628,68 @@ class LookupServer:
         priorities=None,
     ) -> None:
         """Execute one released microbatch and account it."""
+        start, brownout_now = self._begin_batch(trigger_ms)
+        device_times, accesses, _, replicas = self.executor.run_batch(batch)
+        finish = self._finish_batch(
+            start, brownout_now, device_times, accesses, replicas,
+            batch.total_lookups, arrivals_ms, deadlines_ms, priorities,
+        )
+        if self.sharder is None:
+            return
+        # Two deliberate accumulators: the monitor watches *all* served
+        # traffic (cheap per-feature tallies, accurate drift signal);
+        # the profiler Bernoulli-subsamples at profile_sample_rate to
+        # bound the cost of the full per-row counts a replan needs.
+        self.monitor.observe(batch)
+        self._profiler.consume(batch)
+        self._batches_since_check += 1
+        if self._batches_since_check >= self.config.drift_check_every_batches:
+            self._batches_since_check = 0
+            if self.monitor.should_replan():
+                self._replan(finish, on_replan)
+
+    def _begin_batch(self, trigger_ms: float) -> tuple[float, bool]:
+        """Engine-independent step before a released batch executes.
+
+        Fixes the batch's start on the busy clock, delivers the chaos
+        faults due by its trigger, commits a pending emergency plan
+        whose delay has elapsed, and takes the brownout decision.
+        Returns ``(start_ms, brownout_now)``.  The multi-process
+        aggregator calls this same step around its reduction, which is
+        what keeps the two runtimes' metrics bit-identical.
+        """
         start = max(trigger_ms, self._busy_until_ms)
         if self._chaos_armed:
             self._apply_due_faults(trigger_ms, start)
             if self._pending_install is not None:
                 self._maybe_commit_emergency(start)
         ctrl = self._ovl
-        brownout_now = False
-        if ctrl is not None and ctrl.control.brownout:
-            active = ctrl.update_brownout()
-            if active != self.executor.brownout_active:
-                self.executor.set_brownout(active)
-                self.metrics.record_brownout(start, active)
-            brownout_now = active
-        device_times, accesses, _, replicas = self.executor.run_batch(batch)
+        if ctrl is None or not ctrl.control.brownout:
+            return start, False
+        active = ctrl.update_brownout()
+        if active != self.executor.brownout_active:
+            self.executor.set_brownout(active)
+            self.metrics.record_brownout(start, active)
+        return start, active
+
+    def _finish_batch(
+        self, start_ms, brownout_now, device_times, accesses, replicas,
+        lookups, arrivals_ms, deadlines_ms=None, priorities=None,
+    ) -> float:
+        """Account one executed batch; returns its finish time.
+
+        Advances the busy clock by the slowest device plus the per-batch
+        overhead, records the batch, and feeds the overload
+        controller's service-time estimate with the batch's full
+        ``lookups`` count (before brownout or fault reductions).
+        """
         service = float(device_times.max()) + self.config.overhead_ms_per_batch
-        finish = start + service
+        finish = start_ms + service
         self._busy_until_ms = finish
         faults_active = self._chaos_armed and self.executor.has_faults
         self.metrics.record_batch(
             arrivals_ms,
-            start_ms=start,
+            start_ms=start_ms,
             finish_ms=finish,
             device_times_ms=device_times,
             # Every lookup lands in exactly one (tier, device) cell, so
@@ -653,25 +708,13 @@ class LookupServer:
                 self.executor.last_browned.copy() if brownout_now else None
             ),
         )
-        if ctrl is not None:
-            ctrl.observe_batch(
+        if self._ovl is not None:
+            self._ovl.observe_batch(
                 service,
-                batch.total_lookups,
+                lookups,
                 finish - np.asarray(arrivals_ms, dtype=np.float64),
             )
-        if self.sharder is None:
-            return
-        # Two deliberate accumulators: the monitor watches *all* served
-        # traffic (cheap per-feature tallies, accurate drift signal);
-        # the profiler Bernoulli-subsamples at profile_sample_rate to
-        # bound the cost of the full per-row counts a replan needs.
-        self.monitor.observe(batch)
-        self._profiler.consume(batch)
-        self._batches_since_check += 1
-        if self._batches_since_check >= self.config.drift_check_every_batches:
-            self._batches_since_check = 0
-            if self.monitor.should_replan():
-                self._replan(finish, on_replan)
+        return finish
 
     def _replan(
         self, now_ms: float, on_replan: Callable[[float], None] | None = None
@@ -734,11 +777,15 @@ class LookupServer:
         """Build a warm-start plan onto the surviving devices.
 
         The build runs synchronously here (off the simulated critical
-        path, like drift replans) but *commits* only once its cost has
-        elapsed on the serving clock — the window in which serving runs
-        degraded on the replica lane alone.  Fixed-plan servers have no
-        sharder to rebuild with, so they stay in degraded mode until a
-        recover event.
+        path, like drift replans) but *commits* only once its modelled
+        cost has elapsed on the serving clock — the window in which
+        serving runs degraded on the replica lane alone.  That delay is
+        :meth:`_rematerialize_ms` (or the pinned
+        ``emergency_commit_ms``), never the measured build time, so a
+        drill's simulated timeline is the same on any host; the wall
+        build time is kept as an observation only.  Fixed-plan servers
+        have no sharder to rebuild with, so they stay in degraded mode
+        until a recover event.
         """
         if self.sharder is None:
             return
@@ -748,7 +795,7 @@ class LookupServer:
         delay = (
             self._emergency_commit_ms
             if self._emergency_commit_ms is not None
-            else build_ms
+            else self._rematerialize_ms(plan)
         )
         self._pending_install = (
             plan, self.profile, fault_ms + delay, fault_ms, build_ms
@@ -765,64 +812,46 @@ class LookupServer:
         mapped back to physical device ids and the replica set
         recomputed so the executor keeps serving in physical space.
         """
-        alive = self.executor._device_alive
-        surviving = [int(d) for d in np.flatnonzero(alive)]
+        surviving = [int(d) for d in np.flatnonzero(self.executor._device_alive)]
         if not surviving:
             raise RuntimeError("no surviving devices to replan onto")
-        reduced = SystemTopology(
-            num_devices=len(surviving), tiers=self._plan_topology.tiers
-        )
         compact = {device: i for i, device in enumerate(surviving)}
-        base = self.plan.plan if isinstance(self.plan, ReplicatedPlan) else self.plan
-        placements = []
-        evacuated = 0
-        for p in base:
-            if p.device in compact:
-                device = compact[p.device]
-            else:
-                device = evacuated % len(surviving)
-                evacuated += 1
-            placements.append(
-                TablePlacement(p.table_index, device, p.rows_per_tier)
-            )
-        warm = ShardingPlan(
-            strategy=base.strategy, placements=placements,
-            metadata=dict(base.metadata),
+        base = _base_plan(self.plan)
+        spill = itertools.count()
+        homes = [
+            compact[p.device]
+            if p.device in compact
+            else next(spill) % len(surviving)
+            for p in base
+        ]
+        return self._build_plan(
+            self.profile, warm_start=_with_devices(base, homes),
+            surviving=surviving,
         )
-        kwargs = {}
-        if self._sharder_takes_workspace:
-            if self._workspace is None:
-                self._workspace = PlannerWorkspace(
-                    self.model, self.profile,
-                    steps=getattr(self.sharder, "steps", 100),
+
+    def _rematerialize_ms(self, plan) -> float:
+        """Modelled commit delay of ``plan`` replacing the active plan.
+
+        Each home placement's rows that land in a (device, tier) cell
+        the active plan did not already fill — every row of a table
+        that changes device, the net gain of a tier on the same device
+        — are written at that tier's bandwidth; devices fill in
+        parallel, so the busiest device sets the delay.
+        """
+        busy_s = np.zeros(self.topology.num_devices)
+        for old, new in zip(_base_plan(self.plan), _base_plan(plan)):
+            row_bytes = self.model.tables[new.table_index].row_bytes
+            for t, tier in enumerate(self.topology.tiers):
+                rows = new.rows_per_tier[t]
+                if old.device == new.device:
+                    rows = max(0, rows - old.rows_per_tier[t])
+                busy_s[new.device] += tier.seconds_for_bytes(
+                    rows * tier.row_bytes_for(row_bytes)
                 )
-            else:
-                self._workspace.refresh(self.profile)
-            kwargs["workspace"] = self._workspace
-        if self._sharder_warm_starts:
-            kwargs["warm_start"] = warm
-        plan = self.sharder.shard(
-            self.model, self.profile, reduced, **kwargs
-        )
-        plan = ShardingPlan(
-            strategy=plan.strategy,
-            placements=[
-                TablePlacement(
-                    p.table_index, surviving[p.device], p.rows_per_tier
-                )
-                for p in plan
-            ],
-            metadata=dict(plan.metadata),
-        )
-        if self.replication is not None:
-            plan = build_replication(
-                self.replication, plan, self.profile, self.model,
-                self.topology, workspace=kwargs.get("workspace"),
-            )
-        return plan
+        return float(busy_s.max()) * 1e3
 
     def _maybe_commit_emergency(self, start_ms: float) -> None:
-        """Swap in the pending emergency plan once its build time has
+        """Swap in the pending emergency plan once its commit delay has
         elapsed on the serving clock."""
         plan, profile, commit_at, fault_ms, build_ms = self._pending_install
         if start_ms < commit_at:
@@ -840,153 +869,18 @@ class LookupServer:
             self.metrics.close_fault_window(now_ms)
 
 
-def synthetic_request_arenas(
-    model: ModelSpec,
-    num_requests: int,
-    qps: float,
-    seed: int = 0,
-    start_ms: float = 0.0,
-    drift: DriftModel | None = None,
-    months_per_request: float = 0.0,
-    chunk_size: int = 512,
-    deadline_ms: float | None = None,
-    priority_shares: tuple[float, ...] | None = None,
-) -> Iterator[RequestArena]:
-    """Generate a seeded open-loop request stream, columnar.
+def _base_plan(plan) -> ShardingPlan:
+    """The home placements under a (possibly replicated) plan."""
+    return plan.plan if isinstance(plan, ReplicatedPlan) else plan
 
-    Chunks of samples are drawn feature-major from the model's feature
-    statistics and assigned Poisson arrivals at the offered ``qps``;
-    each chunk is one :class:`~repro.serving.arena.RequestArena`.  With
-    a ``drift`` model, each successive chunk is drawn from feature
-    statistics drifted to ``months_per_request * requests_so_far`` —
-    fast-forwarding the months-long drift of Figure 9 into one serving
-    run so drift-triggered replanning can be exercised end to end.
-    Per-feature sampler state (hashed value space, post-hash CDFs) is
-    reused across chunks and only rebuilt for the spec fields drift
-    actually changed.
 
-    The per-request view of the same stream is
-    :func:`synthetic_request_stream`; both yield identical content per
-    seed.
-
-    Args:
-        model: workload spec.
-        num_requests: stream length.
-        qps: offered load (mean arrival rate, requests/second).
-        seed: RNG seed; streams replay identically per seed.
-        start_ms: timestamp of the stream's start.
-        drift: optional :class:`~repro.data.drift.DriftModel`.
-        months_per_request: simulated months elapsed per request.
-        chunk_size: samples drawn per arena chunk (efficiency knob).
-        deadline_ms: when set (> 0), every request carries the absolute
-            deadline ``arrival + deadline_ms``.
-        priority_shares: when set, per-request priority classes are
-            drawn i.i.d. with these probabilities (shares must be
-            positive and sum to 1).  Like the loadgen twin, QoS columns
-            come from a dedicated RNG stream
-            (``default_rng((seed, 0x51D))``), so arrivals and lookup
-            content stay bit-identical with QoS on or off — and, with
-            drift, identical to the undrifted stream's QoS columns.
-
-    Yields:
-        :class:`~repro.serving.arena.RequestArena` chunks in arrival
-        order.
-    """
-    if num_requests < 0:
-        raise ValueError("num_requests must be >= 0")
-    if qps <= 0:
-        raise ValueError("qps must be > 0")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if deadline_ms is not None and deadline_ms <= 0:
-        raise ValueError("deadline_ms must be > 0")
-    shares = None
-    if priority_shares is not None:
-        shares = np.asarray(priority_shares, dtype=np.float64)
-        if shares.size == 0 or np.any(shares <= 0):
-            raise ValueError("priority shares must be positive")
-        if abs(float(shares.sum()) - 1.0) > 1e-6:
-            raise ValueError(
-                f"priority shares must sum to 1, got {float(shares.sum())}"
-            )
-        shares = shares / shares.sum()
-    with_qos = deadline_ms is not None or shares is not None
-    qos_rng = (
-        np.random.default_rng((seed, _QOS_STREAM)) if with_qos else None
+def _with_devices(plan: ShardingPlan, devices) -> ShardingPlan:
+    """``plan`` with table ``i`` re-homed on ``devices[i]``."""
+    return ShardingPlan(
+        strategy=plan.strategy,
+        placements=[
+            TablePlacement(p.table_index, device, p.rows_per_tier)
+            for p, device in zip(plan, devices)
+        ],
+        metadata=dict(plan.metadata),
     )
-    rng = np.random.default_rng(seed)
-    bank = SamplerBank()
-    now = float(start_ms)
-    emitted = 0
-    while emitted < num_requests:
-        count = min(chunk_size, num_requests - emitted)
-        chunk_model = model
-        if drift is not None and months_per_request > 0:
-            month = months_per_request * emitted
-            if month > 0:
-                chunk_model = drift.drift_model(model, month)
-        bank.refresh(chunk_model)
-        chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
-        batch = bank.sample_batch(count, chunk_rng)
-        gaps = rng.exponential(1e3 / qps, size=count)
-        # Prepending ``now`` keeps the cumulative sum's float
-        # associativity identical to the scalar ``now += gap`` loop the
-        # object path historically ran, so streams replay bit-for-bit.
-        arrivals = np.cumsum(np.concatenate(([now], gaps)))[1:]
-        now = float(arrivals[-1])
-        deadlines = priorities = None
-        if with_qos:
-            deadlines = (
-                arrivals + deadline_ms
-                if deadline_ms is not None
-                else np.full(count, np.inf)
-            )
-            priorities = (
-                qos_rng.choice(shares.size, size=count, p=shares).astype(
-                    np.int64
-                )
-                if shares is not None
-                else np.zeros(count, dtype=np.int64)
-            )
-        yield RequestArena(
-            batch,
-            arrivals,
-            base_id=emitted,
-            deadline_ms=deadlines,
-            priority=priorities,
-        )
-        emitted += count
-
-
-def synthetic_request_stream(
-    model: ModelSpec,
-    num_requests: int,
-    qps: float,
-    seed: int = 0,
-    start_ms: float = 0.0,
-    drift: DriftModel | None = None,
-    months_per_request: float = 0.0,
-    chunk_size: int = 512,
-    deadline_ms: float | None = None,
-    priority_shares: tuple[float, ...] | None = None,
-) -> Iterator[LookupRequest]:
-    """Per-request object view of :func:`synthetic_request_arenas`.
-
-    Yields :class:`~repro.serving.queue.LookupRequest` objects whose
-    feature arrays are zero-copy views into arena chunks — the object
-    API the reference serving path and external callers consume,
-    identical in content to the columnar stream for a given seed.
-    """
-    for arena in synthetic_request_arenas(
-        model,
-        num_requests,
-        qps,
-        seed=seed,
-        start_ms=start_ms,
-        drift=drift,
-        months_per_request=months_per_request,
-        chunk_size=chunk_size,
-        deadline_ms=deadline_ms,
-        priority_shares=priority_shares,
-    ):
-        yield from arena

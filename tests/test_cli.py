@@ -326,9 +326,9 @@ class TestServeValidation:
         code = main(["serve", "--model", "rm2"] + self.COMMON + extra)
         return code, capsys.readouterr().err
 
-    def test_rejects_nonpositive_arrival_rate(self, capsys):
-        code, err = self.run(["--arrival-rate", "-5"], capsys)
-        assert code == 2 and "--arrival-rate" in err
+    def test_rejects_nonpositive_qps(self, capsys):
+        code, err = self.run(["--qps", "-5"], capsys)
+        assert code == 2 and "--qps" in err
 
     def test_rejects_nonpositive_queue_depth(self, capsys):
         code, err = self.run(
@@ -396,3 +396,16 @@ class TestServeValidation:
         assert code == 0, captured.err
         assert "goodput" in captured.out
         assert "class gold" in captured.out
+
+    def test_accepts_burst_with_drift(self, capsys):
+        # Bursty arrivals used to be rejected with drift: both now come
+        # from the one request generator.
+        code = main(
+            ["serve", "--model", "rm2"] + self.COMMON + [
+                "--milp-time", "0", "--requests", "400",
+                "--batch-requests", "64", "--burst", "--drift-months", "6",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "bursty" in captured.out

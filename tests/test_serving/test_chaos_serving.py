@@ -4,8 +4,8 @@ The drill the tentpole is named for: fail a device mid-stream on a
 replicated multi-tier world and check the three-stage recovery story —
 (1) replicated lookups reroute immediately (masked least-loaded lane,
 zero replicated lookups land on the dead device), (2) an emergency
-warm-start replan onto the surviving topology commits after its build
-latency and stops further drops, (3) the whole timeline is measured:
+warm-start replan onto the surviving topology commits after its
+modelled re-materialization delay and stops further drops, (3) the whole timeline is measured:
 ``time_to_reroute_ms``, ``time_to_replan_ms``, drops, and windowed
 p50/p99 before/during/after the fault.  Parity drills pin the scalar
 vs vectorized and replay-determinism contracts under faults, and the
@@ -87,6 +87,10 @@ def drill():
     return FaultSchedule([device_fail(FAIL_MS, 1)])
 
 
+def replan_recoveries(metrics):
+    return sum(entry["kind"] == "replan" for entry in metrics.recoveries)
+
+
 # ----------------------------------------------------------------------
 # The headline drill: fail -> reroute -> emergency replan -> measured
 # ----------------------------------------------------------------------
@@ -100,9 +104,10 @@ def test_device_fail_drill_recovers_with_measured_timeline():
     assert metrics.time_to_reroute_ms is not None
     assert 0.0 <= metrics.time_to_reroute_ms < 50.0
     # Stage 2: the emergency replan committed onto the survivors —
-    # the active plan no longer places anything on device 1.
+    # the active plan no longer places anything on device 1.  (A drift
+    # replan may also fire; only the emergency one is pinned here.)
     assert metrics.time_to_replan_ms is not None
-    assert metrics.num_replans == 1
+    assert replan_recoveries(metrics) == 1
     base = getattr(server.plan, "plan", server.plan)
     assert all(p.device != 1 for p in base.placements)
     # Stage 3: drops were counted (home-lane lookups on the dead
@@ -133,7 +138,7 @@ def test_emergency_replan_stops_the_bleeding():
     degraded = frozen.serve_arenas(stream(model))
     assert degraded.num_replans == 0
     assert healed.dropped_lookups < degraded.dropped_lookups
-    assert healed.num_replans == 1
+    assert replan_recoveries(healed) == 1
 
 
 def test_replicated_lookups_never_land_on_dead_device():
@@ -195,13 +200,34 @@ def test_recover_event_closes_the_window():
     assert phases["after"]["requests"] > 0
 
 
+def test_modelled_commit_delay_ignores_the_wall_clock(monkeypatch):
+    """The default commit delay is modelled, not measured: a slow,
+    jittery wall clock changes the recorded build time and nothing on
+    the simulated clock."""
+    model, server = replicated_server(chaos=drill())
+    baseline = server.serve_arenas(stream(model))
+    rng = np.random.default_rng(0)
+    # Every read advances 50-500 ms: a host thousands of times slower
+    # than any real one, and never the same step twice.
+    ticks = iter(np.cumsum(rng.uniform(0.05, 0.5, size=100_000)))
+    monkeypatch.setattr(
+        "repro.serving.server.time.perf_counter", lambda: float(next(ticks))
+    )
+    model, slow = replicated_server(chaos=drill())
+    jittered = slow.serve_arenas(stream(model))
+    assert jittered.summary(deterministic_only=True) == baseline.summary(
+        deterministic_only=True
+    )
+    assert replan_recoveries(jittered) == 1
+    replan = next(e for e in jittered.recoveries if e["kind"] == "replan")
+    # The slow clock did reach the observation, recorded off-path only.
+    assert replan["wall_ms"] >= 50.0
+
+
 # ----------------------------------------------------------------------
 # Parity under chaos
 # ----------------------------------------------------------------------
 def test_scalar_vectorized_parity_under_chaos():
-    # Pin the replan commit delay: by default it is the measured wall
-    # build time, which is real but differs run to run — bit parity is
-    # only defined on the simulated clock.
     model, fast = replicated_server(chaos=drill(), emergency_commit_ms=2.0)
     model, slow = replicated_server(
         chaos=drill(), emergency_commit_ms=2.0, vectorized=False

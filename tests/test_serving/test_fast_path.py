@@ -9,6 +9,8 @@ latencies, same simulated replan times — including when drift triggers
 mid-stream re-sharding.
 """
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from repro.serving import (
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -80,7 +81,7 @@ class TestStreamParity:
     def test_arenas_match_object_stream(self, world):
         model, _, _ = world
         kwargs = dict(num_requests=300, qps=20000, seed=9)
-        objects = list(synthetic_request_stream(model, **kwargs))
+        objects = list(chain.from_iterable(synthetic_request_arenas(model, **kwargs)))
         from_arenas = [
             r
             for arena in synthetic_request_arenas(model, **kwargs)
@@ -100,7 +101,7 @@ class TestStreamParity:
             drift=DriftModel(feature_noise=6.0, alpha_noise=4.0),
             months_per_request=0.05, chunk_size=128,
         )
-        objects = list(synthetic_request_stream(model, **kwargs))
+        objects = list(chain.from_iterable(synthetic_request_arenas(model, **kwargs)))
         arenas = list(synthetic_request_arenas(model, **kwargs))
         assert sum(a.num_requests for a in arenas) == 400
         i = 0
@@ -129,7 +130,7 @@ class TestServeParity:
         )
         kwargs = dict(num_requests=500, qps=40000, seed=11)
         ref = make_server(world, plan=plan).serve(
-            synthetic_request_stream(model, **kwargs)
+            chain.from_iterable(synthetic_request_arenas(model, **kwargs))
         )
         fast = make_server(world, plan=plan).serve_arenas(
             synthetic_request_arenas(model, **kwargs)
@@ -152,7 +153,7 @@ class TestServeParity:
         )
         ref_replans, fast_replans = [], []
         ref = make_server(world, **config).serve(
-            synthetic_request_stream(model, **kwargs),
+            chain.from_iterable(synthetic_request_arenas(model, **kwargs)),
             on_replan=ref_replans.append,
         )
         fast = make_server(world, **config).serve_arenas(
@@ -177,7 +178,9 @@ class TestServeParity:
         )
         kwargs = dict(num_requests=211, qps=60000, seed=17)
         ref = make_server(world, plan=plan, max_batch_size=13).serve(
-            synthetic_request_stream(model, **kwargs, chunk_size=7)
+            chain.from_iterable(
+                synthetic_request_arenas(model, **kwargs, chunk_size=7)
+            )
         )
         fast = make_server(world, plan=plan, max_batch_size=13).serve_arenas(
             synthetic_request_arenas(model, **kwargs, chunk_size=7)
@@ -193,7 +196,7 @@ class TestServeParity:
         )
         kwargs = dict(num_requests=40, qps=5000, seed=2)
         ref = make_server(world, plan=plan, max_delay_ms=0.0).serve(
-            synthetic_request_stream(model, **kwargs)
+            chain.from_iterable(synthetic_request_arenas(model, **kwargs))
         )
         fast = make_server(world, plan=plan, max_delay_ms=0.0).serve_arenas(
             synthetic_request_arenas(model, **kwargs)
@@ -246,7 +249,9 @@ class TestRequestArena:
 
     def test_from_requests_roundtrip(self, world):
         model, _, _ = world
-        requests = list(synthetic_request_stream(model, 20, qps=1000, seed=4))
+        requests = list(
+            chain.from_iterable(synthetic_request_arenas(model, 20, qps=1000, seed=4))
+        )
         arena = RequestArena.from_requests(requests)
         assert arena.num_requests == 20
         for i, r in enumerate(arena):

@@ -1,8 +1,8 @@
 """Arrival processes: Poisson equivalence, bursty shape, determinism.
 
-:class:`~repro.serving.loadgen.PoissonArrivals` must reproduce the
-inline generator's stream bit-for-bit (so the mp runtime and the
-single-process simulator can share seeded streams), and
+A plain ``qps`` rate handed to
+:func:`~repro.serving.loadgen.synthetic_request_arenas` must be exactly
+``PoissonArrivals(qps)`` (so callers may pass either), and
 :class:`~repro.serving.loadgen.BurstyArrivals` must produce an on/off
 profile that is deterministic per seed, time-ordered, and actually
 bursty.
@@ -18,7 +18,6 @@ from repro.memory import paper_scales
 from repro.serving import (
     BurstyArrivals,
     PoissonArrivals,
-    generate_request_arenas,
     synthetic_request_arenas,
 )
 
@@ -39,26 +38,29 @@ def collect(arenas):
     return arenas, arrival, values
 
 
-def test_poisson_matches_inline_generator_bit_for_bit():
-    """generate_request_arenas(PoissonArrivals(q)) ==
-    synthetic_request_arenas(qps=q): same timestamps, same content,
-    same chunking — on every chunk."""
+def test_rate_and_poisson_process_yield_identical_arenas():
+    """synthetic_request_arenas(qps=q) == (qps=PoissonArrivals(q)):
+    same timestamps, content, QoS columns, and chunking on every
+    chunk — with and without QoS columns."""
     m = model()
-    ref = list(
-        synthetic_request_arenas(m, 2000, qps=7500.0, seed=42, chunk_size=256)
-    )
-    got = list(
-        generate_request_arenas(
-            m, 2000, PoissonArrivals(7500.0), seed=42, chunk_size=256
+    for qos in ({}, {"deadline_ms": 8.0, "priority_shares": (0.3, 0.7)}):
+        kwargs = dict(seed=42, chunk_size=256, **qos)
+        ref = list(synthetic_request_arenas(m, 2000, 7500.0, **kwargs))
+        got = list(
+            synthetic_request_arenas(
+                m, 2000, PoissonArrivals(7500.0), **kwargs
+            )
         )
-    )
-    assert len(ref) == len(got)
-    for a, b in zip(ref, got):
-        assert a.base_id == b.base_id
-        np.testing.assert_array_equal(a.arrival_ms, b.arrival_ms)
-        for fa, fb in zip(a.batch, b.batch):
-            np.testing.assert_array_equal(fa.values, fb.values)
-            np.testing.assert_array_equal(fa.offsets, fb.offsets)
+        assert len(ref) == len(got)
+        for a, b in zip(ref, got):
+            assert a.base_id == b.base_id
+            assert a.has_qos == bool(qos) == b.has_qos
+            np.testing.assert_array_equal(a.arrival_ms, b.arrival_ms)
+            np.testing.assert_array_equal(a.deadline_ms, b.deadline_ms)
+            np.testing.assert_array_equal(a.priority, b.priority)
+            for fa, fb in zip(a.batch, b.batch):
+                np.testing.assert_array_equal(fa.values, fb.values)
+                np.testing.assert_array_equal(fa.offsets, fb.offsets)
 
 
 def test_streams_are_deterministic_per_seed():
@@ -67,12 +69,12 @@ def test_streams_are_deterministic_per_seed():
         burst_qps=20000.0, idle_qps=200.0, burst_ms=40.0, idle_ms=60.0
     )
     _, first, first_vals = collect(
-        generate_request_arenas(m, 1500, process, seed=5)
+        synthetic_request_arenas(m, 1500, process, seed=5)
     )
     _, again, again_vals = collect(
-        generate_request_arenas(m, 1500, process, seed=5)
+        synthetic_request_arenas(m, 1500, process, seed=5)
     )
-    _, other, _ = collect(generate_request_arenas(m, 1500, process, seed=6))
+    _, other, _ = collect(synthetic_request_arenas(m, 1500, process, seed=6))
     np.testing.assert_array_equal(first, again)
     for a, b in zip(first_vals, again_vals):
         np.testing.assert_array_equal(a, b)
@@ -125,10 +127,10 @@ def test_validation():
         BurstyArrivals(burst_qps=10.0, burst_ms=0.0)
     m = model()
     with pytest.raises(ValueError):
-        list(generate_request_arenas(m, -1, PoissonArrivals(10.0)))
+        list(synthetic_request_arenas(m, -1, PoissonArrivals(10.0)))
     with pytest.raises(ValueError):
         list(
-            generate_request_arenas(
+            synthetic_request_arenas(
                 m, 10, PoissonArrivals(10.0), chunk_size=0
             )
         )

@@ -34,7 +34,6 @@ from repro.serving import (
     MultiProcessServer,
     ServingConfig,
     WorkerCrashError,
-    generate_request_arenas,
     synthetic_request_arenas,
 )
 from repro.serving.arena import SHM_NAME_PREFIX
@@ -249,7 +248,7 @@ def test_bursty_soak_stays_bounded_and_sheds():
     soak_s = 10.0
     num_requests = int(process.mean_qps * soak_s)
     arenas = list(
-        generate_request_arenas(
+        synthetic_request_arenas(
             model, num_requests, process, seed=23, chunk_size=256
         )
     )

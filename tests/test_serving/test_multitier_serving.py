@@ -9,6 +9,8 @@ configuration pinned bit-for-bit against the scalar per-request
 reference (object admission + per-lookup remap-table executor).
 """
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.serving import (
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -114,7 +115,7 @@ class TestMultiTierEndToEnd:
             world, staging=staging, vectorized=False, **config
         )
         ref_metrics = ref.serve(
-            synthetic_request_stream(world[0], **kwargs)
+            chain.from_iterable(synthetic_request_arenas(world[0], **kwargs))
         )
         assert fast_metrics.num_replans >= 1
         assert_bit_identical(ref_metrics, fast_metrics)

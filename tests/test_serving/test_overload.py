@@ -30,7 +30,6 @@ from repro.serving import (
     RequestArena,
     ServingConfig,
     ServingMetrics,
-    generate_request_arenas,
     parse_priority_spec,
     synthetic_request_arenas,
 )
@@ -71,7 +70,7 @@ def make_server(world, control=None, config=CONFIG):
 
 def qos_stream(model, n, qps, seed, deadline_ms=None, shares=None):
     return list(
-        generate_request_arenas(
+        synthetic_request_arenas(
             model, n, PoissonArrivals(qps), seed=seed,
             deadline_ms=deadline_ms, priority_shares=shares,
         )
@@ -283,20 +282,20 @@ class TestLoadgenQoS:
         model = rm2(num_features=9, row_scale=1e-4)
         with pytest.raises(ValueError, match="deadline_ms"):
             list(
-                generate_request_arenas(
+                synthetic_request_arenas(
                     model, 10, PoissonArrivals(1000), deadline_ms=0.0
                 )
             )
         with pytest.raises(ValueError, match="positive"):
             list(
-                generate_request_arenas(
+                synthetic_request_arenas(
                     model, 10, PoissonArrivals(1000),
                     priority_shares=(0.5, -0.5),
                 )
             )
         with pytest.raises(ValueError, match="sum to 1"):
             list(
-                generate_request_arenas(
+                synthetic_request_arenas(
                     model, 10, PoissonArrivals(1000),
                     priority_shares=(0.5, 0.6),
                 )
@@ -651,7 +650,7 @@ class TestBrownoutServing:
             synthetic_request_arenas(model, 2000, qps=1e9, seed=21)
         )
         tail = list(
-            generate_request_arenas(
+            synthetic_request_arenas(
                 model, 400, PoissonArrivals(500), seed=22, start_ms=50.0
             )
         )

@@ -6,10 +6,10 @@ not carry QoS columns, and nobody had pinned that overload-controller
 state survives a replan.  These tests pin the lifted restriction at the
 library layer:
 
-* the drift-capable :func:`synthetic_request_arenas` emits the same QoS
-  columns as the loadgen twin (bit-identical for ``months == 0``), from
-  a dedicated RNG stream so arrivals and content never move when QoS is
-  toggled — and the columns match the undrifted stream's under drift;
+* :func:`synthetic_request_arenas` draws QoS columns from a dedicated
+  RNG stream, so arrivals and content never move when QoS is toggled —
+  and the columns match the undrifted stream's under drift, for steady
+  and bursty arrivals alike;
 * a server with deadline/priority shedding *and* drift replanning keeps
   one :class:`OverloadController` across replans, its EWMA/admission
   state intact, and its accounting exact (offered == served + shed).
@@ -22,12 +22,12 @@ from repro.core import RecShardFastSharder
 from repro.data.drift import DriftModel
 from repro.memory.topology import SystemTopology
 from repro.serving import (
+    BurstyArrivals,
     LookupServer,
     OverloadControl,
     ServingConfig,
     synthetic_request_arenas,
 )
-from repro.serving.loadgen import PoissonArrivals, generate_request_arenas
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -62,21 +62,33 @@ def _assert_arena_streams_equal(ref, got, qos=True):
 
 
 class TestQosStream:
-    def test_matches_loadgen_twin_without_drift(self, world):
+    def test_bursty_drifted_stream_keeps_arrivals_and_qos(self, world):
+        # Drift moves lookup content only: a bursty process times the
+        # drifted stream exactly as it times the undrifted one, and the
+        # QoS columns replay the same dedicated stream.
         model, _, _ = world
-        ref = list(
-            generate_request_arenas(
-                model, 300, PoissonArrivals(QPS), seed=7,
-                deadline_ms=8.0, priority_shares=SHARES,
-            )
+        bursty = BurstyArrivals(burst_qps=4 * QPS, idle_qps=QPS / 10)
+        kwargs = dict(
+            seed=7, chunk_size=50, deadline_ms=8.0, priority_shares=SHARES
         )
-        got = list(
+        base = list(synthetic_request_arenas(model, 300, bursty, **kwargs))
+        drifted = list(
             synthetic_request_arenas(
-                model, 300, qps=QPS, seed=7,
-                deadline_ms=8.0, priority_shares=SHARES,
+                model, 300, bursty, **kwargs,
+                drift=DriftModel(feature_noise=6.0),
+                months_per_request=0.05,
             )
         )
-        _assert_arena_streams_equal(ref, got)
+        assert len(base) == len(drifted)
+        for a, b in zip(base, drifted):
+            np.testing.assert_array_equal(a.arrival_ms, b.arrival_ms)
+            np.testing.assert_array_equal(a.deadline_ms, b.deadline_ms)
+            np.testing.assert_array_equal(a.priority, b.priority)
+        assert any(
+            not np.array_equal(fa.values, fb.values)
+            for a, b in zip(base, drifted)
+            for fa, fb in zip(a.batch, b.batch)
+        )
 
     def test_qos_toggle_leaves_arrivals_and_content_unmoved(self, world):
         # QoS columns come from a dedicated RNG stream keyed off the

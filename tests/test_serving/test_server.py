@@ -1,5 +1,7 @@
 """Tests for the online lookup server, drift monitor, and metrics."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,16 @@ from repro.serving import (
     LookupServer,
     ServingConfig,
     ServingMetrics,
-    synthetic_request_stream,
+    synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
+
+
+def request_stream(model, **kwargs):
+    """The per-request view of a seeded arena stream."""
+    return chain.from_iterable(synthetic_request_arenas(model, **kwargs))
+
 
 BATCH = 64
 
@@ -38,8 +46,8 @@ def world():
 class TestSyntheticStream:
     def test_deterministic_per_seed(self, world):
         model, _, _ = world
-        a = list(synthetic_request_stream(model, num_requests=50, qps=1000, seed=3))
-        b = list(synthetic_request_stream(model, num_requests=50, qps=1000, seed=3))
+        a = list(request_stream(model, num_requests=50, qps=1000, seed=3))
+        b = list(request_stream(model, num_requests=50, qps=1000, seed=3))
         assert len(a) == len(b) == 50
         for ra, rb in zip(a, b):
             assert ra.arrival_ms == rb.arrival_ms
@@ -49,7 +57,7 @@ class TestSyntheticStream:
     def test_arrivals_monotone_and_rate_plausible(self, world):
         model, _, _ = world
         stream = list(
-            synthetic_request_stream(model, num_requests=400, qps=10000, seed=5)
+            request_stream(model, num_requests=400, qps=10000, seed=5)
         )
         arrivals = [r.arrival_ms for r in stream]
         assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
@@ -59,7 +67,7 @@ class TestSyntheticStream:
     def test_request_shape(self, world):
         model, _, _ = world
         request = next(
-            iter(synthetic_request_stream(model, num_requests=1, qps=100, seed=1))
+            iter(request_stream(model, num_requests=1, qps=100, seed=1))
         )
         assert request.num_features == model.num_tables
 
@@ -73,7 +81,7 @@ class TestLookupServer:
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
         metrics = server.serve(
-            synthetic_request_stream(model, num_requests=300, qps=50000, seed=9)
+            request_stream(model, num_requests=300, qps=50000, seed=9)
         )
         assert metrics.num_requests == 300
         assert metrics.num_batches >= 300 // 16
@@ -89,7 +97,7 @@ class TestLookupServer:
             config=ServingConfig(max_batch_size=100, max_delay_ms=3.0),
         )
         metrics = server.serve(
-            synthetic_request_stream(model, num_requests=1, qps=1000, seed=2)
+            request_stream(model, num_requests=1, qps=1000, seed=2)
         )
         assert metrics.num_requests == 1
         assert metrics.p50_ms >= 3.0
@@ -107,7 +115,7 @@ class TestLookupServer:
             ),
         )
         metrics = server.serve(
-            synthetic_request_stream(model, num_requests=200, qps=50000, seed=4)
+            request_stream(model, num_requests=200, qps=50000, seed=4)
         )
         assert metrics.num_replans == 0
 
@@ -124,11 +132,11 @@ class TestLookupServer:
             ),
         )
         replan_times = []
-        stream = synthetic_request_stream(
+        stream = chain.from_iterable(synthetic_request_arenas(
             model, num_requests=600, qps=50000, seed=6,
             drift=DriftModel(feature_noise=6.0),
             months_per_request=0.05,
-        )
+        ))
         metrics = server.serve(stream, on_replan=replan_times.append)
         assert metrics.num_requests == 600
         assert metrics.num_replans >= 1
@@ -142,7 +150,7 @@ class TestLookupServer:
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
         metrics = server.serve(
-            synthetic_request_stream(model, num_requests=100, qps=50000, seed=9)
+            request_stream(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
         assert summary["tier_precisions"] == ["fp32", "int8"]
@@ -157,7 +165,7 @@ class TestLookupServer:
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
         metrics = server.serve(
-            synthetic_request_stream(model, num_requests=100, qps=50000, seed=9)
+            request_stream(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
         assert "tier_precisions" not in summary
@@ -263,3 +271,14 @@ class TestServingMetrics:
         report = metrics.format_report()
         assert "QPS" in report
         assert "replans" in report
+
+
+def test_package_quickstart_runs(capsys):
+    """The ``repro.serving`` Quickstart block runs as written."""
+    import textwrap
+
+    import repro.serving
+
+    block = repro.serving.__doc__.split("Quickstart::", 1)[1]
+    exec(textwrap.dedent(block), {})
+    assert "requests served:   500" in capsys.readouterr().out
