@@ -10,7 +10,7 @@ greedy sharder, served under saturating load.
 Three gates:
 
 * **fast-path speedup** — the vectorized multi-tier configuration
-  (columnar arena admission + fused rank-space executor) must process
+  (columnar arena admission + rank-space executor) must process
   the stream at least ``RECSHARD_BENCH_MIN_MULTITIER_SPEEDUP`` times
   (default 5x) faster than the scalar reference (per-request object
   admission + per-lookup remap-table executor), at *bit-identical*
@@ -170,7 +170,7 @@ def test_multitier_fast_path_speedup(world):
         [
             ("reference (objects + scalar engine)",
              f"{ref_best * 1e3:.1f}", f"{REQUESTS / ref_best:.3g}"),
-            ("fast (columnar + fused engine)",
+            ("fast (columnar + vectorized engine)",
              f"{fast_best * 1e3:.1f}", f"{REQUESTS / fast_best:.3g}"),
         ],
     )

@@ -12,7 +12,7 @@ dominant dim — and gates:
   device cost by at least ``RECSHARD_BENCH_MIN_STRATEGY_GAIN`` ×,
   and the picked assignment must actually be mixed (≥ 1 non-row
   strategy);
-* **parity** — replaying a trace through the auto plan, the fused
+* **parity** — replaying a trace through the auto plan, the
   vectorized lane classifier and the scalar reference must produce
   bit-identical metrics (access counts, fast-lane hits, device times)
   — the per-lane parity promise of the lane registry, including the

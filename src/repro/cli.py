@@ -14,7 +14,7 @@ Examples::
     python -m repro plan --model rm2 --precisions uvm=fp16
     python -m repro plan --model rm2 --sweep precisions=fp32,fp16,int8,int4
     python -m repro compare --model rm3 --features 97 --gpus 8 --iters 3
-    python -m repro replay --model rm2 --vectorized --iters 3
+    python -m repro replay --model rm2 --iters 3
     python -m repro serve --model rm2 --qps 20000 --requests 4000
     python -m repro serve --model rm3 --tiers hbm,dram:8,ssd --staging-gib 2
     python -m repro serve --model rm3 --tiers hbm,dram:8,ssd \
@@ -216,7 +216,6 @@ def _cmd_plan(args) -> int:
         batch_size=args.batch,
         steps=args.steps,
         reclaim_dead=args.reclaim_dead,
-        vectorized=args.plan_vectorized,
         name="RecShard",
     )
     if args.replicate_gib < 0:
@@ -232,10 +231,6 @@ def _cmd_plan(args) -> int:
         if args.replicate_gib > 0:
             print("error: strategy plans do not compose with "
                   "--replicate-gib", file=sys.stderr)
-            return 2
-        if not args.plan_vectorized:
-            print("error: --strategies requires the vectorized planner",
-                  file=sys.stderr)
             return 2
         try:
             tokens = resolve_strategy_kinds(args.strategies.split(","))
@@ -292,8 +287,8 @@ def _cmd_plan(args) -> int:
         else:
             plan.validate(model, topology)
         summary = plan.summary(model, topology)
-        path = "vectorized" if args.plan_vectorized else "scalar reference"
-        print(f"plan for {model.name} on {args.gpus} GPUs ({path} planner):")
+        print(f"plan for {model.name} on {args.gpus} GPUs "
+              "(vectorized planner):")
         print(f"  rows on UVM: {summary['uvm_row_fraction']:.1%}")
         print(f"  estimated max GPU cost: "
               f"{plan.metadata['estimated_max_cost_ms']:.4f} ms")
@@ -308,9 +303,6 @@ def _cmd_plan(args) -> int:
                   f"{rep['budget_bytes_per_device']} budgeted")
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
-    if not args.plan_vectorized:
-        print("error: --sweep requires the vectorized planner", file=sys.stderr)
-        return 2
     try:
         kind, values = _parse_sweep(args.sweep)
     except ValueError as error:
@@ -429,9 +421,7 @@ def _cmd_replay(args) -> int:
     model, topology = _build_world(args)
     profile = analytic_profile(model)
     plan = _make_recshard(args).shard(model, profile, topology)
-    executor = ShardedExecutor(
-        model, plan, profile, topology, vectorized=args.vectorized
-    )
+    executor = ShardedExecutor(model, plan, profile, topology)
     generator = TraceGenerator(model, batch_size=args.batch, seed=2024)
     batches = list(generator.batches(args.iters))
     executor.run_batch(batches[0])  # warm caches and lazy structures
@@ -439,10 +429,9 @@ def _cmd_replay(args) -> int:
     metrics = executor.run(batches)
     elapsed = time.perf_counter() - start
     lookups = sum(b.total_lookups for b in batches)
-    mode = "vectorized" if args.vectorized else "scalar"
     stats = metrics.iteration_stats()
     print(f"replayed {args.iters} x {args.batch} samples of {model.name} "
-          f"on {args.gpus} GPUs ({mode} engine):")
+          f"on {args.gpus} GPUs (vectorized engine):")
     print(f"  simulated per-GPU ms min/max/mean/std: {stats.as_row()}")
     print(f"  UVM access share: {metrics.tier_access_fraction('uvm'):.2%}")
     print(f"  replay wall-clock: {elapsed * 1e3:.1f} ms "
@@ -718,13 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(per-table strategy-family grid), or "
                              "precisions=<name,...> (cold-tier "
                              "quantization grid)")
-    mode = p_plan.add_mutually_exclusive_group()
-    mode.add_argument("--vectorized", dest="plan_vectorized",
-                      action="store_true", default=True,
-                      help="workspace-array planner engine (default)")
-    mode.add_argument("--scalar", dest="plan_vectorized",
-                      action="store_false",
-                      help="per-step heapq reference path")
     p_plan.set_defaults(func=_cmd_plan)
 
     for name, func, helptext in (
@@ -746,17 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("compare", "replay"):
             p.add_argument("--iters", type=int, default=3,
                            help="measured iterations (default: 3)")
-        if name == "replay":
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument(
-                "--vectorized", dest="vectorized", action="store_true",
-                default=True,
-                help="rank-space vectorized engine (default)",
-            )
-            mode.add_argument(
-                "--scalar", dest="vectorized", action="store_false",
-                help="per-feature reference engine",
-            )
         if name == "serve":
             p.add_argument("--tiers", default=None, metavar="NAMES",
                            help="comma-separated tier presets, fastest "

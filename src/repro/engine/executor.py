@@ -26,9 +26,8 @@ Two execution paths produce identical metrics:
 
 Both paths handle any tier count: per-tier counts are prefix
 differences of the rank array against the plan's cumulative tier
-boundaries, whether computed by threshold scans (ranked path), one
-global ``searchsorted`` over interleaved per-table edge grids (fused
-jagged path), or per-lookup remap-table gathers (scalar reference).
+boundaries, computed by per-feature threshold scans (vectorized path)
+or per-lookup remap-table gathers (scalar reference).
 
 Two frequency-informed fast-lane models (:mod:`repro.engine.cache`) can
 be layered on top:
@@ -64,11 +63,17 @@ All of these cutoffs — tier boundaries, cache, staging, replica, and
 the table-wise-row-wise strategy cuts — are *registered lanes* in a
 :class:`~repro.engine.lanes.LaneRegistry` built once per executor.
 Each lane is a per-table cumulative rank cutoff; classification is one
-prefix count per lane, computed by the fused path (three linear passes
-over the flat rank buffer) and by the scalar reference (per-feature
-threshold scans / remap-table gathers).  Both feed the shared
+prefix count per lane, computed by the vectorized path (one threshold
+scan per feature, :meth:`ShardedExecutor._scan_feature`) and by the
+scalar reference (remap-table gathers).  Both feed the shared
 :meth:`ShardedExecutor._reduce_counts`, so a lane registered once gets
 a vectorized fast path and a bit-identical scalar reference for free.
+
+One loop, :func:`_classify_lanes`, drives every vectorized
+classification: a single executor's jagged or pre-ranked batch, and
+:func:`replay_trace`'s several plans over one trace.  It gets each
+feature's ranks once and runs every executor's scans on them while
+they are cache-resident.
 
 Per-table sharding strategies
 (:class:`~repro.core.strategies.StrategyPlan`) reuse the framework:
@@ -204,16 +209,12 @@ class ShardedExecutor:
         )
         self.cache = cache
         self.staging = staging
-        # Reusable comparison mask for the rank threshold scans: avoids a
-        # fresh (page-faulting) bool temporary per table per batch.  Makes
-        # run_ranked non-reentrant, like the executor's other scratch state.
-        self._mask_scratch = np.empty(0, dtype=bool)
-        # Fused jagged-path scratch (the serving loop's per-batch hot
-        # path): a flat global-rank buffer reused across batches, and
-        # the per-lane base-shifted edge vectors it is compared against.
-        # Built lazily because both depend on the (possibly lazy) ranker.
-        self._flat_rank_scratch = np.empty(0, dtype=np.int64)
-        self._fused_edges: dict[str, np.ndarray] | None = None
+        # Reusable buffers of the classification loop, one per dtype:
+        # the bool comparison mask of the threshold scans and the rank
+        # gather target of jagged batches.  Avoids fresh (page-faulting)
+        # temporaries per feature per batch; makes classification
+        # non-reentrant.
+        self._scratch: dict = {}
         self._cache_threshold = np.zeros(model.num_tables, dtype=np.int64)
         if cache is not None:
             for device in range(topology.num_devices):
@@ -284,8 +285,8 @@ class ShardedExecutor:
             )
         self._tier_cutoffs = cutoffs
         # Tiers whose fast-lane cutoff sits strictly above the tier's
-        # lower boundary for at least one table: only these cost the
-        # fused lane an extra scan.
+        # lower boundary for at least one table: only these register a
+        # hit lane.
         lower = np.zeros_like(bounds)
         lower[:, 1:] = bounds[:, :-1]
         self._hit_tiers = tuple(
@@ -330,7 +331,7 @@ class ShardedExecutor:
         self._cut_points = cut_points
         # The lane registry: every cutoff the classification paths scan,
         # in pass order.  Registering a lane here is all it takes to get
-        # the fused fast path and the scalar parity reference.
+        # the vectorized path and the scalar parity reference.
         self._lanes: LaneRegistry = build_lanes(
             self._tier_bounds,
             self._tier_cutoffs,
@@ -546,165 +547,55 @@ class ShardedExecutor:
                 f"{self.topology.num_devices}-device topology"
             )
 
-    def _fused_lane_edges(self) -> dict[str, np.ndarray]:
-        """Every registered lane's per-table edges, base-shifted.
+    def _buffer(self, dtype, size: int) -> np.ndarray:
+        """A reused scratch array of ``size`` elements of ``dtype``."""
+        buf = self._scratch.get(dtype)
+        if buf is None or buf.size < size:
+            buf = self._scratch[dtype] = np.empty(size, dtype=dtype)
+        return buf[:size]
 
-        Each lane's cumulative rank cutoffs are shifted into the
-        concatenated rank space (``ranker.rank_base``) and stored in
-        the flat buffer's dtype so the fused comparisons never promote
-        (copy) it.
+    def _zero_counts(self) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
+    ]:
+        """Zeroed ``(counts, hits, replicas, cuts)`` for one batch.
+
+        ``replicas`` is ``None`` without a replica lane and ``cuts`` is
+        ``None`` without twrw cut lanes — the shapes every
+        classification path returns and :meth:`_reduce_counts` takes.
         """
-        if self._fused_edges is None:
-            base = self.ranker.rank_base[:-1]
-            dtype = self.ranker.fused_dtype
-            self._fused_edges = {
-                lane.name: (base + lane.edges).astype(dtype)
-                for lane in self._lanes
-            }
-        return self._fused_edges
+        num_tables = len(self.plan)
+        num_tiers = self.topology.num_tiers
+        return (
+            np.zeros((num_tables, num_tiers), dtype=np.int64),
+            np.zeros((num_tables, num_tiers), dtype=np.int64),
+            np.zeros(num_tables, dtype=np.int64)
+            if self._has_replicas
+            else None,
+            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
+            if self._num_cut_lanes
+            else None,
+        )
 
     def run_jagged(
         self, batch: JaggedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused vectorized accounting over a jagged batch.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized accounting over a jagged batch.
 
-        Metric-identical to ``run_ranked(ranker.rank_batch(batch))``,
-        restructured for the serving shape (hundreds of tables, small
-        microbatches) where per-feature numpy calls dominate: every
-        feature's lookups are gathered through the base-shifted
-        :meth:`~repro.engine.ranked.RankRemapper.fused_rank` map into
-        one flat reused buffer, then classified by
-        :meth:`_classify_fused` — one linear pass over the whole
-        buffer per tier boundary (and per active fast-lane cutoff)
-        instead of several numpy calls per feature or a binary search
-        per lookup.
+        Metric-identical to ``run_ranked(ranker.rank_batch(batch))``:
+        each feature is ranked into a reused scratch buffer and scanned
+        at once, so no ranked copy of the batch is built.
         """
         return self._reduce_counts(*self._classify_jagged(batch))
 
     def _classify_jagged(self, batch: JaggedBatch) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
-        """Gather + fused classification of one jagged batch (no reduce)."""
-        num_tables = len(self.plan)
-        if batch.num_features != num_tables:
-            raise ValueError(
-                f"batch has {batch.num_features} features, plan has "
-                f"{num_tables} tables"
-            )
-        num_tiers = self.topology.num_tiers
-        total = batch.total_lookups
-        if total == 0:
-            zeros = np.zeros((num_tables, num_tiers), dtype=np.int64)
-            replicas = (
-                np.zeros(num_tables, dtype=np.int64)
-                if self._has_replicas
-                else None
-            )
-            cuts = (
-                np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-                if self._num_cut_lanes
-                else None
-            )
-            return zeros, zeros.copy(), replicas, cuts
-        dtype = self.ranker.fused_dtype
-        if (
-            self._flat_rank_scratch.dtype != dtype
-            or self._flat_rank_scratch.size < total
-        ):
-            self._flat_rank_scratch = np.empty(total, dtype=dtype)
-        flat = self._flat_rank_scratch[:total]
-        tables, starts, pos = [], [], 0
-        for j, feature in enumerate(batch):
-            values = feature.values
-            if values.size:
-                tables.append(j)
-                starts.append(pos)
-                np.take(
-                    self.ranker.fused_rank(j), values,
-                    out=flat[pos: pos + values.size],
-                )
-                pos += values.size
-        tables = np.asarray(tables, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
-        return self._classify_fused(flat, tables, starts)
-
-    def _classify_fused(
-        self, flat: np.ndarray, tables: np.ndarray, starts: np.ndarray
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Multi-lane linear classification of the flat rank buffer.
-
-        One prefix count per registered lane: expand each lookup's
-        per-table edge with ``repeat``, one comparison into the reused
-        mask, one segmented reduction — three linear passes per lane,
-        regardless of table count.  Tier boundaries are ``bound``
-        lanes (prefix differences give the per-tier counts), fast-lane
-        cutoffs (cache, staging) cost passes only for the tiers that
-        actually stage rows, the replica cutoff and each twrw strategy
-        cut are one lane each.  For the dominant hierarchies (two to
-        five tiers) this beats a per-lookup binary search over the
-        per-table edge grid; it is the direct generalization of the
-        original two-tier HBM-cut lane.
-
-        Args:
-            flat: base-shifted ranks, grouped by feature.
-            tables: table index of each (non-empty) feature group.
-            starts: group start offsets into ``flat``.
-        """
-        num_tables = len(self.plan)
-        num_tiers = self.topology.num_tiers
-        total = flat.size
-        sizes = np.diff(np.append(starts, total))
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        if self._mask_scratch.size < total:
-            self._mask_scratch = np.empty(total, dtype=bool)
-        mask = self._mask_scratch[:total]
-        edges = self._fused_lane_edges()
-        registry = self._lanes
-
-        def prefix_below(lane):
-            """Per-feature count of ranks below each feature's edge."""
-            np.less(flat, np.repeat(edges[lane.name][tables], sizes), out=mask)
-            return np.add.reduceat(mask.view(np.int8), starts, dtype=np.int64)
-
-        replicas = None
-        rep_group = None
-        if registry.replica is not None:
-            # One extra prefix pass classifies the replica lane; the
-            # replicated ranks are a prefix of tier 0's block, so tier
-            # membership below stays untouched and the lane is peeled
-            # off during reduction.
-            rep_group = prefix_below(registry.replica)
-            replicas = np.zeros(num_tables, dtype=np.int64)
-            replicas[tables] = rep_group
-        cuts = None
-        if registry.cuts:
-            # Strategy cut lanes: prefix counts at each twrw interior
-            # cut point; the reduction crosses them with the tier
-            # prefixes to fill the (tier, shard) cells.
-            cuts = np.zeros((num_tables, len(registry.cuts)), dtype=np.int64)
-            for lane in registry.cuts:
-                cuts[tables, lane.index] = prefix_below(lane)
-        prev = np.zeros(tables.size, dtype=np.int64)
-        for t in range(num_tiers):
-            hit_lane = registry.hit(t)
-            if hit_lane is not None:
-                baseline = rep_group if t == 0 and rep_group is not None else prev
-                hits[tables, t] = prefix_below(hit_lane) - baseline
-            bound_lane = registry.bound(t)
-            if bound_lane is not None:
-                below = prefix_below(bound_lane)
-                counts[tables, t] = below - prev
-                prev = below
-            else:
-                counts[tables, t] = sizes - prev
-        return counts, hits, replicas, cuts
+        """Rank + lane classification of one jagged batch (no reduce)."""
+        return _classify_lanes([self], batch)[0]
 
     def run_ranked(
         self, ranked: RankedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized accounting over a rank-space batch.
 
         For each table, per-tier counts come from threshold scans over
@@ -714,37 +605,7 @@ class ShardedExecutor:
         traffic matrices are then pooled with ``bincount`` over the
         plan's table → device assignment.
         """
-        num_tables = len(self.plan)
-        if ranked.num_features != num_tables:
-            raise ValueError(
-                f"batch has {ranked.num_features} features, plan has "
-                f"{num_tables} tables"
-            )
-        num_tiers = self.topology.num_tiers
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        replicas = (
-            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None
-        )
-        cuts = (
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None
-        )
-        max_lookups = max((f.ranks.size for f in ranked), default=0)
-        if self._mask_scratch.size < max_lookups:
-            self._mask_scratch = np.empty(max_lookups, dtype=bool)
-        for j, feature in enumerate(ranked):
-            ranks = feature.ranks
-            if ranks.size:
-                rep = self._scan_feature(
-                    j, ranks, self._mask_scratch[: ranks.size],
-                    counts[j], hits[j],
-                    None if cuts is None else cuts[j],
-                )
-                if replicas is not None:
-                    replicas[j] = rep
-        return self._reduce_counts(counts, hits, replicas, cuts)
+        return self._reduce_counts(*_classify_lanes([self], ranked)[0])
 
     def _scan_feature(
         self,
@@ -764,8 +625,9 @@ class ShardedExecutor:
         materializing tier ids), one per active fast-lane cutoff (the
         per-table skip when the cutoff sits at the tier's lower
         boundary is preserved), one per strategy cut lane into
-        ``cuts_row``.  This is the scalar parity reference of the fused
-        path — same lanes, same reduction, bit-identical metrics.
+        ``cuts_row``.  :func:`_classify_lanes` calls it once per
+        (feature, executor); :meth:`_classify_scalar` is its parity
+        reference — same lanes, same reduction, bit-identical metrics.
 
         Returns the feature's replica-lane count (ranks below the
         replica cutoff; 0 without replication).  Replicated ranks stay
@@ -1041,18 +903,8 @@ class ShardedExecutor:
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
         """Per-lookup remap-table classification of one batch (no reduce)."""
-        num_tables = len(self.plan)
         num_tiers = self.topology.num_tiers
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        replicas = (
-            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None
-        )
-        cuts = (
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None
-        )
+        counts, hits, replicas, cuts = self._zero_counts()
         scan_hits = self.cache is not None or self.staging is not None
         for j, feature in enumerate(batch):
             if feature.values.size == 0:
@@ -1240,24 +1092,77 @@ def _collect_metrics(
     )
 
 
+def _classify_lanes(
+    executors: list[ShardedExecutor],
+    batch: JaggedBatch | RankedBatch,
+    ranker: RankRemapper | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Lane classification of one batch for several executors.
+
+    The engine's one vectorized classifier.  Per feature it gets the
+    ranks once — gathered through ``ranker`` (default: the first
+    executor's) into a reused scratch buffer for a jagged batch, or
+    ``feature.ranks`` for a :class:`RankedBatch` — then runs every
+    executor's :meth:`~ShardedExecutor._scan_feature` on them while they
+    are cache-resident.  Feature-outer, executor-inner: a multi-plan
+    replay pays the trace's memory traffic once, not once per plan.
+    The scratch buffers are the first executor's.
+
+    Returns one ``(counts, hits, replicas, cuts)`` per executor, ready
+    for its :meth:`~ShardedExecutor._reduce_counts`.
+    """
+    first = executors[0]
+    num_tables = len(first.plan)
+    if batch.num_features != num_tables:
+        raise ValueError(
+            f"batch has {batch.num_features} features, plan has "
+            f"{num_tables} tables"
+        )
+    pre_ranked = isinstance(batch, RankedBatch)
+    if not pre_ranked and ranker is None:
+        ranker = first.ranker
+    classified = [ex._zero_counts() for ex in executors]
+    for j, feature in enumerate(batch):
+        if pre_ranked:
+            ranks = feature.ranks
+        else:
+            values = feature.values
+            if values.size == 0:
+                continue
+            ranks = ranker.rank_into(
+                j, values, first._buffer(ranker.rank_dtype(j), values.size)
+            )
+        if ranks.size == 0:
+            continue
+        mask = first._buffer(bool, ranks.size)
+        for ex, (counts, hits, replicas, cuts) in zip(executors, classified):
+            replicated = ex._scan_feature(
+                j, ranks, mask, counts[j], hits[j],
+                None if cuts is None else cuts[j],
+            )
+            if replicas is not None:
+                replicas[j] = replicated
+    return classified
+
+
 def replay_trace(
     executors: list[ShardedExecutor],
     batches,
     ranker: RankRemapper | None = None,
 ) -> list[RunMetrics]:
-    """Replay one trace against several plans in a single fused pass.
+    """Replay one trace against several plans in a single pass.
 
     The hot loop of every multi-strategy comparison (Tables 3-5,
     Figures 11-13) replays identical batches against several sharding
-    plans of the *same* model, profile, and topology.  This helper ranks
-    each feature's lookups once (into a reusable scratch buffer — no
-    per-batch allocation) and immediately runs every executor's
-    threshold scans while the rank array is still cache-resident, so the
-    trace's memory traffic is paid once rather than once per strategy.
+    plans of the *same* model, profile, and topology.  Each batch is
+    classified for every plan by one :func:`_classify_lanes` call, which
+    ranks each feature's lookups once and scans them for every plan
+    while the rank array is cache-resident, then reduced by each
+    executor in turn.
 
     Args:
         executors: one executor per plan; all must share the model,
-            profile, and topology (plans and cache models may differ).
+            profile, and topology (plans and lane sets may differ).
         batches: the common trace — jagged batches, or pre-ranked
             batches from the shared profile's :class:`RankRemapper`.
         ranker: shared rank remapper; defaults to the first executor's.
@@ -1276,60 +1181,14 @@ def replay_trace(
             raise ValueError(
                 "replay_trace requires executors sharing one model/topology"
             )
-    if ranker is None:
-        ranker = first.ranker
-    num_plans = len(executors)
     rows: list[list] = [[] for _ in executors]
     browned: list[list | None] = [
         [] if ex._brownout else None for ex in executors
     ]
-    mask = np.empty(0, dtype=bool)
-    scratches: dict = {}
     for batch in batches:
-        pre_ranked = isinstance(batch, RankedBatch)
-        if batch.num_features != num_tables:
-            raise ValueError(
-                f"batch has {batch.num_features} features, plans have "
-                f"{num_tables} tables"
-            )
-        counts = np.zeros((num_plans, num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_plans, num_tables, num_tiers), dtype=np.int64)
-        replicas = np.zeros((num_plans, num_tables), dtype=np.int64)
-        cut_arrs = [
-            np.zeros((num_tables, ex._num_cut_lanes), dtype=np.int64)
-            if ex._num_cut_lanes
-            else None
-            for ex in executors
-        ]
-        for j, feature in enumerate(batch):
-            if pre_ranked:
-                ranks = feature.ranks
-            else:
-                values = feature.values
-                dtype = ranker.rank_dtype(j)
-                scratch = scratches.get(dtype)
-                if scratch is None or scratch.size < values.size:
-                    scratch = np.empty(max(values.size, 1), dtype=dtype)
-                    scratches[dtype] = scratch
-                ranks = scratch[: values.size]
-                ranker.rank_into(j, values, ranks)
-            n = ranks.size
-            if n == 0:
-                continue
-            if mask.size < n:
-                mask = np.empty(n, dtype=bool)
-            for s, ex in enumerate(executors):
-                cut_arr = cut_arrs[s]
-                replicas[s, j] = ex._scan_feature(
-                    j, ranks, mask[:n], counts[s, j], hits[s, j],
-                    None if cut_arr is None else cut_arr[j],
-                )
+        classified = _classify_lanes(executors, batch, ranker)
         for s, ex in enumerate(executors):
-            rows[s].append(
-                ex._reduce_counts(
-                    counts[s], hits[s], replicas[s], cut_arrs[s]
-                )
-            )
+            rows[s].append(ex._reduce_counts(*classified[s]))
             if browned[s] is not None:
                 browned[s].append(ex.last_browned.copy())
     return [

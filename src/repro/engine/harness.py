@@ -120,7 +120,7 @@ def compare_strategies(
     """Run several strategies over identical batches (Tables 3-5).
 
     In vectorized mode all strategies replay the common trace in one
-    fused :func:`~repro.engine.executor.replay_trace` pass: each batch's
+    :func:`~repro.engine.executor.replay_trace` pass: each batch's
     lookups are translated to frequency ranks once (the Section 4.3
     remapping transform) and every plan's threshold scans run while the
     rank array is cache-resident, so per-strategy cost is pure counting.

@@ -11,12 +11,11 @@ the executor classifies against.
 
 Registration buys each lane both execution paths for free:
 
-* the **fused vectorized** path computes one prefix count per lane over
-  the whole batch's flat rank buffer (three linear passes: repeat,
-  compare, segmented reduce — see ``ShardedExecutor._classify_fused``);
-* the **scalar reference** path computes the same prefix count per
-  feature with one threshold scan (``_scan_feature``) or reconstructs
-  ranks through the remapping tables (``_classify_scalar``).
+* the **vectorized** path computes one prefix count per lane and
+  feature with one threshold scan over the feature's ranks
+  (``ShardedExecutor._scan_feature``);
+* the **scalar reference** path reconstructs ranks through the
+  remapping tables (``ShardedExecutor._classify_scalar``).
 
 Both paths feed the shared reduction, so identical prefix counts mean
 bit-identical metrics — the per-lane parity gate the tests and benches
@@ -52,23 +51,21 @@ import numpy as np
 class Lane:
     """One registered classification lane.
 
-    ``edges[j]`` is table ``j``'s cumulative rank cutoff; a lookup of
-    table ``j`` is *in* the lane when its frequency rank is strictly
-    below that edge.  ``edges_list`` is the plain-int copy the scalar
-    per-feature scans index (numpy scalar extraction is expensive at
+    ``edges_list[j]`` is table ``j``'s cumulative rank cutoff; a lookup
+    of table ``j`` is *in* the lane when its frequency rank is strictly
+    below that edge.  Plain ints, because the per-feature scans index
+    one edge at a time (numpy scalar extraction is expensive at
     hundreds of tables per batch).
     """
 
     name: str
     role: str  # "bound" | "hit" | "replica" | "cut"
     index: int  # tier for bound/hit, cut slot for cut, 0 for replica
-    edges: np.ndarray
     edges_list: tuple[int, ...]
 
 
 def _make_lane(name: str, role: str, index: int, edges) -> Lane:
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-    return Lane(name, role, index, edges, tuple(int(e) for e in edges))
+    return Lane(name, role, index, tuple(int(e) for e in edges))
 
 
 class LaneRegistry:

@@ -114,39 +114,10 @@ class RankRemapper:
             rank = np.empty(order.size, dtype=dtype)
             rank[order] = np.arange(order.size, dtype=dtype)
             self._rank_of_row.append(rank)
-        # Global rank space: table j owns ranks [rank_base[j], rank_base[j+1]).
-        self.rank_base = np.zeros(len(self._rank_of_row) + 1, dtype=np.int64)
-        np.cumsum([r.size for r in self._rank_of_row], out=self.rank_base[1:])
-        self._fused_rank: list[np.ndarray] | None = None
 
     @property
     def num_tables(self) -> int:
         return len(self._rank_of_row)
-
-    @property
-    def fused_dtype(self) -> np.dtype:
-        """Storage dtype of the base-shifted global rank space."""
-        if self.rank_base[-1] <= np.iinfo(np.int32).max:
-            return np.dtype(np.int32)
-        return np.dtype(np.int64)
-
-    def fused_rank(self, table_index: int) -> np.ndarray:
-        """Table's rank map shifted into the global rank space.
-
-        ``fused_rank(j)[row] == rank_of(row) + rank_base[j]`` — one
-        gather through it lands a lookup directly in the concatenated
-        rank space, which is what lets the executor's fused jagged path
-        count every table's tiers with a single ``searchsorted`` +
-        ``bincount`` over one flat buffer instead of per-feature scans.
-        Built lazily (it duplicates the rank tables' memory).
-        """
-        if self._fused_rank is None:
-            dtype = self.fused_dtype
-            self._fused_rank = [
-                rank.astype(dtype) + dtype.type(self.rank_base[j])
-                for j, rank in enumerate(self._rank_of_row)
-            ]
-        return self._fused_rank[table_index]
 
     def rank_dtype(self, table_index: int) -> np.dtype:
         """Rank storage dtype of one table (int32 unless the table is huge)."""
@@ -158,11 +129,11 @@ class RankRemapper:
         """Rank one table's lookups into a caller-provided buffer.
 
         The allocation-free variant of :meth:`rank_feature`, used by
-        :func:`~repro.engine.executor.replay_trace` to keep the rank
+        the executor's classification loop to keep one reused rank
         scratch cache-resident across plans.
         """
         if values.size:
-            np.take(self._rank_of_row[table_index], values, out=out)
+            self._rank_of_row[table_index].take(values, out=out)
         return out
 
     def rank_feature(self, table_index: int, feature: JaggedFeature) -> RankedFeature:

@@ -91,7 +91,8 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
     shared-memory arena, run the stateless classification lanes, close
     the mapping, ship the count matrices back.  A ``None`` task is the
     shutdown sentinel; a negative seq is the scripted-crash sentinel
-    (``worker_kill`` drills — hard ``os._exit(1)``, no cleanup).
+    (``worker_kill`` drills — hard ``os._exit(1)`` once the results
+    already put have been flushed).
     Per-task exceptions are reported as ``err`` results rather than
     killing the worker; only queue-level failures end the loop.
 
@@ -113,10 +114,17 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
             break
         seq, handle = task
         if seq < 0:
-            # Scripted worker_kill: die hard (no cleanup, exit code 1)
-            # at a point where no queue lock is held — get() released
-            # the reader lock before returning.  SIGKILL-ing a worker
-            # blocked *inside* get() would leave the lock held forever.
+            # Scripted worker_kill: die hard (exit code 1).  get()
+            # released the task queue's reader lock before returning,
+            # but the result queue's feeder thread may still be writing
+            # an earlier put() while holding that queue's cross-process
+            # write lock — and the result queue is never replaced.
+            # Flush and join the feeder first, so the exit neither
+            # loses a result nor leaves the lock held.  (SIGKILL-ing a
+            # worker blocked *inside* get() would leave the task
+            # queue's lock held forever.)
+            result_queue.close()
+            result_queue.join_thread()
             os._exit(1)
         try:
             shm = ShmArena.attach(handle)

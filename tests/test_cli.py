@@ -52,10 +52,13 @@ class TestCommands:
         assert "vectorized planner" in out
         assert "plan build wall-clock" in out
 
-    def test_plan_scalar_flag(self, capsys):
-        argv = ["plan", "--scalar", "--model", "rm2"] + self.COMMON
-        assert main(argv) == 0
-        assert "scalar reference planner" in capsys.readouterr().out
+    def test_plan_rejects_removed_engine_flags(self, capsys):
+        # The scalar planner is a test oracle, not a CLI mode.
+        for flag in ("--scalar", "--vectorized"):
+            with pytest.raises(SystemExit) as exc:
+                main(["plan", flag, "--model", "rm2"] + self.COMMON)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_plan_sweep_hbm(self, capsys):
         argv = ["plan", "--model", "rm2", "--sweep", "hbm=0.5,1,2"] + self.COMMON
@@ -88,11 +91,6 @@ class TestCommands:
         assert main(argv) == 2
         assert "--sweep expects" in capsys.readouterr().err
 
-    def test_plan_sweep_rejects_scalar_path(self, capsys):
-        argv = ["plan", "--scalar", "--sweep", "hbm=1"] + self.COMMON
-        assert main(argv) == 2
-        assert "vectorized" in capsys.readouterr().err
-
     def test_plan_sweep_rejects_zero_grid_point(self, capsys):
         # Regression: hbm=0 used to crash deep in the planner instead
         # of failing validation with sweep-point context.
@@ -119,11 +117,6 @@ class TestCommands:
         argv = ["plan", "--strategies", "diagonal"] + self.COMMON
         assert main(argv) == 2
         assert "diagonal" in capsys.readouterr().err
-
-    def test_plan_strategies_rejects_scalar(self, capsys):
-        argv = ["plan", "--scalar", "--strategies", "auto"] + self.COMMON
-        assert main(argv) == 2
-        assert "vectorized" in capsys.readouterr().err
 
     def test_plan_sweep_strategies(self, capsys):
         argv = [
@@ -223,13 +216,13 @@ class TestCommands:
         assert "vectorized engine" in out
         assert "replay wall-clock" in out
 
-    def test_replay_scalar_flag(self, capsys):
-        argv = [
-            "replay", "--scalar", "--model", "rm2", "--milp-time", "0",
-            "--iters", "2",
-        ] + self.COMMON
-        assert main(argv) == 0
-        assert "scalar engine" in capsys.readouterr().out
+    def test_replay_rejects_removed_engine_flags(self, capsys):
+        # The scalar engine is a test oracle, not a CLI mode.
+        for flag in ("--scalar", "--vectorized"):
+            with pytest.raises(SystemExit) as exc:
+                main(["replay", flag, "--model", "rm2"] + self.COMMON)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_serve(self, capsys):
         argv = [

@@ -1,8 +1,8 @@
 """Seed-loop parity: the vectorized multi-tier executor vs the scalar
 per-request reference.
 
-The fused rank-space paths (``run_jagged``'s interleaved edge grid,
-``run_ranked``'s threshold scans) must reproduce the per-lookup
+The rank-space paths (``run_jagged`` and ``run_ranked``, both the
+per-feature threshold scans) must reproduce the per-lookup
 remap-table reference *bit for bit* on hierarchies of any depth —
 identical per-tier access counts, identical fast-lane hits, and, since
 all paths share one reduction, identical device times — across tier

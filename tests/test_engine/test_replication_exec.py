@@ -1,10 +1,11 @@
-"""Replica lane execution: routing parity, conservation, fused replay.
+"""Replica lane execution: routing parity, conservation, multi-plan replay.
 
-The executor's replica lane has three classification paths (fused
-jagged, ranked threshold scans, per-lookup scalar remap) and two
-routing disciplines (closed-form :func:`least_loaded_counts`, scalar
-per-lookup argmin).  Every combination must produce bit-identical
-metrics, and the routed accesses must conserve the batch's lookups.
+The executor's replica lane has three classification entry points
+(jagged and ranked batches through the threshold-scan loop, per-lookup
+scalar remap) and two routing disciplines (closed-form
+:func:`least_loaded_counts`, scalar per-lookup argmin).  Every
+combination must produce bit-identical metrics, and the routed
+accesses must conserve the batch's lookups.
 """
 
 from __future__ import annotations

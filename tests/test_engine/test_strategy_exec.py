@@ -1,6 +1,6 @@
 """Executor tests for strategy plans and the composable lane framework.
 
-The lane registry promises that every registered lane gets a fused
+The lane registry promises that every registered lane gets a
 vectorized fast path and a scalar parity reference for free, with
 bit-identical metrics.  These tests pin that promise for the new
 strategy lanes (column scatter, twrw cut lanes, table-wise rehoming),
@@ -176,6 +176,47 @@ class TestStrategyExecution:
                 np.testing.assert_array_equal(
                     merged.tier_accesses[tier], alone.tier_accesses[tier]
                 )
+
+    def test_replay_trace_mixes_lane_sets(self, strategy_world):
+        """Plain, cache, replication, and twrw executors go through one
+        classification loop in the same call; each must match its own
+        ``run`` exactly, on jagged and on pre-ranked batches."""
+        model, profile, topology, plan = strategy_world
+        replicated = plan_with_replication(
+            RecShardFastSharder(batch_size=BATCH, steps=40),
+            model, profile, topology,
+            ReplicationPolicy(capacity_bytes=4096),
+        )
+        cache = CacheModel(capacity_bytes=4096, bandwidth=1e12)
+        twrw = _mixed_plan(model, plan, topology.num_devices)
+
+        def executors():
+            return [
+                ShardedExecutor(model, plan, profile, topology),
+                ShardedExecutor(model, plan, profile, topology, cache=cache),
+                ShardedExecutor(model, replicated, profile, topology),
+                ShardedExecutor(model, twrw, profile, topology),
+            ]
+
+        jagged = _batches(model)
+        ranked = executors()[0].prepare(jagged)
+        solo = [ex.run(jagged) for ex in executors()]
+        assert solo[1].cache_hits.sum() > 0
+        assert solo[2].replica_hits.sum() > 0
+        for batches in (jagged, ranked):
+            merged = replay_trace(executors(), batches)
+            for got, want in zip(merged, solo):
+                np.testing.assert_array_equal(got.times_ms, want.times_ms)
+                assert got.tier_accesses.keys() == want.tier_accesses.keys()
+                for tier in got.tier_accesses:
+                    np.testing.assert_array_equal(
+                        got.tier_accesses[tier], want.tier_accesses[tier]
+                    )
+                for field in ("cache_hits", "replica_hits"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        np.testing.assert_array_equal(a, b)
 
     def test_expected_costs_use_strategy_model(self, strategy_world):
         model, profile, topology, plan = strategy_world

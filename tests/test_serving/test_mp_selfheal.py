@@ -12,7 +12,9 @@ degraded mode and must match the equivalent single-process server.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -34,7 +36,9 @@ from repro.serving import (
     synthetic_request_arenas,
     worker_kill,
 )
+from repro.engine import ShardedExecutor
 from repro.serving.arena import SHM_NAME_PREFIX
+from repro.serving.mp import _worker_main
 from repro.stats import analytic_profile
 
 FEATURES = 25
@@ -100,6 +104,47 @@ def test_worker_kill_drill_heals_and_matches_single_process():
     )
     assert not merged.fault_events
     assert live_segments() - before == set()
+
+
+def test_kill_sentinel_delivers_results_put_before_it():
+    """A worker that classifies one batch and then takes the kill
+    sentinel must deliver that batch's ok result: it exits only after
+    the result queue's feeder thread has flushed.  An exit that beats
+    the feeder loses the result (and can leave the result queue's
+    write lock held, hanging the pool).  The exit races the feeder,
+    so several workers are drilled in turn."""
+    model, profile, topology, plan = small_world()
+    arena = stream(model, n=64)[0]
+    expected = ShardedExecutor(
+        model, plan, profile, topology
+    ).classify_batch(arena.batch)
+    spec = (model, plan, profile, topology, None, None, True)
+    resource_tracker.ensure_running()
+    ctx = multiprocessing.get_context()
+    owner = arena.to_shm()
+    try:
+        for worker_id in range(6):
+            tasks, results = ctx.Queue(), ctx.Queue()
+            tasks.put((0, owner.handle))
+            tasks.put((-1, None))
+            worker = ctx.Process(
+                target=_worker_main,
+                args=(worker_id, spec, tasks, results),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=60.0)
+            assert worker.exitcode == 1
+            result = results.get(timeout=5.0)
+            assert result[:3] == ("ok", 0, worker_id)
+            for got, want in zip(result[3:], expected):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
+    finally:
+        owner.close()
+        owner.unlink()
 
 
 def test_repeated_kills_heal_within_budget():

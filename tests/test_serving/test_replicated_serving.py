@@ -68,7 +68,7 @@ def arenas_for(model, seed: int):
     (three_tier_world, MultiTierSharder),
 ])
 def test_fast_and_reference_paths_bit_identical(world_builder, sharder_cls):
-    """Columnar+fused vs objects+scalar, replica lane on — including
+    """Columnar+vectorized vs objects+scalar, replica lane on — including
     the three-tier hierarchy the issue pins."""
     model, profile, topology, = world_builder()
     arenas = arenas_for(model, seed=31)
