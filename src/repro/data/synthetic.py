@@ -10,6 +10,16 @@ Indices are sampled directly from the post-hash distribution (the raw
 Zipf pmf pushed through the feature's hash function, cached per feature)
 — statistically identical to sampling raw values and hashing each one,
 but without holding multi-million-entry raw CDFs resident.
+
+Each feature's ids for a batch are one inverse-CDF draw over its
+post-hash CDF, and these draws are most of generation's cost.  The draw
+orders its uniforms by value (a radix sort of their first 16 binary
+digits), runs one ``searchsorted`` over the ordered keys and scatters
+the ids back to draw order (:func:`~repro.data.distributions._inverse_cdf`).
+A search result depends only on its key's value, so the ids equal the
+plain ``np.searchsorted(cdf, uniforms, side="right")`` bit for bit and
+every seed-pinned stream is unchanged; ordered keys just make the
+search more than twice as fast as bisecting with random keys.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.batch import JaggedBatch, JaggedFeature
+from repro.data.distributions import _inverse_cdf
 from repro.data.model import ModelSpec
 
 
@@ -92,9 +103,7 @@ class _FeatureSampler:
         np.cumsum(lengths, out=offsets[1:])
         total = int(offsets[-1])
         if total:
-            uniforms = rng.random(total)
-            values = np.searchsorted(self.post_hash_cdf, uniforms, side="right")
-            values = values.astype(np.int64)
+            values = _inverse_cdf(self.post_hash_cdf, rng.random(total))
         else:
             values = np.empty(0, dtype=np.int64)
         return JaggedFeature(values, offsets)

@@ -9,8 +9,10 @@ from repro.data.distributions import (
     LogNormalPooling,
     UniformCategorical,
     ZipfCategorical,
+    _inverse_cdf,
     log_uniform,
 )
+from repro.data.feature import SparseFeatureSpec
 
 
 class TestZipf:
@@ -63,6 +65,65 @@ class TestZipf:
         cdf = z.cdf
         assert cdf[-1] == pytest.approx(1.0)
         assert np.all(np.diff(cdf) >= -1e-15)
+
+
+class TestInverseCdf:
+    """The sort-then-search draw returns exactly the plain search's ids."""
+
+    @staticmethod
+    def assert_matches_plain_search(cdf, uniforms):
+        got = _inverse_cdf(cdf, uniforms)
+        want = np.searchsorted(cdf, uniforms, side="right")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def with_neighbours(points):
+        return np.concatenate([
+            points,
+            np.nextafter(points, -np.inf),
+            np.nextafter(points, np.inf),
+        ])
+
+    def test_keys_on_and_beside_cdf_entries(self):
+        cdf = ZipfCategorical(300, alpha=1.1).cdf
+        uniforms = self.with_neighbours(cdf[:-1])
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        rng = np.random.default_rng(0)
+        self.assert_matches_plain_search(cdf, rng.permutation(uniforms))
+
+    def test_unit_interval_ends(self):
+        cdf = ZipfCategorical(50, alpha=0.8).cdf
+        below_one = np.nextafter(1.0, 0.0)
+        uniforms = np.array([below_one, 0.0, 0.0, below_one, 0.5])
+        self.assert_matches_plain_search(cdf, uniforms)
+        assert _inverse_cdf(cdf, uniforms)[0] == cdf.size - 1
+
+    def test_dead_rows_repeat_cdf_values(self):
+        feature = SparseFeatureSpec(
+            name="f", cardinality=400, hash_size=600, alpha=1.0,
+            avg_pooling=2.0, coverage=1.0,
+        )
+        pmf = feature.post_hash_pmf()
+        cdf = np.cumsum(pmf)
+        cdf[-1] = 1.0
+        assert np.count_nonzero(pmf == 0) > 100  # runs of dead rows
+        rng = np.random.default_rng(1)
+        uniforms = np.concatenate([
+            rng.random(5000), self.with_neighbours(cdf[pmf == 0]),
+        ])
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        self.assert_matches_plain_search(cdf, rng.permutation(uniforms))
+        # No dead row is ever drawn.
+        assert not np.any(pmf[_inverse_cdf(cdf, uniforms)] == 0)
+
+    def test_single_row_and_empty_draw(self):
+        cdf = np.array([1.0])
+        uniforms = np.array([0.0, 0.3, np.nextafter(1.0, 0.0)])
+        self.assert_matches_plain_search(cdf, uniforms)
+        assert _inverse_cdf(cdf, uniforms).tolist() == [0, 0, 0]
+        empty = _inverse_cdf(ZipfCategorical(10, 1.0).cdf, np.empty(0))
+        assert empty.dtype == np.int64 and empty.size == 0
 
 
 class TestUniform:
