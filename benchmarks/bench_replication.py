@@ -293,8 +293,8 @@ def test_replicated_drift_replans(world):
     assert metrics.num_requests == REQUESTS
     # The post-replan executor still carries a replica set built from
     # the observed statistics.
-    assert server.executor.replication is not None
-    assert server.executor.replication.replica_rows.sum() > 0
+    assert server.executor.plan.replica_rows is not None
+    assert server.executor.plan.replica_rows.sum() > 0
     report(
         "replication_replans",
         f"{model.name} drifted skewed stream: {metrics.num_replans} "

@@ -122,7 +122,7 @@ def test_auto_strategies_beat_row_only():
     counts = sp.strategy_counts()
     non_row = sum(counts[k] for k in ("table", "column", "twrw"))
     assert non_row >= 1, f"auto pick degenerated to all-row: {counts}"
-    assert sp.strategies[wide].kind != "row", (
+    assert sp.table_strategies[wide].kind != "row", (
         "the dominant wide table was left row-range-only"
     )
     assert gain >= MIN_STRATEGY_GAIN, (

@@ -263,7 +263,6 @@ def _cmd_plan(args) -> int:
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
     if not args.sweep:
-        replicated = None
         start = time.perf_counter()
         if args.replicate_gib > 0:
             # Budgets are specified at paper scale, like every other
@@ -272,20 +271,16 @@ def _cmd_plan(args) -> int:
                 capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
             )
             try:
-                replicated = plan_with_replication(
+                plan = plan_with_replication(
                     sharder, model, profile, topology, policy
                 )
             except PlanError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
-            plan = replicated.plan
         else:
             plan = sharder.shard(model, profile, topology)
         build_ms = (time.perf_counter() - start) * 1e3
-        if replicated is not None:
-            replicated.validate(model, topology)
-        else:
-            plan.validate(model, topology)
+        plan.validate(model, topology)
         summary = plan.summary(model, topology)
         print(f"plan for {model.name} on {args.gpus} GPUs "
               "(vectorized planner):")
@@ -293,14 +288,13 @@ def _cmd_plan(args) -> int:
         print(f"  estimated max GPU cost: "
               f"{plan.metadata['estimated_max_cost_ms']:.4f} ms")
         print(f"  tables per GPU: {summary['tables_per_device']}")
-        if replicated is not None:
-            rep = replicated.summary(model, topology)
-            print(f"  replicated rows: {rep['replicated_rows']} "
-                  f"(from {rep['replicated_tables']} tables, "
+        if plan.replica_rows is not None:
+            print(f"  replicated rows: {summary['replicated_rows']} "
+                  f"(from {summary['replicated_tables']} tables, "
                   f"budget {args.replicate_gib:g} GiB/GPU paper-scale)")
             print(f"  replica bytes/GPU: "
-                  f"{rep['max_replica_bytes_per_device']} max of "
-                  f"{rep['budget_bytes_per_device']} budgeted")
+                  f"{summary['max_replica_bytes_per_device']} max of "
+                  f"{summary['budget_bytes_per_device']} budgeted")
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
     try:

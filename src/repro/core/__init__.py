@@ -7,11 +7,17 @@ splits and table-to-GPU assignments minimizing the maximum per-GPU
 embedding cost, then remap hashed indices so hot rows are contiguous.
 """
 
-from repro.core.plan import PlanError, ShardingPlan, TablePlacement
+from repro.core.plan import (
+    STRATEGY_KINDS,
+    PlanError,
+    ShardingPlan,
+    TablePlacement,
+    TableStrategy,
+    twrw_cell_rows,
+)
 from repro.core.remap import RemappingLayer, RemappingTable
 from repro.core.formulation import RecShardInputs, TableInputs, build_milp
 from repro.core.replicate import (
-    ReplicatedPlan,
     ReplicationPolicy,
     build_replication,
     carve_replica_budget,
@@ -37,14 +43,10 @@ from repro.core.evaluate import (
     stamp_estimated_costs,
 )
 from repro.core.strategies import (
-    STRATEGY_KINDS,
-    StrategyPlan,
-    TableStrategy,
     plan_with_strategies,
     proportional_split,
     resolve_strategy_kinds,
     strategy_device_costs_ms,
-    twrw_cell_rows,
 )
 from repro.core.recshard import RecShardSharder
 from repro.core.fast import RecShardFastSharder
@@ -59,11 +61,9 @@ __all__ = [
     "RecShardSharder",
     "RemappingLayer",
     "RemappingTable",
-    "ReplicatedPlan",
     "ReplicationPolicy",
     "STRATEGY_KINDS",
     "ShardingPlan",
-    "StrategyPlan",
     "TableInputs",
     "TablePlacement",
     "TableStrategy",

@@ -91,7 +91,9 @@ def expected_device_costs_ms_many(
     Args:
         plans: candidate :class:`ShardingPlan` objects over the same
             model; every placement must list the same number of tiers,
-            no more than the topology has.
+            no more than the topology has.  Plans with
+            ``table_strategies`` are scored shard by shard
+            (:func:`~repro.core.strategies.strategy_device_costs_ms`).
         workspace: optional prebuilt
             :class:`~repro.core.workspace.PlannerWorkspace` for the
             profile — reused when given (the sweep / replan path),
@@ -101,7 +103,7 @@ def expected_device_costs_ms_many(
         ``(len(plans), topology.num_devices)`` array of expected
         per-iteration milliseconds.
     """
-    from repro.core.strategies import StrategyPlan, strategy_device_costs_ms
+    from repro.core.strategies import strategy_device_costs_ms
 
     plans = list(plans)
     if not plans:
@@ -109,13 +111,13 @@ def expected_device_costs_ms_many(
     for plan in plans:
         for placement in plan:
             _check_tiers(placement, topology.num_tiers)
-    if any(isinstance(plan, StrategyPlan) for plan in plans):
+    if any(plan.table_strategies is not None for plan in plans):
         # Mixed populations route strategy plans through the
         # shard-aware evaluator (same cost model, per-shard device
         # attribution); plain plans keep the batched path below.
         strategy_idx = [
             i for i, plan in enumerate(plans)
-            if isinstance(plan, StrategyPlan)
+            if plan.table_strategies is not None
         ]
         plain_idx = [
             i for i in range(len(plans)) if i not in set(strategy_idx)

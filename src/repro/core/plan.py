@@ -6,6 +6,21 @@ descending frequency order (the profile's ranking): the first
 ``rows_per_tier[0]`` hottest rows live on tier 0, the next block on
 tier 1, and so on — fine-grained partitioning as in Section 4.2.  A
 whole-table placement is simply a split with all rows in one tier.
+
+:class:`ShardingPlan` is the only plan type.  Two optional per-table
+facts ride on top of the split:
+
+* ``table_strategies`` — one :class:`TableStrategy` per table
+  (TorchRec's strategy menu, :mod:`repro.core.strategies`): column
+  shards carry the table's tier split at a dim share, twrw shards a
+  frequency-rank range of it;
+* ``replica_rows`` — the hot-row replica set (FlexShard-style,
+  :mod:`repro.core.replicate`): the leading ``replica_rows[j]`` ranks
+  of table ``j`` are copied to every device's fastest tier, within a
+  per-device ``replica_budget_bytes``.
+
+One :meth:`ShardingPlan.validate` checks every plan: structure, then
+the bytes each (device, tier) stores over the physical copies.
 """
 
 from __future__ import annotations
@@ -15,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.model import ModelSpec
-from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
+
+STRATEGY_KINDS = ("row", "table", "column", "twrw")
 
 
 class PlanError(ValueError):
@@ -59,13 +75,115 @@ class TablePlacement:
         return 1.0 - self.rows_per_tier[0] / self.total_rows
 
 
+@dataclass(frozen=True)
+class TableStrategy:
+    """One table's sharding strategy.
+
+    ``devices`` lists the physical shard homes: empty for ``row`` /
+    ``table`` (the placement's device owns the whole table), one
+    device per column shard (paired with ``dims``), one per twrw rank
+    range (``row_cuts`` lists the interior cumulative rank cut points).
+    """
+
+    kind: str = "row"
+    devices: tuple[int, ...] = ()
+    dims: tuple[int, ...] = ()
+    row_cuts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in STRATEGY_KINDS:
+            raise PlanError(f"unknown strategy kind {self.kind!r}")
+        if self.kind in ("row", "table"):
+            if self.devices or self.dims or self.row_cuts:
+                raise PlanError(
+                    f"{self.kind}-wise strategy takes no shard spec"
+                )
+            return
+        if len(self.devices) < 2:
+            raise PlanError(f"{self.kind} strategy needs >= 2 shard devices")
+        if len(set(self.devices)) != len(self.devices):
+            raise PlanError(f"{self.kind} shard devices must be distinct")
+        if self.kind == "column":
+            if len(self.dims) != len(self.devices):
+                raise PlanError("column strategy needs one dim per device")
+            if self.row_cuts:
+                raise PlanError("column strategy takes no row cuts")
+            if any(d < 1 for d in self.dims):
+                raise PlanError("column shard dims must be >= 1")
+        else:  # twrw
+            if self.dims:
+                raise PlanError("twrw strategy takes no dims")
+            if len(self.row_cuts) != len(self.devices) - 1:
+                raise PlanError(
+                    "twrw strategy needs len(devices) - 1 row cuts"
+                )
+            if any(c <= 0 for c in self.row_cuts) or any(
+                b <= a for a, b in zip(self.row_cuts, self.row_cuts[1:])
+            ):
+                raise PlanError(
+                    "twrw row cuts must be positive and strictly increasing"
+                )
+
+    @property
+    def num_shards(self) -> int:
+        return max(1, len(self.devices))
+
+
+def twrw_cell_rows(
+    tier_bounds, row_cuts, total_rows: int
+) -> np.ndarray:
+    """Rows in each (tier, shard) cell of a twrw split.
+
+    ``tier_bounds`` are the table's cumulative tier boundaries (rank
+    space), ``row_cuts`` the strategy's interior cut points.  Because
+    both partitions are prefixes of the same rank order, the cell
+    ``(t, s)`` holds the ranks between ``max(bound[t-1], cut[s-1])`` and
+    ``min(bound[t], cut[s])``.  The same min/max identity applied to
+    *prefix counts* distributes classified lookups at reduce time.
+    """
+    bounds = np.concatenate(([0], np.asarray(tier_bounds, dtype=np.int64)))
+    cuts = np.concatenate(
+        ([0], np.asarray(row_cuts, dtype=np.int64), [total_rows])
+    )
+    upper = np.minimum(bounds[1:, None], cuts[None, 1:])
+    lower = np.maximum(bounds[:-1, None], cuts[None, :-1])
+    return np.maximum(0, upper - lower)
+
+
+def _tier_row_bytes(model: ModelSpec, tiers) -> np.ndarray:
+    """``(tables, tiers)`` bytes one row of each table takes on each tier."""
+    row_bytes = np.array([t.row_bytes for t in model.tables], dtype=np.int64)
+    # Tables share a handful of widths: quantize each width once.
+    widths, table_width = np.unique(row_bytes, return_inverse=True)
+    return np.array(
+        [[tier.row_bytes_for(int(w)) for tier in tiers] for w in widths],
+        dtype=np.int64,
+    ).reshape(len(widths), len(tiers))[table_width]
+
+
 @dataclass
 class ShardingPlan:
-    """A complete sharding decision for a model on a topology."""
+    """A complete sharding decision for a model on a topology.
+
+    Attributes:
+        strategy: the sharder's name.
+        placements: one :class:`TablePlacement` per table.
+        metadata: sharder outputs (estimated costs, solver, sweep key).
+        table_strategies: one :class:`TableStrategy` per table, or
+            ``None`` for every table ``row``-wise.
+        replica_rows: per-table count of leading ranks replicated on
+            every device's fastest tier (an int64 array), or ``None``
+            without replication.
+        replica_budget_bytes: the per-device replica byte budget; set
+            exactly when ``replica_rows`` is.
+    """
 
     strategy: str
     placements: list[TablePlacement]
     metadata: dict = field(default_factory=dict)
+    table_strategies: tuple[TableStrategy, ...] | None = None
+    replica_rows: np.ndarray | None = field(default=None, compare=False)
+    replica_budget_bytes: int | None = None
 
     def __post_init__(self):
         expected = list(range(len(self.placements)))
@@ -73,6 +191,26 @@ class ShardingPlan:
         if actual != expected:
             raise PlanError("placements must cover each table exactly once")
         self.placements = sorted(self.placements, key=lambda p: p.table_index)
+        if self.table_strategies is not None:
+            self.table_strategies = tuple(self.table_strategies)
+            if len(self.table_strategies) != len(self.placements):
+                raise PlanError(
+                    f"{len(self.table_strategies)} strategies for "
+                    f"{len(self.placements)} tables"
+                )
+        if (self.replica_rows is None) != (self.replica_budget_bytes is None):
+            raise PlanError(
+                "replica_rows and replica_budget_bytes are set together"
+            )
+        if self.replica_rows is not None:
+            self.replica_rows = np.asarray(self.replica_rows, dtype=np.int64)
+            if self.replica_rows.shape != (len(self.placements),):
+                raise PlanError(
+                    f"replica_rows covers {self.replica_rows.shape} "
+                    f"tables, plan has {len(self.placements)}"
+                )
+            if (self.replica_rows < 0).any():
+                raise PlanError("negative replica row count")
 
     def __len__(self) -> int:
         return len(self.placements)
@@ -89,29 +227,6 @@ class ShardingPlan:
     def tables_on_device(self, device: int) -> list[TablePlacement]:
         return [p for p in self.placements if p.device == device]
 
-    def tier_bytes(
-        self,
-        model: ModelSpec,
-        device: int,
-        tier_index: int,
-        precision: str = "fp32",
-    ) -> int:
-        """Bytes this plan stores on one device's tier.
-
-        ``precision`` is the tier's storage precision: quantized tiers
-        hold each row at its reduced encoding, so capacity accounting
-        charges :func:`~repro.memory.precision.quantized_row_bytes` per
-        row (for the default ``fp32`` that is exactly ``row_bytes``).
-        """
-        return sum(
-            p.rows_per_tier[tier_index]
-            * quantized_row_bytes(
-                model.tables[p.table_index].row_bytes, precision
-            )
-            for p in self.placements
-            if p.device == device
-        )
-
     def tier_rows_total(self, tier_index: int) -> int:
         """Rows placed on one tier across all devices."""
         return sum(p.rows_per_tier[tier_index] for p in self.placements)
@@ -119,55 +234,166 @@ class ShardingPlan:
     def num_devices_used(self) -> int:
         return len({p.device for p in self.placements})
 
+    def strategy_counts(self) -> dict[str, int]:
+        """Tables per strategy kind."""
+        counts = dict.fromkeys(STRATEGY_KINDS, 0)
+        if self.table_strategies is None:
+            counts["row"] = len(self.placements)
+        else:
+            for strat in self.table_strategies:
+                counts[strat.kind] += 1
+        return counts
+
+    @property
+    def num_replicated_rows(self) -> int:
+        """Distinct rows in the replica set (copies not counted)."""
+        if self.replica_rows is None:
+            return 0
+        return int(self.replica_rows.sum())
+
+    def replica_bytes_per_device(
+        self, model: ModelSpec, topology: SystemTopology
+    ) -> np.ndarray:
+        """Replica bytes charged to each device's fastest tier.
+
+        A device hosts a copy of every replicated row it does not home,
+        stored at the fastest tier's precision, so its charge is the
+        full replica footprint minus the replicated rows of its own
+        tables.  All zeros without replication.
+        """
+        charged = np.zeros(topology.num_devices, dtype=np.int64)
+        if self.replica_rows is None:
+            return charged
+        per_table = (
+            self.replica_rows * _tier_row_bytes(model, topology.tiers[:1])[:, 0]
+        )
+        np.subtract.at(
+            charged, [p.device for p in self.placements], per_table
+        )
+        return charged + per_table.sum()
+
+    def tier_usage(
+        self, model: ModelSpec, topology: SystemTopology
+    ) -> np.ndarray:
+        """Bytes stored on each ``(device, tier)`` over the physical copies.
+
+        Each tier charges its rows at its own ``precision``
+        (:meth:`~repro.memory.tier.MemoryTier.row_bytes_for`).  A
+        ``row`` / ``table`` placement charges its tier split to its
+        home; a column shard charges the same split at its dim share; a
+        twrw shard the rows of its rank range.  With ``reclaim_dead``
+        (Section 3.4) the rows never observed in training sit, unbacked,
+        at the cold end of the last tier and are not charged.  Replica
+        copies land on the fastest tier.
+        """
+        rows = np.array(
+            [p.rows_per_tier for p in self.placements], dtype=np.int64
+        ).reshape(len(self.placements), topology.num_tiers)
+        dead_rows = self.metadata.get("dead_rows")
+        if self.metadata.get("reclaim_dead") and dead_rows is not None:
+            rows[:, -1] -= np.minimum(
+                np.asarray(dead_rows, dtype=np.int64), rows[:, -1]
+            )
+        row_bytes = _tier_row_bytes(model, topology.tiers)
+        usage = np.zeros(
+            (topology.num_devices, topology.num_tiers), dtype=np.int64
+        )
+        strategies = self.table_strategies or ()
+        split = [
+            j for j, s in enumerate(strategies)
+            if s.kind in ("column", "twrw")
+        ]
+        whole = np.ones(len(self.placements), dtype=bool)
+        whole[split] = False
+        home = np.array([p.device for p in self.placements], dtype=np.int64)
+        np.add.at(usage, home[whole], rows[whole] * row_bytes[whole])
+        for j in split:
+            strat = strategies[j]
+            table = model.tables[j]
+            if strat.kind == "column":
+                for device, dim in zip(strat.devices, strat.dims):
+                    usage[device] += rows[j] * [
+                        tier.row_bytes_for(dim * table.dtype_bytes)
+                        for tier in topology.tiers
+                    ]
+            else:  # twrw
+                cells = twrw_cell_rows(
+                    np.cumsum(rows[j]), strat.row_cuts, table.num_rows
+                )
+                for s, device in enumerate(strat.devices):
+                    usage[device] += cells[:, s] * row_bytes[j]
+        usage[:, 0] += self.replica_bytes_per_device(model, topology)
+        return usage
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self, model: ModelSpec, topology: SystemTopology) -> None:
-        """Raise :class:`PlanError` on any structural/capacity violation."""
+        """Raise :class:`PlanError` on any structural/capacity violation.
+
+        Checks every table's split and shard spec, that every replicated
+        row is resident on its home's fastest tier and every device's
+        replica bytes fit the budget, then each ``(device, tier)`` of
+        :meth:`tier_usage` against the tier's capacity.
+        """
         if len(self.placements) != model.num_tables:
             raise PlanError(
                 f"plan has {len(self.placements)} placements for "
                 f"{model.num_tables} tables"
             )
-        for placement in self.placements:
-            table = model.tables[placement.table_index]
+        if self.table_strategies is not None and self.replica_rows is not None:
+            raise PlanError("strategy plans do not compose with replication")
+        strategies = self.table_strategies or (
+            (TableStrategy(),) * len(self.placements)
+        )
+        for placement, strat in zip(self.placements, strategies):
+            j = placement.table_index
+            table = model.tables[j]
             if len(placement.rows_per_tier) != topology.num_tiers:
                 raise PlanError(
-                    f"table {placement.table_index}: "
-                    f"{len(placement.rows_per_tier)} tiers vs topology "
-                    f"{topology.num_tiers}"
+                    f"table {j}: {len(placement.rows_per_tier)} tiers vs "
+                    f"topology {topology.num_tiers}"
                 )
             if placement.total_rows != table.num_rows:
                 raise PlanError(
-                    f"table {placement.table_index}: rows_per_tier sums to "
+                    f"table {j}: rows_per_tier sums to "
                     f"{placement.total_rows}, table has {table.num_rows}"
                 )
-            if placement.device >= topology.num_devices:
+            for device in (placement.device, *strat.devices):
+                if device >= topology.num_devices:
+                    raise PlanError(
+                        f"table {j}: device {device} out of range"
+                    )
+            if strat.kind == "column" and sum(strat.dims) != table.dim:
                 raise PlanError(
-                    f"table {placement.table_index}: device "
-                    f"{placement.device} out of range"
+                    f"table {j}: column shard dims sum to "
+                    f"{sum(strat.dims)}, table dim is {table.dim}"
                 )
-        dead_rows = self.metadata.get("dead_rows")
-        reclaim = bool(self.metadata.get("reclaim_dead")) and dead_rows is not None
-        last_tier = topology.num_tiers - 1
+            if strat.kind == "twrw" and any(
+                c >= table.num_rows for c in strat.row_cuts
+            ):
+                raise PlanError(
+                    f"table {j}: twrw row cut beyond {table.num_rows} rows"
+                )
+        if self.replica_rows is not None:
+            for placement, rows in zip(self.placements, self.replica_rows):
+                if rows > placement.rows_per_tier[0]:
+                    raise PlanError(
+                        f"table {placement.table_index}: {rows} replicated "
+                        f"rows exceed the {placement.rows_per_tier[0]} "
+                        f"rows resident on the fastest tier"
+                    )
+            charged = self.replica_bytes_per_device(model, topology)
+            for device, used in enumerate(charged):
+                if used > self.replica_budget_bytes:
+                    raise PlanError(
+                        f"device {device}: {used} replica bytes exceed "
+                        f"the {self.replica_budget_bytes}-byte budget"
+                    )
+        usage = self.tier_usage(model, topology)
         for device in range(topology.num_devices):
             for tier_index, tier in enumerate(topology.tiers):
-                used = self.tier_bytes(
-                    model, device, tier_index, precision=tier.precision
-                )
-                if reclaim and tier_index == last_tier:
-                    # Section 3.4: rows never observed in training need
-                    # no physical backing; they sit (logically) at the
-                    # cold end of the last tier and are not charged.
-                    used -= sum(
-                        min(dead_rows[p.table_index], p.rows_per_tier[last_tier])
-                        * quantized_row_bytes(
-                            model.tables[p.table_index].row_bytes,
-                            tier.precision,
-                        )
-                        for p in self.placements
-                        if p.device == device
-                    )
+                used = int(usage[device, tier_index])
                 if used > tier.capacity_bytes:
                     raise PlanError(
                         f"device {device} tier {tier.name}: {used} bytes "
@@ -204,14 +430,18 @@ class ShardingPlan:
     # Reporting
     # ------------------------------------------------------------------
     def summary(self, model: ModelSpec, topology: SystemTopology) -> dict:
-        """Aggregate placement statistics for reports and Figure 12."""
+        """Aggregate placement statistics for reports and Figure 12.
+
+        Strategy and replication statistics are added when the plan
+        carries them.
+        """
         total_rows = sum(p.total_rows for p in self.placements)
         uvm_rows = total_rows - self.tier_rows_total(0)
         per_table_uvm = [p.uvm_fraction for p in self.placements]
         tables_per_device = [
             len(self.tables_on_device(m)) for m in range(topology.num_devices)
         ]
-        return {
+        summary = {
             "strategy": self.strategy,
             "tables": len(self.placements),
             "devices": topology.num_devices,
@@ -222,3 +452,17 @@ class ShardingPlan:
             ),
             "tables_per_device": tables_per_device,
         }
+        if self.table_strategies is not None:
+            counts = self.strategy_counts()
+            summary["strategy_counts"] = counts
+            summary["split_tables"] = counts["column"] + counts["twrw"]
+        if self.replica_rows is not None:
+            charged = self.replica_bytes_per_device(model, topology)
+            summary.update(
+                replicated_rows=self.num_replicated_rows,
+                replicated_tables=int(np.count_nonzero(self.replica_rows)),
+                budget_bytes_per_device=int(self.replica_budget_bytes),
+                max_replica_bytes_per_device=int(charged.max(initial=0)),
+                replica_bytes_per_device=[int(b) for b in charged],
+            )
+        return summary

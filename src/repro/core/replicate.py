@@ -19,10 +19,10 @@ Pieces:
   expected-count machinery as the cache/staging models, run as one
   vectorized pass over a
   :class:`~repro.core.workspace.PlannerWorkspace`'s coverage-prefix
-  stack), emitting a :class:`ReplicatedPlan`.
-* :class:`ReplicatedPlan` — a wrapper around the base
-  :class:`~repro.core.plan.ShardingPlan` whose capacity accounting
-  charges every replica against the device hosting it.
+  stack), emitting the plan with ``replica_rows`` and
+  ``replica_budget_bytes`` set.  The plan's one
+  :meth:`~repro.core.plan.ShardingPlan.validate` charges every replica
+  copy to the fastest tier of the device hosting it.
 * :func:`plan_with_replication` — carve the replica budget out of the
   fastest tier, shard the remainder, then spend the carved bytes on
   replicas: the end-to-end path behind ``repro plan --replicate-gib``
@@ -41,13 +41,13 @@ lookup to the least-loaded candidate home.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.plan import PlanError, ShardingPlan
-from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 
 
@@ -69,129 +69,6 @@ class ReplicationPolicy:
             raise ValueError("replication capacity must be >= 0")
 
 
-class ReplicatedPlan:
-    """A sharding plan plus a replica set of the globally hottest rows.
-
-    The replica set is stored as one leading-rank count per table
-    (``replica_rows[j]`` hottest rows of table ``j`` exist on every
-    device): selection always takes rows hottest-first, and each
-    table's rows are already ordered by descending expected frequency,
-    so the set is a rank prefix by construction.  Replicated rows must
-    be resident on the fastest tier of their home device — replication
-    is a fastest-tier bandwidth optimization, not a placement change —
-    and every copy is charged against the hosting device's fastest-tier
-    capacity by :meth:`validate`.
-
-    The wrapper iterates/indexes like the base plan and shares its
-    ``metadata`` dict, so sweep stamping and cost-metadata consumers
-    work unchanged.
-    """
-
-    def __init__(
-        self,
-        plan: ShardingPlan,
-        replica_rows,
-        policy: ReplicationPolicy,
-    ):
-        replica_rows = np.asarray(replica_rows, dtype=np.int64)
-        if replica_rows.shape != (len(plan),):
-            raise PlanError(
-                f"replica_rows covers {replica_rows.shape} tables, plan "
-                f"has {len(plan)}"
-            )
-        if (replica_rows < 0).any():
-            raise PlanError("negative replica row count")
-        self.plan = plan
-        self.replica_rows = replica_rows
-        self.policy = policy
-
-    # -- base-plan delegation ------------------------------------------
-    def __len__(self) -> int:
-        return len(self.plan)
-
-    def __iter__(self):
-        return iter(self.plan)
-
-    def __getitem__(self, table_index: int):
-        return self.plan[table_index]
-
-    @property
-    def strategy(self) -> str:
-        return self.plan.strategy
-
-    @property
-    def metadata(self) -> dict:
-        return self.plan.metadata
-
-    def tier_rows_total(self, tier_index: int) -> int:
-        return self.plan.tier_rows_total(tier_index)
-
-    # -- replication accounting ----------------------------------------
-    @property
-    def num_replicated_rows(self) -> int:
-        """Distinct rows in the replica set (copies not counted)."""
-        return int(self.replica_rows.sum())
-
-    def replica_bytes_per_device(self, model, num_devices: int) -> np.ndarray:
-        """Replica bytes charged to each device's fastest tier.
-
-        A device hosts a copy of every selected row it does not home,
-        so its charge is the full replica footprint minus the bytes of
-        the selected rows of its own tables.
-        """
-        row_bytes = np.array(
-            [t.row_bytes for t in model.tables], dtype=np.int64
-        )
-        per_table = self.replica_rows * row_bytes
-        total = int(per_table.sum())
-        charged = np.full(num_devices, total, dtype=np.int64)
-        for placement, owned in zip(self.plan, per_table):
-            charged[placement.device] -= int(owned)
-        return charged
-
-    def validate(self, model, topology: SystemTopology) -> None:
-        """Raise :class:`PlanError` on any replication invariant breach.
-
-        Checks the base plan, then that every replicated row is
-        fastest-tier-resident on its home, that each device's replica
-        bytes stay within the policy budget, and that base fastest-tier
-        usage plus replicas fit the physical capacity.
-        """
-        self.plan.validate(model, topology)
-        for placement, rows in zip(self.plan, self.replica_rows):
-            if rows > placement.rows_per_tier[0]:
-                raise PlanError(
-                    f"table {placement.table_index}: {rows} replicated "
-                    f"rows exceed the {placement.rows_per_tier[0]} rows "
-                    f"resident on the fastest tier"
-                )
-        charged = self.replica_bytes_per_device(model, topology.num_devices)
-        cap = topology.tiers[0].capacity_bytes
-        for device in range(topology.num_devices):
-            if charged[device] > self.policy.capacity_bytes:
-                raise PlanError(
-                    f"device {device}: {charged[device]} replica bytes "
-                    f"exceed the {self.policy.capacity_bytes}-byte budget"
-                )
-            used = self.plan.tier_bytes(model, device, 0) + int(charged[device])
-            if used > cap:
-                raise PlanError(
-                    f"device {device} tier {topology.tiers[0].name}: "
-                    f"{used} bytes (base + replicas) exceeds capacity {cap}"
-                )
-
-    def summary(self, model, topology: SystemTopology) -> dict:
-        """Replication statistics for reports and the CLI."""
-        charged = self.replica_bytes_per_device(model, topology.num_devices)
-        return {
-            "replicated_rows": self.num_replicated_rows,
-            "replicated_tables": int(np.count_nonzero(self.replica_rows)),
-            "budget_bytes_per_device": int(self.policy.capacity_bytes),
-            "max_replica_bytes_per_device": int(charged.max(initial=0)),
-            "replica_bytes_per_device": [int(b) for b in charged],
-        }
-
-
 def carve_replica_budget(
     topology: SystemTopology, policy: ReplicationPolicy
 ) -> SystemTopology:
@@ -199,7 +76,8 @@ def carve_replica_budget(
 
     Planning on the carved topology is what guarantees the emitted base
     plan leaves exactly ``policy.capacity_bytes`` of fastest-tier
-    headroom per device for the replica copies.  With a single device
+    headroom per device for the replica copies; the carved tier keeps
+    every other attribute, its precision included.  With a single device
     there is nowhere to route, so the policy is inert and nothing is
     carved (selection returns an empty set for the same reason).
     """
@@ -212,14 +90,9 @@ def carve_replica_budget(
             f"replica budget {policy.capacity_bytes} consumes the whole "
             f"{fastest.capacity_bytes}-byte {fastest.name} tier"
         )
-    carved = MemoryTier(
-        name=fastest.name,
-        capacity_bytes=remaining,
-        bandwidth=fastest.bandwidth,
-    )
-    return SystemTopology(
-        num_devices=topology.num_devices,
-        tiers=(carved,) + topology.tiers[1:],
+    carved = dataclasses.replace(fastest, capacity_bytes=remaining)
+    return dataclasses.replace(
+        topology, tiers=(carved,) + topology.tiers[1:]
     )
 
 
@@ -254,12 +127,12 @@ def _leading_counts_from_profile(profile, limits: np.ndarray):
 
 def build_replication(
     policy: ReplicationPolicy,
-    plan,
+    plan: ShardingPlan,
     profile,
     model,
     topology: SystemTopology,
     workspace=None,
-) -> ReplicatedPlan:
+) -> ShardingPlan:
     """Spend the replica budget on the globally hottest rows of ``plan``.
 
     Candidates are every live row resident on its home's fastest tier;
@@ -273,25 +146,33 @@ def build_replication(
 
     Args:
         policy: the per-device byte budget.
-        plan: base placement (a :class:`ReplicatedPlan` is unwrapped).
+        plan: base placement; any replica set it carries is replaced.
         profile: statistics the expected counts are read from.
         model: table geometry.
         topology: the *physical* topology (uncarved capacities).
         workspace: optional :class:`~repro.core.workspace.PlannerWorkspace`
             — its bulk :meth:`leading_expected_counts` query replaces
             the per-table profile gathers with one vectorized pass.
+
+    Returns:
+        ``plan`` with ``replica_rows`` and ``replica_budget_bytes`` set
+        (sharing its ``metadata`` dict).
     """
-    base = plan.plan if isinstance(plan, ReplicatedPlan) else plan
-    num_tables = len(base)
+    num_tables = len(plan)
     replica_rows = np.zeros(num_tables, dtype=np.int64)
     if policy.capacity_bytes <= 0 or topology.num_devices < 2:
         # Replication needs a second device to route to.
-        return ReplicatedPlan(base, replica_rows, policy)
-    row_bytes = np.array([t.row_bytes for t in model.tables], dtype=np.int64)
-    tier0_rows = np.array(
-        [p.rows_per_tier[0] for p in base], dtype=np.int64
+        return _with_replicas(plan, replica_rows, policy)
+    # Copies are stored at the fastest tier's precision.
+    fastest = topology.tiers[0]
+    row_bytes = np.array(
+        [fastest.row_bytes_for(t.row_bytes) for t in model.tables],
+        dtype=np.int64,
     )
-    home = np.array([p.device for p in base], dtype=np.int64)
+    tier0_rows = np.array(
+        [p.rows_per_tier[0] for p in plan], dtype=np.int64
+    )
+    home = np.array([p.device for p in plan], dtype=np.int64)
     if workspace is not None:
         limits = np.minimum(tier0_rows, workspace.live_rows)
         counts, tables, ranks = workspace.leading_expected_counts(limits)
@@ -302,7 +183,7 @@ def build_replication(
     hot = counts > 0
     counts, tables, ranks = counts[hot], tables[hot], ranks[hot]
     if counts.size == 0:
-        return ReplicatedPlan(base, replica_rows, policy)
+        return _with_replicas(plan, replica_rows, policy)
     order = np.lexsort((ranks, tables, -counts))
     sizes = row_bytes[tables[order]]
     homes = home[tables[order]]
@@ -324,7 +205,15 @@ def build_replication(
         replica_rows = np.bincount(
             tables[order[:take]], minlength=num_tables
         )
-    return ReplicatedPlan(base, replica_rows, policy)
+    return _with_replicas(plan, replica_rows, policy)
+
+
+def _with_replicas(plan: ShardingPlan, replica_rows, policy) -> ShardingPlan:
+    return dataclasses.replace(
+        plan,
+        replica_rows=replica_rows,
+        replica_budget_bytes=int(policy.capacity_bytes),
+    )
 
 
 def plan_with_replication(
@@ -335,7 +224,7 @@ def plan_with_replication(
     policy: ReplicationPolicy,
     workspace=None,
     warm_start=None,
-) -> ReplicatedPlan:
+) -> ShardingPlan:
     """Carve the replica budget, shard the remainder, select replicas.
 
     The base plan is built by ``sharder`` on a topology whose fastest
@@ -352,8 +241,6 @@ def plan_with_replication(
     if workspace is not None and "workspace" in params:
         kwargs["workspace"] = workspace
     if warm_start is not None and "warm_start" in params:
-        if isinstance(warm_start, ReplicatedPlan):
-            warm_start = warm_start.plan
         kwargs["warm_start"] = warm_start
     base = sharder.shard(model, profile, carved, **kwargs)
     replicated = build_replication(
@@ -363,9 +250,9 @@ def plan_with_replication(
         "budget_bytes_per_device": int(policy.capacity_bytes),
         "replicated_rows": replicated.num_replicated_rows,
         "max_replica_bytes_per_device": int(
-            replicated.replica_bytes_per_device(
-                model, topology.num_devices
-            ).max(initial=0)
+            replicated.replica_bytes_per_device(model, topology).max(
+                initial=0
+            )
         ),
     }
     return replicated

@@ -22,10 +22,10 @@ planner:
   profiled coverage grid so each shard serves an equal share of the
   table's expected accesses.
 
-A :class:`StrategyPlan` wraps a base :class:`ShardingPlan` with one
-:class:`TableStrategy` per table (mirroring
-:class:`~repro.core.replicate.ReplicatedPlan`'s delegation idiom) and
-validates capacity over the *physical* shards.  The planner entry point
+A strategy plan is a :class:`~repro.core.plan.ShardingPlan` whose
+``table_strategies`` holds one :class:`~repro.core.plan.TableStrategy`
+per table; its one :meth:`~repro.core.plan.ShardingPlan.validate`
+charges capacity over the *physical* shards.  The planner entry point
 :func:`plan_with_strategies` starts from the fast sharder's row-wise
 plan and greedily refines the makespan: each round it takes the busiest
 device's costliest tables, enumerates candidate strategies for them,
@@ -36,15 +36,19 @@ one shared cost model, and keeps the best improvement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
-from repro.core.plan import PlanError, ShardingPlan, TablePlacement
+from repro.core.plan import (
+    STRATEGY_KINDS,
+    PlanError,
+    ShardingPlan,
+    TablePlacement,
+    TableStrategy,
+)
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
-
-STRATEGY_KINDS = ("row", "table", "column", "twrw")
 
 
 def resolve_strategy_kinds(tokens) -> tuple[str, ...]:
@@ -73,60 +77,6 @@ def resolve_strategy_kinds(tokens) -> tuple[str, ...]:
         # feasible strategy, and row is the only kind that always is.
         kinds.append("row")
     return tuple(kinds)
-
-
-@dataclass(frozen=True)
-class TableStrategy:
-    """One table's sharding strategy.
-
-    ``devices`` lists the physical shard homes: empty for ``row`` /
-    ``table`` (the base placement's device owns the whole table), one
-    device per column shard (paired with ``dims``), one per twrw rank
-    range (``row_cuts`` lists the interior cumulative rank cut points).
-    """
-
-    kind: str = "row"
-    devices: tuple[int, ...] = ()
-    dims: tuple[int, ...] = ()
-    row_cuts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise PlanError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in ("row", "table"):
-            if self.devices or self.dims or self.row_cuts:
-                raise PlanError(
-                    f"{self.kind}-wise strategy takes no shard spec"
-                )
-            return
-        if len(self.devices) < 2:
-            raise PlanError(f"{self.kind} strategy needs >= 2 shard devices")
-        if len(set(self.devices)) != len(self.devices):
-            raise PlanError(f"{self.kind} shard devices must be distinct")
-        if self.kind == "column":
-            if len(self.dims) != len(self.devices):
-                raise PlanError("column strategy needs one dim per device")
-            if self.row_cuts:
-                raise PlanError("column strategy takes no row cuts")
-            if any(d < 1 for d in self.dims):
-                raise PlanError("column shard dims must be >= 1")
-        else:  # twrw
-            if self.dims:
-                raise PlanError("twrw strategy takes no dims")
-            if len(self.row_cuts) != len(self.devices) - 1:
-                raise PlanError(
-                    "twrw strategy needs len(devices) - 1 row cuts"
-                )
-            if any(c <= 0 for c in self.row_cuts) or any(
-                b <= a for a, b in zip(self.row_cuts, self.row_cuts[1:])
-            ):
-                raise PlanError(
-                    "twrw row cuts must be positive and strictly increasing"
-                )
-
-    @property
-    def num_shards(self) -> int:
-        return max(1, len(self.devices))
 
 
 def proportional_split(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -160,176 +110,11 @@ def proportional_split(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return base
 
 
-def twrw_cell_rows(
-    tier_bounds, row_cuts, total_rows: int
-) -> np.ndarray:
-    """Rows in each (tier, shard) cell of a twrw split.
-
-    ``tier_bounds`` are the table's cumulative tier boundaries (rank
-    space), ``row_cuts`` the strategy's interior cut points.  Because
-    both partitions are prefixes of the same rank order, the cell
-    ``(t, s)`` holds the ranks between ``max(bound[t-1], cut[s-1])`` and
-    ``min(bound[t], cut[s])``.  The same min/max identity applied to
-    *prefix counts* distributes classified lookups at reduce time.
-    """
-    bounds = np.concatenate(([0], np.asarray(tier_bounds, dtype=np.int64)))
-    cuts = np.concatenate(
-        ([0], np.asarray(row_cuts, dtype=np.int64), [total_rows])
-    )
-    upper = np.minimum(bounds[1:, None], cuts[None, 1:])
-    lower = np.maximum(bounds[:-1, None], cuts[None, :-1])
-    return np.maximum(0, upper - lower)
-
-
-class StrategyPlan:
-    """A base plan plus one :class:`TableStrategy` per table.
-
-    Delegates the read-only plan interface to the wrapped
-    :class:`ShardingPlan` (whose per-tier row splits stay the source of
-    truth for tier membership) and owns the strategy-aware capacity
-    validation: bytes are accounted per *physical shard*, so a column
-    shard charges its dim share and a twrw shard its rank range.
-    """
-
-    def __init__(self, plan: ShardingPlan, strategies):
-        strategies = tuple(strategies)
-        if len(strategies) != len(plan):
-            raise PlanError(
-                f"{len(strategies)} strategies for {len(plan)} tables"
-            )
-        for j, strat in enumerate(strategies):
-            if not isinstance(strat, TableStrategy):
-                raise PlanError(f"table {j}: not a TableStrategy")
-        self.plan = plan
-        self.strategies = strategies
-
-    # -- delegation ----------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.plan)
-
-    def __iter__(self):
-        return iter(self.plan)
-
-    def __getitem__(self, table_index: int):
-        return self.plan[table_index]
-
-    @property
-    def strategy(self) -> str:
-        return self.plan.strategy
-
-    @property
-    def metadata(self) -> dict:
-        return self.plan.metadata
-
-    def tier_rows_total(self, tier_index: int) -> int:
-        return self.plan.tier_rows_total(tier_index)
-
-    # -- strategy views ------------------------------------------------
-    @property
-    def num_cut_lanes(self) -> int:
-        """Interior twrw cut points of the widest split — one
-        classification lane each."""
-        return max(
-            (len(s.row_cuts) for s in self.strategies if s.kind == "twrw"),
-            default=0,
-        )
-
-    def strategy_counts(self) -> dict[str, int]:
-        counts = {kind: 0 for kind in STRATEGY_KINDS}
-        for strat in self.strategies:
-            counts[strat.kind] += 1
-        return counts
-
-    def shard_bytes(self, model) -> np.ndarray:
-        """Per-(device, tier) bytes over the physical shards."""
-        devices = 1 + max(
-            max((p.device for p in self.plan), default=0),
-            max(
-                (d for s in self.strategies for d in s.devices), default=0
-            ),
-        )
-        num_tiers = len(self.plan[0].rows_per_tier)
-        usage = np.zeros((devices, num_tiers), dtype=np.int64)
-        for placement, strat in zip(self.plan, self.strategies):
-            table = model.tables[placement.table_index]
-            rows = np.asarray(placement.rows_per_tier, dtype=np.int64)
-            if strat.kind in ("row", "table"):
-                usage[placement.device] += rows * table.row_bytes
-            elif strat.kind == "column":
-                for device, dim in zip(strat.devices, strat.dims):
-                    usage[device] += rows * (dim * table.dtype_bytes)
-            else:  # twrw
-                cells = twrw_cell_rows(
-                    np.cumsum(rows), strat.row_cuts, table.num_rows
-                )
-                for s, device in enumerate(strat.devices):
-                    usage[device] += cells[:, s] * table.row_bytes
-        return usage
-
-    # -- validation ----------------------------------------------------
-    def validate(self, model, topology: SystemTopology) -> None:
-        """Structural + per-shard capacity validation."""
-        if len(self.plan) != model.num_tables:
-            raise PlanError(
-                f"plan has {len(self.plan)} placements for "
-                f"{model.num_tables} tables"
-            )
-        for placement, strat in zip(self.plan, self.strategies):
-            j = placement.table_index
-            table = model.tables[j]
-            if len(placement.rows_per_tier) != topology.num_tiers:
-                raise PlanError(
-                    f"table {j}: {len(placement.rows_per_tier)} tiers vs "
-                    f"topology {topology.num_tiers}"
-                )
-            if placement.total_rows != table.num_rows:
-                raise PlanError(
-                    f"table {j}: rows_per_tier sums to "
-                    f"{placement.total_rows}, table has {table.num_rows}"
-                )
-            shard_devices = strat.devices or (placement.device,)
-            for device in shard_devices:
-                if device >= topology.num_devices:
-                    raise PlanError(
-                        f"table {j}: device {device} out of range"
-                    )
-            if strat.kind == "column" and sum(strat.dims) != table.dim:
-                raise PlanError(
-                    f"table {j}: column shard dims sum to "
-                    f"{sum(strat.dims)}, table dim is {table.dim}"
-                )
-            if strat.kind == "twrw" and any(
-                c >= table.num_rows for c in strat.row_cuts
-            ):
-                raise PlanError(
-                    f"table {j}: twrw row cut beyond {table.num_rows} rows"
-                )
-        usage = self.shard_bytes(model)
-        if usage.shape[0] > topology.num_devices:
-            raise PlanError("shard device out of range")
-        for device in range(usage.shape[0]):
-            for tier_index, tier in enumerate(topology.tiers):
-                used = int(usage[device, tier_index])
-                if used > tier.capacity_bytes:
-                    raise PlanError(
-                        f"device {device} tier {tier.name}: {used} bytes "
-                        f"exceeds capacity {tier.capacity_bytes}"
-                    )
-
-    def summary(self, model, topology: SystemTopology) -> dict:
-        base = self.plan.summary(model, topology)
-        base["strategy_counts"] = self.strategy_counts()
-        base["split_tables"] = sum(
-            1 for s in self.strategies if s.kind in ("column", "twrw")
-        )
-        return base
-
-
 # ----------------------------------------------------------------------
-# Scoring (the StrategyPlan arm of expected_device_costs_ms_many)
+# Scoring (the strategy arm of expected_device_costs_ms_many)
 # ----------------------------------------------------------------------
 def strategy_device_costs_ms(
-    plan: StrategyPlan,
+    plan: ShardingPlan,
     model,
     profile,
     topology: SystemTopology,
@@ -338,7 +123,7 @@ def strategy_device_costs_ms(
     use_pooling: bool = True,
     workspace: PlannerWorkspace | None = None,
 ) -> np.ndarray:
-    """Expected per-device cost of one strategy plan.
+    """Expected per-device cost of one plan with ``table_strategies``.
 
     Same cost model as :func:`~repro.core.evaluate.expected_device_costs_ms`
     with strategy-aware device attribution: column shards carry their
@@ -346,7 +131,7 @@ def strategy_device_costs_ms(
     coverage mass of their rank range (the prefix min/max identity the
     executor's reduce uses, applied to coverage fractions).
     """
-    base = plan.plan
+    base = plan.placements
     num_tiers = len(base[0].rows_per_tier)
     num_tables = model.num_tables
     cum_rows = np.cumsum(
@@ -376,7 +161,7 @@ def strategy_device_costs_ms(
         0.0,
     )
     costs = np.zeros(topology.num_devices)
-    for j, (placement, strat) in enumerate(zip(base, plan.strategies)):
+    for j, (placement, strat) in enumerate(zip(base, plan.table_strategies)):
         tier_cost = float(frac[:, j] @ inv_bw[:num_tiers])
         if strat.kind in ("row", "table"):
             costs[placement.device] += table_weight[j] * tier_cost
@@ -436,7 +221,7 @@ def _equal_access_cuts(
 
 
 def _candidates_for_table(
-    current: StrategyPlan,
+    current: ShardingPlan,
     table_index: int,
     kinds,
     costs: np.ndarray,
@@ -444,25 +229,21 @@ def _candidates_for_table(
     topology: SystemTopology,
     workspace: PlannerWorkspace,
     max_shards: int,
-) -> list[StrategyPlan]:
+) -> list[ShardingPlan]:
     """Feasible alternative strategy plans differing only at one table."""
-    base = current.plan
-    placement = base[table_index]
+    placement = current[table_index]
     table = model.tables[table_index]
     order = np.argsort(costs, kind="stable")
-    candidates: list[StrategyPlan] = []
+    candidates: list[ShardingPlan] = []
 
     def with_table(new_placement, new_strategy):
-        placements = list(base.placements)
+        placements = list(current.placements)
         placements[table_index] = new_placement
-        new_base = ShardingPlan(
-            strategy=base.strategy,
-            placements=placements,
-            metadata=base.metadata,
-        )
-        strategies = list(current.strategies)
+        strategies = list(current.table_strategies)
         strategies[table_index] = new_strategy
-        candidate = StrategyPlan(new_base, strategies)
+        candidate = dataclasses.replace(
+            current, placements=placements, table_strategies=strategies
+        )
         try:
             candidate.validate(model, topology)
         except PlanError:
@@ -523,7 +304,7 @@ def plan_with_strategies(
     max_shards: int = 4,
     rounds: int = 16,
     tables_per_round: int = 3,
-) -> StrategyPlan:
+) -> ShardingPlan:
     """Shard with per-table strategy enumeration.
 
     Starts from ``sharder``'s row-wise plan, then greedily refines the
@@ -541,7 +322,8 @@ def plan_with_strategies(
         rounds: refinement round cap (each applies at most one change).
 
     Returns:
-        A :class:`StrategyPlan` with metadata stamped: per-kind counts,
+        A :class:`~repro.core.plan.ShardingPlan` with
+        ``table_strategies`` set and metadata stamped: per-kind counts,
         estimated device costs, and the row-only baseline makespan.
     """
     kinds = resolve_strategy_kinds(strategies)
@@ -556,8 +338,8 @@ def plan_with_strategies(
     from repro.core.evaluate import expected_device_costs_ms_many
 
     base = sharder.shard_from_workspace(workspace, topology, warm_start)
-    current = StrategyPlan(
-        base, tuple(TableStrategy("row") for _ in range(len(base)))
+    current = dataclasses.replace(
+        base, table_strategies=(TableStrategy("row"),) * len(base)
     )
     costs = expected_device_costs_ms_many(
         [current], model, profile, topology, batch_size, workspace=workspace
@@ -569,7 +351,9 @@ def plan_with_strategies(
             makespan = float(costs[busiest])
             on_busiest = [
                 j
-                for j, (p, s) in enumerate(zip(current.plan, current.strategies))
+                for j, (p, s) in enumerate(
+                    zip(current.placements, current.table_strategies)
+                )
                 if s.kind in ("row", "table") and p.device == busiest
             ]
             if not on_busiest:
@@ -584,7 +368,7 @@ def plan_with_strategies(
                 0.0,
             )
             on_busiest.sort(key=lambda j: -weights[j])
-            candidates: list[StrategyPlan] = []
+            candidates: list[ShardingPlan] = []
             for j in on_busiest[:tables_per_round]:
                 candidates.extend(
                     _candidates_for_table(

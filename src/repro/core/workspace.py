@@ -367,12 +367,12 @@ def shard_sweep(
             point carves the budget from ``base_topology``'s fastest
             tier, shards the remainder, and spends the carved bytes on
             replicas (:func:`~repro.core.replicate.plan_with_replication`),
-            yielding :class:`~repro.core.replicate.ReplicatedPlan`\\ s.
+            yielding plans with ``replica_rows`` set.
         strategies: grid of per-table strategy sets — each point is one
             token (``row`` / ``table`` / ``column`` / ``twrw`` /
             ``auto``) handed to
             :func:`~repro.core.strategies.plan_with_strategies`,
-            yielding :class:`~repro.core.strategies.StrategyPlan`\\ s.
+            yielding plans with ``table_strategies`` set.
         precisions: grid of cold-tier storage precisions — each point
             is one precision name (``fp32`` / ``fp16`` / ``int8`` /
             ``int4``) applied to every tier of ``base_topology`` except

@@ -43,8 +43,8 @@ be layered on top:
 Because the remapping packs hot rows first, both reduce to per-(table,
 tier) rank cutoffs that slot into the same classification passes.
 
-A third fast lane is *replication*
-(:class:`~repro.core.replicate.ReplicatedPlan`): each table's
+A third fast lane is *replication* (a plan's ``replica_rows``, set by
+:func:`~repro.core.replicate.build_replication`): each table's
 ``replica_rows`` hottest rows exist on every device, and a lookup that
 resolves below that cutoff is routed to whichever device currently
 carries the least served bytes instead of the table's home.  Routing is
@@ -75,8 +75,8 @@ classification: a single executor's jagged or pre-ranked batch, and
 feature's ranks once and runs every executor's scans on them while
 they are cache-resident.
 
-Per-table sharding strategies
-(:class:`~repro.core.strategies.StrategyPlan`) reuse the framework:
+Per-table sharding strategies (a plan's ``table_strategies``, see
+:mod:`repro.core.strategies`) reuse the framework:
 column splits change nothing at classification time (every lookup
 touches every column shard) — the reduction scatters each table's
 per-tier counts across its shard devices, byte traffic exact per dim
@@ -84,22 +84,25 @@ share, access counts split largest-remainder so per-table totals are
 conserved; twrw splits register one ``cut`` lane per interior rank cut
 and the reduction crosses cut prefixes with tier prefixes (a min/max
 identity on monotone prefix counts) to land each (tier, shard) cell on
-its device.  Strategy plans do not compose with cache/staging/replica
-lanes (the executor rejects the combination up front).
+its device.  Strategy plans do not compose with cache/staging lanes
+(the executor rejects the combination up front) or with replicas (the
+plan's ``validate`` rejects it).
+
+The executor reads every lane from the one plan type,
+:class:`~repro.core.plan.ShardingPlan`, and checks it with the plan's
+single :meth:`~repro.core.plan.ShardingPlan.validate`.  Its analytic
+:meth:`ShardedExecutor.expected_device_costs_ms` is the planner's
+batched evaluator applied to that plan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.evaluate import expected_device_costs_ms_many
 from repro.core.plan import ShardingPlan
 from repro.core.remap import RemappingTable
-from repro.core.replicate import ReplicatedPlan
-from repro.core.strategies import (
-    StrategyPlan,
-    proportional_split,
-    strategy_device_costs_ms,
-)
+from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
 from repro.engine.cache import (
@@ -119,7 +122,10 @@ class ShardedExecutor:
 
     Args:
         model: the model spec (table geometry).
-        plan: the sharding plan under test.
+        plan: the sharding plan under test; its ``replica_rows`` enable
+            the replica lane (lookups below a table's replica cutoff
+            are routed least-loaded across all devices) and its
+            ``table_strategies`` the column/twrw shard lanes.
         profile: the profile whose frequency ranking orders rows across
             tiers (the same ranking the remapping layer ships to
             production in Section 4.3).
@@ -136,11 +142,6 @@ class ShardedExecutor:
         ranker: a pre-built :class:`RankRemapper` for this profile, to
             share rank arrays across the executors of several
             strategies.  Built lazily from ``profile`` when omitted.
-        replication: optional
-            :class:`~repro.core.replicate.ReplicatedPlan` enabling the
-            replica lane; lookups below each table's replica cutoff are
-            routed least-loaded across all devices.  Passing the
-            replicated plan directly as ``plan`` is equivalent.
     """
 
     def __init__(
@@ -154,42 +155,17 @@ class ShardedExecutor:
         staging: TierStagingModel | None = None,
         vectorized: bool = True,
         ranker: RankRemapper | None = None,
-        replication: ReplicatedPlan | None = None,
     ):
-        strategy_plan = None
-        if isinstance(plan, StrategyPlan):
-            strategy_plan = plan
-            plan = strategy_plan.plan
-            if replication is not None:
-                raise ValueError(
-                    "strategy plans do not compose with replication"
-                )
-            if cache is not None or staging is not None:
-                raise ValueError(
-                    "strategy plans do not compose with cache/staging "
-                    "fast lanes"
-                )
-        if isinstance(plan, ReplicatedPlan):
-            if replication is not None and replication is not plan:
-                raise ValueError(
-                    "pass the ReplicatedPlan as plan= or replication=, "
-                    "not two different ones"
-                )
-            replication = plan
-            plan = plan.plan
-        elif replication is not None and replication.plan is not plan:
-            raise ValueError("replication= wraps a different plan")
+        if plan.table_strategies is not None and (
+            cache is not None or staging is not None
+        ):
+            raise ValueError(
+                "strategy plans do not compose with cache/staging fast lanes"
+            )
         if validate:
-            if strategy_plan is not None:
-                strategy_plan.validate(model, topology)
-            elif replication is not None:
-                replication.validate(model, topology)
-            else:
-                plan.validate(model, topology)
+            plan.validate(model, topology)
         self.model = model
         self.plan = plan
-        self.strategy_plan = strategy_plan
-        self.replication = replication
         self.profile = profile
         self.topology = topology
         self.vectorized = vectorized
@@ -238,9 +214,9 @@ class ShardedExecutor:
         # boundary (validate() already guarantees containment) and the
         # running byte counters start at zero per executor.
         self._replica_cut = np.zeros(model.num_tables, dtype=np.int64)
-        if replication is not None:
+        if plan.replica_rows is not None:
             self._replica_cut = np.minimum(
-                replication.replica_rows, self._tier_bounds[:, 0]
+                plan.replica_rows, self._tier_bounds[:, 0]
             )
         self._has_replicas = bool(self._replica_cut.any())
         self._replica_cut_list = [int(c) for c in self._replica_cut]
@@ -299,13 +275,17 @@ class ShardedExecutor:
         self._twrw_tables: list[tuple] = []
         self._num_cut_lanes = 0
         cut_points = None
-        if strategy_plan is not None:
-            self._num_cut_lanes = strategy_plan.num_cut_lanes
+        if plan.table_strategies is not None:
+            # One cut lane per interior twrw cut of the widest split.
+            self._num_cut_lanes = max(
+                (len(s.row_cuts) for s in plan.table_strategies),
+                default=0,
+            )
             if self._num_cut_lanes:
                 cut_points = np.zeros(
                     (model.num_tables, self._num_cut_lanes), dtype=np.int64
                 )
-            for j, strat in enumerate(strategy_plan.strategies):
+            for j, strat in enumerate(plan.table_strategies):
                 if strat.kind == "column":
                     dims = np.asarray(strat.dims, dtype=np.int64)
                     self._column_tables.append((
@@ -386,8 +366,8 @@ class ShardedExecutor:
                 fast lane — row 0 is device-cache hits, row ``t >= 1``
                 is tier-``t`` rows staged at tier ``t - 1`` bandwidth.
             replica_accesses: (num_devices,) lookups served from the
-                replica lane on each device (all zeros without a
-                :class:`~repro.core.replicate.ReplicatedPlan`).
+                replica lane on each device (all zeros without the
+                plan's ``replica_rows``).
         """
         if isinstance(batch, RankedBatch):
             if not self.vectorized:
@@ -967,7 +947,7 @@ class ShardedExecutor:
         return _collect_metrics(
             self.plan.strategy, self.topology, rows,
             self.cache is not None, self.staging is not None,
-            self.replication is not None,
+            self.plan.replica_rows is not None,
             browned=browned,
         )
 
@@ -979,33 +959,14 @@ class ShardedExecutor:
         the fraction of them served by each tier's row block.  Useful to
         cross-check measured times against the optimized cost model.
         The cache and staging models are intentionally excluded: this
-        reproduces exactly what the MILP sees.  Strategy plans route
-        through the shard-aware evaluator — same cost model, per-shard
-        device attribution.
+        reproduces exactly what the MILP sees.  This is
+        :func:`~repro.core.evaluate.expected_device_costs_ms_many` on
+        the executor's plan, so strategy plans get the same per-shard
+        device attribution the planner scores them with.
         """
-        if self.strategy_plan is not None:
-            return strategy_device_costs_ms(
-                self.strategy_plan, self.model, self.profile,
-                self.topology, batch_size,
-            )
-        costs = np.zeros(self.topology.num_devices)
-        for j, placement in enumerate(self.plan):
-            stats = self.profile[placement.table_index]
-            if stats.total_accesses <= 0:
-                continue
-            expected = stats.coverage * stats.avg_pooling * batch_size
-            cdf = stats.cdf
-            prev_cov = 0.0
-            rows_seen = 0
-            for tier_index, rows in enumerate(placement.rows_per_tier):
-                rows_seen += rows
-                cov = cdf.coverage_of_rows(rows_seen)
-                frac = cov - prev_cov
-                prev_cov = cov
-                costs[placement.device] += (
-                    expected * frac * self.row_bytes[j] * self._inv_bw[tier_index]
-                )
-        return costs * 1e3
+        return expected_device_costs_ms_many(
+            [self.plan], self.model, self.profile, self.topology, batch_size
+        )[0]
 
 
 def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
@@ -1195,7 +1156,7 @@ def replay_trace(
         _collect_metrics(
             ex.plan.strategy, ex.topology, rows[s],
             ex.cache is not None, ex.staging is not None,
-            ex.replication is not None,
+            ex.plan.replica_rows is not None,
             browned=browned[s],
         )
         for s, ex in enumerate(executors)

@@ -57,7 +57,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core.replicate import (
-    ReplicatedPlan,
     ReplicationPolicy,
     build_replication,
     carve_replica_budget,
@@ -240,8 +239,7 @@ class LookupServer:
             and the replica set recomputed from the refreshed
             workspace/profile; with a fixed ``plan`` the plan must
             leave the budget's worth of fastest-tier headroom.  A
-            ``plan`` that already is a
-            :class:`~repro.core.replicate.ReplicatedPlan` is served
+            ``plan`` that already carries ``replica_rows`` is served
             as-is.
         vectorized: executor mode; ``False`` serves on the per-lookup
             scalar reference engine (the multi-tier serving bench's
@@ -285,10 +283,14 @@ class LookupServer:
     ):
         if (plan is None) == (sharder is None):
             raise ValueError("provide exactly one of plan= or sharder=")
-        if isinstance(plan, ReplicatedPlan) and replication is not None:
+        if (
+            plan is not None
+            and plan.replica_rows is not None
+            and replication is not None
+        ):
             raise ValueError(
-                "a ReplicatedPlan already carries its policy; do not "
-                "also pass replication="
+                "the plan already carries a replica set; do not also "
+                "pass replication="
             )
         self.model = model
         self.topology = topology
@@ -391,7 +393,7 @@ class LookupServer:
                 self._workspace.refresh(profile)
             kwargs["workspace"] = self._workspace
         if warm_start is not None and self._sharder_warm_starts:
-            kwargs["warm_start"] = _base_plan(warm_start)
+            kwargs["warm_start"] = warm_start
         topology = self._plan_topology
         if surviving is not None:
             topology = SystemTopology(
@@ -697,7 +699,9 @@ class LookupServer:
             total_lookups=int(accesses.sum()),
             tier_accesses=accesses,
             replica_accesses=(
-                replicas if self.executor.replication is not None else None
+                replicas
+                if self.executor.plan.replica_rows is not None
+                else None
             ),
             dropped_lookups=(
                 self.executor.last_dropped.copy() if faults_active else None
@@ -816,16 +820,15 @@ class LookupServer:
         if not surviving:
             raise RuntimeError("no surviving devices to replan onto")
         compact = {device: i for i, device in enumerate(surviving)}
-        base = _base_plan(self.plan)
         spill = itertools.count()
         homes = [
             compact[p.device]
             if p.device in compact
             else next(spill) % len(surviving)
-            for p in base
+            for p in self.plan
         ]
         return self._build_plan(
-            self.profile, warm_start=_with_devices(base, homes),
+            self.profile, warm_start=_with_devices(self.plan, homes),
             surviving=surviving,
         )
 
@@ -839,7 +842,7 @@ class LookupServer:
         parallel, so the busiest device sets the delay.
         """
         busy_s = np.zeros(self.topology.num_devices)
-        for old, new in zip(_base_plan(self.plan), _base_plan(plan)):
+        for old, new in zip(self.plan, plan):
             row_bytes = self.model.tables[new.table_index].row_bytes
             for t, tier in enumerate(self.topology.tiers):
                 rows = new.rows_per_tier[t]
@@ -867,11 +870,6 @@ class LookupServer:
     def _close_open_windows(self, now_ms: float) -> None:
         while any(w[1] is None for w in self.metrics.fault_windows):
             self.metrics.close_fault_window(now_ms)
-
-
-def _base_plan(plan) -> ShardingPlan:
-    """The home placements under a (possibly replicated) plan."""
-    return plan.plan if isinstance(plan, ReplicatedPlan) else plan
 
 
 def _with_devices(plan: ShardingPlan, devices) -> ShardingPlan:

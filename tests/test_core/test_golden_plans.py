@@ -101,7 +101,9 @@ GOLDEN_PLANS = {
 
 
 def serialize(plan) -> dict:
-    return {
+    """The pinned form of a plan; strategy and replica fields appear
+    only when the plan carries them (none of these planners sets them)."""
+    out = {
         "strategy": plan.strategy,
         "solver": plan.metadata.get("solver"),
         "placements": [
@@ -113,6 +115,11 @@ def serialize(plan) -> dict:
             for p in plan
         ],
     }
+    if plan.table_strategies is not None:
+        out["table_strategies"] = [s.kind for s in plan.table_strategies]
+    if plan.replica_rows is not None:
+        out["replica_rows"] = [int(r) for r in plan.replica_rows]
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
@@ -124,6 +131,7 @@ def test_planner_output_matches_golden_fixture(name):
     )
     golden = json.loads(path.read_text())
     current = serialize(GOLDEN_PLANS[name]())
+    assert current.keys() == golden.keys()
     assert current["strategy"] == golden["strategy"]
     assert current["solver"] == golden["solver"]
     for mine, pinned in zip(current["placements"], golden["placements"]):

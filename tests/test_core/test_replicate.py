@@ -13,6 +13,7 @@ Regenerate the golden fixture (after an intentional selection change)::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -23,8 +24,8 @@ from repro.core import (
     PlanError,
     PlannerWorkspace,
     RecShardFastSharder,
-    ReplicatedPlan,
     ReplicationPolicy,
+    ShardingPlan,
     build_replication,
     carve_replica_budget,
     plan_with_replication,
@@ -95,6 +96,20 @@ class TestCarving:
         with pytest.raises(PlanError):
             carve_replica_budget(topology, policy)
 
+    def test_carve_keeps_fastest_tier_precision(self):
+        """Regression: the carved tier used to fall back to fp32, so a
+        1-byte budget under an fp16 HBM halved the plannable HBM rows."""
+        model, profile, topology = build_world(0)
+        topology = topology.with_precisions("hbm=fp16")
+        carved = carve_replica_budget(topology, ReplicationPolicy(1))
+        sharder = RecShardFastSharder(batch_size=64, steps=40)
+        plain = sharder.shard(model, profile, topology)
+        thin = sharder.shard(model, profile, carved)
+        assert thin.tier_rows_total(0) == plain.tier_rows_total(0)
+        assert carved.tiers[0] == dataclasses.replace(
+            topology.tiers[0], capacity_bytes=carved.tiers[0].capacity_bytes
+        )
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             ReplicationPolicy(capacity_bytes=-1)
@@ -103,7 +118,8 @@ class TestCarving:
 class TestSelection:
     def test_end_to_end_validates_and_replicates(self):
         model, _, topology, plan = replicate(0, budget_fraction=0.05)
-        assert isinstance(plan, ReplicatedPlan)
+        assert isinstance(plan, ShardingPlan)
+        assert plan.replica_rows is not None
         plan.validate(model, topology)
         assert plan.num_replicated_rows > 0
         assert "replication" in plan.metadata
@@ -135,7 +151,8 @@ class TestSelection:
     def test_workspace_and_profile_paths_agree(self):
         model, profile, topology, plan = replicate(3, budget_fraction=0.05)
         from_profile = build_replication(
-            plan.policy, plan.plan, profile, model, topology
+            ReplicationPolicy(plan.replica_budget_bytes),
+            plan, profile, model, topology,
         )
         np.testing.assert_array_equal(
             plan.replica_rows, from_profile.replica_rows
@@ -196,9 +213,7 @@ class TestProperties:
             # thing that can be violated here: the base plan was built
             # on the full topology, so the physical check is run on a
             # roomier-than-carved world and must use the budget bound).
-            charged = replicated.replica_bytes_per_device(
-                model, topology.num_devices
-            )
+            charged = replicated.replica_bytes_per_device(model, topology)
             assert (charged <= budget).all()
             for placement, rows in zip(plan, replicated.replica_rows):
                 assert rows <= placement.rows_per_tier[0]
@@ -214,10 +229,13 @@ class TestProperties:
         base + replica bytes fit the physical fastest tier."""
         model, _, topology, plan = replicate(seed, budget_fraction=0.06)
         plan.validate(model, topology)
-        charged = plan.replica_bytes_per_device(model, topology.num_devices)
-        for device in range(topology.num_devices):
-            used = plan.plan.tier_bytes(model, device, 0) + charged[device]
-            assert used <= topology.tiers[0].capacity_bytes
+        charged = plan.replica_bytes_per_device(model, topology)
+        usage = plan.tier_usage(model, topology)
+        base = dataclasses.replace(
+            plan, replica_rows=None, replica_budget_bytes=None
+        ).tier_usage(model, topology)
+        np.testing.assert_array_equal(usage[:, 0], base[:, 0] + charged)
+        assert (usage[:, 0] <= topology.tiers[0].capacity_bytes).all()
 
     def test_validate_rejects_over_budget_replicas(self):
         model, profile, topology, plan = replicate(0, budget_fraction=0.03)
@@ -226,7 +244,7 @@ class TestProperties:
             [p.rows_per_tier[0] - r for p, r in zip(plan, rows)]
         ))
         rows[fat] = plan[fat].rows_per_tier[0]
-        bloated = ReplicatedPlan(plan.plan, rows, plan.policy)
+        bloated = dataclasses.replace(plan, replica_rows=rows)
         with pytest.raises(PlanError):
             bloated.validate(model, topology)
 
@@ -234,8 +252,8 @@ class TestProperties:
         model, _, topology, plan = replicate(1, budget_fraction=0.03)
         rows = plan.replica_rows.copy()
         rows[0] = plan[0].rows_per_tier[0] + 1
-        with pytest.raises(PlanError):
-            ReplicatedPlan(plan.plan, rows, plan.policy).validate(
+        with pytest.raises(PlanError, match="resident on the fastest"):
+            dataclasses.replace(plan, replica_rows=rows).validate(
                 model, topology
             )
 
@@ -246,15 +264,15 @@ class TestProperties:
 GOLDEN_NAME = "replicated_plan_seed0"
 
 
-def build_golden() -> ReplicatedPlan:
+def build_golden() -> ShardingPlan:
     _, _, _, plan = replicate(0, budget_fraction=0.05)
     return plan
 
 
-def serialize(plan: ReplicatedPlan) -> dict:
+def serialize(plan: ShardingPlan) -> dict:
     return {
         "strategy": plan.strategy,
-        "budget_bytes_per_device": int(plan.policy.capacity_bytes),
+        "budget_bytes_per_device": int(plan.replica_budget_bytes),
         "replica_rows": [int(r) for r in plan.replica_rows],
         "placements": [
             {

@@ -1,7 +1,8 @@
 """Tests for per-table sharding-strategy enumeration.
 
-Covers the strategy value objects (:class:`TableStrategy`,
-:class:`StrategyPlan`), the integer split helpers whose conservation
+Covers the strategy value object (:class:`TableStrategy`), plans
+carrying ``table_strategies`` and their one ``validate``, the integer
+split helpers whose conservation
 laws the executor's reduce step relies on, evaluator parity between an
 all-row strategy plan and its plain base plan, the greedy
 :func:`plan_with_strategies` refinement, the ``strategies=`` sweep arm,
@@ -24,7 +25,6 @@ from repro.core import (
     PlanError,
     PlannerWorkspace,
     RecShardFastSharder,
-    StrategyPlan,
     TablePlacement,
     TableStrategy,
     expected_device_costs_ms_many,
@@ -37,6 +37,7 @@ from repro.core import (
     validate_scale_grid,
 )
 from repro.core.plan import ShardingPlan
+from repro.engine import ShardedExecutor
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -65,6 +66,16 @@ def build_wide_model(seed: int = 0, wide_dim: int = 2048):
     tables = list(base.tables)
     tables[0] = dataclasses.replace(tables[0], dim=wide_dim)
     return dataclasses.replace(base, name="wide", tables=tuple(tables))
+
+
+def _tight(total: int, num_devices: int = 4) -> SystemTopology:
+    return SystemTopology.two_tier(
+        num_devices=num_devices,
+        hbm_capacity=int(total * 0.45 / num_devices),
+        hbm_bandwidth=200e9,
+        uvm_capacity=total,
+        uvm_bandwidth=10e9,
+    )
 
 
 def _world(num_tables=8, seed=0, dim=16, num_devices=4):
@@ -101,12 +112,28 @@ def _mixed_strategies(model, plan, num_devices):
         device=(p2.device + 1) % num_devices,
         rows_per_tier=tuple(rows),
     )
-    base = ShardingPlan(
+    return ShardingPlan(
         placements=tuple(placements),
         strategy=plan.strategy,
         metadata=dict(plan.metadata),
+        table_strategies=tuple(strategies),
     )
-    return StrategyPlan(base, tuple(strategies))
+
+
+def _with_strategies(plan, strategies=None):
+    """``plan`` with per-table strategies (all ``row`` by default)."""
+    if strategies is None:
+        strategies = (TableStrategy("row"),) * len(plan)
+    return dataclasses.replace(plan, table_strategies=tuple(strategies))
+
+
+def _outcome(plan, model, topology):
+    """``None`` if ``plan`` validates, else the PlanError text."""
+    try:
+        plan.validate(model, topology)
+    except PlanError as error:
+        return str(error)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +256,7 @@ class TestTwrwCellRows:
 
 
 # ----------------------------------------------------------------------
-# StrategyPlan: validation + byte conservation
+# Strategy plans: validation + byte conservation
 # ----------------------------------------------------------------------
 
 
@@ -238,14 +265,14 @@ class TestStrategyPlan:
         model, profile, topology = _world()
         plan = _base_plan(model, profile, topology)
         with pytest.raises(PlanError, match="strategies for"):
-            StrategyPlan(plan, (TableStrategy("row"),))
+            _with_strategies(plan, (TableStrategy("row"),))
 
     def test_column_dims_must_cover_table_dim(self):
         model, profile, topology = _world()
         plan = _base_plan(model, profile, topology)
         strategies = [TableStrategy("row") for _ in range(len(plan))]
         strategies[0] = TableStrategy("column", devices=(0, 1), dims=(4, 4))
-        sp = StrategyPlan(plan, tuple(strategies))
+        sp = _with_strategies(plan, strategies)
         with pytest.raises(PlanError, match="dims sum"):
             sp.validate(model, topology)
 
@@ -256,7 +283,7 @@ class TestStrategyPlan:
         strategies[0] = TableStrategy(
             "twrw", devices=(0, 1), row_cuts=(10**9,)
         )
-        sp = StrategyPlan(plan, tuple(strategies))
+        sp = _with_strategies(plan, strategies)
         with pytest.raises(PlanError, match="cut beyond"):
             sp.validate(model, topology)
 
@@ -268,7 +295,7 @@ class TestStrategyPlan:
         strategies[0] = TableStrategy(
             "column", devices=(0, 99), dims=(8, t0.dim - 8)
         )
-        sp = StrategyPlan(plan, tuple(strategies))
+        sp = _with_strategies(plan, strategies)
         with pytest.raises(PlanError, match="out of range"):
             sp.validate(model, topology)
 
@@ -282,11 +309,8 @@ class TestStrategyPlan:
             uvm_capacity=1,
             uvm_bandwidth=10e9,
         )
-        sp = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
         with pytest.raises(PlanError, match="exceeds capacity"):
-            sp.validate(model, tiny)
+            _with_strategies(plan).validate(model, tiny)
 
     def test_shard_bytes_conserved_under_any_strategy(self):
         model, profile, topology = _world()
@@ -294,11 +318,12 @@ class TestStrategyPlan:
         sp = _mixed_strategies(model, plan, topology.num_devices)
         sp.validate(model, topology)
         # Splitting changes *where* bytes live, never how many there are.
-        assert int(sp.shard_bytes(model).sum()) == model.total_bytes
-        row_only = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
+        assert int(sp.tier_usage(model, topology).sum()) == model.total_bytes
+        row_only = _with_strategies(plan)
+        assert (
+            int(row_only.tier_usage(model, topology).sum())
+            == model.total_bytes
         )
-        assert int(row_only.shard_bytes(model).sum()) == model.total_bytes
 
     def test_strategy_counts_and_summary(self):
         model, profile, topology = _world()
@@ -315,7 +340,38 @@ class TestStrategyPlan:
         model, profile, topology = _world()
         plan = _base_plan(model, profile, topology)
         sp = _mixed_strategies(model, plan, topology.num_devices)
-        assert sp.num_cut_lanes == 1  # one twrw table with one cut
+        executor = ShardedExecutor(model, sp, profile, topology)
+        # One twrw table with one cut: one cut lane.
+        assert [n for n in executor._lanes.names if n.startswith("cut:")] == [
+            "cut:0"
+        ]
+
+    @pytest.mark.parametrize("reclaim_dead", [False, True])
+    @pytest.mark.parametrize("ladder", ["hbm=fp32", "hbm=fp16", "uvm=int4"])
+    def test_all_row_validates_like_bare_plan(self, ladder, reclaim_dead):
+        """Regression: the strategy validator charged every shard at
+        fp32 with no dead-row credit, so all-row strategy plans were
+        refused where their bare plan validates."""
+        model = build_model(num_tables=8, rows=512, dim=16, seed=0)
+        profile = analytic_profile(model)
+        topology = _tight(model.total_bytes).with_precisions(ladder)
+        plan = RecShardFastSharder(
+            batch_size=128, steps=40, reclaim_dead=reclaim_dead
+        ).shard(model, profile, topology)
+        all_row = _with_strategies(plan)
+        peak = plan.tier_usage(model, topology).max(axis=0)
+        # Each tier at exactly the bare plan's peak (fits) and one byte
+        # below it (refused).
+        for t, tier in enumerate(topology.tiers):
+            for slack, fits in ((0, True), (-1, False)):
+                tiers = list(topology.tiers)
+                tiers[t] = dataclasses.replace(
+                    tier, capacity_bytes=int(peak[t]) + slack
+                )
+                point = dataclasses.replace(topology, tiers=tuple(tiers))
+                bare = _outcome(plan, model, point)
+                assert (bare is None) == fits
+                assert _outcome(all_row, model, point) == bare
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +383,7 @@ class TestStrategyCosts:
     def test_all_row_matches_plain_plan_exactly(self):
         model, profile, topology = _world()
         plan = _base_plan(model, profile, topology)
-        sp = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
+        sp = _with_strategies(plan)
         plain = expected_device_costs_ms_many(
             [plan], model, profile, topology, 128
         )[0]
@@ -362,12 +416,9 @@ class TestStrategyCosts:
         strategies[1] = TableStrategy(
             "twrw", devices=(1, 2), row_cuts=(t1.num_rows // 2,)
         )
-        sp = StrategyPlan(plan, tuple(strategies))
+        sp = _with_strategies(plan, strategies)
         base = strategy_device_costs_ms(
-            StrategyPlan(
-                plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-            ),
-            model, profile, topology, 128,
+            _with_strategies(plan), model, profile, topology, 128
         )
         split = strategy_device_costs_ms(sp, model, profile, topology, 128)
         assert split.sum() == pytest.approx(base.sum(), rel=1e-9)
@@ -450,7 +501,7 @@ class TestStrategySweep:
             "strategies=row", "strategies=auto",
         ]
         for p in plans:
-            assert isinstance(p, StrategyPlan)
+            assert p.table_strategies is not None
 
     def test_requires_base_topology(self):
         model, profile, _ = _world()
@@ -512,7 +563,7 @@ def _golden_builder():
     )
 
 
-def serialize(sp: StrategyPlan) -> dict:
+def serialize(sp: ShardingPlan) -> dict:
     return {
         "strategy": sp.strategy,
         "solver": sp.metadata.get("solver"),
@@ -527,7 +578,7 @@ def serialize(sp: StrategyPlan) -> dict:
                 "dims": list(s.dims),
                 "row_cuts": list(s.row_cuts),
             }
-            for p, s in zip(sp.plan, sp.strategies)
+            for p, s in zip(sp.placements, sp.table_strategies)
         ],
     }
 

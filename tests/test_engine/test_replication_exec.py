@@ -10,6 +10,8 @@ accesses must conserve the batch's lookups.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def three_tier(total: int, num_devices: int = 4):
             MemoryTier("dram", int(total * 0.2 / num_devices), 20e9),
             MemoryTier("ssd", total, 2e9),
         ),
+    )
+
+
+def _unreplicated(plan):
+    return dataclasses.replace(
+        plan, replica_rows=None, replica_budget_bytes=None
     )
 
 
@@ -170,12 +178,12 @@ class TestReplicatedExecutionParity:
         batches = list(TraceGenerator(model, 64, seed=21).batches(2))
         executors = [
             ShardedExecutor(model, plan, profile, topology),
-            ShardedExecutor(model, plan.plan, profile, topology),
+            ShardedExecutor(model, _unreplicated(plan), profile, topology),
         ]
         fused = replay_trace(executors, batches)
         singles = [
             ShardedExecutor(model, plan, profile, topology).run(batches),
-            ShardedExecutor(model, plan.plan, profile, topology).run(batches),
+            ShardedExecutor(model, _unreplicated(plan), profile, topology).run(batches),
         ]
         for merged, alone in zip(fused, singles):
             np.testing.assert_array_equal(merged.times_ms, alone.times_ms)
@@ -196,7 +204,7 @@ class TestReplicatedExecutionParity:
         model, profile, topology, plan = build_world(6)
         batches = list(TraceGenerator(model, 128, seed=8).batches(3))
         plain = ShardedExecutor(
-            model, plan.plan, profile, topology
+            model, _unreplicated(plan), profile, topology
         ).run(batches)
         replicated = ShardedExecutor(
             model, plan, profile, topology
@@ -210,21 +218,3 @@ class TestReplicatedExecutionParity:
             == plain.device_access_totals().sum()
         )
         assert replicated.load_imbalance() <= plain.load_imbalance() + 1e-9
-
-    def test_replication_kwarg_equivalent_to_wrapped_plan(self):
-        model, profile, topology, plan = build_world(1)
-        via_plan = ShardedExecutor(model, plan, profile, topology)
-        via_kwarg = ShardedExecutor(
-            model, plan.plan, profile, topology, replication=plan
-        )
-        batch = TraceGenerator(model, 64, seed=77).next_batch()
-        for a, b in zip(via_plan.run_batch(batch), via_kwarg.run_batch(batch)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_mismatched_replication_rejected(self):
-        model, profile, topology, plan = build_world(2)
-        other = build_world(5)[3]
-        with pytest.raises(ValueError):
-            ShardedExecutor(
-                model, other.plan, profile, topology, replication=plan
-            )

@@ -8,16 +8,19 @@ the classify/reduce serving seam, ``replay_trace``, and the scoping
 rules (no replication/cache composition, no brownout with twrw).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    PlanError,
     RecShardFastSharder,
     ReplicationPolicy,
-    StrategyPlan,
     TablePlacement,
     TableStrategy,
     plan_with_replication,
+    plan_with_strategies,
 )
 from repro.core.plan import ShardingPlan
 from repro.data.synthetic import TraceGenerator
@@ -75,12 +78,18 @@ def _mixed_plan(model, plan, num_devices):
         device=(p2.device + 1) % num_devices,
         rows_per_tier=tuple(rows),
     )
-    base = ShardingPlan(
+    return ShardingPlan(
         placements=tuple(placements),
         strategy=plan.strategy,
         metadata=dict(plan.metadata),
+        table_strategies=tuple(strategies),
     )
-    return StrategyPlan(base, tuple(strategies))
+
+
+def _row_only(plan):
+    return dataclasses.replace(
+        plan, table_strategies=(TableStrategy("row"),) * len(plan)
+    )
 
 
 def _batches(model, n=4, seed=9):
@@ -112,10 +121,7 @@ class TestStrategyExecution:
 
     def test_all_row_matches_plain_executor(self, strategy_world):
         model, profile, topology, plan = strategy_world
-        sp = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
-        wrapped = ShardedExecutor(model, sp, profile, topology)
+        wrapped = ShardedExecutor(model, _row_only(plan), profile, topology)
         plain = ShardedExecutor(model, plan, profile, topology)
         for batch in _batches(model):
             wt, wa, wh, wr = wrapped.run_batch(batch)
@@ -158,9 +164,7 @@ class TestStrategyExecution:
     def test_replay_trace_matches_individual_runs(self, strategy_world):
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
-        row_only = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
+        row_only = _row_only(plan)
         ex_mixed = ShardedExecutor(model, sp, profile, topology)
         ex_row = ShardedExecutor(model, row_only, profile, topology)
         batches = _batches(model)
@@ -235,29 +239,43 @@ class TestStrategyExecution:
 class TestStrategyScoping:
     def test_rejects_replication(self, strategy_world):
         model, profile, topology, plan = strategy_world
-        sp = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
         replicated = plan_with_replication(
             RecShardFastSharder(batch_size=BATCH, steps=40),
             model, profile, topology,
             ReplicationPolicy(capacity_bytes=4096),
         )
-        with pytest.raises(ValueError, match="replication"):
-            ShardedExecutor(
-                model, sp, profile, topology, replication=replicated
-            )
+        with pytest.raises(PlanError, match="replication"):
+            ShardedExecutor(model, _row_only(replicated), profile, topology)
 
     def test_rejects_cache_and_staging(self, strategy_world):
         model, profile, topology, plan = strategy_world
-        sp = StrategyPlan(
-            plan, tuple(TableStrategy("row") for _ in range(len(plan)))
-        )
         with pytest.raises(ValueError, match="cache/staging"):
             ShardedExecutor(
-                model, sp, profile, topology,
+                model, _row_only(plan), profile, topology,
                 cache=CacheModel(capacity_bytes=4096, bandwidth=400e9),
             )
+
+    def test_quantized_strategy_plan_builds_validated_executor(self):
+        """Regression: plan_with_strategies output under an fp16 HBM was
+        refused by the validating executor (shards charged at fp32)."""
+        model = build_model(num_tables=8, rows=512, dim=16, seed=3)
+        profile = analytic_profile(model)
+        total = model.total_bytes
+        topology = SystemTopology.two_tier(
+            num_devices=4,
+            hbm_capacity=int(total * 0.45 / 4),
+            hbm_bandwidth=200e9,
+            uvm_capacity=total,
+            uvm_bandwidth=10e9,
+        ).with_precisions("hbm=fp16")
+        sp = plan_with_strategies(
+            RecShardFastSharder(batch_size=BATCH, steps=40),
+            model, profile, topology,
+        )
+        executor = ShardedExecutor(model, sp, profile, topology, validate=True)
+        batch = _batches(model, n=1)[0]
+        _, accesses, _, _ = executor.run_batch(batch)
+        assert accesses.sum() == batch.total_lookups
 
     def test_brownout_rejected_with_twrw(self, strategy_world):
         model, profile, topology, plan = strategy_world
@@ -273,7 +291,7 @@ class TestStrategyScoping:
         strategies[0] = TableStrategy(
             "column", devices=(0, 1), dims=(t0.dim // 2, t0.dim - t0.dim // 2)
         )
-        sp = StrategyPlan(plan, tuple(strategies))
+        sp = dataclasses.replace(plan, table_strategies=tuple(strategies))
         fast = ShardedExecutor(model, sp, profile, topology)
         slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
         fast.set_brownout(True)

@@ -100,7 +100,7 @@ def test_fast_and_reference_paths_bit_identical(world_builder, sharder_cls):
         fast.replica_access_totals, reference.replica_access_totals
     )
     assert fast.replica_access_totals.sum() > 0
-    assert fast_server.executor.replication is not None
+    assert fast_server.executor.plan.replica_rows is not None
     summary = fast.summary()
     assert summary["replica_hits"] == int(fast.replica_access_totals.sum())
     assert summary["load_imbalance"] >= 1.0
@@ -172,7 +172,7 @@ def test_drift_replans_recompute_replica_set():
         ),
         replication=policy(),
     )
-    first_rows = server.executor.replication.replica_rows.copy()
+    first_rows = server.executor.plan.replica_rows.copy()
     arenas = synthetic_request_arenas(
         model, num_requests=REQUESTS * 2, qps=1e9, seed=17,
         drift=DriftModel(feature_noise=4.0, alpha_noise=4.0),
@@ -180,14 +180,14 @@ def test_drift_replans_recompute_replica_set():
     )
     metrics = server.serve_arenas(arenas)
     assert metrics.num_replans >= 1
-    replication = server.executor.replication
-    assert replication is not None
-    assert replication.replica_rows.sum() > 0
+    replicated = server.executor.plan
+    assert replicated.replica_rows is not None
+    assert replicated.replica_rows.sum() > 0
     # The replica set was rebuilt from observed statistics (the drifted
     # profile virtually always moves at least one cutoff).
-    assert not np.array_equal(first_rows, replication.replica_rows)
+    assert not np.array_equal(first_rows, replicated.replica_rows)
     # Replica budget still honored after every replan.
-    replication.validate(model, topology)
+    replicated.validate(model, topology)
 
 
 def test_replication_reduces_imbalance_on_skewed_features():

@@ -5,7 +5,8 @@ counts from the workers to the front-end aggregator alongside the tier
 and fast-lane counts.  These tests pin that a
 :class:`MultiProcessServer` run over a mixed strategy plan merges to
 the single-process :meth:`serve_arenas` metrics bit for bit, and that a
-fixed :class:`StrategyPlan` serves through the spine server at all.
+fixed plan with ``table_strategies`` serves through the spine server at
+all.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 
 from repro.core import (
     RecShardFastSharder,
-    StrategyPlan,
     TablePlacement,
     TableStrategy,
 )
@@ -69,12 +69,12 @@ def strategy_serving_world():
         device=(p2.device + 1) % topology.num_devices,
         rows_per_tier=tuple(rows),
     )
-    base = ShardingPlan(
+    sp = ShardingPlan(
         placements=tuple(placements),
         strategy=plan.strategy,
         metadata=dict(plan.metadata),
+        table_strategies=tuple(strategies),
     )
-    sp = StrategyPlan(base, tuple(strategies))
     sp.validate(model, topology)
     arenas = list(
         synthetic_request_arenas(model, REQUESTS, qps=1e8, seed=23)
