@@ -86,8 +86,9 @@ def report_json(name: str, payload: dict) -> Path:
 
     Written next to the text reports so the perf trajectory (speedups,
     QPS, wall-clocks) can be tracked across PRs by tooling instead of
-    by parsing tables.  The workload shape knobs are stamped in so a
-    number is never compared across different shrink configurations by
+    by parsing tables.  The workload shape knobs, the Python version
+    and the host's CPU count are stamped in so a number is never
+    compared across different shrink configurations or hosts by
     accident.
     """
     REPORT_DIR.mkdir(exist_ok=True)
@@ -101,6 +102,7 @@ def report_json(name: str, payload: dict) -> Path:
             "milp_time": BENCH_MILP_TIME,
         },
         "python": platform.python_version(),
+        "host_cpus": os.cpu_count() or 1,
         **payload,
     }
     path = REPORT_DIR / f"BENCH_{name}.json"

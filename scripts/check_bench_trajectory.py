@@ -5,8 +5,15 @@ Every benchmark that gates a performance property writes a
 machine-readable ``benchmarks/reports/BENCH_<name>.json``.  Those files
 are committed, so ``git show <ref>:<path>`` is the trajectory baseline:
 this script re-reads the freshly generated reports in the working tree
-and fails if any higher-is-better headline number (speedups, gains,
-scaling factors) fell below ``--min-ratio`` times its committed value.
+and fails if any higher-is-better headline number fell below
+``--min-ratio`` times its committed value.  Two kinds are tracked:
+
+* dimensionless gains (speedups, gains, scaling factors), compared on
+  every run;
+* absolute rates (``*_per_s`` keys), compared only when the fresh and
+  committed reports carry equal ``host_cpus``, ``python`` and
+  ``workload`` stamps.  On another host or scale a rate says nothing
+  about the code, so a mismatch prints the key and never fails.
 
 Usage::
 
@@ -31,9 +38,13 @@ import sys
 from pathlib import Path
 
 #: Top-level keys treated as higher-is-better trajectory numbers.
-_TRACKED = re.compile(r"^(speedup|scaling|gain|.*_gain|capacity_gain_.*)$")
+_TRACKED = re.compile(r"^(speedup|scaling|gain|.*_gain|capacity_gain_.*)$|_per_s$")
+#: Absolute rates among them: compared only on a matching fingerprint.
+_ABSOLUTE = re.compile(r"_per_s$")
 #: Keys that merely configure a gate (floors/limits), never tracked.
 _EXCLUDED = re.compile(r"(_floor|_enforced)$|^min_|^max_|^scalar_")
+#: Stamps that must be present and equal before absolute rates compare.
+_FINGERPRINT = ("host_cpus", "python", "workload")
 
 
 def tracked_keys(document: dict) -> dict[str, float]:
@@ -42,9 +53,17 @@ def tracked_keys(document: dict) -> dict[str, float]:
     for key, value in document.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if _TRACKED.match(key) and not _EXCLUDED.search(key):
+        if _TRACKED.search(key) and not _EXCLUDED.search(key):
             out[key] = float(value)
     return out
+
+
+def same_fingerprint(fresh: dict, baseline: dict) -> bool:
+    """Both reports carry equal host, Python and workload stamps."""
+    return all(
+        fresh.get(key) is not None and fresh.get(key) == baseline.get(key)
+        for key in _FINGERPRINT
+    )
 
 
 def baseline_document(repo: Path, ref: str, relpath: str) -> dict | None:
@@ -62,9 +81,14 @@ def baseline_document(repo: Path, ref: str, relpath: str) -> dict | None:
 
 
 def compare(fresh: dict, baseline: dict, min_ratio: float) -> list[dict]:
-    """Per-key diff rows for one bench; ``ok=False`` marks a regression."""
+    """Per-key diff rows for one bench; ``ok=False`` marks a regression.
+
+    An absolute rate under a differing fingerprint gets a row marked
+    ``"fingerprint": "differs"`` that is always ``ok``.
+    """
     rows = []
     base_keys = tracked_keys(baseline)
+    comparable = same_fingerprint(fresh, baseline)
     for key, current in tracked_keys(fresh).items():
         if key not in base_keys:
             rows.append(
@@ -73,15 +97,16 @@ def compare(fresh: dict, baseline: dict, min_ratio: float) -> list[dict]:
             continue
         base = base_keys[key]
         ratio = current / base if base > 0 else float("inf")
-        rows.append(
-            {
-                "key": key,
-                "current": current,
-                "base": base,
-                "ratio": ratio,
-                "ok": ratio >= min_ratio,
-            }
-        )
+        row = {
+            "key": key,
+            "current": current,
+            "base": base,
+            "ratio": ratio,
+            "ok": ratio >= min_ratio,
+        }
+        if _ABSOLUTE.search(key) and not comparable:
+            row.update(ok=True, fingerprint="differs")
+        rows.append(row)
     return rows
 
 
@@ -157,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
             if row["base"] is None:
                 print(f"{bench:<24} {row['key']:<24} {'(new key)':>12} "
                       f"{row['current']:>12.3f} {'-':>7}  skipped")
+                continue
+            if "fingerprint" in row:
+                print(f"{bench:<24} {row['key']:<24} {row['base']:>12.3f} "
+                      f"{row['current']:>12.3f} {row['ratio']:>7.2f}  "
+                      f"reported [host/python/workload differs]")
                 continue
             compared += 1
             status = "ok" if row["ok"] else "REGRESSION"

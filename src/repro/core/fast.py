@@ -33,7 +33,8 @@ the same plans:
   rounding makes raw densities locally non-monotone) with ties broken
   by (table, step) reproduces the scalar heap's pop sequence exactly,
   so whole prefixes of the order can be admitted against the budget
-  with one cumulative sum instead of one heap transaction per step.
+  with windowed cumulative sums instead of one heap transaction per
+  step.
 * **scalar** (``vectorized=False``) — the original per-step heapq
   implementation, kept as the parity reference
   (``tests/test_core/test_planner_vectorized.py`` pins plan equality
@@ -52,8 +53,12 @@ from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.quantize import tier_expected_errors
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
+from repro.stats.cdf import descending_order
 
 _MS = 1e3
+#: entries the bulk take scans at first, and again after each blocking
+#: step; the window doubles while whole windows are admitted
+_TAKE_WINDOW = 64
 
 
 def _stamp_tier_precisions(metadata: dict, topology: SystemTopology) -> None:
@@ -419,14 +424,21 @@ class RecShardFastSharder:
         """Admit ICDF steps in heap-pop order against a byte budget.
 
         ``eff_density`` must be the per-table *running minimum* of the
-        raw marginal densities: sorting by ``(-eff, table, step)`` then
-        reproduces exactly the pop order of a max-heap holding one
-        current step per table (a table's step can only surface after
-        its predecessor, so a locally *rising* density pops immediately
-        after the dip that hid it — i.e. at the dip's priority).  Steps
-        are then taken in bulk: one cumulative sum finds the longest
-        admissible prefix, and only budget-blocking steps (which retire
-        their whole table, like a dropped heap entry) restart the scan.
+        raw marginal densities, and the entries must arrive in
+        (table, step) order: sorting by ``(-eff, table, step)`` — one
+        :func:`~repro.stats.cdf.descending_order`, the index being the
+        tie key — then reproduces exactly the pop order of a max-heap
+        holding one current step per table (a table's step can only
+        surface after its predecessor, so a locally *rising* density
+        pops immediately after the dip that hid it — i.e. at the dip's
+        priority).  Steps are then taken in bulk: a cumulative sum over
+        a window of not-yet-blocked entries finds the longest
+        admissible prefix, and the window doubles while every entry in
+        it is admitted.  A budget-blocking step retires its whole table
+        (like a dropped heap entry) by setting the table's ``blocked``
+        flag; the scan resumes just past it with the window back at
+        its initial size, so the cost is O(N + blockers * window)
+        rather than one pass over the remaining suffix per blocker.
 
         ``stop_on_exhausted`` mirrors the two scalar loops: the global
         waterfill stops once the budget hits zero, the per-device
@@ -437,20 +449,19 @@ class RecShardFastSharder:
         """
         if table_ids.size == 0:
             return budget
-        order = np.lexsort((step_ids, table_ids, -eff_density))
+        order = descending_order(eff_density)
         tables = table_ids[order]
         sizes = d_bytes[order]
         steps = step_ids[order]
-        alive = np.ones(order.size, dtype=bool)
+        blocked = np.zeros(steps_out.size, dtype=bool)
+        taken = np.zeros(order.size, dtype=bool)
         remaining = int(budget)
-        pos = 0
+        pos, window = 0, _TAKE_WINDOW
         while pos < order.size:
             if stop_on_exhausted and remaining <= 0:
                 break
-            sel = np.flatnonzero(alive[pos:])
-            if sel.size == 0:
-                break
-            sel += pos
+            end = min(pos + window, order.size)
+            sel = pos + np.flatnonzero(~blocked[tables[pos:end]])
             cum = np.cumsum(sizes[sel])
             if stop_on_exhausted:
                 take = (cum <= remaining) & ((cum - sizes[sel]) < remaining)
@@ -459,16 +470,17 @@ class RecShardFastSharder:
             # Both conditions are prefix-shaped (cum is non-decreasing).
             count = int(np.count_nonzero(take))
             if count:
-                taken = sel[:count]
-                np.maximum.at(steps_out, tables[taken], steps[taken] + 1)
+                taken[sel[:count]] = True
                 remaining -= int(cum[count - 1])
             if count == sel.size:
-                break
+                pos, window = end, 2 * window
+                continue
             if stop_on_exhausted and remaining <= 0:
                 break
             blocker = int(sel[count])
-            alive[tables == tables[blocker]] = False
-            pos = blocker + 1
+            blocked[tables[blocker]] = True
+            pos, window = blocker + 1, _TAKE_WINDOW
+        np.maximum.at(steps_out, tables[taken], steps[taken] + 1)
         return remaining
 
     def _marginal_density(self, ws, weight, inv_bw_hbm, inv_bw_uvm,

@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.plan import PlanError, ShardingPlan
 from repro.memory.topology import SystemTopology
+from repro.stats.cdf import descending_order
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ def _leading_counts_from_profile(profile, limits: np.ndarray):
 
     Same numbers the cache/staging selection reads
     (``stats.counts[stats.cdf.row_order[:k]]``), returned flat with
-    table/rank coordinates like
+    their owning tables, grouped by table in rank order like
     :meth:`~repro.core.workspace.PlannerWorkspace.leading_expected_counts`.
     """
-    counts_list, table_list, rank_list = [], [], []
+    counts_list, table_list = [], []
     for j, stats in enumerate(profile):
         k = int(limits[j])
         if k <= 0 or stats.total_accesses <= 0:
@@ -114,15 +115,9 @@ def _leading_counts_from_profile(profile, limits: np.ndarray):
         ]
         counts_list.append(ranked)
         table_list.append(np.full(k, j, dtype=np.int64))
-        rank_list.append(np.arange(k, dtype=np.int64))
     if not counts_list:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=np.float64), empty, empty
-    return (
-        np.concatenate(counts_list),
-        np.concatenate(table_list),
-        np.concatenate(rank_list),
-    )
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
+    return np.concatenate(counts_list), np.concatenate(table_list)
 
 
 def build_replication(
@@ -136,11 +131,15 @@ def build_replication(
     """Spend the replica budget on the globally hottest rows of ``plan``.
 
     Candidates are every live row resident on its home's fastest tier;
-    they are ordered hottest-first by expected access count (ties broken
-    by (table, rank), making selection fully deterministic), and the
-    longest prefix whose per-device copy bytes fit the policy budget is
-    admitted.  The candidate set does not depend on the budget — which
-    is what makes the selected set *monotone* in ``capacity_bytes``
+    they are ordered hottest-first by expected access count (one
+    :func:`~repro.stats.cdf.descending_order`, ties broken by (table,
+    rank), making selection fully deterministic), and the longest
+    prefix whose per-device copy bytes fit the policy budget is
+    admitted.  Each candidate is homed on one of the ``D`` devices, so
+    every device is charged at least ``(D-1)/D`` of a prefix's bytes:
+    the per-device scan stops just past ``budget * D / (D-1)`` bytes.
+    The candidate set does not depend on the budget — which is what
+    makes the selected set *monotone* in ``capacity_bytes``
     (the property test's invariant): a larger budget only ever extends
     the admitted prefix.
 
@@ -175,26 +174,37 @@ def build_replication(
     home = np.array([p.device for p in plan], dtype=np.int64)
     if workspace is not None:
         limits = np.minimum(tier0_rows, workspace.live_rows)
-        counts, tables, ranks = workspace.leading_expected_counts(limits)
+        counts, tables, _ = workspace.leading_expected_counts(limits)
     else:
         live = np.array([stats.live_rows for stats in profile], dtype=np.int64)
         limits = np.minimum(tier0_rows, live)
-        counts, tables, ranks = _leading_counts_from_profile(profile, limits)
+        counts, tables = _leading_counts_from_profile(profile, limits)
     hot = counts > 0
-    counts, tables, ranks = counts[hot], tables[hot], ranks[hot]
+    counts, tables = counts[hot], tables[hot]
     if counts.size == 0:
         return _with_replicas(plan, replica_rows, policy)
-    order = np.lexsort((ranks, tables, -counts))
+    # Candidates arrive in (table, rank) order, so the index is the tie
+    # key of the hottest-first order.
+    order = descending_order(counts)
     sizes = row_bytes[tables[order]]
+    total_cum = np.cumsum(sizes)
+    # Every candidate has exactly one home, so the least-homed of the D
+    # devices owns at most 1/D of any prefix and is charged at least
+    # (D-1)/D of it: no prefix above budget * D / (D-1) bytes can be
+    # admitted.  Cutting just past that bound (integer arithmetic) keeps
+    # the first inadmissible prefix, so ``take`` is unchanged.
+    devices = topology.num_devices
+    limit = policy.capacity_bytes * devices
+    bound = int(np.searchsorted(total_cum * (devices - 1), limit, "right")) + 1
+    order, sizes, total_cum = order[:bound], sizes[:bound], total_cum[:bound]
     homes = home[tables[order]]
     # Per-device copy charge of the prefix ending at candidate i:
     # every device hosts every selected row except the ones it homes,
     # so the binding device is the one owning the *least* selected
     # bytes.  Both terms are prefix sums, so the admission check is one
     # monotone comparison per candidate.
-    total_cum = np.cumsum(sizes)
     min_home_cum = None
-    for device in range(topology.num_devices):
+    for device in range(devices):
         cum = np.cumsum(np.where(homes == device, sizes, 0))
         min_home_cum = (
             cum if min_home_cum is None else np.minimum(min_home_cum, cum)

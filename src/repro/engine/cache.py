@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.stats.cdf import descending_order
+
 
 @dataclass(frozen=True)
 class CacheModel:
@@ -159,7 +161,7 @@ def staged_rows_per_table(
         counts = np.concatenate(counts_list)
         owners = np.concatenate(owner_list)
         row_bytes = np.concatenate(bytes_list)
-        order = np.argsort(-counts, kind="stable")
+        order = descending_order(counts)
         cum_bytes = np.cumsum(row_bytes[order])
         take = int(np.searchsorted(cum_bytes, budget, side="right"))
         if take == 0:
@@ -219,7 +221,7 @@ def cached_rows_per_table(
     counts = np.concatenate(counts_list)
     owners = np.concatenate(owner_list)
     row_bytes = np.concatenate(bytes_list)
-    order = np.argsort(-counts, kind="stable")
+    order = descending_order(counts)
     cum_bytes = np.cumsum(row_bytes[order])
     take = int(np.searchsorted(cum_bytes, cache.capacity_bytes, side="right"))
     if take == 0:

@@ -19,6 +19,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(-values, kind="stable")``, from a faster sort.
+
+    numpy's default argsort dispatches to a SIMD sort several times
+    faster than its stable merge sort, but leaves tied keys in an
+    arbitrary order.  The repair sorts the unique key
+    ``run_id * n + index`` (``run_id`` numbers the runs of equal keys),
+    which puts every run back in index order, and is skipped when no
+    key repeats.  Values must not be NaN: NaN never compares equal to
+    itself, so tied NaNs would escape the repair (every caller ranks
+    finite counts or densities, +inf included).
+    """
+    keys = -np.asarray(values)
+    order = np.argsort(keys)
+    n = order.size
+    if n < 2:
+        return order
+    ranked = keys[order]
+    new_run = ranked[1:] != ranked[:-1]
+    if new_run.all():
+        return order
+    run_base = np.zeros(n, dtype=np.int64)
+    np.cumsum(new_run, out=run_base[1:])
+    run_base *= n
+    # Runs stay where they are; only the indices inside each run move.
+    return np.sort(run_base + order) - run_base
+
+
 class FrequencyCDF:
     """Access-frequency CDF over one table's rows.
 
@@ -32,12 +60,19 @@ class FrequencyCDF:
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D array over table rows")
+        if not np.isfinite(counts).all():
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         self.hash_size = int(counts.size)
-        # Stable argsort keeps tied rows in index order, making the hot-row
-        # ranking deterministic for the remapping layer.
-        self.row_order = np.argsort(-counts, kind="stable").astype(np.int64)
+        # Descending counts with tied rows in index order (a stable
+        # argsort of -counts, via descending_order), making the hot-row
+        # ranking deterministic for the remapping layer.  Only live rows
+        # are sorted: the zero rows all tie, so they follow in index order.
+        live = np.flatnonzero(counts > 0)
+        self.row_order = np.concatenate(
+            (live[descending_order(counts[live])], np.flatnonzero(counts == 0))
+        )
         sorted_counts = counts[self.row_order]
         self.total = float(sorted_counts.sum())
         self.live_rows = int(np.count_nonzero(sorted_counts))

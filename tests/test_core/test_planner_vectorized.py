@@ -4,7 +4,9 @@ The vectorized sharder and batched evaluator must be *exact* drop-ins
 for their scalar references: the hypothesis-style seed loops here
 generate random specs, topologies (two-tier and HBM/DRAM/SSD), and
 warm-start replans, and pin plan equality / evaluator agreement for
-every draw.
+every draw.  Two planner kernels are also pinned on their own: the
+bulk take against a one-entry-at-a-time oracle, and the bounded replica
+scan against the prefix computation over every candidate.
 """
 
 import numpy as np
@@ -14,12 +16,15 @@ from repro.core import (
     MultiTierSharder,
     PlannerWorkspace,
     RecShardFastSharder,
+    ReplicationPolicy,
     ShardingPlan,
     TablePlacement,
+    build_replication,
     expected_device_costs_ms,
     expected_device_costs_ms_many,
     shard_sweep,
 )
+from repro.core.fast import _TAKE_WINDOW
 from repro.baselines import make_baseline
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
@@ -417,3 +422,198 @@ class TestVectorizedCdfQueries:
         )
         with pytest.raises(ValueError):
             cdf.fractional_rows_for_coverage_many(np.array([0.5, 1.5]))
+
+
+def sequential_take(
+    eff, d_bytes, tables, steps, steps_out, budget, stop_on_exhausted
+):
+    """Reference bulk take: the scalar heap loop, one entry at a time.
+
+    Pops entries in ``(-eff, table, step)`` order; an entry larger than
+    the remaining budget retires its table (a dropped heap entry).
+    """
+    pops = sorted(range(len(eff)), key=lambda i: (-eff[i], tables[i], steps[i]))
+    blocked = set()
+    remaining = int(budget)
+    for i in pops:
+        if stop_on_exhausted and remaining <= 0:
+            break
+        table = int(tables[i])
+        if table in blocked:
+            continue
+        if d_bytes[i] > remaining:
+            blocked.add(table)
+            continue
+        steps_out[table] = max(steps_out[table], int(steps[i]) + 1)
+        remaining -= int(d_bytes[i])
+    return remaining
+
+
+def random_take_input(rng, num_tables, max_steps):
+    """Per-table step runs in (table, step) order, with tied running-min
+    densities and zero-byte steps (density +inf, as in the planner)."""
+    start = rng.integers(0, 3, size=num_tables)
+    eff, sizes, tables, steps = [], [], [], []
+    for table in range(num_tables):
+        n = int(rng.integers(0, max_steps + 1))
+        size = rng.choice([0, 1, 3, 8, 64], size=n)
+        density = rng.choice([0.5, 1.0, 2.0, 4.0], size=n)
+        density = np.where(size == 0, np.inf, density)
+        eff.append(np.minimum.accumulate(density))
+        sizes.append(size.astype(np.int64))
+        tables.append(np.full(n, table, dtype=np.int64))
+        steps.append(start[table] + np.arange(n, dtype=np.int64))
+    return (
+        np.concatenate(eff),
+        np.concatenate(sizes),
+        np.concatenate(tables),
+        np.concatenate(steps),
+        start.astype(np.int64),
+    )
+
+
+def assert_take_matches(eff, sizes, tables, steps, start, budget, stop):
+    """``_bulk_take`` leaves the same steps and budget as the oracle."""
+    expected = np.array(start, dtype=np.int64)
+    want = sequential_take(eff, sizes, tables, steps, expected, budget, stop)
+    got_steps = np.array(start, dtype=np.int64)
+    got = RecShardFastSharder._bulk_take(
+        eff, sizes, tables, steps, got_steps, budget, stop_on_exhausted=stop
+    )
+    assert got == want, f"budget {budget}"
+    np.testing.assert_array_equal(got_steps, expected)
+
+
+class TestBulkTakeOracle:
+    """``_bulk_take`` (blocked-table flags, growing window) equals the
+    one-entry-at-a-time reference on every input."""
+
+    @staticmethod
+    def budgets(eff, sizes, tables, steps, rng):
+        pops = sorted(range(len(eff)), key=lambda i: (-eff[i], tables[i], steps[i]))
+        cum = np.concatenate(([0], np.cumsum(sizes[pops])))
+        out = {0, int(cum[-1]), int(rng.integers(0, cum[-1] + 2))}
+        # Exact fits and near misses around the window edges.
+        for edge in (_TAKE_WINDOW, 2 * _TAKE_WINDOW, 3 * _TAKE_WINDOW):
+            for w in (edge - 1, edge, edge + 1):
+                if w < cum.size:
+                    fit = int(cum[w])
+                    out.update({fit, fit + 1, max(fit - 1, 0)})
+        return sorted(out)
+
+    @pytest.mark.parametrize("stop_on_exhausted", [True, False])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sequential_reference(self, seed, stop_on_exhausted):
+        rng = np.random.default_rng(9000 + seed)
+        num_tables = int(rng.integers(1, 40))
+        eff, sizes, tables, steps, start = random_take_input(
+            rng, num_tables, max_steps=int(rng.choice([3, 20, 80]))
+        )
+        for budget in self.budgets(eff, sizes, tables, steps, rng):
+            assert_take_matches(
+                eff, sizes, tables, steps, start, budget, stop_on_exhausted
+            )
+
+    @pytest.mark.parametrize("stop_on_exhausted", [True, False])
+    def test_long_input_blocks_at_every_window_edge(self, stop_on_exhausted):
+        """Single-step tables in strictly falling density: entry ``i`` is
+        the ``i``-th pop.  Every entry at a window edge is too large for
+        what is left and blocks; every other one is a 1-byte step."""
+        n = 6 * _TAKE_WINDOW
+        edges = {k * _TAKE_WINDOW + d for k in range(1, 6) for d in (-1, 0)}
+        sizes = np.array(
+            [10**6 if i in edges else 1 for i in range(n)], dtype=np.int64
+        )
+        eff = np.arange(n, 0, -1, dtype=np.float64)
+        tables = np.arange(n, dtype=np.int64)
+        steps = np.zeros(n, dtype=np.int64)
+        start = np.zeros(n, dtype=np.int64)
+        for budget in (0, n - len(edges), n - len(edges) - 3, 10**6 + 5):
+            assert_take_matches(
+                eff, sizes, tables, steps, start, budget, stop_on_exhausted
+            )
+
+    def test_zero_byte_steps_after_exhaustion(self):
+        """At a spent budget the global waterfill stops, the refill still
+        drains zero-byte steps; a blocked table's zero-byte steps stay."""
+        eff = np.array([4.0, 3.0, np.inf, 2.0, 1.0])
+        sizes = np.array([5, 0, 0, 7, 0], dtype=np.int64)
+        tables = np.array([0, 1, 2, 3, 3], dtype=np.int64)
+        steps = np.array([0, 0, 0, 0, 1], dtype=np.int64)
+        for stop, want_steps in ((True, [1, 0, 1, 0]), (False, [1, 1, 1, 0])):
+            got_steps = np.zeros(4, dtype=np.int64)
+            left = RecShardFastSharder._bulk_take(
+                eff, sizes, tables, steps, got_steps, 5, stop_on_exhausted=stop
+            )
+            assert left == 0
+            assert got_steps.tolist() == want_steps
+            assert_take_matches(eff, sizes, tables, steps, np.zeros(4), 5, stop)
+
+
+class TestReplicaBound:
+    """The replica scan cut at ``budget * D / (D-1)`` bytes selects what
+    the prefix computation over every candidate selects."""
+
+    @staticmethod
+    def prefix_charges(plan, profile, model, topology):
+        """Hottest-first candidate tables and the per-device copy charge
+        of every prefix, over all candidates (no bound)."""
+        counts, tables, ranks = [], [], []
+        for j, stats in enumerate(profile):
+            k = min(plan[j].rows_per_tier[0], stats.live_rows)
+            ranked = np.asarray(stats.counts, dtype=np.float64)[
+                stats.cdf.row_order[:k]
+            ]
+            keep = ranked > 0
+            counts.append(ranked[keep])
+            tables.append(np.full(int(keep.sum()), j, dtype=np.int64))
+            ranks.append(np.flatnonzero(keep))
+        counts, tables = np.concatenate(counts), np.concatenate(tables)
+        order = np.lexsort((np.concatenate(ranks), tables, -counts))
+        fastest = topology.tiers[0]
+        row_bytes = np.array([fastest.row_bytes_for(t.row_bytes) for t in model.tables])
+        home = np.array([p.device for p in plan])
+        sizes = row_bytes[tables[order]]
+        homes = home[tables[order]]
+        total = np.cumsum(sizes)
+        homed = np.array(
+            [
+                np.cumsum(np.where(homes == d, sizes, 0))
+                for d in range(topology.num_devices)
+            ]
+        )
+        return tables[order], total, total - homed.min(axis=0)
+
+    @pytest.mark.parametrize("devices", [2, 3, 16])
+    def test_bounded_scan_matches_unbounded_prefix(self, devices):
+        model = build_model(num_tables=max(8, 2 * devices), seed=devices)
+        profile = analytic_profile(model)
+        topology = SystemTopology.two_tier(
+            num_devices=devices,
+            hbm_capacity=int(model.total_bytes * 0.6 / devices),
+            hbm_bandwidth=200e9,
+            uvm_capacity=model.total_bytes,
+            uvm_bandwidth=10e9,
+        )
+        plan = RecShardFastSharder(batch_size=64, steps=40).shard(
+            model, profile, topology
+        )
+        workspace = PlannerWorkspace(model, profile, steps=40)
+        tables, total, charge = self.prefix_charges(plan, profile, model, topology)
+        n = charge.size
+        for k in (0, n // 50, n // 10, n // 4):
+            # Exact fit: the prefix ending at candidate k uses the whole
+            # budget; one byte less must admit a shorter prefix.
+            for budget in (int(charge[k]), int(charge[k]) - 1):
+                if budget <= 0:
+                    continue
+                # The bound cuts: candidates lie past budget * D / (D-1).
+                assert total[-1] * (devices - 1) > budget * devices
+                take = int(np.searchsorted(charge, budget, side="right"))
+                want = np.bincount(tables[:take], minlength=len(plan))
+                policy = ReplicationPolicy(capacity_bytes=budget)
+                for ws in (None, workspace):
+                    got = build_replication(
+                        policy, plan, profile, model, topology, workspace=ws
+                    )
+                    np.testing.assert_array_equal(got.replica_rows, want)

@@ -71,6 +71,52 @@ class TestCompare:
         ]
 
 
+_STAMPS = {"host_cpus": 2, "python": "3.11.7", "workload": {"gpus": 16}}
+
+
+class TestAbsoluteRates:
+    def test_per_s_keys_are_tracked(self, guard):
+        doc = {
+            "fast_plans_per_s": 50.0,
+            "scalar_plans_per_s": 3.0,
+            "fast_wall_s": 0.1,
+            **_STAMPS,
+        }
+        assert guard.tracked_keys(doc) == {"fast_plans_per_s": 50.0}
+
+    def test_drop_fails_when_fingerprints_match(self, guard):
+        rows = guard.compare(
+            {"fast_plans_per_s": 20.0, **_STAMPS},
+            {"fast_plans_per_s": 50.0, **_STAMPS},
+            0.5,
+        )
+        assert rows[0]["ok"] is False
+        assert "fingerprint" not in rows[0]
+
+    @pytest.mark.parametrize(
+        "stamp, value",
+        [
+            ("host_cpus", 8),
+            ("python", "3.12.1"),
+            ("workload", {"gpus": 2}),
+            ("host_cpus", None),
+        ],
+    )
+    def test_drop_only_reported_when_fingerprints_differ(self, guard, stamp, value):
+        fresh = {"fast_plans_per_s": 20.0, **_STAMPS, stamp: value}
+        rows = guard.compare(fresh, {"fast_plans_per_s": 50.0, **_STAMPS}, 0.5)
+        assert rows[0]["ok"] is True
+        assert rows[0]["fingerprint"] == "differs"
+
+    def test_gains_still_compare_across_fingerprints(self, guard):
+        rows = guard.compare(
+            {"speedup": 1.0, **_STAMPS, "host_cpus": 8},
+            {"speedup": 10.0, **_STAMPS},
+            0.5,
+        )
+        assert rows[0]["ok"] is False
+
+
 class TestEndToEnd:
     def run(self, repo, *extra):
         return subprocess.run(
@@ -123,6 +169,30 @@ class TestEndToEnd:
         proc = self.run(repo, "nosuch")
         assert proc.returncode == 2
         assert "no fresh report" in proc.stderr
+
+    def _rate_repo(self, repo, fresh_cpus):
+        path = repo / "benchmarks" / "reports" / "BENCH_rate.json"
+        committed = {"bench": "rate", "fast_plans_per_s": 50.0, **_STAMPS}
+        path.write_text(json.dumps(committed))
+        git = ["git", "-C", str(repo)]
+        subprocess.run(git + ["add", "-A"], check=True)
+        identity = ["-c", "user.email=t@t", "-c", "user.name=t"]
+        subprocess.run(git + identity + ["commit", "-q", "-m", "rate"], check=True)
+        fresh = {**committed, "fast_plans_per_s": 10.0, "host_cpus": fresh_cpus}
+        path.write_text(json.dumps(fresh))
+
+    def test_rate_drop_on_same_host_fails(self, repo):
+        self._rate_repo(repo, fresh_cpus=_STAMPS["host_cpus"])
+        proc = self.run(repo, "--min-ratio", "0.5", "rate")
+        assert proc.returncode == 1
+        assert "REGRESSION" in proc.stdout
+
+    def test_rate_drop_on_other_host_is_reported(self, repo):
+        self._rate_repo(repo, fresh_cpus=64)
+        proc = self.run(repo, "--min-ratio", "0.5", "rate")
+        assert proc.returncode == 0, proc.stderr
+        assert "fast_plans_per_s" in proc.stdout
+        assert "differs" in proc.stdout
 
     def test_rejects_nonpositive_ratio(self, repo):
         proc = self.run(repo, "--min-ratio", "0")

@@ -45,6 +45,15 @@ class TestFrequencyCDF:
         with pytest.raises(ValueError):
             FrequencyCDF(np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "counts", [[3.0, np.nan, 1.0, 0.0], [1.0, np.inf], [-np.inf, 2.0]]
+    )
+    def test_non_finite_counts_rejected(self, counts):
+        # A NaN count used to yield total=nan and an all-zero CDF, an
+        # inf count a NaN CDF.
+        with pytest.raises(ValueError, match="counts must be finite"):
+            FrequencyCDF(np.array(counts))
+
     def test_ranking_stable_for_ties(self):
         cdf = FrequencyCDF(np.array([2.0, 2.0, 2.0]))
         assert list(cdf.row_order) == [0, 1, 2]

@@ -13,12 +13,19 @@ ties, dead rows, degenerate shapes) and check, for each:
   fraction really cover it;
 * the 0/1 coverage edges (0 rows ↔ 0 coverage, ``live_rows`` ↔ full
   coverage).
+
+It also pins :func:`~repro.stats.cdf.descending_order`, the exact
+stand-in for ``np.argsort(-x, kind="stable")`` behind every
+hottest-first ranking, against that stable sort.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.stats.cdf import FrequencyCDF
+from repro.stats.cdf import FrequencyCDF, descending_order
 
 
 def random_counts(rng: np.random.Generator) -> np.ndarray:
@@ -172,3 +179,63 @@ class TestDegenerateShapes:
             1.0,
             1.0,
         ]
+
+
+# Few distinct values so that ties are the rule; signed zeros and +/-inf
+# must tie with themselves exactly as in numpy's stable sort.
+_tie_floats = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf, 1e-300]
+)
+_tie_ints = st.integers(-3, 3) | st.sampled_from(
+    [np.iinfo(np.int64).max, np.iinfo(np.int64).min + 1]
+)
+
+
+class TestDescendingOrder:
+    """``descending_order(x)`` is exactly ``argsort(-x, kind="stable")``."""
+
+    @staticmethod
+    def check(values):
+        expected = np.argsort(-values, kind="stable")
+        got = descending_order(values)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+    @given(
+        values=hnp.arrays(np.float64, st.integers(0, 300), elements=_tie_floats)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float64_with_heavy_ties(self, values):
+        self.check(values)
+
+    @given(values=hnp.arrays(np.int64, st.integers(0, 300), elements=_tie_ints))
+    @settings(max_examples=200, deadline=None)
+    def test_int64_with_heavy_ties(self, values):
+        self.check(values)
+
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            st.integers(0, 200),
+            elements=st.floats(allow_nan=False, width=64),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float64_arbitrary(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000])
+    def test_all_equal_and_tiny(self, dtype, size):
+        self.check(np.full(size, 7, dtype=dtype))
+
+    def test_signed_zeros_and_inf_mixed(self):
+        values = np.array([0.0, -0.0, np.inf, 0.0, 1.0, -0.0, np.inf, 0.0])
+        self.check(values)
+        self.check(np.tile(values, 50))
+
+    def test_large_distinct_and_zipf(self):
+        rng = np.random.default_rng(7)
+        self.check(rng.permutation(5000).astype(np.float64))
+        self.check(rng.zipf(1.3, size=20_000).astype(np.float64))
+        self.check(rng.zipf(1.3, size=20_000).astype(np.int64))
