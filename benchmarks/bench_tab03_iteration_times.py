@@ -6,9 +6,10 @@ captures load balance.  Shape targets from the paper: RecShard's Max is
 several times lower than every baseline on the UVM-pressured models,
 and its StdDev is an order of magnitude lower throughout.
 
-This bench also times the replay engine itself: the rank-space
-vectorized path (shared frequency ranking + one-pass multi-plan
-threshold scans) against the per-feature scalar reference, asserting
+This bench also times the replay engine itself: the vectorized
+lane-code path (one joint code table over every plan's cutoffs, one
+gather per feature for all plans) against the per-feature scalar
+reference, asserting
 the >= 5x wall-clock speedup the vectorized engine exists to provide.
 Both tests write into one ``BENCH_tab03.json``: the iteration stats,
 plus the replay ``speedup`` and the absolute vectorized
@@ -21,7 +22,7 @@ import numpy as np
 
 from conftest import BENCH_BATCH, BENCH_ITERS, format_table, report, report_json
 from repro.data.synthetic import TraceGenerator
-from repro.engine import RankRemapper, ShardedExecutor, replay_trace
+from repro.engine import ShardedExecutor, replay_trace
 
 PAPER_ROWS = {
     "RM1": {
@@ -113,9 +114,9 @@ def test_trace_replay_speedup(models, profiles, topology, headline):
 
     Replays the RM2 evaluation trace against all four headline plans:
     scalar = one per-feature remap pass per strategy; vectorized = one
-    :func:`replay_trace` pass (rank each feature once, scan every plan
-    while cache-hot).  Best-of-two rounds on each side to shed
-    scheduler noise.
+    :func:`replay_trace` pass (gather each feature's lane codes once from
+    one code table over all four plans' edges, count once per distinct
+    edge).  Best-of-two rounds on each side to shed scheduler noise.
     """
     model = models[1]
     profile = profiles[model.name]
@@ -128,14 +129,12 @@ def test_trace_replay_speedup(models, profiles, topology, headline):
         ShardedExecutor(model, p, profile, topology, vectorized=False)
         for p in plans
     ]
-    ranker = RankRemapper(profile)
     vector_execs = [
-        ShardedExecutor(model, p, profile, topology, ranker=ranker)
-        for p in plans
+        ShardedExecutor(model, p, profile, topology) for p in plans
     ]
     # Warm both paths (lazy remap tables, numpy internals, page cache).
     scalar_execs[0].run_batch(batches[0])
-    replay_trace(vector_execs, batches[:1], ranker=ranker)
+    replay_trace(vector_execs, batches[:1])
 
     scalar_s, vector_s = [], []
     reference = None
@@ -144,7 +143,7 @@ def test_trace_replay_speedup(models, profiles, topology, headline):
         scalar_metrics = [ex.run(batches) for ex in scalar_execs]
         scalar_s.append(time.perf_counter() - start)
         start = time.perf_counter()
-        vector_metrics = replay_trace(vector_execs, batches, ranker=ranker)
+        vector_metrics = replay_trace(vector_execs, batches)
         vector_s.append(time.perf_counter() - start)
         reference = (scalar_metrics, vector_metrics)
     scalar_best, vector_best = min(scalar_s), min(vector_s)

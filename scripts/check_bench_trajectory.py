@@ -5,15 +5,25 @@ Every benchmark that gates a performance property writes a
 machine-readable ``benchmarks/reports/BENCH_<name>.json``.  Those files
 are committed, so ``git show <ref>:<path>`` is the trajectory baseline:
 this script re-reads the freshly generated reports in the working tree
-and fails if any higher-is-better headline number fell below
-``--min-ratio`` times its committed value.  Two kinds are tracked:
+and fails if any headline number moved the wrong way by more than
+``--min-ratio`` allows: its ratio (fresh over committed for a
+higher-is-better number, committed over fresh for a lower-is-better
+one) fell below ``--min-ratio``.  Two kinds are tracked:
 
-* dimensionless gains (speedups, gains, scaling factors), compared on
-  every run;
-* absolute rates (``*_per_s`` keys), compared only when the fresh and
-  committed reports carry equal ``host_cpus``, ``python`` and
-  ``workload`` stamps.  On another host or scale a rate says nothing
-  about the code, so a mismatch prints the key and never fails.
+* dimensionless gains (speedups, gains, scaling factors), higher is
+  better, compared on every run;
+* absolute measurements on the wall clock, compared only when the
+  fresh and committed reports carry equal ``host_cpus``, ``python``
+  and ``workload`` stamps: rates (``*_per_s`` keys and
+  ``requests_per_second_processed``), higher is better, and durations
+  (``*_wall_s`` and ``*_wall_ms`` keys), lower is better.  Plain
+  ``*_ms`` keys are not tracked: they also name simulated-clock
+  figures and configuration.  On another host or scale an absolute
+  number says nothing about the code, so a mismatch prints the key and
+  never fails.
+
+Timings of the scalar or reference implementations (``scalar_*``,
+``reference_*``) are parity oracles, not products, and are not tracked.
 
 Usage::
 
@@ -37,18 +47,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: Top-level keys treated as higher-is-better trajectory numbers.
-_TRACKED = re.compile(r"^(speedup|scaling|gain|.*_gain|capacity_gain_.*)$|_per_s$")
-#: Absolute rates among them: compared only on a matching fingerprint.
-_ABSOLUTE = re.compile(r"_per_s$")
-#: Keys that merely configure a gate (floors/limits), never tracked.
-_EXCLUDED = re.compile(r"(_floor|_enforced)$|^min_|^max_|^scalar_")
+#: Top-level keys treated as trajectory numbers.
+_TRACKED = re.compile(
+    r"^(speedup|scaling|gain|.*_gain|capacity_gain_.*)$"
+    r"|_per_s$|^requests_per_second_processed$|_wall_m?s$"
+)
+#: Absolute wall-clock numbers among them: compared only on a matching
+#: fingerprint.
+_ABSOLUTE = re.compile(r"_per_s$|^requests_per_second_processed$|_wall_m?s$")
+#: Durations among them: lower is better.
+_LOWER_IS_BETTER = re.compile(r"_wall_m?s$")
+#: Keys that merely configure a gate (floors/limits) or time a
+#: reference implementation, never tracked.
+_EXCLUDED = re.compile(r"(_floor|_enforced)$|^min_|^max_|^scalar_|^reference_")
 #: Stamps that must be present and equal before absolute rates compare.
 _FINGERPRINT = ("host_cpus", "python", "workload")
 
 
 def tracked_keys(document: dict) -> dict[str, float]:
-    """Higher-is-better numeric headline keys of one BENCH document."""
+    """Tracked numeric headline keys of one BENCH document."""
     out = {}
     for key, value in document.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -83,7 +100,9 @@ def baseline_document(repo: Path, ref: str, relpath: str) -> dict | None:
 def compare(fresh: dict, baseline: dict, min_ratio: float) -> list[dict]:
     """Per-key diff rows for one bench; ``ok=False`` marks a regression.
 
-    An absolute rate under a differing fingerprint gets a row marked
+    ``ratio`` is oriented so that above 1 is an improvement: fresh over
+    committed, or committed over fresh for a lower-is-better duration.
+    An absolute number under a differing fingerprint gets a row marked
     ``"fingerprint": "differs"`` that is always ``ok``.
     """
     rows = []
@@ -96,7 +115,10 @@ def compare(fresh: dict, baseline: dict, min_ratio: float) -> list[dict]:
             )
             continue
         base = base_keys[key]
-        ratio = current / base if base > 0 else float("inf")
+        num, den = (
+            (base, current) if _LOWER_IS_BETTER.search(key) else (current, base)
+        )
+        ratio = num / den if den > 0 else float("inf")
         row = {
             "key": key,
             "current": current,

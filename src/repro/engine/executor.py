@@ -9,14 +9,15 @@ mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
 Two execution paths produce identical metrics:
 
-* **vectorized** (default): batches are first translated to frequency
-  ranks by a :class:`~repro.engine.ranked.RankRemapper` (the Section 4.3
-  remapping transform, run once per trace and shared by every strategy);
-  per-tier accounting then reduces to counting ranks below each plan's
-  cumulative tier boundaries — a handful of SIMD threshold scans per
-  table, with no per-lookup tier gather.  The device cache model
-  likewise operates directly on the sorted-by-construction frequency
-  ranking: a hit is simply ``rank < cached_rows``.
+* **vectorized** (default): each lookup gathers one lane code from a
+  per-table :class:`~repro.engine.lanes.LaneCodes` table built once per
+  executor — the tier half of the Section 4.3 remapping layer, one
+  byte per row, saying which of the table's lane edges (tier
+  boundaries, fast-lane and replica cutoffs, strategy cuts) the row's
+  frequency rank falls below.  Per-tier accounting then reduces to
+  counting small codes; the device cache model likewise rides the
+  sorted-by-construction frequency ranking: a hit is simply ``rank <
+  cached_rows``, one more edge in the code table.
 * **scalar** (``vectorized=False``): the per-feature reference path
   that resolves every lookup through the remapping table.  Kept as the
   ground truth the parity tests check the fast path against.  Both
@@ -25,9 +26,9 @@ Two execution paths produce identical metrics:
   equality the multi-tier serving bench gates on.
 
 Both paths handle any tier count: per-tier counts are prefix
-differences of the rank array against the plan's cumulative tier
-boundaries, computed by per-feature threshold scans (vectorized path)
-or per-lookup remap-table gathers (scalar reference).
+differences of the lookups' ranks against the plan's cumulative tier
+boundaries, read off the gathered lane codes (vectorized path) or
+computed from per-lookup remap-table gathers (scalar reference).
 
 Two frequency-informed fast-lane models (:mod:`repro.engine.cache`) can
 be layered on top:
@@ -41,7 +42,7 @@ be layered on top:
   serve).  Staged accesses stay *counted* in their home tier.
 
 Because the remapping packs hot rows first, both reduce to per-(table,
-tier) rank cutoffs that slot into the same classification passes.
+tier) rank cutoffs that become edges of the same code tables.
 
 A third fast lane is *replication* (a plan's ``replica_rows``, set by
 :func:`~repro.core.replicate.build_replication`): each table's
@@ -63,17 +64,18 @@ All of these cutoffs — tier boundaries, cache, staging, replica, and
 the table-wise-row-wise strategy cuts — are *registered lanes* in a
 :class:`~repro.engine.lanes.LaneRegistry` built once per executor.
 Each lane is a per-table cumulative rank cutoff; classification is one
-prefix count per lane, computed by the vectorized path (one threshold
-scan per feature, :meth:`ShardedExecutor._scan_feature`) and by the
-scalar reference (remap-table gathers).  Both feed the shared
+prefix count per lane, read by the vectorized path off each batch's
+code counts (:meth:`~repro.engine.lanes.LaneSlots.read`) and computed
+by the scalar reference (remap-table gathers).  Both feed the shared
 :meth:`ShardedExecutor._reduce_counts`, so a lane registered once gets
 a vectorized fast path and a bit-identical scalar reference for free.
 
 One loop, :func:`_classify_lanes`, drives every vectorized
 classification: a single executor's jagged or pre-ranked batch, and
-:func:`replay_trace`'s several plans over one trace.  It gets each
-feature's ranks once and runs every executor's scans on them while
-they are cache-resident.
+:func:`replay_trace`'s several plans over one trace.  It gathers each
+feature's codes once — from one joint code table over every
+executor's edges in a multi-plan replay — counts them once per
+distinct edge, and hands every executor its lanes' counts.
 
 Per-table sharding strategies (a plan's ``table_strategies``, see
 :mod:`repro.core.strategies`) reuse the framework:
@@ -111,7 +113,7 @@ from repro.engine.cache import (
     cached_rows_per_table,
     staged_rows_per_table,
 )
-from repro.engine.lanes import LaneRegistry, build_lanes
+from repro.engine.lanes import LaneCodes, LaneRegistry, LaneSlots, build_lanes
 from repro.engine.metrics import RunMetrics
 from repro.engine.ranked import RankedBatch, RankRemapper
 from repro.memory.topology import SystemTopology
@@ -137,11 +139,8 @@ class ShardedExecutor:
         staging: optional per-device staging model; each cold tier's
             expectedly hottest resident rows are served at the
             next-faster tier's bandwidth (multi-tier hierarchies).
-        vectorized: use the rank-space fast path (default).  The scalar
+        vectorized: use the lane-code fast path (default).  The scalar
             path is the bit-equivalent reference implementation.
-        ranker: a pre-built :class:`RankRemapper` for this profile, to
-            share rank arrays across the executors of several
-            strategies.  Built lazily from ``profile`` when omitted.
     """
 
     def __init__(
@@ -154,7 +153,6 @@ class ShardedExecutor:
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
         vectorized: bool = True,
-        ranker: RankRemapper | None = None,
     ):
         if plan.table_strategies is not None and (
             cache is not None or staging is not None
@@ -169,7 +167,7 @@ class ShardedExecutor:
         self.profile = profile
         self.topology = topology
         self.vectorized = vectorized
-        self._ranker = ranker
+        self._ranker: RankRemapper | None = None
         self._remap_tables: list[RemappingTable] | None = None
         self.device_of = np.array([p.device for p in plan], dtype=np.int64)
         self.row_bytes = np.array(
@@ -185,12 +183,6 @@ class ShardedExecutor:
         )
         self.cache = cache
         self.staging = staging
-        # Reusable buffers of the classification loop, one per dtype:
-        # the bool comparison mask of the threshold scans and the rank
-        # gather target of jagged batches.  Avoids fresh (page-faulting)
-        # temporaries per feature per batch; makes classification
-        # non-reentrant.
-        self._scratch: dict = {}
         self._cache_threshold = np.zeros(model.num_tables, dtype=np.int64)
         if cache is not None:
             for device in range(topology.num_devices):
@@ -319,6 +311,15 @@ class ShardedExecutor:
             replica_cut=self._replica_cut if self._has_replicas else None,
             strategy_cuts=cut_points,
         )
+        # The vectorized path's lane-code tables over this registry's
+        # edges, and where each lane reads them.  A multi-plan replay
+        # caches its joint table in ``_joint``.
+        self._codes: LaneCodes | None = None
+        self._slots: LaneSlots | None = None
+        self._joint: tuple | None = None
+        if vectorized:
+            self._codes = LaneCodes((self._lanes,), self._row_orders())
+            self._slots = self._codes.slots(self._lanes, topology.num_tiers)
 
     # ------------------------------------------------------------------
     # Lazily-built helpers
@@ -337,9 +338,15 @@ class ShardedExecutor:
             ]
         return self._remap_tables
 
+    def _row_orders(self) -> list[np.ndarray]:
+        """Each table's rows in descending-frequency order."""
+        return [self.profile[p.table_index].cdf.row_order for p in self.plan]
+
     @property
     def ranker(self) -> RankRemapper:
-        """The hashed-index → frequency-rank translator for this profile."""
+        """The hashed-index → frequency-rank translator for this profile,
+        built on first use (:meth:`prepare`; classification never
+        needs it)."""
         if self._ranker is None:
             self._ranker = RankRemapper(self.profile)
         return self._ranker
@@ -527,13 +534,6 @@ class ShardedExecutor:
                 f"{self.topology.num_devices}-device topology"
             )
 
-    def _buffer(self, dtype, size: int) -> np.ndarray:
-        """A reused scratch array of ``size`` elements of ``dtype``."""
-        buf = self._scratch.get(dtype)
-        if buf is None or buf.size < size:
-            buf = self._scratch[dtype] = np.empty(size, dtype=dtype)
-        return buf[:size]
-
     def _zero_counts(self) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
@@ -562,93 +562,32 @@ class ShardedExecutor:
         """Vectorized accounting over a jagged batch.
 
         Metric-identical to ``run_ranked(ranker.rank_batch(batch))``:
-        each feature is ranked into a reused scratch buffer and scanned
-        at once, so no ranked copy of the batch is built.
+        each feature gathers its lane codes straight from the hashed
+        ids, so no rank is ever computed.
         """
         return self._reduce_counts(*self._classify_jagged(batch))
 
     def _classify_jagged(self, batch: JaggedBatch) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
-        """Rank + lane classification of one jagged batch (no reduce)."""
-        return _classify_lanes([self], batch)[0]
+        """Lane-code classification of one jagged batch (no reduce)."""
+        return _classify_lanes([self], batch, *_joint_codes([self]))[0]
 
     def run_ranked(
         self, ranked: RankedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized accounting over a rank-space batch.
 
-        For each table, per-tier counts come from threshold scans over
-        the rank array against the plan's cumulative tier boundaries
-        (prefix counting: tier ``t`` serves the ranks between boundary
-        ``t-1`` and boundary ``t``); the per-(tier, device) access and
-        traffic matrices are then pooled with ``bincount`` over the
-        plan's table → device assignment.
+        Each feature's ranks gather their lane codes from the code
+        tables' rank-indexed step form (prefix counting: tier ``t``
+        serves the ranks between boundary ``t-1`` and boundary ``t``);
+        the per-(tier, device) access and traffic matrices are then
+        pooled with ``bincount`` over the plan's table → device
+        assignment.
         """
-        return self._reduce_counts(*_classify_lanes([self], ranked)[0])
-
-    def _scan_feature(
-        self,
-        table_index: int,
-        ranks: np.ndarray,
-        mask: np.ndarray,
-        counts_row: np.ndarray,
-        hits_row: np.ndarray,
-        cuts_row: np.ndarray | None = None,
-    ) -> int:
-        """Per-lane prefix counts for one feature's ranks.
-
-        ``mask`` is a caller-provided bool buffer of ``ranks.size`` that
-        the threshold scans reuse.  The registered lanes drive the
-        scans: one prefix count at each cumulative tier boundary
-        (differences give the per-tier counts without ever
-        materializing tier ids), one per active fast-lane cutoff (the
-        per-table skip when the cutoff sits at the tier's lower
-        boundary is preserved), one per strategy cut lane into
-        ``cuts_row``.  :func:`_classify_lanes` calls it once per
-        (feature, executor); :meth:`_classify_scalar` is its parity
-        reference — same lanes, same reduction, bit-identical metrics.
-
-        Returns the feature's replica-lane count (ranks below the
-        replica cutoff; 0 without replication).  Replicated ranks stay
-        *included* in the tier-0 count — the reduction peels them off —
-        but are excluded from the cache-hit baseline.
-        """
-        registry = self._lanes
-        replicated = 0
-        if registry.replica is not None:
-            cut = registry.replica.edges_list[table_index]
-            if cut:
-                np.less(ranks, cut, out=mask)
-                replicated = int(np.count_nonzero(mask))
-        if cuts_row is not None:
-            for lane in registry.cuts:
-                edge = lane.edges_list[table_index]
-                if edge:
-                    np.less(ranks, edge, out=mask)
-                    cuts_row[lane.index] = int(np.count_nonzero(mask))
-        num_tiers = counts_row.size
-        prev = 0
-        lower = 0
-        for t in range(num_tiers):
-            hit_lane = registry.hit(t)
-            if hit_lane is not None:
-                cutoff = hit_lane.edges_list[table_index]
-                if cutoff > lower:
-                    np.less(ranks, cutoff, out=mask)
-                    baseline = replicated if t == 0 else prev
-                    hits_row[t] = int(np.count_nonzero(mask)) - baseline
-            bound_lane = registry.bound(t)
-            if bound_lane is not None:
-                bound = bound_lane.edges_list[table_index]
-                np.less(ranks, bound, out=mask)
-                below = int(np.count_nonzero(mask))
-                counts_row[t] = below - prev
-                prev = below
-                lower = bound
-            else:
-                counts_row[t] = ranks.size - prev
-        return replicated
+        return self._reduce_counts(
+            *_classify_lanes([self], ranked, *_joint_codes([self]))[0]
+        )
 
     def _reduce_counts(
         self,
@@ -1056,77 +995,88 @@ def _collect_metrics(
 def _classify_lanes(
     executors: list[ShardedExecutor],
     batch: JaggedBatch | RankedBatch,
-    ranker: RankRemapper | None = None,
+    codes: LaneCodes,
+    slots: list[LaneSlots],
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
     """Lane classification of one batch for several executors.
 
-    The engine's one vectorized classifier.  Per feature it gets the
-    ranks once — gathered through ``ranker`` (default: the first
-    executor's) into a reused scratch buffer for a jagged batch, or
-    ``feature.ranks`` for a :class:`RankedBatch` — then runs every
-    executor's :meth:`~ShardedExecutor._scan_feature` on them while they
-    are cache-resident.  Feature-outer, executor-inner: a multi-plan
-    replay pays the trace's memory traffic once, not once per plan.
-    The scratch buffers are the first executor's.
+    The engine's one vectorized classifier.  Per feature it gathers the
+    lookups' codes once — by hashed id for a jagged batch, by rank for a
+    :class:`RankedBatch`; the default ``mode="raise"`` rejects an
+    out-of-range id with ``IndexError`` — and counts them once per
+    distinct edge of ``codes`` into the batch's prefix-count vector.
+    Each executor then reads its lanes off that vector in a few array
+    operations (``slots[s]`` is executor ``s``'s
+    :meth:`LaneCodes.slots`).  ``codes`` must cover every executor's
+    edges.  A multi-plan replay thus pays the trace's memory traffic
+    once, not once per plan.
 
     Returns one ``(counts, hits, replicas, cuts)`` per executor, ready
     for its :meth:`~ShardedExecutor._reduce_counts`.
     """
-    first = executors[0]
-    num_tables = len(first.plan)
+    num_tables = len(executors[0].plan)
     if batch.num_features != num_tables:
         raise ValueError(
             f"batch has {batch.num_features} features, plan has "
             f"{num_tables} tables"
         )
-    pre_ranked = isinstance(batch, RankedBatch)
-    if not pre_ranked and ranker is None:
-        ranker = first.ranker
-    classified = [ex._zero_counts() for ex in executors]
-    for j, feature in enumerate(batch):
-        if pre_ranked:
-            ranks = feature.ranks
-        else:
-            values = feature.values
-            if values.size == 0:
-                continue
-            ranks = ranker.rank_into(
-                j, values, first._buffer(ranker.rank_dtype(j), values.size)
-            )
-        if ranks.size == 0:
-            continue
-        mask = first._buffer(bool, ranks.size)
-        for ex, (counts, hits, replicas, cuts) in zip(executors, classified):
-            replicated = ex._scan_feature(
-                j, ranks, mask, counts[j], hits[j],
-                None if cuts is None else cuts[j],
-            )
-            if replicas is not None:
-                replicas[j] = replicated
-    return classified
+    prefix_counts = codes.prefix_counts
+    prefix = [0]
+    if isinstance(batch, RankedBatch):
+        for j, feature in enumerate(batch):
+            prefix += prefix_counts(j, codes.by_rank(j).take(feature.ranks))
+    else:
+        by_row = codes.by_row
+        for j, feature in enumerate(batch):
+            prefix += prefix_counts(j, by_row[j].take(feature.values))
+    prefix = np.array(prefix, dtype=np.int64)
+    return [ex_slots.read(prefix) for ex_slots in slots]
 
 
-def replay_trace(
+def _joint_codes(
     executors: list[ShardedExecutor],
-    batches,
-    ranker: RankRemapper | None = None,
-) -> list[RunMetrics]:
+) -> tuple[LaneCodes, list[LaneSlots]]:
+    """One code table over every executor's edges, and each executor's
+    slots into it.
+
+    A lone vectorized executor uses its own table.  Any other table is
+    cached on the first executor for as long as it is replayed with the
+    same executors, so repeated replays pay the build once.
+    """
+    first = executors[0]
+    if len(executors) == 1 and first._codes is not None:
+        return first._codes, [first._slots]
+    registries = tuple(ex._lanes for ex in executors)
+    cached = first._joint
+    if cached is None or cached[0] != registries:
+        codes = LaneCodes(registries, first._row_orders())
+        cached = first._joint = (
+            registries,
+            codes,
+            [
+                codes.slots(ex._lanes, ex.topology.num_tiers)
+                for ex in executors
+            ],
+        )
+    return cached[1], cached[2]
+
+
+def replay_trace(executors: list[ShardedExecutor], batches) -> list[RunMetrics]:
     """Replay one trace against several plans in a single pass.
 
     The hot loop of every multi-strategy comparison (Tables 3-5,
     Figures 11-13) replays identical batches against several sharding
     plans of the *same* model, profile, and topology.  Each batch is
-    classified for every plan by one :func:`_classify_lanes` call, which
-    ranks each feature's lookups once and scans them for every plan
-    while the rank array is cache-resident, then reduced by each
-    executor in turn.
+    classified for every plan by one :func:`_classify_lanes` call over
+    one joint code table — each feature's codes are gathered once and
+    counted once per distinct edge of all the plans — then reduced by
+    each executor in turn.
 
     Args:
         executors: one executor per plan; all must share the model,
             profile, and topology (plans and lane sets may differ).
         batches: the common trace — jagged batches, or pre-ranked
             batches from the shared profile's :class:`RankRemapper`.
-        ranker: shared rank remapper; defaults to the first executor's.
 
     Returns:
         One :class:`RunMetrics` per executor, identical to what
@@ -1142,12 +1092,13 @@ def replay_trace(
             raise ValueError(
                 "replay_trace requires executors sharing one model/topology"
             )
+    codes, slots = _joint_codes(executors)
     rows: list[list] = [[] for _ in executors]
     browned: list[list | None] = [
         [] if ex._brownout else None for ex in executors
     ]
     for batch in batches:
-        classified = _classify_lanes(executors, batch, ranker)
+        classified = _classify_lanes(executors, batch, codes, slots)
         for s, ex in enumerate(executors):
             rows[s].append(ex._reduce_counts(*classified[s]))
             if browned[s] is not None:

@@ -14,7 +14,6 @@ from repro.data.model import ModelSpec
 from repro.data.synthetic import TraceGenerator
 from repro.engine.executor import ShardedExecutor, replay_trace
 from repro.engine.metrics import RunMetrics
-from repro.engine.ranked import RankRemapper
 from repro.memory.topology import SystemTopology
 from repro.stats.profiler import ModelProfile, analytic_profile, profile_trace
 
@@ -63,7 +62,6 @@ def run_experiment(
     trace_seed: int = 2024,
     shared_batches: list | None = None,
     vectorized: bool = True,
-    ranker: RankRemapper | None = None,
 ) -> ExperimentResult:
     """Run the full pipeline for one strategy.
 
@@ -81,8 +79,6 @@ def run_experiment(
             jagged batches or a pre-ranked trace from the profile's
             :class:`~repro.engine.ranked.RankRemapper`.
         vectorized: executor mode (see :class:`ShardedExecutor`).
-        ranker: shared rank remapper for ``profile`` (built lazily by
-            the executor when omitted).
     """
     if profile is None:
         profile = analytic_profile(model)
@@ -94,7 +90,7 @@ def run_experiment(
         generator = TraceGenerator(model, batch_size=batch_size, seed=trace_seed)
         shared_batches = list(generator.batches(iterations))
     executor = ShardedExecutor(
-        model, plan, profile, topology, vectorized=vectorized, ranker=ranker
+        model, plan, profile, topology, vectorized=vectorized
     )
     metrics = executor.run(shared_batches)
     return ExperimentResult(
@@ -120,10 +116,11 @@ def compare_strategies(
     """Run several strategies over identical batches (Tables 3-5).
 
     In vectorized mode all strategies replay the common trace in one
-    :func:`~repro.engine.executor.replay_trace` pass: each batch's
-    lookups are translated to frequency ranks once (the Section 4.3
-    remapping transform) and every plan's threshold scans run while the
-    rank array is cache-resident, so per-strategy cost is pure counting.
+    :func:`~repro.engine.executor.replay_trace` pass: each feature's
+    lane codes are gathered once from one code table over every plan's
+    edges (the tier half of the Section 4.3 remapping transform) and
+    counted once per distinct edge, so per-strategy cost is reading
+    off counts.
     """
     if profile is None:
         profile = analytic_profile(model)
@@ -145,19 +142,14 @@ def compare_strategies(
             )
         return results
 
-    ranker = RankRemapper(profile)
     executors = []
     shard_times = []
     for sharder in sharders:
         start = time.perf_counter()
         plan = sharder.shard(model, profile, topology)
         shard_times.append(time.perf_counter() - start)
-        executors.append(
-            ShardedExecutor(
-                model, plan, profile, topology, ranker=ranker
-            )
-        )
-    all_metrics = replay_trace(executors, shared_batches, ranker=ranker)
+        executors.append(ShardedExecutor(model, plan, profile, topology))
+    all_metrics = replay_trace(executors, shared_batches)
     return {
         sharder.name: ExperimentResult(
             strategy=sharder.name,

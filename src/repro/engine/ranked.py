@@ -1,4 +1,4 @@
-"""Frequency-rank trace representation — the vectorized engine's input.
+"""Frequency-rank trace representation — a plan-independent trace.
 
 Every sharding strategy in this repo splits a table's rows in the same
 descending-frequency order (the profile's
@@ -14,12 +14,13 @@ the only per-lookup quantity any tier accounting ever needs:
   remapping layer (Section 4.3) packs each table's hottest rows first.
 
 :class:`RankRemapper` performs this hashed-index → rank translation
-once per trace, mirroring the paper's remapping transform that runs in
-the data-loading pipeline, outside the training critical path.  The
-resulting :class:`RankedBatch` can then be replayed against *any*
-number of plans with pure threshold counting — no per-lookup gathers,
-no per-row Python — which is where the vectorized
-:class:`~repro.engine.executor.ShardedExecutor` gets its speedup.
+for a whole trace (:meth:`~repro.engine.executor.ShardedExecutor.prepare`),
+mirroring the paper's remapping transform that runs in the
+data-loading pipeline.  The resulting :class:`RankedBatch` replays
+against any number of plans sharing the profile.  The vectorized
+:class:`~repro.engine.executor.ShardedExecutor` does not need ranks to
+classify: it gathers each lookup's lane code by hashed id, and a
+ranked batch gathers the same codes by rank instead.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class RankedFeature:
         ranks: frequency rank of each lookup, shape ``(total_lookups,)``
             — rank 0 is the table's expectedly-hottest row.  Stored as
             ``int32`` whenever the table fits (all paper-scale tables
-            do), halving the memory traffic of every counting pass.
+            do), halving the trace's memory.
         offsets: segment offsets, shape ``(batch_size + 1,)`` — same
             jagged layout as :class:`~repro.data.batch.JaggedFeature`.
     """
@@ -122,19 +123,6 @@ class RankRemapper:
     def rank_dtype(self, table_index: int) -> np.dtype:
         """Rank storage dtype of one table (int32 unless the table is huge)."""
         return self._rank_of_row[table_index].dtype
-
-    def rank_into(
-        self, table_index: int, values: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Rank one table's lookups into a caller-provided buffer.
-
-        The allocation-free variant of :meth:`rank_feature`, used by
-        the executor's classification loop to keep one reused rank
-        scratch cache-resident across plans.
-        """
-        if values.size:
-            self._rank_of_row[table_index].take(values, out=out)
-        return out
 
     def rank_feature(self, table_index: int, feature: JaggedFeature) -> RankedFeature:
         """Rank one feature's lookups (one gather, int32 output)."""

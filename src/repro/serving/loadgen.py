@@ -206,9 +206,15 @@ def synthetic_request_arenas(
             content stay bit-identical with QoS on or off — and, with
             drift, identical to the undrifted stream's QoS columns.
 
-    Yields:
-        :class:`~repro.serving.arena.RequestArena` chunks in arrival
-        order.
+    Returns:
+        An iterator of :class:`~repro.serving.arena.RequestArena`
+        chunks in arrival order.  The arguments are checked at the
+        call, before the first chunk is drawn.
+
+    Raises:
+        ValueError: on a negative ``num_requests``, a non-positive
+            rate, ``chunk_size`` or ``deadline_ms``, or priority shares
+            that are not positive or do not sum to 1.
     """
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
@@ -227,45 +233,51 @@ def synthetic_request_arenas(
                 f"priority shares must sum to 1, got {float(shares.sum())}"
             )
         shares = shares / shares.sum()
-    with_qos = deadline_ms is not None or shares is not None
-    qos_rng = (
-        np.random.default_rng((seed, _QOS_STREAM)) if with_qos else None
-    )
-    rng = np.random.default_rng(seed)
-    bank = SamplerBank()
-    now = float(start_ms)
-    emitted = 0
-    while emitted < num_requests:
-        count = min(chunk_size, num_requests - emitted)
-        chunk_model = model
-        if drift is not None and months_per_request > 0:
-            month = months_per_request * emitted
-            if month > 0:
-                chunk_model = drift.drift_model(model, month)
-        bank.refresh(chunk_model)
-        chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
-        batch = bank.sample_batch(count, chunk_rng)
-        arrivals = process.arrivals(rng, now, count)
-        now = float(arrivals[-1])
-        deadlines = priorities = None
-        if with_qos:
-            deadlines = (
-                arrivals + deadline_ms
-                if deadline_ms is not None
-                else np.full(count, np.inf)
-            )
-            priorities = (
-                qos_rng.choice(shares.size, size=count, p=shares).astype(
-                    np.int64
-                )
-                if shares is not None
-                else np.zeros(count, dtype=np.int64)
-            )
-        yield RequestArena(
-            batch,
-            arrivals,
-            base_id=emitted,
-            deadline_ms=deadlines,
-            priority=priorities,
+
+    # The stream is an inner generator so the checks above run at the
+    # call rather than at the first ``next()``.
+    def chunks() -> Iterator[RequestArena]:
+        with_qos = deadline_ms is not None or shares is not None
+        qos_rng = (
+            np.random.default_rng((seed, _QOS_STREAM)) if with_qos else None
         )
-        emitted += count
+        rng = np.random.default_rng(seed)
+        bank = SamplerBank()
+        now = float(start_ms)
+        emitted = 0
+        while emitted < num_requests:
+            count = min(chunk_size, num_requests - emitted)
+            chunk_model = model
+            if drift is not None and months_per_request > 0:
+                month = months_per_request * emitted
+                if month > 0:
+                    chunk_model = drift.drift_model(model, month)
+            bank.refresh(chunk_model)
+            chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
+            batch = bank.sample_batch(count, chunk_rng)
+            arrivals = process.arrivals(rng, now, count)
+            now = float(arrivals[-1])
+            deadlines = priorities = None
+            if with_qos:
+                deadlines = (
+                    arrivals + deadline_ms
+                    if deadline_ms is not None
+                    else np.full(count, np.inf)
+                )
+                priorities = (
+                    qos_rng.choice(shares.size, size=count, p=shares).astype(
+                        np.int64
+                    )
+                    if shares is not None
+                    else np.zeros(count, dtype=np.int64)
+                )
+            yield RequestArena(
+                batch,
+                arrivals,
+                base_id=emitted,
+                deadline_ms=deadlines,
+                priority=priorities,
+            )
+            emitted += count
+
+    return chunks()

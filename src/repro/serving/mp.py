@@ -61,7 +61,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.engine.executor import ShardedExecutor
-from repro.engine.ranked import RankRemapper
 from repro.serving.arena import RequestArena, ShmArena
 from repro.serving.faults import FaultInjector, FaultSchedule
 from repro.serving.metrics import ServingMetrics
@@ -106,7 +105,7 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
     executor = ShardedExecutor(
         model, plan, profile, topology,
         cache=cache, staging=staging,
-        vectorized=vectorized, ranker=RankRemapper(profile),
+        vectorized=vectorized,
     )
     while True:
         task = task_queue.get()

@@ -67,7 +67,6 @@ from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
 from repro.engine.cache import CacheModel, TierStagingModel
 from repro.engine.executor import ShardedExecutor
-from repro.engine.ranked import RankRemapper
 from repro.memory.topology import SystemTopology
 from repro.serving.arena import RequestArena
 from repro.serving.faults import FaultInjector, FaultSchedule
@@ -414,11 +413,10 @@ class LookupServer:
         prior = getattr(self, "executor", None)
         self.plan = plan
         self.profile = profile
-        ranker = RankRemapper(profile)
         self.executor = ShardedExecutor(
             self.model, plan, profile, self.topology,
             cache=self.cache, staging=self.staging,
-            vectorized=self.vectorized, ranker=ranker,
+            vectorized=self.vectorized,
         )
         if prior is not None:
             # Device fault state outlives a plan swap: an emergency

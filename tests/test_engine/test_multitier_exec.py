@@ -1,8 +1,8 @@
 """Seed-loop parity: the vectorized multi-tier executor vs the scalar
 per-request reference.
 
-The rank-space paths (``run_jagged`` and ``run_ranked``, both the
-per-feature threshold scans) must reproduce the per-lookup
+The lane-code paths (``run_jagged`` and ``run_ranked``, gathering
+codes by hashed id and by rank) must reproduce the per-lookup
 remap-table reference *bit for bit* on hierarchies of any depth —
 identical per-tier access counts, identical fast-lane hits, and, since
 all paths share one reduction, identical device times — across tier
@@ -16,7 +16,6 @@ from repro.core import MultiTierSharder
 from repro.data.synthetic import TraceGenerator
 from repro.engine import (
     CacheModel,
-    RankRemapper,
     ShardedExecutor,
     TierStagingModel,
     replay_trace,
@@ -179,16 +178,13 @@ class TestMultiTierParity:
             )
             for b in (64, 512)
         ]
-        ranker = RankRemapper(profile)
         staging = TierStagingModel(capacity_bytes=model.total_bytes // 24)
         executors = [
-            ShardedExecutor(
-                model, p, profile, topology, ranker=ranker, staging=staging
-            )
+            ShardedExecutor(model, p, profile, topology, staging=staging)
             for p in plans
         ]
         batches = list(TraceGenerator(model, 64, seed=14).batches(3))
-        fused = replay_trace(executors, batches, ranker=ranker)
+        fused = replay_trace(executors, batches)
         for executor, metrics in zip(executors, fused):
             alone = executor.run(batches)
             np.testing.assert_array_equal(metrics.times_ms, alone.times_ms)

@@ -148,13 +148,11 @@ class TestReplayTrace:
             RecShardFastSharder(batch_size=4 * BATCH, name="B"),
         ]
         plans = [s.shard(model, profile, topology) for s in sharders]
-        ranker = RankRemapper(profile)
         executors = [
-            ShardedExecutor(model, p, profile, topology, ranker=ranker)
-            for p in plans
+            ShardedExecutor(model, p, profile, topology) for p in plans
         ]
         batches = list(TraceGenerator(model, BATCH, seed=37).batches(3))
-        fused = replay_trace(executors, batches, ranker=ranker)
+        fused = replay_trace(executors, batches)
         for executor, metrics in zip(executors, fused):
             alone = executor.run(batches)
             np.testing.assert_allclose(metrics.times_ms, alone.times_ms, rtol=1e-9)

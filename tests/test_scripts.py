@@ -42,7 +42,10 @@ class TestTrackedKeys:
             "scalar_plans_per_s": 3.0,
             "parity": "exact",
             "workload": {"gpus": 16},
-            "fast_wall_s": 0.1,
+            "scalar_wall_s": 2.0,
+            "reference_wall_s": 1.0,
+            "fail_ms": 5.0,
+            "max_recovery_ms": 10.0,
         }
         assert guard.tracked_keys(doc) == {"speedup": 12.0}
 
@@ -79,10 +82,48 @@ class TestAbsoluteRates:
         doc = {
             "fast_plans_per_s": 50.0,
             "scalar_plans_per_s": 3.0,
-            "fast_wall_s": 0.1,
             **_STAMPS,
         }
         assert guard.tracked_keys(doc) == {"fast_plans_per_s": 50.0}
+
+    def test_wall_and_processed_rate_keys_are_tracked(self, guard):
+        doc = {
+            "fast_wall_s": 0.1,
+            "replan_build_wall_ms": 170.0,
+            "requests_per_second_processed": 25000.0,
+            "p99_ms": 1.7,
+            **_STAMPS,
+        }
+        assert guard.tracked_keys(doc) == {
+            "fast_wall_s": 0.1,
+            "replan_build_wall_ms": 170.0,
+            "requests_per_second_processed": 25000.0,
+        }
+
+    @pytest.mark.parametrize("key", ["fast_wall_s", "replan_build_wall_ms"])
+    def test_wall_time_is_lower_is_better(self, guard, key):
+        slower = guard.compare({key: 4.0, **_STAMPS}, {key: 1.0, **_STAMPS}, 0.5)
+        assert slower[0]["ratio"] == 0.25 and slower[0]["ok"] is False
+        faster = guard.compare({key: 1.0, **_STAMPS}, {key: 4.0, **_STAMPS}, 0.5)
+        assert faster[0]["ratio"] == 4.0 and faster[0]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "key, fresh, base",
+        [
+            ("fast_wall_s", 4.0, 1.0),
+            ("requests_per_second_processed", 1000.0, 25000.0),
+        ],
+    )
+    def test_wall_and_processed_rate_need_matching_fingerprints(
+        self, guard, key, fresh, base
+    ):
+        same = guard.compare({key: fresh, **_STAMPS}, {key: base, **_STAMPS}, 0.5)
+        assert same[0]["ok"] is False
+        other = guard.compare(
+            {key: fresh, **_STAMPS, "host_cpus": 8}, {key: base, **_STAMPS}, 0.5
+        )
+        assert other[0]["ok"] is True
+        assert other[0]["fingerprint"] == "differs"
 
     def test_drop_fails_when_fingerprints_match(self, guard):
         rows = guard.compare(

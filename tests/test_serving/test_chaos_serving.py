@@ -16,6 +16,8 @@ baseline bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,9 @@ from repro.core import (
     ReplicationPolicy,
     plan_with_replication,
 )
+from repro.data.drift import DriftModel
 from repro.data.model import rm2
-from repro.memory import node_from_tier_names, paper_node, paper_scales
+from repro.memory import node_from_tier_names, paper_scales
 from repro.serving import (
     FaultSchedule,
     LookupServer,
@@ -56,13 +59,13 @@ def three_tier_world():
     return model, profile, topology
 
 
-def replicated_server(chaos=None, with_sharder=True, **kwargs):
+def replicated_server(chaos=None, with_sharder=True, config=CONFIG, **kwargs):
     model, profile, topology = three_tier_world()
     policy = ReplicationPolicy(capacity_bytes=int(GIB * TOPO_SCALE))
     sharder = MultiTierSharder(batch_size=256)
     if with_sharder:
         server = LookupServer(
-            model, profile, topology, sharder=sharder, config=CONFIG,
+            model, profile, topology, sharder=sharder, config=config,
             replication=policy, chaos=chaos, **kwargs,
         )
     else:
@@ -70,7 +73,7 @@ def replicated_server(chaos=None, with_sharder=True, **kwargs):
             sharder, model, profile, topology, policy
         )
         server = LookupServer(
-            model, profile, topology, plan=plan, config=CONFIG,
+            model, profile, topology, plan=plan, config=config,
             chaos=chaos, **kwargs,
         )
     return model, server
@@ -200,19 +203,24 @@ def test_recover_event_closes_the_window():
     assert phases["after"]["requests"] > 0
 
 
+def jitter_wall_clock(monkeypatch) -> None:
+    """Make every ``perf_counter`` read advance 50-500 ms: a host
+    thousands of times slower than any real one, and never the same
+    step twice."""
+    rng = np.random.default_rng(0)
+    ticks = iter(np.cumsum(rng.uniform(0.05, 0.5, size=100_000)))
+    monkeypatch.setattr(
+        "repro.serving.server.time.perf_counter", lambda: float(next(ticks))
+    )
+
+
 def test_modelled_commit_delay_ignores_the_wall_clock(monkeypatch):
     """The default commit delay is modelled, not measured: a slow,
     jittery wall clock changes the recorded build time and nothing on
     the simulated clock."""
     model, server = replicated_server(chaos=drill())
     baseline = server.serve_arenas(stream(model))
-    rng = np.random.default_rng(0)
-    # Every read advances 50-500 ms: a host thousands of times slower
-    # than any real one, and never the same step twice.
-    ticks = iter(np.cumsum(rng.uniform(0.05, 0.5, size=100_000)))
-    monkeypatch.setattr(
-        "repro.serving.server.time.perf_counter", lambda: float(next(ticks))
-    )
+    jitter_wall_clock(monkeypatch)
     model, slow = replicated_server(chaos=drill())
     jittered = slow.serve_arenas(stream(model))
     assert jittered.summary(deterministic_only=True) == baseline.summary(
@@ -222,6 +230,38 @@ def test_modelled_commit_delay_ignores_the_wall_clock(monkeypatch):
     replan = next(e for e in jittered.recoveries if e["kind"] == "replan")
     # The slow clock did reach the observation, recorded off-path only.
     assert replan["wall_ms"] >= 50.0
+
+
+def test_drift_replan_ignores_the_wall_clock(monkeypatch):
+    """A drift-triggered replan times its build on the wall clock but
+    never lets it reach the simulated clock: under the jittery clock
+    the deterministic summary is unchanged and every build is still
+    recorded."""
+    config = dataclasses.replace(
+        CONFIG,
+        drift_threshold_pct=2.0,
+        drift_min_samples=128,
+        drift_check_every_batches=2,
+    )
+    drift = DriftModel(feature_noise=6.0)
+
+    def drifting(model):
+        return list(synthetic_request_arenas(
+            model, 1024, qps=QPS, seed=6, drift=drift,
+            months_per_request=0.05,
+        ))
+
+    model, server = replicated_server(config=config)
+    baseline = server.serve_arenas(drifting(model))
+    assert baseline.num_replans >= 1
+    jitter_wall_clock(monkeypatch)
+    model, slow = replicated_server(config=config)
+    jittered = slow.serve_arenas(drifting(model))
+    assert jittered.summary(deterministic_only=True) == baseline.summary(
+        deterministic_only=True
+    )
+    assert len(jittered.replan_build_ms) == jittered.num_replans
+    assert min(jittered.replan_build_ms) >= 50.0
 
 
 # ----------------------------------------------------------------------

@@ -144,3 +144,23 @@ def test_zero_idle_rate_gives_silent_gaps():
     arrivals = process.arrivals(np.random.default_rng(2), 0.0, 2000)
     phase = arrivals % process.period_ms
     assert np.all(phase < process.burst_ms)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"num_requests": -1},
+        {"qps": -1.0},
+        {"chunk_size": 0},
+        {"deadline_ms": 0.0},
+        {"priority_shares": (0.5, -0.5)},
+        {"priority_shares": (0.5, 0.6)},
+    ],
+)
+def test_arguments_rejected_at_the_call(kwargs):
+    """Bad arguments raise when the stream is created, not at the first
+    ``next()`` — which a consumer such as ``serve_arenas`` would only
+    reach mid-setup."""
+    args = {"num_requests": 10, "qps": 10.0, **kwargs}
+    with pytest.raises(ValueError):
+        synthetic_request_arenas(model(), **args)
