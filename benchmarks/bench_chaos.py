@@ -18,8 +18,9 @@ at bench scale on a replicated three-tier world:
   - *conservation*: served + dropped lookups equals the no-fault
     run's served lookups, batch for batch accounting with no silent
     loss;
-  - *parity*: scalar and vectorized degraded modes agree bit for bit
-    (on a truncated stream — the scalar path is the slow reference).
+  - *parity*: the shipped engine and the scalar oracle
+    (``tests.oracles.serving.ScalarServer``) agree bit for bit in degraded
+    mode (on a truncated stream — the oracle is slow).
 
 * **worker_kill drill** — a worker process of the multi-process pool
   is crashed mid-stream.  Gates: the supervisor respawns it (observed
@@ -63,6 +64,7 @@ from repro.serving import (
     worker_kill,
 )
 from repro.serving.arena import SHM_NAME_PREFIX
+from tests.oracles.serving import ScalarServer
 
 CHAOS_REQUESTS = int(os.environ.get("RECSHARD_BENCH_CHAOS_REQUESTS", 16384))
 CHAOS_QPS = float(os.environ.get("RECSHARD_BENCH_CHAOS_QPS", 40000))
@@ -115,15 +117,14 @@ def chaos_world(models, profiles):
     return model, profile, topology, arenas
 
 
-def _server(model, profile, topology, chaos=None, vectorized=True):
-    return LookupServer(
+def _server(model, profile, topology, chaos=None, cls=LookupServer):
+    return cls(
         model, profile, topology,
         sharder=MultiTierSharder(batch_size=BENCH_BATCH),
         config=CONFIG,
         replication=ReplicationPolicy(capacity_bytes=int(GIB * TOPO_SCALE)),
         chaos=chaos,
         emergency_commit_ms=(COMMIT_MS if chaos is not None else None),
-        vectorized=vectorized,
     )
 
 
@@ -186,12 +187,10 @@ def test_device_fail_drill_gates(chaos_world):
             f"{MAX_P99_DEGRADE:g}x steady-state ({steady.p99_ms:.3f} ms)"
         )
 
-    # --- gate: scalar/vectorized parity (truncated stream) -------------
+    # --- gate: shipped/oracle parity (truncated stream) ----------------
     parity_arenas = arenas[: max(1, len(arenas) // 4)]
     fast = _server(model, profile, topology, chaos=_drill())
-    slow = _server(
-        model, profile, topology, chaos=_drill(), vectorized=False
-    )
+    slow = _server(model, profile, topology, chaos=_drill(), cls=ScalarServer)
     left = fast.serve_arenas(parity_arenas)
     right = slow.serve_arenas(parity_arenas)
     assert left.summary(deterministic_only=True) == right.summary(

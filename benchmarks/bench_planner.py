@@ -1,4 +1,4 @@
-"""Planner throughput: the vectorized workspace engine vs the scalar heap.
+"""Planner throughput: the workspace engine vs the scalar heapq oracle.
 
 Not a paper figure — the planner-side counterpart of the replay and
 serving speedup gates.  RecShard's premise (Section 4.2) is that
@@ -7,14 +7,16 @@ bench pins down how cheap, and guards the property the vectorized
 engine exists to provide:
 
 * **plan parity** — for every workload (the three paper models plus
-  trace-profiled seeds), the vectorized sharder must produce exactly
-  the scalar reference's plan: identical ``rows_per_tier`` and device
-  homes, table for table, cold and warm-started.
-* **throughput** — repeated shards through the vectorized path (one
+  trace-profiled seeds), the shipped sharder must produce exactly the
+  plan of the heapq oracle
+  (``tests.oracles.planner.ScalarFastSharder``): identical
+  ``rows_per_tier`` and device homes, table for table, cold and
+  warm-started.
+* **throughput** — repeated shards through the workspace path (one
   :class:`PlannerWorkspace` built inside the timed region, reused
   across calls) must run ≥ ``MIN_PLANNER_SPEEDUP`` × faster than the
-  scalar reference, which re-derives its ICDF state per call the way
-  the pre-workspace pipeline did.
+  oracle, which re-derives its ICDF state per call the way the
+  pre-workspace pipeline did.
 * **replans and sweeps** — the drift-replan pattern (refresh the
   workspace in place from a new profile, warm-start from the outgoing
   plan) and the ``shard_sweep`` grid are timed so their costs stay
@@ -31,6 +33,7 @@ from conftest import BENCH_BATCH, BENCH_GPUS, format_table, report, report_json
 from repro.core import PlannerWorkspace, RecShardFastSharder, shard_sweep
 from repro.data.synthetic import TraceGenerator
 from repro.stats import profile_trace
+from tests.oracles.planner import ScalarFastSharder
 
 # Shards per timed run; best of two runs per path.
 ROUNDS = int(os.environ.get("RECSHARD_BENCH_PLANNER_ROUNDS", 5))
@@ -48,17 +51,13 @@ def _plans_identical(a, b) -> bool:
 
 
 def _sharders():
-    scalar = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=False, name="RecShard"
-    )
-    fast = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=True, name="RecShard"
-    )
+    scalar = ScalarFastSharder(batch_size=BENCH_BATCH, name="RecShard")
+    fast = RecShardFastSharder(batch_size=BENCH_BATCH, name="RecShard")
     return scalar, fast
 
 
 def test_planner_plan_parity(models, profiles, topology):
-    """Vectorized ↔ scalar plan equality on every workload and seed."""
+    """Shipped ↔ oracle plan equality on every workload and seed."""
     scalar, fast = _sharders()
     checked = 0
     for model in models:

@@ -10,7 +10,7 @@ properties:
   bottleneck, quantizing the cold tiers must admit at least
   ``MIN_CAPACITY_GAIN`` x the middle-tier rows of the fp32 baseline at
   the *same* byte capacities (fp16 doubles rows; int8 nearly 4x).
-* **parity** — the scalar heapq reference and the vectorized
+* **parity** — the heapq oracles (``tests.oracles``) and the shipped
   bulk-admission path must produce identical plans under any precision
   ladder, two-tier and multi-tier.
 * **measured quality** — a small DLRM trained on a skewed synthetic
@@ -36,6 +36,7 @@ from repro.dlrm import DLRM, DLRMConfig, auc_score, bce_loss, train_epoch
 from repro.dlrm.train import synthetic_ctr_labels
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from tests.oracles.planner import ScalarFastSharder, ScalarMultiTierSharder
 
 MIN_CAPACITY_GAIN = float(
     os.environ.get("RECSHARD_BENCH_MIN_CAPACITY_GAIN", 1.8)
@@ -99,15 +100,15 @@ def test_quantized_capacity_and_parity(models, profiles):
             ]
         )
 
-    # Parity: scalar heapq reference vs vectorized bulk admission, under
-    # the most aggressive ladder.
+    # Parity: heapq oracle vs the shipped bulk admission, under the most
+    # aggressive ladder.
     ladder = topology.with_precisions({"dram": "int4", "ssd": "int4"})
     vec = MultiTierSharder(batch_size=BENCH_BATCH, steps=40).shard(
         model, profile, ladder
     )
-    scalar = MultiTierSharder(
-        batch_size=BENCH_BATCH, steps=40, vectorized=False
-    ).shard(model, profile, ladder)
+    scalar = ScalarMultiTierSharder(batch_size=BENCH_BATCH, steps=40).shard(
+        model, profile, ladder
+    )
     multitier_parity = _plans_identical(vec, scalar)
     assert multitier_parity, "multi-tier scalar/vectorized parity broke"
 
@@ -121,9 +122,9 @@ def test_quantized_capacity_and_parity(models, profiles):
     fast_vec = RecShardFastSharder(batch_size=BENCH_BATCH).shard(
         model, profile, two_tier
     )
-    fast_scalar = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=False
-    ).shard(model, profile, two_tier)
+    fast_scalar = ScalarFastSharder(batch_size=BENCH_BATCH).shard(
+        model, profile, two_tier
+    )
     two_tier_parity = _plans_identical(fast_vec, fast_scalar)
     assert two_tier_parity, "two-tier scalar/vectorized parity broke"
 

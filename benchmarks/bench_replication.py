@@ -11,10 +11,11 @@ each replicated lookup to the least-loaded GPU.
 
 Three gates:
 
-* **routing parity** — the vectorized replica lane (closed-form
+* **routing parity** — the shipped replica lane (closed-form
   least-loaded assignment per feature) must produce *bit-identical*
-  :class:`~repro.serving.metrics.ServingMetrics` to the scalar
-  reference (per-lookup argmin loop + per-lookup remap classification),
+  :class:`~repro.serving.metrics.ServingMetrics` to the scalar oracle
+  (``tests.oracles.serving.ScalarServer``: per-lookup argmin loop + per-lookup
+  remap classification),
   replica routing and per-device access totals included.
 * **load balance** — replication must cut the max/mean per-device
   access imbalance by at least ``RECSHARD_BENCH_MIN_IMBALANCE_GAIN``
@@ -54,6 +55,7 @@ from repro.data.model import rm2
 from repro.memory import GIB, paper_node
 from repro.serving import LookupServer, ServingConfig, synthetic_request_arenas
 from repro.stats import analytic_profile
+from tests.oracles.serving import ScalarServer, iter_requests
 
 REQUESTS = 2048
 SATURATING_QPS = 1e9
@@ -112,12 +114,11 @@ def world():
     return model, profile, topology, plain, replicated
 
 
-def make_server(world, plan, vectorized=True):
+def make_server(world, plan, cls=LookupServer):
     model, profile, topology, _, _ = world
-    return LookupServer(
+    return cls(
         model, profile, topology, plan=plan,
         config=ServingConfig(max_batch_size=256, max_delay_ms=2.0),
-        vectorized=vectorized,
     )
 
 
@@ -136,13 +137,13 @@ def test_replica_routing_parity(world):
     arenas = stream(model, seed=42)
 
     def run_reference():
-        server = make_server(world, replicated, vectorized=False)
+        server = make_server(world, replicated, cls=ScalarServer)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = server.serve(iter_requests(arenas))
         return time.perf_counter() - start, metrics
 
     def run_fast():
-        server = make_server(world, replicated, vectorized=True)
+        server = make_server(world, replicated)
         start = time.perf_counter()
         metrics = server.serve_arenas(arenas)
         return time.perf_counter() - start, metrics

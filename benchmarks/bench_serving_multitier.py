@@ -4,16 +4,17 @@ RecShard's multi-tier extension treats each extra memory tier as "a new
 point on each EMB's CDF"; Table 5 shows the payoff as per-tier access
 counts.  This bench runs that scenario through the serving runtime: a
 3-tier HBM/DRAM/SSD node (the host-DRAM slice deliberately small, so a
-spilling model *must* reach SSD), planned by the vectorized multi-tier
-greedy sharder, served under saturating load.
+spilling model *must* reach SSD), planned by the multi-tier greedy
+sharder, served under saturating load.
 
 Three gates:
 
-* **fast-path speedup** — the vectorized multi-tier configuration
-  (columnar arena admission + rank-space executor) must process
-  the stream at least ``RECSHARD_BENCH_MIN_MULTITIER_SPEEDUP`` times
-  (default 5x) faster than the scalar reference (per-request object
-  admission + per-lookup remap-table executor), at *bit-identical*
+* **fast-path speedup** — the shipped multi-tier configuration
+  (columnar arena admission + lane-code executor) must process the
+  stream at least ``RECSHARD_BENCH_MIN_MULTITIER_SPEEDUP`` times
+  (default 5x) faster than the scalar oracle
+  (``tests.oracles.serving.ScalarServer``: per-request object admission +
+  per-lookup remap-table executor), at *bit-identical*
   :class:`~repro.serving.metrics.ServingMetrics` — per-tier access
   counts, latencies, and device busy times all exactly equal.
 * **Table 5 online** — per-tier access counts accumulated by the
@@ -49,6 +50,7 @@ from repro.serving import (
     ServingConfig,
     synthetic_request_arenas,
 )
+from tests.oracles.serving import ScalarServer, iter_requests
 
 REQUESTS = 2048
 SATURATING_QPS = 1e9
@@ -82,12 +84,11 @@ def world(models, profiles):
     return model, profile, topology, plan
 
 
-def make_server(world, vectorized=True, staging=None, max_batch=256):
+def make_server(world, cls=LookupServer, staging=None, max_batch=256):
     model, profile, topology, plan = world
-    return LookupServer(
+    return cls(
         model, profile, topology, plan=plan,
         config=ServingConfig(max_batch_size=max_batch, max_delay_ms=2.0),
-        vectorized=vectorized,
         staging=staging,
     )
 
@@ -122,13 +123,13 @@ def test_multitier_fast_path_speedup(world):
     )
 
     def run_reference():
-        server = make_server(world, vectorized=False)
+        server = make_server(world, cls=ScalarServer)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = server.serve(iter_requests(arenas))
         return time.perf_counter() - start, metrics
 
     def run_fast():
-        server = make_server(world, vectorized=True)
+        server = make_server(world)
         start = time.perf_counter()
         metrics = server.serve_arenas(arenas)
         return time.perf_counter() - start, metrics

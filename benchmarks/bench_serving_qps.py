@@ -16,7 +16,8 @@ Three views:
   capacity rather than offered load;
 * fast-path speedup — the columnar arena path
   (:meth:`~repro.serving.server.LookupServer.serve_arenas`) against the
-  per-request object reference, asserting the wall-clock simulation
+  per-request object oracle (``tests.oracles.serving.ObjectServer``),
+  asserting the wall-clock simulation
   throughput multiple the fast path exists to provide, at bit-identical
   per-seed metrics;
 * end to end — the same stream's generation alone, and generation plus
@@ -42,6 +43,7 @@ from repro.serving import (
     ServingConfig,
     synthetic_request_arenas,
 )
+from tests.oracles.serving import ObjectServer, iter_requests
 
 REQUESTS = 2048
 SATURATING_QPS = 1e9  # all requests arrive (almost) at once
@@ -53,8 +55,8 @@ MIN_SERVING_SPEEDUP = float(
     os.environ.get("RECSHARD_BENCH_MIN_SERVING_SPEEDUP", 10.0)
 )
 
-def _make_server(model, profile, topology, plan, max_batch):
-    return LookupServer(
+def _make_server(model, profile, topology, plan, max_batch, cls=LookupServer):
+    return cls(
         model, profile, topology, plan=plan,
         config=ServingConfig(max_batch_size=max_batch, max_delay_ms=2.0),
     )
@@ -203,8 +205,9 @@ def test_serving_fast_path_speedup(models, profiles, topology, headline, serving
     """Columnar fast path: >= 10x simulation throughput, exact parity.
 
     Serves the identical seeded saturating stream through the object
-    reference loop (per-request ``LookupRequest`` + ``MicroBatchQueue``
-    + per-batch re-concatenation) and through the arena fast path
+    reference loop of ``tests.oracles.serving.ObjectServer`` (per-request
+    ``LookupRequest`` + ``MicroBatchQueue`` + per-batch
+    re-concatenation) and through the arena fast path
     (feature-major chunks, vectorized admission, offset-slice
     coalescing), best-of-two rounds each.  The two runs must agree bit
     for bit on every deterministic serving metric.
@@ -225,9 +228,9 @@ def test_serving_fast_path_speedup(models, profiles, topology, headline, serving
     # Server construction (plan install, rank tables) is deployment
     # work shared by both paths; the timed region is the serving loop.
     def run_reference():
-        server = _make_server(model, profile, topology, plan, 256)
+        server = _make_server(model, profile, topology, plan, 256, ObjectServer)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = server.serve(iter_requests(arenas))
         return time.perf_counter() - start, metrics
 
     def run_fast():

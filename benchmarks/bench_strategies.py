@@ -13,7 +13,8 @@ dominant dim — and gates:
   and the picked assignment must actually be mixed (≥ 1 non-row
   strategy);
 * **parity** — replaying a trace through the auto plan, the
-  vectorized lane classifier and the scalar reference must produce
+  lane-code classifier and the scalar oracle
+  (``tests.oracles.engine.ScalarExecutor``) must produce
   bit-identical metrics (access counts, fast-lane hits, device times)
   — the per-lane parity promise of the lane registry, including the
   column scatter and any twrw cut lanes.
@@ -52,6 +53,7 @@ from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 
 MIN_STRATEGY_GAIN = float(
     os.environ.get("RECSHARD_BENCH_MIN_STRATEGY_GAIN", 1.5)
@@ -168,7 +170,7 @@ def test_auto_plan_scalar_vectorized_parity():
         sharder, model, profile, topology, strategies=("auto",)
     )
     fast = ShardedExecutor(model, sp, profile, topology)
-    slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+    slow = ScalarExecutor(model, sp, profile, topology)
     gen = TraceGenerator(model, batch_size=BENCH_BATCH, seed=7)
     total_lookups = 0
     for _ in range(max(2, BENCH_ITERS)):

@@ -6,11 +6,11 @@ captures load balance.  Shape targets from the paper: RecShard's Max is
 several times lower than every baseline on the UVM-pressured models,
 and its StdDev is an order of magnitude lower throughout.
 
-This bench also times the replay engine itself: the vectorized
-lane-code path (one joint code table over every plan's cutoffs, one
-gather per feature for all plans) against the per-feature scalar
-reference, asserting
-the >= 5x wall-clock speedup the vectorized engine exists to provide.
+This bench also times the replay engine itself: the lane-code path
+(one joint code table over every plan's cutoffs, one gather per
+feature for all plans) against the per-feature scalar oracle
+(``tests.oracles.engine.ScalarExecutor``), asserting exact parity and the
+>= 5x wall-clock speedup the lane-code engine exists to provide.
 Both tests write into one ``BENCH_tab03.json``: the iteration stats,
 plus the replay ``speedup`` and the absolute vectorized
 ``replay_lookups_per_s`` (lookups classified per second, all plans).
@@ -23,6 +23,7 @@ import numpy as np
 from conftest import BENCH_BATCH, BENCH_ITERS, format_table, report, report_json
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor, replay_trace
+from tests.oracles.engine import ScalarExecutor
 
 PAPER_ROWS = {
     "RM1": {
@@ -126,7 +127,7 @@ def test_trace_replay_speedup(models, profiles, topology, headline):
     lookups = sum(b.total_lookups for b in batches)
 
     scalar_execs = [
-        ShardedExecutor(model, p, profile, topology, vectorized=False)
+        ScalarExecutor(model, p, profile, topology)
         for p in plans
     ]
     vector_execs = [

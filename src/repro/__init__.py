@@ -59,9 +59,7 @@ from repro.engine import (
 from repro.engine.harness import build_profile, speedup_table
 from repro.memory import SystemTopology, paper_node, three_tier_node
 from repro.serving import (
-    LookupRequest,
     LookupServer,
-    MicroBatchQueue,
     RequestArena,
     ServingConfig,
     ServingMetrics,
@@ -84,9 +82,7 @@ __all__ = [
     "FrequencyCDF",
     "GreedySharder",
     "JaggedBatch",
-    "LookupRequest",
     "LookupServer",
-    "MicroBatchQueue",
     "ModelProfile",
     "ModelSpec",
     "MultiTierSharder",

@@ -81,6 +81,21 @@ from repro.stats.summary import characterization_summary, format_summary
 _MODELS = {"rm1": rm1, "rm2": rm2, "rm3": rm3}
 
 
+def _at_least(minimum, cast=int):
+    """An argparse ``type`` that rejects values below ``minimum``."""
+
+    def parse(text):
+        value = cast(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in its errors
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", choices=sorted(_MODELS), default="rm2",
@@ -94,7 +109,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--gpus", type=int, default=16, help="simulated GPUs (default: 16)"
     )
     parser.add_argument(
-        "--batch", type=int, default=2048, help="batch size (default: 2048)"
+        "--batch", type=_at_least(1), default=2048,
+        help="batch size (default: 2048)",
     )
     parser.add_argument(
         "--seed", type=int, default=7, help="feature population seed"
@@ -142,7 +158,7 @@ def _cmd_characterize(args) -> int:
 def _make_recshard(args):
     if args.milp_time <= 0:
         return RecShardFastSharder(
-            batch_size=args.batch, name="RecShard",
+            batch_size=args.batch, steps=args.steps, name="RecShard",
             reclaim_dead=args.reclaim_dead,
         )
     return RecShardSharder(
@@ -670,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
              "shared workspace",
     )
     _add_common(p_plan)
-    p_plan.add_argument("--steps", type=int, default=100,
+    p_plan.add_argument("--steps", type=_at_least(1), default=100,
                         help="ICDF discretization steps (default: 100)")
     p_plan.add_argument("--reclaim-dead", action="store_true",
                         help="do not charge never-accessed rows to UVM")
@@ -711,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
-        p.add_argument("--steps", type=int, default=100,
+        p.add_argument("--steps", type=_at_least(1), default=100,
                        help="ICDF discretization steps (default: 100)")
         p.add_argument("--formulation", choices=("convex", "step"),
                        default="convex")
@@ -788,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "'degrade@100:0x4' (device 0, 4x "
                                 "slower); kill targets a worker and "
                                 "requires --workers")
-            p.add_argument("--drift-months", type=float, default=0.0,
+            p.add_argument("--drift-months", type=_at_least(0, float),
+                           default=0.0,
                            help="months of statistics drift to fast-forward "
                                 "across the stream (0 = stationary)")
             p.add_argument("--drift-threshold", type=float, default=5.0,

@@ -21,34 +21,26 @@ ICDF convexity to get near-MILP plans in milliseconds:
 It also serves as the fallback when the MILP backend cannot produce an
 incumbent within its time limit.
 
-Like the replay engine, the sharder has two paths that produce exactly
-the same plans:
-
-* **vectorized** (default) — waterfill, refill, warm start, and local
-  search run on the stacked arrays of a
-  :class:`~repro.core.workspace.PlannerWorkspace`.  The waterfill's
-  heap is replaced by one global ordering: taking steps in descending
-  *effective* density (the per-table running minimum — what a max-heap
-  over per-table step sequences actually pops, even where integer
-  rounding makes raw densities locally non-monotone) with ties broken
-  by (table, step) reproduces the scalar heap's pop sequence exactly,
-  so whole prefixes of the order can be admitted against the budget
-  with windowed cumulative sums instead of one heap transaction per
-  step.
-* **scalar** (``vectorized=False``) — the original per-step heapq
-  implementation, kept as the parity reference
-  (``tests/test_core/test_planner_vectorized.py`` pins plan equality
-  across both paths).
+Every phase except the LPT assignment runs on the stacked arrays of a
+:class:`~repro.core.workspace.PlannerWorkspace`.  The waterfill's heap
+becomes one global ordering: taking steps in descending *effective*
+density (the per-table running minimum — what a max-heap over
+per-table step sequences actually pops, even where integer rounding
+makes raw densities locally non-monotone) with ties broken by (table,
+step) reproduces the heap's pop sequence exactly, so whole prefixes of
+the order are admitted against the budget with windowed cumulative
+sums instead of one heap transaction per step.  The per-step heapq
+solver it replaced is the parity oracle in ``tests/oracles/planner.py``;
+``tests/test_core/test_planner_vectorized.py`` pins plan equality.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
-from repro.core.formulation import RecShardInputs, TableInputs
+from repro.core.formulation import TableInputs
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.quantize import tier_expected_errors
 from repro.core.workspace import PlannerWorkspace
@@ -145,28 +137,6 @@ class _TableState:
             frac * self.inv_bw_hbm + (1.0 - frac) * self.inv_bw_uvm
         )
 
-    def next_step_delta(self) -> tuple[float, int] | None:
-        """(cost reduction, extra bytes) of advancing one ICDF step."""
-        icdf = self.inputs.icdf
-        if self.step >= icdf.steps or self.inputs.total_accesses <= 0:
-            return None
-        d_frac = float(icdf.fractions[self.step + 1] - icdf.fractions[self.step])
-        next_rows = math.ceil(icdf.rows[self.step + 1] - 1e-9)
-        d_rows = next_rows - self.grid_rows
-        # Extra dead rows already in HBM absorb part of the advance.
-        d_rows = max(0, d_rows - self.extra_rows)
-        d_bytes = d_rows * self.hbm_row_bytes
-        d_cost = self.weight * d_frac * (self.inv_bw_uvm - self.inv_bw_hbm)
-        return d_cost, d_bytes
-
-    def advance(self) -> None:
-        icdf = self.inputs.icdf
-        grid_gain = (
-            math.ceil(icdf.rows[self.step + 1] - 1e-9) - self.grid_rows
-        )
-        self.extra_rows = max(0, self.extra_rows - grid_gain)
-        self.step += 1
-
 
 class RecShardFastSharder:
     """Greedy waterfill + LPT + local-search RecShard approximation."""
@@ -179,7 +149,6 @@ class RecShardFastSharder:
         use_pooling: bool = True,
         reclaim_dead: bool = False,
         refine_rounds: int = 400,
-        vectorized: bool = True,
         name: str = "RecShard-fast",
     ):
         self.batch_size = int(batch_size)
@@ -188,7 +157,6 @@ class RecShardFastSharder:
         self.use_pooling = use_pooling
         self.reclaim_dead = reclaim_dead
         self.refine_rounds = int(refine_rounds)
-        self.vectorized = bool(vectorized)
         self.name = name
 
     # ------------------------------------------------------------------
@@ -207,18 +175,11 @@ class RecShardFastSharder:
         rebuilding it, which is what keeps replanning cheap enough to
         run off the serving critical path.
 
-        The vectorized path (default) solves on a
+        The solve runs on a
         :class:`~repro.core.workspace.PlannerWorkspace`; pass one in to
         amortize the statistics build across calls (replans, sweeps) —
         otherwise a fresh workspace is built for this call.
         """
-        if not self.vectorized:
-            inputs = RecShardInputs.from_profile(
-                model, profile, steps=self.steps
-            )
-            return self.shard_from_inputs(
-                model, inputs, topology, warm_start=warm_start
-            )
         if workspace is None:
             workspace = PlannerWorkspace(model, profile, steps=self.steps)
         elif workspace.steps != self.steps:
@@ -230,52 +191,16 @@ class RecShardFastSharder:
             workspace, topology, warm_start=warm_start
         )
 
-    def shard_from_inputs(
-        self, model, inputs: RecShardInputs, topology: SystemTopology,
-        warm_start: ShardingPlan | None = None,
-    ) -> ShardingPlan:
-        if topology.num_tiers != 2:
-            raise ValueError("RecShardFastSharder targets two-tier topologies")
-        inv_bw_hbm = 1.0 / topology.hbm.bandwidth
-        inv_bw_uvm = 1.0 / topology.uvm.bandwidth
-        states = [
-            _TableState(
-                j, t, self.batch_size, inv_bw_hbm, inv_bw_uvm,
-                self.use_coverage, self.use_pooling, self.reclaim_dead,
-                hbm_row_bytes=topology.hbm.row_bytes_for(t.row_bytes),
-                host_row_bytes=topology.uvm.row_bytes_for(t.row_bytes),
-            )
-            for j, t in enumerate(inputs.tables)
-        ]
-
-        hbm_budget = topology.hbm.capacity_bytes * topology.num_devices
-        preferred = None
-        if warm_start is not None and len(warm_start) == len(states):
-            hbm_budget = self._warm_start_splits(states, warm_start, hbm_budget)
-            preferred = [warm_start[j].device for j in range(len(states))]
-        self._waterfill(states, hbm_budget)
-        device_of, loads, hbm_free, host_free = self._assign(
-            states, topology, preferred=preferred
-        )
-        self._refill(states, device_of, hbm_free)
-        loads = self._recompute_loads(states, device_of, topology.num_devices)
-        self._local_search(states, device_of, loads, hbm_free, host_free)
-        # Moves free HBM behind them; one more refill converts it into
-        # additional hot rows.
-        self._refill(states, device_of, hbm_free)
-        return self._emit_plan(states, device_of, topology, inputs, preferred)
-
     def shard_from_workspace(
         self, workspace: PlannerWorkspace, topology: SystemTopology,
         warm_start: ShardingPlan | None = None,
     ) -> ShardingPlan:
-        """Vectorized solve over a prebuilt workspace.
+        """Solve over a prebuilt workspace.
 
-        Same four phases as :meth:`shard_from_inputs`, but waterfill,
-        refill, warm start, and local search operate on the workspace
-        arrays; only the (cheap) LPT assignment and split resizing are
-        shared with the scalar path as-is.  Plans are identical to the
-        scalar path's, table for table.
+        Waterfill, refill, warm start, and local search operate on the
+        workspace arrays; only the (cheap) LPT assignment and split
+        resizing walk per-table states.  Plans are identical, table for
+        table, to the per-step heapq oracle's.
         """
         if topology.num_tiers != 2:
             raise ValueError("RecShardFastSharder targets two-tier topologies")
@@ -326,7 +251,7 @@ class RecShardFastSharder:
         return self._emit_plan(states, device_of, topology, inputs, preferred)
 
     def _emit_plan(self, states, device_of, topology, inputs, preferred):
-        """Materialize placements and metadata (shared by both paths)."""
+        """Materialize placements and metadata."""
         placements = []
         for state in states:
             hbm_rows = state.hbm_rows
@@ -357,64 +282,7 @@ class RecShardFastSharder:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _warm_start_splits(
-        states: list[_TableState], previous: ShardingPlan, budget: int
-    ) -> int:
-        """Fast-forward each split to the previous plan's cut point.
-
-        Advances every table along its (new-profile) ICDF grid while
-        the next step stays within the previous plan's HBM row count
-        and the aggregate budget — replacing the bulk of the waterfill
-        heap's step-by-step work with a straight walk per table.
-        Returns the budget left for the regular waterfill to spend on
-        drift-induced re-cuts.
-        """
-        remaining = budget
-        for state in states:
-            target = previous[state.index].hbm_rows
-            while True:
-                delta = state.next_step_delta()
-                if delta is None:
-                    break
-                next_rows = math.ceil(
-                    state.inputs.icdf.rows[state.step + 1] - 1e-9
-                )
-                if next_rows > target or delta[1] > remaining:
-                    break
-                state.advance()
-                remaining -= delta[1]
-        return remaining
-
-    def _waterfill(self, states: list[_TableState], budget: int) -> None:
-        """Spend the aggregate HBM budget on the densest ICDF steps."""
-        remaining = budget
-        heap: list[tuple[float, int]] = []
-
-        def push(state: _TableState) -> None:
-            delta = state.next_step_delta()
-            if delta is not None:
-                d_cost, d_bytes = delta
-                density = d_cost / d_bytes if d_bytes else float("inf")
-                heapq.heappush(heap, (-density, state.index))
-
-        for state in states:
-            push(state)
-        while heap and remaining > 0:
-            _, index = heapq.heappop(heap)
-            state = states[index]
-            delta = state.next_step_delta()
-            if delta is None:
-                continue
-            _, d_bytes = delta
-            if d_bytes > remaining:
-                continue  # later (smaller) steps may still fit
-            state.advance()
-            remaining -= d_bytes
-            push(state)
-
-    # ------------------------------------------------------------------
-    # Vectorized phases (workspace-array equivalents of the scalar ones)
+    # Workspace-array phases
     # ------------------------------------------------------------------
     @staticmethod
     def _bulk_take(
@@ -440,7 +308,7 @@ class RecShardFastSharder:
         its initial size, so the cost is O(N + blockers * window)
         rather than one pass over the remaining suffix per blocker.
 
-        ``stop_on_exhausted`` mirrors the two scalar loops: the global
+        ``stop_on_exhausted`` mirrors the two heap loops: the global
         waterfill stops once the budget hits zero, the per-device
         refill keeps draining zero-byte steps.
 
@@ -579,9 +447,13 @@ class RecShardFastSharder:
     def _warm_start_arrays(
         self, ws, previous: ShardingPlan, budget: int, hbm_rb
     ):
-        """Vectorized :meth:`_warm_start_splits` over the grid arrays.
+        """Fast-forward each split to the previous plan's cut point.
 
-        A table's walk stops at the first step past the previous plan's
+        Each table walks its (new-profile) ICDF grid while the next
+        step stays within the previous plan's HBM row count and the
+        aggregate budget; returns the start steps and the budget left
+        for the waterfill to spend on drift-induced re-cuts.  The walk
+        stops at the first step past the previous plan's
         cut point or past the remaining budget; because per-step bytes
         are cumulative in the grid, both stops reduce to one
         ``searchsorted`` per table over the prefix-byte row.
@@ -609,13 +481,14 @@ class RecShardFastSharder:
     def _local_search_arrays(
         self, states, device_of, loads, hbm_free, host_free
     ):
-        """Array form of :meth:`_local_search`: same moves, same order.
+        """Move or swap busiest-device tables while the makespan drops.
 
-        Table splits are frozen during the search, so per-table costs
-        and footprints become constant vectors; each round's candidate
-        scan is then a couple of boolean matrices instead of nested
-        Python loops, with the scalar path's first-candidate order
-        recovered from a composite rank.
+        Same moves, in the same order, as the nested-loop search of the
+        heapq oracle.  Table splits are frozen during the search, so
+        per-table costs and footprints become constant vectors; each
+        round's candidate scan is then a couple of boolean matrices,
+        with the loops' first-candidate order recovered from a
+        composite rank.
         """
         num_devices = len(loads)
         cost = np.array([s.cost() for s in states], dtype=np.float64)
@@ -700,7 +573,7 @@ class RecShardFastSharder:
             ok = (dev != busiest)[None, :] & cheaper & improves & hbm_ok & host_ok
             if not ok.any():
                 return False
-            # Scalar scan order: mine (desc cost), then target (asc
+            # Loop scan order: mine (desc cost), then target (asc
             # load), then theirs (table index).
             rank = (
                 np.arange(members.size)[:, None] * (num_devices * num_tables)
@@ -796,136 +669,8 @@ class RecShardFastSharder:
         if state.grid_rows < min_rows:
             state.extra_rows = min(min_rows, max_rows) - state.grid_rows
 
-    def _refill(self, states, device_of, hbm_free) -> None:
-        """Spend per-device leftover HBM on that device's own tables."""
-        by_device: dict[int, list[_TableState]] = {}
-        for state in states:
-            by_device.setdefault(device_of[state.index], []).append(state)
-        for device, members in by_device.items():
-            heap: list[tuple[float, int]] = []
-            index_of = {s.index: s for s in members}
-
-            def push(state: _TableState) -> None:
-                delta = state.next_step_delta()
-                if delta is not None:
-                    d_cost, d_bytes = delta
-                    density = d_cost / d_bytes if d_bytes else float("inf")
-                    heapq.heappush(heap, (-density, state.index))
-
-            for state in members:
-                push(state)
-            while heap:
-                _, idx = heapq.heappop(heap)
-                state = index_of[idx]
-                delta = state.next_step_delta()
-                if delta is None:
-                    continue
-                _, d_bytes = delta
-                if d_bytes > hbm_free[device]:
-                    continue
-                state.advance()
-                hbm_free[device] -= d_bytes
-                push(state)
-
     def _recompute_loads(self, states, device_of, num_devices) -> list[float]:
         loads = [0.0] * num_devices
         for state in states:
             loads[device_of[state.index]] += state.cost()
         return loads
-
-    def _local_search(self, states, device_of, loads, hbm_free, host_free):
-        """Reduce the makespan by moving or swapping busiest-device tables."""
-        for _ in range(self.refine_rounds):
-            busiest = max(range(len(loads)), key=lambda m: loads[m])
-            if not (
-                self._try_move(states, device_of, loads, hbm_free, host_free, busiest)
-                or self._try_swap(
-                    states, device_of, loads, hbm_free, host_free, busiest
-                )
-            ):
-                break
-
-    def _transfer(self, state, src, dst, device_of, loads, hbm_free, host_free):
-        cost = state.cost()
-        device_of[state.index] = dst
-        loads[src] -= cost
-        loads[dst] += cost
-        hbm_free[src] += state.hbm_bytes
-        hbm_free[dst] -= state.hbm_bytes
-        host_free[src] += state.host_bytes()
-        host_free[dst] -= state.host_bytes()
-
-    def _try_move(self, states, device_of, loads, hbm_free, host_free, busiest):
-        """One table off the busiest device, if the makespan improves."""
-        members = sorted(
-            (s for s in states if device_of[s.index] == busiest),
-            key=lambda s: -s.cost(),
-        )
-        others = sorted(
-            (m for m in range(len(loads)) if m != busiest),
-            key=lambda m: loads[m],
-        )
-        for state in members:
-            cost = state.cost()
-            if cost <= 0:
-                continue
-            for target in others:
-                fits = (
-                    hbm_free[target] >= state.hbm_bytes
-                    and host_free[target] >= state.host_bytes()
-                )
-                better = (
-                    max(loads[busiest] - cost, loads[target] + cost)
-                    < loads[busiest]
-                )
-                if fits and better:
-                    self._transfer(
-                        state, busiest, target, device_of, loads, hbm_free, host_free
-                    )
-                    return True
-        return False
-
-    def _try_swap(self, states, device_of, loads, hbm_free, host_free, busiest):
-        """Exchange a costly busiest-device table for a cheaper one."""
-        members = sorted(
-            (s for s in states if device_of[s.index] == busiest),
-            key=lambda s: -s.cost(),
-        )
-        others = sorted(
-            (m for m in range(len(loads)) if m != busiest),
-            key=lambda m: loads[m],
-        )
-        for mine in members:
-            my_cost = mine.cost()
-            if my_cost <= 0:
-                continue
-            for target in others:
-                for theirs in states:
-                    if device_of[theirs.index] != target:
-                        continue
-                    their_cost = theirs.cost()
-                    if their_cost >= my_cost:
-                        continue
-                    new_busy = loads[busiest] - my_cost + their_cost
-                    new_target = loads[target] + my_cost - their_cost
-                    if max(new_busy, new_target) >= loads[busiest] - 1e-12:
-                        continue
-                    hbm_ok = (
-                        hbm_free[target] + theirs.hbm_bytes >= mine.hbm_bytes
-                        and hbm_free[busiest] + mine.hbm_bytes >= theirs.hbm_bytes
-                    )
-                    host_ok = (
-                        host_free[target] + theirs.host_bytes() >= mine.host_bytes()
-                        and host_free[busiest] + mine.host_bytes()
-                        >= theirs.host_bytes()
-                    )
-                    if not (hbm_ok and host_ok):
-                        continue
-                    self._transfer(
-                        theirs, target, busiest, device_of, loads, hbm_free, host_free
-                    )
-                    self._transfer(
-                        mine, busiest, target, device_of, loads, hbm_free, host_free
-                    )
-                    return True
-        return False

@@ -7,28 +7,22 @@ traffic divided by tier bandwidth — the paper's additive cost model (the
 summation property discussed under "Key Properties of RecShard's MILP":
 mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
-Two execution paths produce identical metrics:
+Each lookup gathers one lane code from a per-table
+:class:`~repro.engine.lanes.LaneCodes` table built once per executor —
+the tier half of the Section 4.3 remapping layer, one byte per row,
+saying which of the table's lane edges (tier boundaries, fast-lane and
+replica cutoffs, strategy cuts) the row's frequency rank falls below.
+Per-tier accounting then reduces to counting small codes, for any tier
+count: per-tier counts are prefix differences of the lookups' ranks
+against the plan's cumulative tier boundaries.  The device cache model
+likewise rides the sorted-by-construction frequency ranking: a hit is
+simply ``rank < cached_rows``, one more edge in the code table.
 
-* **vectorized** (default): each lookup gathers one lane code from a
-  per-table :class:`~repro.engine.lanes.LaneCodes` table built once per
-  executor — the tier half of the Section 4.3 remapping layer, one
-  byte per row, saying which of the table's lane edges (tier
-  boundaries, fast-lane and replica cutoffs, strategy cuts) the row's
-  frequency rank falls below.  Per-tier accounting then reduces to
-  counting small codes; the device cache model likewise rides the
-  sorted-by-construction frequency ranking: a hit is simply ``rank <
-  cached_rows``, one more edge in the code table.
-* **scalar** (``vectorized=False``): the per-feature reference path
-  that resolves every lookup through the remapping table.  Kept as the
-  ground truth the parity tests check the fast path against.  Both
-  paths classify independently but share :meth:`_reduce_counts`, so
-  identical classifications yield *bit-identical* device times — the
-  equality the multi-tier serving bench gates on.
-
-Both paths handle any tier count: per-tier counts are prefix
-differences of the lookups' ranks against the plan's cumulative tier
-boundaries, read off the gathered lane codes (vectorized path) or
-computed from per-lookup remap-table gathers (scalar reference).
+The reference it is pinned against — every lookup resolved through the
+remapping tables, replicas routed by a per-lookup argmin — is
+``tests/oracles/engine.py``'s ``ScalarExecutor``.  It classifies
+independently but shares :meth:`ShardedExecutor._reduce_counts`, so
+identical classifications yield *bit-identical* device times.
 
 Two frequency-informed fast-lane models (:mod:`repro.engine.cache`) can
 be layered on top:
@@ -51,11 +45,10 @@ resolves below that cutoff is routed to whichever device currently
 carries the least served bytes instead of the table's home.  Routing is
 greedy least-loaded over running per-device byte counters (ties to the
 lowest device id; the counters see each batch's home-lane bytes before
-its replicated lookups, in trace order).  The vectorized path computes
-each feature's routed counts in closed form
-(:func:`least_loaded_counts` — the greedy sequence is the ``n``
-smallest pops across per-device arithmetic progressions); the scalar
-path assigns lookup by lookup, and both produce bit-identical metrics.
+its replicated lookups, in trace order).  Each feature's routed counts
+come in closed form (:func:`least_loaded_counts` — the greedy sequence
+is the ``n`` smallest pops across per-device arithmetic progressions),
+bit-identical to assigning lookup by lookup.
 Routed accesses are counted on the *serving* device's fastest tier, so
 the per-device access totals (``RunMetrics.load_imbalance``) show the
 balancing effect directly.
@@ -64,14 +57,12 @@ All of these cutoffs — tier boundaries, cache, staging, replica, and
 the table-wise-row-wise strategy cuts — are *registered lanes* in a
 :class:`~repro.engine.lanes.LaneRegistry` built once per executor.
 Each lane is a per-table cumulative rank cutoff; classification is one
-prefix count per lane, read by the vectorized path off each batch's
-code counts (:meth:`~repro.engine.lanes.LaneSlots.read`) and computed
-by the scalar reference (remap-table gathers).  Both feed the shared
-:meth:`ShardedExecutor._reduce_counts`, so a lane registered once gets
-a vectorized fast path and a bit-identical scalar reference for free.
+prefix count per lane, read off each batch's code counts
+(:meth:`~repro.engine.lanes.LaneSlots.read`) and fed to
+:meth:`ShardedExecutor._reduce_counts`.
 
-One loop, :func:`_classify_lanes`, drives every vectorized
-classification: a single executor's jagged or pre-ranked batch, and
+One loop, :func:`_classify_lanes`, drives every classification: a
+single executor's jagged or pre-ranked batch, and
 :func:`replay_trace`'s several plans over one trace.  It gathers each
 feature's codes once — from one joint code table over every
 executor's edges in a multi-plan replay — counts them once per
@@ -103,7 +94,6 @@ import numpy as np
 
 from repro.core.evaluate import expected_device_costs_ms_many
 from repro.core.plan import ShardingPlan
-from repro.core.remap import RemappingTable
 from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
@@ -139,8 +129,6 @@ class ShardedExecutor:
         staging: optional per-device staging model; each cold tier's
             expectedly hottest resident rows are served at the
             next-faster tier's bandwidth (multi-tier hierarchies).
-        vectorized: use the lane-code fast path (default).  The scalar
-            path is the bit-equivalent reference implementation.
     """
 
     def __init__(
@@ -152,7 +140,6 @@ class ShardedExecutor:
         validate: bool = True,
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
-        vectorized: bool = True,
     ):
         if plan.table_strategies is not None and (
             cache is not None or staging is not None
@@ -166,9 +153,7 @@ class ShardedExecutor:
         self.plan = plan
         self.profile = profile
         self.topology = topology
-        self.vectorized = vectorized
         self._ranker: RankRemapper | None = None
-        self._remap_tables: list[RemappingTable] | None = None
         self.device_of = np.array([p.device for p in plan], dtype=np.int64)
         self.row_bytes = np.array(
             [t.row_bytes for t in model.tables], dtype=np.float64
@@ -211,7 +196,6 @@ class ShardedExecutor:
                 plan.replica_rows, self._tier_bounds[:, 0]
             )
         self._has_replicas = bool(self._replica_cut.any())
-        self._replica_cut_list = [int(c) for c in self._replica_cut]
         self._row_bytes_int = np.array(
             [t.row_bytes for t in model.tables], dtype=np.int64
         )
@@ -301,9 +285,8 @@ class ShardedExecutor:
             dtype=np.int64,
         )
         self._cut_points = cut_points
-        # The lane registry: every cutoff the classification paths scan,
-        # in pass order.  Registering a lane here is all it takes to get
-        # the vectorized path and the scalar parity reference.
+        # The lane registry: every cutoff classification reads, in pass
+        # order.  Registering a lane here is all it takes to classify it.
         self._lanes: LaneRegistry = build_lanes(
             self._tier_bounds,
             self._tier_cutoffs,
@@ -311,33 +294,16 @@ class ShardedExecutor:
             replica_cut=self._replica_cut if self._has_replicas else None,
             strategy_cuts=cut_points,
         )
-        # The vectorized path's lane-code tables over this registry's
-        # edges, and where each lane reads them.  A multi-plan replay
-        # caches its joint table in ``_joint``.
-        self._codes: LaneCodes | None = None
-        self._slots: LaneSlots | None = None
+        # The lane-code tables over this registry's edges, and where
+        # each lane reads them.  A multi-plan replay caches its joint
+        # table in ``_joint``.
+        self._codes = LaneCodes((self._lanes,), self._row_orders())
+        self._slots = self._codes.slots(self._lanes, topology.num_tiers)
         self._joint: tuple | None = None
-        if vectorized:
-            self._codes = LaneCodes((self._lanes,), self._row_orders())
-            self._slots = self._codes.slots(self._lanes, topology.num_tiers)
 
     # ------------------------------------------------------------------
     # Lazily-built helpers
     # ------------------------------------------------------------------
-    @property
-    def remap_tables(self) -> list[RemappingTable]:
-        """Per-table (tier, offset) remapping — the scalar path's lookup
-        structure, also the production artifact of Section 4.3.  Built on
-        first use; the vectorized path never needs it."""
-        if self._remap_tables is None:
-            self._remap_tables = [
-                RemappingTable(
-                    self.profile[p.table_index].cdf.row_order, p.rows_per_tier
-                )
-                for p in self.plan
-            ]
-        return self._remap_tables
-
     def _row_orders(self) -> list[np.ndarray]:
         """Each table's rows in descending-frequency order."""
         return [self.profile[p.table_index].cdf.row_order for p in self.plan]
@@ -377,15 +343,8 @@ class ShardedExecutor:
                 plan's ``replica_rows``).
         """
         if isinstance(batch, RankedBatch):
-            if not self.vectorized:
-                raise ValueError(
-                    "scalar executor cannot consume pre-ranked batches; "
-                    "pass jagged batches or use vectorized=True"
-                )
             return self.run_ranked(batch)
-        if self.vectorized:
-            return self.run_jagged(batch)
-        return self._run_batch_scalar(batch)
+        return self.run_jagged(batch)
 
     # ------------------------------------------------------------------
     # Classification / reduction split (multi-process serving seam)
@@ -409,9 +368,7 @@ class ShardedExecutor:
         front-end aggregator in batch order — keeping merged metrics
         bit-identical to a single-process run.
         """
-        if self.vectorized:
-            return self._classify_jagged(batch)
-        return self._classify_scalar(batch)
+        return self._classify_jagged(batch)
 
     def reduce_classified(
         self,
@@ -459,9 +416,8 @@ class ShardedExecutor:
         each cold tier's staged rows, and the replica lane; the skipped
         cold-tier lookups are counted in ``last_browned`` (per batch)
         and ``browned_by_table`` (cumulative).  Purely a reduce-time
-        transform: classification is untouched, so the scalar and
-        vectorized paths (and the multi-process classify/reduce split)
-        stay bit-identical under brownout.
+        transform: classification is untouched, so the multi-process
+        classify/reduce split stays bit-identical under brownout.
 
         Not supported with table-wise-row-wise strategy shards: a twrw
         table's cut-lane prefixes are computed over all its ranks, so
@@ -534,28 +490,6 @@ class ShardedExecutor:
                 f"{self.topology.num_devices}-device topology"
             )
 
-    def _zero_counts(self) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Zeroed ``(counts, hits, replicas, cuts)`` for one batch.
-
-        ``replicas`` is ``None`` without a replica lane and ``cuts`` is
-        ``None`` without twrw cut lanes — the shapes every
-        classification path returns and :meth:`_reduce_counts` takes.
-        """
-        num_tables = len(self.plan)
-        num_tiers = self.topology.num_tiers
-        return (
-            np.zeros((num_tables, num_tiers), dtype=np.int64),
-            np.zeros((num_tables, num_tiers), dtype=np.int64),
-            np.zeros(num_tables, dtype=np.int64)
-            if self._has_replicas
-            else None,
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None,
-        )
-
     def run_jagged(
         self, batch: JaggedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -614,9 +548,7 @@ class ShardedExecutor:
         splits the lookup counts largest-remainder-proportionally by
         dim; a twrw table crosses its tier prefixes with the classified
         cut prefixes (``cuts``) via the min/max identity to fill the
-        per-(tier, shard) cells exactly.  Shared by the scalar and
-        vectorized paths, so identical classifications produce
-        bit-identical times.
+        per-(tier, shard) cells exactly.
         """
         num_devices = self.topology.num_devices
         num_tiers = self.topology.num_tiers
@@ -759,16 +691,14 @@ class ShardedExecutor:
         Features are processed in trace (table) order; within a feature
         every lookup weighs the table's ``row_bytes``, so the greedy
         per-lookup assignment has the closed form
-        :func:`least_loaded_counts` the vectorized path uses.  The
-        scalar path runs the per-lookup argmin loop it summarizes —
-        the parity reference the replication bench pins.  Both mutate
-        the executor's running byte counters.
+        :func:`least_loaded_counts`.  Mutates the executor's running
+        byte counters.
 
         Failed devices are masked out of the lane: the closed form runs
         on the compacted surviving load vector and scatters back (the
         ascending survivor order preserves the lowest-device-id tie
-        break), and the scalar loop takes its argmin over survivors —
-        bit-parity holds under any fail set.
+        break), so it matches a per-lookup argmin over survivors under
+        any fail set.
         """
         num_devices = self.topology.num_devices
         alive = self._device_alive
@@ -779,95 +709,17 @@ class ShardedExecutor:
         for j in np.flatnonzero(replicas):
             n = int(replicas[j])
             w = int(self._row_bytes_int[j])
-            if self.vectorized:
-                if masked:
-                    taken = np.zeros(num_devices, dtype=np.int64)
-                    taken[alive_idx] = least_loaded_counts(
-                        self._replica_load[alive_idx], n, w
-                    )
-                else:
-                    taken = least_loaded_counts(self._replica_load, n, w)
-                self._replica_load += taken * w
-            else:
+            if masked:
                 taken = np.zeros(num_devices, dtype=np.int64)
-                load = self._replica_load
-                if masked:
-                    for _ in range(n):
-                        device = int(alive_idx[np.argmin(load[alive_idx])])
-                        taken[device] += 1
-                        load[device] += w
-                else:
-                    for _ in range(n):
-                        device = int(np.argmin(load))
-                        taken[device] += 1
-                        load[device] += w
+                taken[alive_idx] = least_loaded_counts(
+                    self._replica_load[alive_idx], n, w
+                )
+            else:
+                taken = least_loaded_counts(self._replica_load, n, w)
+            self._replica_load += taken * w
             acc += taken
             routed_bytes += taken * w
         return acc, routed_bytes.astype(np.float64)
-
-    def _run_batch_scalar(
-        self, batch: JaggedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference path: resolve every lookup through the remap tables.
-
-        Classification is per lookup — tier membership and within-tier
-        offsets come straight from the remapping tables of Section 4.3
-        rather than from rank thresholds — but the classified counts
-        feed the same :meth:`_reduce_counts` as the vectorized paths,
-        so agreement on classification means bit-identical metrics.
-        """
-        return self._reduce_counts(*self._classify_scalar(batch))
-
-    def _classify_scalar(self, batch: JaggedBatch) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Per-lookup remap-table classification of one batch (no reduce)."""
-        num_tiers = self.topology.num_tiers
-        counts, hits, replicas, cuts = self._zero_counts()
-        scan_hits = self.cache is not None or self.staging is not None
-        for j, feature in enumerate(batch):
-            if feature.values.size == 0:
-                continue
-            cut = self._replica_cut_list[j]
-            table_cuts = self._cut_points[j] if cuts is not None else None
-            has_cuts = table_cuts is not None and bool(table_cuts.any())
-            if scan_hits or cut or has_cuts:
-                tiers, offsets = self.remap_tables[j].apply(feature.values)
-                counts[j] = np.bincount(tiers, minlength=num_tiers)
-                if has_cuts:
-                    # A (tier, offset) pair maps back to the global
-                    # frequency rank by adding the cumulative rows of
-                    # the preceding tiers, so strategy cut lanes are
-                    # rank thresholds here too.
-                    tier_base = np.concatenate(
-                        ([0], self._tier_bounds[j, :-1])
-                    )
-                    ranks = offsets + tier_base[tiers]
-                    for s in range(table_cuts.size):
-                        edge = int(table_cuts[s])
-                        if edge:
-                            cuts[j, s] = int(np.count_nonzero(ranks < edge))
-                if cut:
-                    # A tier-0 offset *is* the row's frequency rank
-                    # (the fastest tier holds the leading ranked rows),
-                    # so the replica lane is an offset threshold here.
-                    replicas[j] = np.count_nonzero(
-                        (tiers == 0) & (offsets < cut)
-                    )
-                threshold = self._cache_threshold[j]
-                if self.cache is not None and threshold > 0:
-                    hits[j, 0] = np.count_nonzero(
-                        (tiers == 0) & (offsets >= cut) & (offsets < threshold)
-                    )
-                for t in range(1, num_tiers):
-                    staged = self._stage_rows[j, t]
-                    if staged > 0:
-                        hits[j, t] = np.count_nonzero(
-                            (tiers == t) & (offsets < staged)
-                        )
-            else:
-                counts[j] = self.remap_tables[j].tier_counts(feature.values)
-        return counts, hits, replicas, cuts
 
     def run(self, batches) -> RunMetrics:
         """Execute a sequence of batches and collect metrics.
@@ -918,8 +770,7 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
     ``(value, device)`` pairs popped from the per-device arithmetic
     progressions ``load[d] + m * w`` — so one integer binary search for
     the value of the ``n``-th pop replaces the per-item loop, and the
-    result is bit-identical to the scalar argmin loop the reference
-    executor runs.
+    result is bit-identical to the per-item argmin loop.
 
     Args:
         load: current per-device byte counters (not modified).
@@ -1000,7 +851,7 @@ def _classify_lanes(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
     """Lane classification of one batch for several executors.
 
-    The engine's one vectorized classifier.  Per feature it gathers the
+    The engine's one classifier.  Per feature it gathers the
     lookups' codes once — by hashed id for a jagged batch, by rank for a
     :class:`RankedBatch`; the default ``mode="raise"`` rejects an
     out-of-range id with ``IndexError`` — and counts them once per
@@ -1039,12 +890,12 @@ def _joint_codes(
     """One code table over every executor's edges, and each executor's
     slots into it.
 
-    A lone vectorized executor uses its own table.  Any other table is
-    cached on the first executor for as long as it is replayed with the
-    same executors, so repeated replays pay the build once.
+    A lone executor uses its own table.  Any other table is cached on
+    the first executor for as long as it is replayed with the same
+    executors, so repeated replays pay the build once.
     """
     first = executors[0]
-    if len(executors) == 1 and first._codes is not None:
+    if len(executors) == 1:
         return first._codes, [first._slots]
     registries = tuple(ex._lanes for ex in executors)
     cached = first._joint

@@ -61,7 +61,6 @@ def run_experiment(
     profile: ModelProfile | None = None,
     trace_seed: int = 2024,
     shared_batches: list | None = None,
-    vectorized: bool = True,
 ) -> ExperimentResult:
     """Run the full pipeline for one strategy.
 
@@ -78,7 +77,6 @@ def run_experiment(
             (guarantees every strategy sees identical traffic); may be
             jagged batches or a pre-ranked trace from the profile's
             :class:`~repro.engine.ranked.RankRemapper`.
-        vectorized: executor mode (see :class:`ShardedExecutor`).
     """
     if profile is None:
         profile = analytic_profile(model)
@@ -89,9 +87,7 @@ def run_experiment(
     if shared_batches is None:
         generator = TraceGenerator(model, batch_size=batch_size, seed=trace_seed)
         shared_batches = list(generator.batches(iterations))
-    executor = ShardedExecutor(
-        model, plan, profile, topology, vectorized=vectorized
-    )
+    executor = ShardedExecutor(model, plan, profile, topology)
     metrics = executor.run(shared_batches)
     return ExperimentResult(
         strategy=sharder.name,
@@ -111,11 +107,10 @@ def compare_strategies(
     iterations: int = 5,
     profile: ModelProfile | None = None,
     trace_seed: int = 2024,
-    vectorized: bool = True,
 ) -> dict[str, ExperimentResult]:
     """Run several strategies over identical batches (Tables 3-5).
 
-    In vectorized mode all strategies replay the common trace in one
+    All strategies replay the common trace in one
     :func:`~repro.engine.executor.replay_trace` pass: each feature's
     lane codes are gathered once from one code table over every plan's
     edges (the tier half of the Section 4.3 remapping transform) and
@@ -126,22 +121,6 @@ def compare_strategies(
         profile = analytic_profile(model)
     generator = TraceGenerator(model, batch_size=batch_size, seed=trace_seed)
     shared_batches = list(generator.batches(iterations))
-    if not vectorized:
-        results = {}
-        for sharder in sharders:
-            results[sharder.name] = run_experiment(
-                model,
-                sharder,
-                topology,
-                batch_size=batch_size,
-                iterations=iterations,
-                profile=profile,
-                trace_seed=trace_seed,
-                shared_batches=shared_batches,
-                vectorized=False,
-            )
-        return results
-
     executors = []
     shard_times = []
     for sharder in sharders:

@@ -9,19 +9,14 @@ module makes that explicit.  A :class:`Lane` is one named per-table
 cutoff vector with a role; a :class:`LaneRegistry` is the ordered set
 the executor classifies against.
 
-Registration buys each lane both execution paths for free:
-
-* the **vectorized** path gathers one lane code per lookup from a
-  :class:`LaneCodes` table — each row's code says which of the table's
-  lane edges its rank falls below — counts the codes once per edge,
-  and reads every lane's prefix count off those counts
-  (:meth:`LaneSlots.read`);
-* the **scalar reference** path reconstructs ranks through the
-  remapping tables (``ShardedExecutor._classify_scalar``).
-
-Both paths feed the shared reduction, so identical prefix counts mean
-bit-identical metrics — the per-lane parity gate the tests and benches
-pin.
+Classification gathers one lane code per lookup from a
+:class:`LaneCodes` table — each row's code says which of the table's
+lane edges its rank falls below — counts the codes once per edge, and
+reads every lane's prefix count off those counts
+(:meth:`LaneSlots.read`) for the executor's reduction.  The parity
+oracle, ``tests/oracles/engine.py``, reconstructs ranks through the
+remapping tables instead; identical prefix counts mean bit-identical
+metrics, the per-lane parity gate the tests and benches pin.
 
 Lane roles:
 

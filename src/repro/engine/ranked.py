@@ -17,7 +17,7 @@ the only per-lookup quantity any tier accounting ever needs:
 for a whole trace (:meth:`~repro.engine.executor.ShardedExecutor.prepare`),
 mirroring the paper's remapping transform that runs in the
 data-loading pipeline.  The resulting :class:`RankedBatch` replays
-against any number of plans sharing the profile.  The vectorized
+against any number of plans sharing the profile.  The
 :class:`~repro.engine.executor.ShardedExecutor` does not need ranks to
 classify: it gathers each lookup's lane code by hashed id, and a
 ranked batch gathers the same codes by rank instead.

@@ -12,19 +12,15 @@ can trigger a re-shard while serving.
 Components:
 
 * :class:`~repro.serving.arena.RequestArena` — feature-major columnar
-  request chunks; microbatches are offset slices, and
-  :class:`~repro.serving.queue.LookupRequest` objects are zero-copy
-  views for the object API.
-* :class:`~repro.serving.queue.MicroBatchQueue` — reference admission
-  queue that coalesces single-sample lookup requests into jagged
-  batches, bounded by batch size and queueing delay.
+  request chunks; microbatches are offset slices.
+* :func:`~repro.serving.queue.iter_microbatch_arenas` — microbatch
+  admission bounded by batch size and queueing delay, computed
+  vectorized over each chunk's arrival array.
 * :class:`~repro.serving.server.LookupServer` — discrete-event server
-  driving the vectorized :class:`~repro.engine.executor.ShardedExecutor`
-  on a simulated clock; supports drift-triggered replanning.  Its
-  :meth:`~repro.serving.server.LookupServer.serve_arenas` fast path
-  computes admission vectorized over arrival arrays and produces
-  metrics bit-identical to the per-request
-  :meth:`~repro.serving.server.LookupServer.serve` loop.
+  driving the :class:`~repro.engine.executor.ShardedExecutor` on a
+  simulated clock through
+  :meth:`~repro.serving.server.LookupServer.serve_arenas`; supports
+  drift-triggered replanning.
 * :class:`~repro.serving.metrics.ServingMetrics` — columnar per-batch
   latency records with QPS, p50/p99, per-device utilization, and
   off-critical-path replan build cost views.
@@ -99,12 +95,7 @@ from repro.serving.overload import (
     OverloadController,
     parse_priority_spec,
 )
-from repro.serving.queue import (
-    LookupRequest,
-    MicroBatchQueue,
-    coalesce_requests,
-    iter_microbatch_arenas,
-)
+from repro.serving.queue import iter_microbatch_arenas
 from repro.serving.server import DriftMonitor, LookupServer, ServingConfig
 
 __all__ = [
@@ -113,9 +104,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "LookupRequest",
     "LookupServer",
-    "MicroBatchQueue",
     "MultiProcessServer",
     "OverloadControl",
     "OverloadController",
@@ -127,7 +116,6 @@ __all__ = [
     "ShmArena",
     "ShmArenaHandle",
     "WorkerCrashError",
-    "coalesce_requests",
     "device_degrade",
     "device_fail",
     "device_recover",

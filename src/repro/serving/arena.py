@@ -1,25 +1,19 @@
-"""Columnar request storage: the serving fast path's data layout.
+"""Columnar request storage: the serving layer's data layout.
 
-The object-path request stream materializes one
-:class:`~repro.serving.queue.LookupRequest` plus ``num_features`` tiny
-index arrays per sample, and :func:`~repro.serving.queue.coalesce_requests`
-re-concatenates those fragments for every released microbatch — so a
-simulated server spends its wall-clock on Python object churn rather
-than on lookups.  A :class:`RequestArena` keeps a chunk of requests
-*columnar end to end*: per feature one flat ``values`` array plus one
-``offsets`` array (request ``i`` owns segment ``[offsets[i],
-offsets[i+1])``), and one ``arrival_ms`` array for the whole chunk —
-the same feature-major jagged layout the engine consumes, so a
-microbatch is a pair of array slices instead of a rebuild.  This is the
-data-structure move serving-efficiency work like MicroRec makes on the
-inference path: restructure the request representation so the hot loop
-only slices views.
-
-:class:`~repro.serving.queue.LookupRequest` remains the object API:
-:meth:`RequestArena.request` materializes one as zero-copy views into
-the arena's arrays, which is what keeps the object path working
-unchanged on top of arena-backed generation: iterating an arena yields
-its requests.
+A per-request object stream materializes one request object plus
+``num_features`` tiny index arrays per sample and re-concatenates those
+fragments for every released microbatch — so a simulated server would
+spend its wall-clock on Python object churn rather than on lookups.  A
+:class:`RequestArena` keeps a chunk of requests *columnar end to end*:
+per feature one flat ``values`` array plus one ``offsets`` array
+(request ``i`` owns segment ``[offsets[i], offsets[i+1])``), and one
+``arrival_ms`` array for the whole chunk — the same feature-major
+jagged layout the engine consumes, so a microbatch is a pair of array
+slices instead of a rebuild.  This is the data-structure move
+serving-efficiency work like MicroRec makes on the inference path:
+restructure the request representation so the hot loop only slices
+views.  The object form survives only as the parity oracle in
+``tests/oracles/serving.py``.
 """
 
 from __future__ import annotations
@@ -28,12 +22,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterator
 
 import numpy as np
 
 from repro.data.batch import JaggedBatch, JaggedFeature
-from repro.serving.queue import LookupRequest, coalesce_requests
 
 #: per-process counter for default shared-memory segment names.
 _SHM_SEQ = itertools.count()
@@ -156,32 +148,15 @@ class RequestArena:
     # ------------------------------------------------------------------
     # Zero-copy views
     # ------------------------------------------------------------------
-    def request(self, i: int) -> LookupRequest:
-        """Request ``i`` as an object whose feature arrays are views."""
-        return LookupRequest(
-            request_id=self.base_id + i,
-            features=tuple(f.sample(i) for f in self.batch),
-            arrival_ms=float(self.arrival_ms[i]),
-            deadline_ms=(
-                float(self.deadline_ms[i]) if self.has_qos else float("inf")
-            ),
-            priority=int(self.priority[i]) if self.has_qos else 0,
-        )
-
-    def __iter__(self) -> Iterator[LookupRequest]:
-        for i in range(self.num_requests):
-            yield self.request(i)
-
     def batch_view(self, start: int, stop: int) -> JaggedBatch:
         """Requests ``[start, stop)`` as one jagged batch.
 
         Values are contiguous slices of the arena's flat arrays (views,
         no copy); only the rebased offsets (one vectorized subtraction
-        over the stacked offsets matrix) are materialized.  This
-        replaces the object path's per-batch ``np.concatenate`` of
-        per-sample fragments.  The slices inherit the arena's validated
-        invariants, so the jagged structures are built through the
-        check-free constructor.
+        over the stacked offsets matrix) are materialized, instead of a
+        per-batch ``np.concatenate`` of per-sample fragments.  The
+        slices inherit the arena's validated invariants, so the jagged
+        structures are built through the check-free constructor.
         """
         if not self.batch.features:
             return JaggedBatch([])
@@ -283,33 +258,6 @@ class RequestArena:
             JaggedBatch(features),
             np.concatenate([a.arrival_ms for a in arenas]),
             base_id=arenas[0].base_id,
-            deadline_ms=deadline,
-            priority=priority,
-        )
-
-    @classmethod
-    def from_requests(cls, requests: list[LookupRequest]) -> "RequestArena":
-        """Columnarize object-form requests (tests, adapters).
-
-        QoS columns materialize only when some request carries a
-        non-default deadline or priority, so default-QoS object streams
-        columnarize to the same arena shape as before.
-        """
-        deadline = priority = None
-        if any(
-            r.deadline_ms != float("inf") or r.priority != 0
-            for r in requests
-        ):
-            deadline = np.array(
-                [r.deadline_ms for r in requests], dtype=np.float64
-            )
-            priority = np.array(
-                [r.priority for r in requests], dtype=np.int64
-            )
-        return cls(
-            coalesce_requests(requests),
-            np.array([r.arrival_ms for r in requests], dtype=np.float64),
-            base_id=requests[0].request_id,
             deadline_ms=deadline,
             priority=priority,
         )

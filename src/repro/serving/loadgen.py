@@ -182,8 +182,7 @@ def synthetic_request_arenas(
     run so drift-triggered replanning can be exercised end to end.
     Per-feature sampler state (hashed value space, post-hash CDFs) is
     reused across chunks and only rebuilt for the spec fields drift
-    actually changed.  Iterate an arena for its per-request
-    :class:`~repro.serving.queue.LookupRequest` views.
+    actually changed.
 
     Args:
         model: workload spec.

@@ -101,11 +101,9 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
     copy loses the race attaches a segment the front-end has already
     retired.  The front-end drops ``gone`` results for satisfied seqs.
     """
-    model, plan, profile, topology, cache, staging, vectorized = spec
+    model, plan, profile, topology, cache, staging = spec
     executor = ShardedExecutor(
-        model, plan, profile, topology,
-        cache=cache, staging=staging,
-        vectorized=vectorized,
+        model, plan, profile, topology, cache=cache, staging=staging
     )
     while True:
         task = task_queue.get()
@@ -159,7 +157,7 @@ class MultiProcessServer:
 
     Args:
         model, profile, topology, plan, sharder, config, cache,
-        staging, replication, vectorized: as for ``LookupServer``.
+        staging, replication: as for ``LookupServer``.
         workers: worker process count (>= 1).
         queue_depth: aggregate task-queue bound (default
             ``2 * workers``), split evenly across the per-worker
@@ -208,7 +206,6 @@ class MultiProcessServer:
         cache=None,
         staging=None,
         replication=None,
-        vectorized: bool = True,
         workers: int = 2,
         queue_depth: int | None = None,
         start_method: str | None = None,
@@ -232,7 +229,6 @@ class MultiProcessServer:
             model, profile, topology,
             plan=plan, sharder=sharder, config=config,
             cache=cache, staging=staging, replication=replication,
-            vectorized=vectorized,
             # The spine replays the device events in batch order; worker
             # events are the supervisor's to fire.
             chaos=(
@@ -277,8 +273,7 @@ class MultiProcessServer:
             else mp.get_context()
         )
         self._spec = (
-            model, spine.plan, spine.profile, topology,
-            cache, staging, bool(vectorized),
+            model, spine.plan, spine.profile, topology, cache, staging
         )
         self._procs: list = []
         self._task_qs: list = []

@@ -1,4 +1,4 @@
-"""Microbatching admission queue for online embedding lookups.
+"""Microbatching admission for online embedding lookups.
 
 Inference requests arrive one sample at a time, but the sharded engine
 (and the real FBGEMM kernels it stands in for) only reaches hardware
@@ -8,89 +8,19 @@ recommender — is a microbatching queue: hold arriving requests briefly
 and release them as one batch when either the batch-size cap is hit or
 the oldest request has waited its latency budget.
 
-The queue is deterministic and clock-driven (callers pass ``now_ms``),
-so serving simulations replay exactly; nothing here depends on wall
-time or threads.
-
-This module is the serving layer's *object reference path*: the
-columnar fast path (:mod:`repro.serving.arena`,
-:meth:`~repro.serving.server.LookupServer.serve_arenas`) computes the
-same release decisions vectorized over arrival arrays and is checked
-bit-for-bit against this implementation by the serving parity tests.
+:func:`iter_microbatch_arenas` makes those release decisions columnar,
+over the arrival arrays of :class:`~repro.serving.arena.RequestArena`
+chunks.  It is deterministic and clock-driven (release times come from
+the arrivals), so serving simulations replay exactly; nothing here
+depends on wall time or threads.  The per-request object queue it
+replaced is the parity oracle in ``tests/oracles/serving.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.data.batch import JaggedBatch, JaggedFeature
-
-
-@dataclass(frozen=True)
-class LookupRequest:
-    """One inference sample's embedding lookups, across all features.
-
-    Attributes:
-        request_id: caller-chosen identifier (unique per stream).
-        features: per-feature arrays of hashed embedding indices; an
-            empty array marks a NULL sample for that feature (a missing
-            sparse feature, as in the paper's Figure 3).
-        arrival_ms: simulated arrival timestamp in milliseconds.
-        deadline_ms: absolute deadline for a useful answer (``inf`` =
-            no deadline); overload control sheds work predicted to
-            finish past it.
-        priority: small-int priority class; lower is more important
-            and class 0 is never priority-shed.
-    """
-
-    request_id: int
-    features: tuple[np.ndarray, ...]
-    arrival_ms: float = 0.0
-    deadline_ms: float = float("inf")
-    priority: int = 0
-
-    @property
-    def num_features(self) -> int:
-        return len(self.features)
-
-    @property
-    def total_lookups(self) -> int:
-        return int(sum(f.size for f in self.features))
-
-
-def coalesce_requests(requests: list[LookupRequest]) -> JaggedBatch:
-    """Merge requests into one jagged batch (sample i = request i).
-
-    The inverse of per-sample slicing: request ``i`` becomes sample
-    ``i`` of every feature, preserving submission order so per-request
-    results can be scattered back after execution.
-    """
-    if not requests:
-        raise ValueError("cannot coalesce an empty request list")
-    num_features = requests[0].num_features
-    for r in requests:
-        if r.num_features != num_features:
-            raise ValueError(
-                f"request {r.request_id} has {r.num_features} features, "
-                f"expected {num_features}"
-            )
-    features = []
-    for j in range(num_features):
-        per_sample = [r.features[j] for r in requests]
-        lengths = np.array([s.size for s in per_sample], dtype=np.int64)
-        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        if offsets[-1]:
-            values = np.concatenate(
-                [np.asarray(s, dtype=np.int64) for s in per_sample]
-            )
-        else:
-            values = np.empty(0, dtype=np.int64)
-        features.append(JaggedFeature(values, offsets))
-    return JaggedBatch(features)
+from repro.serving.arena import RequestArena
 
 
 def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
@@ -111,8 +41,10 @@ def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
     later arrival past that deadline.  An undecided tail is carried as a
     list of zero-copy slices (total size below the cap, every arrival
     before the head's deadline) and only stitched when its batch
-    releases.  Release semantics match :class:`MicroBatchQueue` bit for
-    bit (``deadline <= now`` flushes before the newcomer is submitted).
+    releases.  Release semantics are those of a FIFO queue consulted on
+    every arrival (``deadline <= now`` flushes before the newcomer is
+    submitted); the per-request queue in ``tests/oracles/serving.py``
+    pins them bit for bit.
 
     Args:
         arenas: :class:`~repro.serving.arena.RequestArena` chunks in
@@ -125,8 +57,6 @@ def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
         tail-stitched) :class:`~repro.serving.arena.RequestArena` per
         released microbatch, with the simulated release time.
     """
-    from repro.serving.arena import RequestArena
-
     cap = int(max_batch_size)
     delay = float(max_delay_ms)
     pending: list = []
@@ -175,70 +105,6 @@ def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
     if pending_count:
         # Stream over: the tail waits out its delay budget (all of it
         # arrived before the head's deadline, so it releases as one
-        # batch — mirroring the reference drain loop).
+        # batch).
         merged = RequestArena.concat(pending)
         yield merged, float(merged.arrival_ms[0]) + delay
-
-
-@dataclass
-class MicroBatchQueue:
-    """Admission queue releasing microbatches by size or delay bound.
-
-    A batch is *ready* when ``max_batch_size`` requests are waiting, or
-    when the oldest waiting request has been queued for at least
-    ``max_delay_ms`` (its latency budget for batching).  Larger batches
-    amortize per-batch overhead and raise throughput; the delay bound
-    caps the queueing latency a lightly-loaded server adds.
-
-    Attributes:
-        max_batch_size: release threshold in requests (>= 1).
-        max_delay_ms: longest time a request may wait for batchmates.
-    """
-
-    max_batch_size: int = 256
-    max_delay_ms: float = 1.0
-    _pending: deque = field(default_factory=deque, repr=False)
-
-    def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def submit(self, request: LookupRequest) -> None:
-        """Enqueue one request (arrivals must be non-decreasing in time)."""
-        if self._pending and request.arrival_ms < self._pending[-1].arrival_ms:
-            raise ValueError(
-                f"request {request.request_id} arrives at {request.arrival_ms}"
-                f" ms, before the queue tail"
-            )
-        self._pending.append(request)
-
-    def deadline_ms(self) -> float:
-        """When the current head request forces a release (inf if empty)."""
-        if not self._pending:
-            return float("inf")
-        return self._pending[0].arrival_ms + self.max_delay_ms
-
-    def ready(self, now_ms: float) -> bool:
-        """Whether a batch should be released at ``now_ms``."""
-        if not self._pending:
-            return False
-        return (
-            len(self._pending) >= self.max_batch_size
-            or now_ms >= self.deadline_ms()
-        )
-
-    def pop_batch(self) -> list[LookupRequest]:
-        """Release up to ``max_batch_size`` oldest requests (FIFO).
-
-        Callers should check :meth:`ready` first; popping early is
-        allowed (e.g. to flush at shutdown) but wastes batching headroom.
-        """
-        if not self._pending:
-            raise ValueError("pop_batch on an empty queue")
-        count = min(len(self._pending), self.max_batch_size)
-        return [self._pending.popleft() for _ in range(count)]

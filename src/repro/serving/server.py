@@ -3,7 +3,7 @@
 A :class:`LookupServer` is a discrete-event simulation of an inference
 deployment of one sharded embedding model: requests arrive on a
 simulated clock, admission coalesces them into microbatches, and each
-released microbatch executes on the vectorized
+released microbatch executes on the
 :class:`~repro.engine.executor.ShardedExecutor`, whose per-device times
 come from the same tiered-bandwidth cost model the MILP optimizes.  The
 engine is model-parallel across tables (as in training), so a batch
@@ -12,23 +12,18 @@ HBM-resident hot rows serves strictly higher QPS at lower tail latency
 — the serving-side restatement of the paper's Table 3 result.
 
 Request streams come from
-:func:`~repro.serving.loadgen.synthetic_request_arenas`.  Two admission
-paths produce bit-identical metrics:
+:func:`~repro.serving.loadgen.synthetic_request_arenas`.  The one
+admission path, :meth:`LookupServer.serve_arenas` (what ``repro
+serve`` runs), keeps requests feature-major in
+:class:`~repro.serving.arena.RequestArena` chunks: release points (size
+cap / delay deadline) are computed vectorized over the arrival-time
+array, and each microbatch is an offset slice of the arena — no
+per-request objects, no per-batch re-concatenation.  The per-request
+object loop it replaced is the parity oracle in
+``tests/oracles/serving.py``.
 
-* **columnar path** (:meth:`LookupServer.serve_arenas`, what
-  ``repro serve`` runs): requests stay feature-major in
-  :class:`~repro.serving.arena.RequestArena` chunks; release points
-  (size cap / delay deadline) are computed vectorized over the
-  arrival-time array, and each microbatch is an offset slice of the
-  arena — no per-request objects, no per-batch re-concatenation.
-* **object path** (:meth:`LookupServer.serve`): the original
-  per-request loop through a
-  :class:`~repro.serving.queue.MicroBatchQueue`.  It has no CLI entry;
-  it is the ground truth the serving parity tests check the columnar
-  path against.
-
-Either way a released batch is accounted by the same two steps around
-the engine call (:meth:`LookupServer._begin_batch` and
+A released batch is accounted by two steps around the engine call
+(:meth:`LookupServer._begin_batch` and
 :meth:`LookupServer._finish_batch`), which the multi-process
 aggregator also runs around its reduction.
 
@@ -72,11 +67,7 @@ from repro.serving.arena import RequestArena
 from repro.serving.faults import FaultInjector, FaultSchedule
 from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadControl, OverloadController
-from repro.serving.queue import (
-    LookupRequest,
-    MicroBatchQueue,
-    iter_microbatch_arenas,
-)
+from repro.serving.queue import iter_microbatch_arenas
 from repro.stats.profiler import TraceProfiler
 
 
@@ -199,7 +190,7 @@ class LookupServer:
 
     The server owns a simulated clock (milliseconds).  Requests are
     admitted through microbatching; each released batch runs on the
-    vectorized executor, busy-waiting behind the previous batch if the
+    executor, busy-waiting behind the previous batch if the
     engine is occupied (a single model-parallel replica).  Per-request
     latency is queueing wait plus execution time of its batch.
 
@@ -240,9 +231,6 @@ class LookupServer:
             leave the budget's worth of fastest-tier headroom.  A
             ``plan`` that already carries ``replica_rows`` is served
             as-is.
-        vectorized: executor mode; ``False`` serves on the per-lookup
-            scalar reference engine (the multi-tier serving bench's
-            baseline).
         chaos: optional :class:`~repro.serving.faults.FaultSchedule` of
             scripted device faults fired on the serving clock.  On a
             ``device_fail`` the server (1) masks the device out of the
@@ -275,7 +263,6 @@ class LookupServer:
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
         replication: ReplicationPolicy | None = None,
-        vectorized: bool = True,
         chaos: FaultSchedule | None = None,
         emergency_commit_ms: float | None = None,
         overload: OverloadControl | None = None,
@@ -304,7 +291,6 @@ class LookupServer:
             if replication is not None
             else topology
         )
-        self.vectorized = bool(vectorized)
         self.sharder = sharder
         sharder_params = (
             inspect.signature(sharder.shard).parameters
@@ -312,18 +298,11 @@ class LookupServer:
             else {}
         )
         self._sharder_warm_starts = "warm_start" in sharder_params
-        # Vectorized sharders accept a planner workspace; the server
-        # owns one and refreshes it in place per replan, so consecutive
-        # replans never rebuild the stacked statistics buffers.
-        self._sharder_takes_workspace = (
-            "workspace" in sharder_params
-            and getattr(sharder, "vectorized", False)
-        )
+        # Workspace sharders get the server's planner workspace,
+        # refreshed in place per replan, so consecutive replans never
+        # rebuild the stacked statistics buffers.
+        self._sharder_takes_workspace = "workspace" in sharder_params
         self._workspace: PlannerWorkspace | None = None
-        self.queue = MicroBatchQueue(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
         self.overload = overload
         self._ovl = (
             OverloadController(overload, self.config.overhead_ms_per_batch)
@@ -416,7 +395,6 @@ class LookupServer:
         self.executor = ShardedExecutor(
             self.model, plan, profile, self.topology,
             cache=self.cache, staging=self.staging,
-            vectorized=self.vectorized,
         )
         if prior is not None:
             # Device fault state outlives a plan swap: an emergency
@@ -449,9 +427,8 @@ class LookupServer:
     def reset_serving_state(self, rearm_chaos: bool = False) -> None:
         """Start an independent run on the same installed plan.
 
-        Fresh metrics, admission queue, simulated clock, and replica
-        routing history — everything a *stream* accumulates, nothing a
-        *plan* owns.  Lets one server (or one multi-process pool, which
+        Fresh metrics, simulated clock, and replica routing history —
+        everything a *stream* accumulates, nothing a *plan* owns.  Lets one server (or one multi-process pool, which
         delegates here) serve several streams back to back with
         per-stream metrics, e.g. repeated benchmark rounds.
 
@@ -463,10 +440,6 @@ class LookupServer:
         is one-shot per arming); pass ``rearm_chaos=True`` to rewind it
         and run the drill again instead.
         """
-        self.queue = MicroBatchQueue(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
         self.metrics = ServingMetrics(
             num_devices=self.topology.num_devices,
             tier_names=self.topology.tier_names,
@@ -491,56 +464,7 @@ class LookupServer:
         self.executor.reset_brownout()
 
     # ------------------------------------------------------------------
-    # Reference event loop (per-request object path)
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: Iterable[LookupRequest],
-        on_replan: Callable[[float], None] | None = None,
-    ) -> ServingMetrics:
-        """Run the object-path event loop over a request stream.
-
-        Args:
-            requests: requests in non-decreasing ``arrival_ms`` order
-                (e.g. the requests of
-                :func:`~repro.serving.loadgen.synthetic_request_arenas`
-                chunks, iterated).
-            on_replan: optional callback invoked with the simulated time
-                of every drift-triggered replan.
-
-        Returns:
-            The accumulated :class:`~repro.serving.metrics.ServingMetrics`.
-        """
-        for request in requests:
-            now = request.arrival_ms
-            # Flush any batch whose delay budget expires before this arrival.
-            while len(self.queue) and self.queue.deadline_ms() <= now:
-                self._process(self.queue.deadline_ms(), on_replan)
-            self.queue.submit(request)
-            if self.queue.ready(now):
-                self._process(now, on_replan)
-        # Stream over, clock keeps running: leftover requests wait out
-        # their delay budget in case of batchmates, then release.
-        while len(self.queue):
-            self._process(self.queue.deadline_ms(), on_replan)
-        return self.metrics
-
-    def _process(
-        self, trigger_ms: float, on_replan: Callable[[float], None] | None = None
-    ) -> None:
-        """Release one microbatch from the queue and account it."""
-        arena = RequestArena.from_requests(self.queue.pop_batch())
-        if self._ovl is not None:
-            arena = self.admit_arena(arena, trigger_ms)
-            if arena is None:
-                return
-        self._execute(
-            arena.batch, trigger_ms, arena.arrival_ms, on_replan,
-            deadlines_ms=arena.deadline_ms, priorities=arena.priority,
-        )
-
-    # ------------------------------------------------------------------
-    # Columnar fast path (vectorized admission over request arenas)
+    # Event loop (columnar admission over request arenas)
     # ------------------------------------------------------------------
     def serve_arenas(
         self,
@@ -554,14 +478,16 @@ class LookupServer:
         pass (release points computed vectorized on the arrival arrays;
         each released batch an offset slice of the arena), also used by
         the multi-process front-end — so the two runtimes release
-        identical microbatches.  Produces metrics bit-identical to
-        :meth:`serve` on the same request content (the parity the
-        serving tests pin down).
+        identical microbatches.
 
         Args:
             arenas: columnar request chunks in arrival order (e.g. from
                 :func:`~repro.serving.loadgen.synthetic_request_arenas`).
-            on_replan: optional callback, as in :meth:`serve`.
+            on_replan: optional callback invoked with the simulated time
+                of every drift-triggered replan.
+
+        Returns:
+            The accumulated :class:`~repro.serving.metrics.ServingMetrics`.
         """
         for arena, trigger in iter_microbatch_arenas(
             arenas, self.config.max_batch_size, self.config.max_delay_ms

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _make_recshard, build_parser, main
 
 
 class TestParser:
@@ -19,6 +19,37 @@ class TestParser:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard", "--model", "rm9"])
+
+
+class TestFlagValidation:
+    """Out-of-range numeric flags fail at parse time, naming the flag."""
+
+    COMMON = ["--features", "40", "--gpus", "2"]
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("plan", "--steps", "0"),
+            ("replay", "--steps", "0"),
+            ("plan", "--batch", "0"),
+            ("shard", "--batch", "-4"),
+            ("serve", "--drift-months", "-1"),
+        ],
+    )
+    def test_rejects_out_of_range(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value] + self.COMMON)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_fast_sharder_takes_steps(self):
+        # --milp-time 0 picks the fast sharder; it must still plan at
+        # the requested ICDF resolution.
+        for command in ("shard", "compare", "replay", "serve"):
+            args = build_parser().parse_args(
+                [command, "--milp-time", "0", "--steps", "20"]
+            )
+            assert _make_recshard(args).steps == 20
 
 
 class TestCommands:

@@ -2,7 +2,7 @@
 
 The workspace-array greedy path of
 :class:`~repro.core.multitier.MultiTierSharder` must reproduce the
-scalar heapq waterfill's plans exactly (device homes and per-tier row
+heapq waterfill oracle's plans exactly (device homes and per-tier row
 splits), warm starts included, and plug into
 :func:`~repro.core.workspace.shard_sweep` tier grids.
 """
@@ -14,6 +14,7 @@ from repro.core import MultiTierSharder, PlannerWorkspace, shard_sweep
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.planner import ScalarMultiTierSharder
 from tests.test_core.conftest import build_model
 
 
@@ -48,8 +49,8 @@ class TestVectorizedGreedyParity:
         vec = MultiTierSharder(batch_size=256, steps=15).shard(
             model, profile, topology
         )
-        sca = MultiTierSharder(
-            batch_size=256, steps=15, vectorized=False
+        sca = ScalarMultiTierSharder(
+            batch_size=256, steps=15
         ).shard(model, profile, topology)
         assert_plans_equal(vec, sca)
 
@@ -63,8 +64,8 @@ class TestVectorizedGreedyParity:
         warm_v = MultiTierSharder(batch_size=256, steps=15).shard(
             model, profile, topology, warm_start=cold
         )
-        warm_s = MultiTierSharder(
-            batch_size=256, steps=15, vectorized=False
+        warm_s = ScalarMultiTierSharder(
+            batch_size=256, steps=15
         ).shard(model, profile, topology, warm_start=cold)
         assert_plans_equal(warm_v, warm_s)
         assert warm_v.metadata["warm_started"]

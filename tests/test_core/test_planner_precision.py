@@ -2,12 +2,11 @@
 
 The tentpole invariant: a tier holding rows at a reduced precision
 charges :func:`~repro.memory.precision.quantized_row_bytes` per row, so
-the same byte budget admits proportionally more rows — and the scalar
-heapq reference and the vectorized bulk-admission path must keep
-producing identical plans under any precision ladder.
+the same byte budget admits proportionally more rows — and the heapq
+oracles (``tests.oracles``) and the shipped bulk-admission path must
+keep producing identical plans under any precision ladder.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -21,6 +20,7 @@ from repro.memory.precision import quantized_row_bytes
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.planner import ScalarFastSharder, ScalarMultiTierSharder
 
 from .conftest import build_model
 
@@ -76,8 +76,8 @@ class TestFastSharderPrecision:
         model = build_model(num_tables=8, seed=seed)
         profile = analytic_profile(model)
         topology = two_tier(model).with_precisions(spec)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         plan_scalar = scalar.shard(model, profile, topology)
         plan_fast = fast.shard(model, profile, topology)
         assert_plans_identical(plan_scalar, plan_fast)
@@ -136,8 +136,8 @@ class TestMultiTierPrecision:
         vec = MultiTierSharder(batch_size=BATCH, steps=15).shard(
             model, profile, topology
         )
-        scalar = MultiTierSharder(
-            batch_size=BATCH, steps=15, vectorized=False
+        scalar = ScalarMultiTierSharder(
+            batch_size=BATCH, steps=15
         ).shard(model, profile, topology)
         assert_plans_identical(vec, scalar)
         vec.validate(model, topology)

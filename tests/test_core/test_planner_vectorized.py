@@ -1,7 +1,8 @@
 """Parity tests for the vectorized planner engine.
 
-The vectorized sharder and batched evaluator must be *exact* drop-ins
-for their scalar references: the hypothesis-style seed loops here
+The workspace sharder and batched evaluator must be *exact* drop-ins
+for their scalar references (the heapq sharder is
+``tests.oracles.planner.ScalarFastSharder``): the hypothesis-style seed loops here
 generate random specs, topologies (two-tier and HBM/DRAM/SSD), and
 warm-start replans, and pin plan equality / evaluator agreement for
 every draw.  Two planner kernels are also pinned on their own: the
@@ -31,6 +32,7 @@ from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from repro.stats.profiler import TraceProfiler
 from repro.data.synthetic import TraceGenerator
+from tests.oracles.planner import ScalarFastSharder
 
 from .conftest import build_model
 
@@ -76,8 +78,8 @@ class TestSharderParity:
         )
         profile = analytic_profile(model)
         topology = random_two_tier(model, rng)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         plan_scalar = scalar.shard(model, profile, topology)
         plan_fast = fast.shard(model, profile, topology)
         assert_plans_identical(plan_scalar, plan_fast)
@@ -92,8 +94,8 @@ class TestSharderParity:
         rng = np.random.default_rng(100 + seed)
         model = build_model(num_tables=8, rows=500, seed=seed)
         topology = random_two_tier(model, rng)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         profile = analytic_profile(model)
         plan_scalar = scalar.shard(model, profile, topology)
         workspace = PlannerWorkspace(model, profile, steps=fast.steps)
@@ -125,10 +127,10 @@ class TestSharderParity:
     )
     def test_flag_variants_identical(self, flags, small_model, tight_topology):
         profile = analytic_profile(small_model)
-        scalar = RecShardFastSharder(
-            batch_size=BATCH, vectorized=False, **flags
+        scalar = ScalarFastSharder(
+            batch_size=BATCH, **flags
         )
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True, **flags)
+        fast = RecShardFastSharder(batch_size=BATCH, **flags)
         assert_plans_identical(
             scalar.shard(small_model, profile, tight_topology),
             fast.shard(small_model, profile, tight_topology),

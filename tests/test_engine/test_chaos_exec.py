@@ -3,7 +3,7 @@
 When a device fails mid-run the executor (a) drops its home-lane
 lookups — counted in ``last_dropped``, never silently lost — and (b)
 reroutes replicated lookups by masking the dead device out of the
-least-loaded lane.  The masked vectorized route (compact the load
+least-loaded lane.  The masked closed-form route (compact the load
 vector to survivors, closed-form assign, scatter back) must stay
 bit-identical to the scalar per-lookup argmin over survivors, for any
 fail set, on 2- and 3-tier worlds.  Degradation multiplies a device's
@@ -17,6 +17,7 @@ import pytest
 
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor, least_loaded_counts
+from tests.oracles.engine import ScalarExecutor
 from tests.test_engine.test_replication_exec import build_world
 
 
@@ -62,7 +63,7 @@ def test_masked_routing_parity_random_fail_sets(tiers, seed):
     model, profile, topology, plan = build_world(seed, tiers=tiers)
     rng = np.random.default_rng(seed + 100)
     vectorized = ShardedExecutor(model, plan, profile, topology)
-    scalar = ShardedExecutor(model, plan, profile, topology, vectorized=False)
+    scalar = ScalarExecutor(model, plan, profile, topology)
     rerouted = 0
     for batch in TraceGenerator(model, 64, seed=seed + 7).batches(6):
         num_dead = int(rng.integers(0, topology.num_devices))  # never all

@@ -8,6 +8,7 @@ from repro.core.plan import ShardingPlan, TablePlacement
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 from tests.test_core.conftest import build_model
 
 from repro.memory.topology import SystemTopology
@@ -45,6 +46,7 @@ class TestShardedExecutor:
     def test_times_match_bandwidth_model(self, world):
         model, profile, topology, plan = world
         executor = ShardedExecutor(model, plan, profile, topology)
+        reference = ScalarExecutor(model, plan, profile, topology)
         gen = TraceGenerator(model, batch_size=BATCH, seed=6)
         batch = gen.next_batch()
         times, accesses, _, _ = executor.run_batch(batch)
@@ -54,7 +56,7 @@ class TestShardedExecutor:
             for j, feature in enumerate(batch):
                 if plan[j].device != device or feature.values.size == 0:
                     continue
-                counts = executor.remap_tables[j].tier_counts(feature.values)
+                counts = reference.remap_tables[j].tier_counts(feature.values)
                 row_bytes = model.tables[j].row_bytes
                 expected += counts[0] * row_bytes / topology.hbm.bandwidth
                 expected += counts[1] * row_bytes / topology.uvm.bandwidth

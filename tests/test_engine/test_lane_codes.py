@@ -1,10 +1,10 @@
 """Lane-code classification: parity with the scalar reference and with
 rank-then-threshold-scan counting.
 
-The vectorized executor classifies a lookup by gathering one code per
-hashed id from a per-table :class:`~repro.engine.lanes.LaneCodes`
-table.  These property tests pin that this gives exactly the counts of
-the per-lookup remap-table reference (``_classify_scalar``) and of
+The executor classifies a lookup by gathering one code per hashed id
+from a per-table :class:`~repro.engine.lanes.LaneCodes` table.  These
+property tests pin that this gives exactly the counts of the per-lookup
+remap-table oracle (``tests.oracles.engine.ScalarExecutor``) and of
 ranking every lookup and counting ``rank < edge`` once per registered
 lane — over 2- and 3-tier topologies, cache/staging hit lanes, replica
 lanes, twrw cuts, duplicate edges, edges at 0 and at ``num_rows``,
@@ -35,6 +35,7 @@ from repro.engine.lanes import LaneCodes
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor, zero_counts
 from tests.test_core.conftest import build_model
 
 NUM_DEVICES = 4
@@ -143,13 +144,10 @@ def batches(draw, num_tiers: int, count: int = 1):
     return [random_batch(model, rng, batch_size, empty) for _ in range(count)]
 
 
-def _executor(num_tiers, config, vectorized=True):
+def _executor(num_tiers, config, cls=ShardedExecutor):
     model, profile, topology = WORLDS[num_tiers]
     plan, kwargs = config
-    return ShardedExecutor(
-        model, plan, profile, topology, validate=False,
-        vectorized=vectorized, **kwargs,
-    )
+    return cls(model, plan, profile, topology, validate=False, **kwargs)
 
 
 def threshold_scan_counts(executor, batch):
@@ -162,7 +160,7 @@ def threshold_scan_counts(executor, batch):
     """
     ranker = RankRemapper(executor.profile)
     registry = executor._lanes
-    counts, hits, replicas, cuts = executor._zero_counts()
+    counts, hits, replicas, cuts = zero_counts(executor)
     for j, feature in enumerate(batch):
         ranks = ranker.rank_feature(j, feature).ranks
 
@@ -211,7 +209,7 @@ class TestCodeTableParity:
         config = data.draw(lane_configs(num_tiers))
         (batch,) = data.draw(batches(num_tiers))
         fast = _executor(num_tiers, config)
-        slow = _executor(num_tiers, config, vectorized=False)
+        slow = _executor(num_tiers, config, ScalarExecutor)
         got = fast.classify_batch(batch)
         assert_same_classification(got, slow.classify_batch(batch))
         assert_same_classification(got, threshold_scan_counts(fast, batch))
@@ -222,7 +220,7 @@ class TestCodeTableParity:
         assert_same_metrics(fast.run_batch(batch), slow.run_batch(batch))
         assert_same_metrics(
             _executor(num_tiers, config).run_batch(ranked),
-            _executor(num_tiers, config, vectorized=False).run_batch(batch),
+            _executor(num_tiers, config, ScalarExecutor).run_batch(batch),
         )
 
     @pytest.mark.parametrize("num_tiers", [2, 3])
@@ -243,7 +241,7 @@ class TestCodeTableParity:
         for config, metrics, ranked_metrics in zip(
             configs, fused, fused_ranked
         ):
-            alone = _executor(num_tiers, config, vectorized=False).run(trace)
+            alone = _executor(num_tiers, config, ScalarExecutor).run(trace)
             for m in (metrics, ranked_metrics):
                 np.testing.assert_array_equal(m.times_ms, alone.times_ms)
                 for tier, accesses in alone.tier_accesses.items():
@@ -295,9 +293,8 @@ class TestCodeTableParity:
         trace = [random_batch(model, rng, 8) for _ in range(2)]
         fused = replay_trace(executors, trace)
         for plan, metrics in zip(plans, fused):
-            alone = ShardedExecutor(
+            alone = ScalarExecutor(
                 model, plan, profile, topology, validate=False,
-                vectorized=False,
             ).run(trace)
             np.testing.assert_array_equal(metrics.times_ms, alone.times_ms)
             for tier, accesses in alone.tier_accesses.items():

@@ -1,5 +1,5 @@
-"""Seed-loop parity: the vectorized multi-tier executor vs the scalar
-per-request reference.
+"""Seed-loop parity: the multi-tier executor vs the scalar per-lookup
+oracle (``tests.oracles.engine.ScalarExecutor``).
 
 The lane-code paths (``run_jagged`` and ``run_ranked``, gathering
 codes by hashed id and by rank) must reproduce the per-lookup
@@ -24,6 +24,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 from tests.test_core.conftest import build_model
 
 
@@ -70,8 +71,8 @@ class TestMultiTierParity:
         batch_size = 64
         model, profile, topology, plan = build_world(num_tiers, seed, batch_size)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarExecutor(
+            model, plan, profile, topology
         )
         touched = np.zeros(num_tiers, dtype=np.int64)
         for batch in TraceGenerator(model, batch_size, seed=seed + 100).batches(3):
@@ -85,8 +86,8 @@ class TestMultiTierParity:
     def test_batch_size_sweep(self, batch_size):
         model, profile, topology, plan = build_world(3, 5, batch_size)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarExecutor(
+            model, plan, profile, topology
         )
         for batch in TraceGenerator(model, batch_size, seed=77).batches(2):
             assert_exact_parity(vectorized, scalar, batch)
@@ -100,8 +101,8 @@ class TestMultiTierParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, staging=staging
         )
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, staging=staging, vectorized=False
+        scalar = ScalarExecutor(
+            model, plan, profile, topology, staging=staging
         )
         plain = ShardedExecutor(model, plan, profile, topology)
         staged_time = plain_time = 0.0
@@ -127,9 +128,8 @@ class TestMultiTierParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarExecutor(
             model, plan, profile, topology, cache=cache, staging=staging,
-            vectorized=False,
         )
         for batch in TraceGenerator(model, 64, seed=11).batches(3):
             assert_exact_parity(vectorized, scalar, batch)
@@ -143,9 +143,8 @@ class TestMultiTierParity:
         executor = ShardedExecutor(
             model, plan, profile, topology, staging=only_mid
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarExecutor(
             model, plan, profile, topology, staging=only_mid,
-            vectorized=False,
         )
         got_mid = False
         for batch in TraceGenerator(model, 64, seed=12).batches(2):

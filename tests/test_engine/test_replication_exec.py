@@ -1,9 +1,10 @@
 """Replica lane execution: routing parity, conservation, multi-plan replay.
 
 The executor's replica lane has three classification entry points
-(jagged and ranked batches through the threshold-scan loop, per-lookup
-scalar remap) and two routing disciplines (closed-form
-:func:`least_loaded_counts`, scalar per-lookup argmin).  Every
+(jagged and ranked batches through the lane-code loop, and the
+per-lookup remap of ``tests.oracles.engine.ScalarExecutor``) and two routing
+disciplines (closed-form :func:`least_loaded_counts`, the oracle's
+per-lookup argmin).  Every
 combination must produce bit-identical metrics, and the routed
 accesses must conserve the batch's lookups.
 """
@@ -33,6 +34,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 from tests.test_core.conftest import build_model
 
 
@@ -121,8 +123,8 @@ class TestReplicatedExecutionParity:
     def test_scalar_vectorized_bit_parity(self, tiers, seed):
         model, profile, topology, plan = build_world(seed, tiers=tiers)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarExecutor(
+            model, plan, profile, topology
         )
         routed_total = 0
         for batch in TraceGenerator(model, 64, seed=seed + 50).batches(3):
@@ -149,9 +151,8 @@ class TestReplicatedExecutionParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarExecutor(
             model, plan, profile, topology, cache=cache, staging=staging,
-            vectorized=False,
         )
         for batch in TraceGenerator(model, 64, seed=99).batches(3):
             tv, av, hv, rv = vectorized.run_batch(batch)

@@ -1,8 +1,8 @@
 """Executor tests for strategy plans and the composable lane framework.
 
-The lane registry promises that every registered lane gets a
-vectorized fast path and a scalar parity reference for free, with
-bit-identical metrics.  These tests pin that promise for the new
+The lane registry promises that every registered lane classifies
+bit-identically to the scalar parity oracle
+(``tests.oracles.engine.ScalarExecutor``).  These tests pin that promise for the new
 strategy lanes (column scatter, twrw cut lanes, table-wise rehoming),
 the classify/reduce serving seam, ``replay_trace``, and the scoping
 rules (no replication/cache composition, no brownout with twrw).
@@ -32,6 +32,7 @@ from repro.engine import (
 )
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 from tests.test_core.conftest import build_model
 
 BATCH = 128
@@ -102,7 +103,7 @@ class TestStrategyExecution:
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarExecutor(model, sp, profile, topology)
         for batch in _batches(model):
             ft, fa, fh, fr = fast.run_batch(batch)
             st, sa, sh, sr = slow.run_batch(batch)
@@ -152,7 +153,7 @@ class TestStrategyExecution:
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarExecutor(model, sp, profile, topology)
         for batch in _batches(model, n=2):
             fc, fh, fr, fcuts = fast.classify_batch(batch)
             sc, sh, sr, scuts = slow.classify_batch(batch)
@@ -293,7 +294,7 @@ class TestStrategyScoping:
         )
         sp = dataclasses.replace(plan, table_strategies=tuple(strategies))
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarExecutor(model, sp, profile, topology)
         fast.set_brownout(True)
         slow.set_brownout(True)
         for batch in _batches(model, n=2):

@@ -1,7 +1,8 @@
-"""Parity tests: the vectorized rank-space engine vs the scalar reference.
+"""Parity tests: the lane-code engine vs the scalar reference.
 
-The vectorized path (frequency-rank translation + threshold counting)
-must reproduce the scalar per-feature remap path exactly — same access
+The shipped executor (lane-code gathers, by hashed id or by rank) must
+reproduce the scalar per-feature remap oracle
+(``tests.oracles.engine.ScalarExecutor``) exactly — same access
 counts, same cache hits, and times equal to float tolerance — across
 cache configurations, tier counts, and degenerate batches.
 """
@@ -21,6 +22,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.engine import ScalarExecutor
 from tests.test_core.conftest import build_model
 
 BATCH = 128
@@ -45,10 +47,10 @@ def world():
 def _pair(world, cache=None):
     model, profile, topology, plan = world
     vectorized = ShardedExecutor(
-        model, plan, profile, topology, cache=cache, vectorized=True
+        model, plan, profile, topology, cache=cache
     )
-    scalar = ShardedExecutor(
-        model, plan, profile, topology, cache=cache, vectorized=False
+    scalar = ScalarExecutor(
+        model, plan, profile, topology, cache=cache
     )
     return vectorized, scalar
 
@@ -95,8 +97,8 @@ class TestVectorizedParity:
             model, profile, topology
         )
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarExecutor(
+            model, plan, profile, topology
         )
         gen = TraceGenerator(model, batch_size=BATCH, seed=34)
         for batch in gen.batches(2):

@@ -4,6 +4,8 @@ These use hypothesis to generate random models, statistics, and
 topologies, asserting the system-level invariants from DESIGN.md §6.
 """
 
+import inspect
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -146,11 +148,38 @@ def test_executor_conservation_random(world, seed):
     assert accesses.sum() == batch.total_lookups
 
 
+def _public_callables(obj):
+    """``obj`` and, for a class, its public methods and constructor."""
+    yield obj
+    if inspect.isclass(obj):
+        for name, member in inspect.getmembers(obj, callable):
+            if name == "__init__" or not name.startswith("_"):
+                yield member
+
+
 def test_public_api_exports_importable():
     import repro
+    import repro.core
+    import repro.engine
+    import repro.serving
 
     for name in repro.__all__:
         assert getattr(repro, name) is not None
+
+    # One shipped path per layer: no public entry point selects a
+    # scalar/vectorized engine, and the per-request object admission
+    # API is gone (its reference lives in tests.oracles).
+    for module in (repro, repro.core, repro.engine, repro.serving):
+        for name in module.__all__:
+            for fn in _public_callables(getattr(module, name)):
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue  # builtins without a signature
+                assert "vectorized" not in params, f"{module.__name__}.{name}"
+        for removed in ("LookupRequest", "MicroBatchQueue", "coalesce_requests"):
+            assert removed not in module.__all__
+            assert not hasattr(module, removed)
 
     # The engine.trace re-exports stay aligned with data.batch.
     from repro.data.batch import JaggedBatch as A

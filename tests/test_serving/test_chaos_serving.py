@@ -7,8 +7,9 @@ zero replicated lookups land on the dead device), (2) an emergency
 warm-start replan onto the surviving topology commits after its
 modelled re-materialization delay and stops further drops, (3) the whole timeline is measured:
 ``time_to_reroute_ms``, ``time_to_replan_ms``, drops, and windowed
-p50/p99 before/during/after the fault.  Parity drills pin the scalar
-vs vectorized and replay-determinism contracts under faults, and the
+p50/p99 before/during/after the fault.  Parity drills pin the
+shipped engine against the scalar oracle (``tests.oracles``) and the
+replay-determinism contracts under faults, and the
 reset drills pin the satellite requirement that
 ``reset_serving_state()`` after a drill reproduces the no-fault
 baseline bit for bit.
@@ -40,6 +41,7 @@ from repro.serving import (
     worker_kill,
 )
 from repro.stats import analytic_profile
+from tests.oracles.serving import ObjectServer, ScalarServer, iter_requests
 
 FEATURES = 25
 GPUS = 2
@@ -59,12 +61,14 @@ def three_tier_world():
     return model, profile, topology
 
 
-def replicated_server(chaos=None, with_sharder=True, config=CONFIG, **kwargs):
+def replicated_server(
+    chaos=None, with_sharder=True, config=CONFIG, cls=LookupServer, **kwargs
+):
     model, profile, topology = three_tier_world()
     policy = ReplicationPolicy(capacity_bytes=int(GIB * TOPO_SCALE))
     sharder = MultiTierSharder(batch_size=256)
     if with_sharder:
-        server = LookupServer(
+        server = cls(
             model, profile, topology, sharder=sharder, config=config,
             replication=policy, chaos=chaos, **kwargs,
         )
@@ -72,7 +76,7 @@ def replicated_server(chaos=None, with_sharder=True, config=CONFIG, **kwargs):
         plan = plan_with_replication(
             sharder, model, profile, topology, policy
         )
-        server = LookupServer(
+        server = cls(
             model, profile, topology, plan=plan, config=config,
             chaos=chaos, **kwargs,
         )
@@ -270,7 +274,7 @@ def test_drift_replan_ignores_the_wall_clock(monkeypatch):
 def test_scalar_vectorized_parity_under_chaos():
     model, fast = replicated_server(chaos=drill(), emergency_commit_ms=2.0)
     model, slow = replicated_server(
-        chaos=drill(), emergency_commit_ms=2.0, vectorized=False
+        chaos=drill(), emergency_commit_ms=2.0, cls=ScalarServer
     )
     left = fast.serve_arenas(stream(model))
     right = slow.serve_arenas(stream(model))
@@ -290,11 +294,9 @@ def test_object_api_matches_arena_api_under_chaos():
     arenas = stream(model, n=1024)
     arena_metrics = arena_server.serve_arenas(arenas)
     model, object_server = replicated_server(
-        chaos=drill(), emergency_commit_ms=2.0
+        chaos=drill(), emergency_commit_ms=2.0, cls=ObjectServer
     )
-    object_metrics = object_server.serve(
-        request for arena in arenas for request in arena
-    )
+    object_metrics = object_server.serve(iter_requests(arenas))
     assert arena_metrics.summary(
         deterministic_only=True
     ) == object_metrics.summary(deterministic_only=True)

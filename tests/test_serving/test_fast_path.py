@@ -1,15 +1,14 @@
-"""Parity tests: columnar serving fast path vs the object reference path.
+"""Parity tests: columnar serving vs the object reference path.
 
-The fast path (arena-backed streams, vectorized admission in
+Columnar serving (arena-backed streams, vectorized admission in
 ``LookupServer.serve_arenas``) must be a pure representation change:
 for a fixed seed it has to produce *bit-identical*
 :class:`~repro.serving.metrics.ServingMetrics` to the per-request
-object path — same QPS, same latency percentiles, same per-request
-latencies, same simulated replan times — including when drift triggers
-mid-stream re-sharding.
+object oracle (``tests.oracles.serving.ObjectServer.serve``) — same
+QPS, same latency percentiles, same per-request latencies, same
+simulated replan times — including when drift triggers mid-stream
+re-sharding.
 """
-
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,6 +24,12 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
+from tests.oracles.serving import (
+    ObjectServer,
+    arena_from_requests,
+    iter_requests,
+    request_at,
+)
 from tests.test_core.conftest import build_model
 
 BATCH = 64
@@ -45,15 +50,15 @@ def world():
     return model, profile, topology
 
 
-def make_server(world, plan=None, **config_kwargs):
+def make_server(world, plan=None, cls=LookupServer, **config_kwargs):
     model, profile, topology = world
     kwargs = dict(max_batch_size=16, max_delay_ms=1.0)
     kwargs.update(config_kwargs)
     if plan is not None:
-        return LookupServer(
+        return cls(
             model, profile, topology, plan=plan, config=ServingConfig(**kwargs)
         )
-    return LookupServer(
+    return cls(
         model, profile, topology,
         sharder=RecShardFastSharder(batch_size=BATCH),
         config=ServingConfig(**kwargs),
@@ -81,11 +86,11 @@ class TestStreamParity:
     def test_arenas_match_object_stream(self, world):
         model, _, _ = world
         kwargs = dict(num_requests=300, qps=20000, seed=9)
-        objects = list(chain.from_iterable(synthetic_request_arenas(model, **kwargs)))
+        objects = list(iter_requests(synthetic_request_arenas(model, **kwargs)))
         from_arenas = [
-            r
+            request_at(arena, i)
             for arena in synthetic_request_arenas(model, **kwargs)
-            for r in arena
+            for i in range(arena.num_requests)
         ]
         assert len(objects) == len(from_arenas) == 300
         for a, b in zip(objects, from_arenas):
@@ -101,13 +106,13 @@ class TestStreamParity:
             drift=DriftModel(feature_noise=6.0, alpha_noise=4.0),
             months_per_request=0.05, chunk_size=128,
         )
-        objects = list(chain.from_iterable(synthetic_request_arenas(model, **kwargs)))
+        objects = list(iter_requests(synthetic_request_arenas(model, **kwargs)))
         arenas = list(synthetic_request_arenas(model, **kwargs))
         assert sum(a.num_requests for a in arenas) == 400
         i = 0
         for arena in arenas:
             assert arena.base_id == i
-            for r in arena:
+            for r in iter_requests([arena]):
                 assert r.arrival_ms == objects[i].arrival_ms
                 for fa, fb in zip(r.features, objects[i].features):
                     np.testing.assert_array_equal(fa, fb)
@@ -116,7 +121,7 @@ class TestStreamParity:
     def test_request_views_are_zero_copy(self, world):
         model, _, _ = world
         arena = next(iter(synthetic_request_arenas(model, 50, qps=1000, seed=1)))
-        request = arena.request(3)
+        request = request_at(arena, 3)
         for j, values in enumerate(request.features):
             if values.size:
                 assert values.base is arena.batch[j].values
@@ -129,8 +134,8 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=500, qps=40000, seed=11)
-        ref = make_server(world, plan=plan).serve(
-            chain.from_iterable(synthetic_request_arenas(model, **kwargs))
+        ref = make_server(world, plan=plan, cls=ObjectServer).serve(
+            iter_requests(synthetic_request_arenas(model, **kwargs))
         )
         fast = make_server(world, plan=plan).serve_arenas(
             synthetic_request_arenas(model, **kwargs)
@@ -152,8 +157,8 @@ class TestServeParity:
             months_per_request=0.05,
         )
         ref_replans, fast_replans = [], []
-        ref = make_server(world, **config).serve(
-            chain.from_iterable(synthetic_request_arenas(model, **kwargs)),
+        ref = make_server(world, cls=ObjectServer, **config).serve(
+            iter_requests(synthetic_request_arenas(model, **kwargs)),
             on_replan=ref_replans.append,
         )
         fast = make_server(world, **config).serve_arenas(
@@ -177,8 +182,10 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=211, qps=60000, seed=17)
-        ref = make_server(world, plan=plan, max_batch_size=13).serve(
-            chain.from_iterable(
+        ref = make_server(
+            world, plan=plan, cls=ObjectServer, max_batch_size=13
+        ).serve(
+            iter_requests(
                 synthetic_request_arenas(model, **kwargs, chunk_size=7)
             )
         )
@@ -195,9 +202,9 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=40, qps=5000, seed=2)
-        ref = make_server(world, plan=plan, max_delay_ms=0.0).serve(
-            chain.from_iterable(synthetic_request_arenas(model, **kwargs))
-        )
+        ref = make_server(
+            world, plan=plan, cls=ObjectServer, max_delay_ms=0.0
+        ).serve(iter_requests(synthetic_request_arenas(model, **kwargs)))
         fast = make_server(world, plan=plan, max_delay_ms=0.0).serve_arenas(
             synthetic_request_arenas(model, **kwargs)
         )
@@ -250,11 +257,11 @@ class TestRequestArena:
     def test_from_requests_roundtrip(self, world):
         model, _, _ = world
         requests = list(
-            chain.from_iterable(synthetic_request_arenas(model, 20, qps=1000, seed=4))
+            iter_requests(synthetic_request_arenas(model, 20, qps=1000, seed=4))
         )
-        arena = RequestArena.from_requests(requests)
+        arena = arena_from_requests(requests)
         assert arena.num_requests == 20
-        for i, r in enumerate(arena):
+        for i, r in enumerate(iter_requests([arena])):
             assert r.request_id == requests[i].request_id
             assert r.arrival_ms == requests[i].arrival_ms
             for fa, fb in zip(r.features, requests[i].features):

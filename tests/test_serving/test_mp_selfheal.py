@@ -118,7 +118,7 @@ def test_kill_sentinel_delivers_results_put_before_it():
     expected = ShardedExecutor(
         model, plan, profile, topology
     ).classify_batch(arena.batch)
-    spec = (model, plan, profile, topology, None, None, True)
+    spec = (model, plan, profile, topology, None, None)
     resource_tracker.ensure_running()
     ctx = multiprocessing.get_context()
     owner = arena.to_shm()

@@ -2,14 +2,13 @@
 
 The capacity-scaling scenario of Section 4.4 run through the *online*
 layer: a 3-tier (HBM/DRAM/SSD) topology planned by the multi-tier
-greedy sharder, served by the vectorized engine, drift-replanned
+greedy sharder, served by the lane-code engine, drift-replanned
 mid-stream, with per-tier access counts surfaced in
-:class:`~repro.serving.metrics.ServingMetrics` — and the whole fast
-configuration pinned bit-for-bit against the scalar per-request
-reference (object admission + per-lookup remap-table executor).
+:class:`~repro.serving.metrics.ServingMetrics` — and the whole shipped
+configuration pinned bit-for-bit against the scalar per-request oracle
+(``tests.oracles.serving.ScalarServer``: object admission + per-lookup
+remap-table executor).
 """
-
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
+from tests.oracles.serving import ScalarServer, iter_requests
 from tests.test_core.conftest import build_model
 
 BATCH = 64
@@ -47,16 +47,15 @@ def world():
     return model, profile, topology
 
 
-def make_server(world, staging=None, vectorized=True, **config_kwargs):
+def make_server(world, staging=None, cls=LookupServer, **config_kwargs):
     model, profile, topology = world
     kwargs = dict(max_batch_size=16, max_delay_ms=1.0)
     kwargs.update(config_kwargs)
-    return LookupServer(
+    return cls(
         model, profile, topology,
         sharder=MultiTierSharder(batch_size=BATCH, steps=20),
         config=ServingConfig(**kwargs),
         staging=staging,
-        vectorized=vectorized,
     )
 
 
@@ -93,7 +92,7 @@ class TestMultiTierEndToEnd:
         assert "tier accesses" in metrics.format_report()
 
     def test_fast_path_matches_scalar_reference_with_drift(self, world):
-        """Columnar admission + vectorized engine vs object admission +
+        """Columnar admission + lane-code engine vs object admission +
         scalar engine: bit-identical metrics through drift replans."""
         kwargs = dict(
             num_requests=600, qps=30000, seed=5,
@@ -111,11 +110,9 @@ class TestMultiTierEndToEnd:
         fast_metrics = fast.serve_arenas(
             synthetic_request_arenas(world[0], **kwargs)
         )
-        ref = make_server(
-            world, staging=staging, vectorized=False, **config
-        )
+        ref = make_server(world, staging=staging, cls=ScalarServer, **config)
         ref_metrics = ref.serve(
-            chain.from_iterable(synthetic_request_arenas(world[0], **kwargs))
+            iter_requests(synthetic_request_arenas(world[0], **kwargs))
         )
         assert fast_metrics.num_replans >= 1
         assert_bit_identical(ref_metrics, fast_metrics)

@@ -21,7 +21,6 @@ from repro.data.model import rm2, rm3
 from repro.memory import node_from_tier_names, paper_node, paper_scales
 from repro.serving import (
     BurstyArrivals,
-    LookupRequest,
     LookupServer,
     MultiProcessServer,
     OverloadControl,
@@ -32,6 +31,13 @@ from repro.serving import (
     ServingMetrics,
     parse_priority_spec,
     synthetic_request_arenas,
+)
+from tests.oracles.serving import (
+    LookupRequest,
+    ObjectServer,
+    arena_from_requests,
+    iter_requests,
+    request_at,
 )
 from tests.test_serving.test_mp_serving import assert_metrics_bit_identical
 
@@ -56,12 +62,12 @@ def three_tier_world():
     return model, topology, MultiTierSharder(batch_size=256)
 
 
-def make_server(world, control=None, config=CONFIG):
+def make_server(world, control=None, config=CONFIG, cls=LookupServer):
     from repro.stats import analytic_profile
 
     model, topology, sharder = world()
     profile = analytic_profile(model)
-    server = LookupServer(
+    server = cls(
         model, profile, topology, sharder=sharder, config=config,
         overload=control,
     )
@@ -143,12 +149,12 @@ def _qos_arena(n=8, seed=0):
         )
         for i in range(n)
     ]
-    return RequestArena.from_requests(requests)
+    return arena_from_requests(requests)
 
 
 class TestArenaQoS:
     def test_from_requests_materializes_only_nondefault(self):
-        plain = RequestArena.from_requests(
+        plain = arena_from_requests(
             [
                 LookupRequest(i, (np.arange(2, dtype=np.int64),), float(i))
                 for i in range(4)
@@ -163,7 +169,7 @@ class TestArenaQoS:
         )
 
     def test_partial_defaults_are_filled(self):
-        arena = RequestArena.from_requests(
+        arena = arena_from_requests(
             [
                 LookupRequest(0, (np.arange(2, dtype=np.int64),), 0.0),
                 LookupRequest(
@@ -192,7 +198,7 @@ class TestArenaQoS:
         np.testing.assert_array_equal(merged.priority, arena.priority)
 
     def test_concat_mixed_fills_defaults(self):
-        plain = RequestArena.from_requests(
+        plain = arena_from_requests(
             [LookupRequest(100, (np.arange(2, dtype=np.int64),), 100.0)]
         )
         merged = RequestArena.concat([_qos_arena(3), plain])
@@ -224,7 +230,7 @@ class TestArenaQoS:
 
     def test_request_view_exposes_qos(self):
         arena = _qos_arena(4)
-        req = arena.request(2)
+        req = request_at(arena, 2)
         assert req.deadline_ms == float(arena.deadline_ms[2])
         assert req.priority == int(arena.priority[2])
 
@@ -612,13 +618,13 @@ class TestSingleProcessOverload:
             slo_ms=0.45, priority_names=("gold", "silver")
         )
         model, _, _, columnar = make_server(two_tier_world, control)
-        _, _, _, objects = make_server(two_tier_world, control)
+        _, _, _, objects = make_server(two_tier_world, control, cls=ObjectServer)
         arenas = qos_stream(
             model, 768, qps=3e6, seed=9,
             deadline_ms=0.35, shares=(0.4, 0.6),
         )
         ref = columnar.serve_arenas(arenas)
-        got = objects.serve(r for arena in arenas for r in arena)
+        got = objects.serve(iter_requests(arenas))
         assert ref.shed_requests > 0
         assert ref.summary(deterministic_only=True) == got.summary(
             deterministic_only=True

@@ -1,14 +1,19 @@
-"""Tests for the microbatching admission queue."""
+"""Tests for microbatching admission.
+
+The shipped columnar admission (:func:`iter_microbatch_arenas`) is
+pinned against the per-request queue oracle in ``tests.oracles``; the
+oracle's own queue and coalescing behaviour is tested here too.
+"""
 
 import numpy as np
 import pytest
 
-from repro.serving import (
+from repro.serving import iter_microbatch_arenas
+from tests.oracles.serving import (
     LookupRequest,
     MicroBatchQueue,
-    RequestArena,
+    arena_from_requests,
     coalesce_requests,
-    iter_microbatch_arenas,
 )
 
 
@@ -112,7 +117,7 @@ class TestCoalesce:
 
 
 def arena_of(arrivals):
-    return RequestArena.from_requests(
+    return arena_from_requests(
         [make_request(i, arrival_ms=t) for i, t in enumerate(arrivals)]
     )
 

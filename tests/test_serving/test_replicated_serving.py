@@ -27,6 +27,7 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
+from tests.oracles.serving import ScalarServer, iter_requests
 
 FEATURES = 49
 GPUS = 4
@@ -68,25 +69,22 @@ def arenas_for(model, seed: int):
     (three_tier_world, MultiTierSharder),
 ])
 def test_fast_and_reference_paths_bit_identical(world_builder, sharder_cls):
-    """Columnar+vectorized vs objects+scalar, replica lane on — including
-    the three-tier hierarchy the issue pins."""
+    """Columnar admission + shipped engine vs objects + scalar oracle,
+    replica lane on — including the three-tier hierarchy."""
     model, profile, topology, = world_builder()
     arenas = arenas_for(model, seed=31)
 
-    def serve(vectorized):
-        server = LookupServer(
+    def build(cls):
+        return cls(
             model, profile, topology,
             sharder=sharder_cls(batch_size=256),
             config=ServingConfig(max_batch_size=128, max_delay_ms=2.0),
             replication=policy(),
-            vectorized=vectorized,
         )
-        if vectorized:
-            return server, server.serve_arenas(arenas)
-        return server, server.serve(r for a in arenas for r in a)
 
-    fast_server, fast = serve(True)
-    _, reference = serve(False)
+    fast_server = build(LookupServer)
+    fast = fast_server.serve_arenas(arenas)
+    reference = build(ScalarServer).serve(iter_requests(arenas))
     assert fast.summary(deterministic_only=True) == (
         reference.summary(deterministic_only=True)
     )

@@ -1,7 +1,5 @@
 """Tests for the online lookup server, drift monitor, and metrics."""
 
-from itertools import chain
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,13 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
+from tests.oracles.serving import iter_requests
 from tests.test_core.conftest import build_model
 
 
 def request_stream(model, **kwargs):
     """The per-request view of a seeded arena stream."""
-    return chain.from_iterable(synthetic_request_arenas(model, **kwargs))
+    return iter_requests(synthetic_request_arenas(model, **kwargs))
 
 
 BATCH = 64
@@ -80,8 +79,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
-            request_stream(model, num_requests=300, qps=50000, seed=9)
+        metrics = server.serve_arenas(
+            synthetic_request_arenas(model, num_requests=300, qps=50000, seed=9)
         )
         assert metrics.num_requests == 300
         assert metrics.num_batches >= 300 // 16
@@ -96,8 +95,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=100, max_delay_ms=3.0),
         )
-        metrics = server.serve(
-            request_stream(model, num_requests=1, qps=1000, seed=2)
+        metrics = server.serve_arenas(
+            synthetic_request_arenas(model, num_requests=1, qps=1000, seed=2)
         )
         assert metrics.num_requests == 1
         assert metrics.p50_ms >= 3.0
@@ -114,8 +113,8 @@ class TestLookupServer:
                 drift_threshold_pct=0.0, drift_min_samples=1,
             ),
         )
-        metrics = server.serve(
-            request_stream(model, num_requests=200, qps=50000, seed=4)
+        metrics = server.serve_arenas(
+            synthetic_request_arenas(model, num_requests=200, qps=50000, seed=4)
         )
         assert metrics.num_replans == 0
 
@@ -132,12 +131,12 @@ class TestLookupServer:
             ),
         )
         replan_times = []
-        stream = chain.from_iterable(synthetic_request_arenas(
+        stream = synthetic_request_arenas(
             model, num_requests=600, qps=50000, seed=6,
             drift=DriftModel(feature_noise=6.0),
             months_per_request=0.05,
-        ))
-        metrics = server.serve(stream, on_replan=replan_times.append)
+        )
+        metrics = server.serve_arenas(stream, on_replan=replan_times.append)
         assert metrics.num_requests == 600
         assert metrics.num_replans >= 1
         assert replan_times == metrics.replan_ms
@@ -149,8 +148,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
-            request_stream(model, num_requests=100, qps=50000, seed=9)
+        metrics = server.serve_arenas(
+            synthetic_request_arenas(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
         assert summary["tier_precisions"] == ["fp32", "int8"]
@@ -164,8 +163,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
-            request_stream(model, num_requests=100, qps=50000, seed=9)
+        metrics = server.serve_arenas(
+            synthetic_request_arenas(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
         assert "tier_precisions" not in summary

@@ -19,8 +19,9 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.serving import LookupRequest, RequestArena, ShmArena
+from repro.serving import RequestArena
 from repro.serving.arena import SHM_NAME_PREFIX
+from tests.oracles.serving import LookupRequest, arena_from_requests
 
 SHM_DIR = "/dev/shm"
 
@@ -62,7 +63,7 @@ def random_arena(rng: np.random.Generator) -> RequestArena:
         for i in range(num_requests)
     ]
     if not requests:
-        base = RequestArena.from_requests(
+        base = arena_from_requests(
             [
                 LookupRequest(
                     request_id=0,
@@ -74,7 +75,7 @@ def random_arena(rng: np.random.Generator) -> RequestArena:
             ]
         )
         return base.slice(0, 0)
-    return RequestArena.from_requests(requests)
+    return arena_from_requests(requests)
 
 
 def assert_same_content(ref: RequestArena, got: RequestArena):
