@@ -1,9 +1,9 @@
-"""Command-line interface: profile, shard, replay, and serve from a shell.
+"""Command-line interface: profile, plan, replay, and serve from a shell.
 
 Examples::
 
     python -m repro characterize --model rm1
-    python -m repro shard --model rm2 --gpus 16 --formulation convex
+    python -m repro plan --model rm2 --gpus 16 --milp-time 15
     python -m repro plan --model rm2 --sweep hbm=0.5,1,2
     python -m repro plan --model rm2 --sweep gpus=8,16,32
     python -m repro plan --model rm3 --sweep tiers=2,3,4
@@ -31,12 +31,19 @@ Examples::
         --priorities gold=0.1,silver=0.3,bronze=0.6
     python -m repro serve --model rm3 --tiers hbm,dram:8,ssd \
         --slo-ms 5 --brownout --report-json metrics.json
+
+Every flag is checked once, by its argparse ``type``: numbers must be
+finite and in range, spec strings must parse.  Rules that span flags or
+need the built world (tier names, chaos targets, plan feasibility) end
+the same way, through :func:`main`: exit status 2 with the flag named.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 import time
 
@@ -60,9 +67,11 @@ from repro.engine import ShardedExecutor, TierStagingModel, compare_strategies
 from repro.engine.harness import speedup_table
 from repro.memory import (
     GIB,
+    TIER_LADDER,
     node_from_tier_names,
     paper_node,
     paper_scales,
+    parse_precisions_spec,
     tier_ladder_node,
 )
 from repro.serving import (
@@ -81,14 +90,18 @@ from repro.stats.summary import characterization_summary, format_summary
 _MODELS = {"rm1": rm1, "rm2": rm2, "rm3": rm3}
 
 
-def _at_least(minimum, cast=int):
-    """An argparse ``type`` that rejects values below ``minimum``."""
+def _at_least(minimum, cast=int, above=False):
+    """An argparse ``type`` for a finite number ``>= minimum`` (``>``
+    when ``above``); NaN and ±inf are rejected like any other value."""
+    bound = f"{'>' if above else '>='} {minimum}"
 
     def parse(text):
         value = cast(text)
-        if value < minimum:
+        if not math.isfinite(value) or value < minimum or (
+            above and value == minimum
+        ):
             raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {text}"
+                f"must be finite and {bound}, got {text}"
             )
         return value
 
@@ -96,98 +109,32 @@ def _at_least(minimum, cast=int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model", choices=sorted(_MODELS), default="rm2",
-        help="workload from Table 2 (default: rm2)",
-    )
-    parser.add_argument(
-        "--features", type=int, default=397,
-        help="number of sparse features (default: the paper's 397)",
-    )
-    parser.add_argument(
-        "--gpus", type=int, default=16, help="simulated GPUs (default: 16)"
-    )
-    parser.add_argument(
-        "--batch", type=_at_least(1), default=2048,
-        help="batch size (default: 2048)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="feature population seed"
-    )
+_POSITIVE = _at_least(0, float, above=True)
+_NON_NEGATIVE = _at_least(0, float)
 
 
-def _build_world(args):
-    """Model + topology with capacity regimes matched to the paper.
+def _spec(parse):
+    """An argparse ``type`` from a spec parser that raises ``ValueError``,
+    keeping the parser's message (argparse would replace it)."""
 
-    ``--tiers`` (where the subcommand offers it) swaps the default
-    two-tier node for an arbitrary preset hierarchy, capacity-scaled
-    with the same knobs.
-    """
-    topo_scale, row_scale = paper_scales(args.features, args.gpus)
-    model = _MODELS[args.model](
-        num_features=args.features, row_scale=row_scale, seed=args.seed
-    )
-    tiers = getattr(args, "tiers", None)
-    if tiers:
-        topology = node_from_tier_names(
-            tiers, num_gpus=args.gpus, scale=topo_scale
-        )
-    else:
-        topology = paper_node(num_gpus=args.gpus, scale=topo_scale)
-    precisions = getattr(args, "precisions", None)
-    if precisions:
+    def adapt(text):
         try:
-            topology = topology.with_precisions(precisions)
+            return parse(text)
         except ValueError as error:
-            # Same exit contract as argparse's own bad-argument path.
-            print(f"error: --precisions: {error}", file=sys.stderr)
-            raise SystemExit(2) from error
-    return model, topology
+            raise argparse.ArgumentTypeError(str(error)) from error
+
+    adapt.__name__ = parse.__name__
+    return adapt
 
 
-def _cmd_characterize(args) -> int:
-    model, _ = _build_world(args)
-    profile = analytic_profile(model)
-    print(f"characterization of {model.name} "
-          f"({model.num_tables} features, {model.total_bytes / 2**20:.0f} MiB):")
-    print(format_summary(characterization_summary(profile)))
-    return 0
-
-
-def _make_recshard(args):
-    if args.milp_time <= 0:
-        return RecShardFastSharder(
-            batch_size=args.batch, steps=args.steps, name="RecShard",
-            reclaim_dead=args.reclaim_dead,
-        )
-    return RecShardSharder(
-        batch_size=args.batch,
-        steps=args.steps,
-        formulation=args.formulation,
-        time_limit=args.milp_time,
-        reclaim_dead=args.reclaim_dead,
-        name="RecShard",
-    )
-
-
-def _cmd_shard(args) -> int:
-    model, topology = _build_world(args)
-    profile = analytic_profile(model)
-    plan = _make_recshard(args).shard(model, profile, topology)
-    plan.validate(model, topology)
-    summary = plan.summary(model, topology)
-    print(f"plan for {model.name} on {args.gpus} GPUs "
-          f"(solver: {plan.metadata.get('solver', '-')}):")
-    print(f"  rows on UVM: {summary['uvm_row_fraction']:.1%}")
-    print(f"  mean per-table UVM fraction: "
-          f"{summary['mean_table_uvm_fraction']:.1%}")
-    print(f"  tables per GPU: {summary['tables_per_device']}")
-    if "objective_ms" in plan.metadata:
-        print(f"  MILP objective: {plan.metadata['objective_ms']:.4f} ms "
-              f"({plan.metadata.get('milp_status')}, "
-              f"{plan.metadata.get('solve_seconds', 0):.1f}s)")
-    return 0
+@contextlib.contextmanager
+def _blame(flag):
+    """Report a ``ValueError`` (``PlanError`` included) raised in the
+    block as a bad ``flag``; :func:`main` turns it into exit status 2."""
+    try:
+        yield
+    except ValueError as error:
+        raise argparse.ArgumentError(None, f"{flag}: {error}") from error
 
 
 def _parse_sweep(spec: str):
@@ -216,59 +163,155 @@ def _parse_sweep(spec: str):
     if kind in ("strategies", "precisions"):
         return kind, [v.strip() for v in values.split(",") if v.strip()]
     parsed = [int(v) for v in values.split(",")]
+    limit = len(TIER_LADDER) if kind == "tiers" else math.inf
     for value in parsed:
-        if value < 1:
+        if not 1 <= value <= limit:
             raise ValueError(
                 f"sweep point {kind}={value}: grid values must be >= 1"
+                + (f" and <= {limit}" if kind == "tiers" else "")
             )
     return kind, parsed
 
 
+#: Flags shared by several subcommands, each declared once: every
+#: subcommand takes the first five (:data:`_COMMON`), and the planner
+#: flags after them go to the subcommands that plan.
+_FLAGS = {
+    "--model": dict(
+        choices=sorted(_MODELS), default="rm2",
+        help="workload from Table 2 (default: rm2)",
+    ),
+    "--features": dict(
+        type=_at_least(1), default=397,
+        help="number of sparse features (default: the paper's 397)",
+    ),
+    "--gpus": dict(
+        type=_at_least(1), default=16, help="simulated GPUs (default: 16)"
+    ),
+    "--batch": dict(
+        type=_at_least(1), default=2048, help="batch size (default: 2048)"
+    ),
+    "--seed": dict(
+        type=_at_least(0), default=7, help="feature population seed"
+    ),
+    "--steps": dict(
+        type=_at_least(1), default=100,
+        help="ICDF discretization steps (default: 100)",
+    ),
+    "--reclaim-dead": dict(
+        action="store_true",
+        help="do not charge never-accessed rows to UVM",
+    ),
+    "--formulation": dict(
+        choices=("convex", "step"), default="convex",
+        help="MILP formulation (default: convex)",
+    ),
+    "--milp-time": dict(
+        type=_NON_NEGATIVE, default=15.0,
+        help="MILP budget in seconds; 0 = fast solver only "
+             "(default: %(default)g)",
+    ),
+    "--replicate-gib": dict(
+        type=_NON_NEGATIVE, default=0.0,
+        help="per-GPU (paper-scale) GiB of the fastest tier carved out "
+             "for replicas of the globally hottest rows, routed to the "
+             "least-loaded GPU per lookup (default: off)",
+    ),
+    "--precisions": dict(
+        type=_spec(parse_precisions_spec), default=None, metavar="SPEC",
+        help="per-tier storage precisions as tier=precision pairs, e.g. "
+             "uvm=fp16 or dram=fp16,ssd=int8 (fp32, fp16, int8, int4); "
+             "quantized tiers admit more rows under the same byte budget",
+    ),
+}
+_COMMON = ("--model", "--features", "--gpus", "--batch", "--seed")
+_SHARDER = _COMMON + ("--steps", "--reclaim-dead", "--formulation", "--milp-time")
+_PLANNER = _SHARDER + ("--replicate-gib", "--precisions")
+
+
+def _build_world(args):
+    """Model + topology with capacity regimes matched to the paper.
+
+    ``--tiers`` (where the subcommand offers it) swaps the default
+    two-tier node for an arbitrary preset hierarchy, capacity-scaled
+    with the same knobs.
+    """
+    topo_scale, row_scale = paper_scales(args.features, args.gpus)
+    model = _MODELS[args.model](
+        num_features=args.features, row_scale=row_scale, seed=args.seed
+    )
+    tiers = getattr(args, "tiers", None)
+    if tiers:
+        with _blame("--tiers"):
+            topology = node_from_tier_names(
+                tiers, num_gpus=args.gpus, scale=topo_scale
+            )
+    else:
+        topology = paper_node(num_gpus=args.gpus, scale=topo_scale)
+    precisions = getattr(args, "precisions", None)
+    if precisions:
+        with _blame("--precisions"):
+            topology = topology.with_precisions(precisions)
+    return model, topology
+
+
+def _cmd_characterize(args) -> int:
+    model, _ = _build_world(args)
+    profile = analytic_profile(model)
+    print(f"characterization of {model.name} "
+          f"({model.num_tables} features, {model.total_bytes / 2**20:.0f} MiB):")
+    print(format_summary(characterization_summary(profile)))
+    return 0
+
+
+def _make_recshard(args):
+    """The fast sharder, or the Section 4.2 MILP when --milp-time > 0."""
+    common = dict(
+        batch_size=args.batch, steps=args.steps,
+        reclaim_dead=args.reclaim_dead, name="RecShard",
+    )
+    if args.milp_time <= 0:
+        return RecShardFastSharder(**common)
+    return RecShardSharder(
+        formulation=args.formulation, time_limit=args.milp_time, **common
+    )
+
+
 def _cmd_plan(args) -> int:
-    """Build plans on the vectorized planner engine, optionally a sweep."""
+    """One plan (fast sharder or MILP), a per-table strategy plan, or a
+    ``--sweep`` grid over one shared planner workspace."""
+    if args.milp_time > 0 and (args.sweep or args.strategies):
+        raise argparse.ArgumentError(
+            None, "--milp-time > 0 solves one plan with the MILP; --sweep "
+                  "and --strategies need the fast sharder (--milp-time 0)"
+        )
+    if args.strategies and args.sweep:
+        raise argparse.ArgumentError(
+            None, "--strategies builds one plan; use --sweep "
+                  "strategies=... for a strategy grid"
+        )
+    if args.strategies and args.replicate_gib > 0:
+        raise argparse.ArgumentError(
+            None, "--strategies plans do not compose with --replicate-gib"
+        )
     model, topology = _build_world(args)
     profile = analytic_profile(model)
-    sharder = RecShardFastSharder(
-        batch_size=args.batch,
-        steps=args.steps,
-        reclaim_dead=args.reclaim_dead,
-        name="RecShard",
-    )
-    if args.replicate_gib < 0:
-        print("error: --replicate-gib must be >= 0", file=sys.stderr)
-        return 2
+    sharder = _make_recshard(args)
     topo_scale = paper_scales(args.features, args.gpus)[0]
+    start = time.perf_counter()
     if args.strategies:
-        if args.sweep:
-            print("error: --strategies builds one plan; use "
-                  "--sweep strategies=... for a strategy grid",
-                  file=sys.stderr)
-            return 2
-        if args.replicate_gib > 0:
-            print("error: strategy plans do not compose with "
-                  "--replicate-gib", file=sys.stderr)
-            return 2
-        try:
-            tokens = resolve_strategy_kinds(args.strategies.split(","))
-        except ValueError as error:
-            print(f"error: --strategies: {error}", file=sys.stderr)
-            return 2
-        start = time.perf_counter()
         workspace = PlannerWorkspace(model, profile, steps=args.steps)
-        try:
+        with _blame("--strategies"):
             plan = plan_with_strategies(
                 sharder, model, profile, topology,
-                strategies=tokens, workspace=workspace,
+                strategies=args.strategies, workspace=workspace,
             )
-        except PlanError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         build_ms = (time.perf_counter() - start) * 1e3
         summary = plan.summary(model, topology)
         counts = plan.strategy_counts()
         mix = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         print(f"strategy plan for {model.name} on {args.gpus} GPUs "
-              f"(kinds: {','.join(tokens)}):")
+              f"(kinds: {','.join(args.strategies)}):")
         print(f"  per-table strategies: {mix}")
         print(f"  split tables: {summary['split_tables']}")
         print(f"  rows on UVM: {summary['uvm_row_fraction']:.1%}")
@@ -279,30 +322,31 @@ def _cmd_plan(args) -> int:
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
     if not args.sweep:
-        start = time.perf_counter()
         if args.replicate_gib > 0:
             # Budgets are specified at paper scale, like every other
             # capacity knob, and shrunk with the topology.
             policy = ReplicationPolicy(
                 capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
             )
-            try:
+            with _blame("--replicate-gib"):
                 plan = plan_with_replication(
                     sharder, model, profile, topology, policy
                 )
-            except PlanError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
         else:
             plan = sharder.shard(model, profile, topology)
         build_ms = (time.perf_counter() - start) * 1e3
         plan.validate(model, topology)
         summary = plan.summary(model, topology)
-        print(f"plan for {model.name} on {args.gpus} GPUs "
-              "(vectorized planner):")
+        meta = plan.metadata
+        engine = (
+            f"solver: {meta.get('solver', '-')}" if args.milp_time > 0
+            else "vectorized planner"
+        )
+        # A MILP incumbent carries the evaluator's cost as "expected_*".
+        cost = meta.get("estimated_max_cost_ms", meta.get("expected_max_cost_ms"))
+        print(f"plan for {model.name} on {args.gpus} GPUs ({engine}):")
         print(f"  rows on UVM: {summary['uvm_row_fraction']:.1%}")
-        print(f"  estimated max GPU cost: "
-              f"{plan.metadata['estimated_max_cost_ms']:.4f} ms")
+        print(f"  estimated max GPU cost: {cost:.4f} ms")
         print(f"  tables per GPU: {summary['tables_per_device']}")
         if plan.replica_rows is not None:
             print(f"  replicated rows: {summary['replicated_rows']} "
@@ -311,76 +355,51 @@ def _cmd_plan(args) -> int:
             print(f"  replica bytes/GPU: "
                   f"{summary['max_replica_bytes_per_device']} max of "
                   f"{summary['budget_bytes_per_device']} budgeted")
+        if "objective_ms" in meta:
+            print(f"  MILP objective: {meta['objective_ms']:.4f} ms "
+                  f"({meta.get('milp_status')}, "
+                  f"{meta.get('solve_seconds', 0):.1f}s)")
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
-    try:
-        kind, values = _parse_sweep(args.sweep)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    workspace = PlannerWorkspace(model, profile, steps=args.steps)
-    try:
-        if kind == "hbm":
-            plans = shard_sweep(
-                workspace, sharder=sharder, budgets=values,
-                base_topology=topology,
-            )
-        elif kind == "replicate":
-            # Hot-row replica budget grid: each point carves the budget
-            # out of HBM, shards the remainder, and spends the carved
-            # bytes on replicas of the globally hottest rows.
-            plans = shard_sweep(
-                workspace, sharder=sharder, replicate_gib=values,
-                base_topology=topology, replicate_scale=topo_scale,
-            )
-        elif kind == "strategies":
-            # Strategy-kind grid: each point enumerates one strategy
-            # family (plus the row fallback) over the shared workspace.
-            plans = shard_sweep(
-                workspace, sharder=sharder, strategies=values,
-                base_topology=topology,
-            )
-        elif kind == "precisions":
-            # Cold-tier precision grid: each point stores every tier
-            # past the fastest at one quantized encoding (fp32 is the
-            # unquantized baseline point).
-            plans = shard_sweep(
-                workspace, sharder=sharder, precisions=values,
-                base_topology=topology,
-            )
-        elif kind == "tiers":
-            # Tier-count grid (Section 4.4): every point is a prefix of
-            # the preset tier ladder, solved by the vectorized
-            # multi-tier greedy over the same workspace.
-            topologies = [
+    kind, values = args.sweep
+    if kind == "tiers":
+        # Tier-count grid (Section 4.4): every point is a prefix of the
+        # preset tier ladder, solved by the multi-tier greedy.
+        sharder = MultiTierSharder(batch_size=args.batch, steps=args.steps)
+        grid = {
+            "topologies": [
                 tier_ladder_node(t, num_gpus=args.gpus, scale=topo_scale)
                 for t in values
-            ]
-            plans = shard_sweep(
-                workspace,
-                sharder=MultiTierSharder(
-                    batch_size=args.batch, steps=args.steps
-                ),
-                topologies=topologies,
-                labels=[f"tiers={t}" for t in values],
-            )
-        else:
-            topologies = [
-                paper_node(num_gpus=g, scale=paper_scales(args.features, g)[0])
-                for g in values
-            ]
-            plans = shard_sweep(
-                workspace, sharder=sharder, topologies=topologies
-            )
+            ],
+            "labels": [f"tiers={t}" for t in values],
+        }
+    elif kind == "gpus":
+        grid = {"topologies": [
+            paper_node(num_gpus=g, scale=paper_scales(args.features, g)[0])
+            for g in values
+        ]}
+    else:
+        # hbm: HBM budget multiples.  replicate: each point carves its
+        # budget out of HBM and spends it on replicas of the globally
+        # hottest rows.  strategies: one strategy family (plus the row
+        # fallback) per point.  precisions: every tier past the fastest
+        # at one encoding (fp32 is the unquantized point).
+        key = {"hbm": "budgets", "replicate": "replicate_gib"}.get(kind, kind)
+        grid = {
+            key: values, "base_topology": topology,
+            "replicate_scale": topo_scale,
+        }
+    workspace = PlannerWorkspace(model, profile, steps=args.steps)
+    try:
+        plans = shard_sweep(workspace, sharder=sharder, **grid)
     except PlanError as error:
         # The model is row-scaled to --gpus (see _build_world); grid
         # points with much less aggregate capacity can be genuinely
         # infeasible.
-        print(f"error: {error} (the workload is sized for --gpus "
-              f"{args.gpus}; smaller grid points may not fit it)",
-              file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(
+            None, f"--sweep: {error} (the workload is sized for --gpus "
+                  f"{args.gpus}; smaller grid points may not fit it)"
+        ) from error
     elapsed_ms = (time.perf_counter() - start) * 1e3
     print(f"{kind} sweep for {model.name} "
           f"({len(plans)} plans, one shared workspace):")
@@ -425,9 +444,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_replay(args) -> int:
     """Replay a seeded trace against one plan and time the engine itself."""
-    if args.iters < 1:
-        print("error: --iters must be >= 1", file=sys.stderr)
-        return 2
     model, topology = _build_world(args)
     profile = analytic_profile(model)
     plan = _make_recshard(args).shard(model, profile, topology)
@@ -449,100 +465,27 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _dump_report_json(path, metrics) -> None:
-    """Write the ServingMetrics summary to ``path`` as JSON (if set)."""
-    if not path:
-        return
-    with open(path, "w") as fh:
-        json.dump(metrics.summary(), fh, indent=2, sort_keys=True,
-                  default=float)
-        fh.write("\n")
-    print(f"wrote metrics summary to {path}")
-
-
 def _cmd_serve(args) -> int:
     """Run a seeded synthetic serving workload and report QPS/latency."""
-    if args.qps <= 0:
-        print("error: --qps must be > 0", file=sys.stderr)
-        return 2
-    if args.requests < 1:
-        print("error: --requests must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
-        return 2
-    if args.queue_depth is not None and args.queue_depth < 1:
-        print("error: --queue-depth must be >= 1", file=sys.stderr)
-        return 2
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = parse_chaos_spec(args.chaos)
-        except ValueError as exc:
-            print(f"error: --chaos: {exc}", file=sys.stderr)
-            return 2
     if args.workers and args.drift_months > 0:
-        print("error: --workers serves a fixed plan; --drift-months "
-              "requires the single-process runtime (--workers 0)",
-              file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(
+            None, "--workers serves a fixed plan; --drift-months requires "
+                  "the single-process runtime (--workers 0)"
+        )
     if args.paced and not args.workers:
-        print("error: --paced (wall-clock pacing + shedding) requires "
-              "--workers N", file=sys.stderr)
-        return 2
-    if args.batch_requests < 1:
-        print("error: --batch-requests must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_delay_ms <= 0:
-        print("error: --max-delay-ms must be > 0", file=sys.stderr)
-        return 2
-    if args.staging_gib < 0:
-        print("error: --staging-gib must be >= 0", file=sys.stderr)
-        return 2
-    if args.replicate_gib < 0:
-        print("error: --replicate-gib must be >= 0", file=sys.stderr)
-        return 2
-    if args.burst_qps is not None and args.burst_qps <= 0:
-        print("error: --burst-qps must be > 0", file=sys.stderr)
-        return 2
-    if args.idle_qps is not None and args.idle_qps < 0:
-        print("error: --idle-qps must be >= 0", file=sys.stderr)
-        return 2
-    if args.burst_ms <= 0:
-        print("error: --burst-ms must be > 0", file=sys.stderr)
-        return 2
-    if args.idle_ms <= 0:
-        print("error: --idle-ms must be > 0", file=sys.stderr)
-        return 2
-    if args.slo_ms is not None and args.slo_ms <= 0:
-        print("error: --slo-ms must be > 0", file=sys.stderr)
-        return 2
-    if args.deadline_ms is not None and args.deadline_ms <= 0:
-        print("error: --deadline-ms must be > 0", file=sys.stderr)
-        return 2
-    if args.queue_limit_ms is not None and args.queue_limit_ms <= 0:
-        print("error: --queue-limit-ms must be > 0", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(
+            None, "--paced (wall-clock pacing + shedding) requires --workers N"
+        )
     if args.brownout and args.slo_ms is None:
-        print("error: --brownout requires --slo-ms", file=sys.stderr)
-        return 2
-    priority_names = ()
-    priority_shares = None
-    if args.priorities:
-        try:
-            priority_names, priority_shares = parse_priority_spec(
-                args.priorities
-            )
-        except ValueError as exc:
-            print(f"error: --priorities: {exc}", file=sys.stderr)
-            return 2
-    with_qos = args.deadline_ms is not None or priority_shares is not None
+        raise argparse.ArgumentError(None, "--brownout requires --slo-ms")
+    priority_names, priority_shares = args.priorities or ((), None)
     overload = None
     if (
         args.slo_ms is not None
         or args.queue_limit_ms is not None
         or args.brownout
-        or with_qos
+        or args.deadline_ms is not None
+        or priority_shares is not None
     ):
         overload = OverloadControl(
             slo_ms=args.slo_ms,
@@ -551,14 +494,11 @@ def _cmd_serve(args) -> int:
             priority_names=priority_names,
         )
     model, topology = _build_world(args)
-    if chaos is not None:
-        try:
-            chaos.validate_targets(
+    if args.chaos is not None:
+        with _blame("--chaos"):
+            args.chaos.validate_targets(
                 topology.num_devices, num_workers=args.workers
             )
-        except ValueError as exc:
-            print(f"error: --chaos: {exc}", file=sys.stderr)
-            return 2
     profile = analytic_profile(model)
     config = ServingConfig(
         max_batch_size=args.batch_requests,
@@ -622,49 +562,43 @@ def _cmd_serve(args) -> int:
         deadline_ms=args.deadline_ms,
         priority_shares=priority_shares,
     )
-    tiers = "/".join(topology.tier_names)
+    runtime = dict(
+        sharder=sharder, config=config, staging=staging,
+        replication=replication, chaos=args.chaos, overload=overload,
+    )
     if args.workers:
         server = MultiProcessServer(
-            model, profile, topology, sharder=sharder, config=config,
-            staging=staging, replication=replication,
-            workers=args.workers, queue_depth=args.queue_depth,
-            chaos=chaos, overload=overload,
+            model, profile, topology, workers=args.workers,
+            queue_depth=args.queue_depth, **runtime,
         )
-        start = time.perf_counter()
-        with server:
-            if args.paced:
-                metrics = server.serve_paced(arenas)
-            else:
-                metrics = server.serve_arenas(arenas)
-        elapsed = time.perf_counter() - start
-        mode = "open-loop paced" if args.paced else "closed-loop"
-        print(f"served {model.name} on {args.gpus} GPUs over {tiers} "
-              f"({offered}, microbatch <= {args.batch_requests} reqs / "
-              f"{args.max_delay_ms:g} ms, {args.workers} worker "
-              f"processes, {mode}):")
-        for line in server.worker_fault_log:
-            print(f"  [supervisor] {line}")
-        print(metrics.format_report())
+        mode = (f", {args.workers} worker processes, "
+                f"{'open-loop paced' if args.paced else 'closed-loop'}")
+    else:
+        server = LookupServer(model, profile, topology, **runtime)
+        mode = ""
+    serve = server.serve_paced if args.paced else server.serve_arenas
+    start = time.perf_counter()
+    with server if args.workers else contextlib.nullcontext():
+        metrics = serve(arenas)
+    elapsed = time.perf_counter() - start
+    print(f"served {model.name} on {args.gpus} GPUs over "
+          f"{'/'.join(topology.tier_names)} ({offered}, microbatch <= "
+          f"{args.batch_requests} reqs / {args.max_delay_ms:g} ms{mode}):")
+    for line in getattr(server, "worker_fault_log", ()):
+        print(f"  [supervisor] {line}")
+    print(metrics.format_report())
+    if args.workers:
         print(f"wall-clock: {elapsed:.2f} s "
               f"({metrics.num_requests / max(elapsed, 1e-9):.0f} "
               f"sustained QPS)")
-        _dump_report_json(args.report_json, metrics)
-        return 0
-    server = LookupServer(
-        model, profile, topology, sharder=sharder, config=config,
-        staging=staging, replication=replication, chaos=chaos,
-        overload=overload,
-    )
-    start = time.perf_counter()
-    metrics = server.serve_arenas(arenas)
-    elapsed = time.perf_counter() - start
-    print(f"served {model.name} on {args.gpus} GPUs over {tiers} "
-          f"({offered}, "
-          f"microbatch <= {args.batch_requests} reqs / "
-          f"{args.max_delay_ms:g} ms):")
-    print(metrics.format_report())
-    print(f"simulation wall-clock: {elapsed:.2f} s")
-    _dump_report_json(args.report_json, metrics)
+    else:
+        print(f"simulation wall-clock: {elapsed:.2f} s")
+    if args.report_json:
+        with open(args.report_json, "w") as fh:
+            json.dump(metrics.summary(), fh, indent=2, sort_keys=True,
+                      default=float)
+            fh.write("\n")
+        print(f"wrote metrics summary to {args.report_json}")
     return 0
 
 
@@ -674,176 +608,138 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_char = sub.add_parser(
-        "characterize", help="print the Section 3 feature characterization"
-    )
-    _add_common(p_char)
-    p_char.set_defaults(func=_cmd_characterize)
+    def add(name, func, helptext, flags):
+        p = sub.add_parser(name, help=helptext)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p_plan = sub.add_parser(
-        "plan",
-        help="vectorized planner: one plan or a --sweep grid over one "
-             "shared workspace",
-    )
-    _add_common(p_plan)
-    p_plan.add_argument("--steps", type=_at_least(1), default=100,
-                        help="ICDF discretization steps (default: 100)")
-    p_plan.add_argument("--reclaim-dead", action="store_true",
-                        help="do not charge never-accessed rows to UVM")
-    p_plan.add_argument("--replicate-gib", type=float, default=0.0,
-                        help="per-GPU (paper-scale) GiB of HBM carved "
-                             "out for replicas of the globally hottest "
-                             "rows, served least-loaded from any GPU "
-                             "(default: off)")
-    p_plan.add_argument("--strategies", default=None, metavar="KINDS",
-                        help="comma list of per-table sharding strategies "
-                             "to enumerate (row, column, table, twrw, or "
-                             "auto); the planner scores candidates under "
-                             "the shared capacity model and keeps "
-                             "per-table winners")
-    p_plan.add_argument("--precisions", default=None, metavar="SPEC",
-                        help="per-tier storage precisions as "
-                             "tier=precision pairs, e.g. uvm=fp16 or "
-                             "dram=fp16,ssd=int8 (fp32, fp16, int8, "
-                             "int4); quantized tiers admit more rows "
-                             "under the same byte budget")
-    p_plan.add_argument("--sweep", default=None, metavar="GRID",
-                        help="hbm=<scale,...> (HBM budget multiples), "
-                             "gpus=<count,...> (device-count grid), "
-                             "tiers=<count,...> (tier-ladder depth grid, "
-                             "multi-tier greedy planner), "
-                             "replicate=<GiB,...> (hot-row replica "
-                             "budget grid), strategies=<kinds,...> "
-                             "(per-table strategy-family grid), or "
-                             "precisions=<name,...> (cold-tier "
-                             "quantization grid)")
-    p_plan.set_defaults(func=_cmd_plan)
+    add("characterize", _cmd_characterize,
+        "print the Section 3 feature characterization", _COMMON)
+
+    p = add("plan", _cmd_plan,
+            "one plan (fast sharder, or the MILP with --milp-time), a "
+            "per-table strategy plan, or a --sweep grid over one shared "
+            "workspace", _PLANNER)
+    p.set_defaults(milp_time=0.0)
+    p.add_argument("--strategies", default=None, metavar="KINDS",
+                   type=_spec(lambda text: resolve_strategy_kinds(
+                       text.split(","))),
+                   help="comma list of per-table sharding strategies to "
+                        "enumerate (row, column, table, twrw, or auto); "
+                        "the planner scores candidates under the shared "
+                        "capacity model and keeps per-table winners")
+    p.add_argument("--sweep", default=None, metavar="GRID",
+                   type=_spec(_parse_sweep),
+                   help="hbm=<scale,...> (HBM budget multiples), "
+                        "gpus=<count,...> (device-count grid), "
+                        "tiers=<count,...> (tier-ladder depth grid, "
+                        "multi-tier greedy planner), replicate=<GiB,...> "
+                        "(hot-row replica budget grid), "
+                        "strategies=<kinds,...> (per-table strategy-family "
+                        "grid), or precisions=<name,...> (cold-tier "
+                        "quantization grid)")
 
     for name, func, helptext in (
-        ("shard", _cmd_shard, "produce and summarize a RecShard plan"),
         ("compare", _cmd_compare, "run RecShard against the baselines"),
         ("replay", _cmd_replay, "replay a trace and time the engine"),
-        ("serve", _cmd_serve, "run an online serving workload"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.add_argument("--steps", type=_at_least(1), default=100,
-                       help="ICDF discretization steps (default: 100)")
-        p.add_argument("--formulation", choices=("convex", "step"),
-                       default="convex")
-        p.add_argument("--milp-time", type=float, default=15.0,
-                       help="MILP budget in seconds; 0 = fast solver only")
-        p.add_argument("--reclaim-dead", action="store_true",
-                       help="do not charge never-accessed rows to UVM")
-        if name in ("compare", "replay"):
-            p.add_argument("--iters", type=int, default=3,
-                           help="measured iterations (default: 3)")
-        if name == "serve":
-            p.add_argument("--tiers", default=None, metavar="NAMES",
-                           help="comma-separated tier presets, fastest "
-                                "first (hbm,uvm|dram,ssd,hdd); each may "
-                                "override its per-GPU GiB as name:GiB, "
-                                "e.g. hbm,dram:8,ssd (default: hbm,uvm)")
-            p.add_argument("--precisions", default=None, metavar="SPEC",
-                           help="per-tier storage precisions as "
-                                "tier=precision pairs, e.g. "
-                                "dram=fp16,ssd=int8 (fp32, fp16, int8, "
-                                "int4); quantized tiers admit more rows "
-                                "under the same byte budget")
-            p.add_argument("--staging-gib", type=float, default=0.0,
-                           help="per-device per-cold-tier staging buffer "
-                                "in (paper-scale) GiB: statically-hottest "
-                                "cold rows served at the next-faster "
-                                "tier's bandwidth (default: off)")
-            p.add_argument("--replicate-gib", type=float, default=0.0,
-                           help="per-GPU (paper-scale) GiB of the fastest "
-                                "tier carved out for replicas of the "
-                                "globally hottest rows, routed to the "
-                                "least-loaded GPU per lookup "
-                                "(default: off)")
-            p.add_argument("--qps", type=float, default=20000,
-                           help="offered load, requests/s (default: 20000)")
-            p.add_argument("--requests", type=int, default=4000,
-                           help="stream length (default: 4000)")
-            p.add_argument("--batch-requests", type=int, default=256,
-                           help="microbatch size cap (default: 256)")
-            p.add_argument("--max-delay-ms", type=float, default=2.0,
-                           help="microbatching delay budget (default: 2 ms)")
-            p.add_argument("--workers", type=int, default=0,
-                           help="worker processes for the multi-process "
-                                "runtime (0 = single-process simulation; "
-                                "N >= 1 serves a fixed plan with real "
-                                "concurrency and wall-clock QPS)")
-            p.add_argument("--queue-depth", type=int, default=None,
-                           help="task-queue bound of the worker pool "
-                                "(default: 2 x workers); what paced "
-                                "overload sheds against")
-            p.add_argument("--paced", action="store_true",
-                           help="offer batches on the wall clock at their "
-                                "simulated release times and shed on a "
-                                "full queue (requires --workers)")
-            p.add_argument("--burst", action="store_true",
-                           help="bursty on/off arrivals instead of steady "
-                                "Poisson (burst/idle rates default to "
-                                "4x / 0.1x the mean rate)")
-            p.add_argument("--burst-qps", type=float, default=None,
-                           help="arrival rate inside bursts "
-                                "(default: 4 x --qps)")
-            p.add_argument("--idle-qps", type=float, default=None,
-                           help="arrival rate between bursts "
-                                "(default: 0.1 x --qps)")
-            p.add_argument("--burst-ms", type=float, default=50.0,
-                           help="burst window length (default: 50 ms)")
-            p.add_argument("--idle-ms", type=float, default=50.0,
-                           help="idle window length (default: 50 ms)")
-            p.add_argument("--chaos", default=None, metavar="SPEC",
-                           help="scripted fault drill: comma-separated "
-                                "kind@ms:target terms with kinds "
-                                "fail/degrade/recover/kill, e.g. "
-                                "'fail@250:1,recover@900:1' or "
-                                "'degrade@100:0x4' (device 0, 4x "
-                                "slower); kill targets a worker and "
-                                "requires --workers")
-            p.add_argument("--drift-months", type=_at_least(0, float),
-                           default=0.0,
-                           help="months of statistics drift to fast-forward "
-                                "across the stream (0 = stationary)")
-            p.add_argument("--drift-threshold", type=float, default=5.0,
-                           help="pooling drift %% that triggers a replan")
-            p.add_argument("--drift-min-samples", type=int, default=1024,
-                           help="samples before a replan may trigger")
-            p.add_argument("--slo-ms", type=float, default=None,
-                           help="latency SLO the overload controller "
-                                "defends; enables priority shedding (with "
-                                "--priorities) and brownout (with "
-                                "--brownout)")
-            p.add_argument("--deadline-ms", type=float, default=None,
-                           help="per-request deadline budget; requests "
-                                "predicted to miss arrival+budget are shed "
-                                "early (cause 'deadline')")
-            p.add_argument("--priorities", default=None, metavar="SPEC",
-                           help="priority classes as name=share terms, "
-                                "e.g. 'gold=0.1,silver=0.3,bronze=0.6'; "
-                                "class order is shed order (first listed "
-                                "is never shed)")
-            p.add_argument("--brownout", action="store_true",
-                           help="enable degraded-mode serving: skip "
-                                "cold-tier home lanes while the windowed "
-                                "p99 violates --slo-ms")
-            p.add_argument("--queue-limit-ms", type=float, default=None,
-                           help="shed whole batches whose predicted "
-                                "queueing delay exceeds this bound "
-                                "(cause 'overflow')")
-            p.add_argument("--report-json", default=None, metavar="PATH",
-                           help="write the metrics summary to PATH as "
-                                "JSON after serving")
-        p.set_defaults(func=func)
+        p = add(name, func, helptext, _SHARDER)
+        p.add_argument("--iters", type=_at_least(1), default=3,
+                       help="measured iterations (default: 3)")
+
+    p = add("serve", _cmd_serve, "run an online serving workload", _PLANNER)
+    p.add_argument("--tiers", default=None, metavar="NAMES",
+                   help="comma-separated tier presets, fastest first "
+                        "(hbm,uvm|dram,ssd,hdd); each may override its "
+                        "per-GPU GiB as name:GiB, e.g. hbm,dram:8,ssd "
+                        "(default: hbm,uvm)")
+    p.add_argument("--staging-gib", type=_NON_NEGATIVE, default=0.0,
+                   help="per-device per-cold-tier staging buffer in "
+                        "(paper-scale) GiB: statically-hottest cold rows "
+                        "served at the next-faster tier's bandwidth "
+                        "(default: off)")
+    p.add_argument("--qps", type=_POSITIVE, default=20000,
+                   help="offered load, requests/s (default: 20000)")
+    p.add_argument("--requests", type=_at_least(1), default=4000,
+                   help="stream length (default: 4000)")
+    p.add_argument("--batch-requests", type=_at_least(1), default=256,
+                   help="microbatch size cap (default: 256)")
+    p.add_argument("--max-delay-ms", type=_POSITIVE, default=2.0,
+                   help="microbatching delay budget (default: 2 ms)")
+    p.add_argument("--workers", type=_at_least(0), default=0,
+                   help="worker processes for the multi-process runtime "
+                        "(0 = single-process simulation; N >= 1 serves a "
+                        "fixed plan with real concurrency and wall-clock "
+                        "QPS)")
+    p.add_argument("--queue-depth", type=_at_least(1), default=None,
+                   help="task-queue bound of the worker pool (default: "
+                        "2 x workers); what paced overload sheds against")
+    p.add_argument("--paced", action="store_true",
+                   help="offer batches on the wall clock at their "
+                        "simulated release times and shed on a full queue "
+                        "(requires --workers)")
+    p.add_argument("--burst", action="store_true",
+                   help="bursty on/off arrivals instead of steady Poisson "
+                        "(burst/idle rates default to 4x / 0.1x the mean "
+                        "rate)")
+    p.add_argument("--burst-qps", type=_POSITIVE, default=None,
+                   help="arrival rate inside bursts (default: 4 x --qps)")
+    p.add_argument("--idle-qps", type=_NON_NEGATIVE, default=None,
+                   help="arrival rate between bursts (default: 0.1 x --qps)")
+    p.add_argument("--burst-ms", type=_POSITIVE, default=50.0,
+                   help="burst window length (default: 50 ms)")
+    p.add_argument("--idle-ms", type=_POSITIVE, default=50.0,
+                   help="idle window length (default: 50 ms)")
+    p.add_argument("--chaos", default=None, metavar="SPEC",
+                   type=_spec(parse_chaos_spec),
+                   help="scripted fault drill: comma-separated "
+                        "kind@ms:target terms with kinds "
+                        "fail/degrade/recover/kill, e.g. "
+                        "'fail@250:1,recover@900:1' or 'degrade@100:0x4' "
+                        "(device 0, 4x slower); kill targets a worker and "
+                        "requires --workers")
+    p.add_argument("--drift-months", type=_NON_NEGATIVE, default=0.0,
+                   help="months of statistics drift to fast-forward "
+                        "across the stream (0 = stationary)")
+    p.add_argument("--drift-threshold", type=_NON_NEGATIVE, default=5.0,
+                   help="pooling drift %% that triggers a replan")
+    p.add_argument("--drift-min-samples", type=_at_least(0), default=1024,
+                   help="samples before a replan may trigger")
+    p.add_argument("--slo-ms", type=_POSITIVE, default=None,
+                   help="latency SLO the overload controller defends; "
+                        "enables priority shedding (with --priorities) "
+                        "and brownout (with --brownout)")
+    p.add_argument("--deadline-ms", type=_POSITIVE, default=None,
+                   help="per-request deadline budget; requests predicted "
+                        "to miss arrival+budget are shed early (cause "
+                        "'deadline')")
+    p.add_argument("--priorities", default=None, metavar="SPEC",
+                   type=_spec(parse_priority_spec),
+                   help="priority classes as name=share terms, e.g. "
+                        "'gold=0.1,silver=0.3,bronze=0.6'; class order is "
+                        "shed order (first listed is never shed)")
+    p.add_argument("--brownout", action="store_true",
+                   help="enable degraded-mode serving: skip cold-tier home "
+                        "lanes while the windowed p99 violates --slo-ms")
+    p.add_argument("--queue-limit-ms", type=_POSITIVE, default=None,
+                   help="shed whole batches whose predicted queueing delay "
+                        "exceeds this bound (cause 'overflow')")
+    p.add_argument("--report-json", default=None, metavar="PATH",
+                   help="write the metrics summary to PATH as JSON after "
+                        "serving")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (argparse.ArgumentError, PlanError) as error:
+        # Cross-flag rules, world-dependent checks and infeasible plans
+        # end like a bad flag: argparse's message and exit status 2.
+        args.parser.error(str(error))
 
 
 if __name__ == "__main__":

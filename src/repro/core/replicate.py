@@ -66,8 +66,11 @@ class ReplicationPolicy:
     capacity_bytes: int
 
     def __post_init__(self):
-        if self.capacity_bytes < 0:
-            raise ValueError("replication capacity must be >= 0")
+        if not 0 <= self.capacity_bytes < np.inf:
+            raise ValueError(
+                f"replication capacity must be >= 0 and finite, "
+                f"got {self.capacity_bytes}"
+            )
 
 
 def carve_replica_budget(

@@ -55,10 +55,10 @@ class CacheModel:
     bandwidth: float
 
     def __post_init__(self):
-        if self.capacity_bytes < 0:
-            raise ValueError("cache capacity must be >= 0")
-        if self.bandwidth <= 0:
-            raise ValueError("cache bandwidth must be > 0")
+        if not 0 <= self.capacity_bytes < np.inf:
+            raise ValueError("cache capacity must be >= 0 and finite")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("cache bandwidth must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class TierStagingModel:
             if isinstance(self.capacity_bytes, tuple)
             else (self.capacity_bytes,)
         )
-        if any(c < 0 for c in caps):
-            raise ValueError("staging capacity must be >= 0")
+        if not all(0 <= c < np.inf for c in caps):
+            raise ValueError("staging capacity must be >= 0 and finite")
 
     def capacity_for(self, tier_index: int) -> int:
         """Staging budget (bytes/device) for cold tier ``tier_index``."""

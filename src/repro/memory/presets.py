@@ -16,6 +16,8 @@ simulated; ratios are what carry.
 
 from __future__ import annotations
 
+import math
+
 from repro.data.model import DEFAULT_ROW_SCALE
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
@@ -116,7 +118,12 @@ def node_from_tier_names(
             )
         capacity_bytes, bandwidth = TIER_PRESETS[name]
         if cap:
-            capacity_bytes = int(float(cap) * GIB)
+            gib = float(cap)
+            if not 0 <= gib < math.inf:
+                raise ValueError(
+                    f"tier {spec!r}: GiB must be >= 0 and finite"
+                )
+            capacity_bytes = int(gib * GIB)
         tiers.append(
             MemoryTier(name, int(capacity_bytes * scale), bandwidth)
         )

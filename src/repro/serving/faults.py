@@ -34,6 +34,7 @@ clean error before any worker forks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: event kinds that target a simulated device.
@@ -73,13 +74,15 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r} (have "
                 f"{DEVICE_KINDS + WORKER_KINDS})"
             )
-        if self.at_ms < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at_ms}")
+        if not 0 <= self.at_ms < math.inf:
+            raise ValueError(
+                f"fault time must be >= 0 and finite, got {self.at_ms}"
+            )
         if self.target < 0:
             raise ValueError(f"fault target must be >= 0, got {self.target}")
-        if self.kind == "device_degrade" and self.slowdown <= 1.0:
+        if self.kind == "device_degrade" and not 1.0 < self.slowdown < math.inf:
             raise ValueError(
-                f"degrade slowdown must be > 1, got {self.slowdown}"
+                f"degrade slowdown must be > 1 and finite, got {self.slowdown}"
             )
         if self.kind != "device_degrade" and self.slowdown != 1.0:
             raise ValueError(f"{self.kind} takes no slowdown factor")

@@ -54,8 +54,8 @@ class PoissonArrivals:
     qps: float
 
     def __post_init__(self):
-        if self.qps <= 0:
-            raise ValueError("qps must be > 0")
+        if not 0 < self.qps < np.inf:
+            raise ValueError(f"qps must be > 0 and finite, got {self.qps}")
 
     @property
     def mean_qps(self) -> float:
@@ -95,12 +95,18 @@ class BurstyArrivals:
     idle_ms: float = 50.0
 
     def __post_init__(self):
-        if self.burst_qps <= 0:
-            raise ValueError("burst_qps must be > 0")
-        if self.idle_qps < 0:
-            raise ValueError("idle_qps must be >= 0")
-        if self.burst_ms <= 0 or self.idle_ms <= 0:
-            raise ValueError("burst_ms and idle_ms must be > 0")
+        # Written as range tests so NaN (which fails every comparison)
+        # is rejected along with ±inf.
+        if not 0 < self.burst_qps < np.inf:
+            raise ValueError(
+                f"burst_qps must be > 0 and finite, got {self.burst_qps}"
+            )
+        if not 0 <= self.idle_qps < np.inf:
+            raise ValueError(
+                f"idle_qps must be >= 0 and finite, got {self.idle_qps}"
+            )
+        if not (0 < self.burst_ms < np.inf and 0 < self.idle_ms < np.inf):
+            raise ValueError("burst_ms and idle_ms must be > 0 and finite")
 
     @property
     def period_ms(self) -> float:

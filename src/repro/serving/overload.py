@@ -68,9 +68,10 @@ def parse_priority_spec(spec: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
             raise ValueError(
                 f"bad share for priority class {name!r}: {value!r}"
             ) from None
-        if share <= 0:
+        if not 0 < share < np.inf:
             raise ValueError(
-                f"priority class {name!r} share must be > 0, got {share}"
+                f"priority class {name!r} share must be > 0 and finite, "
+                f"got {share}"
             )
         if name in names:
             raise ValueError(f"duplicate priority class {name!r}")

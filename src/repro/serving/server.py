@@ -99,14 +99,20 @@ class ServingConfig:
     profile_sample_rate: float = 1.0
 
     def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
-        if self.overhead_ms_per_batch < 0:
-            raise ValueError("overhead_ms_per_batch must be >= 0")
-        if self.drift_check_every_batches < 1:
-            raise ValueError("drift_check_every_batches must be >= 1")
+        # Range tests, not ``x < 0`` guards: NaN fails every comparison.
+        for name, low in (
+            ("max_batch_size", 1),
+            ("max_delay_ms", 0),
+            ("overhead_ms_per_batch", 0),
+            ("drift_threshold_pct", 0),
+            ("drift_check_every_batches", 1),
+            ("drift_min_samples", 0),
+        ):
+            value = getattr(self, name)
+            if not low <= value < np.inf:
+                raise ValueError(
+                    f"{name} must be >= {low} and finite, got {value}"
+                )
 
 
 class DriftMonitor:

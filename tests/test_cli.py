@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import _make_recshard, build_parser, main
+
+
+def _rejected(argv, capsys):
+    """Run ``main(argv)``, expect argparse's exit status 2, return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestParser:
@@ -18,7 +28,31 @@ class TestParser:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--model", "rm9"])
+            build_parser().parse_args(["plan", "--model", "rm9"])
+
+    def test_shard_subcommand_is_gone(self, capsys):
+        # The MILP runs as `plan --milp-time N`; there is no `shard`.
+        assert "invalid choice: 'shard'" in _rejected(["shard"], capsys)
+
+    def test_plan_defaults_to_fast_sharder(self):
+        args = build_parser().parse_args(["plan"])
+        assert args.milp_time == 0.0
+        assert args.formulation == "convex"
+
+    def test_every_numeric_flag_is_range_checked(self):
+        # A bare int/float type lets NaN, ±inf and out-of-range values
+        # through; every numeric flag must use a checked type instead.
+        parser = build_parser()
+        (sub,) = [
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        for name, subparser in sub.choices.items():
+            for action in subparser._actions:
+                assert action.type not in (int, float), (
+                    f"{name} {action.option_strings} has a bare "
+                    f"{action.type.__name__} type"
+                )
 
 
 class TestFlagValidation:
@@ -32,20 +66,23 @@ class TestFlagValidation:
             ("plan", "--steps", "0"),
             ("replay", "--steps", "0"),
             ("plan", "--batch", "0"),
-            ("shard", "--batch", "-4"),
+            ("compare", "--batch", "-4"),
             ("serve", "--drift-months", "-1"),
+            ("compare", "--iters", "0"),
+            ("plan", "--gpus", "0"),
+            ("plan", "--features", "0"),
+            ("plan", "--seed", "-1"),
+            ("plan", "--replicate-gib", "nan"),
+            ("plan", "--milp-time", "inf"),
         ],
     )
     def test_rejects_out_of_range(self, command, flag, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, value] + self.COMMON)
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert flag in _rejected([command, flag, value] + self.COMMON, capsys)
 
     def test_fast_sharder_takes_steps(self):
         # --milp-time 0 picks the fast sharder; it must still plan at
         # the requested ICDF resolution.
-        for command in ("shard", "compare", "replay", "serve"):
+        for command in ("plan", "compare", "replay", "serve"):
             args = build_parser().parse_args(
                 [command, "--milp-time", "0", "--steps", "20"]
             )
@@ -62,7 +99,7 @@ class TestCommands:
         assert "coverage" in out
 
     def test_shard_fast(self, capsys):
-        argv = ["shard", "--model", "rm2", "--milp-time", "0"] + self.COMMON
+        argv = ["plan", "--model", "rm2", "--milp-time", "0"] + self.COMMON
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "rows on UVM" in out
@@ -70,11 +107,22 @@ class TestCommands:
 
     def test_shard_milp(self, capsys):
         argv = [
-            "shard", "--model", "rm1", "--milp-time", "10", "--steps", "10",
+            "plan", "--model", "rm1", "--milp-time", "10", "--steps", "10",
         ] + self.COMMON
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "plan for RM1" in out
+        assert "(solver: " in out
+        assert "rows on UVM" in out and "tables per GPU" in out
+
+    @pytest.mark.parametrize(
+        "extra", [["--sweep", "hbm=1,2"], ["--strategies", "auto"]]
+    )
+    def test_plan_milp_rejects_workspace_paths(self, extra, capsys):
+        err = _rejected(
+            ["plan", "--milp-time", "5"] + extra + self.COMMON, capsys
+        )
+        assert "--milp-time" in err and extra[0] in err
 
     def test_plan_vectorized_default(self, capsys):
         argv = ["plan", "--model", "rm2"] + self.COMMON
@@ -112,29 +160,25 @@ class TestCommands:
             "plan", "--model", "rm2", "--features", "40", "--gpus", "8",
             "--batch", "256", "--sweep", "gpus=2",
         ]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = _rejected(argv, capsys)
         assert "sweep point gpus=2" in err
         assert "sized for --gpus 8" in err
 
     def test_plan_sweep_rejects_bad_grid(self, capsys):
         argv = ["plan", "--sweep", "volts=1,2"] + self.COMMON
-        assert main(argv) == 2
-        assert "--sweep expects" in capsys.readouterr().err
+        assert "--sweep expects" in _rejected(argv, capsys)
 
     def test_plan_sweep_rejects_zero_grid_point(self, capsys):
         # Regression: hbm=0 used to crash deep in the planner instead
         # of failing validation with sweep-point context.
         argv = ["plan", "--model", "rm2", "--sweep", "hbm=0,1"] + self.COMMON
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = _rejected(argv, capsys)
         assert "hbm_scale=0" in err
         assert "must be finite" in err
 
     def test_plan_sweep_rejects_zero_gpus_point(self, capsys):
         argv = ["plan", "--model", "rm2", "--sweep", "gpus=0,2"] + self.COMMON
-        assert main(argv) == 2
-        assert "gpus=0" in capsys.readouterr().err
+        assert "gpus=0" in _rejected(argv, capsys)
 
     def test_plan_strategies_auto(self, capsys):
         argv = ["plan", "--model", "rm2", "--strategies", "auto"] + self.COMMON
@@ -146,8 +190,7 @@ class TestCommands:
 
     def test_plan_strategies_rejects_unknown_kind(self, capsys):
         argv = ["plan", "--strategies", "diagonal"] + self.COMMON
-        assert main(argv) == 2
-        assert "diagonal" in capsys.readouterr().err
+        assert "diagonal" in _rejected(argv, capsys)
 
     def test_plan_sweep_strategies(self, capsys):
         argv = [
@@ -168,20 +211,14 @@ class TestCommands:
         argv = [
             "plan", "--model", "rm2", "--precisions", "uvm=fp12",
         ] + self.COMMON
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
+        err = _rejected(argv, capsys)
         assert "--precisions" in err and "unknown precision" in err
 
     def test_plan_precisions_rejects_unknown_tier(self, capsys):
         argv = [
             "plan", "--model", "rm2", "--precisions", "dram=fp16",
         ] + self.COMMON
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert "no tier named" in capsys.readouterr().err
+        assert "no tier named" in _rejected(argv, capsys)
 
     def test_plan_sweep_precisions(self, capsys):
         argv = [
@@ -197,15 +234,13 @@ class TestCommands:
         argv = [
             "plan", "--model", "rm2", "--sweep", "precisions=fp32,fp12",
         ] + self.COMMON
-        assert main(argv) == 2
-        assert "precisions=fp12" in capsys.readouterr().err
+        assert "precisions=fp12" in _rejected(argv, capsys)
 
     def test_plan_sweep_unknown_axis_lists_valid_axes(self, capsys):
         # The axis-name error must name every valid axis so a typo'd
         # grid is self-correcting from the message alone.
         argv = ["plan", "--sweep", "precision=fp16"] + self.COMMON
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        err = _rejected(argv, capsys)
         assert "--sweep expects" in err
         for axis in ("hbm=", "gpus=", "tiers=", "replicate=",
                      "strategies=", "precisions="):
@@ -233,7 +268,7 @@ class TestCommands:
 
     def test_shard_reclaim_dead(self, capsys):
         argv = [
-            "shard", "--model", "rm3", "--milp-time", "0", "--reclaim-dead",
+            "plan", "--model", "rm3", "--milp-time", "0", "--reclaim-dead",
         ] + self.COMMON
         assert main(argv) == 0
         assert "rows on UVM" in capsys.readouterr().out
@@ -347,8 +382,9 @@ class TestServeValidation:
     COMMON = ["--features", "40", "--gpus", "2", "--batch", "256"]
 
     def run(self, extra, capsys):
-        code = main(["serve", "--model", "rm2"] + self.COMMON + extra)
-        return code, capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", "rm2"] + self.COMMON + extra)
+        return exc.value.code, capsys.readouterr().err
 
     def test_rejects_nonpositive_qps(self, capsys):
         code, err = self.run(["--qps", "-5"], capsys)
@@ -388,6 +424,12 @@ class TestServeValidation:
             ("--slo-ms", "0"),
             ("--deadline-ms", "-1"),
             ("--queue-limit-ms", "0"),
+            ("--qps", "nan"),
+            ("--max-delay-ms", "nan"),
+            ("--burst-ms", "nan"),
+            ("--staging-gib", "inf"),
+            ("--drift-threshold", "-1"),
+            ("--drift-min-samples", "-5"),
         ],
     )
     def test_rejects_nonpositive_serve_knobs(self, flag, value, capsys):

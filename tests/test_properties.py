@@ -180,9 +180,3 @@ def test_public_api_exports_importable():
         for removed in ("LookupRequest", "MicroBatchQueue", "coalesce_requests"):
             assert removed not in module.__all__
             assert not hasattr(module, removed)
-
-    # The engine.trace re-exports stay aligned with data.batch.
-    from repro.data.batch import JaggedBatch as A
-    from repro.engine.trace import JaggedBatch as B
-
-    assert A is B
