@@ -15,6 +15,7 @@ from typing import Callable
 from repro.baselines.cost import COST_FUNCTIONS
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
+from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
 
 
@@ -30,7 +31,14 @@ class GreedySharder:
         self.cost_fn = cost_fn
         self.name = name
 
-    def shard(self, model, profile, topology: SystemTopology) -> ShardingPlan:
+    def shard(
+        self, model, profile, topology: SystemTopology,
+        warm_start: ShardingPlan | None = None,
+        workspace: PlannerWorkspace | None = None,
+    ) -> ShardingPlan:
+        """Greedy placement from the fixed per-table costs; ignores
+        ``warm_start`` (no incremental mode), and ``workspace`` only
+        speeds up the cost stamp."""
         if topology.num_tiers != 2:
             raise ValueError("GreedySharder targets two-tier topologies")
         costs = [
@@ -82,7 +90,7 @@ class GreedySharder:
         # buys.  The baseline has no batch size of its own, so costs
         # are stamped per-sample (the stamped batch size says so).
         return stamp_estimated_costs(
-            plan, model, profile, topology, batch_size=1
+            plan, model, profile, topology, batch_size=1, workspace=workspace
         )
 
 

@@ -203,8 +203,8 @@ _FLAGS = {
         help="do not charge never-accessed rows to UVM",
     ),
     "--formulation": dict(
-        choices=("convex", "step"), default="convex",
-        help="MILP formulation (default: convex)",
+        choices=("convex", "step"), default=None,
+        help="MILP formulation (default: convex); needs --milp-time > 0",
     ),
     "--milp-time": dict(
         type=_NON_NEGATIVE, default=15.0,
@@ -271,9 +271,15 @@ def _make_recshard(args):
         reclaim_dead=args.reclaim_dead, name="RecShard",
     )
     if args.milp_time <= 0:
+        if args.formulation is not None:
+            raise argparse.ArgumentError(
+                None, "--formulation picks the MILP formulation; it needs "
+                      "--milp-time > 0 (0 runs the fast sharder)"
+            )
         return RecShardFastSharder(**common)
     return RecShardSharder(
-        formulation=args.formulation, time_limit=args.milp_time, **common
+        formulation=args.formulation or "convex",
+        time_limit=args.milp_time, **common,
     )
 
 
@@ -293,6 +299,19 @@ def _cmd_plan(args) -> int:
     if args.strategies and args.replicate_gib > 0:
         raise argparse.ArgumentError(
             None, "--strategies plans do not compose with --replicate-gib"
+        )
+    if args.sweep and args.replicate_gib > 0:
+        raise argparse.ArgumentError(
+            None, "--replicate-gib builds one replicated plan; use --sweep "
+                  "replicate=... for a replica budget grid"
+        )
+    if args.precisions and args.sweep and args.sweep[0] in (
+        "tiers", "gpus", "precisions"
+    ):
+        raise argparse.ArgumentError(
+            None, f"--precisions does not apply to --sweep "
+                  f"{args.sweep[0]}=...: that grid sets its own "
+                  f"topologies or precisions"
         )
     model, topology = _build_world(args)
     profile = analytic_profile(model)
@@ -342,11 +361,10 @@ def _cmd_plan(args) -> int:
             f"solver: {meta.get('solver', '-')}" if args.milp_time > 0
             else "vectorized planner"
         )
-        # A MILP incumbent carries the evaluator's cost as "expected_*".
-        cost = meta.get("estimated_max_cost_ms", meta.get("expected_max_cost_ms"))
         print(f"plan for {model.name} on {args.gpus} GPUs ({engine}):")
         print(f"  rows on UVM: {summary['uvm_row_fraction']:.1%}")
-        print(f"  estimated max GPU cost: {cost:.4f} ms")
+        print(f"  estimated max GPU cost: "
+              f"{meta['estimated_max_cost_ms']:.4f} ms")
         print(f"  tables per GPU: {summary['tables_per_device']}")
         if plan.replica_rows is not None:
             print(f"  replicated rows: {summary['replicated_rows']} "
@@ -472,12 +490,19 @@ def _cmd_serve(args) -> int:
             None, "--workers serves a fixed plan; --drift-months requires "
                   "the single-process runtime (--workers 0)"
         )
-    if args.paced and not args.workers:
-        raise argparse.ArgumentError(
-            None, "--paced (wall-clock pacing + shedding) requires --workers N"
-        )
-    if args.brownout and args.slo_ms is None:
-        raise argparse.ArgumentError(None, "--brownout requires --slo-ms")
+    # Flags that act only with another flag are refused without it.
+    for flag, given, needs, enabled in (
+        ("--paced", args.paced, "--workers N", args.workers),
+        ("--queue-depth", args.queue_depth is not None, "--workers N",
+         args.workers),
+        ("--brownout", args.brownout, "--slo-ms", args.slo_ms is not None),
+        ("--burst-qps", args.burst_qps is not None, "--burst", args.burst),
+        ("--idle-qps", args.idle_qps is not None, "--burst", args.burst),
+        ("--burst-ms", args.burst_ms is not None, "--burst", args.burst),
+        ("--idle-ms", args.idle_ms is not None, "--burst", args.burst),
+    ):
+        if given and not enabled:
+            raise argparse.ArgumentError(None, f"{flag} requires {needs}")
     priority_names, priority_shares = args.priorities or ((), None)
     overload = None
     if (
@@ -536,6 +561,7 @@ def _cmd_serve(args) -> int:
     rate = args.qps
     offered = f"offered load {args.qps:.0f} QPS"
     if args.burst:
+        windows = {"burst_ms": args.burst_ms, "idle_ms": args.idle_ms}
         rate = BurstyArrivals(
             burst_qps=(
                 args.burst_qps if args.burst_qps is not None
@@ -545,8 +571,7 @@ def _cmd_serve(args) -> int:
                 args.idle_qps if args.idle_qps is not None
                 else 0.1 * args.qps
             ),
-            burst_ms=args.burst_ms,
-            idle_ms=args.idle_ms,
+            **{k: v for k, v in windows.items() if v is not None},
         )
         offered = (f"bursty {rate.burst_qps:.0f}/{rate.idle_qps:.0f} "
                    f"QPS over {rate.burst_ms:g}/{rate.idle_ms:g} ms "
@@ -688,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arrival rate inside bursts (default: 4 x --qps)")
     p.add_argument("--idle-qps", type=_NON_NEGATIVE, default=None,
                    help="arrival rate between bursts (default: 0.1 x --qps)")
-    p.add_argument("--burst-ms", type=_POSITIVE, default=50.0,
+    p.add_argument("--burst-ms", type=_POSITIVE, default=None,
                    help="burst window length (default: 50 ms)")
-    p.add_argument("--idle-ms", type=_POSITIVE, default=50.0,
+    p.add_argument("--idle-ms", type=_POSITIVE, default=None,
                    help="idle window length (default: 50 ms)")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    type=_spec(parse_chaos_spec),

@@ -13,7 +13,7 @@ from repro.core.plan import (
     ShardingPlan,
     TablePlacement,
     TableStrategy,
-    twrw_cell_rows,
+    crossing_cells,
 )
 from repro.core.remap import RemappingLayer, RemappingTable
 from repro.core.formulation import RecShardInputs, TableInputs, build_milp
@@ -46,7 +46,6 @@ from repro.core.strategies import (
     plan_with_strategies,
     proportional_split,
     resolve_strategy_kinds,
-    strategy_device_costs_ms,
 )
 from repro.core.recshard import RecShardSharder
 from repro.core.fast import RecShardFastSharder
@@ -70,6 +69,7 @@ __all__ = [
     "build_milp",
     "build_replication",
     "carve_replica_budget",
+    "crossing_cells",
     "dequantize_rows",
     "expected_device_costs_ms",
     "expected_device_costs_ms_many",
@@ -85,7 +85,5 @@ __all__ = [
     "resolve_strategy_kinds",
     "shard_sweep",
     "stamp_estimated_costs",
-    "strategy_device_costs_ms",
-    "twrw_cell_rows",
     "validate_scale_grid",
 ]

@@ -40,10 +40,11 @@ import math
 
 import numpy as np
 
+from repro.core.evaluate import stamp_estimated_costs
 from repro.core.formulation import TableInputs
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.quantize import tier_expected_errors
-from repro.core.workspace import PlannerWorkspace
+from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
 from repro.stats.cdf import descending_order
 
@@ -180,15 +181,9 @@ class RecShardFastSharder:
         amortize the statistics build across calls (replans, sweeps) —
         otherwise a fresh workspace is built for this call.
         """
-        if workspace is None:
-            workspace = PlannerWorkspace(model, profile, steps=self.steps)
-        elif workspace.steps != self.steps:
-            raise ValueError(
-                f"workspace sampled {workspace.steps} ICDF steps, "
-                f"sharder expects {self.steps}"
-            )
         return self.shard_from_workspace(
-            workspace, topology, warm_start=warm_start
+            sharder_workspace(model, profile, self.steps, workspace),
+            topology, warm_start=warm_start,
         )
 
     def shard_from_workspace(
@@ -248,10 +243,15 @@ class RecShardFastSharder:
             ws, states, weight, inv_bw_hbm, inv_bw_uvm, device_of, hbm_free,
             hbm_rb,
         )
-        return self._emit_plan(states, device_of, topology, inputs, preferred)
+        # The LPT loads above steer the solve; the plan's estimate is
+        # the evaluator's, like every other planner's.
+        return stamp_estimated_costs(
+            self._emit_plan(states, device_of, topology, inputs, preferred),
+            ws.model, ws.profile, topology, self.batch_size, workspace=ws,
+        )
 
     def _emit_plan(self, states, device_of, topology, inputs, preferred):
-        """Materialize placements and metadata."""
+        """Materialize placements and metadata (the caller stamps costs)."""
         placements = []
         for state in states:
             hbm_rows = state.hbm_rows
@@ -262,13 +262,7 @@ class RecShardFastSharder:
                     rows_per_tier=(hbm_rows, state.inputs.hash_size - hbm_rows),
                 )
             )
-        loads = self._recompute_loads(states, device_of, topology.num_devices)
-        metadata = {
-            "estimated_max_cost_ms": max(loads),
-            "estimated_device_costs_ms": loads,
-            "estimated_cost_batch_size": self.batch_size,
-            "solver": "fast",
-        }
+        metadata = {"solver": "fast"}
         if preferred is not None:
             metadata["warm_started"] = True
         _stamp_tier_precisions(metadata, topology)

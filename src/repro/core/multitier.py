@@ -38,7 +38,7 @@ from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
 from repro.core.formulation import MIB, RecShardInputs
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
-from repro.core.workspace import PlannerWorkspace
+from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
 from repro.milp.model import Model, lin_sum
@@ -80,23 +80,12 @@ class MultiTierSharder:
         across calls (drift replans, sweeps); ``warm_start`` keeps
         tables on their previous devices where the splits still fit.
         """
+        workspace = sharder_workspace(model, profile, self.steps, workspace)
         if self.method == "greedy":
-            if workspace is None:
-                workspace = PlannerWorkspace(model, profile, steps=self.steps)
-            elif workspace.steps != self.steps:
-                raise ValueError(
-                    f"workspace sampled {workspace.steps} ICDF steps, "
-                    f"sharder expects {self.steps}"
-                )
             return self.shard_from_workspace(
                 workspace, topology, warm_start=warm_start
             )
-        inputs = (
-            workspace.inputs
-            if workspace is not None
-            else RecShardInputs.from_profile(model, profile, steps=self.steps)
-        )
-        plan = self._shard_milp(inputs, topology)
+        plan = self._shard_milp(workspace.inputs, topology)
         # Score the result under the analytic cost model (batched
         # evaluator handles any tier count) so multi-tier plans report
         # the same estimated-makespan metadata as the two-tier sharders.

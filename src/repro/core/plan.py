@@ -129,24 +129,21 @@ class TableStrategy:
         return max(1, len(self.devices))
 
 
-def twrw_cell_rows(
-    tier_bounds, row_cuts, total_rows: int
-) -> np.ndarray:
-    """Rows in each (tier, shard) cell of a twrw split.
+def crossing_cells(tier_prefix, shard_prefix) -> np.ndarray:
+    """What lies in each (tier, shard) cell where two partitions of one
+    rank order cross.
 
-    ``tier_bounds`` are the table's cumulative tier boundaries (rank
-    space), ``row_cuts`` the strategy's interior cut points.  Because
-    both partitions are prefixes of the same rank order, the cell
-    ``(t, s)`` holds the ranks between ``max(bound[t-1], cut[s-1])`` and
-    ``min(bound[t], cut[s])``.  The same min/max identity applied to
-    *prefix counts* distributes classified lookups at reduce time.
+    Both arguments are monotone prefix arrays over a table's frequency
+    ranks, each starting at 0 and ending at the total: rank boundaries,
+    coverage masses at those boundaries, or classified lookups below
+    them.  Because both partitions are prefixes of the same order, cell
+    ``(t, s)`` holds what lies between ``max(tier[t], shard[s])`` and
+    ``min(tier[t + 1], shard[s + 1])``.  Capacity checks (rows), the
+    cost evaluator (coverage) and the executor's twrw reduce (lookup
+    counts) all read their twrw cells from here.
     """
-    bounds = np.concatenate(([0], np.asarray(tier_bounds, dtype=np.int64)))
-    cuts = np.concatenate(
-        ([0], np.asarray(row_cuts, dtype=np.int64), [total_rows])
-    )
-    upper = np.minimum(bounds[1:, None], cuts[None, 1:])
-    lower = np.maximum(bounds[:-1, None], cuts[None, :-1])
+    upper = np.minimum(tier_prefix[1:, None], shard_prefix[None, 1:])
+    lower = np.maximum(tier_prefix[:-1, None], shard_prefix[None, :-1])
     return np.maximum(0, upper - lower)
 
 
@@ -317,8 +314,9 @@ class ShardingPlan:
                         for tier in topology.tiers
                     ]
             else:  # twrw
-                cells = twrw_cell_rows(
-                    np.cumsum(rows[j]), strat.row_cuts, table.num_rows
+                cells = crossing_cells(
+                    np.concatenate(([0], np.cumsum(rows[j]))),
+                    np.concatenate(([0], strat.row_cuts, [table.num_rows])),
                 )
                 for s, device in enumerate(strat.devices):
                     usage[device] += cells[:, s] * row_bytes[j]

@@ -14,11 +14,11 @@ import time
 
 import numpy as np
 
-from repro.core.evaluate import expected_device_costs_ms_many
+from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder
 from repro.core.formulation import MIB, RecShardInputs, build_milp
 from repro.core.plan import ShardingPlan, TablePlacement
-from repro.core.workspace import PlannerWorkspace
+from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
 from repro.milp.result import SolveResult
 
@@ -70,21 +70,24 @@ class RecShardSharder:
         self.name = name
 
     # ------------------------------------------------------------------
-    def shard(self, model, profile, topology: SystemTopology) -> ShardingPlan:
+    def shard(
+        self, model, profile, topology: SystemTopology,
+        warm_start: ShardingPlan | None = None,
+        workspace: PlannerWorkspace | None = None,
+    ) -> ShardingPlan:
         """Produce a sharding plan for ``model`` on ``topology``.
 
         Solves the MILP; when ``fallback`` is on, also runs the fast
         heuristic as a primal bound and returns whichever plan has the
         lower expected makespan (commercial solvers seed branch and
         bound with such heuristics internally; HiGHS via scipy cannot be
-        warm-started, so the comparison happens here instead).
+        warm-started, so the comparison happens here instead, and
+        ``warm_start`` is accepted but ignored).
+
+        One workspace (``workspace``, or one built here) feeds the MILP
+        inputs, the fast candidate, and both cost stamps.
         """
-        # One workspace feeds everything: its lazily-built inputs view
-        # is value-identical to RecShardInputs.from_profile (the parity
-        # the planner tests pin), and the fast-fallback solve and the
-        # tie-break evaluation below reuse it instead of re-deriving
-        # per-table statistics.
-        workspace = PlannerWorkspace(model, profile, steps=self.steps)
+        workspace = sharder_workspace(model, profile, self.steps, workspace)
         inputs = workspace.inputs
         start = time.perf_counter()
         handles = build_milp(
@@ -104,7 +107,11 @@ class RecShardSharder:
 
         milp_plan = None
         if result.status.has_solution:
-            milp_plan = self._extract_plan(inputs, topology, handles, result)
+            milp_plan = stamp_estimated_costs(
+                self._extract_plan(inputs, topology, handles, result),
+                model, profile, topology, self.batch_size,
+                workspace=workspace,
+            )
             milp_plan.metadata.update(
                 {
                     "solver": f"milp/{self.backend}/{self.formulation}",
@@ -127,7 +134,8 @@ class RecShardSharder:
             return milp_plan
 
         # The heuristic candidate comes from the vectorized workspace
-        # path (plan-parity-identical to the scalar solve, ~15x faster).
+        # path (plan-parity-identical to the scalar solve, ~15x faster),
+        # stamped by the same evaluator as the MILP incumbent.
         fast_plan = RecShardFastSharder(
             batch_size=self.batch_size,
             steps=self.steps,
@@ -140,30 +148,19 @@ class RecShardSharder:
             fast_plan.metadata["solver"] = "fast-fallback"
             fast_plan.metadata["milp_status"] = result.status.value
             return fast_plan
-
-        # Both candidates scored by the batched evaluator in one call —
-        # the tie-break between the MILP incumbent and the heuristic is
-        # a two-plan population.
-        milp_cost, fast_cost = expected_device_costs_ms_many(
-            [milp_plan, fast_plan], model, profile, topology,
-            self.batch_size, workspace=workspace,
-        ).max(axis=1)
-        milp_cost, fast_cost = float(milp_cost), float(fast_cost)
-        if fast_cost < milp_cost:
+        if (
+            fast_plan.metadata["estimated_max_cost_ms"]
+            < milp_plan.metadata["estimated_max_cost_ms"]
+        ):
             fast_plan.metadata.update(
                 {
                     "solver": "fast-beat-milp",
                     "milp_status": result.status.value,
                     "milp_objective_ms": result.objective,
                     "solve_seconds": result.solve_time,
-                    "expected_max_cost_ms": fast_cost,
-                    "milp_expected_max_cost_ms": milp_cost,
                 }
             )
-            fast_plan.strategy = self.name
             return fast_plan
-        milp_plan.metadata["expected_max_cost_ms"] = milp_cost
-        milp_plan.metadata["fast_expected_max_cost_ms"] = fast_cost
         return milp_plan
 
     # ------------------------------------------------------------------

@@ -42,7 +42,6 @@ lookup to the least-loaded candidate home.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,18 +243,14 @@ def plan_with_replication(
     tier is shrunk by the replica budget (so the emitted plan provably
     leaves room for the copies), then :func:`build_replication` spends
     the carved bytes on the globally hottest rows.  ``workspace`` and
-    ``warm_start`` are forwarded when the sharder supports them — the
-    drift-replan path hands both in, which keeps a replicated replan as
-    incremental as a plain one.
+    ``warm_start`` are forwarded through the sharder protocol's
+    keywords — the drift-replan path hands both in, which keeps a
+    replicated replan as incremental as a plain one.
     """
     carved = carve_replica_budget(topology, policy)
-    params = inspect.signature(sharder.shard).parameters
-    kwargs = {}
-    if workspace is not None and "workspace" in params:
-        kwargs["workspace"] = workspace
-    if warm_start is not None and "warm_start" in params:
-        kwargs["warm_start"] = warm_start
-    base = sharder.shard(model, profile, carved, **kwargs)
+    base = sharder.shard(
+        model, profile, carved, warm_start=warm_start, workspace=workspace
+    )
     replicated = build_replication(
         policy, base, profile, model, topology, workspace=workspace
     )

@@ -29,9 +29,10 @@ charges capacity over the *physical* shards.  The planner entry point
 :func:`plan_with_strategies` starts from the fast sharder's row-wise
 plan and greedily refines the makespan: each round it takes the busiest
 device's costliest tables, enumerates candidate strategies for them,
-scores every candidate with
-:func:`~repro.core.evaluate.expected_device_costs_ms_many` under the
-one shared cost model, and keeps the best improvement.
+scores every candidate in one call to the one evaluator,
+:func:`~repro.core.evaluate.expected_device_costs_ms_many` (which
+expands column and twrw tables into per-device shards), and keeps the
+best improvement.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ import dataclasses
 
 import numpy as np
 
+from repro.core.evaluate import (
+    expected_device_costs_ms_many,
+    stamp_estimated_costs,
+)
 from repro.core.plan import (
     STRATEGY_KINDS,
     PlanError,
@@ -47,7 +52,7 @@ from repro.core.plan import (
     TablePlacement,
     TableStrategy,
 )
-from repro.core.workspace import PlannerWorkspace
+from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
 
 
@@ -108,89 +113,6 @@ def proportional_split(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
         bump.ravel().astype(np.int64),
     )
     return base
-
-
-# ----------------------------------------------------------------------
-# Scoring (the strategy arm of expected_device_costs_ms_many)
-# ----------------------------------------------------------------------
-def strategy_device_costs_ms(
-    plan: ShardingPlan,
-    model,
-    profile,
-    topology: SystemTopology,
-    batch_size: int,
-    use_coverage: bool = True,
-    use_pooling: bool = True,
-    workspace: PlannerWorkspace | None = None,
-) -> np.ndarray:
-    """Expected per-device cost of one plan with ``table_strategies``.
-
-    Same cost model as :func:`~repro.core.evaluate.expected_device_costs_ms`
-    with strategy-aware device attribution: column shards carry their
-    dim fraction of the table's per-tier traffic, twrw shards the
-    coverage mass of their rank range (the prefix min/max identity the
-    executor's reduce uses, applied to coverage fractions).
-    """
-    base = plan.placements
-    num_tiers = len(base[0].rows_per_tier)
-    num_tables = model.num_tables
-    cum_rows = np.cumsum(
-        np.array([p.rows_per_tier for p in base], dtype=np.int64), axis=1
-    )
-    if workspace is not None:
-        cov = workspace.coverage_of_rows_grid(cum_rows.T)  # (tiers, tables)
-        total_accesses = workspace.total_accesses
-        stat_coverage = workspace.coverage
-        stat_pooling = workspace.avg_pooling
-        row_bytes = workspace.row_bytes
-    else:
-        cov = np.empty((num_tiers, num_tables))
-        for j, stats in enumerate(profile):
-            cov[:, j] = stats.cdf.coverage_of_rows_many(cum_rows[j])
-        total_accesses = np.array([s.total_accesses for s in profile])
-        stat_coverage = np.array([s.coverage for s in profile])
-        stat_pooling = np.array([s.avg_pooling for s in profile])
-        row_bytes = np.array([t.row_bytes for t in model.tables])
-    frac = np.diff(cov, axis=0, prepend=0.0)  # (tiers, tables)
-    inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
-    coverage = stat_coverage if use_coverage else 1.0
-    pooling = stat_pooling if use_pooling else 1.0
-    table_weight = np.where(
-        total_accesses > 0,
-        coverage * pooling * batch_size * row_bytes,
-        0.0,
-    )
-    costs = np.zeros(topology.num_devices)
-    for j, (placement, strat) in enumerate(zip(base, plan.table_strategies)):
-        tier_cost = float(frac[:, j] @ inv_bw[:num_tiers])
-        if strat.kind in ("row", "table"):
-            costs[placement.device] += table_weight[j] * tier_cost
-        elif strat.kind == "column":
-            dim = model.tables[j].dim
-            for device, shard_dim in zip(strat.devices, strat.dims):
-                costs[device] += (
-                    table_weight[j] * tier_cost * (shard_dim / dim)
-                )
-        else:  # twrw: coverage prefixes at tier bounds and cut points
-            cuts = np.asarray(strat.row_cuts, dtype=np.int64)
-            if workspace is not None:
-                cov_cuts = workspace.coverage_of_rows_at(
-                    np.full(cuts.size, j, dtype=np.int64), cuts
-                )
-            else:
-                cov_cuts = profile[j].cdf.coverage_of_rows_many(cuts)
-            covb = np.concatenate(([0.0], cov[:, j]))
-            covc = np.concatenate(([0.0], cov_cuts, [cov[-1, j]]))
-            cells = np.maximum(
-                0.0,
-                np.minimum(covb[1:, None], covc[None, 1:])
-                - np.maximum(covb[:-1, None], covc[None, :-1]),
-            )  # (tiers, shards)
-            for s, device in enumerate(strat.devices):
-                costs[device] += table_weight[j] * float(
-                    cells[:, s] @ inv_bw[:num_tiers]
-                )
-    return costs * 1e3
 
 
 # ----------------------------------------------------------------------
@@ -328,15 +250,8 @@ def plan_with_strategies(
     """
     kinds = resolve_strategy_kinds(strategies)
     if batch_size is None:
-        batch_size = getattr(sharder, "batch_size", None)
-        if batch_size is None:
-            raise ValueError("batch_size= required for this sharder")
-    if workspace is None:
-        workspace = PlannerWorkspace(
-            model, profile, steps=getattr(sharder, "steps", 100)
-        )
-    from repro.core.evaluate import expected_device_costs_ms_many
-
+        batch_size = sharder.batch_size
+    workspace = sharder_workspace(model, profile, sharder.steps, workspace)
     base = sharder.shard_from_workspace(workspace, topology, warm_start)
     current = dataclasses.replace(
         base, table_strategies=(TableStrategy("row"),) * len(base)
@@ -391,7 +306,6 @@ def plan_with_strategies(
     current.metadata["strategies"] = current.strategy_counts()
     current.metadata["solver"] = "strategies"
     current.metadata["row_only_max_cost_ms"] = row_only_max
-    current.metadata["estimated_device_costs_ms"] = [float(c) for c in costs]
-    current.metadata["estimated_max_cost_ms"] = float(costs.max())
-    current.metadata["estimated_cost_batch_size"] = int(batch_size)
-    return current
+    return stamp_estimated_costs(
+        current, model, profile, topology, batch_size, workspace=workspace
+    )

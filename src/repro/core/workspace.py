@@ -294,6 +294,25 @@ class PlannerWorkspace:
         return np.where(self.total_accesses[tables] > 0, out, 0.0)
 
 
+def sharder_workspace(
+    model, profile, steps: int, workspace: PlannerWorkspace | None = None
+) -> PlannerWorkspace:
+    """The workspace a sharder's ``shard`` plans from.
+
+    The sharder protocol's ``workspace`` keyword, when given, must have
+    sampled the sharder's ICDF ``steps``; otherwise a fresh workspace
+    is built for this call.
+    """
+    if workspace is None:
+        return PlannerWorkspace(model, profile, steps=steps)
+    if workspace.steps != steps:
+        raise ValueError(
+            f"workspace sampled {workspace.steps} ICDF steps, "
+            f"sharder expects {steps}"
+        )
+    return workspace
+
+
 def _scale_hbm(topology: SystemTopology, scale: float) -> SystemTopology:
     """A copy of ``topology`` with the HBM tier's capacity scaled."""
     hbm = topology.tiers[0]
@@ -399,12 +418,10 @@ def shard_sweep(
             "provide exactly one of topologies=, budgets=, "
             "replicate_gib=, strategies=, or precisions="
         )
-    sharder_steps = getattr(sharder, "steps", None)
-    if sharder_steps is not None and sharder_steps != workspace.steps:
-        raise ValueError(
-            f"workspace sampled {workspace.steps} ICDF steps, sharder "
-            f"expects {sharder_steps}"
-        )
+    # A sweep shards straight from the workspace: check its ICDF steps.
+    sharder_workspace(
+        workspace.model, workspace.profile, sharder.steps, workspace
+    )
     if strategies is not None:
         from repro.core.strategies import plan_with_strategies
 

@@ -79,7 +79,8 @@ and the reduction crosses cut prefixes with tier prefixes (a min/max
 identity on monotone prefix counts) to land each (tier, shard) cell on
 its device.  Strategy plans do not compose with cache/staging lanes
 (the executor rejects the combination up front) or with replicas (the
-plan's ``validate`` rejects it).
+plan's ``validate`` rejects it); they do compose with brownout, whose
+clamp leaves a twrw table exactly its tier-0 cells.
 
 The executor reads every lane from the one plan type,
 :class:`~repro.core.plan.ShardingPlan`, and checks it with the plan's
@@ -92,8 +93,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evaluate import expected_device_costs_ms_many
-from repro.core.plan import ShardingPlan
+from repro.core.evaluate import expected_device_costs_ms
+from repro.core.plan import ShardingPlan, crossing_cells
 from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
@@ -141,6 +142,11 @@ class ShardedExecutor:
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
     ):
+        # Strategy plans carry no cache/staging hit lanes, and brownout
+        # on a twrw table is exact only because of that: the clamp
+        # leaves the table's cold-tier counts at zero, so its clamped
+        # tier prefixes cross the unclamped cut prefixes into exactly
+        # the tier-0 cells.
         if plan.table_strategies is not None and (
             cache is not None or staging is not None
         ):
@@ -418,19 +424,9 @@ class ShardedExecutor:
         and ``browned_by_table`` (cumulative).  Purely a reduce-time
         transform: classification is untouched, so the multi-process
         classify/reduce split stays bit-identical under brownout.
-
-        Not supported with table-wise-row-wise strategy shards: a twrw
-        table's cut-lane prefixes are computed over all its ranks, so
-        clamping the cold-tier counts would desynchronize the two
-        prefix families the reduction crosses.  (Column shards are
-        fine — their scatter follows the clamped counts; browned
-        lookups are tallied on the table's base placement device.)
+        Browned lookups of column and twrw tables are tallied on the
+        table's base placement device.
         """
-        if active and self._twrw_tables:
-            raise ValueError(
-                "brownout is not supported with table-wise-row-wise "
-                "strategy shards"
-            )
         self._brownout = bool(active)
 
     def reset_brownout(self) -> None:
@@ -627,11 +623,7 @@ class ShardedExecutor:
                 pc = np.concatenate(
                     ([0], cuts[j, :n_cuts], [pb[-1]])
                 ).astype(np.int64)
-                cells = np.maximum(
-                    0,
-                    np.minimum(pb[1:, None], pc[None, 1:])
-                    - np.maximum(pb[:-1, None], pc[None, :-1]),
-                )
+                cells = crossing_cells(pb, pc)
                 accesses[:, devices] += cells
                 traffic[:, devices] += cells * self.row_bytes[j]
         self.last_dropped[:] = 0
@@ -743,21 +735,16 @@ class ShardedExecutor:
         )
 
     def expected_device_costs_ms(self, batch_size: int) -> np.ndarray:
-        """Analytic per-device expected cost (the MILP's Constraint 12).
-
-        For each table the expected per-iteration accesses are
-        ``coverage * avg_pooling * batch_size``; the profiled CDF gives
-        the fraction of them served by each tier's row block.  Useful to
-        cross-check measured times against the optimized cost model.
-        The cache and staging models are intentionally excluded: this
-        reproduces exactly what the MILP sees.  This is
-        :func:`~repro.core.evaluate.expected_device_costs_ms_many` on
-        the executor's plan, so strategy plans get the same per-shard
-        device attribution the planner scores them with.
+        """Analytic per-device expected cost (the MILP's Constraint 12):
+        the planner's one evaluator,
+        :func:`~repro.core.evaluate.expected_device_costs_ms`, on the
+        executor's plan.  Useful to cross-check measured times against
+        the optimized cost model; the cache and staging models are
+        excluded, exactly as the MILP sees the plan.
         """
-        return expected_device_costs_ms_many(
-            [self.plan], self.model, self.profile, self.topology, batch_size
-        )[0]
+        return expected_device_costs_ms(
+            self.plan, self.model, self.profile, self.topology, batch_size
+        )
 
 
 def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:

@@ -43,7 +43,6 @@ its wall-clock build cost surfaced in
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import time
 from dataclasses import dataclass
@@ -207,17 +206,19 @@ class LookupServer:
     — production re-shards build the new placement off the critical
     path and flip atomically (Section 6.6's remapping tables make that
     a pointer swap) — but the *build* cost is measured in wall-clock
-    and recorded in the metrics, and sharders exposing a ``warm_start``
-    parameter (``RecShardFastSharder``) rebuild incrementally from the
-    outgoing plan's cut points and device assignment.
+    and recorded in the metrics.  Every replan hands the sharder the
+    outgoing plan as ``warm_start`` (the fast and multi-tier sharders
+    rebuild incrementally from its cut points and device assignment)
+    and the server's refreshed planner workspace.
 
     Args:
         model: the served model's spec.
         profile: profile the initial plan is built from.
         topology: simulated device/tier hierarchy.
         plan: a fixed sharding plan (mutually exclusive with sharder).
-        sharder: strategy object with ``shard(model, profile, topology)``
-            — enables drift-triggered replanning.  Works for any tier
+        sharder: strategy object with ``shard(model, profile,
+            topology, warm_start=None, workspace=None)`` — enables
+            drift-triggered replanning.  Works for any tier
             count (:class:`~repro.core.multitier.MultiTierSharder` for
             hierarchies beyond HBM+UVM).
         config: serving tunables.
@@ -298,16 +299,9 @@ class LookupServer:
             else topology
         )
         self.sharder = sharder
-        sharder_params = (
-            inspect.signature(sharder.shard).parameters
-            if sharder is not None
-            else {}
-        )
-        self._sharder_warm_starts = "warm_start" in sharder_params
-        # Workspace sharders get the server's planner workspace,
-        # refreshed in place per replan, so consecutive replans never
-        # rebuild the stacked statistics buffers.
-        self._sharder_takes_workspace = "workspace" in sharder_params
+        # The sharder plans from the server's workspace, refreshed in
+        # place per replan, so consecutive replans never rebuild the
+        # stacked statistics buffers.
         self._workspace: PlannerWorkspace | None = None
         self.overload = overload
         self._ovl = (
@@ -354,7 +348,7 @@ class LookupServer:
 
         Warm start (previous plan's cut points and homes) and the
         in-place-refreshed :class:`PlannerWorkspace` are both handed to
-        sharders that support them — together they are what keeps
+        the sharder — together they are what keeps
         ``replan_build_ms`` a repair cost rather than a rebuild cost.
         With replication enabled the sharder plans against the carved
         topology and the replica set is recomputed from the same
@@ -366,30 +360,28 @@ class LookupServer:
         warm start must then be in that compact index space, and the
         result is mapped back to physical ids before replication.
         """
-        kwargs = {}
-        if self._sharder_takes_workspace:
-            if self._workspace is None:
-                self._workspace = PlannerWorkspace(
-                    self.model, profile,
-                    steps=getattr(self.sharder, "steps", 100),
-                )
-            else:
-                self._workspace.refresh(profile)
-            kwargs["workspace"] = self._workspace
-        if warm_start is not None and self._sharder_warm_starts:
-            kwargs["warm_start"] = warm_start
+        if self._workspace is None:
+            self._workspace = PlannerWorkspace(
+                self.model, profile,
+                steps=getattr(self.sharder, "steps", 100),
+            )
+        else:
+            self._workspace.refresh(profile)
         topology = self._plan_topology
         if surviving is not None:
             topology = SystemTopology(
                 num_devices=len(surviving), tiers=topology.tiers
             )
-        plan = self.sharder.shard(self.model, profile, topology, **kwargs)
+        plan = self.sharder.shard(
+            self.model, profile, topology,
+            warm_start=warm_start, workspace=self._workspace,
+        )
         if surviving is not None:
             plan = _with_devices(plan, [surviving[p.device] for p in plan])
         if self.replication is not None:
             plan = build_replication(
                 self.replication, plan, profile, self.model, self.topology,
-                workspace=kwargs.get("workspace"),
+                workspace=self._workspace,
             )
         return plan
 

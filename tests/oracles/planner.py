@@ -11,8 +11,14 @@ shipped plans to these, table for table (``rows_per_tier`` and device
 homes), cold and warm-started.
 
 Both reuse the shipped LPT assignment, split resizing and plan
-emission.  Their ``shard`` takes no ``workspace``, so a server that
-sniffs the signature builds none for them.
+emission.  Their ``shard`` takes the sharder protocol's ``workspace``
+keyword and ignores it: they re-derive every statistic per call.
+
+The two per-plan cost loops the batched evaluator
+(:func:`~repro.core.evaluate.expected_device_costs_ms_many`) replaced
+live here too: :func:`scalar_device_costs_ms` accumulates a plain plan
+placement by placement, and :func:`strategy_device_costs_ms` scores one
+plan with ``table_strategies`` shard by shard.
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _TableState
 from repro.core.formulation import RecShardInputs
 from repro.core.multitier import MultiTierSharder
 from repro.core.plan import ShardingPlan
+from repro.core.workspace import PlannerWorkspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
 
@@ -63,6 +72,7 @@ class ScalarFastSharder(RecShardFastSharder):
     def shard(
         self, model, profile, topology: SystemTopology,
         warm_start: ShardingPlan | None = None,
+        workspace: PlannerWorkspace | None = None,
     ) -> ShardingPlan:
         if topology.num_tiers != 2:
             raise ValueError("RecShardFastSharder targets two-tier topologies")
@@ -94,7 +104,10 @@ class ScalarFastSharder(RecShardFastSharder):
         # Moves free HBM behind them; one more refill converts it into
         # additional hot rows.
         self._refill(states, device_of, hbm_free)
-        return self._emit_plan(states, device_of, topology, inputs, preferred)
+        return stamp_estimated_costs(
+            self._emit_plan(states, device_of, topology, inputs, preferred),
+            model, profile, topology, self.batch_size,
+        )
 
     @staticmethod
     def _warm_start_splits(states, previous: ShardingPlan, budget: int) -> int:
@@ -231,6 +244,7 @@ class ScalarMultiTierSharder(MultiTierSharder):
     def shard(
         self, model, profile, topology: SystemTopology,
         warm_start: ShardingPlan | None = None,
+        workspace: PlannerWorkspace | None = None,
     ) -> ShardingPlan:
         inputs = RecShardInputs.from_profile(model, profile, steps=self.steps)
         plan = self._shard_greedy(inputs, topology, warm_start=warm_start)
@@ -296,3 +310,117 @@ class ScalarMultiTierSharder(MultiTierSharder):
                 push(j)
 
         return self._finish_greedy(inputs, topology, boundary_steps, warm_start)
+
+
+# ----------------------------------------------------------------------
+# Per-plan cost loops (parity references of the batched evaluator)
+# ----------------------------------------------------------------------
+def scalar_device_costs_ms(
+    plan: ShardingPlan,
+    model,
+    profile,
+    topology: SystemTopology,
+    batch_size: int,
+    use_coverage: bool = True,
+    use_pooling: bool = True,
+) -> np.ndarray:
+    """Expected per-device cost of a plain plan, placement by placement.
+
+    Every table is charged to its home device, so this is a reference
+    for plans without ``table_strategies`` only.
+    """
+    costs = np.zeros(topology.num_devices)
+    inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
+    for placement in plan:
+        stats = profile[placement.table_index]
+        table = model.tables[placement.table_index]
+        if stats.total_accesses <= 0:
+            continue
+        coverage = stats.coverage if use_coverage else 1.0
+        pooling = stats.avg_pooling if use_pooling else 1.0
+        expected_accesses = coverage * pooling * batch_size
+        cum_rows = np.cumsum(placement.rows_per_tier)
+        cov = stats.cdf.coverage_of_rows_many(cum_rows)
+        frac = np.diff(cov, prepend=0.0)
+        costs[placement.device] += expected_accesses * table.row_bytes * (
+            frac @ inv_bw[: frac.size]
+        )
+    return costs * 1e3
+
+
+def strategy_device_costs_ms(
+    plan: ShardingPlan,
+    model,
+    profile,
+    topology: SystemTopology,
+    batch_size: int,
+    use_coverage: bool = True,
+    use_pooling: bool = True,
+    workspace: PlannerWorkspace | None = None,
+) -> np.ndarray:
+    """Expected per-device cost of one plan with ``table_strategies``.
+
+    Column shards carry their dim fraction of the table's per-tier
+    traffic, twrw shards the coverage mass of their rank range (the
+    prefix min/max identity, applied to coverage fractions).
+    """
+    base = plan.placements
+    num_tiers = len(base[0].rows_per_tier)
+    num_tables = model.num_tables
+    cum_rows = np.cumsum(
+        np.array([p.rows_per_tier for p in base], dtype=np.int64), axis=1
+    )
+    if workspace is not None:
+        cov = workspace.coverage_of_rows_grid(cum_rows.T)  # (tiers, tables)
+        total_accesses = workspace.total_accesses
+        stat_coverage = workspace.coverage
+        stat_pooling = workspace.avg_pooling
+        row_bytes = workspace.row_bytes
+    else:
+        cov = np.empty((num_tiers, num_tables))
+        for j, stats in enumerate(profile):
+            cov[:, j] = stats.cdf.coverage_of_rows_many(cum_rows[j])
+        total_accesses = np.array([s.total_accesses for s in profile])
+        stat_coverage = np.array([s.coverage for s in profile])
+        stat_pooling = np.array([s.avg_pooling for s in profile])
+        row_bytes = np.array([t.row_bytes for t in model.tables])
+    frac = np.diff(cov, axis=0, prepend=0.0)  # (tiers, tables)
+    inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
+    coverage = stat_coverage if use_coverage else 1.0
+    pooling = stat_pooling if use_pooling else 1.0
+    table_weight = np.where(
+        total_accesses > 0,
+        coverage * pooling * batch_size * row_bytes,
+        0.0,
+    )
+    costs = np.zeros(topology.num_devices)
+    for j, (placement, strat) in enumerate(zip(base, plan.table_strategies)):
+        tier_cost = float(frac[:, j] @ inv_bw[:num_tiers])
+        if strat.kind in ("row", "table"):
+            costs[placement.device] += table_weight[j] * tier_cost
+        elif strat.kind == "column":
+            dim = model.tables[j].dim
+            for device, shard_dim in zip(strat.devices, strat.dims):
+                costs[device] += (
+                    table_weight[j] * tier_cost * (shard_dim / dim)
+                )
+        else:  # twrw: coverage prefixes at tier bounds and cut points
+            cuts = np.asarray(strat.row_cuts, dtype=np.int64)
+            if workspace is not None:
+                cov_cuts = workspace.coverage_of_rows_at(
+                    np.full(cuts.size, j, dtype=np.int64), cuts
+                )
+            else:
+                cov_cuts = profile[j].cdf.coverage_of_rows_many(cuts)
+            covb = np.concatenate(([0.0], cov[:, j]))
+            covc = np.concatenate(([0.0], cov_cuts, [cov[-1, j]]))
+            cells = np.maximum(
+                0.0,
+                np.minimum(covb[1:, None], covc[None, 1:])
+                - np.maximum(covb[:-1, None], covc[None, :-1]),
+            )  # (tiers, shards)
+            for s, device in enumerate(strat.devices):
+                costs[device] += table_weight[j] * float(
+                    cells[:, s] @ inv_bw[:num_tiers]
+                )
+    return costs * 1e3

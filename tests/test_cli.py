@@ -5,6 +5,7 @@ import argparse
 import pytest
 
 from repro.cli import _make_recshard, build_parser, main
+from repro.core import RecShardFastSharder
 
 
 def _rejected(argv, capsys):
@@ -37,7 +38,10 @@ class TestParser:
     def test_plan_defaults_to_fast_sharder(self):
         args = build_parser().parse_args(["plan"])
         assert args.milp_time == 0.0
-        assert args.formulation == "convex"
+        assert args.formulation is None
+        assert isinstance(_make_recshard(args), RecShardFastSharder)
+        args = build_parser().parse_args(["plan", "--milp-time", "5"])
+        assert _make_recshard(args).formulation == "convex"
 
     def test_every_numeric_flag_is_range_checked(self):
         # A bare int/float type lets NaN, ±inf and out-of-range values
@@ -56,7 +60,9 @@ class TestParser:
 
 
 class TestFlagValidation:
-    """Out-of-range numeric flags fail at parse time, naming the flag."""
+    """Out-of-range numeric flags fail at parse time, and flags that only
+    act with another flag fail without it; either way exit 2, naming the
+    flag."""
 
     COMMON = ["--features", "40", "--gpus", "2"]
 
@@ -74,10 +80,33 @@ class TestFlagValidation:
             ("plan", "--seed", "-1"),
             ("plan", "--replicate-gib", "nan"),
             ("plan", "--milp-time", "inf"),
+            # Flags inert without their enabling flag.
+            ("plan", "--formulation", "step"),
+            ("serve", "--queue-depth", "3"),
+            ("serve", "--burst-qps", "99"),
+            ("serve", "--idle-qps", "0"),
+            ("serve", "--burst-ms", "10"),
+            ("serve", "--idle-ms", "10"),
         ],
     )
     def test_rejects_out_of_range(self, command, flag, value, capsys):
         assert flag in _rejected([command, flag, value] + self.COMMON, capsys)
+
+    @pytest.mark.parametrize(
+        "sweep,flag,value",
+        [
+            ("hbm=1", "--replicate-gib", "1"),
+            ("replicate=0,1", "--replicate-gib", "1"),
+            ("tiers=2,3", "--precisions", "uvm=fp16"),
+            ("gpus=2", "--precisions", "uvm=fp16"),
+            ("precisions=fp16", "--precisions", "uvm=fp16"),
+        ],
+    )
+    def test_sweep_rejects_flags_its_grid_ignores(
+        self, sweep, flag, value, capsys
+    ):
+        argv = ["plan", "--sweep", sweep, flag, value, "--batch", "256"]
+        assert flag in _rejected(argv + self.COMMON, capsys)
 
     def test_fast_sharder_takes_steps(self):
         # --milp-time 0 picks the fast sharder; it must still plan at

@@ -32,7 +32,7 @@ from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from repro.stats.profiler import TraceProfiler
 from repro.data.synthetic import TraceGenerator
-from tests.oracles.planner import ScalarFastSharder
+from tests.oracles.planner import ScalarFastSharder, scalar_device_costs_ms
 
 from .conftest import build_model
 
@@ -254,7 +254,7 @@ class TestBatchedEvaluator:
         for plan, row in zip(plans, batched):
             np.testing.assert_allclose(
                 row,
-                expected_device_costs_ms(plan, model, profile, topology, BATCH),
+                scalar_device_costs_ms(plan, model, profile, topology, BATCH),
                 rtol=1e-12, atol=1e-15,
             )
 
@@ -276,7 +276,7 @@ class TestBatchedEvaluator:
         )[0]
         np.testing.assert_allclose(
             batched,
-            expected_device_costs_ms(
+            scalar_device_costs_ms(
                 plan, small_model, small_profile, topo3, BATCH
             ),
             rtol=1e-12, atol=1e-15,
@@ -300,7 +300,7 @@ class TestBatchedEvaluator:
                     [plan], small_model, small_profile, tight_topology,
                     BATCH, **flags,
                 )[0],
-                expected_device_costs_ms(
+                scalar_device_costs_ms(
                     plan, small_model, small_profile, tight_topology,
                     BATCH, **flags,
                 ),

@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import RecShardFastSharder, RecShardSharder, MultiTierSharder
-from repro.core.evaluate import expected_device_costs_ms, expected_max_cost_ms
+from repro.baselines import make_baseline
+from repro.core import (
+    MultiTierSharder,
+    PlannerWorkspace,
+    RecShardFastSharder,
+    RecShardSharder,
+)
+from repro.core.evaluate import (
+    expected_device_costs_ms,
+    expected_device_costs_ms_many,
+    expected_max_cost_ms,
+)
 from repro.memory.topology import SystemTopology
+from repro.stats import analytic_profile
+from tests.test_core.conftest import build_model
 
 BATCH = 256
 
@@ -304,3 +316,67 @@ class TestReclaimDead:
         )
         with pytest.raises(PlanError):
             stripped.validate(small_model, topo)
+
+
+#: Every sharder, on the one protocol: ``shard(model, profile, topology,
+#: warm_start=None, workspace=None)``, with the ``solver`` its plan
+#: reports.  The MILP runs the deterministic branch-and-bound backend on
+#: a tiny model, once per exit: incumbent wins, no fallback, fast plan
+#: wins (a loose gap stops at a poor incumbent), and no incumbent.
+PROTOCOL_SHARDERS = {
+    "fast": (lambda: RecShardFastSharder(batch_size=64, steps=6), "fast"),
+    "multitier": (
+        lambda: MultiTierSharder(batch_size=64, steps=6), "greedy"
+    ),
+    "milp": (
+        lambda: RecShardSharder(
+            batch_size=64, steps=6, backend="branch_bound", time_limit=60
+        ),
+        "milp/branch_bound/convex",
+    ),
+    "milp-no-fallback": (
+        lambda: RecShardSharder(
+            batch_size=64, steps=6, backend="branch_bound", time_limit=60,
+            fallback=False,
+        ),
+        "milp/branch_bound/convex",
+    ),
+    "milp-fast-wins": (
+        lambda: RecShardSharder(
+            batch_size=64, steps=6, backend="branch_bound", time_limit=60,
+            mip_gap=0.99,
+        ),
+        "fast-beat-milp",
+    ),
+    "milp-fallback": (
+        lambda: RecShardSharder(
+            batch_size=64, steps=6, backend="branch_bound", time_limit=1e-9,
+        ),
+        "fast-fallback",
+    ),
+    "greedy": (lambda: make_baseline("Size-Based"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_SHARDERS))
+def test_one_signature_one_cost_stamp(name):
+    model = build_model(num_tables=4, rows=64, seed=17)
+    profile = analytic_profile(model)
+    topology = SystemTopology.two_tier(
+        2, int(model.total_bytes * 0.45 / 2), 200e9, model.total_bytes, 10e9
+    )
+    workspace = PlannerWorkspace(model, profile, steps=6)
+    make, solver = PROTOCOL_SHARDERS[name]
+    plan = make().shard(
+        model, profile, topology, warm_start=None, workspace=workspace
+    )
+    plan.validate(model, topology)
+    meta = plan.metadata
+    assert meta.get("solver") == solver
+    costs = expected_device_costs_ms_many(
+        [plan], model, profile, topology, meta["estimated_cost_batch_size"],
+        workspace=workspace,
+    )[0]
+    assert meta["estimated_device_costs_ms"] == costs.tolist()
+    assert meta["estimated_max_cost_ms"] == costs.max()
+    assert not [key for key in meta if key.startswith("expected_")]

@@ -27,13 +27,12 @@ from repro.core import (
     RecShardFastSharder,
     TablePlacement,
     TableStrategy,
+    crossing_cells,
     expected_device_costs_ms_many,
     plan_with_strategies,
     proportional_split,
     resolve_strategy_kinds,
     shard_sweep,
-    strategy_device_costs_ms,
-    twrw_cell_rows,
     validate_scale_grid,
 )
 from repro.core.plan import ShardingPlan
@@ -229,7 +228,7 @@ class TestProportionalSplit:
 
 class TestTwrwCellRows:
     def test_exact(self):
-        cells = twrw_cell_rows([5, 12], [4, 9], 12)
+        cells = crossing_cells(np.array([0, 5, 12]), np.array([0, 4, 9, 12]))
         assert cells.tolist() == [[4, 1, 0], [0, 4, 3]]
 
     def test_randomized_conservation(self):
@@ -241,7 +240,10 @@ class TestTwrwCellRows:
             bounds = np.sort(rng.integers(0, total, size=n_tiers))
             bounds[-1] = total
             cuts = np.unique(rng.integers(1, total, size=n_cuts))
-            cells = twrw_cell_rows(bounds, cuts, total)
+            cells = crossing_cells(
+                np.concatenate(([0], bounds)),
+                np.concatenate(([0], cuts, [total])),
+            )
             # Rows conserve in every direction: overall, per tier
             # (matching the base plan's split), and per shard
             # (matching the cut ranges).
@@ -417,10 +419,9 @@ class TestStrategyCosts:
             "twrw", devices=(1, 2), row_cuts=(t1.num_rows // 2,)
         )
         sp = _with_strategies(plan, strategies)
-        base = strategy_device_costs_ms(
-            _with_strategies(plan), model, profile, topology, 128
+        base, split = expected_device_costs_ms_many(
+            [_with_strategies(plan), sp], model, profile, topology, 128
         )
-        split = strategy_device_costs_ms(sp, model, profile, topology, 128)
         assert split.sum() == pytest.approx(base.sum(), rel=1e-9)
 
 

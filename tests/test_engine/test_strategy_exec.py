@@ -5,7 +5,7 @@ bit-identically to the scalar parity oracle
 (``tests.oracles.engine.ScalarExecutor``).  These tests pin that promise for the new
 strategy lanes (column scatter, twrw cut lanes, table-wise rehoming),
 the classify/reduce serving seam, ``replay_trace``, and the scoping
-rules (no replication/cache composition, no brownout with twrw).
+rules (no replication/cache composition), and brownout on twrw.
 """
 
 import dataclasses
@@ -19,6 +19,9 @@ from repro.core import (
     ReplicationPolicy,
     TablePlacement,
     TableStrategy,
+    expected_device_costs_ms,
+    expected_device_costs_ms_many,
+    expected_max_cost_ms,
     plan_with_replication,
     plan_with_strategies,
 )
@@ -85,6 +88,18 @@ def _mixed_plan(model, plan, num_devices):
         metadata=dict(plan.metadata),
         table_strategies=tuple(strategies),
     )
+
+
+def _cold_twrw_plan(model, plan, num_devices):
+    """:func:`_mixed_plan` with the twrw table's tier-0 block ending
+    before its first cut, so cold lookups land on every shard."""
+    sp = _mixed_plan(model, plan, num_devices)
+    placements = list(sp.placements)
+    hot = model.tables[1].num_rows // 6
+    placements[1] = dataclasses.replace(
+        placements[1], rows_per_tier=(hot, model.tables[1].num_rows - hot)
+    )
+    return dataclasses.replace(sp, placements=placements)
 
 
 def _row_only(plan):
@@ -236,6 +251,24 @@ class TestStrategyExecution:
         assert not np.array_equal(wc, pc)
         assert wc.sum() == pytest.approx(pc.sum(), rel=1e-6)
 
+    def test_one_plan_entry_points_match_batched_evaluator(
+        self, strategy_world
+    ):
+        # Regression: the one-plan evaluator charged every column and
+        # twrw table to its base device.
+        model, profile, topology, plan = strategy_world
+        sp = _mixed_plan(model, plan, topology.num_devices)
+        batched = expected_device_costs_ms_many(
+            [sp], model, profile, topology, BATCH
+        )[0]
+        np.testing.assert_array_equal(
+            expected_device_costs_ms(sp, model, profile, topology, BATCH),
+            batched,
+        )
+        assert expected_max_cost_ms(
+            sp, model, profile, topology, BATCH
+        ) == batched.max()
+
 
 class TestStrategyScoping:
     def test_rejects_replication(self, strategy_world):
@@ -278,12 +311,27 @@ class TestStrategyScoping:
         _, accesses, _, _ = executor.run_batch(batch)
         assert accesses.sum() == batch.total_lookups
 
-    def test_brownout_rejected_with_twrw(self, strategy_world):
+    def test_brownout_keeps_exactly_twrw_tier0_cells(self, strategy_world):
+        # Strategy plans have no hit lanes (cache/staging are rejected
+        # above), so the brownout clamp zeroes every cold-tier count and
+        # the twrw crossing keeps exactly the tier-0 cells — also when
+        # the table's cuts lie past its tier-0 boundary.
         model, profile, topology, plan = strategy_world
-        sp = _mixed_plan(model, plan, topology.num_devices)
-        executor = ShardedExecutor(model, sp, profile, topology)
-        with pytest.raises(ValueError, match="table-wise-row-wise"):
-            executor.set_brownout(True)
+        sp = _cold_twrw_plan(model, plan, topology.num_devices)
+        full = ShardedExecutor(model, sp, profile, topology)
+        browned = ShardedExecutor(model, sp, profile, topology)
+        browned.set_brownout(True)
+        for batch in _batches(model):
+            _, fa, _, _ = full.run_batch(batch)
+            _, ba, _, _ = browned.run_batch(batch)
+            assert fa[1:].sum() > 0
+            np.testing.assert_array_equal(ba[0], fa[0])
+            assert not ba[1:].any()
+            assert not browned.last_browned[0].any()
+            assert browned.last_browned.sum() == fa[1:].sum()
+            assert ba.sum() + browned.last_browned.sum() == (
+                batch.total_lookups
+            )
 
     def test_brownout_allowed_with_column_only(self, strategy_world):
         model, profile, topology, plan = strategy_world

@@ -6,10 +6,12 @@ and fast-lane counts.  These tests pin that a
 :class:`MultiProcessServer` run over a mixed strategy plan merges to
 the single-process :meth:`serve_arenas` metrics bit for bit, and that a
 fixed plan with ``table_strategies`` serves through the spine server at
-all.
+all, brownout included.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.memory.topology import SystemTopology
 from repro.serving import (
     LookupServer,
     MultiProcessServer,
+    OverloadControl,
     ServingConfig,
     synthetic_request_arenas,
 )
@@ -90,6 +93,29 @@ def test_strategy_plan_serves(strategy_serving_world):
     metrics = server.serve_arenas(arenas)
     assert metrics.num_requests == REQUESTS
     assert metrics.tier_access_totals.sum() > 0
+
+
+def test_brownout_stream_on_twrw_plan_conserves(strategy_serving_world):
+    # Regression: brownout on a plan holding a twrw table raised from
+    # set_brownout after one batch and crashed the stream.
+    model, profile, topology, sp, _ = strategy_serving_world
+    placements = list(sp.placements)
+    hot = model.tables[1].num_rows // 6
+    placements[1] = dataclasses.replace(
+        placements[1], rows_per_tier=(hot, model.tables[1].num_rows - hot)
+    )
+    cold = dataclasses.replace(sp, placements=placements)
+    server = LookupServer(
+        model, profile, topology, plan=cold, config=CONFIG,
+        overload=OverloadControl(slo_ms=1e-6, brownout=True),
+    )
+    metrics = server.serve_arenas(
+        synthetic_request_arenas(model, 2000, qps=1e6, seed=23)
+    )
+    assert metrics.brownout_windows
+    assert metrics.browned_out_lookups > 0
+    assert metrics.offered_requests == 2000
+    assert metrics.num_requests + metrics.shed_requests == 2000
 
 
 @pytest.mark.parametrize("workers", [1, 3])
