@@ -16,8 +16,8 @@ dominant dim — and gates:
   lane-code classifier and the scalar oracle
   (``tests.oracles.engine.ScalarExecutor``) must produce
   bit-identical metrics (access counts, fast-lane hits, device times)
-  — the per-lane parity promise of the lane registry, including the
-  column scatter and any twrw cut lanes.
+  — the segment reduce against the oracle's per-lane reduce, including
+  the column scatter and any twrw shard ranges.
 
 Environment knobs:
     RECSHARD_BENCH_MIN_STRATEGY_GAIN  row-only/auto makespan multiple

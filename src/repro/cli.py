@@ -173,6 +173,9 @@ def _parse_sweep(spec: str):
     return kind, parsed
 
 
+#: The MILP budget (seconds) of every planning command but ``plan``.
+_MILP_TIME = 15.0
+
 #: Flags shared by several subcommands, each declared once: every
 #: subcommand takes the first five (:data:`_COMMON`), and the planner
 #: flags after them go to the subcommands that plan.
@@ -207,9 +210,9 @@ _FLAGS = {
         help="MILP formulation (default: convex); needs --milp-time > 0",
     ),
     "--milp-time": dict(
-        type=_NON_NEGATIVE, default=15.0,
-        help="MILP budget in seconds; 0 = fast solver only "
-             "(default: %(default)g)",
+        type=_NON_NEGATIVE, default=_MILP_TIME,
+        help="MILP budget in seconds; 0 = fast solver only (default: "
+             f"{_MILP_TIME:g}; plan: 0)",
     ),
     "--replicate-gib": dict(
         type=_NON_NEGATIVE, default=0.0,
@@ -265,12 +268,14 @@ def _cmd_characterize(args) -> int:
 
 
 def _make_recshard(args):
-    """The fast sharder, or the Section 4.2 MILP when --milp-time > 0."""
+    """The fast sharder, or the Section 4.2 MILP when --milp-time > 0
+    (``serve`` leaves an unset --milp-time at the default)."""
     common = dict(
         batch_size=args.batch, steps=args.steps,
         reclaim_dead=args.reclaim_dead, name="RecShard",
     )
-    if args.milp_time <= 0:
+    milp_time = _MILP_TIME if args.milp_time is None else args.milp_time
+    if milp_time <= 0:
         if args.formulation is not None:
             raise argparse.ArgumentError(
                 None, "--formulation picks the MILP formulation; it needs "
@@ -279,7 +284,7 @@ def _make_recshard(args):
         return RecShardFastSharder(**common)
     return RecShardSharder(
         formulation=args.formulation or "convex",
-        time_limit=args.milp_time, **common,
+        time_limit=milp_time, **common,
     )
 
 
@@ -491,7 +496,16 @@ def _cmd_serve(args) -> int:
                   "the single-process runtime (--workers 0)"
         )
     # Flags that act only with another flag are refused without it.
+    # Beyond two tiers the multi-tier greedy plans: it runs no MILP and
+    # reclaims no dead rows.
+    two_tier = args.tiers is None or len(args.tiers.split(",")) == 2
     for flag, given, needs, enabled in (
+        ("--milp-time", args.milp_time is not None, "a two-tier --tiers",
+         two_tier),
+        ("--formulation", args.formulation is not None,
+         "a two-tier --tiers", two_tier),
+        ("--reclaim-dead", args.reclaim_dead, "a two-tier --tiers",
+         two_tier),
         ("--paced", args.paced, "--workers N", args.workers),
         ("--queue-depth", args.queue_depth is not None, "--workers N",
          args.workers),
@@ -675,6 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured iterations (default: 3)")
 
     p = add("serve", _cmd_serve, "run an online serving workload", _PLANNER)
+    # Unset means the default budget on two tiers; set, it is refused
+    # beyond two.
+    p.set_defaults(milp_time=None)
     p.add_argument("--tiers", default=None, metavar="NAMES",
                    help="comma-separated tier presets, fastest first "
                         "(hbm,uvm|dram,ssd,hdd); each may override its "

@@ -9,14 +9,11 @@ times, and by the ablation benches.
 
 One evaluator, :func:`expected_device_costs_ms_many`, scores a whole
 population of plans, plain and strategy plans alike, in one batched
-pass.  Each plan expands into *shards*, each with a device, a tier-cell
-vector of coverage mass, and a byte share:
-
-* a plain, ``row`` or ``table`` table is one shard on its home device;
-* a ``column`` table is one shard per device, at its dim share;
-* a ``twrw`` table is one shard per device over its rank range, its
-  tier cells the :func:`~repro.core.plan.crossing_cells` of the tier
-  and cut coverage prefixes.
+pass.  Each plan expands into its physical shards
+(:meth:`~repro.core.plan.ShardingPlan.shards`); a shard's tier cells
+are the :func:`~repro.core.plan.crossing_cells` of the table's tier
+coverage prefix with the coverage at its rank range, and its byte
+share is its dim over the table's.
 
 Shard costs pool into per-device totals with one ``bincount``.
 :func:`expected_device_costs_ms` and :func:`expected_max_cost_ms` are
@@ -89,9 +86,6 @@ def expected_device_costs_ms_many(
     rows = np.array(
         [[p.rows_per_tier for p in plan] for plan in plans], dtype=np.int64
     )
-    home = np.array(
-        [[p.device for p in plan] for plan in plans], dtype=np.int64
-    )
     # (plans, tiers, tables) cumulative tier boundaries in rank space.
     bounds = np.moveaxis(np.cumsum(rows, axis=2), 2, 1)
     if workspace is not None:
@@ -100,11 +94,6 @@ def expected_device_costs_ms_many(
         stat_coverage = workspace.coverage
         stat_pooling = workspace.avg_pooling
         row_bytes = workspace.row_bytes
-
-        def cut_coverage(table, cuts):
-            return workspace.coverage_of_rows_at(
-                np.full(cuts.size, table), cuts
-            )
     else:
         cov = np.empty(bounds.shape)
         for j, stats in enumerate(profile):
@@ -113,14 +102,6 @@ def expected_device_costs_ms_many(
         stat_coverage = np.array([s.coverage for s in profile])
         stat_pooling = np.array([s.avg_pooling for s in profile])
         row_bytes = np.array([t.row_bytes for t in model.tables])
-
-        def cut_coverage(table, cuts):
-            return profile[table].cdf.coverage_of_rows_many(cuts)
-    # Coverage prefixes at the tier boundaries, and each tier's cell.
-    cov_prefix = np.concatenate(
-        (np.zeros((num_plans, 1, num_tables)), cov), axis=1
-    )
-    frac = np.diff(cov_prefix, axis=1)
     coverage = stat_coverage if use_coverage else 1.0
     pooling = stat_pooling if use_pooling else 1.0
     table_weight = np.where(
@@ -129,42 +110,47 @@ def expected_device_costs_ms_many(
         0.0,
     )
 
-    # One shard per (plan, table), except that column / twrw tables
-    # expand into one shard per device, in place, so every plan's
-    # shards stay in table order.
-    split = {
-        p * num_tables + j: strat
-        for p, plan in enumerate(plans)
-        if plan.table_strategies is not None
-        for j, strat in enumerate(plan.table_strategies)
-        if strat.kind in ("column", "twrw")
-    }
-    shards_of = np.ones(num_plans * num_tables, dtype=np.int64)
-    shards_of[list(split)] = [len(s.devices) for s in split.values()]
-    owner = np.repeat(np.arange(num_plans * num_tables), shards_of)
-    first = np.cumsum(shards_of) - shards_of
-    device = home.ravel()[owner]
+    # Every plan's shards, plan after plan; ``owner`` indexes each
+    # shard's (plan, table) coverage column.
+    shards = [plan.shards(model) for plan in plans]
+    table = np.concatenate([s.table for s in shards])
+    device = np.concatenate([s.device for s in shards])
+    plan_of = np.repeat(np.arange(num_plans), [s.table.size for s in shards])
+    owner = plan_of * num_tables + table
+    num_rows = np.array([t.num_rows for t in model.tables])
+
+    def edge_coverage(ranks, open_end):
+        """Coverage below each shard edge; an edge at either end of the
+        rank line clips nothing."""
+        out = np.full(ranks.size, open_end)
+        inner = np.flatnonzero((ranks > 0) & (ranks < num_rows[table]))
+        if workspace is not None:
+            out[inner] = workspace.coverage_of_rows_at(
+                table[inner], ranks[inner]
+            )
+        else:
+            for j in np.unique(table[inner]):
+                mine = inner[table[inner] == j]
+                out[mine] = profile[j].cdf.coverage_of_rows_many(ranks[mine])
+        return out
+
     # (tiers, shards): tier-major, so each shard's dot below reads a
     # strided column exactly as a per-table ``frac[:, j] @ inv_bw``.
-    cells = frac.transpose(1, 0, 2).reshape(num_tiers, -1)[:, owner]
-    share = np.ones(owner.size)
-    for k, strat in split.items():
-        at = slice(first[k], first[k] + len(strat.devices))
-        device[at] = strat.devices
-        p, j = divmod(k, num_tables)
-        if strat.kind == "column":
-            share[at] = np.asarray(strat.dims) / model.tables[j].dim
-        else:
-            cut_cov = cut_coverage(j, np.asarray(strat.row_cuts))
-            cells[:, at] = crossing_cells(
-                cov_prefix[p, :, j],
-                np.concatenate(([0.0], cut_cov, [cov[p, -1, j]])),
-            )
+    cov_prefix = np.concatenate(
+        (np.zeros((num_plans, 1, num_tables)), cov), axis=1
+    )
+    cells = crossing_cells(
+        cov_prefix.transpose(1, 0, 2).reshape(num_tiers + 1, -1)[:, owner],
+        edge_coverage(np.concatenate([s.rank_lo for s in shards]), -np.inf),
+        edge_coverage(np.concatenate([s.rank_hi for s in shards]), np.inf),
+    )
+    dims = np.array([t.dim for t in model.tables])
+    share = np.concatenate([s.dim for s in shards]) / dims[table]
     inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
     tier_cost = np.vecdot(cells.T, inv_bw[:num_tiers])
-    shard_cost = table_weight[owner % num_tables] * tier_cost * share
+    shard_cost = table_weight[table] * tier_cost * share
     costs = np.bincount(
-        (owner // num_tables) * num_devices + device,
+        plan_of * num_devices + device,
         weights=shard_cost,
         minlength=num_plans * num_devices,
     ).reshape(num_plans, num_devices)

@@ -26,6 +26,7 @@ the bytes each (device, tier) stores over the physical copies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,33 +130,50 @@ class TableStrategy:
         return max(1, len(self.devices))
 
 
-def crossing_cells(tier_prefix, shard_prefix) -> np.ndarray:
-    """What lies in each (tier, shard) cell where two partitions of one
-    rank order cross.
+def crossing_cells(tier_prefix, shard_lo, shard_hi) -> np.ndarray:
+    """What lies in each tier of each shard's rank range.
 
-    Both arguments are monotone prefix arrays over a table's frequency
-    ranks, each starting at 0 and ending at the total: rank boundaries,
-    coverage masses at those boundaries, or classified lookups below
-    them.  Because both partitions are prefixes of the same order, cell
-    ``(t, s)`` holds what lies between ``max(tier[t], shard[s])`` and
-    ``min(tier[t + 1], shard[s + 1])``.  Capacity checks (rows), the
-    cost evaluator (coverage) and the executor's twrw reduce (lookup
-    counts) all read their twrw cells from here.
+    ``tier_prefix`` is a monotone prefix array over a table's frequency
+    ranks, tiers on the first axis (``(tiers + 1, ...)``, starting at 0
+    and ending at the total): rank boundaries, coverage masses at those
+    boundaries, or classified lookups below them.  ``shard_lo`` and
+    ``shard_hi`` bound each shard's rank range in the same units,
+    broadcast against ``tier_prefix[0]``.  Because both partitions are
+    prefixes of the same order, tier ``t`` of a shard holds what lies
+    between ``max(tier[t], lo)`` and ``min(tier[t + 1], hi)``.  Capacity
+    checks (rows) and the cost evaluator (coverage) read every shard's
+    tier cells from here.
     """
-    upper = np.minimum(tier_prefix[1:, None], shard_prefix[None, 1:])
-    lower = np.maximum(tier_prefix[:-1, None], shard_prefix[None, :-1])
+    tier_prefix = np.asarray(tier_prefix)
+    upper = np.minimum(tier_prefix[1:], shard_hi)
+    lower = np.maximum(tier_prefix[:-1], shard_lo)
     return np.maximum(0, upper - lower)
 
 
-def _tier_row_bytes(model: ModelSpec, tiers) -> np.ndarray:
-    """``(tables, tiers)`` bytes one row of each table takes on each tier."""
-    row_bytes = np.array([t.row_bytes for t in model.tables], dtype=np.int64)
-    # Tables share a handful of widths: quantize each width once.
-    widths, table_width = np.unique(row_bytes, return_inverse=True)
+class Shards(NamedTuple):
+    """A plan's physical shards, as flat arrays in table order.
+
+    Shard ``k`` holds table ``table[k]``'s frequency ranks
+    ``[rank_lo[k], rank_hi[k])`` on device ``device[k]`` at embedding
+    width ``dim[k]``.
+    """
+
+    table: np.ndarray
+    device: np.ndarray
+    rank_lo: np.ndarray
+    rank_hi: np.ndarray
+    dim: np.ndarray
+
+
+def _tier_row_bytes(row_bytes, tiers) -> np.ndarray:
+    """``(rows, tiers)`` bytes one row of each width takes on each tier."""
+    row_bytes = np.asarray(row_bytes, dtype=np.int64)
+    # Rows share a handful of widths: quantize each width once.
+    widths, row_width = np.unique(row_bytes, return_inverse=True)
     return np.array(
         [[tier.row_bytes_for(int(w)) for tier in tiers] for w in widths],
         dtype=np.int64,
-    ).reshape(len(widths), len(tiers))[table_width]
+    ).reshape(len(widths), len(tiers))[row_width]
 
 
 @dataclass
@@ -262,12 +280,47 @@ class ShardingPlan:
         if self.replica_rows is None:
             return charged
         per_table = (
-            self.replica_rows * _tier_row_bytes(model, topology.tiers[:1])[:, 0]
+            self.replica_rows
+            * _tier_row_bytes(
+                [t.row_bytes for t in model.tables], topology.tiers[:1]
+            )[:, 0]
         )
         np.subtract.at(
             charged, [p.device for p in self.placements], per_table
         )
         return charged + per_table.sum()
+
+    def shards(self, model: ModelSpec) -> Shards:
+        """Expand every table into its physical shards.
+
+        A plain, ``row`` or ``table`` table is one shard on its home
+        device over ``[0, num_rows)``; a ``column`` table one shard per
+        device over the full rank range at that shard's dim; a ``twrw``
+        table one shard per device over its rank range.  Capacity
+        (:meth:`tier_usage`), the cost evaluator and the executor all
+        read this one expansion.
+        """
+        num_rows = np.array([t.num_rows for t in model.tables], dtype=np.int64)
+        dims = np.array([t.dim for t in model.tables], dtype=np.int64)
+        home = np.array([p.device for p in self.placements], dtype=np.int64)
+        split = {
+            j: s for j, s in enumerate(self.table_strategies or ()) if s.devices
+        }
+        count = np.ones(home.size, dtype=np.int64)
+        count[list(split)] = [len(s.devices) for s in split.values()]
+        table = np.repeat(np.arange(home.size), count)
+        device, rank_hi, dim = home[table], num_rows[table], dims[table]
+        rank_lo = np.zeros_like(table)
+        first = np.cumsum(count) - count
+        for j, strat in split.items():
+            at = slice(first[j], first[j] + len(strat.devices))
+            device[at] = strat.devices
+            if strat.kind == "column":
+                dim[at] = strat.dims
+            else:  # twrw
+                rank_lo[at] = (0, *strat.row_cuts)
+                rank_hi[at] = (*strat.row_cuts, num_rows[j])
+        return Shards(table, device, rank_lo, rank_hi, dim)
 
     def tier_usage(
         self, model: ModelSpec, topology: SystemTopology
@@ -275,13 +328,12 @@ class ShardingPlan:
         """Bytes stored on each ``(device, tier)`` over the physical copies.
 
         Each tier charges its rows at its own ``precision``
-        (:meth:`~repro.memory.tier.MemoryTier.row_bytes_for`).  A
-        ``row`` / ``table`` placement charges its tier split to its
-        home; a column shard charges the same split at its dim share; a
-        twrw shard the rows of its rank range.  With ``reclaim_dead``
-        (Section 3.4) the rows never observed in training sit, unbacked,
-        at the cold end of the last tier and are not charged.  Replica
-        copies land on the fastest tier.
+        (:meth:`~repro.memory.tier.MemoryTier.row_bytes_for`).  Every
+        shard (:meth:`shards`) charges the rows of its rank range in
+        each tier, at its own width.  With ``reclaim_dead`` (Section
+        3.4) the rows never observed in training sit, unbacked, at the
+        cold end of the last tier and are not charged.  Replica copies
+        land on the fastest tier.
         """
         rows = np.array(
             [p.rows_per_tier for p in self.placements], dtype=np.int64
@@ -291,35 +343,21 @@ class ShardingPlan:
             rows[:, -1] -= np.minimum(
                 np.asarray(dead_rows, dtype=np.int64), rows[:, -1]
             )
-        row_bytes = _tier_row_bytes(model, topology.tiers)
+        shards = self.shards(model)
+        # (tiers + 1, shards) cumulative tier boundaries of each shard's
+        # table, clipped to the shard's rank range.
+        prefix = np.concatenate(
+            (np.zeros((1, rows.shape[0]), dtype=np.int64), rows.cumsum(1).T)
+        )[:, shards.table]
+        cells = crossing_cells(prefix, shards.rank_lo, shards.rank_hi)
+        dtype_bytes = np.array([t.dtype_bytes for t in model.tables])
+        row_bytes = _tier_row_bytes(
+            shards.dim * dtype_bytes[shards.table], topology.tiers
+        )
         usage = np.zeros(
             (topology.num_devices, topology.num_tiers), dtype=np.int64
         )
-        strategies = self.table_strategies or ()
-        split = [
-            j for j, s in enumerate(strategies)
-            if s.kind in ("column", "twrw")
-        ]
-        whole = np.ones(len(self.placements), dtype=bool)
-        whole[split] = False
-        home = np.array([p.device for p in self.placements], dtype=np.int64)
-        np.add.at(usage, home[whole], rows[whole] * row_bytes[whole])
-        for j in split:
-            strat = strategies[j]
-            table = model.tables[j]
-            if strat.kind == "column":
-                for device, dim in zip(strat.devices, strat.dims):
-                    usage[device] += rows[j] * [
-                        tier.row_bytes_for(dim * table.dtype_bytes)
-                        for tier in topology.tiers
-                    ]
-            else:  # twrw
-                cells = crossing_cells(
-                    np.concatenate(([0], np.cumsum(rows[j]))),
-                    np.concatenate(([0], strat.row_cuts, [table.num_rows])),
-                )
-                for s, device in enumerate(strat.devices):
-                    usage[device] += cells[:, s] * row_bytes[j]
+        np.add.at(usage, shards.device, cells.T * row_bytes)
         usage[:, 0] += self.replica_bytes_per_device(model, topology)
         return usage
 
@@ -340,7 +378,14 @@ class ShardingPlan:
                 f"{model.num_tables} tables"
             )
         if self.table_strategies is not None and self.replica_rows is not None:
-            raise PlanError("strategy plans do not compose with replication")
+            # A device stores copies of the replicated rows it does not
+            # home, and replica selection weighs each table's home
+            # load; a split table has several homes, each holding part
+            # of those rows.
+            raise PlanError(
+                "strategy plans do not compose with replication: replica "
+                "charges and selection assume one home device per table"
+            )
         strategies = self.table_strategies or (
             (TableStrategy(),) * len(self.placements)
         )

@@ -87,8 +87,10 @@ def resolve_strategy_kinds(tokens) -> tuple[str, ...]:
 def proportional_split(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Largest-remainder integer split of counts proportional to weights.
 
-    ``counts`` is ``(rows,)`` and ``weights`` ``(shards,)``; the result
-    is ``(rows, shards)`` with each row summing exactly to its count,
+    ``counts`` is ``(rows,)`` and ``weights`` ``(shards,)``, or
+    ``(rows, shards)`` for a weight vector per row (zero weights pad
+    rows with fewer shards and receive nothing); the result is
+    ``(rows, shards)`` with each row summing exactly to its count,
     shares proportional to the weights, remainders resolved largest
     fractional part first (ties to the lowest shard index).  This is how
     a column-sharded table's *access counts* are attributed to its shard
@@ -97,21 +99,17 @@ def proportional_split(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     the property tests pin.
     """
     counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-    weights = np.asarray(weights, dtype=np.int64).reshape(-1)
-    total = int(weights.sum())
-    if total <= 0:
+    weights = np.asarray(weights, dtype=np.int64)
+    total = weights.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ValueError("weights must sum to a positive total")
-    prod = counts[:, None] * weights[None, :]
+    prod = counts[:, None] * weights
     base = prod // total
     remainder = prod % total
     missing = counts - base.sum(axis=1)
     order = np.argsort(-remainder, axis=1, kind="stable")
-    bump = np.arange(weights.size)[None, :] < missing[:, None]
-    np.add.at(
-        base,
-        (np.repeat(np.arange(counts.size), weights.size), order.ravel()),
-        bump.ravel().astype(np.int64),
-    )
+    bump = np.arange(prod.shape[1])[None, :] < missing[:, None]
+    base[np.arange(counts.size)[:, None], order] += bump
     return base
 
 

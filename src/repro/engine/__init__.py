@@ -18,7 +18,6 @@ from repro.engine.executor import (
     least_loaded_counts,
     replay_trace,
 )
-from repro.engine.lanes import Lane, LaneRegistry, build_lanes
 from repro.engine.metrics import IterationStats, RunMetrics
 from repro.engine.ranked import RankedBatch, RankedFeature, RankRemapper
 from repro.engine.harness import (
@@ -31,15 +30,12 @@ __all__ = [
     "CacheModel",
     "ExperimentResult",
     "IterationStats",
-    "Lane",
-    "LaneRegistry",
     "RankRemapper",
     "RankedBatch",
     "RankedFeature",
     "RunMetrics",
     "ShardedExecutor",
     "TierStagingModel",
-    "build_lanes",
     "cached_rows_per_table",
     "staged_rows_per_table",
     "compare_strategies",

@@ -7,25 +7,22 @@ traffic divided by tier bandwidth — the paper's additive cost model (the
 summation property discussed under "Key Properties of RecShard's MILP":
 mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
-Each lookup gathers one lane code from a per-table
-:class:`~repro.engine.lanes.LaneCodes` table built once per executor —
-the tier half of the Section 4.3 remapping layer, one byte per row,
-saying which of the table's lane edges (tier boundaries, fast-lane and
-replica cutoffs, strategy cuts) the row's frequency rank falls below.
-Per-tier accounting then reduces to counting small codes, for any tier
-count: per-tier counts are prefix differences of the lookups' ranks
-against the plan's cumulative tier boundaries.  The device cache model
-likewise rides the sorted-by-construction frequency ranking: a hit is
-simply ``rank < cached_rows``, one more edge in the code table.
+Because the Section 4.3 remapping packs each table's rows hottest
+first, every lane of the engine is a per-table rank *edge*: the tier
+boundaries, the device-cache and staging cutoffs, the hot-row replica
+cutoff, and the shard ranges of a table-wise-row-wise split.  A
+table's edges cut its rank line into *segments*, and each segment lies
+in one tier, one lane (home, fast or replica) and one rank range of
+each of the table's shards (:meth:`~repro.core.plan.ShardingPlan.shards`).
+:meth:`ShardedExecutor._build_segments` labels every segment once, at
+build time, with its tier, lane, device(s) and bytes.  Each lookup
+then gathers one code — its segment — from a per-table
+:class:`~repro.engine.lanes.LaneCodes` table (one byte per row),
+classification returns one vector of per-segment lookup counts, and
+:meth:`ShardedExecutor._reduce_counts` pools that vector with one
+``bincount`` per metric over the static labels.
 
-The reference it is pinned against — every lookup resolved through the
-remapping tables, replicas routed by a per-lookup argmin — is
-``tests/oracles/engine.py``'s ``ScalarExecutor``.  It classifies
-independently but shares :meth:`ShardedExecutor._reduce_counts`, so
-identical classifications yield *bit-identical* device times.
-
-Two frequency-informed fast-lane models (:mod:`repro.engine.cache`) can
-be layered on top:
+The lanes on top of the home tiers:
 
 * a :class:`~repro.engine.cache.CacheModel` serves each device's
   expectedly-hottest HBM rows at cache bandwidth, reproducing the
@@ -33,54 +30,46 @@ be layered on top:
 * a :class:`~repro.engine.cache.TierStagingModel` serves each cold
   tier's statically-hottest resident rows at the next-faster tier's
   bandwidth (Section 4.4's capacity-scaling hierarchies made fast to
-  serve).  Staged accesses stay *counted* in their home tier.
+  serve).  Cache and staging hits stay *counted* in their home tier;
+* *replication* (a plan's ``replica_rows``, set by
+  :func:`~repro.core.replicate.build_replication`): each table's
+  ``replica_rows`` hottest rows exist on every device, and a lookup
+  below that cutoff is routed to whichever device currently carries
+  the least served bytes instead of the table's home.  Routing is
+  greedy least-loaded over running per-device byte counters (ties to
+  the lowest device id; the counters see each batch's home-lane bytes
+  before its replicated lookups, in trace order).  Each feature's
+  routed counts come in closed form (:func:`least_loaded_counts` — the
+  greedy sequence is the ``n`` smallest pops across per-device
+  arithmetic progressions), bit-identical to assigning lookup by
+  lookup.  Routed accesses are counted on the *serving* device's
+  fastest tier, so the per-device access totals
+  (``RunMetrics.load_imbalance``) show the balancing effect directly.
 
-Because the remapping packs hot rows first, both reduce to per-(table,
-tier) rank cutoffs that become edges of the same code tables.
-
-A third fast lane is *replication* (a plan's ``replica_rows``, set by
-:func:`~repro.core.replicate.build_replication`): each table's
-``replica_rows`` hottest rows exist on every device, and a lookup that
-resolves below that cutoff is routed to whichever device currently
-carries the least served bytes instead of the table's home.  Routing is
-greedy least-loaded over running per-device byte counters (ties to the
-lowest device id; the counters see each batch's home-lane bytes before
-its replicated lookups, in trace order).  Each feature's routed counts
-come in closed form (:func:`least_loaded_counts` — the greedy sequence
-is the ``n`` smallest pops across per-device arithmetic progressions),
-bit-identical to assigning lookup by lookup.
-Routed accesses are counted on the *serving* device's fastest tier, so
-the per-device access totals (``RunMetrics.load_imbalance``) show the
-balancing effect directly.
-
-All of these cutoffs — tier boundaries, cache, staging, replica, and
-the table-wise-row-wise strategy cuts — are *registered lanes* in a
-:class:`~repro.engine.lanes.LaneRegistry` built once per executor.
-Each lane is a per-table cumulative rank cutoff; classification is one
-prefix count per lane, read off each batch's code counts
-(:meth:`~repro.engine.lanes.LaneSlots.read`) and fed to
-:meth:`ShardedExecutor._reduce_counts`.
+Per-table sharding strategies (a plan's ``table_strategies``, see
+:mod:`repro.core.strategies`) need no lane of their own: a twrw
+table's shard ranges are edges like any other, so each of its
+segments lands on one shard device; every column shard holds every
+segment of its table, moves its dim share of the bytes, and takes a
+largest-remainder share of the lookups, conserving each segment's
+total.  Strategy plans do not compose with cache/staging (cache and
+staging pick a per-table rank prefix on the home device, and a split
+table's hot set is per shard; the executor rejects the combination)
+or with replicas (the plan's ``validate`` rejects it).
 
 One loop, :func:`_classify_lanes`, drives every classification: a
 single executor's jagged or pre-ranked batch, and
 :func:`replay_trace`'s several plans over one trace.  It gathers each
 feature's codes once — from one joint code table over every
 executor's edges in a multi-plan replay — counts them once per
-distinct edge, and hands every executor its lanes' counts.
+segment, and folds the joint counts into each executor's segments.
 
-Per-table sharding strategies (a plan's ``table_strategies``, see
-:mod:`repro.core.strategies`) reuse the framework:
-column splits change nothing at classification time (every lookup
-touches every column shard) — the reduction scatters each table's
-per-tier counts across its shard devices, byte traffic exact per dim
-share, access counts split largest-remainder so per-table totals are
-conserved; twrw splits register one ``cut`` lane per interior rank cut
-and the reduction crosses cut prefixes with tier prefixes (a min/max
-identity on monotone prefix counts) to land each (tier, shard) cell on
-its device.  Strategy plans do not compose with cache/staging lanes
-(the executor rejects the combination up front) or with replicas (the
-plan's ``validate`` rejects it); they do compose with brownout, whose
-clamp leaves a twrw table exactly its tier-0 cells.
+The reference it is pinned against — every lookup resolved through
+the remapping tables, a per-lane reduce, replicas routed by a
+per-lookup argmin — is ``tests/oracles/engine.py``'s
+``ScalarExecutor``.  It classifies and reduces independently; device
+times agree bit for bit, except within ``1e-12`` relative where a
+cache or staging lane reads bytes at a second bandwidth.
 
 The executor reads every lane from the one plan type,
 :class:`~repro.core.plan.ShardingPlan`, and checks it with the plan's
@@ -94,7 +83,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.evaluate import expected_device_costs_ms
-from repro.core.plan import ShardingPlan, crossing_cells
+from repro.core.plan import ShardingPlan
 from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
@@ -104,7 +93,7 @@ from repro.engine.cache import (
     cached_rows_per_table,
     staged_rows_per_table,
 )
-from repro.engine.lanes import LaneCodes, LaneRegistry, LaneSlots, build_lanes
+from repro.engine.lanes import LaneCodes
 from repro.engine.metrics import RunMetrics
 from repro.engine.ranked import RankedBatch, RankRemapper
 from repro.memory.topology import SystemTopology
@@ -118,13 +107,12 @@ class ShardedExecutor:
         plan: the sharding plan under test; its ``replica_rows`` enable
             the replica lane (lookups below a table's replica cutoff
             are routed least-loaded across all devices) and its
-            ``table_strategies`` the column/twrw shard lanes.
+            ``table_strategies`` the column/twrw shards.
         profile: the profile whose frequency ranking orders rows across
             tiers (the same ranking the remapping layer ships to
             production in Section 4.3).
-        topology: tier capacities/bandwidths to charge against.
-        validate: check plan feasibility up front (disable only for
-            deliberately infeasible what-if runs).
+        topology: tier capacities/bandwidths to charge against; the
+            plan is validated against it.
         cache: optional per-device cache model; each device's expectedly
             hottest HBM rows are served at cache bandwidth.
         staging: optional per-device staging model; each cold tier's
@@ -138,69 +126,38 @@ class ShardedExecutor:
         plan: ShardingPlan,
         profile,
         topology: SystemTopology,
-        validate: bool = True,
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
     ):
-        # Strategy plans carry no cache/staging hit lanes, and brownout
-        # on a twrw table is exact only because of that: the clamp
-        # leaves the table's cold-tier counts at zero, so its clamped
-        # tier prefixes cross the unclamped cut prefixes into exactly
-        # the tier-0 cells.
+        # Cache and staging pick a per-table rank prefix on the home
+        # device; a split table's hot set is per shard.
         if plan.table_strategies is not None and (
             cache is not None or staging is not None
         ):
             raise ValueError(
                 "strategy plans do not compose with cache/staging fast lanes"
             )
-        if validate:
-            plan.validate(model, topology)
+        plan.validate(model, topology)
         self.model = model
         self.plan = plan
         self.profile = profile
         self.topology = topology
         self._ranker: RankRemapper | None = None
         self.device_of = np.array([p.device for p in plan], dtype=np.int64)
-        self.row_bytes = np.array(
-            [t.row_bytes for t in model.tables], dtype=np.float64
-        )
         # Cumulative tier boundaries in rank space, shape (tables, tiers):
         # the rows of table j on tier t are ranks [bounds[j, t-1], bounds[j, t]).
         self._tier_bounds = np.array(
             [np.cumsum(p.rows_per_tier) for p in plan], dtype=np.int64
         )
-        self._inv_bw = np.array(
-            [1.0 / tier.bandwidth for tier in topology.tiers], dtype=np.float64
-        )
         self.cache = cache
         self.staging = staging
-        self._cache_threshold = np.zeros(model.num_tables, dtype=np.int64)
-        if cache is not None:
-            for device in range(topology.num_devices):
-                for table_index, rows in cached_rows_per_table(
-                    cache, plan, profile, model, device
-                ).items():
-                    self._cache_threshold[table_index] = rows
-        # Leading rows of each (table, cold tier) block staged one tier
-        # up; column 0 is always zero (CacheModel owns the HBM lane).
-        self._stage_rows = np.zeros(
-            (model.num_tables, topology.num_tiers), dtype=np.int64
-        )
-        if staging is not None:
-            for device in range(topology.num_devices):
-                self._stage_rows += staged_rows_per_table(
-                    staging, plan, profile, model, topology.num_tiers, device
-                )
         # Replica lane: ranks below a table's replica cutoff exist on
         # every device and are routed least-loaded instead of hitting
-        # the home device.  The cutoff is clamped to the fastest tier's
-        # boundary (validate() already guarantees containment) and the
-        # running byte counters start at zero per executor.
+        # the home device; the running byte counters start at zero per
+        # executor.
         self._replica_cut = np.zeros(model.num_tables, dtype=np.int64)
         if plan.replica_rows is not None:
-            self._replica_cut = np.minimum(
-                plan.replica_rows, self._tier_bounds[:, 0]
-            )
+            self._replica_cut = plan.replica_rows
         self._has_replicas = bool(self._replica_cut.any())
         self._row_bytes_int = np.array(
             [t.row_bytes for t in model.tables], dtype=np.int64
@@ -224,88 +181,140 @@ class ShardedExecutor:
             (topology.num_tiers, topology.num_devices), dtype=np.int64
         )
         self.browned_by_table = np.zeros(model.num_tables, dtype=np.int64)
-        # Per-(table, tier) fast-lane cutoffs in cumulative rank space:
-        # ranks in [bounds[t-1], cutoffs[t]) are served at the tier's
-        # fast lane (cache bandwidth for tier 0, tier t-1's bandwidth
-        # for cold tiers).  The cache only holds HBM-resident rows and a
-        # tier's staged rows live inside its block, so every cutoff is
-        # clamped into the tier's boundary interval.
-        bounds = self._tier_bounds
-        cutoffs = np.empty_like(bounds)
-        cutoffs[:, 0] = np.minimum(self._cache_threshold, bounds[:, 0])
-        if cache is not None and self._has_replicas:
-            # The replica lane owns the leading ranks: cache hits only
-            # count ranks in [replica_cut, cutoff).
-            cutoffs[:, 0] = np.maximum(cutoffs[:, 0], self._replica_cut)
-        if topology.num_tiers > 1:
-            cutoffs[:, 1:] = np.minimum(
-                bounds[:, :-1] + self._stage_rows[:, 1:], bounds[:, 1:]
-            )
-        self._tier_cutoffs = cutoffs
-        # Tiers whose fast-lane cutoff sits strictly above the tier's
-        # lower boundary for at least one table: only these register a
-        # hit lane.
-        lower = np.zeros_like(bounds)
-        lower[:, 1:] = bounds[:, :-1]
-        self._hit_tiers = tuple(
-            int(t) for t in np.flatnonzero((cutoffs > lower).any(axis=0))
-        )
-        # Per-table strategy shards: column tables scatter their counts
-        # across shard devices at reduce time; twrw tables additionally
-        # register one classification lane per interior rank cut.
-        self._column_tables: list[tuple] = []
-        self._twrw_tables: list[tuple] = []
-        self._num_cut_lanes = 0
-        cut_points = None
-        if plan.table_strategies is not None:
-            # One cut lane per interior twrw cut of the widest split.
-            self._num_cut_lanes = max(
-                (len(s.row_cuts) for s in plan.table_strategies),
-                default=0,
-            )
-            if self._num_cut_lanes:
-                cut_points = np.zeros(
-                    (model.num_tables, self._num_cut_lanes), dtype=np.int64
-                )
-            for j, strat in enumerate(plan.table_strategies):
-                if strat.kind == "column":
-                    dims = np.asarray(strat.dims, dtype=np.int64)
-                    self._column_tables.append((
-                        j,
-                        np.asarray(strat.devices, dtype=np.int64),
-                        dims,
-                        (dims * model.tables[j].dtype_bytes).astype(
-                            np.float64
-                        ),
-                    ))
-                elif strat.kind == "twrw":
-                    cut_points[j, : len(strat.row_cuts)] = strat.row_cuts
-                    self._twrw_tables.append((
-                        j,
-                        np.asarray(strat.devices, dtype=np.int64),
-                        len(strat.row_cuts),
-                    ))
-        self._split_idx = np.array(
-            [info[0] for info in self._column_tables]
-            + [info[0] for info in self._twrw_tables],
-            dtype=np.int64,
-        )
-        self._cut_points = cut_points
-        # The lane registry: every cutoff classification reads, in pass
-        # order.  Registering a lane here is all it takes to classify it.
-        self._lanes: LaneRegistry = build_lanes(
-            self._tier_bounds,
-            self._tier_cutoffs,
-            self._hit_tiers,
-            replica_cut=self._replica_cut if self._has_replicas else None,
-            strategy_cuts=cut_points,
-        )
-        # The lane-code tables over this registry's edges, and where
-        # each lane reads them.  A multi-plan replay caches its joint
-        # table in ``_joint``.
-        self._codes = LaneCodes((self._lanes,), self._row_orders())
-        self._slots = self._codes.slots(self._lanes, topology.num_tiers)
+        self._build_segments(self._fast_cutoffs())
         self._joint: tuple | None = None
+
+    def _fast_cutoffs(self) -> np.ndarray:
+        """Per-(table, tier) fast-lane cutoffs in cumulative rank space.
+
+        Ranks in ``[bounds[t-1], cutoffs[t])`` are served at the tier's
+        fast lane (cache bandwidth for tier 0, tier ``t-1``'s bandwidth
+        for cold tiers).  The cache only holds HBM-resident rows and a
+        tier's staged rows live inside its block, so every cutoff is
+        clamped into the tier's boundary interval.
+        """
+        model, plan, topology = self.model, self.plan, self.topology
+        bounds = self._tier_bounds
+        cutoffs = np.zeros_like(bounds)
+        if self.cache is not None:
+            for device in range(topology.num_devices):
+                for table_index, rows in cached_rows_per_table(
+                    self.cache, plan, self.profile, model, device
+                ).items():
+                    cutoffs[table_index, 0] = min(rows, bounds[table_index, 0])
+        if self.staging is not None:
+            # Leading rows of each (table, cold tier) block staged one
+            # tier up; column 0 is always zero (the cache owns tier 0).
+            staged = np.zeros_like(bounds)
+            for device in range(topology.num_devices):
+                staged += staged_rows_per_table(
+                    self.staging, plan, self.profile, model,
+                    topology.num_tiers, device,
+                )
+            cutoffs[:, 1:] = np.minimum(
+                bounds[:, :-1] + staged[:, 1:], bounds[:, 1:]
+            )
+        # The replica lane owns the leading ranks: cache hits only
+        # count ranks in [replica_cut, cutoff).
+        cutoffs[:, 0] = np.maximum(cutoffs[:, 0], self._replica_cut)
+        return cutoffs
+
+    def _build_segments(self, cutoffs: np.ndarray) -> None:
+        """Cut every table's rank line at its lane edges and label the
+        segments.
+
+        A table's edges are its tier boundaries, its replica cutoff,
+        its fast-lane cutoffs and its shards' rank ranges
+        (:meth:`~repro.core.plan.ShardingPlan.shards`), so each segment
+        lies in one tier, one lane (replica below the replica cutoff,
+        fast below its tier's fast-lane cutoff, home otherwise) and one
+        rank range of each shard.  A *cell* pairs a segment with a shard
+        that holds it: one cell per segment, except that every column
+        shard holds every segment of its table.  Each cell knows its
+        device, its row bytes and the bandwidth it is read at.
+        """
+        model, topology = self.model, self.topology
+        num_tiers, num_devices = topology.num_tiers, topology.num_devices
+        bounds, replica_cut = self._tier_bounds, self._replica_cut
+        shards = self.plan.shards(model)
+        edges = [
+            set(row) for row in np.column_stack(
+                (bounds[:, :-1], replica_cut, cutoffs)
+            ).tolist()
+        ]
+        for j, lo, hi in zip(
+            shards.table.tolist(), shards.rank_lo.tolist(),
+            shards.rank_hi.tolist(),
+        ):
+            edges[j].update((lo, hi))
+        self._codes = codes = LaneCodes(edges, self._row_orders())
+        seg_table = np.repeat(
+            np.arange(model.num_tables), [len(e) + 1 for e in codes.edges]
+        )
+        seg_lo = np.array(
+            [rank for e in codes.edges for rank in (0, *e)], dtype=np.int64
+        )
+        seg_tier = (bounds[seg_table, :-1] <= seg_lo[:, None]).sum(axis=1)
+        replica = seg_lo < replica_cut[seg_table]
+        fast = ~replica & (seg_lo < cutoffs[seg_table, seg_tier])
+        # Cells: every (segment, shard of its table) pair whose shard
+        # rank range holds the segment.
+        shard_count = np.bincount(shards.table, minlength=model.num_tables)
+        pairs = shard_count[seg_table]
+        cell_seg = np.repeat(np.arange(seg_lo.size), pairs)
+        cell_shard = (
+            np.repeat((np.cumsum(shard_count) - shard_count)[seg_table], pairs)
+            + np.arange(cell_seg.size)
+            - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        )
+        lo = seg_lo[cell_seg]
+        held = (shards.rank_lo[cell_shard] <= lo) & (
+            lo < shards.rank_hi[cell_shard]
+        )
+        cell_seg, cell_shard = cell_seg[held], cell_shard[held]
+        device = shards.device[cell_shard]
+        tier = seg_tier[cell_seg]
+        # Read bandwidth: the home tier's, the cache's (rate num_tiers)
+        # for tier-0 fast cells, the next-faster tier's for staged ones.
+        rate = np.where(
+            fast[cell_seg], np.where(tier == 0, num_tiers, tier - 1), tier
+        )
+        dtype_bytes = np.array([t.dtype_bytes for t in model.tables])
+        self._seg_table = seg_table
+        self._cell_seg = cell_seg
+        self._cell_at = tier * num_devices + device
+        self._cell_rate_at = rate * num_devices + device
+        self._cell_bytes = (
+            shards.dim[cell_shard] * dtype_bytes[seg_table[cell_seg]]
+        ).astype(np.float64)
+        self._replica_cells = np.flatnonzero(replica[cell_seg])
+        self._fast_cells = np.flatnonzero(fast[cell_seg])
+        self._replica_segs = np.flatnonzero(replica)
+        # Brownout skips the cold tiers' home-lane segments, tallied on
+        # the table's home device.
+        self._cold_segs = np.flatnonzero((seg_tier > 0) & ~fast & ~replica)
+        self._cold_at = (
+            seg_tier[self._cold_segs] * num_devices
+            + self.device_of[seg_table[self._cold_segs]]
+        )
+        inv_bw = [1.0 / tier.bandwidth for tier in topology.tiers]
+        self._inv_bw = np.array(
+            inv_bw + [0.0 if self.cache is None else 1.0 / self.cache.bandwidth]
+        )
+        # Segments several column shards hold split their lookup
+        # counts by dim (largest remainder), conserving each segment's
+        # total; traffic is exact per dim share.
+        self._shared = None
+        cells_of = np.bincount(cell_seg, minlength=seg_lo.size)
+        multi = np.flatnonzero(cells_of[cell_seg] > 1)
+        if multi.size:
+            shared = np.flatnonzero(cells_of > 1)
+            slot = multi - (np.cumsum(cells_of) - cells_of)[cell_seg[multi]]
+            weights = np.zeros((shared.size, cells_of.max()), dtype=np.int64)
+            weights[np.searchsorted(shared, cell_seg[multi]), slot] = (
+                shards.dim[cell_shard[multi]]
+            )
+            self._shared = (shared, weights, multi)
 
     # ------------------------------------------------------------------
     # Lazily-built helpers
@@ -355,17 +364,12 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # Classification / reduction split (multi-process serving seam)
     # ------------------------------------------------------------------
-    def classify_batch(self, batch: JaggedBatch) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Run only the (stateless) classification lanes on one batch.
+    def classify_batch(self, batch: JaggedBatch) -> np.ndarray:
+        """Run only the (stateless) classification on one batch.
 
-        Returns the per-``(table, tier)`` access counts, the per-tier
-        fast-lane hit counts, the per-table replica-lane counts
-        (``None`` without replication), and the per-``(table, slot)``
-        twrw cut-lane prefix counts (``None`` without twrw shards) —
-        everything :meth:`reduce_classified` needs to produce the
-        batch's metrics.
+        Returns the batch's per-segment lookup counts (one int64 vector
+        summing to ``batch.total_lookups``) — everything
+        :meth:`reduce_classified` needs to produce the batch's metrics.
 
         This is the multi-process serving seam: classification touches
         every lookup but no cross-batch state, so worker processes can
@@ -377,11 +381,7 @@ class ShardedExecutor:
         return self._classify_jagged(batch)
 
     def reduce_classified(
-        self,
-        counts: np.ndarray,
-        hits: np.ndarray,
-        replicas: np.ndarray | None = None,
-        cuts: np.ndarray | None = None,
+        self, counts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pool classified counts into per-device metrics (stateful).
 
@@ -391,12 +391,7 @@ class ShardedExecutor:
         routing counters, so call it exactly once per batch, in batch
         order.
         """
-        return self._reduce_counts(
-            np.asarray(counts, dtype=np.int64),
-            np.asarray(hits, dtype=np.int64),
-            None if replicas is None else np.asarray(replicas, dtype=np.int64),
-            None if cuts is None else np.asarray(cuts, dtype=np.int64),
-        )
+        return self._reduce_counts(np.asarray(counts, dtype=np.int64))
 
     def reset_routing(self) -> None:
         """Zero the replica router's running load counters.
@@ -495,11 +490,9 @@ class ShardedExecutor:
         each feature gathers its lane codes straight from the hashed
         ids, so no rank is ever computed.
         """
-        return self._reduce_counts(*self._classify_jagged(batch))
+        return self._reduce_counts(self._classify_jagged(batch))
 
-    def _classify_jagged(self, batch: JaggedBatch) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
+    def _classify_jagged(self, batch: JaggedBatch) -> np.ndarray:
         """Lane-code classification of one jagged batch (no reduce)."""
         return _classify_lanes([self], batch, *_joint_codes([self]))[0]
 
@@ -509,168 +502,105 @@ class ShardedExecutor:
         """Vectorized accounting over a rank-space batch.
 
         Each feature's ranks gather their lane codes from the code
-        tables' rank-indexed step form (prefix counting: tier ``t``
-        serves the ranks between boundary ``t-1`` and boundary ``t``);
-        the per-(tier, device) access and traffic matrices are then
-        pooled with ``bincount`` over the plan's table → device
-        assignment.
+        tables' rank-indexed step form.
         """
         return self._reduce_counts(
-            *_classify_lanes([self], ranked, *_joint_codes([self]))[0]
+            _classify_lanes([self], ranked, *_joint_codes([self]))[0]
         )
 
     def _reduce_counts(
-        self,
-        counts: np.ndarray,
-        hits: np.ndarray,
-        replicas: np.ndarray | None = None,
-        cuts: np.ndarray | None = None,
+        self, counts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Pool per-(table, tier) counts into per-(tier, device) metrics.
+        """Pool per-segment lookup counts into per-(tier, device) metrics.
 
-        The pooling is a ``bincount`` over the plan's table → device
-        assignment, once for accesses and once for byte traffic; device
-        times follow from the additive bandwidth model.  ``hits`` are
-        each tier's fast-lane counts: tier 0's move from the HBM lane
-        to the cache lane, a cold tier's from its own lane to the
-        next-faster tier's.  ``replicas`` (per-table replica-lane
-        counts, included in the tier-0 column) are peeled off the home
-        device and routed least-loaded across all devices, charged at
-        the fastest tier's bandwidth on the device that serves them.
-
-        Strategy-split tables skip the home attribution and scatter at
-        reduce time instead: a column table charges every shard its
-        exact byte share of each lookup (``dims[s] * dtype_bytes``) and
-        splits the lookup counts largest-remainder-proportionally by
-        dim; a twrw table crosses its tier prefixes with the classified
-        cut prefixes (``cuts``) via the min/max identity to fill the
-        per-(tier, shard) cells exactly.
+        Every segment's lookups land on its cells' devices, one
+        ``bincount`` per metric over the labels :meth:`_build_segments`
+        fixed: accesses in the segment's tier, bytes at the cell's read
+        bandwidth (fast-lane cells at the cache's or the next-faster
+        tier's, counted in their home tier and in ``tier_hits``), and
+        device times follow from the additive bandwidth model.  Replica
+        segments are peeled off their home and routed least-loaded
+        across the surviving devices, charged at the fastest tier's
+        bandwidth on the device that serves them.  Brownout drops the
+        cold home segments first; then dead devices' cells drop.
         """
         num_devices = self.topology.num_devices
         num_tiers = self.topology.num_tiers
         self.last_browned[:] = 0
-        if self._brownout and num_tiers > 1:
+        if self._brownout:
             # Degraded mode: cold-tier home-lane lookups (everything a
             # cold tier serves beyond its staged rows) are skipped, so
             # only fast-tier, staged, and replicated rows execute.  The
             # skip happens before fault accounting — a dead device's
             # cold lookups count as browned, not dropped.
-            browned_tbl = counts[:, 1:] - hits[:, 1:]
-            if browned_tbl.any():
+            browned = counts[self._cold_segs]
+            if browned.any():
                 counts = counts.copy()
-                counts[:, 1:] = hits[:, 1:]
-                self.browned_by_table += browned_tbl.sum(axis=1)
-                for t in range(1, num_tiers):
-                    np.add.at(
-                        self.last_browned[t],
-                        self.device_of,
-                        browned_tbl[:, t - 1],
-                    )
+                counts[self._cold_segs] = 0
+                self.browned_by_table += np.bincount(
+                    self._seg_table[self._cold_segs], weights=browned,
+                    minlength=self.model.num_tables,
+                ).astype(np.int64)
+                self.last_browned[:] = np.bincount(
+                    self._cold_at, weights=browned,
+                    minlength=num_tiers * num_devices,
+                ).reshape(num_tiers, num_devices)
         alive = self._device_alive
         faulty = not alive.all()
-        route = replicas is not None and self._has_replicas
-        if faulty and not alive.any():
-            # Nothing survives: the replica lane has nowhere to reroute,
-            # so replicated lookups drop with their home lane.
-            route = False
-        split = bool(self._column_tables or self._twrw_tables)
-        if self._twrw_tables and cuts is None:
-            raise ValueError(
-                "twrw strategy tables require classified cut counts"
-            )
-        if split:
-            counts_home = counts.copy()
-            counts_home[self._split_idx, :] = 0
-        else:
-            counts_home = counts
-        counts0 = (
-            counts_home[:, 0] - replicas if route else counts_home[:, 0]
-        )
-        accesses = np.zeros((num_tiers, num_devices), dtype=np.int64)
-        traffic = np.zeros((num_tiers, num_devices), dtype=np.float64)
-        home_bytes = (
-            np.zeros(num_devices, dtype=np.int64) if route else None
-        )
-        for t in range(num_tiers):
-            col = counts0 if t == 0 else counts_home[:, t]
-            np.add.at(accesses[t], self.device_of, col)
-            traffic[t] = np.bincount(
-                self.device_of,
-                weights=col * self.row_bytes,
-                minlength=num_devices,
-            )
-            if route:
-                np.add.at(
-                    home_bytes, self.device_of, col * self._row_bytes_int
-                )
-        if split:
-            # Column shards: every lookup touches every shard for its
-            # dim share of the row bytes (traffic is exact); the lookup
-            # *counts* are split proportionally by dim with the
-            # largest-remainder rule, conserving per-table totals.
-            for j, devices, dims, shard_bytes in self._column_tables:
-                accesses[:, devices] += proportional_split(counts[j], dims)
-                traffic[:, devices] += (
-                    counts[j][:, None].astype(np.float64)
-                    * shard_bytes[None, :]
-                )
-            # Twrw shards: the classified cut prefixes cross the tier
-            # prefixes — cell (t, s) holds the lookups in both tier
-            # t's rank interval and shard s's, by the min/max identity
-            # on monotone prefix counts.
-            for j, devices, n_cuts in self._twrw_tables:
-                pb = np.concatenate(([0], np.cumsum(counts[j])))
-                pc = np.concatenate(
-                    ([0], cuts[j, :n_cuts], [pb[-1]])
-                ).astype(np.int64)
-                cells = crossing_cells(pb, pc)
-                accesses[:, devices] += cells
-                traffic[:, devices] += cells * self.row_bytes[j]
+        # With no survivor the replica lane has nowhere to reroute, so
+        # replicated lookups drop with their home lane.
+        route = self._has_replicas and alive.any()
+        served = counts[self._cell_seg]
+        if route:
+            served[self._replica_cells] = 0
+        accessed = served
+        if self._shared is not None:
+            shared, weights, cells = self._shared
+            accessed = served.copy()
+            accessed[cells] = proportional_split(counts[shared], weights)[
+                weights > 0
+            ]
+        size = num_tiers * num_devices
+        accesses = np.bincount(
+            self._cell_at, weights=accessed, minlength=size
+        ).astype(np.int64).reshape(num_tiers, num_devices)
+        traffic = np.bincount(
+            self._cell_rate_at, weights=served * self._cell_bytes,
+            minlength=size + num_devices,
+        ).reshape(num_tiers + 1, num_devices)
+        fast = self._fast_cells
+        tier_hits = np.bincount(
+            self._cell_at[fast], weights=served[fast], minlength=size
+        ).astype(np.int64).reshape(num_tiers, num_devices)
         self.last_dropped[:] = 0
         if faulty:
             # Dead devices serve nothing: their home-lane lookups are
             # dropped (tallied for the recovery metrics), their traffic
-            # disappears from the time model, and their pinned bytes
-            # stop feeding the replica router's load counters.
+            # and fast-lane hits disappear from the time model, and
+            # their pinned bytes stop feeding the replica router's load
+            # counters.
             dead = ~alive
             self.last_dropped[dead] = accesses[:, dead].sum(axis=0)
             accesses[:, dead] = 0
             traffic[:, dead] = 0.0
-            if route:
-                home_bytes[dead] = 0
+            tier_hits[:, dead] = 0
         replica_accesses = np.zeros(num_devices, dtype=np.int64)
         if route:
             # The routing counters see the batch's home-lane bytes
             # first (so "least loaded" accounts for the traffic the
             # placement already pins), then each feature's replicated
             # lookups in trace order.
-            self._replica_load += home_bytes
+            self._replica_load += traffic.sum(axis=0).astype(np.int64)
+            # One replica segment per table: every other edge of a
+            # replicated (hence unsplit) table lies at or above its cut.
+            replicas = np.zeros(self.model.num_tables, dtype=np.int64)
+            replicas[self._seg_table[self._replica_segs]] = counts[
+                self._replica_segs
+            ]
             replica_accesses, replica_bytes = self._route_replicas(replicas)
             accesses[0] += replica_accesses
             traffic[0] += replica_bytes
         times = (traffic * self._inv_bw[:, None]).sum(axis=0)
-        tier_hits = np.zeros((num_tiers, num_devices), dtype=np.int64)
-        if self.cache is not None or self.staging is not None:
-            for t in range(num_tiers):
-                if not hits[:, t].any():
-                    continue
-                np.add.at(tier_hits[t], self.device_of, hits[:, t])
-                hit_bytes = np.bincount(
-                    self.device_of, weights=hits[:, t] * self.row_bytes,
-                    minlength=num_devices,
-                )
-                if faulty:
-                    # A dead device's hits dropped with its accesses —
-                    # no fast-lane discount on traffic already zeroed.
-                    tier_hits[t][dead] = 0
-                    hit_bytes[dead] = 0.0
-                fast_inv_bw = (
-                    1.0 / self.cache.bandwidth if t == 0
-                    else self._inv_bw[t - 1]
-                )
-                # Hit bytes move from the tier's lane to the fast lane.
-                times -= hit_bytes * self._inv_bw[t]
-                times += hit_bytes * fast_inv_bw
         if (self._device_slowdown != 1.0).any():
             times = times * self._device_slowdown
         return times * 1e3, accesses, tier_hits, replica_accesses
@@ -834,23 +764,21 @@ def _classify_lanes(
     executors: list[ShardedExecutor],
     batch: JaggedBatch | RankedBatch,
     codes: LaneCodes,
-    slots: list[LaneSlots],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    starts: list[np.ndarray | None],
+) -> list[np.ndarray]:
     """Lane classification of one batch for several executors.
 
     The engine's one classifier.  Per feature it gathers the
     lookups' codes once — by hashed id for a jagged batch, by rank for a
     :class:`RankedBatch`; the default ``mode="raise"`` rejects an
     out-of-range id with ``IndexError`` — and counts them once per
-    distinct edge of ``codes`` into the batch's prefix-count vector.
-    Each executor then reads its lanes off that vector in a few array
-    operations (``slots[s]`` is executor ``s``'s
-    :meth:`LaneCodes.slots`).  ``codes`` must cover every executor's
-    edges.  A multi-plan replay thus pays the trace's memory traffic
-    once, not once per plan.
+    segment of ``codes``.  ``codes`` must cover every executor's edges;
+    executor ``s`` folds the joint segment counts into its own at
+    ``starts[s]`` (``None``: its own code table).  A multi-plan replay
+    thus pays the trace's memory traffic once, not once per plan.
 
-    Returns one ``(counts, hits, replicas, cuts)`` per executor, ready
-    for its :meth:`~ShardedExecutor._reduce_counts`.
+    Returns one per-segment count vector per executor, ready for its
+    :meth:`~ShardedExecutor._reduce_counts`.
     """
     num_tables = len(executors[0].plan)
     if batch.num_features != num_tables:
@@ -858,24 +786,26 @@ def _classify_lanes(
             f"batch has {batch.num_features} features, plan has "
             f"{num_tables} tables"
         )
-    prefix_counts = codes.prefix_counts
-    prefix = [0]
+    segment_counts = codes.segment_counts
+    counts = []
     if isinstance(batch, RankedBatch):
         for j, feature in enumerate(batch):
-            prefix += prefix_counts(j, codes.by_rank(j).take(feature.ranks))
+            counts += segment_counts(j, codes.by_rank(j).take(feature.ranks))
     else:
         by_row = codes.by_row
         for j, feature in enumerate(batch):
-            prefix += prefix_counts(j, by_row[j].take(feature.values))
-    prefix = np.array(prefix, dtype=np.int64)
-    return [ex_slots.read(prefix) for ex_slots in slots]
+            counts += segment_counts(j, by_row[j].take(feature.values))
+    counts = np.array(counts, dtype=np.int64)
+    return [
+        counts if at is None else np.add.reduceat(counts, at) for at in starts
+    ]
 
 
 def _joint_codes(
     executors: list[ShardedExecutor],
-) -> tuple[LaneCodes, list[LaneSlots]]:
-    """One code table over every executor's edges, and each executor's
-    slots into it.
+) -> tuple[LaneCodes, list[np.ndarray | None]]:
+    """One code table over every executor's edges, and where each
+    executor's segments start in it.
 
     A lone executor uses its own table.  Any other table is cached on
     the first executor for as long as it is replayed with the same
@@ -883,18 +813,18 @@ def _joint_codes(
     """
     first = executors[0]
     if len(executors) == 1:
-        return first._codes, [first._slots]
-    registries = tuple(ex._lanes for ex in executors)
+        return first._codes, [None]
+    own = tuple(ex._codes for ex in executors)
     cached = first._joint
-    if cached is None or cached[0] != registries:
-        codes = LaneCodes(registries, first._row_orders())
+    if cached is None or cached[0] != own:
+        codes = LaneCodes(
+            [set().union(*table_edges) for table_edges in zip(
+                *(c.edges for c in own)
+            )],
+            first._row_orders(),
+        )
         cached = first._joint = (
-            registries,
-            codes,
-            [
-                codes.slots(ex._lanes, ex.topology.num_tiers)
-                for ex in executors
-            ],
+            own, codes, [codes.segment_starts(c.edges) for c in own]
         )
     return cached[1], cached[2]
 
@@ -930,15 +860,15 @@ def replay_trace(executors: list[ShardedExecutor], batches) -> list[RunMetrics]:
             raise ValueError(
                 "replay_trace requires executors sharing one model/topology"
             )
-    codes, slots = _joint_codes(executors)
+    codes, starts = _joint_codes(executors)
     rows: list[list] = [[] for _ in executors]
     browned: list[list | None] = [
         [] if ex._brownout else None for ex in executors
     ]
     for batch in batches:
-        classified = _classify_lanes(executors, batch, codes, slots)
+        classified = _classify_lanes(executors, batch, codes, starts)
         for s, ex in enumerate(executors):
-            rows[s].append(ex._reduce_counts(*classified[s]))
+            rows[s].append(ex._reduce_counts(classified[s]))
             if browned[s] is not None:
                 browned[s].append(ex.last_browned.copy())
     return [

@@ -16,9 +16,9 @@ pool of executor workers):
   the self-healing supervisor discards and replaces at respawn;
   a shared MPMC queue would deadlock the whole pool);
 * each **worker** process attaches the segment zero-copy, runs the
-  executor's stateless *classification* lanes (tier binning, cache and
-  staging fast lanes, replica-cut membership) on the batch, and ships
-  the small per-table count matrices back on a results queue;
+  executor's stateless *classification* (one lane code per lookup,
+  counted per rank segment) on the batch, and ships the batch's one
+  segment-count vector back on a results queue;
 * the front-end **aggregator** replays the stateful *reduction* — count
   pooling, least-loaded replica routing, the single simulated engine
   clock — strictly in release (``seq``) order.
@@ -87,8 +87,8 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
     Builds its own :class:`~repro.engine.executor.ShardedExecutor` from
     the picklable ``spec`` (spawn-safe; under fork this is cheap and
     keeps the code path identical), then loops: attach the task's
-    shared-memory arena, run the stateless classification lanes, close
-    the mapping, ship the count matrices back.  A ``None`` task is the
+    shared-memory arena, run the stateless classification, close the
+    mapping, ship the segment-count vector back.  A ``None`` task is the
     shutdown sentinel; a negative seq is the scripted-crash sentinel
     (``worker_kill`` drills — hard ``os._exit(1)`` once the results
     already put have been flushed).
@@ -126,14 +126,10 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
         try:
             shm = ShmArena.attach(handle)
             try:
-                counts, hits, replicas, cuts = executor.classify_batch(
-                    shm.arena.batch
-                )
+                counts = executor.classify_batch(shm.arena.batch)
             finally:
                 shm.close()
-            result_queue.put(
-                ("ok", seq, worker_id, counts, hits, replicas, cuts)
-            )
+            result_queue.put(("ok", seq, worker_id, counts))
         except FileNotFoundError:
             result_queue.put(("gone", seq, worker_id))
         except Exception as exc:  # surfaced, never swallowed into a hang
@@ -620,12 +616,9 @@ class MultiProcessServer:
         """
         self._pull_results(pending, results, block_s)
         while cursor in results:
-            counts, hits, replicas, cuts = results.pop(cursor)
+            counts = results.pop(cursor)
             _, arrivals, trigger, deadlines, priorities = pending.pop(cursor)
-            self._account(
-                counts, hits, replicas, cuts, trigger, arrivals,
-                deadlines, priorities,
-            )
+            self._account(counts, trigger, arrivals, deadlines, priorities)
             cursor += 1
         return cursor
 
@@ -660,18 +653,18 @@ class MultiProcessServer:
                         f"{message}"
                     )
                 continue
-            _, got_seq, _, counts, hits, replicas, cuts = item
+            _, got_seq, _, counts = item
             if got_seq not in pending or got_seq in results:
                 continue
             # The worker is done with the segment; the owner retires it.
             owner = pending[got_seq][0]
             owner.close()
             owner.unlink()
-            results[got_seq] = (counts, hits, replicas, cuts)
+            results[got_seq] = counts
 
     def _account(
-        self, counts, hits, replicas, cuts, trigger_ms, arrivals_ms,
-        deadlines_ms=None, priorities=None,
+        self, counts, trigger_ms, arrivals_ms, deadlines_ms=None,
+        priorities=None,
     ):
         """Reduce one classified batch on the spine (sequential state).
 
@@ -691,7 +684,7 @@ class MultiProcessServer:
         # ``batch.total_lookups``.
         lookups = int(counts.sum())
         device_times, accesses, _, reps = spine.executor.reduce_classified(
-            counts, hits, replicas, cuts
+            counts
         )
         spine._finish_batch(
             start, brownout_now, device_times, accesses, reps, lookups,

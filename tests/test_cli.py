@@ -465,6 +465,30 @@ class TestServeValidation:
         code, err = self.run([flag, value], capsys)
         assert code == 2 and flag in err
 
+    @pytest.mark.parametrize(
+        "extra,flag",
+        [
+            (["--milp-time", "5"], "--milp-time"),
+            (["--milp-time", "0"], "--milp-time"),
+            (["--formulation", "step"], "--formulation"),
+            (["--reclaim-dead"], "--reclaim-dead"),
+            (
+                ["--formulation", "step", "--milp-time", "5",
+                 "--reclaim-dead"],
+                "--milp-time",
+            ),
+        ],
+    )
+    def test_rejects_two_tier_planner_flags_beyond_two_tiers(
+        self, extra, flag, capsys
+    ):
+        # Beyond two tiers serve plans with the multi-tier greedy, which
+        # would silently ignore these flags.
+        code, err = self.run(
+            ["--requests", "200", "--tiers", "hbm,dram,ssd"] + extra, capsys
+        )
+        assert code == 2 and flag in err
+
     def test_rejects_brownout_without_slo(self, capsys):
         code, err = self.run(["--brownout"], capsys)
         assert code == 2 and "--slo-ms" in err

@@ -205,6 +205,9 @@ class TestProportionalSplit:
     def test_exact(self):
         out = proportional_split([10, 7, 0], [3, 1])
         assert out.tolist() == [[8, 2], [5, 2], [0, 0]]
+        # A weight vector per row; zero weights pad and get nothing.
+        out = proportional_split([10, 7], [[3, 1, 0], [1, 1, 1]])
+        assert out.tolist() == [[8, 2, 0], [3, 2, 2]]
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
@@ -228,7 +231,9 @@ class TestProportionalSplit:
 
 class TestTwrwCellRows:
     def test_exact(self):
-        cells = crossing_cells(np.array([0, 5, 12]), np.array([0, 4, 9, 12]))
+        cells = crossing_cells(
+            np.array([0, 5, 12])[:, None], [0, 4, 9], [4, 9, 12]
+        )
         assert cells.tolist() == [[4, 1, 0], [0, 4, 3]]
 
     def test_randomized_conservation(self):
@@ -240,9 +245,11 @@ class TestTwrwCellRows:
             bounds = np.sort(rng.integers(0, total, size=n_tiers))
             bounds[-1] = total
             cuts = np.unique(rng.integers(1, total, size=n_cuts))
+            shard_edges = np.concatenate(([0], cuts, [total]))
             cells = crossing_cells(
-                np.concatenate(([0], bounds)),
-                np.concatenate(([0], cuts, [total])),
+                np.concatenate(([0], bounds))[:, None],
+                shard_edges[:-1],
+                shard_edges[1:],
             )
             # Rows conserve in every direction: overall, per tier
             # (matching the base plan's split), and per shard
@@ -343,10 +350,14 @@ class TestStrategyPlan:
         plan = _base_plan(model, profile, topology)
         sp = _mixed_strategies(model, plan, topology.num_devices)
         executor = ShardedExecutor(model, sp, profile, topology)
-        # One twrw table with one cut: one cut lane.
-        assert [n for n in executor._lanes.names if n.startswith("cut:")] == [
-            "cut:0"
+        # One twrw table with one cut: its cut is one more code edge.
+        (j,) = [
+            j for j, s in enumerate(sp.table_strategies) if s.kind == "twrw"
         ]
+        (cut,) = sp.table_strategies[j].row_cuts
+        bounds = set(np.cumsum(sp[j].rows_per_tier).tolist())
+        assert cut in executor._codes.edges[j]
+        assert set(executor._codes.edges[j]) - bounds == {cut}
 
     @pytest.mark.parametrize("reclaim_dead", [False, True])
     @pytest.mark.parametrize("ladder", ["hbm=fp32", "hbm=fp16", "uvm=int4"])

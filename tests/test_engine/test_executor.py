@@ -85,20 +85,6 @@ class TestShardedExecutor:
         with pytest.raises(PlanError):
             ShardedExecutor(model, bad, profile, topology)
 
-    def test_validation_can_be_skipped(self, world):
-        model, profile, topology, _ = world
-        bad = ShardingPlan(
-            strategy="what-if",
-            placements=[
-                TablePlacement(j, 0, (t.num_rows, 0))
-                for j, t in enumerate(model.tables)
-            ],
-        )
-        executor = ShardedExecutor(model, bad, profile, topology, validate=False)
-        gen = TraceGenerator(model, batch_size=BATCH, seed=8)
-        times, _, _, _ = executor.run_batch(gen.next_batch())
-        assert times[1] == 0.0  # everything on device 0
-
     def test_expected_costs_close_to_measured(self, world):
         model, profile, topology, plan = world
         executor = ShardedExecutor(model, plan, profile, topology)

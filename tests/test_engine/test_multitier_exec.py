@@ -4,9 +4,10 @@ oracle (``tests.oracles.engine.ScalarExecutor``).
 The lane-code paths (``run_jagged`` and ``run_ranked``, gathering
 codes by hashed id and by rank) must reproduce the per-lookup
 remap-table reference *bit for bit* on hierarchies of any depth —
-identical per-tier access counts, identical fast-lane hits, and, since
-all paths share one reduction, identical device times — across tier
-counts, seeds, batch sizes, and staging configurations.
+identical per-tier access counts, identical fast-lane hits, and
+identical device times (within ``FAST_LANE_RTOL`` with staging or a
+cache, whose hit bytes the oracle moves between bandwidths) — across
+tier counts, seeds, batch sizes, and staging configurations.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
-from tests.oracles.engine import ScalarExecutor
+from tests.oracles.engine import ScalarExecutor, assert_same_times
 from tests.test_core.conftest import build_model
 
 
@@ -54,10 +55,11 @@ def build_world(num_tiers: int, seed: int, batch_size: int):
 
 
 def assert_exact_parity(vectorized, scalar, batch):
-    """Times, per-tier accesses, and fast-lane hits all bit-identical."""
+    """Per-tier accesses and fast-lane hits bit-identical, times too
+    (within ``FAST_LANE_RTOL`` with a fast lane)."""
     tv, av, hv, rv = vectorized.run_batch(batch)
     ts, as_, hs, rs = scalar.run_batch(batch)
-    np.testing.assert_array_equal(tv, ts)
+    assert_same_times(tv, ts, vectorized)
     np.testing.assert_array_equal(av, as_)
     np.testing.assert_array_equal(hv, hs)
     np.testing.assert_array_equal(rv, rs)

@@ -34,7 +34,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
-from tests.oracles.engine import ScalarExecutor
+from tests.oracles.engine import ScalarExecutor, assert_same_times
 from tests.test_core.conftest import build_model
 
 
@@ -157,7 +157,7 @@ class TestReplicatedExecutionParity:
         for batch in TraceGenerator(model, 64, seed=99).batches(3):
             tv, av, hv, rv = vectorized.run_batch(batch)
             ts, as_, hs, rs = scalar.run_batch(batch)
-            np.testing.assert_array_equal(tv, ts)
+            assert_same_times(tv, ts, vectorized)
             np.testing.assert_array_equal(av, as_)
             np.testing.assert_array_equal(hv, hs)
             np.testing.assert_array_equal(rv, rs)

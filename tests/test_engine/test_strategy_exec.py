@@ -1,11 +1,12 @@
-"""Executor tests for strategy plans and the composable lane framework.
+"""Executor tests for strategy plans and the per-executor segment table.
 
-The lane registry promises that every registered lane classifies
-bit-identically to the scalar parity oracle
-(``tests.oracles.engine.ScalarExecutor``).  These tests pin that promise for the new
-strategy lanes (column scatter, twrw cut lanes, table-wise rehoming),
-the classify/reduce serving seam, ``replay_trace``, and the scoping
-rules (no replication/cache composition), and brownout on twrw.
+Every lane edge — tier boundaries, twrw shard ranges — cuts a table's
+rank line into segments, and every segment must reduce bit-identically
+to the scalar parity oracle (``tests.oracles.engine.ScalarExecutor``).
+These tests pin that for the strategy shards (column scatter, twrw
+rank ranges, table-wise rehoming), the classify/reduce serving seam,
+``replay_trace``, the scoping rules (no replication/cache
+composition), and brownout on twrw.
 """
 
 import dataclasses
@@ -30,7 +31,6 @@ from repro.data.synthetic import TraceGenerator
 from repro.engine import (
     CacheModel,
     ShardedExecutor,
-    build_lanes,
     replay_trace,
 )
 from repro.memory.topology import SystemTopology
@@ -154,28 +154,40 @@ class TestStrategyExecution:
         split = ShardedExecutor(model, sp, profile, topology)
         for batch in _batches(model):
             dt, da, dh, dr = direct.run_batch(batch)
-            counts, hits, replicas, cuts = split.classify_batch(batch)
-            assert cuts is not None and cuts.shape == (len(plan), 2)
-            st, sa, sh, sr = split.reduce_classified(
-                counts, hits, replicas, cuts
-            )
+            counts = split.classify_batch(batch)
+            assert counts.shape == (split._codes.num_segments,)
+            assert counts.sum() == batch.total_lookups
+            st, sa, sh, sr = split.reduce_classified(counts)
             np.testing.assert_array_equal(da, sa)
             np.testing.assert_array_equal(dt, st)
             np.testing.assert_array_equal(dh, sh)
             np.testing.assert_array_equal(dr, sr)
 
     def test_scalar_classify_seam_matches_vectorized(self, strategy_world):
+        """Segment counts fold into the oracle's per-(table, tier)
+        counts and twrw cut prefixes."""
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
         slow = ScalarExecutor(model, sp, profile, topology)
+        seg_lo = np.array(
+            [r for edges in fast._codes.edges for r in (0, *edges)]
+        )
+        seg_table = fast._seg_table
+        seg_tier = (
+            fast._tier_bounds[seg_table, :-1] <= seg_lo[:, None]
+        ).sum(axis=1)
         for batch in _batches(model, n=2):
-            fc, fh, fr, fcuts = fast.classify_batch(batch)
+            segments = fast.classify_batch(batch)
             sc, sh, sr, scuts = slow.classify_batch(batch)
+            fc = np.zeros_like(sc)
+            np.add.at(fc, (seg_table, seg_tier), segments)
             np.testing.assert_array_equal(fc, sc)
-            np.testing.assert_array_equal(fh, sh)
-            np.testing.assert_array_equal(fcuts, scuts)
-            assert fr is None and sr is None
+            assert not sh.any() and sr is None
+            for j, strat in enumerate(sp.table_strategies):
+                for s, cut in enumerate(strat.row_cuts):
+                    below = segments[(seg_table == j) & (seg_lo < cut)]
+                    assert below.sum() == scuts[j, s]
 
     def test_replay_trace_matches_individual_runs(self, strategy_world):
         model, profile, topology, plan = strategy_world
@@ -306,16 +318,15 @@ class TestStrategyScoping:
             RecShardFastSharder(batch_size=BATCH, steps=40),
             model, profile, topology,
         )
-        executor = ShardedExecutor(model, sp, profile, topology, validate=True)
+        executor = ShardedExecutor(model, sp, profile, topology)
         batch = _batches(model, n=1)[0]
         _, accesses, _, _ = executor.run_batch(batch)
         assert accesses.sum() == batch.total_lookups
 
     def test_brownout_keeps_exactly_twrw_tier0_cells(self, strategy_world):
-        # Strategy plans have no hit lanes (cache/staging are rejected
-        # above), so the brownout clamp zeroes every cold-tier count and
-        # the twrw crossing keeps exactly the tier-0 cells — also when
-        # the table's cuts lie past its tier-0 boundary.
+        # Brownout drops every cold home segment, so a twrw table keeps
+        # exactly its tier-0 segments on their shard devices — also
+        # when the table's cuts lie past its tier-0 boundary.
         model, profile, topology, plan = strategy_world
         sp = _cold_twrw_plan(model, plan, topology.num_devices)
         full = ShardedExecutor(model, sp, profile, topology)
@@ -358,47 +369,89 @@ class TestStrategyScoping:
 
 
 class TestLaneRegistry:
-    def test_build_order_and_roles(self):
-        bounds = np.array([[4, 10], [6, 12]], dtype=np.int64)
-        cutoffs = np.array([[2, 0], [3, 0]], dtype=np.int64)
-        cuts = np.array([[3], [0]], dtype=np.int64)
-        replica = np.array([1, 2], dtype=np.int64)
-        registry = build_lanes(
-            bounds, cutoffs, hit_tiers=(0,),
-            replica_cut=replica, strategy_cuts=cuts,
+    """Lane edges and the per-executor segment table they cut."""
+
+    def test_build_order_and_roles(self, strategy_world):
+        """Segments run table by table, hottest first; within tier 0
+        the replica lane comes first, then the cache's fast lane, then
+        the home lane."""
+        model, profile, topology, plan = strategy_world
+        replicated = plan_with_replication(
+            RecShardFastSharder(batch_size=BATCH, steps=40),
+            model, profile, topology,
+            ReplicationPolicy(capacity_bytes=4096),
         )
-        assert registry.names == ("replica", "cut:0", "hit:0", "bound:0")
-        assert registry.replica is not None
-        assert registry.replica.edges_list == (1, 2)
-        assert len(registry.cuts) == 1
-        assert registry.cuts[0].index == 0
-        assert registry.hit(0).edges_list == (2, 3)
-        assert registry.hit(1) is None
-        assert registry.bound(0).edges_list == (4, 6)
-        # The last tier never registers a bound lane: its count is the
-        # remainder after all earlier bounds.
-        assert registry.bound(1) is None
+        executor = ShardedExecutor(
+            model, replicated, profile, topology,
+            cache=CacheModel(capacity_bytes=8192, bandwidth=1e12),
+        )
+        seg_table = executor._seg_table
+        assert (np.diff(seg_table) >= 0).all()
+        replica = np.zeros(seg_table.size, dtype=bool)
+        replica[executor._replica_segs] = True
+        fast = np.zeros(seg_table.size, dtype=bool)
+        fast[executor._cell_seg[executor._fast_cells]] = True
+        assert replica.any() and fast.any() and not (replica & fast).any()
+        for j in range(len(replicated)):
+            roles = [
+                "replica" if replica[k] else "fast" if fast[k] else "home"
+                for k in np.flatnonzero(seg_table == j)
+            ]
+            order = {"replica": 0, "fast": 1, "home": 2}
+            assert roles == sorted(roles, key=order.__getitem__)
+            assert roles.count("replica") <= 1
+            assert roles[-1] == "home"
 
-    def test_minimal_registry(self):
-        bounds = np.array([[5, 9]], dtype=np.int64)
-        cutoffs = np.zeros((1, 2), dtype=np.int64)
-        registry = build_lanes(bounds, cutoffs, hit_tiers=())
-        assert registry.names == ("bound:0",)
-        assert registry.replica is None and registry.cuts == ()
+    def test_minimal_registry(self, strategy_world):
+        """A plain plan cuts each table at its tier boundaries only:
+        one home-lane segment per nonempty tier, one cell each."""
+        model, profile, topology, plan = strategy_world
+        executor = ShardedExecutor(model, plan, profile, topology)
+        for j, placement in enumerate(plan):
+            tiers = np.count_nonzero(placement.rows_per_tier)
+            assert len(executor._codes.edges[j]) + 1 == tiers
+        assert executor._replica_segs.size == 0
+        assert executor._fast_cells.size == 0
+        np.testing.assert_array_equal(
+            executor._cell_seg, np.arange(executor._seg_table.size)
+        )
+        assert executor._shared is None
 
-    def test_cut_slots_sorted(self):
-        bounds = np.array([[8, 16]], dtype=np.int64)
-        cutoffs = np.zeros((1, 2), dtype=np.int64)
-        cuts = np.array([[2, 5]], dtype=np.int64)
-        registry = build_lanes(bounds, cutoffs, hit_tiers=(), strategy_cuts=cuts)
-        assert [lane.index for lane in registry.cuts] == [0, 1]
-        assert registry.names == ("cut:0", "cut:1", "bound:0")
+    def test_cut_slots_sorted(self, strategy_world):
+        """A twrw table's segments land on its shard devices in cut
+        order; a column table's segments land on every shard."""
+        model, profile, topology, plan = strategy_world
+        sp = _mixed_plan(model, plan, topology.num_devices)
+        executor = ShardedExecutor(model, sp, profile, topology)
+        num_devices = topology.num_devices
+        seg_lo = np.array(
+            [r for edges in executor._codes.edges for r in (0, *edges)]
+        )
+        cell_table = executor._seg_table[executor._cell_seg]
+        cell_device = executor._cell_at % num_devices
+        twrw = sp.table_strategies[1]
+        cells = np.flatnonzero(cell_table == 1)
+        bounds = (0, *twrw.row_cuts)
+        lo = seg_lo[executor._cell_seg[cells]]
+        shard = np.searchsorted(bounds, lo, side="right") - 1
+        np.testing.assert_array_equal(
+            cell_device[cells], np.array(twrw.devices)[shard]
+        )
+        column = sp.table_strategies[0]
+        segments = np.flatnonzero(executor._seg_table == 0)
+        for k in segments:
+            on = cell_device[executor._cell_seg == k]
+            assert tuple(on) == column.devices
 
     def test_executor_registers_strategy_cut_lanes(self, strategy_world):
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         executor = ShardedExecutor(model, sp, profile, topology)
-        names = executor._lanes.names
-        assert "cut:0" in names and "cut:1" in names
+        cuts = sp.table_strategies[1].row_cuts
+        assert set(cuts) <= set(executor._codes.edges[1])
         plain = ShardedExecutor(model, plan, profile, topology)
-        assert not any(n.startswith("cut:") for n in plain._lanes.names)
+        rows = model.tables[1].num_rows
+        bounds = np.cumsum(plan[1].rows_per_tier)[:-1].tolist()
+        assert set(plain._codes.edges[1]) == {
+            b for b in bounds if 0 < b < rows
+        }

@@ -25,6 +25,7 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
+from tests.oracles.engine import FAST_LANE_RTOL
 from tests.oracles.serving import ScalarServer, iter_requests
 from tests.test_core.conftest import build_model
 
@@ -59,15 +60,22 @@ def make_server(world, staging=None, cls=LookupServer, **config_kwargs):
     )
 
 
-def assert_bit_identical(ref: ServingMetrics, fast: ServingMetrics):
-    assert ref.summary(deterministic_only=True) == fast.summary(
-        deterministic_only=True
-    )
+def assert_same_metrics(ref: ServingMetrics, fast: ServingMetrics, rtol=0.0):
+    """Bit-identical metrics; simulated times within ``rtol`` (the
+    oracle's ``FAST_LANE_RTOL`` when a staging lane is on)."""
+    want = ref.summary(deterministic_only=True)
+    got = fast.summary(deterministic_only=True)
+    assert got.pop("tier_accesses") == want.pop("tier_accesses")
+    assert got == pytest.approx(want, rel=rtol, abs=0)
     assert ref.batch_sizes == fast.batch_sizes
     assert ref.batch_lookups == fast.batch_lookups
     assert ref.replan_ms == fast.replan_ms
-    np.testing.assert_array_equal(ref.latencies_ms(), fast.latencies_ms())
-    np.testing.assert_array_equal(ref.device_busy_ms, fast.device_busy_ms)
+    np.testing.assert_allclose(
+        fast.latencies_ms(), ref.latencies_ms(), rtol=rtol, atol=0
+    )
+    np.testing.assert_allclose(
+        fast.device_busy_ms, ref.device_busy_ms, rtol=rtol, atol=0
+    )
     np.testing.assert_array_equal(
         ref.tier_access_totals, fast.tier_access_totals
     )
@@ -93,7 +101,8 @@ class TestMultiTierEndToEnd:
 
     def test_fast_path_matches_scalar_reference_with_drift(self, world):
         """Columnar admission + lane-code engine vs object admission +
-        scalar engine: bit-identical metrics through drift replans."""
+        scalar engine: bit-identical metrics through drift replans
+        (simulated times within the oracle's fast-lane tolerance)."""
         kwargs = dict(
             num_requests=600, qps=30000, seed=5,
             drift=DriftModel(feature_noise=6.0, alpha_noise=4.0),
@@ -115,7 +124,7 @@ class TestMultiTierEndToEnd:
             iter_requests(synthetic_request_arenas(world[0], **kwargs))
         )
         assert fast_metrics.num_replans >= 1
-        assert_bit_identical(ref_metrics, fast_metrics)
+        assert_same_metrics(ref_metrics, fast_metrics, rtol=FAST_LANE_RTOL)
 
     def test_staging_reduces_latency_not_counts(self, world):
         kwargs = dict(num_requests=400, qps=1e9, seed=3)

@@ -1,8 +1,8 @@
 """Serving parity for strategy plans (column / twrw / table-wise).
 
-The multi-process seam ships per-``(table, slot)`` twrw cut-lane prefix
-counts from the workers to the front-end aggregator alongside the tier
-and fast-lane counts.  These tests pin that a
+The multi-process seam ships each batch's per-segment lookup counts
+(twrw shard ranges are segment edges like the tier bounds) from the
+workers to the front-end aggregator.  These tests pin that a
 :class:`MultiProcessServer` run over a mixed strategy plan merges to
 the single-process :meth:`serve_arenas` metrics bit for bit, and that a
 fixed plan with ``table_strategies`` serves through the spine server at
