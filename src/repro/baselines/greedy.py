@@ -37,8 +37,7 @@ class GreedySharder:
         workspace: PlannerWorkspace | None = None,
     ) -> ShardingPlan:
         """Greedy placement from the fixed per-table costs; ignores
-        ``warm_start`` (no incremental mode), and ``workspace`` only
-        speeds up the cost stamp."""
+        ``warm_start`` (no incremental mode) and ``workspace``."""
         if topology.num_tiers != 2:
             raise ValueError("GreedySharder targets two-tier topologies")
         costs = [
@@ -90,7 +89,7 @@ class GreedySharder:
         # buys.  The baseline has no batch size of its own, so costs
         # are stamped per-sample (the stamped batch size says so).
         return stamp_estimated_costs(
-            plan, model, profile, topology, batch_size=1, workspace=workspace
+            plan, model, profile, topology, batch_size=1
         )
 
 

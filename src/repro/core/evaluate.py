@@ -15,6 +15,9 @@ are the :func:`~repro.core.plan.crossing_cells` of the table's tier
 coverage prefix with the coverage at its rank range, and its byte
 share is its dim over the table's.
 
+Every coverage the evaluator reads, at tier boundaries and at shard
+edges alike, is one gather over the profile's coverage stack
+(:meth:`~repro.stats.profiler.ModelProfile.coverage_of_rows_at`).
 Shard costs pool into per-device totals with one ``bincount``.
 :func:`expected_device_costs_ms` and :func:`expected_max_cost_ms` are
 its one-plan calls.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plan import ShardingPlan, crossing_cells
-from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
 
 
@@ -59,7 +61,6 @@ def expected_device_costs_ms_many(
     batch_size: int,
     use_coverage: bool = True,
     use_pooling: bool = True,
-    workspace: PlannerWorkspace | None = None,
 ) -> np.ndarray:
     """Expected per-device costs for many plans in one shot.
 
@@ -68,10 +69,6 @@ def expected_device_costs_ms_many(
             model, with or without ``table_strategies``; every
             placement must list the same number of tiers, no more than
             the topology has.
-        workspace: optional prebuilt
-            :class:`~repro.core.workspace.PlannerWorkspace` for the
-            profile — reused when given (the sweep / replan path),
-            per-table CDF queries otherwise.
 
     Returns:
         ``(len(plans), topology.num_devices)`` array of expected
@@ -88,24 +85,12 @@ def expected_device_costs_ms_many(
     )
     # (plans, tiers, tables) cumulative tier boundaries in rank space.
     bounds = np.moveaxis(np.cumsum(rows, axis=2), 2, 1)
-    if workspace is not None:
-        cov = workspace.coverage_of_rows_grid(bounds)
-        total_accesses = workspace.total_accesses
-        stat_coverage = workspace.coverage
-        stat_pooling = workspace.avg_pooling
-        row_bytes = workspace.row_bytes
-    else:
-        cov = np.empty(bounds.shape)
-        for j, stats in enumerate(profile):
-            cov[:, :, j] = stats.cdf.coverage_of_rows_many(bounds[:, :, j])
-        total_accesses = np.array([s.total_accesses for s in profile])
-        stat_coverage = np.array([s.coverage for s in profile])
-        stat_pooling = np.array([s.avg_pooling for s in profile])
-        row_bytes = np.array([t.row_bytes for t in model.tables])
-    coverage = stat_coverage if use_coverage else 1.0
-    pooling = stat_pooling if use_pooling else 1.0
+    cov = profile.coverage_of_rows_at(np.arange(num_tables), bounds)
+    row_bytes = np.array([t.row_bytes for t in model.tables])
+    coverage = profile.coverage if use_coverage else 1.0
+    pooling = profile.avg_pooling if use_pooling else 1.0
     table_weight = np.where(
-        total_accesses > 0,
+        profile.total_accesses > 0,
         coverage * pooling * batch_size * row_bytes,
         0.0,
     )
@@ -124,14 +109,7 @@ def expected_device_costs_ms_many(
         rank line clips nothing."""
         out = np.full(ranks.size, open_end)
         inner = np.flatnonzero((ranks > 0) & (ranks < num_rows[table]))
-        if workspace is not None:
-            out[inner] = workspace.coverage_of_rows_at(
-                table[inner], ranks[inner]
-            )
-        else:
-            for j in np.unique(table[inner]):
-                mine = inner[table[inner] == j]
-                out[mine] = profile[j].cdf.coverage_of_rows_many(ranks[mine])
+        out[inner] = profile.coverage_of_rows_at(table[inner], ranks[inner])
         return out
 
     # (tiers, shards): tier-major, so each shard's dot below reads a
@@ -192,7 +170,6 @@ def stamp_estimated_costs(
     profile,
     topology: SystemTopology,
     batch_size: int,
-    workspace: PlannerWorkspace | None = None,
 ) -> ShardingPlan:
     """Record a plan's expected costs in its metadata, in one place.
 
@@ -203,7 +180,7 @@ def stamp_estimated_costs(
     before comparing stamps made at different batch sizes).
     """
     costs = expected_device_costs_ms_many(
-        [plan], model, profile, topology, batch_size, workspace=workspace
+        [plan], model, profile, topology, batch_size
     )[0]
     plan.metadata["estimated_device_costs_ms"] = [float(c) for c in costs]
     plan.metadata["estimated_max_cost_ms"] = float(costs.max())

@@ -247,7 +247,7 @@ class RecShardFastSharder:
         # the evaluator's, like every other planner's.
         return stamp_estimated_costs(
             self._emit_plan(states, device_of, topology, inputs, preferred),
-            ws.model, ws.profile, topology, self.batch_size, workspace=ws,
+            ws.model, ws.profile, topology, self.batch_size,
         )
 
     def _emit_plan(self, states, device_of, topology, inputs, preferred):

@@ -90,8 +90,7 @@ class MultiTierSharder:
         # evaluator handles any tier count) so multi-tier plans report
         # the same estimated-makespan metadata as the two-tier sharders.
         return stamp_estimated_costs(
-            plan, model, profile, topology, self.batch_size,
-            workspace=workspace,
+            plan, model, profile, topology, self.batch_size
         )
 
     # ------------------------------------------------------------------
@@ -158,8 +157,7 @@ class MultiTierSharder:
             ws.inputs, topology, boundary_steps, warm_start
         )
         return stamp_estimated_costs(
-            plan, ws.model, ws.profile, topology, self.batch_size,
-            workspace=ws,
+            plan, ws.model, ws.profile, topology, self.batch_size
         )
 
     def _finish_greedy(

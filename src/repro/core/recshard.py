@@ -110,7 +110,6 @@ class RecShardSharder:
             milp_plan = stamp_estimated_costs(
                 self._extract_plan(inputs, topology, handles, result),
                 model, profile, topology, self.batch_size,
-                workspace=workspace,
             )
             milp_plan.metadata.update(
                 {

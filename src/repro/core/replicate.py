@@ -15,12 +15,12 @@ Pieces:
 
 * :class:`ReplicationPolicy` — a per-device byte budget to spend on
   replica copies of the globally hottest rows.
-* :func:`build_replication` — greedy hottest-first selection (the same
-  expected-count machinery as the cache/staging models, run as one
-  vectorized pass over a
-  :class:`~repro.core.workspace.PlannerWorkspace`'s coverage-prefix
-  stack), emitting the plan with ``replica_rows`` and
-  ``replica_budget_bytes`` set.  The plan's one
+* :func:`build_replication` — greedy hottest-first selection over the
+  profiled counts of fastest-tier rows, read by the profile's one
+  ranked-count gather
+  (:meth:`~repro.stats.profiler.ModelProfile.ranked_counts`, the one
+  the cache and staging models read), emitting the plan with
+  ``replica_rows`` and ``replica_budget_bytes`` set.  The plan's one
   :meth:`~repro.core.plan.ShardingPlan.validate` charges every replica
   copy to the fastest tier of the device hosting it.
 * :func:`plan_with_replication` — carve the replica budget out of the
@@ -99,36 +99,12 @@ def carve_replica_budget(
     )
 
 
-def _leading_counts_from_profile(profile, limits: np.ndarray):
-    """Per-table expected counts of the leading ranked rows (scalar path).
-
-    Same numbers the cache/staging selection reads
-    (``stats.counts[stats.cdf.row_order[:k]]``), returned flat with
-    their owning tables, grouped by table in rank order like
-    :meth:`~repro.core.workspace.PlannerWorkspace.leading_expected_counts`.
-    """
-    counts_list, table_list = [], []
-    for j, stats in enumerate(profile):
-        k = int(limits[j])
-        if k <= 0 or stats.total_accesses <= 0:
-            continue
-        ranked = np.asarray(stats.counts, dtype=np.float64)[
-            stats.cdf.row_order[:k]
-        ]
-        counts_list.append(ranked)
-        table_list.append(np.full(k, j, dtype=np.int64))
-    if not counts_list:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-    return np.concatenate(counts_list), np.concatenate(table_list)
-
-
 def build_replication(
     policy: ReplicationPolicy,
     plan: ShardingPlan,
     profile,
     model,
     topology: SystemTopology,
-    workspace=None,
 ) -> ShardingPlan:
     """Spend the replica budget on the globally hottest rows of ``plan``.
 
@@ -151,9 +127,6 @@ def build_replication(
         profile: statistics the expected counts are read from.
         model: table geometry.
         topology: the *physical* topology (uncarved capacities).
-        workspace: optional :class:`~repro.core.workspace.PlannerWorkspace`
-            — its bulk :meth:`leading_expected_counts` query replaces
-            the per-table profile gathers with one vectorized pass.
 
     Returns:
         ``plan`` with ``replica_rows`` and ``replica_budget_bytes`` set
@@ -174,13 +147,10 @@ def build_replication(
         [p.rows_per_tier[0] for p in plan], dtype=np.int64
     )
     home = np.array([p.device for p in plan], dtype=np.int64)
-    if workspace is not None:
-        limits = np.minimum(tier0_rows, workspace.live_rows)
-        counts, tables, _ = workspace.leading_expected_counts(limits)
-    else:
-        live = np.array([stats.live_rows for stats in profile], dtype=np.int64)
-        limits = np.minimum(tier0_rows, live)
-        counts, tables = _leading_counts_from_profile(profile, limits)
+    live = np.array([stats.cdf.live_rows for stats in profile])
+    counts, tables = profile.ranked_counts(
+        np.arange(num_tables), 0, np.minimum(tier0_rows, live)
+    )
     hot = counts > 0
     counts, tables = counts[hot], tables[hot]
     if counts.size == 0:
@@ -251,9 +221,7 @@ def plan_with_replication(
     base = sharder.shard(
         model, profile, carved, warm_start=warm_start, workspace=workspace
     )
-    replicated = build_replication(
-        policy, base, profile, model, topology, workspace=workspace
-    )
+    replicated = build_replication(policy, base, profile, model, topology)
     base.metadata["replication"] = {
         "budget_bytes_per_device": int(policy.capacity_bytes),
         "replicated_rows": replicated.num_replicated_rows,

@@ -255,7 +255,7 @@ def plan_with_strategies(
         base, table_strategies=(TableStrategy("row"),) * len(base)
     )
     costs = expected_device_costs_ms_many(
-        [current], model, profile, topology, batch_size, workspace=workspace
+        [current], model, profile, topology, batch_size
     )[0]
     row_only_max = float(costs.max())
     if set(kinds) != {"row"}:
@@ -292,8 +292,7 @@ def plan_with_strategies(
             if not candidates:
                 break
             cand_costs = expected_device_costs_ms_many(
-                candidates, model, profile, topology, batch_size,
-                workspace=workspace,
+                candidates, model, profile, topology, batch_size
             )
             best = int(np.argmin(cand_costs.max(axis=1)))
             best_max = float(cand_costs[best].max())
@@ -305,5 +304,5 @@ def plan_with_strategies(
     current.metadata["solver"] = "strategies"
     current.metadata["row_only_max_cost_ms"] = row_only_max
     return stamp_estimated_costs(
-        current, model, profile, topology, batch_size, workspace=workspace
+        current, model, profile, topology, batch_size
     )

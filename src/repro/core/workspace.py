@@ -1,11 +1,10 @@
 """Planner workspace: per-profile tensors shared across sharder calls.
 
 The planner's inputs are pure statistics (Section 4.2): per-table ICDF
-grids, marginal densities, row geometry, and coverage prefixes.  The
-scalar pipeline re-derives all of them from the profile on every
-``shard`` call — every drift replan and every sweep point pays the same
-per-table Python loops again.  A :class:`PlannerWorkspace` hoists that
-state into stacked arrays built once per profile:
+grids, marginal densities and row geometry.  A
+:class:`PlannerWorkspace` stacks them into arrays built once per
+profile, so drift replans and sweep points do not pay the per-table
+Python loops again:
 
 * the sampled ICDF as dense ``(tables, steps + 1)`` grids — fractional
   rows (exactly the scalar ``icdf_points`` values, produced by the
@@ -14,10 +13,12 @@ state into stacked arrays built once per profile:
   / bytes spent per ICDF step, the raw material of the waterfill's
   marginal-density selection;
 * per-table scalars (row bytes, hash size, live rows, coverage,
-  pooling, access totals) as flat vectors;
-* the coverage-prefix tensors: every table's ``_cum_fraction`` grid,
-  ragged-stacked into one flat array with per-table offsets, powering
-  batched ``coverage_of_rows`` gathers for whole plan populations.
+  pooling, access totals) as flat vectors.
+
+Per-row statistics are not copied here: coverage prefixes and ranked
+counts belong to the profile
+(:class:`~repro.stats.profiler.ModelProfile`), which the evaluator and
+replica selection read directly.
 
 The workspace is reused across :class:`~repro.core.fast.RecShardFastSharder`
 calls, warm-started drift replans (:meth:`refresh` refills the buffers
@@ -73,8 +74,6 @@ class PlannerWorkspace:
             [t.num_rows for t in model.tables], dtype=np.int64
         )
         self.total_bytes = self.hash_sizes * self.row_bytes
-        self.row_base = np.zeros(T + 1, dtype=np.int64)
-        np.cumsum(self.hash_sizes, out=self.row_base[1:])
 
         # The sampled coverage fractions are one shared uniform grid.
         self.fractions = np.linspace(0.0, 1.0, S + 1)
@@ -87,11 +86,6 @@ class PlannerWorkspace:
         self.total_accesses = np.empty(T, dtype=np.float64)
         self.coverage = np.empty(T, dtype=np.float64)
         self.avg_pooling = np.empty(T, dtype=np.float64)
-        # The coverage-prefix stack is O(sum of hash sizes) — only the
-        # batched evaluator reads it, so it is built lazily on first
-        # use (and its buffer reused across refreshes).
-        self._cum_fraction_flat: np.ndarray | None = None
-        self._cum_fraction_valid = False
         self.refresh(profile)
 
     # ------------------------------------------------------------------
@@ -121,16 +115,15 @@ class PlannerWorkspace:
                 self.fractions
             )
             self.live_rows[j] = cdf.live_rows
-            self.total_accesses[j] = stats.total_accesses
-            self.coverage[j] = stats.coverage
-            self.avg_pooling[j] = stats.avg_pooling
+        self.total_accesses[...] = profile.total_accesses
+        self.coverage[...] = profile.coverage
+        self.avg_pooling[...] = profile.avg_pooling
         # Integer grid rows exactly as every scalar consumer rounds
         # them: ceil(rows - 1e-9).
         self.grid_rows[...] = np.ceil(self.frac_rows - 1e-9)
         self.d_grid_rows[...] = self.grid_rows[:, 1:] - self.grid_rows[:, :-1]
         self.live_bytes = self.live_rows * self.row_bytes
         self._profile = profile
-        self._cum_fraction_valid = False
         self._inputs = None
 
     @property
@@ -162,21 +155,6 @@ class PlannerWorkspace:
             self._tier_row_bytes_cache[precision] = cached
         return cached
 
-    @property
-    def cum_fraction_flat(self) -> np.ndarray:
-        """Every table's coverage prefix, ragged-stacked (lazy)."""
-        if not self._cum_fraction_valid:
-            if self._cum_fraction_flat is None:
-                self._cum_fraction_flat = np.empty(
-                    int(self.row_base[-1]), dtype=np.float64
-                )
-            for j, stats in enumerate(self._profile):
-                self._cum_fraction_flat[
-                    self.row_base[j]: self.row_base[j + 1]
-                ] = stats.cdf.cum_fraction
-            self._cum_fraction_valid = True
-        return self._cum_fraction_flat
-
     # ------------------------------------------------------------------
     @property
     def inputs(self) -> RecShardInputs:
@@ -207,91 +185,6 @@ class PlannerWorkspace:
                 )
             self._inputs = RecShardInputs(tables=tuple(tables))
         return self._inputs
-
-    # ------------------------------------------------------------------
-    def leading_expected_counts(
-        self, limits
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Expected access counts of each table's leading ranked rows.
-
-        ``limits[j]`` asks for the ``limits[j]`` hottest rows of table
-        ``j`` (clipped to the hash size).  Expected counts are read as
-        adjacent differences of the coverage-prefix stack scaled by the
-        table's access total — one flat gather for all tables, the bulk
-        query replica selection (:mod:`repro.core.replicate`) runs
-        instead of a per-table ``counts[row_order[:k]]`` gather loop.
-
-        Returns:
-            ``(counts, tables, ranks)`` flat arrays: expected count,
-            owning table, and frequency rank of every requested row,
-            grouped by table in rank order.
-        """
-        limits = np.clip(np.asarray(limits, dtype=np.int64), 0, self.hash_sizes)
-        if limits.shape != (self.num_tables,):
-            raise ValueError(
-                f"limits must give one row count per table "
-                f"({self.num_tables}), got shape {limits.shape}"
-            )
-        total = int(limits.sum())
-        tables = np.repeat(np.arange(self.num_tables), limits)
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.empty(0, dtype=np.float64), tables, empty
-        starts = np.zeros(self.num_tables, dtype=np.int64)
-        np.cumsum(limits[:-1], out=starts[1:])
-        ranks = np.arange(total, dtype=np.int64) - np.repeat(starts, limits)
-        idx = self.row_base[tables] + ranks
-        flat = self.cum_fraction_flat
-        cum = flat[idx]
-        prev = np.where(ranks > 0, flat[np.maximum(idx - 1, 0)], 0.0)
-        counts = (cum - prev) * self.total_accesses[tables]
-        return counts, tables, ranks
-
-    # ------------------------------------------------------------------
-    def coverage_of_rows_grid(self, rows: np.ndarray) -> np.ndarray:
-        """Batched ``coverage_of_rows`` over a ``(..., tables)`` grid.
-
-        ``rows[..., j]`` is a cumulative hot-row count for table ``j``;
-        the result matches the scalar method element for element
-        (including the 0 / ``hash_size`` edges and zero-access tables).
-        One flat gather serves every (plan, table, tier) query of the
-        batched evaluator at once.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[-1] != self.num_tables:
-            raise ValueError(
-                f"last axis must span {self.num_tables} tables, got "
-                f"{rows.shape[-1]}"
-            )
-        idx = self.row_base[:-1] + np.clip(rows - 1, 0, self.hash_sizes - 1)
-        out = self.cum_fraction_flat[idx]
-        out = np.where(rows <= 0, 0.0, out)
-        out = np.where(rows >= self.hash_sizes, 1.0, out)
-        return np.where(self.total_accesses > 0, out, 0.0)
-
-    def coverage_of_rows_at(
-        self, tables: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """``coverage_of_rows`` at arbitrary ``(table, row)`` pairs.
-
-        Unlike :meth:`coverage_of_rows_grid`, the query is ragged: each
-        element names its own table, so callers with a different row
-        count per table (the strategy evaluator's twrw cut points) pay
-        one flat gather instead of padding to a dense grid.  Edge
-        semantics match the scalar method exactly.
-        """
-        tables = np.asarray(tables, dtype=np.int64)
-        rows = np.asarray(rows, dtype=np.int64)
-        if tables.shape != rows.shape:
-            raise ValueError(
-                f"tables {tables.shape} and rows {rows.shape} must match"
-            )
-        sizes = self.hash_sizes[tables]
-        idx = self.row_base[tables] + np.clip(rows - 1, 0, sizes - 1)
-        out = self.cum_fraction_flat[idx]
-        out = np.where(rows <= 0, 0.0, out)
-        out = np.where(rows >= sizes, 1.0, out)
-        return np.where(self.total_accesses[tables] > 0, out, 0.0)
 
 
 def sharder_workspace(

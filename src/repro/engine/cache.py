@@ -103,6 +103,27 @@ class TierStagingModel:
         return int(self.capacity_bytes)
 
 
+def _hottest_rows(budget: int, profile, model, tables, lo, hi) -> np.ndarray:
+    """How many leading rows of each rank block fit ``budget`` bytes.
+
+    Rows of every listed table's rank block ``[lo, hi)`` compete by
+    profiled access count, hottest first (the profile's ranked-count
+    gather; tables never accessed do not compete): exactly the
+    steady-state content of an LRU over those rows under independent
+    reference draws.  Returns the admitted row count per model table.
+    """
+    tables = np.asarray(tables, dtype=np.int64)
+    accessed = profile.total_accesses[tables] > 0
+    counts, owners = profile.ranked_counts(
+        tables, lo, np.where(accessed, hi, lo)
+    )
+    row_bytes = np.array([t.row_bytes for t in model.tables], dtype=np.int64)
+    order = descending_order(counts)
+    cum_bytes = np.cumsum(row_bytes[owners[order]])
+    take = int(np.searchsorted(cum_bytes, budget, side="right"))
+    return np.bincount(owners[order[:take]], minlength=model.num_tables)
+
+
 def staged_rows_per_table(
     staging: TierStagingModel,
     plan,
@@ -116,9 +137,8 @@ def staged_rows_per_table(
     Same greedy-by-expected-count selection as
     :func:`cached_rows_per_table`, run independently per cold tier: all
     rows resident on tier ``t`` across the device's tables compete for
-    the tier's staging budget, hottest first — exactly the steady-state
-    content of an LRU over that tier under independent reference draws,
-    computed from statistics instead of discovered by misses.
+    the tier's staging budget, hottest first — computed from
+    statistics instead of discovered by misses.
 
     Returns:
         ``(num_tables, num_tiers)`` int64 array; entry ``[j, t]`` is how
@@ -130,45 +150,17 @@ def staged_rows_per_table(
     members = [p for p in plan if p.device == device]
     if not members:
         return staged
+    tables = [p.table_index for p in members]
+    bounds = np.cumsum(
+        [(0,) + tuple(p.rows_per_tier) for p in members], axis=1
+    )
     for tier in range(1, num_tiers):
         budget = staging.capacity_for(tier)
-        if budget <= 0:
-            continue
-        counts_list, owner_list, bytes_list = [], [], []
-        for placement in members:
-            stats = profile[placement.table_index]
-            if stats.total_accesses <= 0:
-                continue
-            start = int(sum(placement.rows_per_tier[:tier]))
-            stop = start + int(placement.rows_per_tier[tier])
-            if stop <= start:
-                continue
-            # Ranked (descending) expected counts of the tier block.
-            ranked = stats.counts[stats.cdf.row_order[start:stop]]
-            counts_list.append(ranked)
-            owner_list.append(
-                np.full(ranked.size, placement.table_index, dtype=np.int64)
+        if budget > 0:
+            staged[:, tier] = _hottest_rows(
+                budget, profile, model, tables,
+                bounds[:, tier], bounds[:, tier + 1],
             )
-            bytes_list.append(
-                np.full(
-                    ranked.size,
-                    model.tables[placement.table_index].row_bytes,
-                    dtype=np.int64,
-                )
-            )
-        if not counts_list:
-            continue
-        counts = np.concatenate(counts_list)
-        owners = np.concatenate(owner_list)
-        row_bytes = np.concatenate(bytes_list)
-        order = descending_order(counts)
-        cum_bytes = np.cumsum(row_bytes[order])
-        take = int(np.searchsorted(cum_bytes, budget, side="right"))
-        if take == 0:
-            continue
-        chosen = owners[order[:take]]
-        for table_index, num in zip(*np.unique(chosen, return_counts=True)):
-            staged[int(table_index), tier] = int(num)
     return staged
 
 
@@ -192,41 +184,9 @@ def cached_rows_per_table(
     members = [p for p in plan if p.device == device]
     if not members or cache.capacity_bytes <= 0:
         return {p.table_index: 0 for p in members}
-
-    counts_list = []
-    owner_list = []
-    bytes_list = []
-    for placement in members:
-        stats = profile[placement.table_index]
-        hbm_rows = placement.rows_per_tier[0]
-        if hbm_rows == 0 or stats.total_accesses <= 0:
-            continue
-        # Ranked (descending) expected counts of the HBM-resident rows.
-        ranked = stats.counts[stats.cdf.row_order[:hbm_rows]]
-        counts_list.append(ranked)
-        owner_list.append(
-            np.full(ranked.size, placement.table_index, dtype=np.int64)
-        )
-        bytes_list.append(
-            np.full(
-                ranked.size,
-                model.tables[placement.table_index].row_bytes,
-                dtype=np.int64,
-            )
-        )
-    cached = {p.table_index: 0 for p in members}
-    if not counts_list:
-        return cached
-
-    counts = np.concatenate(counts_list)
-    owners = np.concatenate(owner_list)
-    row_bytes = np.concatenate(bytes_list)
-    order = descending_order(counts)
-    cum_bytes = np.cumsum(row_bytes[order])
-    take = int(np.searchsorted(cum_bytes, cache.capacity_bytes, side="right"))
-    if take == 0:
-        return cached
-    chosen_owners = owners[order[:take]]
-    for table_index, num in zip(*np.unique(chosen_owners, return_counts=True)):
-        cached[int(table_index)] = int(num)
-    return cached
+    tables = [p.table_index for p in members]
+    cached = _hottest_rows(
+        cache.capacity_bytes, profile, model, tables, 0,
+        [p.rows_per_tier[0] for p in members],
+    )
+    return {j: int(cached[j]) for j in tables}

@@ -233,8 +233,8 @@ class LookupServer:
             spent on replicas of the globally hottest rows, which the
             executor routes least-loaded across devices.  With a
             ``sharder`` the budget is carved *before* every (re)plan
-            and the replica set recomputed from the refreshed
-            workspace/profile; with a fixed ``plan`` the plan must
+            and the replica set recomputed from the new profile's
+            ranked counts; with a fixed ``plan`` the plan must
             leave the budget's worth of fastest-tier headroom.  A
             ``plan`` that already carries ``replica_rows`` is served
             as-is.
@@ -352,8 +352,8 @@ class LookupServer:
         ``replan_build_ms`` a repair cost rather than a rebuild cost.
         With replication enabled the sharder plans against the carved
         topology and the replica set is recomputed from the same
-        refreshed workspace, so drift replans rebalance the replica
-        lane along with the placement.
+        profile, so drift replans rebalance the replica lane along with
+        the placement.
 
         ``surviving`` (physical device ids, for emergency replans)
         plans on a reduced topology holding only those devices; the
@@ -380,8 +380,7 @@ class LookupServer:
             plan = _with_devices(plan, [surviving[p.device] for p in plan])
         if self.replication is not None:
             plan = build_replication(
-                self.replication, plan, profile, self.model, self.topology,
-                workspace=self._workspace,
+                self.replication, plan, profile, self.model, self.topology
             )
         return plan
 

@@ -10,6 +10,11 @@ for every table: rows are ranked by descending frequency, so each extra
 unit of coverage costs at least as many rows as the previous one.  That
 convexity is what lets the convex MILP formulation replace the paper's
 per-step binaries with linear cuts (see ``repro/core/formulation.py``).
+
+A profiled table's coverage prefix is not its own array: it is a
+read-only slot of its :class:`~repro.stats.profiler.ModelProfile`'s one
+coverage stack, which the plan evaluator queries for every table at
+once.
 """
 
 from __future__ import annotations
@@ -54,9 +59,12 @@ class FrequencyCDF:
         counts: per-row access counts (or expected counts / probabilities);
             length equals the table's hash size.  Rows with zero count are
             the dead rows of Section 3.4.
+        out: optional float64 array of the hash size that receives the
+            coverage prefix — a :class:`~repro.stats.profiler.ModelProfile`
+            passes each table's slot of its one coverage stack.
     """
 
-    def __init__(self, counts: np.ndarray):
+    def __init__(self, counts: np.ndarray, out: np.ndarray | None = None):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1:
             raise ValueError("counts must be a 1-D array over table rows")
@@ -76,19 +84,21 @@ class FrequencyCDF:
         sorted_counts = counts[self.row_order]
         self.total = float(sorted_counts.sum())
         self.live_rows = int(np.count_nonzero(sorted_counts))
+        cum = np.empty(self.hash_size) if out is None else out
         if self.total > 0:
-            self._cum_fraction = np.clip(
-                np.cumsum(sorted_counts) / self.total, 0.0, 1.0
-            )
-            self._cum_fraction[-1] = 1.0
+            np.cumsum(sorted_counts, out=cum)
+            cum /= self.total
+            np.clip(cum, 0.0, 1.0, out=cum)
+            cum[-1] = 1.0
         else:
-            self._cum_fraction = np.zeros(self.hash_size)
+            cum[...] = 0.0
+        cum.flags.writeable = False
+        self._cum_fraction = cum
 
     @property
     def cum_fraction(self) -> np.ndarray:
-        """Coverage prefix per rank: ``cum_fraction[k]`` is the access
-        fraction covered by the hottest ``k + 1`` rows.  Treat as
-        read-only — the planner workspace stacks these grids directly.
+        """Coverage prefix per rank (read-only): ``cum_fraction[k]`` is
+        the access fraction covered by the hottest ``k + 1`` rows.
         """
         return self._cum_fraction
 
@@ -107,9 +117,10 @@ class FrequencyCDF:
         """Vectorized :meth:`coverage_of_rows` over an array of row counts.
 
         Element-for-element identical to the scalar method (including
-        the ``rows <= 0`` and ``rows >= hash_size`` edge cases), so the
-        batched plan evaluator can take whole ``rows_per_tier`` grids in
-        one shot.
+        the ``rows <= 0`` and ``rows >= hash_size`` edge cases).  The
+        plan evaluator asks the profile instead
+        (:meth:`~repro.stats.profiler.ModelProfile.coverage_of_rows_at`),
+        one query over every table.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if self.total <= 0:

@@ -4,11 +4,18 @@ Implements Section 4.1: sample a small fraction (~1%) of training
 samples, hash them (the trace already carries hashed indices), and
 accumulate three statistics per table — the post-hash value frequency
 distribution, the average pooling factor, and the coverage.
+
+A :class:`ModelProfile` owns its tables' ranked statistics: one
+coverage-prefix stack that every table's CDF is a view into (the plan
+evaluator's one gather, :meth:`ModelProfile.coverage_of_rows_at`), and
+one ranked-count gather (:meth:`ModelProfile.ranked_counts`) behind
+replica, cache and staging selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +40,12 @@ class TableStats:
     samples_present: int = 0
     samples_seen: int = 0
     _cdf: FrequencyCDF | None = field(default=None, repr=False, compare=False)
+    # The owning profile's coverage-stack slot the CDF is built into.
+    _coverage_out: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
 
-    @property
+    @cached_property
     def total_accesses(self) -> float:
         return float(self.counts.sum())
 
@@ -60,7 +71,7 @@ class TableStats:
     def cdf(self) -> FrequencyCDF:
         """Frequency CDF over this table's rows (cached)."""
         if self._cdf is None:
-            self._cdf = FrequencyCDF(self.counts)
+            self._cdf = FrequencyCDF(self.counts, out=self._coverage_out)
         return self._cdf
 
     def expected_lookups_per_sample(self) -> float:
@@ -69,12 +80,91 @@ class TableStats:
 
 @dataclass
 class ModelProfile:
-    """Profiled statistics for every table of a model."""
+    """Profiled statistics for every table of a model.
+
+    A profile is read-only once made, and owns its tables' ranked
+    statistics.  Table ``j``'s coverage prefix (``cdf.cum_fraction``)
+    is the slot ``[row_base[j], row_base[j + 1])`` of one stack, filled
+    as that table's CDF is built, so a profile holds one copy of every
+    prefix; the stack's pages are only touched as CDFs fill them.
+    """
 
     model_name: str
     tables: list[TableStats]
     sample_rate: float = 1.0
     samples_profiled: int = 0
+
+    def __post_init__(self):
+        sizes = [stats.hash_size for stats in self.tables]
+        self.row_base = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.row_base[1:])
+        stack = np.empty(int(self.row_base[-1]), dtype=np.float64)
+        for j, stats in enumerate(self.tables):
+            stats._coverage_out = stack[self.row_base[j]: self.row_base[j + 1]]
+        self._stack = stack.view()
+        self._stack.flags.writeable = False
+        self._stack_full = False
+
+    @property
+    def coverage_stack(self) -> np.ndarray:
+        """Every table's coverage prefix, ragged-stacked (read-only)."""
+        if not self._stack_full:
+            for stats in self.tables:
+                stats.cdf
+            self._stack_full = True
+        return self._stack
+
+    def coverage_of_rows_at(self, tables, rows) -> np.ndarray:
+        """``coverage_of_rows`` at ``(table, row)`` pairs, broadcast.
+
+        Element for element the per-table
+        :meth:`~repro.stats.cdf.FrequencyCDF.coverage_of_rows`: zero
+        rows cover nothing, and rows at or past a table's hash size read
+        its last prefix entry (1, or 0 for a table never accessed).
+        One flat gather answers a whole ``(plans, tiers, tables)`` grid
+        (``tables`` broadcast along the last axis) or ragged edges.
+        """
+        tables, rows = np.broadcast_arrays(
+            np.asarray(tables, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+        )
+        idx = np.minimum(
+            self.row_base[tables] + np.maximum(rows - 1, 0),
+            self.row_base[tables + 1] - 1,
+        )
+        return np.where(rows > 0, self.coverage_stack[idx], 0.0)
+
+    def ranked_counts(self, tables, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Profiled counts of frequency ranks ``[lo, hi)`` per table.
+
+        The one hottest-first gather, ``counts[row_order[lo:hi]]``:
+        blocks concatenated in the order ``tables`` lists them, each in
+        rank order, with the owning table of every row.  ``lo`` and
+        ``hi`` broadcast against ``tables``.
+        """
+        tables, lo, hi = np.broadcast_arrays(
+            np.asarray(tables, dtype=np.int64), lo, hi
+        )
+        blocks = [
+            self.tables[j].counts[self.tables[j].cdf.row_order[a:b]]
+            for j, a, b in zip(tables.tolist(), lo.tolist(), hi.tolist())
+        ]
+        owners = np.repeat(tables, [block.size for block in blocks])
+        return np.concatenate(blocks or [np.empty(0)]), owners
+
+    @cached_property
+    def total_accesses(self) -> np.ndarray:
+        """Per-table access totals."""
+        return np.array([stats.total_accesses for stats in self.tables])
+
+    @cached_property
+    def coverage(self) -> np.ndarray:
+        """Per-table coverage."""
+        return np.array([stats.coverage for stats in self.tables])
+
+    @cached_property
+    def avg_pooling(self) -> np.ndarray:
+        """Per-table mean pooling factor."""
+        return np.array([stats.avg_pooling for stats in self.tables])
 
     def __getitem__(self, index: int) -> TableStats:
         return self.tables[index]

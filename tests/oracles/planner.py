@@ -356,7 +356,6 @@ def strategy_device_costs_ms(
     batch_size: int,
     use_coverage: bool = True,
     use_pooling: bool = True,
-    workspace: PlannerWorkspace | None = None,
 ) -> np.ndarray:
     """Expected per-device cost of one plan with ``table_strategies``.
 
@@ -370,20 +369,13 @@ def strategy_device_costs_ms(
     cum_rows = np.cumsum(
         np.array([p.rows_per_tier for p in base], dtype=np.int64), axis=1
     )
-    if workspace is not None:
-        cov = workspace.coverage_of_rows_grid(cum_rows.T)  # (tiers, tables)
-        total_accesses = workspace.total_accesses
-        stat_coverage = workspace.coverage
-        stat_pooling = workspace.avg_pooling
-        row_bytes = workspace.row_bytes
-    else:
-        cov = np.empty((num_tiers, num_tables))
-        for j, stats in enumerate(profile):
-            cov[:, j] = stats.cdf.coverage_of_rows_many(cum_rows[j])
-        total_accesses = np.array([s.total_accesses for s in profile])
-        stat_coverage = np.array([s.coverage for s in profile])
-        stat_pooling = np.array([s.avg_pooling for s in profile])
-        row_bytes = np.array([t.row_bytes for t in model.tables])
+    cov = np.empty((num_tiers, num_tables))
+    for j, stats in enumerate(profile):
+        cov[:, j] = stats.cdf.coverage_of_rows_many(cum_rows[j])
+    total_accesses = np.array([s.total_accesses for s in profile])
+    stat_coverage = np.array([s.coverage for s in profile])
+    stat_pooling = np.array([s.avg_pooling for s in profile])
+    row_bytes = np.array([t.row_bytes for t in model.tables])
     frac = np.diff(cov, axis=0, prepend=0.0)  # (tiers, tables)
     inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
     coverage = stat_coverage if use_coverage else 1.0
@@ -406,12 +398,7 @@ def strategy_device_costs_ms(
                 )
         else:  # twrw: coverage prefixes at tier bounds and cut points
             cuts = np.asarray(strat.row_cuts, dtype=np.int64)
-            if workspace is not None:
-                cov_cuts = workspace.coverage_of_rows_at(
-                    np.full(cuts.size, j, dtype=np.int64), cuts
-                )
-            else:
-                cov_cuts = profile[j].cdf.coverage_of_rows_many(cuts)
+            cov_cuts = profile[j].cdf.coverage_of_rows_many(cuts)
             covb = np.concatenate(([0.0], cov[:, j]))
             covc = np.concatenate(([0.0], cov_cuts, [cov[-1, j]]))
             cells = np.maximum(

@@ -35,6 +35,7 @@ from repro.data.synthetic import TraceGenerator
 from tests.oracles.planner import ScalarFastSharder, scalar_device_costs_ms
 
 from .conftest import build_model
+from .test_replicate import hottest_first_charges
 
 BATCH = 256
 
@@ -144,9 +145,6 @@ class TestSharderParity:
         fresh = PlannerWorkspace(small_model, p1, steps=20)
         np.testing.assert_array_equal(refreshed.frac_rows, fresh.frac_rows)
         np.testing.assert_array_equal(refreshed.grid_rows, fresh.grid_rows)
-        np.testing.assert_array_equal(
-            refreshed.cum_fraction_flat, fresh.cum_fraction_flat
-        )
         np.testing.assert_array_equal(
             refreshed.total_accesses, fresh.total_accesses
         )
@@ -310,17 +308,18 @@ class TestBatchedEvaluator:
     def test_workspace_reuse_gives_same_answer(
         self, small_model, small_profile, tight_topology
     ):
+        """A profile whose stack the sharder's workspace filled scores
+        like a fresh one the evaluator fills itself."""
         plan = RecShardFastSharder(batch_size=BATCH).shard(
             small_model, small_profile, tight_topology
         )
-        workspace = PlannerWorkspace(small_model, small_profile, steps=10)
+        fresh = analytic_profile(small_model)
         np.testing.assert_array_equal(
             expected_device_costs_ms_many(
-                [plan], small_model, small_profile, tight_topology, BATCH,
-                workspace=workspace,
+                [plan], small_model, small_profile, tight_topology, BATCH
             ),
             expected_device_costs_ms_many(
-                [plan], small_model, small_profile, tight_topology, BATCH
+                [plan], small_model, fresh, tight_topology, BATCH
             ),
         )
 
@@ -556,36 +555,6 @@ class TestReplicaBound:
     """The replica scan cut at ``budget * D / (D-1)`` bytes selects what
     the prefix computation over every candidate selects."""
 
-    @staticmethod
-    def prefix_charges(plan, profile, model, topology):
-        """Hottest-first candidate tables and the per-device copy charge
-        of every prefix, over all candidates (no bound)."""
-        counts, tables, ranks = [], [], []
-        for j, stats in enumerate(profile):
-            k = min(plan[j].rows_per_tier[0], stats.live_rows)
-            ranked = np.asarray(stats.counts, dtype=np.float64)[
-                stats.cdf.row_order[:k]
-            ]
-            keep = ranked > 0
-            counts.append(ranked[keep])
-            tables.append(np.full(int(keep.sum()), j, dtype=np.int64))
-            ranks.append(np.flatnonzero(keep))
-        counts, tables = np.concatenate(counts), np.concatenate(tables)
-        order = np.lexsort((np.concatenate(ranks), tables, -counts))
-        fastest = topology.tiers[0]
-        row_bytes = np.array([fastest.row_bytes_for(t.row_bytes) for t in model.tables])
-        home = np.array([p.device for p in plan])
-        sizes = row_bytes[tables[order]]
-        homes = home[tables[order]]
-        total = np.cumsum(sizes)
-        homed = np.array(
-            [
-                np.cumsum(np.where(homes == d, sizes, 0))
-                for d in range(topology.num_devices)
-            ]
-        )
-        return tables[order], total, total - homed.min(axis=0)
-
     @pytest.mark.parametrize("devices", [2, 3, 16])
     def test_bounded_scan_matches_unbounded_prefix(self, devices):
         model = build_model(num_tables=max(8, 2 * devices), seed=devices)
@@ -600,8 +569,9 @@ class TestReplicaBound:
         plan = RecShardFastSharder(batch_size=64, steps=40).shard(
             model, profile, topology
         )
-        workspace = PlannerWorkspace(model, profile, steps=40)
-        tables, total, charge = self.prefix_charges(plan, profile, model, topology)
+        tables, total, charge = hottest_first_charges(
+            plan, profile, model, topology
+        )
         n = charge.size
         for k in (0, n // 50, n // 10, n // 4):
             # Exact fit: the prefix ending at candidate k uses the whole
@@ -613,9 +583,8 @@ class TestReplicaBound:
                 assert total[-1] * (devices - 1) > budget * devices
                 take = int(np.searchsorted(charge, budget, side="right"))
                 want = np.bincount(tables[:take], minlength=len(plan))
-                policy = ReplicationPolicy(capacity_bytes=budget)
-                for ws in (None, workspace):
-                    got = build_replication(
-                        policy, plan, profile, model, topology, workspace=ws
-                    )
-                    np.testing.assert_array_equal(got.replica_rows, want)
+                got = build_replication(
+                    ReplicationPolicy(capacity_bytes=budget),
+                    plan, profile, model, topology,
+                )
+                np.testing.assert_array_equal(got.replica_rows, want)

@@ -2,7 +2,8 @@
 
 Covers the planner side of the replication subsystem
 (:mod:`repro.core.replicate`): budget carving, hottest-first selection
-(including the workspace bulk-query path), the monotone-in-budget and
+(on trace-profiled worlds, whose tied integer counts pin the
+``(-count, table, rank)`` order), the monotone-in-budget and
 never-over-capacity invariants as randomized property tests, and one
 golden fixture pinning absolute selection output.
 
@@ -30,8 +31,9 @@ from repro.core import (
     carve_replica_budget,
     plan_with_replication,
 )
+from repro.data.synthetic import TraceGenerator
 from repro.memory.topology import SystemTopology
-from repro.stats import analytic_profile
+from repro.stats import analytic_profile, profile_trace
 from tests.test_core.conftest import build_model
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -54,19 +56,62 @@ def build_world(seed: int, num_tables: int = 8, num_devices: int = 4):
     return model, profile, topology
 
 
-def replicate(seed: int, budget_fraction: float, workspace=True):
-    model, profile, topology = build_world(seed)
+def traced_world(seed: int):
+    """:func:`build_world` profiled from a short trace: integer counts,
+    so many candidate rows tie."""
+    model, _, topology = build_world(seed)
+    profile = profile_trace(
+        model, TraceGenerator(model, batch_size=256, seed=seed),
+        num_batches=4, sample_rate=1.0, seed=seed,
+    )
+    return model, profile, topology
+
+
+def replicate(seed: int, budget_fraction: float, world=build_world):
+    """Carve, shard and select with a shared workspace, the path drift
+    replans and ``shard_sweep`` take."""
+    model, profile, topology = world(seed)
     policy = ReplicationPolicy(
         capacity_bytes=int(
             model.total_bytes * budget_fraction / topology.num_devices
         )
     )
     sharder = RecShardFastSharder(batch_size=64, steps=40)
-    ws = PlannerWorkspace(model, profile, steps=40) if workspace else None
+    ws = PlannerWorkspace(model, profile, steps=40)
     plan = plan_with_replication(
         sharder, model, profile, topology, policy, workspace=ws
     )
     return model, profile, topology, plan
+
+
+def hottest_first_charges(plan, profile, model, topology):
+    """Every live fastest-tier candidate sorted by (-count, table, rank):
+    its table, and the per-device copy charge of each prefix."""
+    counts, tables, ranks = [], [], []
+    for j, stats in enumerate(profile):
+        tier0 = plan[j].rows_per_tier[0]
+        ranked = stats.counts[stats.cdf.row_order[:tier0]]
+        live = np.flatnonzero(ranked > 0)
+        counts.append(ranked[live])
+        tables.append(np.full(live.size, j))
+        ranks.append(live)
+    counts, tables, ranks = map(np.concatenate, (counts, tables, ranks))
+    order = np.lexsort((ranks, tables, -counts))
+    fastest = topology.tiers[0]
+    row_bytes = np.array(
+        [fastest.row_bytes_for(t.row_bytes) for t in model.tables]
+    )
+    home = np.array([p.device for p in plan])
+    sizes = row_bytes[tables[order]]
+    homes = home[tables[order]]
+    total = np.cumsum(sizes)
+    homed = np.array(
+        [
+            np.cumsum(np.where(homes == d, sizes, 0))
+            for d in range(topology.num_devices)
+        ]
+    )
+    return tables[order], total, total - homed.min(axis=0)
 
 
 class TestCarving:
@@ -148,15 +193,33 @@ class TestSelection:
         assert plan.num_replicated_rows > 0
         assert selected_min >= unselected_max - 1e-9
 
-    def test_workspace_and_profile_paths_agree(self):
-        model, profile, topology, plan = replicate(3, budget_fraction=0.05)
-        from_profile = build_replication(
-            ReplicationPolicy(plan.replica_budget_bytes),
-            plan, profile, model, topology,
+    @pytest.mark.parametrize("budget_fraction", [0.01, 0.03, 0.05])
+    @pytest.mark.parametrize("seed", [3, 7, 15])
+    def test_traced_selection_is_hottest_prefix_by_count_table_rank(
+        self, seed, budget_fraction
+    ):
+        """Regression: counts read back as differences of the coverage
+        prefix were rounded, so tied integer counts left the documented
+        (table, rank) order and the admitted prefix changed."""
+        model, profile, topology, plan = replicate(
+            seed, budget_fraction, world=traced_world
         )
+        for stats in profile:
+            np.testing.assert_array_equal(stats.counts, np.round(stats.counts))
+        tables, _, charge = hottest_first_charges(
+            plan, profile, model, topology
+        )
+        take = int(
+            np.searchsorted(charge, plan.replica_budget_bytes, side="right")
+        )
+        assert take > 0
         np.testing.assert_array_equal(
-            plan.replica_rows, from_profile.replica_rows
+            plan.replica_rows, np.bincount(tables[:take], minlength=len(plan))
         )
+
+    def test_traced_seed15_selection_is_pinned(self):
+        _, _, _, plan = replicate(15, 0.03, world=traced_world)
+        assert plan.replica_rows.tolist() == [2, 6, 11, 2, 10, 8, 5, 4]
 
     def test_single_device_policy_is_inert(self):
         """One device means nowhere to route: nothing is carved (the
@@ -173,20 +236,6 @@ class TestSelection:
             policy, plan, profile, model, topology
         )
         assert replicated.num_replicated_rows == 0
-
-    def test_leading_expected_counts_matches_profile(self):
-        model, profile, _ = build_world(5)
-        ws = PlannerWorkspace(model, profile, steps=40)
-        limits = np.minimum(ws.live_rows, 64)
-        counts, tables, ranks = ws.leading_expected_counts(limits)
-        assert counts.size == int(limits.sum())
-        for j, stats in enumerate(profile):
-            mine = counts[tables == j]
-            theirs = stats.counts[stats.cdf.row_order[: limits[j]]]
-            np.testing.assert_allclose(mine, theirs, rtol=1e-9, atol=1e-9)
-            np.testing.assert_array_equal(
-                ranks[tables == j], np.arange(limits[j])
-            )
 
 
 class TestProperties:

@@ -374,8 +374,7 @@ def test_one_signature_one_cost_stamp(name):
     meta = plan.metadata
     assert meta.get("solver") == solver
     costs = expected_device_costs_ms_many(
-        [plan], model, profile, topology, meta["estimated_cost_batch_size"],
-        workspace=workspace,
+        [plan], model, profile, topology, meta["estimated_cost_batch_size"]
     )[0]
     assert meta["estimated_device_costs_ms"] == costs.tolist()
     assert meta["estimated_max_cost_ms"] == costs.max()

@@ -1,5 +1,7 @@
 """Tests for the trace profiler (Section 4.1), including Figure 3."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.data.feature import SparseFeatureSpec
 from repro.data.model import EmbeddingTableSpec, ModelSpec
 from repro.data.synthetic import TraceGenerator
 from repro.stats import TraceProfiler, analytic_profile, profile_trace
+from repro.stats.cdf import FrequencyCDF
 
 
 def tiny_model(hash_sizes=(100, 500), coverage=1.0):
@@ -139,3 +142,114 @@ class TestAnalyticProfile:
         hot_a = set(analytic[0].cdf.top_rows(20))
         hot_e = set(empirical[0].cdf.top_rows(20))
         assert len(hot_a & hot_e) >= 12
+
+
+def traced_profile(model, seed=0):
+    gen = TraceGenerator(model, batch_size=256, seed=seed)
+    return profile_trace(model, gen, num_batches=2, sample_rate=1.0, seed=seed)
+
+
+class TestRankedStatistics:
+    """The profile owns one coverage stack and one ranked-count gather."""
+
+    def test_cdfs_are_views_of_one_read_only_stack(self):
+        model = tiny_model(hash_sizes=(100, 500, 40))
+        profile = traced_profile(model)
+        stack = profile.coverage_stack
+        assert stack.size == sum(t.num_rows for t in model.tables)
+        for j, stats in enumerate(profile):
+            cum = stats.cdf.cum_fraction
+            assert np.shares_memory(stack, cum)
+            np.testing.assert_array_equal(
+                stack[profile.row_base[j]: profile.row_base[j + 1]], cum
+            )
+            np.testing.assert_array_equal(
+                cum, FrequencyCDF(stats.counts).cum_fraction
+            )
+        with pytest.raises(ValueError):
+            stack[0] = 0.5
+        with pytest.raises(ValueError):
+            profile[0].cdf.cum_fraction[0] = 0.5
+
+    def test_stack_build_holds_one_coverage_copy(self):
+        """Filling the stack allocates each table's row order and one
+        table's temporaries, never a second per-row coverage array."""
+        model = tiny_model(hash_sizes=(2000,) * 40)
+        profile = traced_profile(model)
+        tracemalloc.start()
+        try:
+            stack = profile.coverage_stack
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_orders = sum(stats.cdf.row_order.nbytes for stats in profile)
+        assert peak < row_orders + stack.nbytes // 2
+
+    def test_planner_allocates_no_per_row_coverage(self):
+        """A workspace build, a refresh and a stamped shard read the
+        profiles' stacks; none copies them."""
+        from repro.core import PlannerWorkspace, RecShardFastSharder
+        from repro.memory.topology import SystemTopology
+
+        model = tiny_model(hash_sizes=(20_000,) * 4)
+        first, second = traced_profile(model, 1), traced_profile(model, 2)
+        for profile in (first, second):
+            profile.coverage_stack  # built before tracing starts
+        topology = SystemTopology.two_tier(
+            2, model.total_bytes // 8, 200e9, model.total_bytes, 10e9
+        )
+        sharder = RecShardFastSharder(batch_size=64, steps=20)
+        tracemalloc.start()
+        try:
+            workspace = PlannerWorkspace(model, first, steps=20)
+            workspace.refresh(second)
+            sharder.shard(model, second, topology, workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < second.coverage_stack.nbytes // 4
+
+    def test_coverage_of_rows_at_matches_cdf_queries(self):
+        model = tiny_model(hash_sizes=(100, 500, 40))
+        profile = traced_profile(model)
+        rows = np.array([-3, 0, 1, 7, 39, 40, 99, 100, 499, 500, 900])
+        grid = profile.coverage_of_rows_at(np.arange(3), rows[:, None])
+        for j, stats in enumerate(profile):
+            np.testing.assert_array_equal(
+                grid[:, j], stats.cdf.coverage_of_rows_many(rows)
+            )
+            np.testing.assert_array_equal(
+                profile.coverage_of_rows_at(j, rows),
+                [stats.cdf.coverage_of_rows(int(r)) for r in rows],
+            )
+
+    def test_never_accessed_table_covers_nothing(self):
+        model = tiny_model(hash_sizes=(100, 50), coverage=1.0)
+        profiler = TraceProfiler(model, sample_rate=1.0)
+        profiler.consume(
+            JaggedBatch(
+                [
+                    JaggedFeature.from_lists([[3, 4], [3]]),
+                    JaggedFeature.from_lists([[], []]),
+                ]
+            )
+        )
+        profile = profiler.finish()
+        np.testing.assert_array_equal(
+            profile.coverage_of_rows_at(1, [0, 1, 50, 60]), 0.0
+        )
+        assert profile.coverage_of_rows_at(0, 100) == 1.0
+
+    def test_ranked_counts_gathers_rank_blocks(self):
+        model = tiny_model(hash_sizes=(100, 500, 40))
+        profile = traced_profile(model)
+        tables, lo, hi = [2, 0, 1], [5, 0, 10], [9, 30, 10]
+        counts, owners = profile.ranked_counts(tables, lo, hi)
+        blocks = [
+            profile[j].counts[profile[j].cdf.row_order[a:b]]
+            for j, a, b in zip(tables, lo, hi)
+        ]
+        np.testing.assert_array_equal(counts, np.concatenate(blocks))
+        np.testing.assert_array_equal(owners, [2] * 4 + [0] * 30)
+        counts, owners = profile.ranked_counts([], 0, [])
+        assert counts.size == owners.size == 0
