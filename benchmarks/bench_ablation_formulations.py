@@ -1,4 +1,4 @@
-"""Design-choice ablation: MILP encodings, backends, and the fast solver.
+"""Design-choice ablation: MILP encodings and the fast solver.
 
 Not a paper table — this regenerates the evidence for this repo's two
 documented design decisions (see DESIGN.md):

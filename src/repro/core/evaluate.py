@@ -86,12 +86,11 @@ def expected_device_costs_ms_many(
     # (plans, tiers, tables) cumulative tier boundaries in rank space.
     bounds = np.moveaxis(np.cumsum(rows, axis=2), 2, 1)
     cov = profile.coverage_of_rows_at(np.arange(num_tables), bounds)
-    row_bytes = np.array([t.row_bytes for t in model.tables])
     coverage = profile.coverage if use_coverage else 1.0
     pooling = profile.avg_pooling if use_pooling else 1.0
     table_weight = np.where(
         profile.total_accesses > 0,
-        coverage * pooling * batch_size * row_bytes,
+        coverage * pooling * batch_size * model.row_bytes,
         0.0,
     )
 
@@ -102,13 +101,12 @@ def expected_device_costs_ms_many(
     device = np.concatenate([s.device for s in shards])
     plan_of = np.repeat(np.arange(num_plans), [s.table.size for s in shards])
     owner = plan_of * num_tables + table
-    num_rows = np.array([t.num_rows for t in model.tables])
 
     def edge_coverage(ranks, open_end):
         """Coverage below each shard edge; an edge at either end of the
         rank line clips nothing."""
         out = np.full(ranks.size, open_end)
-        inner = np.flatnonzero((ranks > 0) & (ranks < num_rows[table]))
+        inner = np.flatnonzero((ranks > 0) & (ranks < model.num_rows[table]))
         out[inner] = profile.coverage_of_rows_at(table[inner], ranks[inner])
         return out
 
@@ -122,8 +120,7 @@ def expected_device_costs_ms_many(
         edge_coverage(np.concatenate([s.rank_lo for s in shards]), -np.inf),
         edge_coverage(np.concatenate([s.rank_hi for s in shards]), np.inf),
     )
-    dims = np.array([t.dim for t in model.tables])
-    share = np.concatenate([s.dim for s in shards]) / dims[table]
+    share = np.concatenate([s.dim for s in shards]) / model.dims[table]
     inv_bw = np.array([1.0 / tier.bandwidth for tier in topology.tiers])
     tier_cost = np.vecdot(cells.T, inv_bw[:num_tiers])
     shard_cost = table_weight[table] * tier_cost * share

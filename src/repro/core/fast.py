@@ -14,11 +14,12 @@ ICDF convexity to get near-MILP plans in milliseconds:
    padded with dead rows (which cost nothing to serve) when the
    device's host slice cannot absorb the table's UVM remainder.
 3. *Per-device refill*: spend any HBM left unused on each device on the
-   next-best steps of its own tables.
+   next-best steps of its own tables (the MILP sharder refills its
+   extracted splits through the same pass).
 4. *Local search*: move tables off the busiest device while it reduces
    the makespan.
 
-It also serves as the fallback when the MILP backend cannot produce an
+It also serves as the fallback when the MILP cannot produce an
 incumbent within its time limit.
 
 Every phase except the LPT assignment runs on the stacked arrays of a
@@ -204,15 +205,7 @@ class RecShardFastSharder:
         inv_bw_hbm = 1.0 / topology.hbm.bandwidth
         inv_bw_uvm = 1.0 / topology.uvm.bandwidth
         hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
-        host_rb = ws.tier_row_bytes(topology.uvm.precision)
-        states = [
-            _TableState(
-                j, t, self.batch_size, inv_bw_hbm, inv_bw_uvm,
-                self.use_coverage, self.use_pooling, self.reclaim_dead,
-                hbm_row_bytes=int(hbm_rb[j]), host_row_bytes=int(host_rb[j]),
-            )
-            for j, t in enumerate(inputs.tables)
-        ]
+        states = self._table_states(ws, topology)
         weight = np.array([s.weight for s in states], dtype=np.float64)
 
         hbm_budget = topology.hbm.capacity_bytes * topology.num_devices
@@ -249,6 +242,20 @@ class RecShardFastSharder:
             self._emit_plan(states, device_of, topology, inputs, preferred),
             ws.model, ws.profile, topology, self.batch_size,
         )
+
+    def _table_states(self, ws, topology) -> list[_TableState]:
+        """One split state per table, at ICDF step 0."""
+        hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
+        host_rb = ws.tier_row_bytes(topology.uvm.precision)
+        return [
+            _TableState(
+                j, t, self.batch_size, 1.0 / topology.hbm.bandwidth,
+                1.0 / topology.uvm.bandwidth,
+                self.use_coverage, self.use_pooling, self.reclaim_dead,
+                hbm_row_bytes=int(hbm_rb[j]), host_row_bytes=int(host_rb[j]),
+            )
+            for j, t in enumerate(ws.inputs.tables)
+        ]
 
     def _emit_plan(self, states, device_of, topology, inputs, preferred):
         """Materialize placements and metadata (the caller stamps costs)."""

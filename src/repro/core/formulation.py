@@ -1,4 +1,4 @@
-"""RecShard's MILP formulation (Section 4.2, Constraints 1-12).
+"""RecShard's MILP formulation (Section 4.2, Constraints 1-12; Section 4.4).
 
 Decision structure, following Table 1 and the paper's constraints:
 
@@ -13,6 +13,14 @@ Decision structure, following Table 1 and the paper's constraints:
   summed per GPU (Constraint 12); the objective minimizes the maximum
   per-GPU cost ``C`` (Constraint 1).
 
+Section 4.4 adds tiers as "a new point on each EMB's CDF": with ``T``
+tiers every table gets ``T - 1`` ordered ``(pct, mem)`` boundary pairs,
+tier ``t`` holds the rows between boundaries ``t - 1`` and ``t``, and
+the last tier the remainder.  At two tiers this is exactly the model
+above.  Each tier's capacity is charged at its storage precision's row
+bytes (:func:`~repro.memory.precision.quantized_row_bytes`; the factor
+is exactly 1 at fp32).
+
 Two encodings of the ICDF are provided:
 
 * ``"step"`` — the paper's: one binary ``x[i][j]`` per ICDF step
@@ -25,7 +33,8 @@ Two encodings of the ICDF are provided:
 The per-GPU capacity and cost terms multiply the binary ``p[m][j]`` with
 the continuous ``pct[j]`` / ``mem[j]``; these bilinear products are
 linearized exactly with the standard bounded-product constraints
-(``w = p * pct``, ``u = p * mem``), which is what a commercial solver
+(``w = p * pct``, ``u = p * mem``; with more tiers ``u`` takes each
+tier's ``mem`` difference), which is what a commercial solver
 does internally for such terms.
 
 Units: memory in MiB, time in milliseconds — this keeps the constraint
@@ -109,8 +118,8 @@ class FormulationHandles:
 
     model: Model
     assign: list[list[Var]]  # assign[m][j] == p_mj
-    pct: list[Var]  # pct[j], HBM-served access fraction
-    mem: list[Var]  # mem[j], HBM MiB
+    pct: list[list[Var]]  # pct[j][b], access fraction above boundary b
+    mem: list[list[Var]]  # mem[j][b], MiB above boundary b (fp32 rows)
     max_cost: Var  # C, the minimized makespan (ms)
     device_costs: list[LinExpr]  # c_m expressions (ms)
 
@@ -125,11 +134,12 @@ def build_milp(
     reclaim_dead: bool = False,
     symmetry_breaking: bool = True,
 ) -> FormulationHandles:
-    """Build the two-tier RecShard MILP.
+    """Build the RecShard MILP for any number of tiers.
 
     Args:
         inputs: per-table statistics.
-        topology: two-tier (HBM + UVM) system.
+        topology: the memory hierarchy; boundary ``b`` splits tier ``b``
+            from the slower tiers behind it.
         batch_size: training batch size ``B`` (Constraint 11).
         formulation: ``"convex"`` (default) or ``"step"`` (paper-faithful).
         use_coverage: when False, coverage is treated as 1 for every
@@ -137,24 +147,32 @@ def build_milp(
         use_pooling: when False, the average pooling factor is treated
             as 1 for every table (the Table 6 ablation).
         reclaim_dead: when True, rows never observed in the profile are
-            not charged against UVM capacity (Section 3.4's reclaim).
+            not charged against the last tier's capacity (Section 3.4's
+            reclaim).
         symmetry_breaking: order per-GPU costs to break device symmetry,
             which speeds up branch and bound on homogeneous nodes.
     """
-    if topology.num_tiers != 2:
-        raise ValueError(
-            "build_milp targets the two-tier hierarchy; use MultiTierSharder "
-            f"for {topology.num_tiers} tiers"
-        )
     if formulation not in ("convex", "step"):
         raise ValueError(f"unknown formulation {formulation!r}")
 
     num_devices = topology.num_devices
     num_tables = len(inputs)
-    cap_hbm_mib = topology.hbm.capacity_bytes / MIB
-    cap_host_mib = topology.uvm.capacity_bytes / MIB
-    inv_bw_hbm = 1.0 / topology.hbm.bandwidth
-    inv_bw_uvm = 1.0 / topology.uvm.bandwidth
+    tiers = topology.tiers
+    num_bounds = len(tiers) - 1
+    caps_mib = [tier.capacity_bytes / MIB for tier in tiers]
+    inv_bw = [1.0 / tier.bandwidth for tier in tiers]
+    cap_names = ["cap_hbm", *(f"cap_tier{t}" for t in range(1, num_bounds)),
+                 "cap_host"]
+
+    # Per (table, tier): a row's bytes at the tier's precision over fp32.
+    scales = [
+        [tier.row_bytes_for(t.row_bytes) / t.row_bytes for tier in tiers]
+        for t in inputs.tables
+    ]
+
+    def at(b: int) -> str:
+        """Boundary suffix of a name; two-tier models have one boundary."""
+        return f"[{b}]" if num_bounds > 1 else ""
 
     model = Model("recshard")
     max_cost = model.continuous_var(lb=0.0, name="C")
@@ -170,40 +188,54 @@ def build_milp(
             name=f"assign_once[{j}]",
         )
 
-    pct: list[Var] = []
-    mem: list[Var] = []
+    # One (pct, mem) point on each table's ICDF per tier boundary.
+    pct: list[list[Var]] = []
+    mem: list[list[Var]] = []
     for j, table in enumerate(inputs.tables):
         live_mib = table.live_bytes / MIB
         has_accesses = table.total_accesses > 0
-        pct_j = model.continuous_var(
-            lb=0.0, ub=1.0 if has_accesses else 0.0, name=f"pct[{j}]"
-        )
-        mem_j = model.continuous_var(lb=0.0, ub=live_mib, name=f"mem[{j}]")
-        pct.append(pct_j)
-        mem.append(mem_j)
-        if not has_accesses:
-            model.add(mem_j <= 0.0, name=f"mem_zero[{j}]")
-            continue
         row_mib = table.row_bytes / MIB
-        if formulation == "convex":
-            # mem >= every chord of the sampled ICDF; the chords' upper
-            # envelope equals the piecewise-linear ICDF (convexity).
-            for k, (slope, intercept) in enumerate(table.icdf.convex_cuts()):
-                model.add(
-                    mem_j >= pct_j * (slope * row_mib) + intercept * row_mib,
-                    name=f"icdf_cut[{j}][{k}]",
-                )
-        else:
+        pct.append([])
+        mem.append([])
+        for b in range(num_bounds):
+            pct_j = model.continuous_var(
+                lb=0.0, ub=1.0 if has_accesses else 0.0,
+                name=f"pct[{j}]{at(b)}",
+            )
+            mem_j = model.continuous_var(
+                lb=0.0, ub=live_mib, name=f"mem[{j}]{at(b)}"
+            )
+            pct[j].append(pct_j)
+            mem[j].append(mem_j)
+            if not has_accesses:
+                model.add(mem_j <= 0.0, name=f"mem_zero[{j}]{at(b)}")
+                continue
+            if b:  # consecutive boundaries are ordered
+                model.add(pct[j][b - 1] <= pct_j + 0.0, name=f"pct_order[{j}]{at(b)}")
+                model.add(mem[j][b - 1] <= mem_j + 0.0, name=f"mem_order[{j}]{at(b)}")
+            if formulation == "convex":
+                # mem >= every chord of the sampled ICDF; the chords'
+                # upper envelope equals the piecewise-linear ICDF
+                # (convexity).
+                for k, (slope, intercept) in enumerate(table.icdf.convex_cuts()):
+                    model.add(
+                        mem_j >= pct_j * (slope * row_mib) + intercept * row_mib,
+                        name=f"icdf_cut[{j}]{at(b)}[{k}]",
+                    )
+                continue
             # The paper's step binaries (Constraints 4-7).
             steps = table.icdf.steps
-            x = [model.binary_var(name=f"x[{i}][{j}]") for i in range(steps + 1)]
-            model.add(lin_sum(x) == 1, name=f"one_step[{j}]")
+            x = [
+                model.binary_var(name=f"x[{i}][{j}]{at(b)}")
+                for i in range(steps + 1)
+            ]
+            model.add(lin_sum(x) == 1, name=f"one_step[{j}]{at(b)}")
             model.add(
                 lin_sum(
                     x[i] * float(table.icdf.fractions[i]) for i in range(steps + 1)
                 )
                 == pct_j,
-                name=f"step_pct[{j}]",
+                name=f"step_pct[{j}]{at(b)}",
             )
             model.add(
                 lin_sum(
@@ -211,51 +243,62 @@ def build_milp(
                     for i in range(steps + 1)
                 )
                 == mem_j,
-                name=f"step_mem[{j}]",
+                name=f"step_mem[{j}]{at(b)}",
             )
 
-    # Linearized products w = p * pct and u = p * mem, then capacity and
-    # cost constraints per device.
+    # Linearized products u_b = p * (mem_b - mem_{b-1}) (the MiB tier b
+    # holds) and w_b = p * pct_b, then capacity and cost constraints per
+    # device.  Each tier is charged at its own precision's row bytes.
     device_costs: list[LinExpr] = []
     for m in range(num_devices):
-        hbm_terms: list = []
-        host_terms: list = []
+        tier_terms: list[list] = [[] for _ in tiers]
         cost_terms: list = []
         for j, table in enumerate(inputs.tables):
             p_mj = assign[m][j]
             live_mib = table.live_bytes / MIB
-            uvm_charge_mib = (
+            charge_mib = (
                 table.live_bytes if reclaim_dead else table.total_bytes
             ) / MIB
-
-            u_mj = model.continuous_var(lb=0.0, ub=live_mib, name=f"u[{m}][{j}]")
-            model.add(u_mj <= p_mj * live_mib, name=f"u_on[{m}][{j}]")
-            model.add(u_mj <= mem[j] + 0.0, name=f"u_mem[{m}][{j}]")
-            model.add(
-                u_mj >= mem[j] - (1.0 - p_mj) * live_mib, name=f"u_lb[{m}][{j}]"
-            )
-            hbm_terms.append(u_mj)
-            host_terms.append(p_mj * uvm_charge_mib - u_mj)
+            scale = scales[j]
+            held: list[Var] = []
+            for b in range(num_bounds):
+                mem_b = mem[j][b] - mem[j][b - 1] if b else mem[j][b] + 0.0
+                u_mj = model.continuous_var(
+                    lb=0.0, ub=live_mib, name=f"u[{m}][{j}]{at(b)}"
+                )
+                model.add(u_mj <= p_mj * live_mib, name=f"u_on[{m}][{j}]{at(b)}")
+                model.add(u_mj <= mem_b, name=f"u_mem[{m}][{j}]{at(b)}")
+                model.add(
+                    u_mj >= mem_b - (1.0 - p_mj) * live_mib,
+                    name=f"u_lb[{m}][{j}]{at(b)}",
+                )
+                tier_terms[b].append(u_mj * scale[b])
+                held.append(u_mj)
+            tier_terms[-1].append((p_mj * charge_mib - lin_sum(held)) * scale[-1])
 
             if table.total_accesses <= 0:
                 continue
-            w_mj = model.continuous_var(lb=0.0, ub=1.0, name=f"w[{m}][{j}]")
-            model.add(w_mj <= p_mj + 0.0, name=f"w_on[{m}][{j}]")
-            model.add(w_mj <= pct[j] + 0.0, name=f"w_pct[{m}][{j}]")
-            model.add(w_mj >= pct[j] + p_mj - 1.0, name=f"w_lb[{m}][{j}]")
-
             # Constraint 11: per-step demand (pool * dim * bytes * B),
-            # split between HBM and UVM by the chosen access fractions.
+            # split across tiers by the chosen access fractions.
             pooling = table.avg_pooling if use_pooling else 1.0
             coverage = table.coverage if use_coverage else 1.0
             demand_bytes = pooling * table.row_bytes * batch_size
             weight = coverage * demand_bytes * _MS
-            # p*c_j = weight * (w/BW_hbm + (p - w)/BW_uvm)
-            cost_terms.append(w_mj * (weight * (inv_bw_hbm - inv_bw_uvm)))
-            cost_terms.append(p_mj * (weight * inv_bw_uvm))
+            # p*c_j = weight * (sum_b w_b (1/BW_b - 1/BW_{b+1}) + p/BW_last)
+            for b in range(num_bounds):
+                w_mj = model.continuous_var(
+                    lb=0.0, ub=1.0, name=f"w[{m}][{j}]{at(b)}"
+                )
+                model.add(w_mj <= p_mj + 0.0, name=f"w_on[{m}][{j}]{at(b)}")
+                model.add(w_mj <= pct[j][b] + 0.0, name=f"w_pct[{m}][{j}]{at(b)}")
+                model.add(
+                    w_mj >= pct[j][b] + p_mj - 1.0, name=f"w_lb[{m}][{j}]{at(b)}"
+                )
+                cost_terms.append(w_mj * (weight * (inv_bw[b] - inv_bw[b + 1])))
+            cost_terms.append(p_mj * (weight * inv_bw[-1]))
 
-        model.add(lin_sum(hbm_terms) <= cap_hbm_mib, name=f"cap_hbm[{m}]")
-        model.add(lin_sum(host_terms) <= cap_host_mib, name=f"cap_host[{m}]")
+        for t, terms in enumerate(tier_terms):
+            model.add(lin_sum(terms) <= caps_mib[t], name=f"{cap_names[t]}[{m}]")
         cost_m = lin_sum(cost_terms)
         device_costs.append(cost_m)
         model.add(cost_m <= max_cost + 0.0, name=f"makespan[{m}]")  # Constraint 1
@@ -269,20 +312,20 @@ def build_milp(
             )
 
     # Primary objective: the makespan C (Constraint 1).  A vanishing
-    # secondary term rewards HBM coverage on non-critical devices, which
-    # the makespan alone leaves unconstrained (solver indifference would
-    # otherwise strand free HBM).
+    # secondary term rewards coverage in faster tiers on non-critical
+    # devices, which the makespan alone leaves unconstrained (solver
+    # indifference would otherwise strand free capacity).
     total_cost_scale = sum(
         (t.coverage if use_coverage else 1.0)
         * (t.avg_pooling if use_pooling else 1.0)
         * t.row_bytes
         * batch_size
         * _MS
-        * inv_bw_uvm
+        * inv_bw[-1]
         for t in inputs.tables
     )
     epsilon = 1e-6 * max(total_cost_scale, 1e-12) / max(1, num_tables)
-    model.minimize(max_cost - epsilon * lin_sum(pct))
+    model.minimize(max_cost - epsilon * lin_sum(v for pct_j in pct for v in pct_j))
     return FormulationHandles(
         model=model,
         assign=assign,

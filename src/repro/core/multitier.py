@@ -4,9 +4,11 @@ Each additional memory tier is "a new point on each EMB's CDF": a table
 splits at ``T - 1`` boundaries of its ICDF, the hottest block going to
 the fastest tier.  Two solving methods are provided:
 
-* ``"milp"`` — the paper-faithful step formulation generalized to T
-  tiers (one binary per ICDF step per boundary); exact but intended for
-  small instances.
+* ``"milp"`` — :func:`~repro.core.formulation.build_milp`, the one
+  RecShard formulation, with one ``(pct, mem)`` point per boundary in
+  the paper's step encoding (one binary per ICDF step per boundary);
+  exact but intended for small instances.  Only the extraction of
+  per-tier rows is this class's own.
 * ``"greedy"`` — sequential per-tier waterfill plus LPT assignment,
   scaling to full-size models (same machinery as
   :class:`~repro.core.fast.RecShardFastSharder`).
@@ -36,12 +38,11 @@ import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
-from repro.core.formulation import MIB, RecShardInputs
+from repro.core.formulation import MIB, RecShardInputs, build_milp
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
-from repro.milp.model import Model, lin_sum
 
 _MS = 1e3
 
@@ -54,7 +55,6 @@ class MultiTierSharder:
         batch_size: int,
         steps: int = 20,
         method: str = "greedy",
-        backend: str = "highs",
         time_limit: float = 60.0,
         mip_gap: float = 0.02,
         name: str = "RecShard-multitier",
@@ -64,7 +64,6 @@ class MultiTierSharder:
         self.batch_size = int(batch_size)
         self.steps = int(steps)
         self.method = method
-        self.backend = backend
         self.time_limit = time_limit
         self.mip_gap = mip_gap
         self.name = name
@@ -295,133 +294,14 @@ class MultiTierSharder:
         return device_of
 
     # ------------------------------------------------------------------
-    # MILP: step formulation generalized to T tiers
+    # MILP: the one formulation, with one (pct, mem) point per boundary
     # ------------------------------------------------------------------
     def _shard_milp(self, inputs: RecShardInputs, topology) -> ShardingPlan:
-        if any(t.precision != "fp32" for t in topology.tiers):
-            raise PlanError(
-                "multi-tier MILP supports fp32 tiers only; use "
-                "method='greedy' for quantized ladders"
-            )
-        num_tiers = topology.num_tiers
-        num_devices = topology.num_devices
-        num_boundaries = num_tiers - 1
-        inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
-        caps_mib = [t.capacity_bytes / MIB for t in topology.tiers]
-
-        milp = Model("recshard-multitier")
-        max_cost = milp.continuous_var(lb=0.0, name="C")
-        assign = [
-            [milp.binary_var(name=f"p[{m}][{j}]") for j in range(len(inputs.tables))]
-            for m in range(num_devices)
-        ]
-        for j in range(len(inputs.tables)):
-            milp.add(lin_sum(assign[m][j] for m in range(num_devices)) == 1)
-
-        # Boundary variables per table: q (access fraction) and r (MiB).
-        q_vars: list[list] = []
-        r_vars: list[list] = []
-        for j, table in enumerate(inputs.tables):
-            icdf = table.icdf
-            row_mib = table.row_bytes / MIB
-            q_j, r_j = [], []
-            for b in range(num_boundaries):
-                q = milp.continuous_var(lb=0.0, ub=1.0, name=f"q[{j}][{b}]")
-                r = milp.continuous_var(
-                    lb=0.0, ub=table.live_bytes / MIB, name=f"r[{j}][{b}]"
-                )
-                if table.total_accesses > 0:
-                    x = [
-                        milp.binary_var(name=f"x[{j}][{b}][{i}]")
-                        for i in range(icdf.steps + 1)
-                    ]
-                    milp.add(lin_sum(x) == 1)
-                    milp.add(
-                        lin_sum(
-                            x[i] * float(icdf.fractions[i])
-                            for i in range(icdf.steps + 1)
-                        )
-                        == q
-                    )
-                    milp.add(
-                        lin_sum(
-                            x[i] * (float(icdf.rows[i]) * row_mib)
-                            for i in range(icdf.steps + 1)
-                        )
-                        == r
-                    )
-                else:
-                    milp.add(q <= 0.0)
-                    milp.add(r <= 0.0)
-                q_j.append(q)
-                r_j.append(r)
-            for b in range(num_boundaries - 1):
-                milp.add(q_j[b] <= q_j[b + 1] + 0.0)
-                milp.add(r_j[b] <= r_j[b + 1] + 0.0)
-            q_vars.append(q_j)
-            r_vars.append(r_j)
-
-        for m in range(num_devices):
-            cost_terms = []
-            tier_usage: list[list] = [[] for _ in range(num_tiers)]
-            for j, table in enumerate(inputs.tables):
-                p_mj = assign[m][j]
-                live_mib = table.live_bytes / MIB
-                weight = (
-                    table.coverage
-                    * table.avg_pooling
-                    * table.row_bytes
-                    * self.batch_size
-                    * _MS
-                )
-                # u[t] = p * (r_t - r_{t-1}) per tier; last tier gets the
-                # remainder (live tail plus dead rows).
-                prev_r = None
-                for t in range(num_tiers):
-                    if t < num_boundaries:
-                        mem_expr = (
-                            r_vars[j][t] - prev_r
-                            if prev_r is not None
-                            else r_vars[j][t]
-                        )
-                        ub = live_mib
-                        u = milp.continuous_var(lb=0.0, ub=ub, name=f"u[{m}][{j}][{t}]")
-                        milp.add(u <= p_mj * ub)
-                        milp.add(u <= mem_expr + 0.0)
-                        milp.add(u >= mem_expr - (1.0 - p_mj) * ub)
-                        tier_usage[t].append(u)
-                        prev_r = r_vars[j][t]
-                    else:
-                        total_mib = table.total_bytes / MIB
-                        # remainder = total - r_{T-2}; charge via p and -u.
-                        u_last = milp.continuous_var(
-                            lb=0.0, ub=total_mib, name=f"u[{m}][{j}][{t}]"
-                        )
-                        last_expr = (
-                            p_mj * total_mib - _times_p(milp, p_mj, prev_r, live_mib)
-                            if prev_r is not None
-                            else p_mj * total_mib
-                        )
-                        milp.add(u_last >= last_expr, name=f"ulast[{m}][{j}]")
-                        tier_usage[t].append(u_last)
-                if table.total_accesses > 0:
-                    # cost = weight * [sum_b w_b (1/bw_b - 1/bw_{b+1}) + p/bw_last]
-                    for b in range(num_boundaries):
-                        w = milp.continuous_var(
-                            lb=0.0, ub=1.0, name=f"w[{m}][{j}][{b}]"
-                        )
-                        milp.add(w <= p_mj + 0.0)
-                        milp.add(w <= q_vars[j][b] + 0.0)
-                        milp.add(w >= q_vars[j][b] + p_mj - 1.0)
-                        cost_terms.append(w * (weight * (inv_bw[b] - inv_bw[b + 1])))
-                    cost_terms.append(p_mj * (weight * inv_bw[-1]))
-            for t in range(num_tiers):
-                milp.add(lin_sum(tier_usage[t]) <= caps_mib[t], name=f"cap[{m}][{t}]")
-            milp.add(lin_sum(cost_terms) <= max_cost + 0.0, name=f"makespan[{m}]")
-
-        milp.minimize(max_cost)
-        result = milp.solve(
-            backend=self.backend, time_limit=self.time_limit, mip_gap=self.mip_gap
+        handles = build_milp(
+            inputs, topology, batch_size=self.batch_size, formulation="step"
+        )
+        result = handles.model.solve(
+            time_limit=self.time_limit, mip_gap=self.mip_gap
         )
         if not result.status.has_solution:
             raise RuntimeError(
@@ -431,43 +311,29 @@ class MultiTierSharder:
         placements = []
         for j, table in enumerate(inputs.tables):
             device = max(
-                range(num_devices), key=lambda m: result.value(assign[m][j])
+                range(topology.num_devices),
+                key=lambda m: result.value(handles.assign[m][j]),
             )
-            cum_rows = []
-            for b in range(num_boundaries):
-                mem_bytes = result.value(r_vars[j][b]) * MIB + 1e-6
-                rows = int(min(mem_bytes // table.row_bytes, table.hash_size))
-                cum_rows.append(rows)
-            cum_rows = [min(r, table.hash_size) for r in cum_rows]
-            for b in range(1, num_boundaries):
-                cum_rows[b] = max(cum_rows[b], cum_rows[b - 1])
-            rows_per_tier = []
-            prev = 0
-            for r in cum_rows:
-                rows_per_tier.append(r - prev)
-                prev = r
-            rows_per_tier.append(table.hash_size - prev)
+            # Each boundary's rows, floored, clipped and kept ordered.
+            cum_rows = np.maximum.accumulate([
+                min((result.value(mem) * MIB + 1e-6) // table.row_bytes,
+                    table.hash_size)
+                for mem in handles.mem[j]
+            ]).astype(np.int64)
+            rows_per_tier = np.diff(cum_rows, prepend=0, append=table.hash_size)
             placements.append(
                 TablePlacement(
-                    table_index=j, device=device, rows_per_tier=tuple(rows_per_tier)
+                    table_index=j, device=device,
+                    rows_per_tier=tuple(rows_per_tier.tolist()),
                 )
             )
+        metadata = {
+            "solver": f"milp/{result.solver}",
+            "objective_ms": result.objective,
+            "solve_seconds": result.solve_time,
+            "milp_status": result.status.value,
+        }
+        _stamp_tier_precisions(metadata, topology)
         return ShardingPlan(
-            strategy=self.name,
-            placements=placements,
-            metadata={
-                "solver": f"milp/{self.backend}",
-                "objective_ms": result.objective,
-                "solve_seconds": result.solve_time,
-                "milp_status": result.status.value,
-            },
+            strategy=self.name, placements=placements, metadata=metadata
         )
-
-
-def _times_p(milp: Model, p, var, ub: float):
-    """Auxiliary product p * var for bounded var (standard linearization)."""
-    prod = milp.continuous_var(lb=0.0, ub=ub)
-    milp.add(prod <= p * ub)
-    milp.add(prod <= var + 0.0)
-    milp.add(prod >= var - (1.0 - p) * ub)
-    return prod

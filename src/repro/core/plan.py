@@ -281,9 +281,7 @@ class ShardingPlan:
             return charged
         per_table = (
             self.replica_rows
-            * _tier_row_bytes(
-                [t.row_bytes for t in model.tables], topology.tiers[:1]
-            )[:, 0]
+            * _tier_row_bytes(model.row_bytes, topology.tiers[:1])[:, 0]
         )
         np.subtract.at(
             charged, [p.device for p in self.placements], per_table
@@ -300,8 +298,7 @@ class ShardingPlan:
         (:meth:`tier_usage`), the cost evaluator and the executor all
         read this one expansion.
         """
-        num_rows = np.array([t.num_rows for t in model.tables], dtype=np.int64)
-        dims = np.array([t.dim for t in model.tables], dtype=np.int64)
+        num_rows, dims = model.num_rows, model.dims
         home = np.array([p.device for p in self.placements], dtype=np.int64)
         split = {
             j: s for j, s in enumerate(self.table_strategies or ()) if s.devices

@@ -4,19 +4,27 @@ Ties the pipeline together: per-table statistics in, MILP out, plan
 extracted from the solution.  Matches Figure 10's phase 2 ("Embedding
 Table Partitioning and Placement"); phase 1 is :mod:`repro.stats` and
 phase 3 is :mod:`repro.core.remap`.
+
+The model comes from :func:`~repro.core.formulation.build_milp` (the one
+formulation :class:`~repro.core.multitier.MultiTierSharder` also
+solves); this sharder's extraction, capacity repair and fast-sharder
+fallback are two-tier.  HBM the solver leaves free is refilled by the
+fast sharder's per-device refill
+(:meth:`~repro.core.fast.RecShardFastSharder._refill_arrays`) over the
+same workspace; its heapq predecessor is the parity oracle in
+``tests/oracles/planner.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 
 import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
-from repro.core.fast import RecShardFastSharder
-from repro.core.formulation import MIB, RecShardInputs, build_milp
+from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
+from repro.core.formulation import MIB, build_milp
 from repro.core.plan import ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
@@ -31,7 +39,6 @@ class RecShardSharder:
         formulation: ``"convex"`` (default) or ``"step"`` (the paper's
             per-step binaries) — see :mod:`repro.core.formulation`.
         steps: ICDF discretization steps (the paper uses 100).
-        backend: MILP backend, ``"highs"`` or ``"branch_bound"``.
         time_limit: solver wall-clock budget in seconds.
         mip_gap: relative optimality gap at which the solver may stop.
         use_coverage / use_pooling: Table 6 ablation switches.
@@ -46,7 +53,6 @@ class RecShardSharder:
         batch_size: int,
         formulation: str = "convex",
         steps: int = 100,
-        backend: str = "highs",
         time_limit: float = 120.0,
         mip_gap: float = 0.02,
         use_coverage: bool = True,
@@ -59,7 +65,6 @@ class RecShardSharder:
         self.batch_size = int(batch_size)
         self.formulation = formulation
         self.steps = int(steps)
-        self.backend = backend
         self.time_limit = time_limit
         self.mip_gap = mip_gap
         self.use_coverage = use_coverage
@@ -87,11 +92,15 @@ class RecShardSharder:
         One workspace (``workspace``, or one built here) feeds the MILP
         inputs, the fast candidate, and both cost stamps.
         """
+        if topology.num_tiers != 2:
+            raise ValueError(
+                "RecShardSharder targets the two-tier hierarchy; use "
+                f"MultiTierSharder(method='milp') for {topology.num_tiers} tiers"
+            )
         workspace = sharder_workspace(model, profile, self.steps, workspace)
-        inputs = workspace.inputs
         start = time.perf_counter()
         handles = build_milp(
-            inputs,
+            workspace.inputs,
             topology,
             batch_size=self.batch_size,
             formulation=self.formulation,
@@ -102,18 +111,18 @@ class RecShardSharder:
         )
         build_time = time.perf_counter() - start
         result = handles.model.solve(
-            backend=self.backend, time_limit=self.time_limit, mip_gap=self.mip_gap
+            time_limit=self.time_limit, mip_gap=self.mip_gap
         )
 
         milp_plan = None
         if result.status.has_solution:
             milp_plan = stamp_estimated_costs(
-                self._extract_plan(inputs, topology, handles, result),
+                self._extract_plan(workspace, topology, handles, result),
                 model, profile, topology, self.batch_size,
             )
             milp_plan.metadata.update(
                 {
-                    "solver": f"milp/{self.backend}/{self.formulation}",
+                    "solver": f"milp/{result.solver}/{self.formulation}",
                     "milp_status": result.status.value,
                     "objective_ms": result.objective,
                     "solve_seconds": result.solve_time,
@@ -132,17 +141,9 @@ class RecShardSharder:
         if not self.fallback:
             return milp_plan
 
-        # The heuristic candidate comes from the vectorized workspace
-        # path (plan-parity-identical to the scalar solve, ~15x faster),
-        # stamped by the same evaluator as the MILP incumbent.
-        fast_plan = RecShardFastSharder(
-            batch_size=self.batch_size,
-            steps=self.steps,
-            use_coverage=self.use_coverage,
-            use_pooling=self.use_pooling,
-            reclaim_dead=self.reclaim_dead,
-            name=self.name,
-        ).shard_from_workspace(workspace, topology)
+        # The heuristic candidate plans from the same workspace, stamped
+        # by the same evaluator as the MILP incumbent.
+        fast_plan = self._fast().shard_from_workspace(workspace, topology)
         if milp_plan is None:
             fast_plan.metadata["solver"] = "fast-fallback"
             fast_plan.metadata["milp_status"] = result.status.value
@@ -162,10 +163,21 @@ class RecShardSharder:
             return fast_plan
         return milp_plan
 
+    def _fast(self) -> RecShardFastSharder:
+        """The fast sharder with this sharder's statistics switches."""
+        return RecShardFastSharder(
+            batch_size=self.batch_size,
+            steps=self.steps,
+            use_coverage=self.use_coverage,
+            use_pooling=self.use_pooling,
+            reclaim_dead=self.reclaim_dead,
+            name=self.name,
+        )
+
     # ------------------------------------------------------------------
     def _extract_plan(
         self,
-        inputs: RecShardInputs,
+        workspace: PlannerWorkspace,
         topology: SystemTopology,
         handles,
         result: SolveResult,
@@ -178,14 +190,15 @@ class RecShardSharder:
         solver's ``mem`` budget caps the result to preserve capacity
         feasibility (float slack is repaired afterwards).
         """
+        inputs = workspace.inputs
         placements = []
         for j, table in enumerate(inputs.tables):
             device = max(
                 range(topology.num_devices),
                 key=lambda m: result.value(handles.assign[m][j]),
             )
-            mem_bytes = result.value(handles.mem[j]) * MIB + 1e-6
-            pct_value = min(1.0, max(0.0, result.value(handles.pct[j])))
+            mem_bytes = result.value(handles.mem[j][0]) * MIB + 1e-6
+            pct_value = min(1.0, max(0.0, result.value(handles.pct[j][0])))
             icdf = table.icdf
             wanted = math.ceil(icdf.interpolate_rows(pct_value) - 1e-9)
             budget = int(mem_bytes // table.row_bytes)
@@ -197,9 +210,10 @@ class RecShardSharder:
                     rows_per_tier=(hbm_rows, table.hash_size - hbm_rows),
                 )
             )
-        self._repair_capacity(placements, inputs, topology)
-        self._refill_free_hbm(placements, inputs, topology)
+        self._repair_capacity(placements, workspace, topology)
+        self._refill(placements, workspace, topology)
         metadata = {}
+        _stamp_tier_precisions(metadata, topology)
         if self.reclaim_dead:
             metadata["reclaim_dead"] = True
             metadata["dead_rows"] = [
@@ -209,121 +223,88 @@ class RecShardSharder:
             strategy=self.name, placements=placements, metadata=metadata
         )
 
-    def _refill_free_hbm(self, placements, inputs, topology) -> None:
+    def _refill(self, placements, workspace, topology) -> None:
         """Spend leftover per-device HBM on the densest remaining splits.
 
         The makespan objective leaves non-critical devices' splits
-        unconstrained; this pass promotes their hottest UVM rows into
-        the HBM the solver left free (pure improvement: promotions never
-        increase any device's cost).
+        unconstrained; the fast sharder's per-device refill promotes
+        their hottest UVM rows into the HBM the solver left free (pure
+        improvement: promotions never increase any device's cost).
+        Each table resumes at the largest ICDF grid point at or below
+        its extracted HBM rows, the rows beyond it being ``extra_rows``.
         """
-        cap = topology.hbm.capacity_bytes
-        for device in range(topology.num_devices):
-            members = [
-                (i, p) for i, p in enumerate(placements) if p.device == device
-            ]
-            free = cap - sum(
-                p.hbm_rows * inputs.tables[p.table_index].row_bytes
-                for _, p in members
+        ws = workspace
+        fast = self._fast()
+        states = fast._table_states(ws, topology)
+        hbm_rows = np.array([p.hbm_rows for p in placements], dtype=np.int64)
+        steps = np.count_nonzero(ws.grid_rows <= hbm_rows[:, None], axis=1) - 1
+        for state, step, rows in zip(states, steps, hbm_rows):
+            state.step = int(step)
+            state.extra_rows = int(rows - ws.grid_rows[state.index, step])
+        hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
+        device_of = [p.device for p in placements]
+        used = np.zeros(topology.num_devices, dtype=np.int64)
+        np.add.at(used, device_of, hbm_rows * hbm_rb)
+        fast._refill_arrays(
+            ws, states, np.array([s.weight for s in states]),
+            1.0 / topology.hbm.bandwidth, 1.0 / topology.uvm.bandwidth,
+            device_of, (topology.hbm.capacity_bytes - used).tolist(), hbm_rb,
+        )
+        placements[:] = [
+            TablePlacement(
+                table_index=p.table_index,
+                device=p.device,
+                rows_per_tier=(s.hbm_rows, p.total_rows - s.hbm_rows),
             )
-            if free <= 0:
-                continue
-            # Track each table's current ICDF step (largest grid point at
-            # or below its current HBM rows).
-            steps = {}
-            for i, p in members:
-                icdf = inputs.tables[p.table_index].icdf
-                step = (
-                    int(np.searchsorted(icdf.rows, p.hbm_rows + 1e-9, side="right")) - 1
-                )
-                steps[i] = max(0, step)
+            for p, s in zip(placements, states)
+        ]
 
-            heap = []
-
-            def push(i: int) -> None:
-                placement = placements[i]
-                table = inputs.tables[placement.table_index]
-                icdf = table.icdf
-                step = steps[i]
-                if step >= icdf.steps or table.total_accesses <= 0:
-                    return
-                new_rows = math.ceil(icdf.rows[step + 1] - 1e-9)
-                d_rows = new_rows - placement.hbm_rows
-                if d_rows <= 0:
-                    steps[i] = step + 1
-                    push(i)
-                    return
-                d_frac = float(icdf.fractions[step + 1] - icdf.fractions[step])
-                gain = table.coverage * table.avg_pooling * d_frac
-                heapq.heappush(heap, (-gain / d_rows, i, d_rows))
-
-            for i, _ in members:
-                push(i)
-            while heap:
-                _, i, d_rows = heapq.heappop(heap)
-                placement = placements[i]
-                table = inputs.tables[placement.table_index]
-                d_bytes = d_rows * table.row_bytes
-                if d_bytes > free:
-                    continue
-                new_hbm = placement.hbm_rows + d_rows
-                placements[i] = TablePlacement(
-                    table_index=placement.table_index,
-                    device=device,
-                    rows_per_tier=(new_hbm, table.hash_size - new_hbm),
-                )
-                free -= d_bytes
-                steps[i] += 1
-                push(i)
-
-    def _repair_capacity(self, placements, inputs, topology) -> None:
+    def _repair_capacity(self, placements, workspace, topology) -> None:
         """Fix up float-tolerance capacity overflows from extraction.
 
         HBM overflows shave rows off the largest splits; host overflows
         promote cold rows into spare HBM (extraction rounds HBM rows
         down, which can push a fully-packed host slice over by a few
-        rows).
+        rows).  Each tier's rows are charged at its precision's bytes.
         """
+        hbm_rb = workspace.tier_row_bytes(topology.hbm.precision).tolist()
+        host_rb = workspace.tier_row_bytes(topology.uvm.precision).tolist()
         hbm_cap = topology.hbm.capacity_bytes
         host_cap = topology.uvm.capacity_bytes
         for device in range(topology.num_devices):
             members = [
                 (i, p) for i, p in enumerate(placements) if p.device == device
             ]
-            hbm_used = sum(
-                p.hbm_rows * inputs.tables[p.table_index].row_bytes
-                for _, p in members
-            )
+            hbm_used = sum(p.hbm_rows * hbm_rb[p.table_index] for _, p in members)
             # Pass 1: trim HBM overflow from the largest splits.
             for i, placement in sorted(members, key=lambda ip: -ip[1].hbm_rows):
                 if hbm_used <= hbm_cap:
                     break
-                table = inputs.tables[placement.table_index]
-                excess_rows = math.ceil((hbm_used - hbm_cap) / table.row_bytes)
+                row_bytes = hbm_rb[placement.table_index]
+                excess_rows = math.ceil((hbm_used - hbm_cap) / row_bytes)
                 drop = min(excess_rows, placement.hbm_rows)
                 new_hbm = placement.hbm_rows - drop
                 placements[i] = TablePlacement(
                     table_index=placement.table_index,
                     device=device,
-                    rows_per_tier=(new_hbm, table.hash_size - new_hbm),
+                    rows_per_tier=(new_hbm, placement.total_rows - new_hbm),
                 )
-                hbm_used -= drop * table.row_bytes
+                hbm_used -= drop * row_bytes
             # Pass 2: relieve host overflow by promoting cold rows to HBM.
             members = [
                 (i, p) for i, p in enumerate(placements) if p.device == device
             ]
             host_used = sum(
-                p.rows_per_tier[1] * inputs.tables[p.table_index].row_bytes
-                for _, p in members
+                p.rows_per_tier[1] * host_rb[p.table_index] for _, p in members
             )
             for i, placement in sorted(
                 members, key=lambda ip: -ip[1].rows_per_tier[1]
             ):
                 if host_used <= host_cap or hbm_used >= hbm_cap:
                     break
-                table = inputs.tables[placement.table_index]
-                overflow_rows = math.ceil((host_used - host_cap) / table.row_bytes)
-                headroom_rows = (hbm_cap - hbm_used) // table.row_bytes
+                j = placement.table_index
+                overflow_rows = math.ceil((host_used - host_cap) / host_rb[j])
+                headroom_rows = (hbm_cap - hbm_used) // hbm_rb[j]
                 promote = min(
                     overflow_rows, headroom_rows, placement.rows_per_tier[1]
                 )
@@ -331,9 +312,9 @@ class RecShardSharder:
                     continue
                 new_hbm = placement.hbm_rows + promote
                 placements[i] = TablePlacement(
-                    table_index=placement.table_index,
+                    table_index=j,
                     device=device,
-                    rows_per_tier=(new_hbm, table.hash_size - new_hbm),
+                    rows_per_tier=(new_hbm, placement.total_rows - new_hbm),
                 )
-                hbm_used += promote * table.row_bytes
-                host_used -= promote * table.row_bytes
+                hbm_used += promote * hbm_rb[j]
+                host_used -= promote * host_rb[j]

@@ -62,17 +62,9 @@ class PlannerWorkspace:
         T, S = self.num_tables, self.steps
 
         # Geometry is fixed by the model; only the statistics refresh.
-        self.row_bytes = np.array(
-            [t.row_bytes for t in model.tables], dtype=np.int64
-        )
-        self._elem_bytes = np.array(
-            [getattr(t, "dtype_bytes", 4) for t in model.tables],
-            dtype=np.int64,
-        )
+        self.row_bytes = model.row_bytes
         self._tier_row_bytes_cache: dict[str, np.ndarray] = {}
-        self.hash_sizes = np.array(
-            [t.num_rows for t in model.tables], dtype=np.int64
-        )
+        self.hash_sizes = model.num_rows
         self.total_bytes = self.hash_sizes * self.row_bytes
 
         # The sampled coverage fractions are one shared uniform grid.
@@ -150,7 +142,7 @@ class PlannerWorkspace:
                 cached = self.row_bytes
             else:
                 bits, overhead = PRECISIONS[precision]
-                dim = self.row_bytes // self._elem_bytes
+                dim = self.model.dims
                 cached = (dim * bits + 7) // 8 + overhead
             self._tier_row_bytes_cache[precision] = cached
         return cached

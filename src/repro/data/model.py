@@ -9,7 +9,7 @@ regimes — RM1 fits in HBM, RM2/RM3 spill to UVM — arise on a laptop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,10 +63,27 @@ class EmbeddingTableSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A DLRM's embedding side: an ordered collection of tables."""
+    """A DLRM's embedding side: an ordered collection of tables.
+
+    ``num_rows``, ``dims`` and ``row_bytes`` are the tables' geometry as
+    read-only int64 vectors, built once: the cost evaluator, the shard
+    expansion and the planner workspace read them on every call.
+    """
 
     name: str
     tables: tuple[EmbeddingTableSpec, ...]
+    num_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    dims: np.ndarray = field(init=False, repr=False, compare=False)
+    row_bytes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("num_rows", "dims", "row_bytes"):
+            attr = "dim" if name == "dims" else name
+            values = np.array(
+                [getattr(t, attr) for t in self.tables], dtype=np.int64
+            )
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def num_tables(self) -> int:

@@ -4,8 +4,7 @@ The paper solves its sharding formulation with Gurobi.  Gurobi is not
 available here, so this package provides the equivalent substrate from
 scratch: a small modeling language (:class:`~repro.milp.model.Model`,
 :class:`~repro.milp.model.Var`, :class:`~repro.milp.model.LinExpr`) that
-compiles to either scipy's HiGHS MILP solver or to a pure-Python
-branch-and-bound solver built on HiGHS LP relaxations.
+compiles to scipy's HiGHS MILP solver.
 """
 
 from repro.milp.model import Constraint, LinExpr, Model, Var

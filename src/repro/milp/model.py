@@ -5,14 +5,8 @@ exactly what the RecShard formulation needs: bounded continuous and binary
 variables, linear expressions with operator overloading, linear
 constraints in ``<=``, ``>=`` and ``==`` senses, and a linear objective.
 
-Models compile to a standard sparse matrix form and are solved by one of
-two backends:
-
-* ``"highs"`` — scipy's HiGHS MILP solver (:func:`scipy.optimize.milp`),
-  the default and the one used for all experiments.
-* ``"branch_bound"`` — a pure-Python best-first branch and bound over
-  HiGHS LP relaxations (:mod:`repro.milp.branch_bound`), useful for tiny
-  models and as an independent cross-check of the HiGHS backend.
+Models compile to a standard sparse matrix form and are solved by
+scipy's HiGHS MILP solver (:func:`scipy.optimize.milp`).
 """
 
 from __future__ import annotations
@@ -202,7 +196,7 @@ class Constraint:
 
 @dataclass
 class _CompiledModel:
-    """Model lowered to matrix form (built lazily by the backends)."""
+    """Model lowered to matrix form (built lazily by the solver)."""
 
     num_vars: int
     objective: list[float]
@@ -267,7 +261,7 @@ class Model:
         return sum(1 for v in self.variables if v.integer and v.lb == 0 and v.ub == 1)
 
     def compile(self) -> _CompiledModel:
-        """Lower to matrix form for the backends."""
+        """Lower to matrix form for the solver."""
         num_vars = len(self.variables)
         objective = [0.0] * num_vars
         for idx, coef in self._objective.coeffs.items():
@@ -290,31 +284,17 @@ class Model:
     # Solving
     # ------------------------------------------------------------------
     def solve(
-        self,
-        backend: str = "highs",
-        time_limit: float | None = None,
-        mip_gap: float | None = None,
-        node_limit: int | None = None,
+        self, time_limit: float | None = None, mip_gap: float | None = None
     ) -> SolveResult:
-        """Solve the model and return a :class:`SolveResult`.
+        """Solve the model with HiGHS and return a :class:`SolveResult`.
 
         Args:
-            backend: ``"highs"`` (scipy) or ``"branch_bound"`` (pure Python).
             time_limit: wall-clock limit in seconds.
             mip_gap: relative optimality gap at which to stop early.
-            node_limit: node cap for the branch-and-bound backend.
         """
-        if backend == "highs":
-            from repro.milp.scipy_backend import solve_with_highs
+        from repro.milp.scipy_backend import solve_with_highs
 
-            return solve_with_highs(self, time_limit=time_limit, mip_gap=mip_gap)
-        if backend == "branch_bound":
-            from repro.milp.branch_bound import solve_branch_bound
-
-            return solve_branch_bound(
-                self, time_limit=time_limit, mip_gap=mip_gap, node_limit=node_limit
-            )
-        raise ValueError(f"unknown backend {backend!r}")
+        return solve_with_highs(self, time_limit=time_limit, mip_gap=mip_gap)
 
     def check_feasible(self, values: list[float], tol: float = 1e-6) -> bool:
         """Whether ``values`` satisfies every constraint and bound."""

@@ -1,4 +1,4 @@
-"""Solver result containers shared by all MILP backends."""
+"""Solver result containers."""
 
 from __future__ import annotations
 
@@ -28,15 +28,18 @@ class SolveResult:
 
     Attributes:
         status: terminal solver state.
+        solver: name of the solver that produced the result (plans
+            record it in their ``solver`` metadata).
         objective: objective value of the incumbent (``None`` without one).
         values: variable values indexed by variable position in the model.
-        solve_time: wall-clock seconds spent in the backend.
-        gap: relative MIP gap of the incumbent, when the backend reports it.
+        solve_time: wall-clock seconds spent in the solver.
+        gap: relative MIP gap of the incumbent, when the solver reports it.
         nodes: number of branch-and-bound nodes explored, when known.
-        message: free-form backend diagnostics.
+        message: free-form solver diagnostics.
     """
 
     status: SolveStatus
+    solver: str = "highs"
     objective: float | None = None
     values: list[float] = field(default_factory=list)
     solve_time: float = 0.0

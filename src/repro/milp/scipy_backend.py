@@ -1,4 +1,4 @@
-"""HiGHS backend: compile a :class:`repro.milp.Model` to scipy.optimize.milp."""
+"""The HiGHS solver: compile a :class:`repro.milp.Model` to scipy.optimize.milp."""
 
 from __future__ import annotations
 

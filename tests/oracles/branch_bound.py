@@ -1,13 +1,15 @@
-"""A pure-Python branch-and-bound MILP solver.
+"""A pure-Python branch-and-bound MILP solver: the MILP oracle.
 
-Built on HiGHS LP relaxations through :func:`scipy.optimize.linprog`.  It
-exists as an independent substrate (the paper depends on a commercial
-solver) and as a cross-check of the scipy MILP backend on small models.
-It uses best-first search with most-fractional branching and a simple
-LP-rounding primal heuristic.
+Built on HiGHS LP relaxations through :func:`scipy.optimize.linprog`, it
+cross-checks :meth:`repro.milp.Model.solve` (scipy's HiGHS MILP) on small
+models and pins the golden MILP plan independently of the installed
+HiGHS's branching.  It uses best-first search with most-fractional
+branching and a simple LP-rounding primal heuristic, and stops on its
+node budget alone, so a run is the same on any machine.
 
-It is intended for models with tens of integer variables; the full
-RecShard formulations should use the ``"highs"`` backend.
+It is intended for models with tens of integer variables.  ``src`` has
+no hook for it: :func:`branch_and_bound` swaps it in for HiGHS within a
+``with`` block.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from repro.milp import scipy_backend
 from repro.milp.model import Model
 from repro.milp.result import SolveResult, SolveStatus
 
@@ -81,17 +85,32 @@ def _solve_lp(objective, a_ub, b_ub, a_eq, b_eq, lower, upper):
     return float(result.fun), result.x
 
 
+@contextmanager
+def branch_and_bound(node_limit: int = 200_000):
+    """Within the block, :meth:`Model.solve` runs :func:`solve_branch_bound`
+    with ``node_limit`` nodes; the wall-clock ``time_limit`` it is given
+    is ignored."""
+    original = scipy_backend.solve_with_highs
+
+    def solve(model, time_limit=None, mip_gap=None):
+        return solve_branch_bound(model, mip_gap=mip_gap, node_limit=node_limit)
+
+    scipy_backend.solve_with_highs = solve
+    try:
+        yield
+    finally:
+        scipy_backend.solve_with_highs = original
+
+
 def solve_branch_bound(
     model: Model,
-    time_limit: float | None = None,
     mip_gap: float | None = None,
-    node_limit: int | None = None,
+    node_limit: int = 200_000,
 ) -> SolveResult:
-    """Solve ``model`` by best-first branch and bound."""
+    """Solve ``model`` by best-first branch and bound over at most
+    ``node_limit`` LP nodes (the root LP is not counted)."""
     compiled = model.compile()
     start = time.perf_counter()
-    deadline = start + time_limit if time_limit is not None else None
-    max_nodes = node_limit if node_limit is not None else 200_000
     gap_target = mip_gap if mip_gap is not None else 1e-6
 
     objective = np.asarray(compiled.objective)
@@ -122,6 +141,7 @@ def solve_branch_bound(
     if root_x is None:
         return SolveResult(
             status=SolveStatus.INFEASIBLE,
+            solver="branch_bound",
             solve_time=time.perf_counter() - start,
             message="root LP infeasible",
         )
@@ -144,9 +164,7 @@ def solve_branch_bound(
                 best_x = candidate
 
     while heap:
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        if explored >= max_nodes:
+        if explored >= node_limit:
             break
         node = heapq.heappop(heap)
         if node.bound >= best_obj - abs(best_obj) * gap_target:
@@ -188,7 +206,10 @@ def solve_branch_bound(
     elapsed = time.perf_counter() - start
     if best_x is None:
         status = SolveStatus.TIME_LIMIT if heap else SolveStatus.INFEASIBLE
-        return SolveResult(status=status, solve_time=elapsed, nodes=explored)
+        return SolveResult(
+            status=status, solver="branch_bound", solve_time=elapsed,
+            nodes=explored,
+        )
 
     remaining_bound = min((n.bound for n in heap), default=best_obj)
     gap = abs(best_obj - remaining_bound) / max(1e-12, abs(best_obj))
@@ -197,6 +218,7 @@ def solve_branch_bound(
     )
     return SolveResult(
         status=status,
+        solver="branch_bound",
         objective=best_obj,
         values=[float(v) for v in best_x],
         solve_time=elapsed,

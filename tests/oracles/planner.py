@@ -14,6 +14,11 @@ Both reuse the shipped LPT assignment, split resizing and plan
 emission.  Their ``shard`` takes the sharder protocol's ``workspace``
 keyword and ignores it: they re-derive every statistic per call.
 
+:class:`HeapqRefillSharder` is the MILP sharder with its original
+per-device refill: a heapq over each table's next ICDF step, charged at
+the tables' fp32 row bytes, in place of the fast sharder's array
+refill the shipped sharder runs.
+
 The two per-plan cost loops the batched evaluator
 (:func:`~repro.core.evaluate.expected_device_costs_ms_many`) replaced
 live here too: :func:`scalar_device_costs_ms` accumulates a plain plan
@@ -32,7 +37,8 @@ from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _TableState
 from repro.core.formulation import RecShardInputs
 from repro.core.multitier import MultiTierSharder
-from repro.core.plan import ShardingPlan
+from repro.core.plan import ShardingPlan, TablePlacement
+from repro.core.recshard import RecShardSharder
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
@@ -315,6 +321,71 @@ class ScalarMultiTierSharder(MultiTierSharder):
 # ----------------------------------------------------------------------
 # Per-plan cost loops (parity references of the batched evaluator)
 # ----------------------------------------------------------------------
+class HeapqRefillSharder(RecShardSharder):
+    """The MILP sharder with the heapq per-device refill."""
+
+    def _refill(self, placements, workspace, topology) -> None:
+        inputs = workspace.inputs
+        cap = topology.hbm.capacity_bytes
+        for device in range(topology.num_devices):
+            members = [
+                (i, p) for i, p in enumerate(placements) if p.device == device
+            ]
+            free = cap - sum(
+                p.hbm_rows * inputs.tables[p.table_index].row_bytes
+                for _, p in members
+            )
+            if free <= 0:
+                continue
+            # Each table's current ICDF step: the largest grid point at
+            # or below its current HBM rows.
+            steps = {}
+            for i, p in members:
+                icdf = inputs.tables[p.table_index].icdf
+                step = (
+                    int(np.searchsorted(icdf.rows, p.hbm_rows + 1e-9, side="right")) - 1
+                )
+                steps[i] = max(0, step)
+
+            heap = []
+
+            def push(i: int) -> None:
+                placement = placements[i]
+                table = inputs.tables[placement.table_index]
+                icdf = table.icdf
+                step = steps[i]
+                if step >= icdf.steps or table.total_accesses <= 0:
+                    return
+                new_rows = math.ceil(icdf.rows[step + 1] - 1e-9)
+                d_rows = new_rows - placement.hbm_rows
+                if d_rows <= 0:
+                    steps[i] = step + 1
+                    push(i)
+                    return
+                d_frac = float(icdf.fractions[step + 1] - icdf.fractions[step])
+                gain = table.coverage * table.avg_pooling * d_frac
+                heapq.heappush(heap, (-gain / d_rows, i, d_rows))
+
+            for i, _ in members:
+                push(i)
+            while heap:
+                _, i, d_rows = heapq.heappop(heap)
+                placement = placements[i]
+                table = inputs.tables[placement.table_index]
+                d_bytes = d_rows * table.row_bytes
+                if d_bytes > free:
+                    continue
+                new_hbm = placement.hbm_rows + d_rows
+                placements[i] = TablePlacement(
+                    table_index=placement.table_index,
+                    device=device,
+                    rows_per_tier=(new_hbm, table.hash_size - new_hbm),
+                )
+                free -= d_bytes
+                steps[i] += 1
+                push(i)
+
+
 def scalar_device_costs_ms(
     plan: ShardingPlan,
     model,

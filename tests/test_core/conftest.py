@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.feature import SparseFeatureSpec
 from repro.data.model import EmbeddingTableSpec, ModelSpec
+from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 
@@ -65,4 +66,18 @@ def roomy_topology(small_model):
         hbm_bandwidth=200e9,
         uvm_capacity=total,
         uvm_bandwidth=10e9,
+    )
+
+
+@pytest.fixture
+def topo3(small_model):
+    """Three tiers: ~20% of the model in HBM, ~40% in UVM, SSD behind."""
+    total = small_model.total_bytes
+    return SystemTopology(
+        num_devices=2,
+        tiers=(
+            MemoryTier("hbm", int(total * 0.2 / 2), 200e9),
+            MemoryTier("uvm", int(total * 0.4 / 2), 10e9),
+            MemoryTier("ssd", total, 1e9),
+        ),
     )

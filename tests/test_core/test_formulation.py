@@ -1,9 +1,25 @@
-"""Tests for the RecShard MILP formulation (Section 4.2)."""
+"""Tests for the RecShard MILP formulation (Sections 4.2 and 4.4)."""
+
+import hashlib
 
 import pytest
 
 from repro.core.formulation import RecShardInputs, build_milp
+from repro.memory.topology import SystemTopology
 from repro.milp.result import SolveStatus
+from repro.stats import analytic_profile
+from tests.test_core.conftest import build_model
+
+
+def model_digest(model) -> str:
+    """Every variable, constraint and objective term, in model order."""
+    parts = [(v.name, v.lb, v.ub, v.integer) for v in model.variables]
+    parts += [
+        (c.name, c.sense, tuple(c.expr.coeffs.items()), c.expr.constant)
+        for c in model.constraints
+    ]
+    parts.append((tuple(model.objective.coeffs.items()), model.objective.constant))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 class TestInputs:
@@ -43,12 +59,61 @@ class TestBuildMilp:
         expected = tight_topology.num_devices * len(inputs) + len(inputs) * 9
         assert handles.model.num_binary == expected
 
-    def test_rejects_non_two_tier(self, small_model, small_profile):
-        from repro.memory import three_tier_node
+    def test_three_tier_structure(self, small_model, small_profile, topo3):
+        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
+        tables, devices = len(inputs), topo3.num_devices
+        convex = build_milp(inputs, topo3, batch_size=256)
+        step = build_milp(inputs, topo3, batch_size=256, formulation="step")
+        for handles in (convex, step):
+            assert [len(p) for p in handles.pct] == [2] * tables
+            assert [len(m) for m in handles.mem] == [2] * tables
+            names = [c.name for c in handles.model.constraints]
+            assert sum(n.startswith("cap_") for n in names) == 3 * devices
+            # One u (held MiB) and one w (served fraction) per
+            # (device, table, boundary).
+            for prefix in ("u[", "w["):
+                assert sum(
+                    v.name.startswith(prefix) for v in handles.model.variables
+                ) == devices * tables * 2
+        assert convex.model.num_binary == devices * tables
+        assert step.model.num_binary == devices * tables + tables * 2 * 9
 
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=4)
-        with pytest.raises(ValueError):
-            build_milp(inputs, three_tier_node(num_gpus=2), batch_size=64)
+    def test_three_tier_boundaries_ordered(
+        self, small_model, small_profile, topo3
+    ):
+        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
+        handles = build_milp(inputs, topo3, batch_size=256)
+        result = handles.model.solve(time_limit=60)
+        assert result.status.has_solution
+        for pct_j, mem_j in zip(handles.pct, handles.mem):
+            assert result.value(pct_j[0]) <= result.value(pct_j[1]) + 1e-9
+            assert result.value(mem_j[0]) <= result.value(mem_j[1]) + 1e-9
+
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            ({}, "e459dd30338abafe"),
+            ({"formulation": "step"}, "500c1a04a07b3882"),
+            (
+                {"reclaim_dead": True, "use_coverage": False,
+                 "use_pooling": False, "symmetry_breaking": False},
+                "ebe1d246c158c59f",
+            ),
+        ],
+    )
+    def test_two_tier_model_is_pinned(self, kwargs, digest):
+        # The digests were taken from the two-tier-only formulation the
+        # general one replaced: at two tiers it emits the same variables,
+        # constraints and coefficients, in the same order.
+        model = build_model(num_tables=5, rows=128, seed=3)
+        topology = SystemTopology.two_tier(
+            2, int(model.total_bytes * 0.3 / 2), 200e9, model.total_bytes, 10e9
+        )
+        inputs = RecShardInputs.from_profile(
+            model, analytic_profile(model), steps=6
+        )
+        handles = build_milp(inputs, topology, batch_size=64, **kwargs)
+        assert model_digest(handles.model) == digest
 
     def test_unknown_formulation(self, small_model, small_profile, tight_topology):
         inputs = RecShardInputs.from_profile(small_model, small_profile, steps=4)
@@ -60,7 +125,7 @@ class TestSolutionProperties:
     def solve(self, model, profile, topology, **kwargs):
         inputs = RecShardInputs.from_profile(model, profile, steps=10)
         handles = build_milp(inputs, topology, batch_size=256, **kwargs)
-        result = handles.model.solve(backend="highs", time_limit=60)
+        result = handles.model.solve(time_limit=60)
         assert result.status.has_solution
         return inputs, handles, result
 
@@ -78,7 +143,7 @@ class TestSolutionProperties:
         cap_mib = tight_topology.hbm.capacity_bytes / 2**20
         for m in range(tight_topology.num_devices):
             used = sum(
-                result.value(handles.mem[j])
+                result.value(handles.mem[j][0])
                 for j in range(len(inputs))
                 if result.value(handles.assign[m][j]) > 0.5
             )
@@ -89,7 +154,7 @@ class TestSolutionProperties:
     ):
         inputs, handles, result = self.solve(small_model, small_profile, roomy_topology)
         for j, table in enumerate(inputs.tables):
-            assert result.value(handles.pct[j]) == pytest.approx(1.0, abs=1e-6)
+            assert result.value(handles.pct[j][0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_step_and_convex_agree(self, small_model, small_profile, tight_topology):
         # The convex formulation allows continuous split points, so it is
@@ -102,7 +167,7 @@ class TestSolutionProperties:
             handles = build_milp(
                 inputs, tight_topology, batch_size=256, formulation=formulation
             )
-            return handles.model.solve(backend="highs", time_limit=60)
+            return handles.model.solve(time_limit=60)
 
         res_convex = solve("convex", 40)
         res_step = solve("step", 40)

@@ -12,8 +12,10 @@ tie-break change), regenerate the fixtures and review the diff::
 
     PYTHONPATH=src python -m tests.test_core.test_golden_plans
 
-The MILP case runs the pure-Python branch-and-bound backend so the
-pinned solution does not depend on the installed scipy/HiGHS version.
+The MILP case swaps the pure-Python branch-and-bound oracle
+(:func:`tests.oracles.branch_bound.branch_and_bound`) in for HiGHS, so
+the pinned solution does not depend on the installed scipy/HiGHS
+version; it stops on its node budget, never on the clock.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.core import MultiTierSharder, RecShardFastSharder, RecShardSharder
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from tests.oracles.branch_bound import branch_and_bound
 from tests.test_core.conftest import build_model
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -67,15 +70,10 @@ def _milp_plan():
     model = build_model(num_tables=4, rows=64, seed=17)
     profile = analytic_profile(model)
     topology = _two_tier(model.total_bytes)
-    plan = RecShardSharder(
-        batch_size=64,
-        steps=6,
-        formulation="convex",
-        backend="branch_bound",
-        time_limit=60,
-        fallback=False,
-    ).shard(model, profile, topology)
-    return plan
+    with branch_and_bound():
+        return RecShardSharder(
+            batch_size=64, steps=6, formulation="convex", fallback=False
+        ).shard(model, profile, topology)
 
 
 def _multitier_plan(seed: int):
@@ -89,7 +87,7 @@ def _multitier_plan(seed: int):
 
 
 #: fixture name -> plan builder.  Builders must be fully deterministic:
-#: seeded worlds, analytic profiles, deterministic solver backends.
+#: seeded worlds, analytic profiles, a deterministic MILP solver.
 GOLDEN_PLANS = {
     "fast_tight_seed0": lambda: _fast_plan(0),
     "fast_tight_seed1": lambda: _fast_plan(1),

@@ -14,6 +14,7 @@ from repro.core import (
     PlanError,
     PlannerWorkspace,
     RecShardFastSharder,
+    RecShardSharder,
     shard_sweep,
 )
 from repro.memory.precision import quantized_row_bytes
@@ -142,13 +143,36 @@ class TestMultiTierPrecision:
         assert_plans_identical(vec, scalar)
         vec.validate(model, topology)
 
-    def test_milp_rejects_quantized_ladders(self):
+    def test_milp_charges_quantized_ladders(self):
         model = build_model(num_tables=4, rows=128, seed=0)
         profile = analytic_profile(model)
-        topology = three_tier(model).with_precisions("ssd=int8")
-        sharder = MultiTierSharder(batch_size=BATCH, steps=5, method="milp")
-        with pytest.raises(PlanError, match="fp32 tiers only"):
-            sharder.shard(model, profile, topology)
+        topology = three_tier(model).with_precisions("dram=fp16,ssd=int8")
+        plan = MultiTierSharder(
+            batch_size=BATCH, steps=5, method="milp"
+        ).shard(model, profile, topology)
+        plan.validate(model, topology)
+        assert plan.metadata["tier_precisions"] == ["fp32", "fp16", "int8"]
+
+
+class TestMilpPrecision:
+    def test_quantized_hbm_admits_more_rows(self):
+        # Small enough that HiGHS proves optimality well inside its limit.
+        model = build_model(num_tables=5, rows=128, seed=1)
+        profile = analytic_profile(model)
+        topology = two_tier(model, hbm_frac=0.2)
+        sharder = RecShardSharder(
+            batch_size=BATCH, steps=10, time_limit=60, mip_gap=0.0,
+            fallback=False,
+        )
+        fp32 = sharder.shard(model, profile, topology)
+        fp16_topology = topology.with_precisions("hbm=fp16")
+        fp16 = sharder.shard(model, profile, fp16_topology)
+        assert fp32.metadata["milp_status"] == "optimal"
+        assert fp16.metadata["milp_status"] == "optimal"
+        fp16.validate(model, fp16_topology)
+        assert fp16.tier_rows_total(0) > fp32.tier_rows_total(0)
+        assert fp16.metadata["tier_precisions"] == ["fp16", "fp32"]
+        assert "tier_precisions" not in fp32.metadata
 
 
 class TestPrecisionSweep:

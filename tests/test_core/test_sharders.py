@@ -1,5 +1,7 @@
 """Tests for the RecShard sharders (MILP, fast, multi-tier)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from repro.core.evaluate import (
 )
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
+from repro.stats.profiler import ModelProfile
+from tests.oracles.branch_bound import branch_and_bound
+from tests.oracles.planner import HeapqRefillSharder
 from tests.test_core.conftest import build_model
 
 BATCH = 256
@@ -93,10 +98,80 @@ class TestRecShardSharder:
             small_model.total_bytes,
             10e9,
         )
-        plan = self.shard(
-            small_model, small_profile, topo, backend="branch_bound", steps=6
-        )
+        with branch_and_bound():
+            plan = self.shard(small_model, small_profile, topo, steps=6)
         plan.validate(small_model, topo)
+        assert plan.metadata["solver"] in (
+            "milp/branch_bound/convex", "fast-beat-milp"
+        )
+
+    def test_rejects_non_two_tier(self, small_model, small_profile, topo3):
+        with pytest.raises(ValueError, match="two-tier"):
+            self.shard(small_model, small_profile, topo3)
+
+
+def refill_world(seed):
+    """A small two-tier world whose MILP leaves HBM for the refill."""
+    model = build_model(num_tables=5, rows=128, seed=seed)
+    topology = SystemTopology.two_tier(
+        2, int(model.total_bytes * 0.4 / 2), 200e9, model.total_bytes, 10e9
+    )
+    return model, analytic_profile(model), topology
+
+
+def rescaled(profile, j, seen=1, present=1):
+    """``profile`` with table ``j``'s sample counts multiplied: ``seen``
+    divides its coverage; ``present`` with ``seen`` divides its pooling
+    and keeps its coverage (the same ratio, exactly).  Counts, and so
+    the ICDF, stay the same.  Every table is copied without its CDF, so
+    the new profile fills its own coverage stack."""
+    tables = [
+        dataclasses.replace(t, _cdf=None, _coverage_out=None)
+        for t in profile.tables
+    ]
+    t = tables[j]
+    tables[j] = dataclasses.replace(
+        t, samples_present=t.samples_present * present,
+        samples_seen=t.samples_seen * seen,
+    )
+    return ModelProfile(
+        profile.model_name, tables, profile.sample_rate,
+        profile.samples_profiled,
+    )
+
+
+def placements(plan):
+    return [(p.device, p.rows_per_tier) for p in plan]
+
+
+class TestMilpRefill:
+    """The MILP sharder refills free HBM with the fast sharder's arrays."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_heapq_oracle(self, seed):
+        model, profile, topology = refill_world(seed)
+        kwargs = dict(batch_size=128, steps=8, time_limit=60, fallback=False)
+        plan = RecShardSharder(**kwargs).shard(model, profile, topology)
+        oracle = HeapqRefillSharder(**kwargs).shard(model, profile, topology)
+        assert placements(plan) == placements(oracle)
+        plan.validate(model, topology)
+
+    @pytest.mark.parametrize(
+        "switch, scale",
+        [("use_coverage", dict(seen=4)), ("use_pooling", dict(seen=4, present=4))],
+    )
+    def test_ablated_statistic_does_not_steer_refill(self, switch, scale):
+        # With a Table 6 switch off, the MILP never sees the statistic,
+        # and neither may the refill: scaling it on one table leaves the
+        # plan where it was.
+        model, profile, topology = refill_world(3)
+        sharder = RecShardSharder(
+            batch_size=128, steps=8, time_limit=60, fallback=False,
+            **{switch: False},
+        )
+        base = sharder.shard(model, profile, topology)
+        scaled = sharder.shard(model, rescaled(profile, 4, **scale), topology)
+        assert placements(scaled) == placements(base)
 
 
 class TestRecShardFastSharder:
@@ -158,20 +233,6 @@ class TestRecShardFastSharder:
 
 
 class TestMultiTierSharder:
-    @pytest.fixture
-    def topo3(self, small_model):
-        total = small_model.total_bytes
-        from repro.memory.tier import MemoryTier
-
-        return SystemTopology(
-            num_devices=2,
-            tiers=(
-                MemoryTier("hbm", int(total * 0.2 / 2), 200e9),
-                MemoryTier("uvm", int(total * 0.4 / 2), 10e9),
-                MemoryTier("ssd", total, 1e9),
-            ),
-        )
-
     def test_greedy_three_tier_plan(self, small_model, small_profile, topo3):
         plan = MultiTierSharder(batch_size=BATCH, steps=10, method="greedy").shard(
             small_model, small_profile, topo3
@@ -320,42 +381,37 @@ class TestReclaimDead:
 
 #: Every sharder, on the one protocol: ``shard(model, profile, topology,
 #: warm_start=None, workspace=None)``, with the ``solver`` its plan
-#: reports.  The MILP runs the deterministic branch-and-bound backend on
+#: reports.  The MILP runs the deterministic branch-and-bound oracle on
 #: a tiny model, once per exit: incumbent wins, no fallback, fast plan
-#: wins (a loose gap stops at a poor incumbent), and no incumbent.
+#: wins (a loose gap stops at a poor incumbent), and no incumbent (a
+#: node budget of 0, ``NODE_LIMITS``).
 PROTOCOL_SHARDERS = {
     "fast": (lambda: RecShardFastSharder(batch_size=64, steps=6), "fast"),
     "multitier": (
         lambda: MultiTierSharder(batch_size=64, steps=6), "greedy"
     ),
     "milp": (
-        lambda: RecShardSharder(
-            batch_size=64, steps=6, backend="branch_bound", time_limit=60
-        ),
+        lambda: RecShardSharder(batch_size=64, steps=6),
         "milp/branch_bound/convex",
     ),
     "milp-no-fallback": (
-        lambda: RecShardSharder(
-            batch_size=64, steps=6, backend="branch_bound", time_limit=60,
-            fallback=False,
-        ),
+        lambda: RecShardSharder(batch_size=64, steps=6, fallback=False),
         "milp/branch_bound/convex",
     ),
     "milp-fast-wins": (
-        lambda: RecShardSharder(
-            batch_size=64, steps=6, backend="branch_bound", time_limit=60,
-            mip_gap=0.99,
-        ),
+        lambda: RecShardSharder(batch_size=64, steps=6, mip_gap=0.99),
         "fast-beat-milp",
     ),
     "milp-fallback": (
-        lambda: RecShardSharder(
-            batch_size=64, steps=6, backend="branch_bound", time_limit=1e-9,
-        ),
+        lambda: RecShardSharder(batch_size=64, steps=6),
         "fast-fallback",
     ),
     "greedy": (lambda: make_baseline("Size-Based"), None),
 }
+
+
+#: branch-and-bound node budgets that differ from the oracle's default
+NODE_LIMITS = {"milp-fallback": 0}
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOL_SHARDERS))
@@ -367,9 +423,10 @@ def test_one_signature_one_cost_stamp(name):
     )
     workspace = PlannerWorkspace(model, profile, steps=6)
     make, solver = PROTOCOL_SHARDERS[name]
-    plan = make().shard(
-        model, profile, topology, warm_start=None, workspace=workspace
-    )
+    with branch_and_bound(node_limit=NODE_LIMITS.get(name, 200_000)):
+        plan = make().shard(
+            model, profile, topology, warm_start=None, workspace=workspace
+        )
     plan.validate(model, topology)
     meta = plan.metadata
     assert meta.get("solver") == solver

@@ -1,10 +1,12 @@
-"""Solver backend tests: HiGHS and the branch-and-bound cross-check."""
+"""Solver tests: HiGHS (``Model.solve``) and the branch-and-bound oracle."""
 
 import pytest
 
 from repro.milp import Model, SolveStatus
+from tests.oracles.branch_bound import branch_and_bound, solve_branch_bound
 
 BACKENDS = ["highs", "branch_bound"]
+SOLVE = {"highs": Model.solve, "branch_bound": solve_branch_bound}
 
 
 def knapsack_model():
@@ -24,14 +26,14 @@ class TestBothBackends:
         y = m.continuous_var(ub=10)
         m.add(x + y <= 8)
         m.minimize(-x - 2 * y)
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(-16.0)  # y=8, x=0 maximizes
         assert res.value(y) == pytest.approx(8.0)
 
     def test_knapsack(self, backend):
         m, (a, b, c) = knapsack_model()
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(-16.0)
         assert res.value(a) == pytest.approx(1.0)
@@ -43,7 +45,7 @@ class TestBothBackends:
         x = m.continuous_var(ub=1)
         m.add(x >= 2)
         m.minimize(x)
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert res.status == SolveStatus.INFEASIBLE
         with pytest.raises(ValueError):
             res.value(x)
@@ -55,7 +57,7 @@ class TestBothBackends:
         m.add(x + y == 7)
         m.add(x - y == 1)
         m.minimize(x)
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert res.status == SolveStatus.OPTIMAL
         assert res.value(x) == pytest.approx(4.0)
         assert res.value(y) == pytest.approx(3.0)
@@ -66,13 +68,13 @@ class TestBothBackends:
         x = m.integer_var(lb=0, ub=10)
         m.add(2 * x <= 7)
         m.minimize(-x)
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert res.status == SolveStatus.OPTIMAL
         assert res.value(x) == pytest.approx(3.0)
 
     def test_feasible_solution_satisfies_model(self, backend):
         m, _ = knapsack_model()
-        res = m.solve(backend=backend)
+        res = SOLVE[backend](m)
         assert m.check_feasible(res.values)
 
 
@@ -92,31 +94,29 @@ class TestBackendAgreement:
                 sum(int(w) * x for w, x in zip(weights, xs)) <= cap
             )
             m1.minimize(sum(-int(v) * x for v, x in zip(values, xs)))
-            res_highs = m1.solve(backend="highs")
-            res_bb = m1.solve(backend="branch_bound")
+            res_highs = m1.solve()
+            res_bb = solve_branch_bound(m1)
             assert res_highs.status == SolveStatus.OPTIMAL
             assert res_bb.status == SolveStatus.OPTIMAL
             assert res_highs.objective == pytest.approx(res_bb.objective, abs=1e-6)
 
 
 class TestSolveControls:
-    def test_time_limit_returns_quickly(self):
-        m, _ = knapsack_model()
-        res = m.solve(backend="branch_bound", time_limit=0.001)
-        # Either finished instantly or stopped; never raises.
-        assert res.status in (
-            SolveStatus.OPTIMAL,
-            SolveStatus.FEASIBLE,
-            SolveStatus.TIME_LIMIT,
-        )
-
     def test_node_limit_respected(self):
         m, _ = knapsack_model()
-        res = m.solve(backend="branch_bound", node_limit=1)
+        res = solve_branch_bound(m, node_limit=1)
         assert res.nodes is not None
         assert res.nodes <= 1
 
-    def test_unknown_backend_rejected(self):
+    def test_zero_node_budget_has_no_incumbent(self):
         m, _ = knapsack_model()
-        with pytest.raises(ValueError):
-            m.solve(backend="cplex")
+        res = solve_branch_bound(m, node_limit=0)
+        assert res.status == SolveStatus.TIME_LIMIT
+        assert res.nodes == 0
+
+    def test_solver_named_in_result(self):
+        m, _ = knapsack_model()
+        assert m.solve().solver == "highs"
+        with branch_and_bound():
+            assert m.solve().solver == "branch_bound"
+        assert m.solve().solver == "highs"
