@@ -22,27 +22,29 @@ ICDF convexity to get near-MILP plans in milliseconds:
 It also serves as the fallback when the MILP cannot produce an
 incumbent within its time limit.
 
-Every phase except the LPT assignment runs on the stacked arrays of a
-:class:`~repro.core.workspace.PlannerWorkspace`.  The waterfill's heap
-becomes one global ordering: taking steps in descending *effective*
-density (the per-table running minimum — what a max-heap over
-per-table step sequences actually pops, even where integer rounding
-makes raw densities locally non-monotone) with ties broken by (table,
-step) reproduces the heap's pop sequence exactly, so whole prefixes of
-the order are admitted against the budget with windowed cumulative
-sums instead of one heap transaction per step.  The per-step heapq
-solver it replaced is the parity oracle in ``tests/oracles/planner.py``;
+The solve state is two vectors over tables (:class:`_Splits`): each
+table's ICDF step and its padding rows.  Costs and footprints are
+derived from them in one pass, and every phase runs on them and on the
+stacked arrays of a :class:`~repro.core.workspace.PlannerWorkspace`;
+only the LPT loop walks the tables, reading plain lists.  The
+waterfill's heap becomes one global ordering: taking steps in
+descending *effective* density (the per-table running minimum — what a
+max-heap over per-table step sequences actually pops, even where
+integer rounding makes raw densities locally non-monotone) with ties
+broken by (table, step) reproduces the heap's pop sequence exactly, so
+whole prefixes of the order are admitted against the budget with
+windowed cumulative sums instead of one heap transaction per step.
+Steps larger than the budget left are dropped before they are scanned.
+The per-step heapq solver it replaced, with the per-table state objects
+its LPT walked, is the parity oracle in ``tests/oracles/planner.py``;
 ``tests/test_core/test_planner_vectorized.py`` pins plan equality.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
-from repro.core.formulation import TableInputs
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.quantize import tier_expected_errors
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
@@ -64,79 +66,101 @@ def _stamp_tier_precisions(metadata: dict, topology: SystemTopology) -> None:
         metadata["tier_expected_rel_error"] = tier_expected_errors(precisions)
 
 
-class _TableState:
-    """Mutable split state of one table during solving.
+def _admissible(sizes, tables, budget, blocked):
+    """Index of the entries a take against ``budget`` can still admit.
 
-    ``step`` indexes the ICDF grid (hot rows in HBM); ``extra_rows``
-    counts additional dead/cold rows promoted to HBM purely to satisfy a
-    device's host-capacity limit — they serve (almost) no accesses, so
-    they do not change the cost estimate.
+    Each table's entries must appear in step order.  An entry larger
+    than the budget can never be admitted (budgets only fall) and would
+    retire its table when scanned, so each table keeps only its entries
+    ahead of its first oversize one; a ``blocked`` table keeps none.
+    Returns ``slice(None)`` when every entry stays, so that indexing
+    with it copies nothing.
+    """
+    over = np.flatnonzero(sizes > budget)
+    if over.size == 0 and not blocked.any():
+        return slice(None)
+    first = np.where(blocked, 0, sizes.size)
+    np.minimum.at(first, tables[over], over)
+    return np.flatnonzero(np.arange(sizes.size) < first[tables])
+
+
+class _Splits:
+    """Every table's split during one solve, as two int64 vectors.
+
+    ``step`` indexes each table's ICDF grid (hot rows in HBM);
+    ``extra`` counts dead/cold rows promoted to HBM only so that a
+    device's host slice can absorb the table's UVM remainder — they
+    serve (almost) no accesses, so they do not change the cost estimate.
+    Costs and per-tier footprints are derived from the two vectors with
+    the per-table formulas' float operations, so they equal the scalar
+    values bit for bit; ``tables`` selects one table or all of them.
     """
 
-    __slots__ = (
-        "index", "inputs", "step", "extra_rows", "weight",
-        "inv_bw_hbm", "inv_bw_uvm", "alloc_rows",
-        "hbm_row_bytes", "host_row_bytes",
-    )
+    def __init__(self, ws: PlannerWorkspace, topology: SystemTopology,
+                 weight, alloc_rows):
+        self.ws = ws
+        self.step = np.zeros(ws.num_tables, dtype=np.int64)
+        self.extra = np.zeros(ws.num_tables, dtype=np.int64)
+        #: expected bytes gathered per iteration, times 1e3, so that
+        #: bytes over a tier's bandwidth read in ms
+        self.weight = weight
+        #: rows that must be backed by memory somewhere
+        self.alloc_rows = alloc_rows
+        self.hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
+        self.host_rb = ws.tier_row_bytes(topology.uvm.precision)
+        self.inv_bw_hbm = 1.0 / topology.hbm.bandwidth
+        self.inv_bw_uvm = 1.0 / topology.uvm.bandwidth
+        self.active = ws.total_accesses > 0
+        self._index = np.arange(ws.num_tables)
 
-    def __init__(self, index: int, inputs: TableInputs, batch_size: int,
-                 inv_bw_hbm: float, inv_bw_uvm: float,
-                 use_coverage: bool, use_pooling: bool, reclaim_dead: bool,
-                 hbm_row_bytes: int | None = None,
-                 host_row_bytes: int | None = None):
-        self.index = index
-        self.inputs = inputs
-        self.step = 0
-        self.extra_rows = 0
-        pooling = inputs.avg_pooling if use_pooling else 1.0
-        coverage = inputs.coverage if use_coverage else 1.0
-        self.weight = coverage * pooling * inputs.row_bytes * batch_size * _MS
-        self.inv_bw_hbm = inv_bw_hbm
-        self.inv_bw_uvm = inv_bw_uvm
-        # Per-tier storage footprint of one row (precision-scaled when
-        # the tier is quantized; the raw row bytes otherwise).
-        self.hbm_row_bytes = (
-            inputs.row_bytes if hbm_row_bytes is None else int(hbm_row_bytes)
-        )
-        self.host_row_bytes = (
-            inputs.row_bytes if host_row_bytes is None else int(host_row_bytes)
-        )
-        # Rows that must be backed by memory somewhere (dead rows are
-        # exempt under reclaim_dead).
-        self.alloc_rows = (
-            inputs.live_rows if reclaim_dead else inputs.hash_size
+    def grid_rows(self, tables=slice(None)):
+        return self.ws.grid_rows[self._index[tables], self.step[tables]]
+
+    def hbm_rows(self, tables=slice(None)):
+        return np.minimum(
+            self.grid_rows(tables) + self.extra[tables],
+            self.ws.hash_sizes[tables],
         )
 
-    @property
-    def fraction(self) -> float:
-        return float(self.inputs.icdf.fractions[self.step])
+    def hbm_bytes(self, tables=slice(None)):
+        return self.hbm_rows(tables) * self.hbm_rb[tables]
 
-    @property
-    def grid_rows(self) -> int:
-        return math.ceil(self.inputs.icdf.rows[self.step] - 1e-9)
+    def host_bytes(self, tables=slice(None)):
+        return np.maximum(
+            0, self.alloc_rows[tables] - self.hbm_rows(tables)
+        ) * self.host_rb[tables]
 
-    @property
-    def hbm_rows(self) -> int:
-        return min(self.grid_rows + self.extra_rows, self.inputs.hash_size)
+    def cost(self, tables=slice(None)):
+        """Expected per-iteration cost (ms) at the current splits."""
+        frac = self.ws.fractions[self.step[tables]]
+        return np.where(
+            self.active[tables],
+            self.weight[tables]
+            * (frac * self.inv_bw_hbm + (1.0 - frac) * self.inv_bw_uvm),
+            0.0,
+        )
 
-    @property
-    def hbm_bytes(self) -> int:
-        return self.hbm_rows * self.hbm_row_bytes
+    def marginal_density(self, d_bytes, tables=slice(None)):
+        """Cost reduction per byte of every ICDF step of ``tables``."""
+        d_cost = (self.weight[tables][:, None] * self.ws.d_frac[None, :]) * (
+            self.inv_bw_uvm - self.inv_bw_hbm
+        )
+        density = np.full(d_bytes.shape, np.inf)
+        np.divide(d_cost, d_bytes, out=density, where=d_bytes > 0)
+        return density
 
-    def host_bytes(self) -> int:
-        return max(0, self.alloc_rows - self.hbm_rows) * self.host_row_bytes
-
-    def min_hbm_rows_for_host(self, host_free: int) -> int:
-        """Fewest HBM rows that keep the UVM remainder within ``host_free``."""
-        return max(0, self.alloc_rows - host_free // self.host_row_bytes)
-
-    def cost(self) -> float:
-        """Expected per-iteration cost (ms) at the current split."""
-        if self.inputs.total_accesses <= 0:
-            return 0.0
-        frac = self.fraction
-        return self.weight * (
-            frac * self.inv_bw_hbm + (1.0 - frac) * self.inv_bw_uvm
+    def resize_to_fit(self, j: int, min_rows: int, hbm_free: int) -> None:
+        """Adjust table ``j`` to ``min_rows <= hbm_rows`` within ``hbm_free``."""
+        max_rows = hbm_free // int(self.hbm_rb[j])
+        grid = self.ws.grid_rows[j]
+        # Largest grid step within max_rows.
+        step = int(self.step[j])
+        while step > 0 and grid[step] > max_rows:
+            step -= 1
+        self.step[j] = step
+        grid_rows = int(grid[step])
+        self.extra[j] = (
+            min(min_rows, max_rows) - grid_rows if grid_rows < min_rows else 0
         )
 
 
@@ -193,91 +217,66 @@ class RecShardFastSharder:
     ) -> ShardingPlan:
         """Solve over a prebuilt workspace.
 
-        Waterfill, refill, warm start, and local search operate on the
-        workspace arrays; only the (cheap) LPT assignment and split
-        resizing walk per-table states.  Plans are identical, table for
-        table, to the per-step heapq oracle's.
+        Every phase reads and updates one :class:`_Splits`.  Plans are
+        identical, table for table, to the per-step heapq oracle's.
         """
         if topology.num_tiers != 2:
             raise ValueError("RecShardFastSharder targets two-tier topologies")
         ws = workspace
-        inputs = ws.inputs
-        inv_bw_hbm = 1.0 / topology.hbm.bandwidth
-        inv_bw_uvm = 1.0 / topology.uvm.bandwidth
-        hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
-        states = self._table_states(ws, topology)
-        weight = np.array([s.weight for s in states], dtype=np.float64)
-
+        splits = self._splits(ws, topology)
         hbm_budget = topology.hbm.capacity_bytes * topology.num_devices
         preferred = None
-        start_steps = np.zeros(ws.num_tables, dtype=np.int64)
-        if warm_start is not None and len(warm_start) == len(states):
-            start_steps, hbm_budget = self._warm_start_arrays(
-                ws, warm_start, hbm_budget, hbm_rb
+        if warm_start is not None and len(warm_start) == ws.num_tables:
+            splits.step[:], hbm_budget = self._warm_start_arrays(
+                ws, warm_start, hbm_budget, splits.hbm_rb
             )
-            preferred = [warm_start[j].device for j in range(len(states))]
+            preferred = [warm_start[j].device for j in range(ws.num_tables)]
 
-        steps = self._waterfill_arrays(
-            ws, weight, inv_bw_hbm, inv_bw_uvm, start_steps, hbm_budget,
-            hbm_rb,
+        self._waterfill_arrays(splits, hbm_budget)
+        device_of, hbm_free, host_free = self._assign(
+            splits, topology, preferred=preferred
         )
-        for j, state in enumerate(states):
-            state.step = int(steps[j])
-        device_of, loads, hbm_free, host_free = self._assign(
-            states, topology, preferred=preferred
+        self._refill_arrays(splits, device_of, hbm_free)
+        # Summed in table order, like the oracle's loop.
+        loads = np.bincount(
+            device_of, weights=splits.cost(), minlength=topology.num_devices
         )
-        self._refill_arrays(
-            ws, states, weight, inv_bw_hbm, inv_bw_uvm, device_of, hbm_free,
-            hbm_rb,
-        )
-        loads = self._recompute_loads(states, device_of, topology.num_devices)
-        self._local_search_arrays(states, device_of, loads, hbm_free, host_free)
-        self._refill_arrays(
-            ws, states, weight, inv_bw_hbm, inv_bw_uvm, device_of, hbm_free,
-            hbm_rb,
-        )
+        self._local_search_arrays(splits, device_of, loads, hbm_free, host_free)
+        self._refill_arrays(splits, device_of, hbm_free)
         # The LPT loads above steer the solve; the plan's estimate is
         # the evaluator's, like every other planner's.
         return stamp_estimated_costs(
-            self._emit_plan(states, device_of, topology, inputs, preferred),
+            self._emit_plan(splits, device_of, topology, preferred),
             ws.model, ws.profile, topology, self.batch_size,
         )
 
-    def _table_states(self, ws, topology) -> list[_TableState]:
-        """One split state per table, at ICDF step 0."""
-        hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
-        host_rb = ws.tier_row_bytes(topology.uvm.precision)
-        return [
-            _TableState(
-                j, t, self.batch_size, 1.0 / topology.hbm.bandwidth,
-                1.0 / topology.uvm.bandwidth,
-                self.use_coverage, self.use_pooling, self.reclaim_dead,
-                hbm_row_bytes=int(hbm_rb[j]), host_row_bytes=int(host_rb[j]),
-            )
-            for j, t in enumerate(ws.inputs.tables)
-        ]
+    def _splits(self, ws, topology) -> _Splits:
+        """Every table at ICDF step 0, under this sharder's switches."""
+        coverage = ws.coverage if self.use_coverage else 1.0
+        pooling = ws.avg_pooling if self.use_pooling else 1.0
+        weight = coverage * pooling * ws.row_bytes * self.batch_size * _MS
+        alloc_rows = ws.live_rows if self.reclaim_dead else ws.hash_sizes
+        return _Splits(ws, topology, weight, alloc_rows)
 
-    def _emit_plan(self, states, device_of, topology, inputs, preferred):
+    def _emit_plan(self, splits, device_of, topology, preferred):
         """Materialize placements and metadata (the caller stamps costs)."""
-        placements = []
-        for state in states:
-            hbm_rows = state.hbm_rows
-            placements.append(
-                TablePlacement(
-                    table_index=state.index,
-                    device=device_of[state.index],
-                    rows_per_tier=(hbm_rows, state.inputs.hash_size - hbm_rows),
-                )
+        ws = splits.ws
+        hash_sizes = ws.hash_sizes.tolist()
+        placements = [
+            TablePlacement(
+                table_index=j, device=device, rows_per_tier=(rows, size - rows)
             )
+            for j, (device, rows, size) in enumerate(
+                zip(device_of.tolist(), splits.hbm_rows().tolist(), hash_sizes)
+            )
+        ]
         metadata = {"solver": "fast"}
         if preferred is not None:
             metadata["warm_started"] = True
         _stamp_tier_precisions(metadata, topology)
         if self.reclaim_dead:
             metadata["reclaim_dead"] = True
-            metadata["dead_rows"] = [
-                t.hash_size - t.live_rows for t in inputs.tables
-            ]
+            metadata["dead_rows"] = (ws.hash_sizes - ws.live_rows).tolist()
         return ShardingPlan(
             strategy=self.name, placements=placements, metadata=metadata
         )
@@ -300,14 +299,23 @@ class RecShardFastSharder:
         holding one current step per table (a table's step can only
         surface after its predecessor, so a locally *rising* density
         pops immediately after the dip that hid it — i.e. at the dip's
-        priority).  Steps are then taken in bulk: a cumulative sum over
-        a window of not-yet-blocked entries finds the longest
-        admissible prefix, and the window doubles while every entry in
-        it is admitted.  A budget-blocking step retires its whole table
-        (like a dropped heap entry) by setting the table's ``blocked``
-        flag; the scan resumes just past it with the window back at
-        its initial size, so the cost is O(N + blockers * window)
-        rather than one pass over the remaining suffix per blocker.
+        priority).  A table's entries therefore reach the scan in step
+        order, and the budget left only falls, so an entry larger than
+        the budget left can never be admitted: when scanned it retires
+        its table (like a dropped heap entry).  Each table's entries
+        from its first oversize one on are dropped before the sort, and
+        the unscanned suffix is pruned again whenever the budget left
+        has halved since the last prune.
+
+        Steps are taken in bulk: a cumulative sum over a window of
+        not-yet-blocked entries finds the longest admissible prefix,
+        and the window doubles while every entry in it is admitted.  A
+        budget-blocking step sets its table's ``blocked`` flag; the
+        scan resumes just past it with the window back at its initial
+        size.  The cost is O(N log N) for the sort of the N entries
+        that fit the budget, O(N) per prune (a logarithmic number of
+        them), and O(window) per blocker — which only entries that fit
+        the last prune's budget but not the budget left can be.
 
         ``stop_on_exhausted`` mirrors the two heap loops: the global
         waterfill stops once the budget hits zero, the per-device
@@ -316,20 +324,29 @@ class RecShardFastSharder:
         Updates ``steps_out`` (per-table step reached) in place and
         returns the unspent budget.
         """
-        if table_ids.size == 0:
-            return budget
-        order = descending_order(eff_density)
-        tables = table_ids[order]
-        sizes = d_bytes[order]
-        steps = step_ids[order]
-        blocked = np.zeros(steps_out.size, dtype=bool)
-        taken = np.zeros(order.size, dtype=bool)
         remaining = int(budget)
+        blocked = np.zeros(steps_out.size, dtype=bool)
+        keep = _admissible(d_bytes, table_ids, remaining, blocked)
+        order = descending_order(eff_density[keep])
+        tables, sizes, steps = (
+            a[keep][order] for a in (table_ids, d_bytes, step_ids)
+        )
+        taken_tables, taken_steps = [], []
+        pruned_at = remaining
         pos, window = 0, _TAKE_WINDOW
-        while pos < order.size:
+        while pos < tables.size:
             if stop_on_exhausted and remaining <= 0:
                 break
-            end = min(pos + window, order.size)
+            # Prune again once the budget left has halved since the last
+            # prune.  A spent budget cannot halve again, so the refill's
+            # drain of zero-byte steps at a budget of 0 prunes once.
+            if 0 < pruned_at and 2 * remaining <= pruned_at:
+                tables, sizes, steps = tables[pos:], sizes[pos:], steps[pos:]
+                live = _admissible(sizes, tables, remaining, blocked)
+                tables, sizes, steps = tables[live], sizes[live], steps[live]
+                pos, pruned_at = 0, remaining
+                continue
+            end = min(pos + window, tables.size)
             sel = pos + np.flatnonzero(~blocked[tables[pos:end]])
             cum = np.cumsum(sizes[sel])
             if stop_on_exhausted:
@@ -339,7 +356,8 @@ class RecShardFastSharder:
             # Both conditions are prefix-shaped (cum is non-decreasing).
             count = int(np.count_nonzero(take))
             if count:
-                taken[sel[:count]] = True
+                taken_tables.append(tables[sel[:count]])
+                taken_steps.append(steps[sel[:count]])
                 remaining -= int(cum[count - 1])
             if count == sel.size:
                 pos, window = end, 2 * window
@@ -349,32 +367,21 @@ class RecShardFastSharder:
             blocker = int(sel[count])
             blocked[tables[blocker]] = True
             pos, window = blocker + 1, _TAKE_WINDOW
-        np.maximum.at(steps_out, tables[taken], steps[taken] + 1)
+        if taken_tables:
+            np.maximum.at(
+                steps_out, np.concatenate(taken_tables),
+                np.concatenate(taken_steps) + 1,
+            )
         return remaining
 
-    def _marginal_density(self, ws, weight, inv_bw_hbm, inv_bw_uvm,
-                          d_bytes):
-        """Cost reduction per byte for every (table, step) advance."""
-        d_cost = (weight[:, None] * ws.d_frac[None, :]) * (
-            inv_bw_uvm - inv_bw_hbm
-        )
-        density = np.full(d_bytes.shape, np.inf)
-        np.divide(d_cost, d_bytes, out=density, where=d_bytes > 0)
-        return density
-
-    def _waterfill_arrays(
-        self, ws, weight, inv_bw_hbm, inv_bw_uvm, start_steps, budget,
-        hbm_rb,
-    ):
-        """Global waterfill on the workspace arrays (one bulk take)."""
-        d_bytes = ws.d_grid_rows * hbm_rb[:, None]
-        density = self._marginal_density(
-            ws, weight, inv_bw_hbm, inv_bw_uvm, d_bytes
-        )
+    def _waterfill_arrays(self, splits: _Splits, budget) -> None:
+        """Global waterfill on the workspace arrays (one bulk take),
+        from each table's current step."""
+        ws = splits.ws
+        d_bytes = ws.d_grid_rows * splits.hbm_rb[:, None]
+        density = splits.marginal_density(d_bytes)
         col = np.arange(ws.steps)
-        mask = (ws.total_accesses > 0)[:, None] & (
-            col[None, :] >= start_steps[:, None]
-        )
+        mask = splits.active[:, None] & (col[None, :] >= splits.step[:, None])
         # +inf placeholders ahead of each table's start keep the running
         # minimum anchored at the (possibly warm-started) current step.
         eff = np.minimum.accumulate(
@@ -382,68 +389,69 @@ class RecShardFastSharder:
         )
         flat = np.flatnonzero(mask)
         table_ids, step_ids = np.divmod(flat, ws.steps)
-        steps_out = start_steps.copy()
         self._bulk_take(
             eff.ravel()[flat], d_bytes.ravel()[flat], table_ids, step_ids,
-            steps_out, budget, stop_on_exhausted=True,
+            splits.step, budget, stop_on_exhausted=True,
         )
-        return steps_out
 
-    def _refill_arrays(
-        self, ws, states, weight, inv_bw_hbm, inv_bw_uvm, device_of,
-        hbm_free, hbm_rb,
-    ):
+    def _refill_arrays(self, splits: _Splits, device_of, hbm_free) -> None:
         """Per-device refill on the workspace arrays.
 
-        Dead rows promoted by the assignment phase (``extra_rows``)
-        absorb part of each advance, so the byte cost of every step is
+        Dead rows promoted by the assignment phase (``extra``) absorb
+        part of each advance, so the byte cost of every step is
         adjusted by the extra rows still unabsorbed at that step —
         computable in closed form from the grid because consecutive
-        ``max(0, extra - gain)`` updates compose.
+        ``max(0, extra - gain)`` updates compose.  A step that does not
+        fit its device's free HBM can never be admitted, nor can any
+        later step of its table, so only each table's admissible prefix
+        enters a take, and only devices with an admissible step take.
+        ``hbm_free`` (per device) is updated in place.
         """
-        steps = np.array([s.step for s in states], dtype=np.int64)
-        extra = np.array([s.extra_rows for s in states], dtype=np.int64)
-        grid = ws.grid_rows
-        base = grid[np.arange(ws.num_tables), steps]
-        unabsorbed = np.maximum(
-            0, extra[:, None] - (grid[:, :-1] - base[:, None])
-        )
-        adj_bytes = np.maximum(0, ws.d_grid_rows - unabsorbed) * (
-            hbm_rb[:, None]
-        )
-        density = self._marginal_density(
-            ws, weight, inv_bw_hbm, inv_bw_uvm, adj_bytes
-        )
-        col = np.arange(ws.steps)
-        valid = (ws.total_accesses > 0)[:, None] & (
-            col[None, :] >= steps[:, None]
-        )
+        ws = splits.ws
+        steps, extra = splits.step, splits.extra
         devices = np.asarray(device_of)
-        for device in range(len(hbm_free)):
-            members = np.flatnonzero(devices == device)
-            if members.size == 0:
-                continue
-            sub_valid = valid[members]
-            eff = np.minimum.accumulate(
-                np.where(sub_valid, density[members], np.inf), axis=1
-            )
-            flat = np.flatnonzero(sub_valid)
-            member_pos, step_ids = np.divmod(flat, ws.steps)
-            hbm_free[device] = self._bulk_take(
-                eff.ravel()[flat],
-                adj_bytes[members].ravel()[flat],
-                members[member_pos],
-                step_ids,
-                steps,
-                hbm_free[device],
-                stop_on_exhausted=False,
-            )
-        new_extra = np.maximum(
-            0, extra - (grid[np.arange(ws.num_tables), steps] - base)
+        free_of = np.asarray(hbm_free)[devices]
+        # A table whose next step does not fit admits nothing.
+        head = np.minimum(steps, ws.steps - 1)
+        head_bytes = np.maximum(
+            0, ws.d_grid_rows[np.arange(ws.num_tables), head] - extra
+        ) * splits.hbm_rb
+        cand = np.flatnonzero(
+            splits.active & (steps < ws.steps) & (head_bytes <= free_of)
         )
-        for j, state in enumerate(states):
-            state.step = int(steps[j])
-            state.extra_rows = int(new_extra[j])
+        if cand.size == 0:
+            return
+        grid = ws.grid_rows[cand]
+        start = steps[cand]
+        base = grid[np.arange(cand.size), start]
+        unabsorbed = np.maximum(
+            0, extra[cand][:, None] - (grid[:, :-1] - base[:, None])
+        )
+        adj_bytes = np.maximum(0, ws.d_grid_rows[cand] - unabsorbed) * (
+            splits.hbm_rb[cand][:, None]
+        )
+        started = np.arange(ws.steps)[None, :] >= start[:, None]
+        live = started & np.logical_and.accumulate(
+            (adj_bytes <= free_of[cand][:, None]) | ~started, axis=1
+        )
+        eff = np.minimum.accumulate(
+            np.where(live, splits.marginal_density(adj_bytes, cand), np.inf),
+            axis=1,
+        )
+        flat = np.flatnonzero(live)
+        rows, step_ids = np.divmod(flat, ws.steps)
+        table_ids = cand[rows]
+        owner = devices[table_ids]
+        eff, adj_bytes = eff.ravel()[flat], adj_bytes.ravel()[flat]
+        for device in np.unique(owner).tolist():
+            sel = np.flatnonzero(owner == device)
+            hbm_free[device] = self._bulk_take(
+                eff[sel], adj_bytes[sel], table_ids[sel], step_ids[sel],
+                steps, hbm_free[device], stop_on_exhausted=False,
+            )
+        extra[cand] = np.maximum(
+            0, extra[cand] - (splits.grid_rows(cand) - base)
+        )
 
     def _warm_start_arrays(
         self, ws, previous: ShardingPlan, budget: int, hbm_rb
@@ -480,25 +488,23 @@ class RecShardFastSharder:
         return start, remaining
 
     def _local_search_arrays(
-        self, states, device_of, loads, hbm_free, host_free
+        self, splits, device_of, loads, hbm_free, host_free
     ):
         """Move or swap busiest-device tables while the makespan drops.
 
         Same moves, in the same order, as the nested-loop search of the
         heapq oracle.  Table splits are frozen during the search, so
-        per-table costs and footprints become constant vectors; each
+        per-table costs and footprints are constant vectors; each
         round's candidate scan is then a couple of boolean matrices,
         with the loops' first-candidate order recovered from a
-        composite rank.
+        composite rank.  The per-device vectors (``device_of``,
+        ``loads``, ``hbm_free``, ``host_free``) are updated in place.
         """
-        num_devices = len(loads)
-        cost = np.array([s.cost() for s in states], dtype=np.float64)
-        hbm_b = np.array([s.hbm_bytes for s in states], dtype=np.int64)
-        host_b = np.array([s.host_bytes() for s in states], dtype=np.int64)
-        dev = np.array(device_of, dtype=np.int64)
-        loads_a = np.array(loads, dtype=np.float64)
-        hbm_f = np.array(hbm_free, dtype=np.int64)
-        host_f = np.array(host_free, dtype=np.int64)
+        num_devices = loads.size
+        cost = splits.cost()
+        hbm_b = splits.hbm_bytes()
+        host_b = splits.host_bytes()
+        dev, loads_a, hbm_f, host_f = device_of, loads, hbm_free, host_free
 
         def transfer(j, src, dst):
             moved = cost[j]
@@ -595,83 +601,73 @@ class RecShardFastSharder:
             if not (try_move(busiest) or try_swap(busiest)):
                 break
 
-        device_of[:] = [int(d) for d in dev]
-        loads[:] = [float(x) for x in loads_a]
-        hbm_free[:] = [int(x) for x in hbm_f]
-        host_free[:] = [int(x) for x in host_f]
-
-    def _assign(self, states, topology, preferred=None):
+    def _assign(self, splits: _Splits, topology, preferred=None):
         """LPT placement under per-device HBM and host capacity.
 
-        A device can host a table iff the table's minimum HBM footprint
-        required by the device's remaining host space fits the device's
-        remaining HBM.  The split is shrunk or padded to fit.  With
-        ``preferred`` (per-table device hints from a warm-start plan), a
-        table stays on its hinted device whenever the split fits there,
-        leaving the local search to repair only drift-induced imbalance.
+        Tables go in descending cost order, each onto the least-loaded
+        device its split fits (the lowest index on ties).  A device can
+        host a table iff the table's minimum HBM footprint required by
+        the device's remaining host space fits the device's remaining
+        HBM; when no device fits the split, it is shrunk or padded to
+        fit.  With ``preferred`` (per-table device hints from a
+        warm-start plan), a table stays on its hinted device whenever
+        the split fits there, leaving the local search to repair only
+        drift-induced imbalance.  Returns the per-table device and the
+        per-device free HBM and host bytes, as int64 vectors.
         """
         num_devices = topology.num_devices
+        devices = range(num_devices)
         loads = [0.0] * num_devices
         hbm_free = [topology.hbm.capacity_bytes] * num_devices
         host_free = [topology.uvm.capacity_bytes] * num_devices
-        device_of = [0] * len(states)
+        device_of = [0] * splits.step.size
+        cost = splits.cost()
+        costs = cost.tolist()
+        hbm_bytes = splits.hbm_bytes().tolist()
+        host_bytes = splits.host_bytes().tolist()
 
-        for state in sorted(states, key=lambda s: -s.cost()):
-            chosen = None
+        for j in descending_order(cost).tolist():
+            hbm_need, host_need = hbm_bytes[j], host_bytes[j]
+            chosen = -1
             if preferred is not None:
-                hint = preferred[state.index]
-                if (
-                    hbm_free[hint] >= state.hbm_bytes
-                    and host_free[hint] >= state.host_bytes()
-                ):
+                hint = preferred[j]
+                if hbm_free[hint] >= hbm_need and host_free[hint] >= host_need:
                     chosen = hint
-            if chosen is None:
-                # Least-loaded device fitting the current split.
-                for device in sorted(range(num_devices), key=lambda m: loads[m]):
+            if chosen < 0:
+                for device in devices:
                     if (
-                        hbm_free[device] >= state.hbm_bytes
-                        and host_free[device] >= state.host_bytes()
+                        hbm_free[device] >= hbm_need
+                        and host_free[device] >= host_need
+                        and (chosen < 0 or loads[device] < loads[chosen])
                     ):
                         chosen = device
-                        break
-            if chosen is None:
+            if chosen < 0:
                 # Adapt the split.  Feasible devices are those where the
                 # host-driven minimum HBM rows fit the free HBM.
-                feasible = []
-                for device in range(num_devices):
-                    min_rows = state.min_hbm_rows_for_host(host_free[device])
-                    if min_rows * state.hbm_row_bytes <= hbm_free[device]:
-                        feasible.append((device, min_rows))
-                if not feasible:
+                alloc = int(splits.alloc_rows[j])
+                host_rb = int(splits.host_rb[j])
+                hbm_rb = int(splits.hbm_rb[j])
+                min_rows = {}
+                for device in devices:
+                    rows = max(0, alloc - host_free[device] // host_rb)
+                    if rows * hbm_rb <= hbm_free[device]:
+                        min_rows[device] = rows
+                if not min_rows:
                     raise PlanError(
-                        f"{self.name}: table {state.index} fits no device "
+                        f"{self.name}: table {j} fits no device "
                         "(HBM and host both exhausted)"
                     )
-                device, min_rows = min(feasible, key=lambda d: loads[d[0]])
-                self._resize_to_fit(state, min_rows, hbm_free[device])
-                chosen = device
-            device_of[state.index] = chosen
-            loads[chosen] += state.cost()
-            hbm_free[chosen] -= state.hbm_bytes
-            host_free[chosen] -= state.host_bytes()
-        return device_of, loads, hbm_free, host_free
-
-    @staticmethod
-    def _resize_to_fit(state: _TableState, min_rows: int, hbm_free: int) -> None:
-        """Adjust the split to ``min_rows <= hbm_rows`` within ``hbm_free``."""
-        max_rows = hbm_free // state.hbm_row_bytes
-        icdf = state.inputs.icdf
-        # Largest grid step within max_rows.
-        step = state.step
-        while step > 0 and math.ceil(icdf.rows[step] - 1e-9) > max_rows:
-            step -= 1
-        state.step = step
-        state.extra_rows = 0
-        if state.grid_rows < min_rows:
-            state.extra_rows = min(min_rows, max_rows) - state.grid_rows
-
-    def _recompute_loads(self, states, device_of, num_devices) -> list[float]:
-        loads = [0.0] * num_devices
-        for state in states:
-            loads[device_of[state.index]] += state.cost()
-        return loads
+                chosen = min(min_rows, key=loads.__getitem__)
+                splits.resize_to_fit(j, min_rows[chosen], hbm_free[chosen])
+                hbm_need = int(splits.hbm_bytes(j))
+                host_need = int(splits.host_bytes(j))
+                costs[j] = float(splits.cost(j))
+            device_of[j] = chosen
+            loads[chosen] += costs[j]
+            hbm_free[chosen] -= hbm_need
+            host_free[chosen] -= host_need
+        return (
+            np.array(device_of, dtype=np.int64),
+            np.array(hbm_free, dtype=np.int64),
+            np.array(host_free, dtype=np.int64),
+        )

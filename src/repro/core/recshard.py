@@ -231,32 +231,30 @@ class RecShardSharder:
         their hottest UVM rows into the HBM the solver left free (pure
         improvement: promotions never increase any device's cost).
         Each table resumes at the largest ICDF grid point at or below
-        its extracted HBM rows, the rows beyond it being ``extra_rows``.
+        its extracted HBM rows, the rows beyond it being its ``extra``
+        rows.
         """
         ws = workspace
         fast = self._fast()
-        states = fast._table_states(ws, topology)
+        splits = fast._splits(ws, topology)
         hbm_rows = np.array([p.hbm_rows for p in placements], dtype=np.int64)
-        steps = np.count_nonzero(ws.grid_rows <= hbm_rows[:, None], axis=1) - 1
-        for state, step, rows in zip(states, steps, hbm_rows):
-            state.step = int(step)
-            state.extra_rows = int(rows - ws.grid_rows[state.index, step])
-        hbm_rb = ws.tier_row_bytes(topology.hbm.precision)
-        device_of = [p.device for p in placements]
+        splits.step[:] = (
+            np.count_nonzero(ws.grid_rows <= hbm_rows[:, None], axis=1) - 1
+        )
+        splits.extra[:] = hbm_rows - splits.grid_rows()
+        device_of = np.array([p.device for p in placements], dtype=np.int64)
         used = np.zeros(topology.num_devices, dtype=np.int64)
-        np.add.at(used, device_of, hbm_rows * hbm_rb)
+        np.add.at(used, device_of, hbm_rows * splits.hbm_rb)
         fast._refill_arrays(
-            ws, states, np.array([s.weight for s in states]),
-            1.0 / topology.hbm.bandwidth, 1.0 / topology.uvm.bandwidth,
-            device_of, (topology.hbm.capacity_bytes - used).tolist(), hbm_rb,
+            splits, device_of, topology.hbm.capacity_bytes - used
         )
         placements[:] = [
             TablePlacement(
                 table_index=p.table_index,
                 device=p.device,
-                rows_per_tier=(s.hbm_rows, p.total_rows - s.hbm_rows),
+                rows_per_tier=(rows, p.total_rows - rows),
             )
-            for p, s in zip(placements, states)
+            for p, rows in zip(placements, splits.hbm_rows().tolist())
         ]
 
     def _repair_capacity(self, placements, workspace, topology) -> None:

@@ -86,7 +86,9 @@ class ModelProfile:
     statistics.  Table ``j``'s coverage prefix (``cdf.cum_fraction``)
     is the slot ``[row_base[j], row_base[j + 1])`` of one stack, filled
     as that table's CDF is built, so a profile holds one copy of every
-    prefix; the stack's pages are only touched as CDFs fill them.
+    prefix; the stack's pages are only touched as CDFs fill them.  A
+    table whose CDF was built before the profile (one taken from
+    another profile) has its prefix copied into its slot.
     """
 
     model_name: str
@@ -100,7 +102,12 @@ class ModelProfile:
         np.cumsum(sizes, out=self.row_base[1:])
         stack = np.empty(int(self.row_base[-1]), dtype=np.float64)
         for j, stats in enumerate(self.tables):
-            stats._coverage_out = stack[self.row_base[j]: self.row_base[j + 1]]
+            slot = stack[self.row_base[j]: self.row_base[j + 1]]
+            # A table whose CDF is already built (it came from another
+            # profile) never fills its slot itself.
+            if stats._cdf is not None:
+                slot[...] = stats._cdf.cum_fraction
+            stats._coverage_out = slot
         self._stack = stack.view()
         self._stack.flags.writeable = False
         self._stack_full = False

@@ -10,9 +10,14 @@ at a time, and Python-loop local search.  The parity suites pin the
 shipped plans to these, table for table (``rows_per_tier`` and device
 homes), cold and warm-started.
 
-Both reuse the shipped LPT assignment, split resizing and plan
-emission.  Their ``shard`` takes the sharder protocol's ``workspace``
-keyword and ignores it: they re-derive every statistic per call.
+:class:`ScalarFastSharder` carries its own LPT assignment, split
+resizing and plan emission, walking one :class:`_TableState` object
+per table — the state the shipped sharder keeps as two vectors — so
+the parity suites check the shipped LPT as well;
+``ScalarFastSharder.assign_states`` is also the LPT oracle on its own.
+:class:`ScalarMultiTierSharder` reuses the shipped multi-tier LPT.
+Both ``shard`` methods take the sharder protocol's ``workspace``
+keyword and ignore it: they re-derive every statistic per call.
 
 :class:`HeapqRefillSharder` is the MILP sharder with its original
 per-device refill: a heapq over each table's next ICDF step, charged at
@@ -34,16 +39,92 @@ import math
 import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
-from repro.core.fast import RecShardFastSharder, _TableState
-from repro.core.formulation import RecShardInputs
+from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
+from repro.core.formulation import RecShardInputs, TableInputs
 from repro.core.multitier import MultiTierSharder
-from repro.core.plan import ShardingPlan, TablePlacement
+from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.recshard import RecShardSharder
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
 
 _MS = 1e3
+
+
+class _TableState:
+    """Mutable split state of one table during solving.
+
+    ``step`` indexes the ICDF grid (hot rows in HBM); ``extra_rows``
+    counts additional dead/cold rows promoted to HBM purely to satisfy a
+    device's host-capacity limit — they serve (almost) no accesses, so
+    they do not change the cost estimate.
+    """
+
+    __slots__ = (
+        "index", "inputs", "step", "extra_rows", "weight",
+        "inv_bw_hbm", "inv_bw_uvm", "alloc_rows",
+        "hbm_row_bytes", "host_row_bytes",
+    )
+
+    def __init__(self, index: int, inputs: TableInputs, batch_size: int,
+                 inv_bw_hbm: float, inv_bw_uvm: float,
+                 use_coverage: bool, use_pooling: bool, reclaim_dead: bool,
+                 hbm_row_bytes: int | None = None,
+                 host_row_bytes: int | None = None):
+        self.index = index
+        self.inputs = inputs
+        self.step = 0
+        self.extra_rows = 0
+        pooling = inputs.avg_pooling if use_pooling else 1.0
+        coverage = inputs.coverage if use_coverage else 1.0
+        self.weight = coverage * pooling * inputs.row_bytes * batch_size * _MS
+        self.inv_bw_hbm = inv_bw_hbm
+        self.inv_bw_uvm = inv_bw_uvm
+        # Per-tier storage footprint of one row (precision-scaled when
+        # the tier is quantized; the raw row bytes otherwise).
+        self.hbm_row_bytes = (
+            inputs.row_bytes if hbm_row_bytes is None else int(hbm_row_bytes)
+        )
+        self.host_row_bytes = (
+            inputs.row_bytes if host_row_bytes is None else int(host_row_bytes)
+        )
+        # Rows that must be backed by memory somewhere (dead rows are
+        # exempt under reclaim_dead).
+        self.alloc_rows = (
+            inputs.live_rows if reclaim_dead else inputs.hash_size
+        )
+
+    @property
+    def fraction(self) -> float:
+        return float(self.inputs.icdf.fractions[self.step])
+
+    @property
+    def grid_rows(self) -> int:
+        return math.ceil(self.inputs.icdf.rows[self.step] - 1e-9)
+
+    @property
+    def hbm_rows(self) -> int:
+        return min(self.grid_rows + self.extra_rows, self.inputs.hash_size)
+
+    @property
+    def hbm_bytes(self) -> int:
+        return self.hbm_rows * self.hbm_row_bytes
+
+    def host_bytes(self) -> int:
+        return max(0, self.alloc_rows - self.hbm_rows) * self.host_row_bytes
+
+    def min_hbm_rows_for_host(self, host_free: int) -> int:
+        """Fewest HBM rows that keep the UVM remainder within ``host_free``."""
+        return max(0, self.alloc_rows - host_free // self.host_row_bytes)
+
+    def cost(self) -> float:
+        """Expected per-iteration cost (ms) at the current split."""
+        if self.inputs.total_accesses <= 0:
+            return 0.0
+        frac = self.fraction
+        return self.weight * (
+            frac * self.inv_bw_hbm + (1.0 - frac) * self.inv_bw_uvm
+        )
 
 
 class _StepState(_TableState):
@@ -83,17 +164,7 @@ class ScalarFastSharder(RecShardFastSharder):
         if topology.num_tiers != 2:
             raise ValueError("RecShardFastSharder targets two-tier topologies")
         inputs = RecShardInputs.from_profile(model, profile, steps=self.steps)
-        inv_bw_hbm = 1.0 / topology.hbm.bandwidth
-        inv_bw_uvm = 1.0 / topology.uvm.bandwidth
-        states = [
-            _StepState(
-                j, t, self.batch_size, inv_bw_hbm, inv_bw_uvm,
-                self.use_coverage, self.use_pooling, self.reclaim_dead,
-                hbm_row_bytes=topology.hbm.row_bytes_for(t.row_bytes),
-                host_row_bytes=topology.uvm.row_bytes_for(t.row_bytes),
-            )
-            for j, t in enumerate(inputs.tables)
-        ]
+        states = self.table_states(inputs, topology)
         hbm_budget = topology.hbm.capacity_bytes * topology.num_devices
         preferred = None
         if warm_start is not None and len(warm_start) == len(states):
@@ -101,19 +172,133 @@ class ScalarFastSharder(RecShardFastSharder):
             preferred = [warm_start[j].device for j in range(len(states))]
         # Global waterfill: the aggregate HBM budget on the densest steps.
         self._drain({s.index: s for s in states}, hbm_budget, True)
-        device_of, loads, hbm_free, host_free = self._assign(
+        device_of, loads, hbm_free, host_free = self.assign_states(
             states, topology, preferred=preferred
         )
         self._refill(states, device_of, hbm_free)
-        loads = self._recompute_loads(states, device_of, topology.num_devices)
+        loads = self._state_loads(states, device_of, topology.num_devices)
         self._local_search(states, device_of, loads, hbm_free, host_free)
         # Moves free HBM behind them; one more refill converts it into
         # additional hot rows.
         self._refill(states, device_of, hbm_free)
         return stamp_estimated_costs(
-            self._emit_plan(states, device_of, topology, inputs, preferred),
+            self._emit_states(states, device_of, topology, inputs, preferred),
             model, profile, topology, self.batch_size,
         )
+
+    def assign_states(self, states, topology, preferred=None):
+        """LPT placement under per-device HBM and host capacity.
+
+        A device can host a table iff the table's minimum HBM footprint
+        required by the device's remaining host space fits the device's
+        remaining HBM.  The split is shrunk or padded to fit.  With
+        ``preferred`` (per-table device hints from a warm-start plan), a
+        table stays on its hinted device whenever the split fits there.
+        """
+        num_devices = topology.num_devices
+        loads = [0.0] * num_devices
+        hbm_free = [topology.hbm.capacity_bytes] * num_devices
+        host_free = [topology.uvm.capacity_bytes] * num_devices
+        device_of = [0] * len(states)
+
+        for state in sorted(states, key=lambda s: -s.cost()):
+            chosen = None
+            if preferred is not None:
+                hint = preferred[state.index]
+                if (
+                    hbm_free[hint] >= state.hbm_bytes
+                    and host_free[hint] >= state.host_bytes()
+                ):
+                    chosen = hint
+            if chosen is None:
+                # Least-loaded device fitting the current split.
+                for device in sorted(range(num_devices), key=lambda m: loads[m]):
+                    if (
+                        hbm_free[device] >= state.hbm_bytes
+                        and host_free[device] >= state.host_bytes()
+                    ):
+                        chosen = device
+                        break
+            if chosen is None:
+                # Adapt the split.  Feasible devices are those where the
+                # host-driven minimum HBM rows fit the free HBM.
+                feasible = []
+                for device in range(num_devices):
+                    min_rows = state.min_hbm_rows_for_host(host_free[device])
+                    if min_rows * state.hbm_row_bytes <= hbm_free[device]:
+                        feasible.append((device, min_rows))
+                if not feasible:
+                    raise PlanError(
+                        f"{self.name}: table {state.index} fits no device "
+                        "(HBM and host both exhausted)"
+                    )
+                device, min_rows = min(feasible, key=lambda d: loads[d[0]])
+                self._resize_state(state, min_rows, hbm_free[device])
+                chosen = device
+            device_of[state.index] = chosen
+            loads[chosen] += state.cost()
+            hbm_free[chosen] -= state.hbm_bytes
+            host_free[chosen] -= state.host_bytes()
+        return device_of, loads, hbm_free, host_free
+
+    @staticmethod
+    def _resize_state(state: _TableState, min_rows: int, hbm_free: int) -> None:
+        """Adjust the split to ``min_rows <= hbm_rows`` within ``hbm_free``."""
+        max_rows = hbm_free // state.hbm_row_bytes
+        icdf = state.inputs.icdf
+        # Largest grid step within max_rows.
+        step = state.step
+        while step > 0 and math.ceil(icdf.rows[step] - 1e-9) > max_rows:
+            step -= 1
+        state.step = step
+        state.extra_rows = 0
+        if state.grid_rows < min_rows:
+            state.extra_rows = min(min_rows, max_rows) - state.grid_rows
+
+    @staticmethod
+    def _state_loads(states, device_of, num_devices) -> list[float]:
+        loads = [0.0] * num_devices
+        for state in states:
+            loads[device_of[state.index]] += state.cost()
+        return loads
+
+    def _emit_states(self, states, device_of, topology, inputs, preferred):
+        """Materialize placements and metadata (the caller stamps costs)."""
+        placements = []
+        for state in states:
+            hbm_rows = state.hbm_rows
+            placements.append(
+                TablePlacement(
+                    table_index=state.index,
+                    device=device_of[state.index],
+                    rows_per_tier=(hbm_rows, state.inputs.hash_size - hbm_rows),
+                )
+            )
+        metadata = {"solver": "fast"}
+        if preferred is not None:
+            metadata["warm_started"] = True
+        _stamp_tier_precisions(metadata, topology)
+        if self.reclaim_dead:
+            metadata["reclaim_dead"] = True
+            metadata["dead_rows"] = [
+                t.hash_size - t.live_rows for t in inputs.tables
+            ]
+        return ShardingPlan(
+            strategy=self.name, placements=placements, metadata=metadata
+        )
+
+    def table_states(self, inputs, topology) -> list[_StepState]:
+        """One split state per table, at ICDF step 0."""
+        return [
+            _StepState(
+                j, t, self.batch_size, 1.0 / topology.hbm.bandwidth,
+                1.0 / topology.uvm.bandwidth,
+                self.use_coverage, self.use_pooling, self.reclaim_dead,
+                hbm_row_bytes=topology.hbm.row_bytes_for(t.row_bytes),
+                host_row_bytes=topology.uvm.row_bytes_for(t.row_bytes),
+            )
+            for j, t in enumerate(inputs.tables)
+        ]
 
     @staticmethod
     def _warm_start_splits(states, previous: ShardingPlan, budget: int) -> int:

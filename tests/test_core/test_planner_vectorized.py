@@ -5,10 +5,14 @@ for their scalar references (the heapq sharder is
 ``tests.oracles.planner.ScalarFastSharder``): the hypothesis-style seed loops here
 generate random specs, topologies (two-tier and HBM/DRAM/SSD), and
 warm-start replans, and pin plan equality / evaluator agreement for
-every draw.  Two planner kernels are also pinned on their own: the
-bulk take against a one-entry-at-a-time oracle, and the bounded replica
-scan against the prefix computation over every candidate.
+every draw.  Four planner kernels are also pinned on their own: the
+bulk take against a one-entry-at-a-time oracle, the per-device refill
+against an unpruned per-device loop, the LPT assignment against the
+oracle's state-walking one, and the bounded replica scan against the
+prefix computation over every candidate.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +29,12 @@ from repro.core import (
     expected_device_costs_ms_many,
     shard_sweep,
 )
+from repro import rm2
+from repro.core import fast as fast_module
 from repro.core.fast import _TAKE_WINDOW
+from repro.core.plan import PlanError
 from repro.baselines import make_baseline
+from repro.memory import paper_node, paper_scales
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
@@ -549,6 +557,284 @@ class TestBulkTakeOracle:
             assert left == 0
             assert got_steps.tolist() == want_steps
             assert_take_matches(eff, sizes, tables, steps, np.zeros(4), 5, stop)
+
+
+def halving_take_input(levels, budget, rng):
+    """A take in which the budget left halves ``levels`` times, each
+    halving making one *victim* table's next step oversize.
+
+    Pop order (strictly falling densities): per level, one taker step of
+    ``budget / 2**(k+1)`` bytes, then the victim's first step, sized
+    between the budget left before and after that take, then 1-byte
+    filler steps; every victim also holds three 1-byte steps that pop
+    last.  Victims fit the budget when the take starts, so only a
+    prune made after earlier takes can drop them.  Entries are returned
+    in (table, step) order, each table's densities running minima.
+    """
+    pops = []  # (table, step, size), in pop order
+    table = 0
+    victims = []
+    for k in range(levels):
+        pops.append((table, 0, budget >> (k + 1)))
+        victims.append(table + 1)
+        pops.append((table + 1, 0, 3 * (budget >> (k + 2))))
+        table += 2
+        for _ in range(int(rng.integers(0, 2 * _TAKE_WINDOW))):
+            pops.append((table, 0, 1))
+            table += 1
+    for victim in victims:
+        pops.extend((victim, step, 1) for step in (1, 2, 3))
+    density = np.arange(len(pops), 0, -1, dtype=np.float64)
+    rows = sorted(
+        (t, step, size, d) for (t, step, size), d in zip(pops, density)
+    )
+    tables, steps, sizes, eff = (np.array(col) for col in zip(*rows))
+    return (
+        eff.astype(np.float64), sizes.astype(np.int64),
+        tables.astype(np.int64), steps.astype(np.int64),
+        np.zeros(table, dtype=np.int64),
+    )
+
+
+class TestBulkTakePrune:
+    """The budget prune drops only steps that can never be admitted."""
+
+    @staticmethod
+    def count_prunes(monkeypatch):
+        calls = []
+        admissible = fast_module._admissible
+
+        def counting(sizes, tables, budget, blocked):
+            calls.append(int(budget))
+            return admissible(sizes, tables, budget, blocked)
+
+        monkeypatch.setattr(fast_module, "_admissible", counting)
+        return calls
+
+    @pytest.mark.parametrize("stop_on_exhausted", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_budget_halving_mid_scan(self, seed, stop_on_exhausted, monkeypatch):
+        rng = np.random.default_rng(9500 + seed)
+        budget = 1 << 12
+        eff, sizes, tables, steps, start = halving_take_input(5, budget, rng)
+        prunes = self.count_prunes(monkeypatch)
+        assert_take_matches(
+            eff, sizes, tables, steps, start, budget, stop_on_exhausted
+        )
+        # One prune before the sort, then one per halving.
+        assert len(prunes) >= 4
+        assert all(b > 0 for b in prunes[1:4])
+
+    @pytest.mark.parametrize("stop_on_exhausted", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_geometric_sizes_match_sequential_reference(
+        self, seed, stop_on_exhausted
+    ):
+        """Step sizes spanning twelve octaves, so that many prunes fire."""
+        rng = np.random.default_rng(9700 + seed)
+        eff, _, tables, steps, start = random_take_input(rng, 30, 40)
+        sizes = (2 ** rng.integers(0, 12, size=eff.size)).astype(np.int64)
+        sizes[rng.random(eff.size) < 0.05] = 0
+        eff = np.where(sizes == 0, np.inf, eff)
+        for table in np.unique(tables):
+            run = tables == table
+            eff[run] = np.minimum.accumulate(eff[run])
+        total = int(sizes.sum())
+        for budget in (total // 64, total // 8, total // 2, total):
+            assert_take_matches(
+                eff, sizes, tables, steps, start, budget, stop_on_exhausted
+            )
+
+    @pytest.mark.parametrize("stop_on_exhausted", [True, False])
+    def test_zero_budget_with_zero_byte_steps_terminates(
+        self, stop_on_exhausted
+    ):
+        """At a budget of 0 the refill drains each table's zero-byte
+        steps up to its first positive one; the waterfill takes none."""
+        eff = np.array([np.inf, np.inf, 5.0, np.inf, 4.0, np.inf, np.inf])
+        sizes = np.array([0, 0, 3, 0, 1, 0, 0], dtype=np.int64)
+        tables = np.array([0, 0, 0, 1, 1, 2, 2], dtype=np.int64)
+        steps = np.array([0, 1, 2, 0, 1, 4, 5], dtype=np.int64)
+        start = np.array([0, 0, 4], dtype=np.int64)
+        got = start.copy()
+        left = RecShardFastSharder._bulk_take(
+            eff, sizes, tables, steps, got, 0,
+            stop_on_exhausted=stop_on_exhausted,
+        )
+        assert left == 0
+        want = [0, 0, 4] if stop_on_exhausted else [2, 1, 6]
+        assert got.tolist() == want
+        assert_take_matches(
+            eff, sizes, tables, steps, start, 0, stop_on_exhausted
+        )
+
+    def test_budget_spent_mid_scan_then_zero_byte_steps(self, monkeypatch):
+        """The refill spends its budget exactly, prunes once at 0, and
+        still drains the zero-byte steps that pop later."""
+        n = 3 * _TAKE_WINDOW
+        eff = np.arange(n, 0, -1, dtype=np.float64)
+        sizes = np.where(np.arange(n) % 3 == 0, 0, 5).astype(np.int64)
+        tables = np.arange(n, dtype=np.int64)
+        steps = np.zeros(n, dtype=np.int64)
+        start = np.zeros(n, dtype=np.int64)
+        prunes = self.count_prunes(monkeypatch)
+        assert_take_matches(eff, sizes, tables, steps, start, 40, False)
+        assert prunes[-1] == 0
+
+
+def lpt_world(seed):
+    """RM2 on 4 GPUs at ``paper_scales``, HBM and host slices shrunk."""
+    rng = np.random.default_rng(seed)
+    topo_scale, row_scale = paper_scales(40, 4)
+    model = rm2(num_features=40, row_scale=row_scale, seed=seed)
+    node = paper_node(num_gpus=4, scale=topo_scale)
+    # Host slices of 0.28-0.3 make the assignment pad splits with dead
+    # rows; (1/8, 0.28) fits no device at all.
+    hbm = (1 / 8, 1 / 4, 1.0)[seed % 3]
+    host = (0.28, 0.3, 1.0)[seed // 3 % 3]
+    topology = SystemTopology.two_tier(
+        4, int(node.hbm.capacity_bytes * hbm), node.hbm.bandwidth,
+        int(node.uvm.capacity_bytes * host), node.uvm.bandwidth,
+    )
+    return model, analytic_profile(model), topology, rng
+
+
+def waterfilled(sharder, model, profile, topology):
+    workspace = PlannerWorkspace(model, profile, steps=sharder.steps)
+    splits = sharder._splits(workspace, topology)
+    sharder._waterfill_arrays(
+        splits, topology.hbm.capacity_bytes * topology.num_devices
+    )
+    return splits
+
+
+class TestLptOracle:
+    """The array LPT assigns, resizes and pads exactly like the oracle's
+    walk over per-table state objects."""
+
+    def test_matches_state_walking_oracle(self):
+        seen = {"resized": 0, "padded": 0, "hinted": 0, "infeasible": 0}
+        switches = [{}, dict(reclaim_dead=True), dict(use_pooling=False)]
+        for seed in range(27):
+            model, profile, topology, rng = lpt_world(seed)
+            flags = switches[seed % 3]
+            sharder = RecShardFastSharder(batch_size=BATCH, **flags)
+            oracle = ScalarFastSharder(batch_size=BATCH, **flags)
+            splits = waterfilled(sharder, model, profile, topology)
+            tables, devices = model.num_tables, topology.num_devices
+            if seed % 4 == 3:  # splits far from any waterfill's
+                splits.step[:] = rng.integers(0, sharder.steps + 1, tables)
+                splits.extra[:] = rng.integers(0, 50, tables)
+            preferred = None
+            if seed % 2:
+                preferred = rng.integers(0, devices, tables).tolist()
+            states = oracle.table_states(splits.ws.inputs, topology)
+            for state, step, extra in zip(states, splits.step, splits.extra):
+                state.step, state.extra_rows = int(step), int(extra)
+            step0, extra0 = splits.step.copy(), splits.extra.copy()
+            try:
+                want = oracle.assign_states(states, topology, preferred)
+            except PlanError as error:
+                with pytest.raises(PlanError, match=re.escape(str(error))):
+                    sharder._assign(splits, topology, preferred)
+                seen["infeasible"] += 1
+                continue
+            device_of, hbm_free, host_free = sharder._assign(
+                splits, topology, preferred
+            )
+            assert device_of.tolist() == want[0], f"seed {seed}"
+            assert hbm_free.tolist() == want[2]
+            assert host_free.tolist() == want[3]
+            assert splits.step.tolist() == [s.step for s in states]
+            assert splits.extra.tolist() == [s.extra_rows for s in states]
+            changed = (splits.step != step0) | (splits.extra != extra0)
+            seen["resized"] += int(changed.any())
+            seen["padded"] += int((splits.extra > extra0).any())
+            if preferred is not None:
+                seen["hinted"] += int((device_of == preferred).any())
+        assert seen["resized"] >= 4 and seen["padded"] >= 2, seen
+        assert seen["hinted"] >= 4 and seen["infeasible"] >= 1, seen
+
+
+def unpruned_refill(splits, device_of, hbm_free):
+    """The per-device refill over every step of every table, each
+    device's steps admitted one at a time by the sequential take."""
+    ws = splits.ws
+    rows = np.arange(ws.num_tables)
+    steps, extra = splits.step.copy(), splits.extra.copy()
+    base = ws.grid_rows[rows, steps]
+    unabsorbed = np.maximum(
+        0, extra[:, None] - (ws.grid_rows[:, :-1] - base[:, None])
+    )
+    adj_bytes = np.maximum(0, ws.d_grid_rows - unabsorbed) * splits.hbm_rb[:, None]
+    density = splits.marginal_density(adj_bytes)
+    valid = splits.active[:, None] & (
+        np.arange(ws.steps)[None, :] >= steps[:, None]
+    )
+    free = list(hbm_free)
+    for device in range(len(free)):
+        members = np.flatnonzero(device_of == device)
+        eff = np.minimum.accumulate(
+            np.where(valid[members], density[members], np.inf), axis=1
+        )
+        flat = np.flatnonzero(valid[members])
+        member_pos, step_ids = np.divmod(flat, ws.steps)
+        free[device] = sequential_take(
+            eff.ravel()[flat], adj_bytes[members].ravel()[flat],
+            members[member_pos], step_ids, steps, free[device], False,
+        )
+    extra = np.maximum(0, extra - (ws.grid_rows[rows, steps] - base))
+    return steps, extra, free
+
+
+class TestRefillPrune:
+    """The refill that admits only each table's fitting prefix equals
+    the unpruned per-device loop, at HBM an eighth of ``paper_scales``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unpruned_reference(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        topo_scale, row_scale = paper_scales(40, 4)
+        model = rm2(num_features=40, row_scale=row_scale, seed=seed)
+        node = paper_node(num_gpus=4, scale=topo_scale)
+        topology = SystemTopology.two_tier(
+            4, node.hbm.capacity_bytes // 8, node.hbm.bandwidth,
+            node.uvm.capacity_bytes, node.uvm.bandwidth,
+        )
+        sharder = RecShardFastSharder(batch_size=BATCH)
+        splits = waterfilled(sharder, model, analytic_profile(model), topology)
+        device_of, hbm_free, _ = sharder._assign(splits, topology)
+        cases = [hbm_free]
+        # Padding rows to absorb, and free HBM from none to a lot.
+        splits.extra[:] = rng.integers(0, 40, model.num_tables) * (
+            rng.random(model.num_tables) < 0.3
+        )
+        cases.append(rng.integers(0, 4 * hbm_free.max() + 2, hbm_free.size))
+        # Exact fits: each device's free HBM is the next step's bytes of
+        # one of its tables, so admission hinges on ``bytes <= free``.
+        nxt = np.minimum(splits.step + 1, sharder.steps)
+        next_bytes = (
+            splits.ws.grid_rows[np.arange(model.num_tables), nxt]
+            - splits.grid_rows() - splits.extra
+        ) * splits.hbm_rb
+        exact = hbm_free.copy()
+        for device in range(topology.num_devices):
+            fits = np.flatnonzero((device_of == device) & (next_bytes > 0))
+            if fits.size:
+                exact[device] = next_bytes[rng.choice(fits)]
+        cases.append(exact)
+        for free in cases:
+            want_steps, want_extra, want_free = unpruned_refill(
+                splits, device_of, free
+            )
+            got_free = np.array(free, dtype=np.int64)
+            step0, extra0 = splits.step.copy(), splits.extra.copy()
+            sharder._refill_arrays(splits, device_of, got_free)
+            assert splits.step.tolist() == want_steps.tolist()
+            assert splits.extra.tolist() == want_extra.tolist()
+            assert got_free.tolist() == want_free
+            assert (splits.step > step0).any()
+            splits.step[:], splits.extra[:] = step0, extra0
 
 
 class TestReplicaBound:

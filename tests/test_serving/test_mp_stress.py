@@ -20,6 +20,7 @@ and run in tier-1.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import time
 
@@ -28,6 +29,7 @@ import pytest
 
 from repro.core import RecShardFastSharder
 from repro.data.model import rm2
+from repro.engine.executor import ShardedExecutor
 from repro.memory import paper_node, paper_scales
 from repro.serving import (
     BurstyArrivals,
@@ -37,6 +39,7 @@ from repro.serving import (
     synthetic_request_arenas,
 )
 from repro.serving.arena import SHM_NAME_PREFIX
+from repro.serving.metrics import ServingMetrics
 from repro.stats import analytic_profile
 
 FEATURES = 25
@@ -204,15 +207,33 @@ def test_clean_shutdown_leaves_nothing_behind():
     assert live_segments() - before == set()
 
 
-def test_paced_overload_sheds_exactly():
+def test_paced_overload_sheds_exactly(monkeypatch):
     """A burst far past pool capacity sheds at the bounded queue with
-    exact accounting; a quick fast-mode version of the soak."""
+    exact accounting; a quick fast-mode version of the soak.
+
+    The single worker holds its first batch until the front-end has
+    shed one, so the queue overflows however fast the worker runs (the
+    forked worker inherits the patched classification)."""
     model, profile, topology, plan = small_world()
     arenas = list(synthetic_request_arenas(model, 1024, qps=1e9, seed=13))
     offered = sum(a.num_requests for a in arenas)
+    shed_seen = mp.get_context("fork").Event()
+    classify = ShardedExecutor.classify_batch
+    record_shed = ServingMetrics.record_shed
+
+    def held_classify(self, batch):
+        shed_seen.wait(timeout=60)
+        return classify(self, batch)
+
+    def signalled_shed(self, *args, **kwargs):
+        shed_seen.set()
+        return record_shed(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedExecutor, "classify_batch", held_classify)
+    monkeypatch.setattr(ServingMetrics, "record_shed", signalled_shed)
     with MultiProcessServer(
         model, profile, topology, plan=plan, config=CONFIG,
-        workers=1, queue_depth=1,
+        workers=1, queue_depth=1, start_method="fork",
     ) as pool:
         metrics = pool.serve_paced(arenas, speed=1e6)
     assert metrics.shed_requests > 0

@@ -240,6 +240,21 @@ class TestRankedStatistics:
         )
         assert profile.coverage_of_rows_at(0, 100) == 1.0
 
+    def test_profile_of_built_tables_fills_its_stack(self):
+        """A profile assembled from another profile's tables, whose CDFs
+        are already built, reads their coverage, not unset memory."""
+        from repro import rm2
+        from repro.stats.profiler import ModelProfile
+
+        a = analytic_profile(rm2(num_features=8, row_scale=0.001, seed=3))
+        expected = a.coverage_stack.copy()
+        b = ModelProfile(a.model_name, a.tables)
+        np.testing.assert_array_equal(b.coverage_stack, expected)
+        np.testing.assert_array_equal(
+            b.coverage_of_rows_at(np.arange(8), 5),
+            [stats.cdf.coverage_of_rows(5) for stats in a.tables],
+        )
+
     def test_ranked_counts_gathers_rank_blocks(self):
         model = tiny_model(hash_sizes=(100, 500, 40))
         profile = traced_profile(model)
