@@ -16,8 +16,12 @@ dominant dim — and gates:
   lane-code classifier and the scalar oracle
   (``tests.oracles.engine.ScalarExecutor``) must produce
   bit-identical metrics (access counts, fast-lane hits, device times)
-  — the segment reduce against the oracle's per-lane reduce, including
-  the column scatter and any twrw shard ranges.
+  — the segment reduce against the oracle's per-group reduce, including
+  the column split and any twrw shard ranges;
+* **composition** — the auto plan served once more with hot-row
+  replicas and a device cache (both selected per shard) must match the
+  oracle too (device times within its ``FAST_LANE_RTOL``), every
+  lookup accessed once.
 
 Environment knobs:
     RECSHARD_BENCH_MIN_STRATEGY_GAIN  row-only/auto makespan multiple
@@ -46,14 +50,20 @@ from conftest import (
     report,
     report_json,
 )
-from repro.core import RecShardFastSharder, plan_with_strategies
+from repro.core import (
+    RecShardFastSharder,
+    ReplicationPolicy,
+    build_replication,
+    carve_replica_budget,
+    plan_with_strategies,
+)
 from repro.data.feature import SparseFeatureSpec
 from repro.data.model import EmbeddingTableSpec, ModelSpec
 from repro.data.synthetic import TraceGenerator
-from repro.engine import ShardedExecutor
+from repro.engine import CacheModel, ShardedExecutor
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
-from tests.oracles.engine import ScalarExecutor
+from tests.oracles.engine import ScalarExecutor, assert_same_times
 
 MIN_STRATEGY_GAIN = float(
     os.environ.get("RECSHARD_BENCH_MIN_STRATEGY_GAIN", 1.5)
@@ -162,17 +172,17 @@ def test_auto_strategies_beat_row_only():
     )
 
 
-def test_auto_plan_scalar_vectorized_parity():
-    """Gate: bit-identical metrics on every lane of the auto plan."""
-    model, profile, topology, _ = build_wide_world()
-    sharder = RecShardFastSharder(batch_size=BENCH_BATCH, steps=60)
-    sp = plan_with_strategies(
-        sharder, model, profile, topology, strategies=("auto",)
-    )
-    fast = ShardedExecutor(model, sp, profile, topology)
-    slow = ScalarExecutor(model, sp, profile, topology)
+def _serve_against_oracle(model, profile, topology, plan, **lanes):
+    """Replay a trace through ``plan`` on the lane-code executor and
+    the scalar oracle: identical access counts, fast-lane hits and
+    replica accesses, device times bit-identical (within the oracle's
+    ``FAST_LANE_RTOL`` with a cache), every lookup accessed once.
+    Returns the summed (hits, replica accesses)."""
+    fast = ShardedExecutor(model, plan, profile, topology, **lanes)
+    slow = ScalarExecutor(model, plan, profile, topology, **lanes)
     gen = TraceGenerator(model, batch_size=BENCH_BATCH, seed=7)
     total_lookups = 0
+    hits = replicas = 0
     for _ in range(max(2, BENCH_ITERS)):
         batch = gen.next_batch()
         ft, fa, fh, fr = fast.run_batch(batch)
@@ -180,7 +190,47 @@ def test_auto_plan_scalar_vectorized_parity():
         np.testing.assert_array_equal(fa, sa)
         np.testing.assert_array_equal(fh, sh)
         np.testing.assert_array_equal(fr, sr)
-        np.testing.assert_array_equal(ft, st)
+        assert_same_times(ft, st, fast)
         assert fa.sum() == batch.total_lookups
         total_lookups += batch.total_lookups
+        hits += fh.sum()
+        replicas += fr.sum()
     assert total_lookups > 0
+    return hits, replicas
+
+
+def test_auto_plan_scalar_vectorized_parity():
+    """Gate: bit-identical metrics on every lane of the auto plan."""
+    model, profile, topology, _ = build_wide_world()
+    sharder = RecShardFastSharder(batch_size=BENCH_BATCH, steps=60)
+    sp = plan_with_strategies(
+        sharder, model, profile, topology, strategies=("auto",)
+    )
+    _serve_against_oracle(model, profile, topology, sp)
+
+
+def test_auto_plan_composes_with_replicas_and_cache():
+    """Gate: the auto plan served again with hot-row replicas (carve,
+    pick strategies, spend the carved bytes) and a device cache, whose
+    hot sets are selected per shard — matching the scalar oracle."""
+    model, profile, topology, wide = build_wide_world()
+    sharder = RecShardFastSharder(batch_size=BENCH_BATCH, steps=60)
+    policy = ReplicationPolicy(
+        capacity_bytes=topology.tiers[0].capacity_bytes // 64
+    )
+    sp = plan_with_strategies(
+        sharder, model, profile, carve_replica_budget(topology, policy),
+        strategies=("auto",),
+    )
+    sp = build_replication(policy, sp, profile, model, topology)
+    sp.validate(model, topology)
+    assert sp.table_strategies[wide].kind in ("column", "twrw")
+    assert sp.num_replicated_rows > 0
+    cache = CacheModel(
+        capacity_bytes=topology.tiers[0].capacity_bytes // 64,
+        bandwidth=2e12,
+    )
+    hits, replicas = _serve_against_oracle(
+        model, profile, topology, sp, cache=cache
+    )
+    assert hits > 0 and replicas > 0

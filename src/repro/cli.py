@@ -55,6 +55,8 @@ from repro.core import (
     RecShardFastSharder,
     RecShardSharder,
     ReplicationPolicy,
+    build_replication,
+    carve_replica_budget,
     plan_with_replication,
     plan_with_strategies,
     resolve_strategy_kinds,
@@ -288,6 +290,16 @@ def _make_recshard(args):
     )
 
 
+def _print_replicas(plan, summary: dict, gib: float) -> None:
+    if plan.replica_rows is not None:
+        print(f"  replicated rows: {summary['replicated_rows']} "
+              f"(from {summary['replicated_tables']} tables, "
+              f"budget {gib:g} GiB/GPU paper-scale)")
+        print(f"  replica bytes/GPU: "
+              f"{summary['max_replica_bytes_per_device']} max of "
+              f"{summary['budget_bytes_per_device']} budgeted")
+
+
 def _cmd_plan(args) -> int:
     """One plan (fast sharder or MILP), a per-table strategy plan, or a
     ``--sweep`` grid over one shared planner workspace."""
@@ -300,10 +312,6 @@ def _cmd_plan(args) -> int:
         raise argparse.ArgumentError(
             None, "--strategies builds one plan; use --sweep "
                   "strategies=... for a strategy grid"
-        )
-    if args.strategies and args.replicate_gib > 0:
-        raise argparse.ArgumentError(
-            None, "--strategies plans do not compose with --replicate-gib"
         )
     if args.sweep and args.replicate_gib > 0:
         raise argparse.ArgumentError(
@@ -323,13 +331,22 @@ def _cmd_plan(args) -> int:
     sharder = _make_recshard(args)
     topo_scale = paper_scales(args.features, args.gpus)[0]
     start = time.perf_counter()
+    # Budgets are specified at paper scale, like every other capacity
+    # knob, and shrunk with the topology.
+    policy = ReplicationPolicy(
+        capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
+    )
     if args.strategies:
         workspace = PlannerWorkspace(model, profile, steps=args.steps)
+        with _blame("--replicate-gib"):
+            carved = carve_replica_budget(topology, policy)
         with _blame("--strategies"):
             plan = plan_with_strategies(
-                sharder, model, profile, topology,
+                sharder, model, profile, carved,
                 strategies=args.strategies, workspace=workspace,
             )
+        if policy.capacity_bytes > 0:
+            plan = build_replication(policy, plan, profile, model, topology)
         build_ms = (time.perf_counter() - start) * 1e3
         summary = plan.summary(model, topology)
         counts = plan.strategy_counts()
@@ -343,15 +360,11 @@ def _cmd_plan(args) -> int:
               f"{plan.metadata['row_only_max_cost_ms']:.4f} ms")
         print(f"  estimated max GPU cost: "
               f"{plan.metadata['estimated_max_cost_ms']:.4f} ms")
+        _print_replicas(plan, summary, args.replicate_gib)
         print(f"  plan build wall-clock: {build_ms:.1f} ms")
         return 0
     if not args.sweep:
         if args.replicate_gib > 0:
-            # Budgets are specified at paper scale, like every other
-            # capacity knob, and shrunk with the topology.
-            policy = ReplicationPolicy(
-                capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
-            )
             with _blame("--replicate-gib"):
                 plan = plan_with_replication(
                     sharder, model, profile, topology, policy
@@ -371,13 +384,7 @@ def _cmd_plan(args) -> int:
         print(f"  estimated max GPU cost: "
               f"{meta['estimated_max_cost_ms']:.4f} ms")
         print(f"  tables per GPU: {summary['tables_per_device']}")
-        if plan.replica_rows is not None:
-            print(f"  replicated rows: {summary['replicated_rows']} "
-                  f"(from {summary['replicated_tables']} tables, "
-                  f"budget {args.replicate_gib:g} GiB/GPU paper-scale)")
-            print(f"  replica bytes/GPU: "
-                  f"{summary['max_replica_bytes_per_device']} max of "
-                  f"{summary['budget_bytes_per_device']} budgeted")
+        _print_replicas(plan, summary, args.replicate_gib)
         if "objective_ms" in meta:
             print(f"  MILP objective: {meta['objective_ms']:.4f} ms "
                   f"({meta.get('milp_status')}, "

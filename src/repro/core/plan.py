@@ -16,11 +16,13 @@ facts ride on top of the split:
   frequency-rank range of it;
 * ``replica_rows`` — the hot-row replica set (FlexShard-style,
   :mod:`repro.core.replicate`): the leading ``replica_rows[j]`` ranks
-  of table ``j`` are copied to every device's fastest tier, within a
-  per-device ``replica_budget_bytes``.
+  of table ``j`` are copied to every device's fastest tier that does
+  not already hold them whole, within a per-device
+  ``replica_budget_bytes``.
 
-One :meth:`ShardingPlan.validate` checks every plan: structure, then
-the bytes each (device, tier) stores over the physical copies.
+The two compose: a split table's replicas are charged per shard.  One
+:meth:`ShardingPlan.validate` checks every plan: structure, then the
+bytes each (device, tier) stores over the physical copies.
 """
 
 from __future__ import annotations
@@ -271,22 +273,27 @@ class ShardingPlan:
     ) -> np.ndarray:
         """Replica bytes charged to each device's fastest tier.
 
-        A device hosts a copy of every replicated row it does not home,
-        stored at the fastest tier's precision, so its charge is the
-        full replica footprint minus the replicated rows of its own
-        tables.  All zeros without replication.
+        A replica is a whole row, stored at the fastest tier's
+        precision on every device.  A device is charged for every
+        replicated row it does not hold whole: the full replica
+        footprint minus the replicated ranks of its own unsplit and
+        twrw shards (a column shard holds only a slice of each row).
+        All zeros without replication.
         """
         charged = np.zeros(topology.num_devices, dtype=np.int64)
         if self.replica_rows is None:
             return charged
-        per_table = (
-            self.replica_rows
-            * _tier_row_bytes(model.row_bytes, topology.tiers[:1])[:, 0]
-        )
+        row_bytes = _tier_row_bytes(model.row_bytes, topology.tiers[:1])[:, 0]
+        shards = self.shards(model)
+        held = crossing_cells(
+            [np.zeros_like(shards.table), self.replica_rows[shards.table]],
+            shards.rank_lo, shards.rank_hi,
+        )[0]
+        whole = shards.dim == model.dims[shards.table]
         np.subtract.at(
-            charged, [p.device for p in self.placements], per_table
+            charged, shards.device, whole * held * row_bytes[shards.table]
         )
-        return charged + per_table.sum()
+        return charged + (self.replica_rows * row_bytes).sum()
 
     def shards(self, model: ModelSpec) -> Shards:
         """Expand every table into its physical shards.
@@ -365,7 +372,7 @@ class ShardingPlan:
         """Raise :class:`PlanError` on any structural/capacity violation.
 
         Checks every table's split and shard spec, that every replicated
-        row is resident on its home's fastest tier and every device's
+        row is resident on its table's fastest tier and every device's
         replica bytes fit the budget, then each ``(device, tier)`` of
         :meth:`tier_usage` against the tier's capacity.
         """
@@ -373,15 +380,6 @@ class ShardingPlan:
             raise PlanError(
                 f"plan has {len(self.placements)} placements for "
                 f"{model.num_tables} tables"
-            )
-        if self.table_strategies is not None and self.replica_rows is not None:
-            # A device stores copies of the replicated rows it does not
-            # home, and replica selection weighs each table's home
-            # load; a split table has several homes, each holding part
-            # of those rows.
-            raise PlanError(
-                "strategy plans do not compose with replication: replica "
-                "charges and selection assume one home device per table"
             )
         strategies = self.table_strategies or (
             (TableStrategy(),) * len(self.placements)

@@ -16,13 +16,16 @@ Pieces:
 * :class:`ReplicationPolicy` — a per-device byte budget to spend on
   replica copies of the globally hottest rows.
 * :func:`build_replication` — greedy hottest-first selection over the
-  profiled counts of fastest-tier rows, read by the profile's one
-  ranked-count gather
+  profiled counts of fastest-tier rows, read shard by shard through
+  the profile's one ranked-count gather
   (:meth:`~repro.stats.profiler.ModelProfile.ranked_counts`, the one
-  the cache and staging models read), emitting the plan with
+  the cache and staging selection reads), emitting the plan with
   ``replica_rows`` and ``replica_budget_bytes`` set.  The plan's one
   :meth:`~repro.core.plan.ShardingPlan.validate` charges every replica
-  copy to the fastest tier of the device hosting it.
+  copy to the fastest tier of each device that does not hold the row
+  whole.  Strategy plans compose: a twrw table's rows are held by the
+  shard whose rank range contains them, a column table's by no device
+  (every device stores a whole-row copy).
 * :func:`plan_with_replication` — carve the replica budget out of the
   fastest tier, shard the remainder, then spend the carved bytes on
   replicas: the end-to-end path behind ``repro plan --replicate-gib``
@@ -31,12 +34,13 @@ Pieces:
 Because every sharding strategy splits rows in descending expected
 frequency, "the globally hottest rows" is, per table, a *prefix of the
 frequency ranking* — so the executor's replica lane is one more rank
-cutoff (exactly like the cache and staging lanes), and the remap a
-replicated lookup resolves through is simply
+cutoff (exactly like the shard ranges and the cache and staging
+lanes), and the remap a replicated lookup resolves through is simply
 ``rank < replica_rows[table]``.  The routing itself lives in the
 execution engine (:class:`~repro.engine.executor.ShardedExecutor`),
 which keeps running per-device byte counters and sends each replicated
-lookup to the least-loaded candidate home.
+lookup — on whichever shard its rank falls — to the least-loaded
+device.
 """
 
 from __future__ import annotations
@@ -108,14 +112,18 @@ def build_replication(
 ) -> ShardingPlan:
     """Spend the replica budget on the globally hottest rows of ``plan``.
 
-    Candidates are every live row resident on its home's fastest tier;
-    they are ordered hottest-first by expected access count (one
+    Candidates are every live row resident on its table's fastest
+    tier; they are ordered hottest-first by expected access count (one
     :func:`~repro.stats.cdf.descending_order`, ties broken by (table,
     rank), making selection fully deterministic), and the longest
     prefix whose per-device copy bytes fit the policy budget is
-    admitted.  Each candidate is homed on one of the ``D`` devices, so
-    every device is charged at least ``(D-1)/D`` of a prefix's bytes:
-    the per-device scan stops just past ``budget * D / (D-1)`` bytes.
+    admitted.  A device is charged for every admitted row it does not
+    hold whole (:meth:`~repro.core.plan.ShardingPlan.shards`: the
+    unsplit or twrw shard holding the row's rank; a column table's rows
+    have no whole holder).  Each candidate is held by at most one of
+    the ``D`` devices, so every device is charged at least ``(D-1)/D``
+    of a prefix's bytes: the per-device scan stops just past
+    ``budget * D / (D-1)`` bytes.
     The candidate set does not depend on the budget — which is what
     makes the selected set *monotone* in ``capacity_bytes``
     (the property test's invariant): a larger budget only ever extends
@@ -146,13 +154,26 @@ def build_replication(
     tier0_rows = np.array(
         [p.rows_per_tier[0] for p in plan], dtype=np.int64
     )
-    home = np.array([p.device for p in plan], dtype=np.int64)
     live = np.array([stats.cdf.live_rows for stats in profile])
-    counts, tables = profile.ranked_counts(
-        np.arange(num_tables), 0, np.minimum(tier0_rows, live)
+    # Candidates are gathered shard by shard, so each knows its holder:
+    # the device of the shard holding its rank whole, none (-1) for a
+    # column table.  Column shards share one rank range, gathered once.
+    shards = plan.shards(model)
+    distinct = np.ones(shards.table.size, dtype=bool)
+    distinct[1:] = (np.diff(shards.table) != 0) | (np.diff(shards.rank_lo) != 0)
+    lo = shards.rank_lo
+    hi = np.where(
+        distinct,
+        np.minimum(shards.rank_hi, np.minimum(tier0_rows, live)[shards.table]),
+        lo,
+    )
+    counts, tables = profile.ranked_counts(shards.table, lo, hi)
+    holders = np.repeat(
+        np.where(shards.dim == model.dims[shards.table], shards.device, -1),
+        np.maximum(hi - lo, 0),
     )
     hot = counts > 0
-    counts, tables = counts[hot], tables[hot]
+    counts, tables, holders = counts[hot], tables[hot], holders[hot]
     if counts.size == 0:
         return _with_replicas(plan, replica_rows, policy)
     # Candidates arrive in (table, rank) order, so the index is the tie
@@ -160,21 +181,21 @@ def build_replication(
     order = descending_order(counts)
     sizes = row_bytes[tables[order]]
     total_cum = np.cumsum(sizes)
-    # Every candidate has exactly one home, so the least-homed of the D
-    # devices owns at most 1/D of any prefix and is charged at least
-    # (D-1)/D of it: no prefix above budget * D / (D-1) bytes can be
-    # admitted.  Cutting just past that bound (integer arithmetic) keeps
-    # the first inadmissible prefix, so ``take`` is unchanged.
+    # Every candidate has at most one holder, so the least-holding of
+    # the D devices holds at most 1/D of any prefix and is charged at
+    # least (D-1)/D of it: no prefix above budget * D / (D-1) bytes can
+    # be admitted.  Cutting just past that bound (integer arithmetic)
+    # keeps the first inadmissible prefix, so ``take`` is unchanged.
     devices = topology.num_devices
     limit = policy.capacity_bytes * devices
     bound = int(np.searchsorted(total_cum * (devices - 1), limit, "right")) + 1
     order, sizes, total_cum = order[:bound], sizes[:bound], total_cum[:bound]
-    homes = home[tables[order]]
+    homes = holders[order]
     # Per-device copy charge of the prefix ending at candidate i:
-    # every device hosts every selected row except the ones it homes,
-    # so the binding device is the one owning the *least* selected
-    # bytes.  Both terms are prefix sums, so the admission check is one
-    # monotone comparison per candidate.
+    # every device hosts every selected row except the ones it holds
+    # whole, so the binding device is the one holding the *least*
+    # selected bytes.  Both terms are prefix sums, so the admission
+    # check is one monotone comparison per candidate.
     min_home_cum = None
     for device in range(devices):
         cum = np.cumsum(np.where(homes == device, sizes, 0))

@@ -7,12 +7,7 @@ paper's MILP uses (and validates on hardware).  Produces the per-GPU
 per-iteration EMB times and access counts of Tables 3 and 5.
 """
 
-from repro.engine.cache import (
-    CacheModel,
-    TierStagingModel,
-    cached_rows_per_table,
-    staged_rows_per_table,
-)
+from repro.engine.cache import CacheModel, TierStagingModel, fast_lane_cutoffs
 from repro.engine.executor import (
     ShardedExecutor,
     least_loaded_counts,
@@ -36,9 +31,8 @@ __all__ = [
     "RunMetrics",
     "ShardedExecutor",
     "TierStagingModel",
-    "cached_rows_per_table",
-    "staged_rows_per_table",
     "compare_strategies",
+    "fast_lane_cutoffs",
     "least_loaded_counts",
     "replay_trace",
     "run_experiment",

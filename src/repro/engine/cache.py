@@ -9,11 +9,11 @@ as the rest of the engine:
   entirely in HBM, impossible under a purely additive bandwidth model.
   The gain comes from each GPU's cache (L2) retaining its hottest
   embedding rows; per device, the expectedly-hottest HBM-resident rows
-  up to the cache capacity are served at cache bandwidth instead of
-  HBM bandwidth.
+  of its shards up to the cache capacity are served at cache bandwidth
+  instead of HBM bandwidth.
 * :class:`TierStagingModel` — the Section 4.4 capacity-scaling
   counterpart for hierarchies deeper than HBM+UVM.  Each cold tier's
-  statically-hottest resident rows (the leading rows of every table's
+  statically-hottest resident rows (the leading rows of every shard's
   tier block, by construction of the frequency-ordered split) are
   staged into a per-device buffer carved out of the next-faster tier
   and served at *that* tier's bandwidth.  This is RecShard's
@@ -25,8 +25,13 @@ as the rest of the engine:
   latency unless hot rows are staged in faster memory).
 
 Because RecShard's remapping packs each table's hottest rows first,
-"expectedly hottest" is simply a per-(table, tier) rank threshold in
-both models.  Both are off by default; ``bench_ablation_cache.py``
+"expectedly hottest" is simply a per-(shard, tier) rank threshold in
+both models, and one selection, :func:`fast_lane_cutoffs`, fills every
+device's cache and staging budgets in one pass.  A shard is the
+physical unit (:meth:`~repro.core.plan.ShardingPlan.shards`), so the
+lanes compose with every per-table strategy: a twrw shard's hot set is
+its own rank range's, a column shard's its own dim slice's.  Both are
+off by default; ``bench_ablation_cache.py``
 quantifies the cache's effect on the RM1 comparison and
 ``bench_serving_multitier.py`` exercises staging on a three-tier
 serving topology.
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.plan import crossing_cells
 from repro.stats.cdf import descending_order
 
 
@@ -103,90 +109,82 @@ class TierStagingModel:
         return int(self.capacity_bytes)
 
 
-def _hottest_rows(budget: int, profile, model, tables, lo, hi) -> np.ndarray:
-    """How many leading rows of each rank block fit ``budget`` bytes.
-
-    Rows of every listed table's rank block ``[lo, hi)`` compete by
-    profiled access count, hottest first (the profile's ranked-count
-    gather; tables never accessed do not compete): exactly the
-    steady-state content of an LRU over those rows under independent
-    reference draws.  Returns the admitted row count per model table.
-    """
-    tables = np.asarray(tables, dtype=np.int64)
-    accessed = profile.total_accesses[tables] > 0
-    counts, owners = profile.ranked_counts(
-        tables, lo, np.where(accessed, hi, lo)
-    )
-    row_bytes = np.array([t.row_bytes for t in model.tables], dtype=np.int64)
-    order = descending_order(counts)
-    cum_bytes = np.cumsum(row_bytes[owners[order]])
-    take = int(np.searchsorted(cum_bytes, budget, side="right"))
-    return np.bincount(owners[order[:take]], minlength=model.num_tables)
-
-
-def staged_rows_per_table(
-    staging: TierStagingModel,
+def fast_lane_cutoffs(
+    cache: CacheModel | None,
+    staging: TierStagingModel | None,
     plan,
     profile,
     model,
     num_tiers: int,
-    device: int,
 ) -> np.ndarray:
-    """Per-(table, tier) counts of leading tier rows staged one tier up.
+    """Where each shard's fast lane ends in each tier, in rank space.
 
-    Same greedy-by-expected-count selection as
-    :func:`cached_rows_per_table`, run independently per cold tier: all
-    rows resident on tier ``t`` across the device's tables compete for
-    the tier's staging budget, hottest first — computed from
-    statistics instead of discovered by misses.
+    A *block* is the part of one physical shard
+    (:meth:`~repro.core.plan.ShardingPlan.shards`) that lies in one
+    tier: the crossing of the table's tier range with the shard's rank
+    range, read at the shard's row bytes (``dim * dtype_bytes``, so a
+    column shard's hot set is its own slice).  On every device, the
+    rows of its tier-0 blocks compete for the cache's capacity and the
+    rows of its tier-``t`` blocks for the staging budget of tier ``t``,
+    hottest first by profiled count (ties to the (table, rank) order;
+    tables never accessed do not compete): exactly the steady-state
+    content of an LRU over those rows under independent reference
+    draws.  The longest hottest-first prefix that fits each budget is
+    admitted, which is a leading run of every block.
 
     Returns:
-        ``(num_tables, num_tiers)`` int64 array; entry ``[j, t]`` is how
-        many leading rows of table ``j``'s tier-``t`` block are staged
-        (column 0 is always zero — the fastest tier has nowhere faster
-        to stage into; :class:`CacheModel` covers that lane).
+        ``(shards, tiers)`` int64: shard ``k``'s tier-``t`` ranks in
+        ``[max(tier start, rank_lo[k]), cutoffs[k, t])`` are served from
+        the fast lane; an empty lane ends where its block starts.
     """
-    staged = np.zeros((len(plan), num_tiers), dtype=np.int64)
-    members = [p for p in plan if p.device == device]
-    if not members:
-        return staged
-    tables = [p.table_index for p in members]
-    bounds = np.cumsum(
-        [(0,) + tuple(p.rows_per_tier) for p in members], axis=1
+    shards = plan.shards(model)
+    num_shards = shards.table.size
+    rows = np.array(
+        [p.rows_per_tier for p in plan], dtype=np.int64
+    ).reshape(len(plan), num_tiers)
+    # (tiers + 1, shards) tier boundaries of each shard's table.
+    prefix = np.concatenate(
+        (np.zeros((1, len(plan)), dtype=np.int64), rows.cumsum(1).T)
+    )[:, shards.table]
+    budget = np.zeros(num_tiers, dtype=np.int64)
+    if cache is not None:
+        budget[0] = cache.capacity_bytes
+    if staging is not None:
+        budget[1:] = [staging.capacity_for(t) for t in range(1, num_tiers)]
+    dtype_bytes = np.array([t.dtype_bytes for t in model.tables])
+    row_bytes = shards.dim * dtype_bytes[shards.table]
+    # (tiers, shards): where each block starts and how many rows compete.
+    # A block's admitted rows are a leading run of at most
+    # budget // row_bytes, so its rows past the next one always sort
+    # after the first row that does not fit, and never compete.
+    lo = np.maximum(prefix[:-1], shards.rank_lo).ravel()
+    size = np.minimum(
+        crossing_cells(prefix, shards.rank_lo, shards.rank_hi),
+        budget[:, None] // row_bytes + 1,
     )
-    for tier in range(1, num_tiers):
-        budget = staging.capacity_for(tier)
-        if budget > 0:
-            staged[:, tier] = _hottest_rows(
-                budget, profile, model, tables,
-                bounds[:, tier], bounds[:, tier + 1],
-            )
-    return staged
-
-
-def cached_rows_per_table(
-    cache: CacheModel,
-    plan,
-    profile,
-    model,
-    device: int,
-) -> dict[int, int]:
-    """How many leading (hottest) HBM rows of each table fit the cache.
-
-    Greedy by expected per-row access count across all tables assigned
-    to ``device``: exactly the steady-state content of an LRU cache
-    under independent reference draws. Only HBM-resident rows compete
-    (UVM reads stream through without useful reuse at this granularity).
-
-    Returns {table_index: cached row count}; tables absent from the
-    device are omitted.
-    """
-    members = [p for p in plan if p.device == device]
-    if not members or cache.capacity_bytes <= 0:
-        return {p.table_index: 0 for p in members}
-    tables = [p.table_index for p in members]
-    cached = _hottest_rows(
-        cache.capacity_bytes, profile, model, tables, 0,
-        [p.rows_per_tier[0] for p in members],
+    size[budget <= 0] = 0
+    size[:, profile.total_accesses[shards.table] <= 0] = 0
+    size = size.ravel()
+    # Blocks run tier by tier, shards (hence tables) in order within a
+    # tier, so every device lists its candidates in (table, rank) order.
+    blocks = np.flatnonzero(size)
+    counts, _ = profile.ranked_counts(
+        shards.table[blocks % num_shards], lo[blocks], lo[blocks] + size[blocks]
     )
-    return {j: int(cached[j]) for j in tables}
+    block = np.repeat(blocks, size[blocks])
+    shard = block % num_shards
+    group = shards.device[shard] * num_tiers + block // num_shards
+    # Hottest first, then (stably) grouped by (device, tier): a small
+    # integer key sorts in linear time.
+    order = descending_order(counts)
+    key = group.astype(np.min_scalar_type(group.max(initial=0)))
+    order = order[np.argsort(key[order], kind="stable")]
+    block, group = block[order], group[order]
+    nbytes = row_bytes[shard[order]]
+    cum = np.cumsum(nbytes)
+    # Bytes of the groups sorted before each candidate's own.
+    members = np.bincount(group)
+    before = (cum - nbytes)[(np.cumsum(members) - members)[group]]
+    fits = cum - before <= budget[group % num_tiers]
+    cutoffs = lo + np.bincount(block[fits], minlength=lo.size)
+    return cutoffs.reshape(num_tiers, num_shards).T

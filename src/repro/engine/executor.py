@@ -9,33 +9,43 @@ mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
 Because the Section 4.3 remapping packs each table's rows hottest
 first, every lane of the engine is a per-table rank *edge*: the tier
-boundaries, the device-cache and staging cutoffs, the hot-row replica
-cutoff, and the shard ranges of a table-wise-row-wise split.  A
-table's edges cut its rank line into *segments*, and each segment lies
-in one tier, one lane (home, fast or replica) and one rank range of
-each of the table's shards (:meth:`~repro.core.plan.ShardingPlan.shards`).
-:meth:`ShardedExecutor._build_segments` labels every segment once, at
-build time, with its tier, lane, device(s) and bytes.  Each lookup
-then gathers one code — its segment — from a per-table
+boundaries, the hot-row replica cutoff, the shard ranges of a
+table-wise-row-wise split, and each shard's device-cache and staging
+cutoffs.  A table's edges cut its rank line into *segments*, and each
+segment lies in one tier and one rank range of each of the table's
+shards (:meth:`~repro.core.plan.ShardingPlan.shards`); a *cell* pairs
+a segment with a shard that holds it, in one lane (home, fast or
+replica).  :meth:`ShardedExecutor._build_segments` labels every cell
+once, at build time, with its tier, lane, device and bytes.  Each
+lookup then gathers one code — its segment — from a per-table
 :class:`~repro.engine.lanes.LaneCodes` table (one byte per row),
 classification returns one vector of per-segment lookup counts, and
 :meth:`ShardedExecutor._reduce_counts` pools that vector with one
 ``bincount`` per metric over the static labels.
 
-The lanes on top of the home tiers:
+Per-table sharding strategies (a plan's ``table_strategies``, see
+:mod:`repro.core.strategies`) need no lane of their own: a twrw
+table's shard ranges are edges like any other, so each of its
+segments lands on one shard device; every column shard holds every
+segment of its table, moves its dim share of the bytes, and takes a
+largest-remainder share of the lookups, conserving each segment's
+total.  The lanes on top of the home tiers select per shard, so they
+compose with every strategy:
 
-* a :class:`~repro.engine.cache.CacheModel` serves each device's
-  expectedly-hottest HBM rows at cache bandwidth, reproducing the
-  locality-driven mean-time gains the paper measures on real GPUs;
+* a :class:`~repro.engine.cache.CacheModel` serves the
+  expectedly-hottest HBM rows of each device's shards at cache
+  bandwidth, reproducing the locality-driven mean-time gains the paper
+  measures on real GPUs;
 * a :class:`~repro.engine.cache.TierStagingModel` serves each cold
-  tier's statically-hottest resident rows at the next-faster tier's
-  bandwidth (Section 4.4's capacity-scaling hierarchies made fast to
-  serve).  Cache and staging hits stay *counted* in their home tier;
+  tier's statically-hottest resident rows of each device's shards at
+  the next-faster tier's bandwidth (Section 4.4's capacity-scaling
+  hierarchies made fast to serve).  Cache and staging hits stay
+  *counted* in their home tier;
 * *replication* (a plan's ``replica_rows``, set by
   :func:`~repro.core.replicate.build_replication`): each table's
-  ``replica_rows`` hottest rows exist on every device, and a lookup
-  below that cutoff is routed to whichever device currently carries
-  the least served bytes instead of the table's home.  Routing is
+  ``replica_rows`` hottest rows exist whole on every device, and a
+  lookup below that cutoff — whichever shards hold it — is routed to
+  the device currently carrying the least served bytes.  Routing is
   greedy least-loaded over running per-device byte counters (ties to
   the lowest device id; the counters see each batch's home-lane bytes
   before its replicated lookups, in trace order).  Each feature's
@@ -46,17 +56,6 @@ The lanes on top of the home tiers:
   fastest tier, so the per-device access totals
   (``RunMetrics.load_imbalance``) show the balancing effect directly.
 
-Per-table sharding strategies (a plan's ``table_strategies``, see
-:mod:`repro.core.strategies`) need no lane of their own: a twrw
-table's shard ranges are edges like any other, so each of its
-segments lands on one shard device; every column shard holds every
-segment of its table, moves its dim share of the bytes, and takes a
-largest-remainder share of the lookups, conserving each segment's
-total.  Strategy plans do not compose with cache/staging (cache and
-staging pick a per-table rank prefix on the home device, and a split
-table's hot set is per shard; the executor rejects the combination)
-or with replicas (the plan's ``validate`` rejects it).
-
 One loop, :func:`_classify_lanes`, drives every classification: a
 single executor's jagged or pre-ranked batch, and
 :func:`replay_trace`'s several plans over one trace.  It gathers each
@@ -64,12 +63,13 @@ feature's codes once — from one joint code table over every
 executor's edges in a multi-plan replay — counts them once per
 segment, and folds the joint counts into each executor's segments.
 
-The reference it is pinned against — every lookup resolved through
-the remapping tables, a per-lane reduce, replicas routed by a
-per-lookup argmin — is ``tests/oracles/engine.py``'s
-``ScalarExecutor``.  It classifies and reduces independently; device
-times agree bit for bit, except within ``1e-12`` relative where a
-cache or staging lane reads bytes at a second bandwidth.
+The reference it is pinned against — fast lanes filled row by row per
+device, every lookup resolved through the remapping tables, a
+per-group reduce, replicas routed by a per-lookup argmin — is
+``tests/oracles/engine.py``'s ``ScalarExecutor``.  It selects,
+classifies and reduces independently; device times agree bit for
+bit, except within ``1e-12`` relative where a cache or staging lane
+reads bytes at a second bandwidth.
 
 The executor reads every lane from the one plan type,
 :class:`~repro.core.plan.ShardingPlan`, and checks it with the plan's
@@ -87,12 +87,7 @@ from repro.core.plan import ShardingPlan
 from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
 from repro.data.model import ModelSpec
-from repro.engine.cache import (
-    CacheModel,
-    TierStagingModel,
-    cached_rows_per_table,
-    staged_rows_per_table,
-)
+from repro.engine.cache import CacheModel, TierStagingModel, fast_lane_cutoffs
 from repro.engine.lanes import LaneCodes
 from repro.engine.metrics import RunMetrics
 from repro.engine.ranked import RankedBatch, RankRemapper
@@ -113,11 +108,13 @@ class ShardedExecutor:
             production in Section 4.3).
         topology: tier capacities/bandwidths to charge against; the
             plan is validated against it.
-        cache: optional per-device cache model; each device's expectedly
-            hottest HBM rows are served at cache bandwidth.
+        cache: optional per-device cache model; the expectedly hottest
+            HBM rows of each device's shards are served at cache
+            bandwidth.
         staging: optional per-device staging model; each cold tier's
-            expectedly hottest resident rows are served at the
-            next-faster tier's bandwidth (multi-tier hierarchies).
+            expectedly hottest resident rows of each device's shards
+            are served at the next-faster tier's bandwidth (multi-tier
+            hierarchies).
     """
 
     def __init__(
@@ -129,14 +126,6 @@ class ShardedExecutor:
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
     ):
-        # Cache and staging pick a per-table rank prefix on the home
-        # device; a split table's hot set is per shard.
-        if plan.table_strategies is not None and (
-            cache is not None or staging is not None
-        ):
-            raise ValueError(
-                "strategy plans do not compose with cache/staging fast lanes"
-            )
         plan.validate(model, topology)
         self.model = model
         self.plan = plan
@@ -181,72 +170,45 @@ class ShardedExecutor:
             (topology.num_tiers, topology.num_devices), dtype=np.int64
         )
         self.browned_by_table = np.zeros(model.num_tables, dtype=np.int64)
-        self._build_segments(self._fast_cutoffs())
+        self._build_segments()
         self._joint: tuple | None = None
 
-    def _fast_cutoffs(self) -> np.ndarray:
-        """Per-(table, tier) fast-lane cutoffs in cumulative rank space.
-
-        Ranks in ``[bounds[t-1], cutoffs[t])`` are served at the tier's
-        fast lane (cache bandwidth for tier 0, tier ``t-1``'s bandwidth
-        for cold tiers).  The cache only holds HBM-resident rows and a
-        tier's staged rows live inside its block, so every cutoff is
-        clamped into the tier's boundary interval.
-        """
-        model, plan, topology = self.model, self.plan, self.topology
-        bounds = self._tier_bounds
-        cutoffs = np.zeros_like(bounds)
-        if self.cache is not None:
-            for device in range(topology.num_devices):
-                for table_index, rows in cached_rows_per_table(
-                    self.cache, plan, self.profile, model, device
-                ).items():
-                    cutoffs[table_index, 0] = min(rows, bounds[table_index, 0])
-        if self.staging is not None:
-            # Leading rows of each (table, cold tier) block staged one
-            # tier up; column 0 is always zero (the cache owns tier 0).
-            staged = np.zeros_like(bounds)
-            for device in range(topology.num_devices):
-                staged += staged_rows_per_table(
-                    self.staging, plan, self.profile, model,
-                    topology.num_tiers, device,
-                )
-            cutoffs[:, 1:] = np.minimum(
-                bounds[:, :-1] + staged[:, 1:], bounds[:, 1:]
-            )
-        # The replica lane owns the leading ranks: cache hits only
-        # count ranks in [replica_cut, cutoff).
-        cutoffs[:, 0] = np.maximum(cutoffs[:, 0], self._replica_cut)
-        return cutoffs
-
-    def _build_segments(self, cutoffs: np.ndarray) -> None:
+    def _build_segments(self) -> None:
         """Cut every table's rank line at its lane edges and label the
-        segments.
+        cells.
 
         A table's edges are its tier boundaries, its replica cutoff,
-        its fast-lane cutoffs and its shards' rank ranges
-        (:meth:`~repro.core.plan.ShardingPlan.shards`), so each segment
-        lies in one tier, one lane (replica below the replica cutoff,
-        fast below its tier's fast-lane cutoff, home otherwise) and one
-        rank range of each shard.  A *cell* pairs a segment with a shard
-        that holds it: one cell per segment, except that every column
-        shard holds every segment of its table.  Each cell knows its
-        device, its row bytes and the bandwidth it is read at.
+        and its shards' rank ranges and fast-lane cutoffs
+        (:meth:`~repro.core.plan.ShardingPlan.shards`,
+        :func:`~repro.engine.cache.fast_lane_cutoffs`), so each segment
+        lies in one tier, one rank range of each shard, and on each of
+        them in one lane.  A *cell* pairs a segment with a shard that
+        holds it: one cell per segment, except that every column shard
+        holds every segment of its table.  Each cell knows its device,
+        its row bytes, its lane (replica below the replica cutoff, fast
+        below its shard's fast-lane cutoff in the tier, home otherwise)
+        and the bandwidth it is read at.
         """
         model, topology = self.model, self.topology
         num_tiers, num_devices = topology.num_tiers, topology.num_devices
         bounds, replica_cut = self._tier_bounds, self._replica_cut
         shards = self.plan.shards(model)
+        cutoffs = fast_lane_cutoffs(
+            self.cache, self.staging, self.plan, self.profile, model,
+            num_tiers,
+        )
+        # The replica lane owns the leading ranks: a cache hit only
+        # counts ranks in [replica_cut, cutoff).
+        cutoffs[:, 0] = np.maximum(cutoffs[:, 0], replica_cut[shards.table])
         edges = [
-            set(row) for row in np.column_stack(
-                (bounds[:, :-1], replica_cut, cutoffs)
-            ).tolist()
+            set(row)
+            for row in np.column_stack((bounds[:, :-1], replica_cut)).tolist()
         ]
-        for j, lo, hi in zip(
-            shards.table.tolist(), shards.rank_lo.tolist(),
-            shards.rank_hi.tolist(),
+        for j, shard_edges in zip(
+            shards.table.tolist(),
+            np.column_stack((shards.rank_lo, shards.rank_hi, cutoffs)).tolist(),
         ):
-            edges[j].update((lo, hi))
+            edges[j].update(shard_edges)
         self._codes = codes = LaneCodes(edges, self._row_orders())
         seg_table = np.repeat(
             np.arange(model.num_tables), [len(e) + 1 for e in codes.edges]
@@ -256,7 +218,6 @@ class ShardedExecutor:
         )
         seg_tier = (bounds[seg_table, :-1] <= seg_lo[:, None]).sum(axis=1)
         replica = seg_lo < replica_cut[seg_table]
-        fast = ~replica & (seg_lo < cutoffs[seg_table, seg_tier])
         # Cells: every (segment, shard of its table) pair whose shard
         # rank range holds the segment.
         shard_count = np.bincount(shards.table, minlength=model.num_tables)
@@ -271,14 +232,14 @@ class ShardedExecutor:
         held = (shards.rank_lo[cell_shard] <= lo) & (
             lo < shards.rank_hi[cell_shard]
         )
-        cell_seg, cell_shard = cell_seg[held], cell_shard[held]
+        cell_seg, cell_shard, lo = cell_seg[held], cell_shard[held], lo[held]
         device = shards.device[cell_shard]
         tier = seg_tier[cell_seg]
+        cell_replica = replica[cell_seg]
+        fast = ~cell_replica & (lo < cutoffs[cell_shard, tier])
         # Read bandwidth: the home tier's, the cache's (rate num_tiers)
         # for tier-0 fast cells, the next-faster tier's for staged ones.
-        rate = np.where(
-            fast[cell_seg], np.where(tier == 0, num_tiers, tier - 1), tier
-        )
+        rate = np.where(fast, np.where(tier == 0, num_tiers, tier - 1), tier)
         dtype_bytes = np.array([t.dtype_bytes for t in model.tables])
         self._seg_table = seg_table
         self._cell_seg = cell_seg
@@ -287,23 +248,25 @@ class ShardedExecutor:
         self._cell_bytes = (
             shards.dim[cell_shard] * dtype_bytes[seg_table[cell_seg]]
         ).astype(np.float64)
-        self._replica_cells = np.flatnonzero(replica[cell_seg])
-        self._fast_cells = np.flatnonzero(fast[cell_seg])
+        self._replica_cells = np.flatnonzero(cell_replica)
+        self._fast_cells = np.flatnonzero(fast)
         self._replica_segs = np.flatnonzero(replica)
-        # Brownout skips the cold tiers' home-lane segments, tallied on
-        # the table's home device.
-        self._cold_segs = np.flatnonzero((seg_tier > 0) & ~fast & ~replica)
-        self._cold_at = (
-            seg_tier[self._cold_segs] * num_devices
-            + self.device_of[seg_table[self._cold_segs]]
-        )
+        # Brownout skips the cold tiers' home-lane cells (replicas lie
+        # in tier 0), tallied on the table's home device.
+        cold = np.flatnonzero((tier > 0) & ~fast)
+        self._cold_cells = cold
+        self._cold_table = seg_table[cell_seg[cold]]
+        self._cold_at = tier[cold] * num_devices + self.device_of[
+            self._cold_table
+        ]
         inv_bw = [1.0 / tier.bandwidth for tier in topology.tiers]
         self._inv_bw = np.array(
             inv_bw + [0.0 if self.cache is None else 1.0 / self.cache.bandwidth]
         )
         # Segments several column shards hold split their lookup
         # counts by dim (largest remainder), conserving each segment's
-        # total; traffic is exact per dim share.
+        # total; traffic is exact per dim share.  Replica segments
+        # split too: with no survivor to route to, they drop at home.
         self._shared = None
         cells_of = np.bincount(cell_seg, minlength=seg_lo.size)
         multi = np.flatnonzero(cells_of[cell_seg] > 1)
@@ -518,33 +481,16 @@ class ShardedExecutor:
         fixed: accesses in the segment's tier, bytes at the cell's read
         bandwidth (fast-lane cells at the cache's or the next-faster
         tier's, counted in their home tier and in ``tier_hits``), and
-        device times follow from the additive bandwidth model.  Replica
-        segments are peeled off their home and routed least-loaded
-        across the surviving devices, charged at the fastest tier's
-        bandwidth on the device that serves them.  Brownout drops the
-        cold home segments first; then dead devices' cells drop.
+        device times follow from the additive bandwidth model.  A
+        segment several column shards hold splits its lookups across
+        them by dim.  Replica segments are peeled off their holders and
+        routed least-loaded across the surviving devices, charged at the
+        fastest tier's bandwidth on the device that serves them.
+        Brownout drops the cold home cells first; then dead devices'
+        cells drop.
         """
         num_devices = self.topology.num_devices
         num_tiers = self.topology.num_tiers
-        self.last_browned[:] = 0
-        if self._brownout:
-            # Degraded mode: cold-tier home-lane lookups (everything a
-            # cold tier serves beyond its staged rows) are skipped, so
-            # only fast-tier, staged, and replicated rows execute.  The
-            # skip happens before fault accounting — a dead device's
-            # cold lookups count as browned, not dropped.
-            browned = counts[self._cold_segs]
-            if browned.any():
-                counts = counts.copy()
-                counts[self._cold_segs] = 0
-                self.browned_by_table += np.bincount(
-                    self._seg_table[self._cold_segs], weights=browned,
-                    minlength=self.model.num_tables,
-                ).astype(np.int64)
-                self.last_browned[:] = np.bincount(
-                    self._cold_at, weights=browned,
-                    minlength=num_tiers * num_devices,
-                ).reshape(num_tiers, num_devices)
         alive = self._device_alive
         faulty = not alive.all()
         # With no survivor the replica lane has nowhere to reroute, so
@@ -560,6 +506,29 @@ class ShardedExecutor:
             accessed[cells] = proportional_split(counts[shared], weights)[
                 weights > 0
             ]
+            if route:
+                # The split shares replicated lookups out again.
+                accessed[self._replica_cells] = 0
+        self.last_browned[:] = 0
+        if self._brownout:
+            # Degraded mode: cold-tier home-lane lookups (everything a
+            # cold tier serves beyond its staged rows) are skipped, so
+            # only fast-tier, staged, and replicated rows execute.  The
+            # skip happens before fault accounting — a dead device's
+            # cold lookups count as browned, not dropped.
+            cold = self._cold_cells
+            if served[cold].any():
+                browned = accessed[cold]
+                served[cold] = 0
+                accessed[cold] = 0
+                self.browned_by_table += np.bincount(
+                    self._cold_table, weights=browned,
+                    minlength=self.model.num_tables,
+                ).astype(np.int64)
+                self.last_browned[:] = np.bincount(
+                    self._cold_at, weights=browned,
+                    minlength=num_tiers * num_devices,
+                ).reshape(num_tiers, num_devices)
         size = num_tiers * num_devices
         accesses = np.bincount(
             self._cell_at, weights=accessed, minlength=size
@@ -570,7 +539,7 @@ class ShardedExecutor:
         ).reshape(num_tiers + 1, num_devices)
         fast = self._fast_cells
         tier_hits = np.bincount(
-            self._cell_at[fast], weights=served[fast], minlength=size
+            self._cell_at[fast], weights=accessed[fast], minlength=size
         ).astype(np.int64).reshape(num_tiers, num_devices)
         self.last_dropped[:] = 0
         if faulty:
@@ -591,12 +560,11 @@ class ShardedExecutor:
             # placement already pins), then each feature's replicated
             # lookups in trace order.
             self._replica_load += traffic.sum(axis=0).astype(np.int64)
-            # One replica segment per table: every other edge of a
-            # replicated (hence unsplit) table lies at or above its cut.
-            replicas = np.zeros(self.model.num_tables, dtype=np.int64)
-            replicas[self._seg_table[self._replica_segs]] = counts[
-                self._replica_segs
-            ]
+            replicas = np.bincount(
+                self._seg_table[self._replica_segs],
+                weights=counts[self._replica_segs],
+                minlength=self.model.num_tables,
+            ).astype(np.int64)
             replica_accesses, replica_bytes = self._route_replicas(replicas)
             accesses[0] += replica_accesses
             traffic[0] += replica_bytes

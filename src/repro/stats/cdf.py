@@ -113,25 +113,6 @@ class FrequencyCDF:
             return 1.0 if self.total > 0 else 0.0
         return float(self._cum_fraction[rows - 1])
 
-    def coverage_of_rows_many(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`coverage_of_rows` over an array of row counts.
-
-        Element-for-element identical to the scalar method (including
-        the ``rows <= 0`` and ``rows >= hash_size`` edge cases).  The
-        plan evaluator asks the profile instead
-        (:meth:`~repro.stats.profiler.ModelProfile.coverage_of_rows_at`),
-        one query over every table.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if self.total <= 0:
-            return np.zeros(rows.shape, dtype=np.float64)
-        # Clip before the take so out-of-range counts never index; the
-        # edge cases are then painted over the gathered values.
-        idx = np.clip(rows - 1, 0, self.hash_size - 1)
-        out = self._cum_fraction[idx]
-        out = np.where(rows <= 0, 0.0, out)
-        return np.where(rows >= self.hash_size, 1.0, out)
-
     def rows_for_coverage(self, fraction: float) -> int:
         """Minimum number of hottest rows covering ``fraction`` of accesses."""
         if not 0.0 <= fraction <= 1.0:

@@ -1,19 +1,22 @@
-"""Scalar reference engine: per-lookup remap-table classification and a
-per-lane reduce.
+"""Scalar reference engine: per-lookup remap-table classification, a
+per-device greedy fast-lane selection and a per-group reduce.
 
-The shipped :class:`~repro.engine.executor.ShardedExecutor` classifies
-by gathering one lane code per lookup into per-segment counts, pools
-them over static segment labels, and routes replicated lookups with the
-closed-form :func:`~repro.engine.executor.least_loaded_counts`.
+The shipped :class:`~repro.engine.executor.ShardedExecutor` picks every
+shard's fast lanes in one sorted pass, classifies by gathering one lane
+code per lookup into per-segment counts, pools them over static segment
+labels, and routes replicated lookups with the closed-form
+:func:`~repro.engine.executor.least_loaded_counts`.
 :class:`ScalarExecutor` is the implementation it is pinned against: it
-resolves every lookup through the Section 4.3 remapping tables
-(:class:`~repro.core.remap.RemappingTable`), derives per-lane counts —
-``(counts, hits, replicas, cuts)``: per-(table, tier) accesses, fast-lane
-hits, replica-lane counts and twrw cut prefixes — from the resolved
-``(tier, offset)`` pairs, reduces them lane by lane (a brownout clamp,
-per-kind column/twrw scatters, a hit subtract/add pass), and assigns
-replicated lookups one at a time to the argmin device.  Classification
-and reduction are both independent of the shipped code.
+reads every table's shards off its strategy, fills each device's cache
+and staging budgets row by row, hottest first, resolves every lookup
+through the Section 4.3 remapping tables
+(:class:`~repro.core.remap.RemappingTable`) to its rank and, on each
+shard holding it, its lane (home, fast or replica), groups the lookups
+of a table by tier and lane vector, reduces group by group (column
+shares, brownout skips, fault drops), charges fast-lane bytes at their
+home tier and then moves them to the fast lane's bandwidth, and assigns
+replicated lookups one at a time to the argmin device.  Selection,
+classification and reduction are all independent of the shipped code.
 
 :func:`scalar_executors` swaps the class into a module's
 ``ShardedExecutor`` global for the duration of a block, which is how
@@ -27,12 +30,15 @@ import functools
 
 import numpy as np
 
-from repro.core.plan import crossing_cells
+from repro.core.plan import TableStrategy
 from repro.core.remap import RemappingLayer, RemappingTable
 from repro.core.strategies import proportional_split
 from repro.data.batch import JaggedBatch
-from repro.engine.cache import cached_rows_per_table, staged_rows_per_table
 from repro.engine.executor import ShardedExecutor
+
+#: A lookup's lane on one shard of its table (0: the shard does not
+#: hold the lookup's row).
+HOME, FAST, REPLICA = 1, 2, 3
 
 
 class ScalarExecutor(ShardedExecutor):
@@ -42,51 +48,82 @@ class ScalarExecutor(ShardedExecutor):
         super().__init__(
             model, plan, profile, topology, cache=cache, staging=staging
         )
-        num_tables, num_tiers = model.num_tables, topology.num_tiers
-        self.row_bytes = np.array(
-            [t.row_bytes for t in model.tables], dtype=np.float64
-        )
         self._tier_inv_bw = np.array(
             [1.0 / tier.bandwidth for tier in topology.tiers], dtype=np.float64
         )
-        self._cache_threshold = np.zeros(num_tables, dtype=np.int64)
-        self._stage_rows = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        for device in range(topology.num_devices):
-            if cache is not None:
-                for j, rows in cached_rows_per_table(
-                    cache, plan, profile, model, device
-                ).items():
-                    self._cache_threshold[j] = rows
-            if staging is not None:
-                self._stage_rows += staged_rows_per_table(
-                    staging, plan, profile, model, num_tiers, device
-                )
-        # Per-table strategy shards: column tables scatter their counts
-        # across shard devices; twrw tables cross cut prefixes.
-        self._column_tables: list[tuple] = []
-        self._twrw_tables: list[tuple] = []
-        strategies = plan.table_strategies or ()
-        self._num_cut_lanes = max(
-            (len(s.row_cuts) for s in strategies), default=0
+        self._tier_lo = np.column_stack(
+            (np.zeros(len(plan), dtype=np.int64), self._tier_bounds[:, :-1])
         )
-        self._cut_points = np.zeros(
-            (num_tables, self._num_cut_lanes), dtype=np.int64
-        )
-        for j, strat in enumerate(strategies):
-            devices = np.asarray(strat.devices, dtype=np.int64)
+        # Every table's physical shards, read off its strategy:
+        # (device, rank_lo, rank_hi, dim, row bytes).
+        strategies = plan.table_strategies or (TableStrategy(),) * len(plan)
+        self._table_shards = []
+        for placement, strat, table in zip(plan, strategies, model.tables):
+            rows = table.num_rows
             if strat.kind == "column":
-                dims = np.asarray(strat.dims, dtype=np.int64)
-                shard_bytes = dims * model.tables[j].dtype_bytes
-                self._column_tables.append(
-                    (j, devices, dims, shard_bytes.astype(np.float64))
-                )
+                shards = [
+                    (d, 0, rows, dim, dim * table.dtype_bytes)
+                    for d, dim in zip(strat.devices, strat.dims)
+                ]
             elif strat.kind == "twrw":
-                self._cut_points[j, : len(strat.row_cuts)] = strat.row_cuts
-                self._twrw_tables.append((j, devices, len(strat.row_cuts)))
-        self._split_idx = np.array(
-            [info[0] for info in self._column_tables + self._twrw_tables],
-            dtype=np.int64,
-        )
+                cuts = (0, *strat.row_cuts, rows)
+                shards = [
+                    (d, lo, hi, table.dim, table.row_bytes)
+                    for d, lo, hi in zip(strat.devices, cuts, cuts[1:])
+                ]
+            else:
+                shards = [
+                    (placement.device, 0, rows, table.dim, table.row_bytes)
+                ]
+            self._table_shards.append(shards)
+        self._fast_end = self._greedy_fast_lanes()
+
+    def _greedy_fast_lanes(self) -> list[np.ndarray]:
+        """Per table, ``(shards, tiers)`` ranks where each shard's fast
+        lane in each tier ends.
+
+        For every device and tier, the rows its shards hold in the tier
+        (tables never accessed aside) line up in (table, rank) order,
+        are sorted hottest first by profiled count (ties keep the line
+        order), and are admitted one at a time until the next does not
+        fit the tier's budget: the cache's for tier 0, the staging
+        model's for a colder tier.
+        """
+        num_tiers = self.topology.num_tiers
+        budgets = [0] * num_tiers
+        if self.cache is not None:
+            budgets[0] = self.cache.capacity_bytes
+        if self.staging is not None:
+            for t in range(1, num_tiers):
+                budgets[t] = self.staging.capacity_for(t)
+        fast_end = [
+            np.array([np.maximum(self._tier_lo[j], lo) for _, lo, *_ in shards])
+            for j, shards in enumerate(self._table_shards)
+        ]
+        for device in range(self.topology.num_devices):
+            for t, budget in enumerate(budgets):
+                if budget <= 0:
+                    continue
+                line = []
+                for j, shards in enumerate(self._table_shards):
+                    stats = self.profile[j]
+                    if stats.total_accesses <= 0:
+                        continue
+                    for k, (d, lo, hi, _, row_bytes) in enumerate(shards):
+                        first = max(lo, int(self._tier_lo[j, t]))
+                        end = min(hi, int(self._tier_bounds[j, t]))
+                        if d != device or first >= end:
+                            continue
+                        ranked = stats.counts[stats.cdf.row_order[first:end]]
+                        for count in ranked.tolist():
+                            line.append((-count, len(line), j, k, row_bytes))
+                used = 0
+                for _, _, j, k, row_bytes in sorted(line):
+                    if used + row_bytes > budget:
+                        break
+                    used += row_bytes
+                    fast_end[j][k, t] += 1
+        return fast_end
 
     @functools.cached_property
     def remap_tables(self) -> list[RemappingTable]:
@@ -94,145 +131,93 @@ class ScalarExecutor(ShardedExecutor):
         return RemappingLayer.from_plan(self.plan, self.profile).tables
 
     def run_batch(self, batch: JaggedBatch):
-        return self._reduce_lanes(*self._classify_scalar(batch))
+        return self._reduce_groups(self._classify_scalar(batch))
 
     def classify_batch(self, batch: JaggedBatch):
         return self._classify_scalar(batch)
 
-    def reduce_classified(self, counts, hits, replicas=None, cuts=None):
-        return self._reduce_lanes(counts, hits, replicas, cuts)
+    def reduce_classified(self, groups):
+        return self._reduce_groups(groups)
 
     def _classify_scalar(self, batch: JaggedBatch):
         """Per-lookup remap-table classification of one batch (no reduce).
 
-        Returns ``(counts, hits, replicas, cuts)``: per-(table, tier)
-        accesses, per-(table, tier) fast-lane hits, per-table replica
-        lookups (``None`` without replicas) and per-(table, slot) twrw
-        cut prefixes (``None`` without twrw tables).
+        Every lookup resolves to its ``(tier, offset)``, hence its rank,
+        and on each shard of its table to a lane code (0 where the
+        shard does not hold the row).  Returns, per table, the distinct
+        ``(tier, lane codes)`` group keys (``tier`` then one base-4
+        digit per shard) and their lookup counts.
         """
-        num_tables = len(self.plan)
-        num_tiers = self.topology.num_tiers
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        replicas = (
-            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None
-        )
-        cuts = (
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None
-        )
-        scan_hits = self.cache is not None or self.staging is not None
+        groups = []
         for j, feature in enumerate(batch):
-            if feature.values.size == 0:
-                continue
-            cut = int(self._replica_cut[j])
-            table_cuts = self._cut_points[j]
-            has_cuts = bool(table_cuts.any())
-            if not (scan_hits or cut or has_cuts):
-                counts[j] = self.remap_tables[j].tier_counts(feature.values)
-                continue
             tiers, offsets = self.remap_tables[j].apply(feature.values)
-            counts[j] = np.bincount(tiers, minlength=num_tiers)
-            if has_cuts:
-                # A (tier, offset) pair maps back to the global frequency
-                # rank by adding the cumulative rows of the preceding
-                # tiers, so strategy cut lanes are rank thresholds here.
-                tier_base = np.concatenate(([0], self._tier_bounds[j, :-1]))
-                ranks = offsets + tier_base[tiers]
-                for s in range(table_cuts.size):
-                    edge = int(table_cuts[s])
-                    if edge:
-                        cuts[j, s] = int(np.count_nonzero(ranks < edge))
-            if cut:
-                # A tier-0 offset *is* the row's frequency rank (the
-                # fastest tier holds the leading ranked rows), so the
-                # replica lane is an offset threshold here.
-                replicas[j] = np.count_nonzero((tiers == 0) & (offsets < cut))
-            threshold = self._cache_threshold[j]
-            if self.cache is not None and threshold > 0:
-                hits[j, 0] = np.count_nonzero(
-                    (tiers == 0) & (offsets >= cut) & (offsets < threshold)
+            ranks = self._tier_lo[j, tiers] + offsets
+            key = tiers.astype(np.int64)
+            for k, (_, lo, hi, _, _) in enumerate(self._table_shards[j]):
+                lane = np.where(
+                    ranks < self._replica_cut[j], REPLICA,
+                    np.where(ranks < self._fast_end[j][k, tiers], FAST, HOME),
                 )
-            for t in range(1, num_tiers):
-                staged = self._stage_rows[j, t]
-                if staged > 0:
-                    hits[j, t] = np.count_nonzero((tiers == t) & (offsets < staged))
-        return counts, hits, replicas, cuts
+                key = key * 4 + np.where((lo <= ranks) & (ranks < hi), lane, 0)
+            groups.append(np.unique(key, return_counts=True))
+        return groups
 
-    def _reduce_lanes(self, counts, hits, replicas=None, cuts=None):
-        """Pool per-lane counts into per-(tier, device) metrics.
+    def _reduce_groups(self, groups):
+        """Pool per-group lookup counts into per-(tier, device) metrics.
 
-        A brownout clamp on cold-tier counts, a ``bincount`` over the
-        table → device assignment per tier, per-kind column/twrw
-        scatters, fault drops, replica routing, then each fast lane's
-        hit bytes moved from its tier's bandwidth to the fast lane's.
+        Group by group: replicated lookups leave for the router; the
+        rest split across the holding shards by dim (largest remainder)
+        and land on each shard's device in the group's tier, unless
+        brownout skips a cold home share.  Then fault drops, replica
+        routing, and each fast lane's hit bytes moved from its tier's
+        bandwidth to the fast lane's.
         """
         num_devices = self.topology.num_devices
         num_tiers = self.topology.num_tiers
-        self.last_browned[:] = 0
-        if self._brownout and num_tiers > 1:
-            browned_tbl = counts[:, 1:] - hits[:, 1:]
-            if browned_tbl.any():
-                counts = counts.copy()
-                counts[:, 1:] = hits[:, 1:]
-                self.browned_by_table += browned_tbl.sum(axis=1)
-                for t in range(1, num_tiers):
-                    np.add.at(
-                        self.last_browned[t],
-                        self.device_of,
-                        browned_tbl[:, t - 1],
-                    )
-        alive = self._device_alive
-        faulty = not alive.all()
-        route = replicas is not None and self._has_replicas
-        if faulty and not alive.any():
-            route = False
-        split = bool(self._column_tables or self._twrw_tables)
-        if split:
-            counts_home = counts.copy()
-            counts_home[self._split_idx, :] = 0
-        else:
-            counts_home = counts
-        counts0 = (
-            counts_home[:, 0] - replicas if route else counts_home[:, 0]
-        )
         accesses = np.zeros((num_tiers, num_devices), dtype=np.int64)
+        tier_hits = np.zeros_like(accesses)
         traffic = np.zeros((num_tiers, num_devices), dtype=np.float64)
-        home_bytes = (
-            np.zeros(num_devices, dtype=np.int64) if route else None
-        )
-        for t in range(num_tiers):
-            col = counts0 if t == 0 else counts_home[:, t]
-            np.add.at(accesses[t], self.device_of, col)
-            traffic[t] = np.bincount(
-                self.device_of,
-                weights=col * self.row_bytes,
-                minlength=num_devices,
-            )
-            if route:
-                np.add.at(
-                    home_bytes, self.device_of, col * self._row_bytes_int
-                )
-        for j, devices, dims, shard_bytes in self._column_tables:
-            accesses[:, devices] += proportional_split(counts[j], dims)
-            traffic[:, devices] += (
-                counts[j][:, None].astype(np.float64) * shard_bytes[None, :]
-            )
-        for j, devices, n_cuts in self._twrw_tables:
-            pb = np.concatenate(([0], np.cumsum(counts[j])))
-            pc = np.concatenate(([0], cuts[j, :n_cuts], [pb[-1]]))
-            cells = crossing_cells(pb[:, None], pc[:-1], pc[1:])
-            accesses[:, devices] += cells
-            traffic[:, devices] += cells * self.row_bytes[j]
+        hit_bytes = np.zeros_like(traffic)
+        home_bytes = np.zeros(num_devices, dtype=np.int64)
+        replicas = np.zeros(len(self.plan), dtype=np.int64)
+        alive = self._device_alive
+        route = self._has_replicas and alive.any()
+        self.last_browned[:] = 0
+        for j, (keys, counts) in enumerate(groups):
+            shards = self._table_shards[j]
+            for key, n in zip(keys.tolist(), counts.tolist()):
+                lanes = []
+                for _ in shards:
+                    key, lane = divmod(key, 4)
+                    lanes.insert(0, lane)
+                tier = key
+                held = [k for k, lane in enumerate(lanes) if lane]
+                if route and lanes[held[0]] == REPLICA:
+                    replicas[j] += n
+                    continue
+                shares = proportional_split(
+                    [n], [shards[k][3] for k in held]
+                )[0].tolist()
+                for k, share in zip(held, shares):
+                    device, *_, row_bytes = shards[k]
+                    fast = lanes[k] == FAST
+                    if self._brownout and tier > 0 and not fast:
+                        self.last_browned[tier, self.device_of[j]] += share
+                        self.browned_by_table[j] += share
+                        continue
+                    accesses[tier, device] += share
+                    traffic[tier, device] += n * row_bytes
+                    home_bytes[device] += n * row_bytes
+                    if fast:
+                        tier_hits[tier, device] += share
+                        hit_bytes[tier, device] += n * row_bytes
         self.last_dropped[:] = 0
-        if faulty:
-            dead = ~alive
+        dead = ~alive
+        if dead.any():
             self.last_dropped[dead] = accesses[:, dead].sum(axis=0)
-            accesses[:, dead] = 0
-            traffic[:, dead] = 0.0
-            if route:
-                home_bytes[dead] = 0
+            for metric in (accesses, traffic, tier_hits, hit_bytes):
+                metric[:, dead] = 0
+            home_bytes[dead] = 0
         replica_accesses = np.zeros(num_devices, dtype=np.int64)
         if route:
             self._replica_load += home_bytes
@@ -240,25 +225,14 @@ class ScalarExecutor(ShardedExecutor):
             accesses[0] += replica_accesses
             traffic[0] += replica_bytes
         times = (traffic * self._tier_inv_bw[:, None]).sum(axis=0)
-        tier_hits = np.zeros((num_tiers, num_devices), dtype=np.int64)
-        if self.cache is not None or self.staging is not None:
-            for t in range(num_tiers):
-                if not hits[:, t].any():
-                    continue
-                np.add.at(tier_hits[t], self.device_of, hits[:, t])
-                hit_bytes = np.bincount(
-                    self.device_of, weights=hits[:, t] * self.row_bytes,
-                    minlength=num_devices,
-                )
-                if faulty:
-                    tier_hits[t][dead] = 0
-                    hit_bytes[dead] = 0.0
+        for t in range(num_tiers):
+            if hit_bytes[t].any():
                 fast_inv_bw = (
                     1.0 / self.cache.bandwidth if t == 0
                     else self._tier_inv_bw[t - 1]
                 )
-                times -= hit_bytes * self._tier_inv_bw[t]
-                times += hit_bytes * fast_inv_bw
+                times -= hit_bytes[t] * self._tier_inv_bw[t]
+                times += hit_bytes[t] * fast_inv_bw
         if (self._device_slowdown != 1.0).any():
             times = times * self._device_slowdown
         return times * 1e3, accesses, tier_hits, replica_accesses

@@ -28,7 +28,8 @@ The two per-plan cost loops the batched evaluator
 (:func:`~repro.core.evaluate.expected_device_costs_ms_many`) replaced
 live here too: :func:`scalar_device_costs_ms` accumulates a plain plan
 placement by placement, and :func:`strategy_device_costs_ms` scores one
-plan with ``table_strategies`` shard by shard.
+plan with ``table_strategies`` shard by shard.  Both read coverage one
+table at a time through :func:`coverage_of_rows_many`.
 """
 
 from __future__ import annotations
@@ -571,6 +572,26 @@ class HeapqRefillSharder(RecShardSharder):
                 push(i)
 
 
+def coverage_of_rows_many(cdf, rows) -> np.ndarray:
+    """Vectorized :meth:`~repro.stats.cdf.FrequencyCDF.coverage_of_rows`
+    over an array of row counts of one table.
+
+    Element-for-element identical to the scalar method (including the
+    ``rows <= 0`` and ``rows >= hash_size`` edge cases).  The shipped
+    evaluator asks the profile instead
+    (:meth:`~repro.stats.profiler.ModelProfile.coverage_of_rows_at`),
+    one query over every table.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if cdf.total <= 0:
+        return np.zeros(rows.shape, dtype=np.float64)
+    # Clip before the take so out-of-range counts never index; the
+    # edge cases are then painted over the gathered values.
+    out = cdf.cum_fraction[np.clip(rows - 1, 0, cdf.hash_size - 1)]
+    out = np.where(rows <= 0, 0.0, out)
+    return np.where(rows >= cdf.hash_size, 1.0, out)
+
+
 def scalar_device_costs_ms(
     plan: ShardingPlan,
     model,
@@ -596,7 +617,7 @@ def scalar_device_costs_ms(
         pooling = stats.avg_pooling if use_pooling else 1.0
         expected_accesses = coverage * pooling * batch_size
         cum_rows = np.cumsum(placement.rows_per_tier)
-        cov = stats.cdf.coverage_of_rows_many(cum_rows)
+        cov = coverage_of_rows_many(stats.cdf, cum_rows)
         frac = np.diff(cov, prepend=0.0)
         costs[placement.device] += expected_accesses * table.row_bytes * (
             frac @ inv_bw[: frac.size]
@@ -627,7 +648,7 @@ def strategy_device_costs_ms(
     )
     cov = np.empty((num_tiers, num_tables))
     for j, stats in enumerate(profile):
-        cov[:, j] = stats.cdf.coverage_of_rows_many(cum_rows[j])
+        cov[:, j] = coverage_of_rows_many(stats.cdf, cum_rows[j])
     total_accesses = np.array([s.total_accesses for s in profile])
     stat_coverage = np.array([s.coverage for s in profile])
     stat_pooling = np.array([s.avg_pooling for s in profile])
@@ -654,7 +675,7 @@ def strategy_device_costs_ms(
                 )
         else:  # twrw: coverage prefixes at tier bounds and cut points
             cuts = np.asarray(strat.row_cuts, dtype=np.int64)
-            cov_cuts = profile[j].cdf.coverage_of_rows_many(cuts)
+            cov_cuts = coverage_of_rows_many(profile[j].cdf, cuts)
             covb = np.concatenate(([0.0], cov[:, j]))
             covc = np.concatenate(([0.0], cov_cuts, [cov[-1, j]]))
             cells = np.maximum(

@@ -217,6 +217,16 @@ class TestCommands:
         assert "per-table strategies" in out
         assert "row-only est. max GPU cost" in out
 
+    def test_plan_strategies_with_replicas(self, capsys):
+        argv = [
+            "plan", "--model", "rm2", "--strategies", "auto",
+            "--replicate-gib", "1",
+        ] + self.COMMON
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "strategy plan for" in out
+        assert "replicated rows:" in out and "replica bytes/GPU" in out
+
     def test_plan_strategies_rejects_unknown_kind(self, capsys):
         argv = ["plan", "--strategies", "diagonal"] + self.COMMON
         assert "diagonal" in _rejected(argv, capsys)

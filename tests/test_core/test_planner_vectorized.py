@@ -40,7 +40,11 @@ from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from repro.stats.profiler import TraceProfiler
 from repro.data.synthetic import TraceGenerator
-from tests.oracles.planner import ScalarFastSharder, scalar_device_costs_ms
+from tests.oracles.planner import (
+    ScalarFastSharder,
+    coverage_of_rows_many,
+    scalar_device_costs_ms,
+)
 
 from .conftest import build_model
 from .test_replicate import hottest_first_charges
@@ -408,7 +412,7 @@ class TestVectorizedCdfQueries:
             [-5, 0, 1, 2, 50, 199, 200, 201, 10_000], dtype=np.int64
         )
         np.testing.assert_array_equal(
-            cdf.coverage_of_rows_many(queries),
+            coverage_of_rows_many(cdf, queries),
             np.array([cdf.coverage_of_rows(int(q)) for q in queries]),
         )
 

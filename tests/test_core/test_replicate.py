@@ -27,14 +27,17 @@ from repro.core import (
     RecShardFastSharder,
     ReplicationPolicy,
     ShardingPlan,
+    TableStrategy,
     build_replication,
     carve_replica_budget,
     plan_with_replication,
+    plan_with_strategies,
 )
 from repro.data.synthetic import TraceGenerator
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile, profile_trace
 from tests.test_core.conftest import build_model
+from tests.test_core.test_strategies import build_wide_model
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -84,9 +87,22 @@ def replicate(seed: int, budget_fraction: float, world=build_world):
     return model, profile, topology, plan
 
 
+def holder(plan, table: int, rank: int) -> int:
+    """The device holding ``table``'s ``rank`` whole: the home of an
+    unsplit table, the shard whose range holds the rank for twrw, none
+    (-1) for a column table."""
+    strat = plan.table_strategies[table] if plan.table_strategies else None
+    if strat is None or not strat.devices:
+        return plan[table].device
+    if strat.kind == "column":
+        return -1
+    return strat.devices[sum(rank >= cut for cut in strat.row_cuts)]
+
+
 def hottest_first_charges(plan, profile, model, topology):
     """Every live fastest-tier candidate sorted by (-count, table, rank):
-    its table, and the per-device copy charge of each prefix."""
+    its table, and the per-device copy charge of each prefix (every
+    device pays for each row it does not hold whole)."""
     counts, tables, ranks = [], [], []
     for j, stats in enumerate(profile):
         tier0 = plan[j].rows_per_tier[0]
@@ -101,9 +117,10 @@ def hottest_first_charges(plan, profile, model, topology):
     row_bytes = np.array(
         [fastest.row_bytes_for(t.row_bytes) for t in model.tables]
     )
-    home = np.array([p.device for p in plan])
+    homes = np.array(
+        [holder(plan, j, r) for j, r in zip(tables[order], ranks[order])]
+    )
     sizes = row_bytes[tables[order]]
-    homes = home[tables[order]]
     total = np.cumsum(sizes)
     homed = np.array(
         [
@@ -305,6 +322,130 @@ class TestProperties:
             dataclasses.replace(plan, replica_rows=rows).validate(
                 model, topology
             )
+
+
+def split_world(seed: int):
+    """:func:`build_world`'s plan with table 0 column-split over devices
+    0 and 1 and table 1 twrw-split over devices 1 and 2 a tenth into
+    its fastest-tier rows, so large budgets replicate across the cut
+    (selection reads no capacity, so the plan is not validated)."""
+    model, profile, topology = build_world(seed)
+    plan = RecShardFastSharder(batch_size=64, steps=40).shard(
+        model, profile, topology
+    )
+    strategies = [TableStrategy("row")] * len(plan)
+    dim = model.tables[0].dim
+    strategies[0] = TableStrategy(
+        "column", devices=(0, 1), dims=(dim // 2, dim - dim // 2)
+    )
+    strategies[1] = TableStrategy(
+        "twrw", devices=(1, 2), row_cuts=(plan[1].rows_per_tier[0] // 10,)
+    )
+    plan = dataclasses.replace(plan, table_strategies=tuple(strategies))
+    return model, profile, topology, plan
+
+
+class TestStrategyPlans:
+    """Replicas of split tables: each candidate's holder is read per
+    shard, and each device pays for the rows it does not hold whole."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selection_matches_per_shard_oracle(self, seed):
+        model, profile, topology, plan = split_world(seed)
+        tables, _, charge = hottest_first_charges(
+            plan, profile, model, topology
+        )
+        n = charge.size
+        for k in (0, n // 50, n // 10, n // 4):
+            for budget in (int(charge[k]), int(charge[k]) - 1):
+                if budget <= 0:
+                    continue
+                take = int(np.searchsorted(charge, budget, side="right"))
+                got = build_replication(
+                    ReplicationPolicy(capacity_bytes=budget),
+                    plan, profile, model, topology,
+                )
+                np.testing.assert_array_equal(
+                    got.replica_rows,
+                    np.bincount(tables[:take], minlength=len(plan)),
+                )
+                charged = got.replica_bytes_per_device(model, topology)
+                assert charged.max() == (charge[take - 1] if take else 0)
+
+    def test_charges_per_device(self):
+        """Device 1 holds table 1's leading ranks whole, device 2 its
+        tail; nobody holds table 0 (column) whole."""
+        model, _, topology, plan = split_world(0)
+        fastest = topology.tiers[0]
+        row_bytes = [fastest.row_bytes_for(t.row_bytes) for t in model.tables]
+        cut = plan.table_strategies[1].row_cuts[0]
+        replica_rows = np.zeros(len(plan), dtype=np.int64)
+        replica_rows[:2] = (5, cut + 3)
+        replicated = dataclasses.replace(
+            plan, replica_rows=replica_rows, replica_budget_bytes=0
+        )
+        total = 5 * row_bytes[0] + (cut + 3) * row_bytes[1]
+        want = np.full(topology.num_devices, total)
+        want[1] -= cut * row_bytes[1]
+        want[2] -= 3 * row_bytes[1]
+        np.testing.assert_array_equal(
+            replicated.replica_bytes_per_device(model, topology), want
+        )
+
+    def test_column_rows_have_no_holder(self):
+        """With every unsplit table on device 1, device 0 holds no row
+        whole — a column shard holds a slice — so it pays for every
+        replicated row, and it is the device that binds admission."""
+        model, profile, topology = build_world(0, num_devices=2)
+        plan = RecShardFastSharder(batch_size=64, steps=40).shard(
+            model, profile, topology
+        )
+        dim = model.tables[0].dim
+        plan = dataclasses.replace(
+            plan,
+            placements=[dataclasses.replace(p, device=1) for p in plan],
+            table_strategies=(
+                TableStrategy("column", (0, 1), dims=(dim // 2, dim // 2)),
+                *[TableStrategy("row")] * (len(plan) - 1),
+            ),
+        )
+        tables, total, charge = hottest_first_charges(
+            plan, profile, model, topology
+        )
+        np.testing.assert_array_equal(charge, total)
+        budget = int(total[total.size // 10])
+        got = build_replication(
+            ReplicationPolicy(capacity_bytes=budget),
+            plan, profile, model, topology,
+        )
+        take = int(np.searchsorted(total, budget, side="right"))
+        np.testing.assert_array_equal(
+            got.replica_rows, np.bincount(tables[:take], minlength=len(plan))
+        )
+        assert got.replica_rows[0] > 0
+        assert got.replica_bytes_per_device(model, topology)[0] == total[
+            take - 1
+        ]
+
+    def test_carve_strategies_then_replicate(self):
+        """The ``plan --strategies --replicate-gib`` path: carve, plan
+        strategies on the carved topology, spend the carved bytes; the
+        result validates on the physical topology."""
+        model = build_wide_model(seed=0)
+        profile = analytic_profile(model)
+        topology = two_tier(model.total_bytes, hbm_share=1.5)
+        policy = ReplicationPolicy(
+            capacity_bytes=topology.tiers[0].capacity_bytes // 20
+        )
+        sp = plan_with_strategies(
+            RecShardFastSharder(batch_size=128, steps=40), model, profile,
+            carve_replica_budget(topology, policy),
+        )
+        replicated = build_replication(policy, sp, profile, model, topology)
+        replicated.validate(model, topology)
+        counts = replicated.strategy_counts()
+        assert counts["column"] + counts["twrw"] >= 1
+        assert replicated.num_replicated_rows > 0
 
 
 # ---------------------------------------------------------------------

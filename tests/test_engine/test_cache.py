@@ -6,12 +6,25 @@ from repro.core import RecShardFastSharder
 from repro.core.plan import ShardingPlan, TablePlacement
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor
-from repro.engine.cache import CacheModel, cached_rows_per_table
+from repro.engine.cache import CacheModel, fast_lane_cutoffs
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
 BATCH = 128
+
+
+def cached_rows_per_table(cache, plan, profile, model, device):
+    """{table: cached leading ranks} for the device's tables: an
+    unsplit plan's shard ``j`` is table ``j``, its tier-0 block starts
+    at rank 0."""
+    cutoffs = fast_lane_cutoffs(
+        cache, None, plan, profile, model, len(plan[0].rows_per_tier)
+    )
+    return {
+        p.table_index: int(cutoffs[p.table_index, 0])
+        for p in plan.tables_on_device(device)
+    }
 
 
 @pytest.fixture

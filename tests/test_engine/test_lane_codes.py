@@ -7,13 +7,14 @@ rank segment its row falls in — and pools the per-segment counts over
 static segment labels.  These property tests pin that the segment
 counts are exactly those of ranking every lookup and counting
 ``rank < edge`` once per lane edge, and that the reduce gives exactly
-the metrics of the per-lookup remap-table oracle with its per-lane
-reduce (``tests.oracles.engine.ScalarExecutor``) — over 2- and 3-tier
-topologies, plain, replicated, column and twrw plans, cache/staging
-fast lanes, brownout, failed and degraded devices, duplicate edges,
-edges at 0 and at ``num_rows``, empty features, jagged and pre-ranked
-input, multi-plan replays over different lane sets, and code tables
-too wide for ``uint8``.
+the metrics of the per-lookup remap-table oracle with its per-group
+reduce (``tests.oracles.engine.ScalarExecutor``), and that every
+shard's fast-lane cutoffs are the oracle's per-device greedy fill —
+over 2- and 3-tier topologies, plain and column/twrw plans with any
+mix of replicas and cache/staging fast lanes, brownout, failed and
+degraded devices, duplicate edges, edges at 0 and at ``num_rows``,
+empty features, jagged and pre-ranked input, multi-plan replays over
+different lane sets, and code tables too wide for ``uint8``.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from repro.engine import (
     RankRemapper,
     ShardedExecutor,
     TierStagingModel,
+    fast_lane_cutoffs,
     replay_trace,
 )
 from repro.engine.executor import _classify_lanes, _joint_codes
@@ -49,8 +51,9 @@ NUM_DEVICES = 4
 
 
 def _world(num_tiers: int):
-    # Every tier of every device holds the whole model, so any drawn
-    # split, shard set and replica set is a valid plan.
+    # Every tier of every device holds the whole model twice (its
+    # shards, plus replica copies of rows it does not hold whole), so
+    # any drawn split, shard set and replica set is a valid plan.
     model = build_model(num_tables=4, rows=48, dim=8, seed=5)
     profile = analytic_profile(model)
     names = ("hbm", "dram", "ssd")
@@ -58,7 +61,7 @@ def _world(num_tiers: int):
     topology = SystemTopology(
         num_devices=NUM_DEVICES,
         tiers=tuple(
-            MemoryTier(names[t], model.total_bytes, bandwidths[t])
+            MemoryTier(names[t], 2 * model.total_bytes, bandwidths[t])
             for t in range(num_tiers)
         ),
     )
@@ -105,10 +108,10 @@ def table_strategies(draw, model):
 def lane_configs(draw, num_tiers: int):
     """A drawn plan and executor keyword arguments: one lane set.
 
-    Tier boundaries, replica cutoffs and cache/staging capacities are
-    drawn freely within a valid plan, so edges coincide across lanes
-    and sit at 0 and ``num_rows``; column and twrw shards replace the
-    fast lanes and replicas, which they do not compose with.
+    Tier boundaries, column/twrw shards, replica cutoffs and
+    cache/staging capacities are drawn freely and together within a
+    valid plan, so edges coincide across lanes and shards and sit at 0
+    and ``num_rows``.
     """
     model, profile, topology = WORLDS[num_tiers]
     placements = []
@@ -128,22 +131,21 @@ def lane_configs(draw, num_tiers: int):
         plan = dataclasses.replace(
             plan, table_strategies=draw(table_strategies(model))
         )
-    else:
-        if draw(st.booleans()):
-            replica = [draw(_edge(p.rows_per_tier[0])) for p in placements]
-            plan = dataclasses.replace(
-                plan, replica_rows=np.array(replica),
-                replica_budget_bytes=model.total_bytes,
-            )
-        if draw(st.booleans()):
-            kwargs["cache"] = CacheModel(
-                capacity_bytes=draw(st.integers(0, model.total_bytes)),
-                bandwidth=1e12,
-            )
-        if draw(st.booleans()):
-            kwargs["staging"] = TierStagingModel(
-                capacity_bytes=draw(st.integers(0, model.total_bytes))
-            )
+    if draw(st.booleans()):
+        replica = [draw(_edge(p.rows_per_tier[0])) for p in placements]
+        plan = dataclasses.replace(
+            plan, replica_rows=np.array(replica),
+            replica_budget_bytes=model.total_bytes,
+        )
+    if draw(st.booleans()):
+        kwargs["cache"] = CacheModel(
+            capacity_bytes=draw(st.integers(0, model.total_bytes)),
+            bandwidth=1e12,
+        )
+    if draw(st.booleans()):
+        kwargs["staging"] = TierStagingModel(
+            capacity_bytes=draw(st.integers(0, model.total_bytes))
+        )
     return plan, kwargs
 
 
@@ -258,6 +260,15 @@ class TestCodeTableParity:
         (batch,) = data.draw(batches(num_tiers))
         fast = _executor(num_tiers, config)
         slow = _executor(num_tiers, config, ScalarExecutor)
+        model, profile, _ = WORLDS[num_tiers]
+        plan, lanes = config
+        np.testing.assert_array_equal(
+            fast_lane_cutoffs(
+                lanes.get("cache"), lanes.get("staging"), plan, profile,
+                model, num_tiers,
+            ),
+            np.concatenate(slow._fast_end),
+        )
         got = fast.classify_batch(batch)
         assert got.sum() == batch.total_lookups
         np.testing.assert_array_equal(got, threshold_scan_counts(fast, batch))

@@ -19,8 +19,8 @@ from repro.engine import (
     CacheModel,
     ShardedExecutor,
     TierStagingModel,
+    fast_lane_cutoffs,
     replay_trace,
-    staged_rows_per_table,
 )
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
@@ -215,33 +215,42 @@ class TestMultiTierParity:
         assert all(0.0 <= f <= 1.0 for f in fractions)
 
 
+def staged_rows(staging, plan, profile, model, num_tiers):
+    """``(tables, tiers)`` leading rows of each tier block staged one
+    tier up: an unsplit plan's shard ``j`` is table ``j``."""
+    cutoffs = fast_lane_cutoffs(None, staging, plan, profile, model, num_tiers)
+    starts = np.cumsum([(0,) + p.rows_per_tier[:-1] for p in plan], axis=1)
+    return cutoffs - starts
+
+
 class TestStagedRowSelection:
     def test_budget_respected_per_tier(self):
         model, profile, topology, plan = build_world(3, 0, 64)
         staging = TierStagingModel(capacity_bytes=8192)
+        staged = staged_rows(
+            staging, plan, profile, model, topology.num_tiers
+        )
+        assert (staged[:, 0] == 0).all()
+        assert staged[:, 1:].any()
         for device in range(topology.num_devices):
-            staged = staged_rows_per_table(
-                staging, plan, profile, model, topology.num_tiers, device
-            )
-            assert (staged[:, 0] == 0).all()
             for tier in range(1, topology.num_tiers):
                 used = sum(
-                    int(staged[j, tier]) * model.tables[j].row_bytes
-                    for j in range(model.num_tables)
+                    int(staged[p.table_index, tier])
+                    * model.tables[p.table_index].row_bytes
+                    for p in plan.tables_on_device(device)
                 )
                 assert used <= staging.capacity_for(tier)
 
     def test_staged_rows_stay_within_tier_blocks(self):
         model, profile, topology, plan = build_world(3, 0, 64)
         staging = TierStagingModel(capacity_bytes=model.total_bytes)
-        for device in range(topology.num_devices):
-            staged = staged_rows_per_table(
-                staging, plan, profile, model, topology.num_tiers, device
-            )
-            for placement in plan.tables_on_device(device):
-                j = placement.table_index
-                for tier in range(1, topology.num_tiers):
-                    assert staged[j, tier] <= placement.rows_per_tier[tier]
+        staged = staged_rows(
+            staging, plan, profile, model, topology.num_tiers
+        )
+        for placement in plan:
+            j = placement.table_index
+            for tier in range(1, topology.num_tiers):
+                assert 0 <= staged[j, tier] <= placement.rows_per_tier[tier]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

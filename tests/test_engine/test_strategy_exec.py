@@ -5,8 +5,8 @@ rank line into segments, and every segment must reduce bit-identically
 to the scalar parity oracle (``tests.oracles.engine.ScalarExecutor``).
 These tests pin that for the strategy shards (column scatter, twrw
 rank ranges, table-wise rehoming), the classify/reduce serving seam,
-``replay_trace``, the scoping rules (no replication/cache
-composition), and brownout on twrw.
+``replay_trace``, brownout on twrw, and the composition of every
+strategy kind with cache, staging, replicas, brownout and a dead device.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    PlanError,
     RecShardFastSharder,
     ReplicationPolicy,
     TablePlacement,
@@ -27,15 +26,21 @@ from repro.core import (
     plan_with_strategies,
 )
 from repro.core.plan import ShardingPlan
+from repro.data.batch import JaggedBatch, JaggedFeature
+from repro.data.feature import SparseFeatureSpec
+from repro.data.model import EmbeddingTableSpec, ModelSpec
 from repro.data.synthetic import TraceGenerator
 from repro.engine import (
     CacheModel,
     ShardedExecutor,
+    TierStagingModel,
+    fast_lane_cutoffs,
     replay_trace,
 )
+from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
-from tests.oracles.engine import ScalarExecutor
+from tests.oracles.engine import ScalarExecutor, assert_same_times
 from tests.test_core.conftest import build_model
 
 BATCH = 128
@@ -164,8 +169,8 @@ class TestStrategyExecution:
             np.testing.assert_array_equal(dr, sr)
 
     def test_scalar_classify_seam_matches_vectorized(self, strategy_world):
-        """Segment counts fold into the oracle's per-(table, tier)
-        counts and twrw cut prefixes."""
+        """Segment counts fold into the oracle's per-(tier, lane vector)
+        groups: per (table, tier), and per shard of every table."""
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
@@ -179,15 +184,19 @@ class TestStrategyExecution:
         ).sum(axis=1)
         for batch in _batches(model, n=2):
             segments = fast.classify_batch(batch)
-            sc, sh, sr, scuts = slow.classify_batch(batch)
-            fc = np.zeros_like(sc)
-            np.add.at(fc, (seg_table, seg_tier), segments)
-            np.testing.assert_array_equal(fc, sc)
-            assert not sh.any() and sr is None
-            for j, strat in enumerate(sp.table_strategies):
-                for s, cut in enumerate(strat.row_cuts):
-                    below = segments[(seg_table == j) & (seg_lo < cut)]
-                    assert below.sum() == scuts[j, s]
+            groups = slow.classify_batch(batch)
+            for j, (keys, counts) in enumerate(groups):
+                shards = slow._table_shards[j]
+                tiers = keys // 4 ** len(shards)
+                on = seg_table == j
+                for t in range(topology.num_tiers):
+                    assert counts[tiers == t].sum() == (
+                        segments[on & (seg_tier == t)].sum()
+                    )
+                for k, (_, lo, hi, _, _) in enumerate(shards):
+                    lane = keys // 4 ** (len(shards) - 1 - k) % 4
+                    held = on & (lo <= seg_lo) & (seg_lo < hi)
+                    assert counts[lane > 0].sum() == segments[held].sum()
 
     def test_replay_trace_matches_individual_runs(self, strategy_world):
         model, profile, topology, plan = strategy_world
@@ -283,24 +292,6 @@ class TestStrategyExecution:
 
 
 class TestStrategyScoping:
-    def test_rejects_replication(self, strategy_world):
-        model, profile, topology, plan = strategy_world
-        replicated = plan_with_replication(
-            RecShardFastSharder(batch_size=BATCH, steps=40),
-            model, profile, topology,
-            ReplicationPolicy(capacity_bytes=4096),
-        )
-        with pytest.raises(PlanError, match="replication"):
-            ShardedExecutor(model, _row_only(replicated), profile, topology)
-
-    def test_rejects_cache_and_staging(self, strategy_world):
-        model, profile, topology, plan = strategy_world
-        with pytest.raises(ValueError, match="cache/staging"):
-            ShardedExecutor(
-                model, _row_only(plan), profile, topology,
-                cache=CacheModel(capacity_bytes=4096, bandwidth=400e9),
-            )
-
     def test_quantized_strategy_plan_builds_validated_executor(self):
         """Regression: plan_with_strategies output under an fp16 HBM was
         refused by the validating executor (shards charged at fp32)."""
@@ -366,6 +357,190 @@ class TestStrategyScoping:
             )
             # Browned lookups are dropped, the rest still conserve.
             assert fa.sum() + fast.last_browned.sum() == batch.total_lookups
+
+
+@pytest.fixture(scope="module")
+def three_tier_world():
+    """:func:`_mixed_plan`'s shards on a three-tier hierarchy whose
+    tier-0 block holds half of every table, so the twrw cuts cross
+    tier boundaries and every tier has rows to stage."""
+    model = build_model(num_tables=8, rows=512, dim=16, seed=3)
+    profile = analytic_profile(model)
+    total = model.total_bytes
+    topology = SystemTopology(
+        num_devices=4,
+        tiers=(
+            MemoryTier("hbm", total, 200e9),
+            MemoryTier("dram", total, 20e9),
+            MemoryTier("ssd", total, 2e9),
+        ),
+    )
+    plan = ShardingPlan("tiers", [
+        TablePlacement(j, j % 4, (n // 2, n // 4, n - n // 2 - n // 4))
+        for j, n in enumerate(model.num_rows.tolist())
+    ])
+    return model, profile, topology, _mixed_plan(model, plan, 4)
+
+
+def _with_replicas(model, plan, rows: dict):
+    replica_rows = np.zeros(len(plan), dtype=np.int64)
+    for j, count in rows.items():
+        replica_rows[j] = count
+    return dataclasses.replace(
+        plan, replica_rows=replica_rows,
+        replica_budget_bytes=model.total_bytes,
+    )
+
+
+#: Device states every composition is served under: brownout, and
+#: device 1 (a column and a twrw shard's home) failed.
+STATES = [(False, None), (True, None), (False, 1), (True, 1)]
+
+
+def _serve_against_oracle(world, plan, state, **lanes):
+    """Serve a few batches on the shipped executor and the scalar
+    oracle; metrics and tallies must agree and every lookup must be
+    accessed, dropped or browned.  Returns the shipped run's rows."""
+    model, profile, topology, _ = world
+    brownout, dead = state
+    fast = ShardedExecutor(model, plan, profile, topology, **lanes)
+    slow = ScalarExecutor(model, plan, profile, topology, **lanes)
+    for executor in (fast, slow):
+        executor.set_brownout(brownout)
+        if dead is not None:
+            executor.fail_device(dead)
+    rows = []
+    for batch in _batches(model, n=2):
+        got, want = fast.run_batch(batch), slow.run_batch(batch)
+        assert_same_times(got[0], want[0], fast)
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(fast.last_dropped, slow.last_dropped)
+        np.testing.assert_array_equal(fast.last_browned, slow.last_browned)
+        assert (
+            got[1].sum() + fast.last_dropped.sum() + fast.last_browned.sum()
+            == batch.total_lookups
+        )
+        rows.append(got)
+    np.testing.assert_array_equal(fast.browned_by_table, slow.browned_by_table)
+    np.testing.assert_array_equal(fast._replica_load, slow._replica_load)
+    return rows
+
+
+class TestLaneComposition:
+    """Every strategy kind composes with cache, staging, replicas,
+    brownout and a dead device: hot sets are selected per shard."""
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_column_replicas_are_routed_once(self, strategy_world, state):
+        # Regression: the column split wrote replicated lookups back
+        # onto their shards, so accesses exceeded the lookups.
+        model, _, topology, plan = strategy_world
+        sp = _with_replicas(
+            model, _mixed_plan(model, plan, topology.num_devices), {0: 40}
+        )
+        rows = _serve_against_oracle(strategy_world, sp, state)
+        assert sum(r[3].sum() for r in rows) > 0
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_twrw_replicas_across_a_cut(self, strategy_world, state):
+        # Regression: only the last replica segment of a twrw table was
+        # routed; the others' lookups were lost.
+        model, profile, topology, plan = strategy_world
+        sp = _mixed_plan(model, plan, topology.num_devices)
+        third = model.tables[1].num_rows // 3
+        sp = _with_replicas(model, sp, {1: third + 20})
+        rows = _serve_against_oracle(strategy_world, sp, state)
+        if state == (False, None):
+            ranker = ShardedExecutor(model, sp, profile, topology).ranker
+            below = sum(
+                np.count_nonzero(
+                    ranker.rank_feature(1, batch.features[1]).ranks
+                    < third + 20
+                )
+                for batch in _batches(model, n=2)
+            )
+            assert sum(r[3].sum() for r in rows) == below > 0
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_every_kind_with_every_lane(self, three_tier_world, state):
+        model, _, _, plan = three_tier_world
+        third = model.tables[1].num_rows // 3
+        sp = _with_replicas(model, plan, {0: 40, 1: third + 20, 2: 30, 3: 8})
+        rows = _serve_against_oracle(
+            three_tier_world, sp, state,
+            cache=CacheModel(capacity_bytes=4096, bandwidth=1e12),
+            staging=TierStagingModel(capacity_bytes=4096),
+        )
+        hits = sum(r[2] for r in rows)
+        assert hits[0].any() and hits[1:].any()
+
+    def test_brownout_drops_a_cold_shard_without_a_share(self):
+        """Regression: brownout dropped a column segment's cold cells
+        only when their lookup shares were nonzero.  A lone lookup of a
+        column table goes wholly to its wide shard, staged on device 1;
+        device 0 spends its staging budget on a hotter table, so the
+        narrow shard's cell is cold with a zero share, and its traffic
+        must still drop."""
+        def spec(name, pooling, seed):
+            feature = SparseFeatureSpec(
+                name=name, cardinality=128, hash_size=64, alpha=1.2,
+                avg_pooling=pooling, coverage=1.0, hash_seed=seed,
+            )
+            return EmbeddingTableSpec(feature=feature, dim=16)
+
+        model = ModelSpec("cold_share", (spec("a", 2.0, 0), spec("b", 30.0, 1)))
+        profile = analytic_profile(model)
+        topology = SystemTopology.two_tier(
+            2, model.total_bytes, 200e9, model.total_bytes, 10e9
+        )
+        plan = ShardingPlan(
+            "drawn",
+            [TablePlacement(0, 0, (0, 64)), TablePlacement(1, 0, (0, 64))],
+            table_strategies=(
+                TableStrategy("column", devices=(0, 1), dims=(1, 15)),
+                TableStrategy("row"),
+            ),
+        )
+        staging = TierStagingModel(capacity_bytes=600)
+        cutoffs = fast_lane_cutoffs(None, staging, plan, profile, model, 2)
+        assert cutoffs[0, 1] == 0 < cutoffs[1, 1]
+        row = profile[0].cdf.row_order[0]
+        batch = JaggedBatch([
+            JaggedFeature(np.array([row]), np.array([0, 1])),
+            JaggedFeature(np.zeros(0, dtype=np.int64), np.array([0, 0])),
+        ])
+        fast = ShardedExecutor(model, plan, profile, topology, staging=staging)
+        slow = ScalarExecutor(model, plan, profile, topology, staging=staging)
+        for executor in (fast, slow):
+            executor.set_brownout(True)
+        got, want = fast.run_batch(batch), slow.run_batch(batch)
+        assert_same_times(got[0], want[0], fast)
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(g, w)
+        assert got[0][0] == 0.0 and got[0][1] > 0.0
+        assert got[1].sum() == 1 and fast.last_browned.sum() == 0
+
+    def test_split_tables_select_per_shard(self, three_tier_world):
+        """Each shard's hot set competes on its own device: the
+        selection matches the oracle's per-device greedy fill, and a
+        column shard's cutoff reflects its own slice's bytes."""
+        model, profile, topology, plan = three_tier_world
+        cache = CacheModel(capacity_bytes=4096, bandwidth=1e12)
+        staging = TierStagingModel(capacity_bytes=4096)
+        cutoffs = fast_lane_cutoffs(
+            cache, staging, plan, profile, model, topology.num_tiers
+        )
+        oracle = ScalarExecutor(
+            model, plan, profile, topology, cache=cache, staging=staging
+        )
+        np.testing.assert_array_equal(
+            cutoffs, np.concatenate(oracle._fast_end)
+        )
+        # The column table's shards hold different dim slices on
+        # different devices, so their hot sets differ.
+        column = plan.shards(model).table == 0
+        assert len(set(cutoffs[column, 0].tolist())) > 1
 
 
 class TestLaneRegistry:

@@ -1,10 +1,11 @@
 """Property-style randomized tests for the vectorized CDF queries.
 
-``FrequencyCDF.fractional_rows_for_coverage_many`` and
-``coverage_of_rows_many`` are the planner workspace's foundation: every
-ICDF grid and coverage prefix the vectorized sharders consume comes
-from them.  These tests draw randomized count vectors (heavy tails,
-ties, dead rows, degenerate shapes) and check, for each:
+``FrequencyCDF.fractional_rows_for_coverage_many`` is the planner
+workspace's foundation: every ICDF grid the vectorized sharders consume
+comes from it; the oracles read coverage through
+``tests.oracles.planner.coverage_of_rows_many``.  These tests draw
+randomized count vectors (heavy tails, ties, dead rows, degenerate
+shapes) and check, for each:
 
 * element-for-element agreement with the scalar methods;
 * monotonicity in the query argument (a CDF/ICDF structural property);
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.stats.cdf import FrequencyCDF, descending_order
+from tests.oracles.planner import coverage_of_rows_many
 
 
 def random_counts(rng: np.random.Generator) -> np.ndarray:
@@ -114,21 +116,21 @@ class TestCoverageOfRowsMany:
                 [0, 1, cdf.live_rows, cdf.hash_size, cdf.hash_size + 1],
             ]
         )
-        many = cdf.coverage_of_rows_many(rows)
+        many = coverage_of_rows_many(cdf, rows)
         scalar = np.array([cdf.coverage_of_rows(int(r)) for r in rows])
         np.testing.assert_array_equal(many, scalar)
 
     def test_monotone_in_rows(self, cdf):
         cdf, _ = cdf
         rows = np.arange(0, cdf.hash_size + 1)
-        cov = cdf.coverage_of_rows_many(rows)
+        cov = coverage_of_rows_many(cdf, rows)
         assert np.all(np.diff(cov) >= 0)
         assert np.all((cov >= 0.0) & (cov <= 1.0))
 
     def test_preserves_query_shape(self, cdf):
         cdf, rng = cdf
         rows = rng.integers(0, cdf.hash_size + 1, size=(3, 5))
-        assert cdf.coverage_of_rows_many(rows).shape == (3, 5)
+        assert coverage_of_rows_many(cdf, rows).shape == (3, 5)
 
 
 class TestInverseRoundTrip:
@@ -136,7 +138,7 @@ class TestInverseRoundTrip:
         """The hottest ``k`` rows' coverage needs at most ``k`` rows."""
         cdf, rng = cdf
         ks = np.unique(rng.integers(0, cdf.hash_size + 1, size=32))
-        cov = cdf.coverage_of_rows_many(ks)
+        cov = coverage_of_rows_many(cdf, ks)
         back = cdf.fractional_rows_for_coverage_many(cov)
         assert np.all(back <= ks + 1e-9)
 
@@ -147,7 +149,7 @@ class TestInverseRoundTrip:
         rows = np.ceil(
             cdf.fractional_rows_for_coverage_many(fractions) - 1e-9
         ).astype(np.int64)
-        cov = cdf.coverage_of_rows_many(rows)
+        cov = coverage_of_rows_many(cdf, rows)
         if cdf.total > 0:
             assert np.all(cov >= fractions - 1e-12)
         else:
@@ -162,7 +164,7 @@ class TestDegenerateShapes:
             cdf.fractional_rows_for_coverage_many(fractions), np.zeros(7)
         )
         np.testing.assert_array_equal(
-            cdf.coverage_of_rows_many(np.arange(12)), np.zeros(12)
+            coverage_of_rows_many(cdf, np.arange(12)), np.zeros(12)
         )
 
     def test_single_row(self):
@@ -174,7 +176,7 @@ class TestDegenerateShapes:
             cdf.fractional_rows_for_coverage(f) for f in (0.0, 0.25, 1.0)
         ]
         np.testing.assert_array_equal(rows, scalar)
-        assert cdf.coverage_of_rows_many(np.array([0, 1, 2])).tolist() == [
+        assert coverage_of_rows_many(cdf, np.array([0, 1, 2])).tolist() == [
             0.0,
             1.0,
             1.0,

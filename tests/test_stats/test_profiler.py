@@ -11,6 +11,7 @@ from repro.data.model import EmbeddingTableSpec, ModelSpec
 from repro.data.synthetic import TraceGenerator
 from repro.stats import TraceProfiler, analytic_profile, profile_trace
 from repro.stats.cdf import FrequencyCDF
+from tests.oracles.planner import coverage_of_rows_many
 
 
 def tiny_model(hash_sizes=(100, 500), coverage=1.0):
@@ -216,7 +217,7 @@ class TestRankedStatistics:
         grid = profile.coverage_of_rows_at(np.arange(3), rows[:, None])
         for j, stats in enumerate(profile):
             np.testing.assert_array_equal(
-                grid[:, j], stats.cdf.coverage_of_rows_many(rows)
+                grid[:, j], coverage_of_rows_many(stats.cdf, rows)
             )
             np.testing.assert_array_equal(
                 profile.coverage_of_rows_at(j, rows),
