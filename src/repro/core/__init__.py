@@ -16,7 +16,7 @@ from repro.core.plan import (
     crossing_cells,
 )
 from repro.core.remap import RemappingLayer, RemappingTable
-from repro.core.formulation import RecShardInputs, TableInputs, build_milp
+from repro.core.formulation import build_milp
 from repro.core.replicate import (
     ReplicationPolicy,
     build_replication,
@@ -56,14 +56,12 @@ __all__ = [
     "PlanError",
     "PlannerWorkspace",
     "RecShardFastSharder",
-    "RecShardInputs",
     "RecShardSharder",
     "RemappingLayer",
     "RemappingTable",
     "ReplicationPolicy",
     "STRATEGY_KINDS",
     "ShardingPlan",
-    "TableInputs",
     "TablePlacement",
     "TableStrategy",
     "build_milp",

@@ -28,7 +28,14 @@ Two encodings of the ICDF are provided:
 * ``"convex"`` — equivalent, exploiting that every descending-frequency
   ICDF is convex: ``mem[j]`` is bounded below by the chords of the
   sampled ICDF, eliminating the per-step binaries.  See
-  :meth:`repro.stats.cdf.PiecewiseICDF.convex_cuts`.
+  :func:`repro.stats.cdf.convex_cuts`.
+
+The model is built from a :class:`~repro.core.workspace.PlannerWorkspace`
+— the one planner-input format the fast and multi-tier sharders solve
+on too: its shared coverage grid and per-table ``frac_rows`` give the
+sampled ICDF points, and its per-table vectors the row geometry,
+pooling, coverage and access totals.  Coefficients are read through
+``tolist()``, so the model holds plain Python numbers.
 
 The per-GPU capacity and cost terms multiply the binary ``p[m][j]`` with
 the continuous ``pct[j]`` / ``mem[j]``; these bilinear products are
@@ -45,71 +52,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.data.model import ModelSpec
+import numpy as np
+
+from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
 from repro.milp.model import LinExpr, Model, Var, lin_sum
-from repro.stats.cdf import PiecewiseICDF
-from repro.stats.profiler import ModelProfile
+from repro.stats.cdf import convex_cuts
 
 MIB = 2**20
 _MS = 1e3  # seconds -> milliseconds
-
-
-@dataclass(frozen=True)
-class TableInputs:
-    """Everything the MILP needs to know about one embedding table."""
-
-    name: str
-    row_bytes: int
-    hash_size: int
-    live_rows: int
-    icdf: PiecewiseICDF
-    avg_pooling: float
-    coverage: float
-    total_accesses: float
-
-    @property
-    def total_bytes(self) -> int:
-        return self.hash_size * self.row_bytes
-
-    @property
-    def live_bytes(self) -> int:
-        return self.live_rows * self.row_bytes
-
-
-@dataclass(frozen=True)
-class RecShardInputs:
-    """MILP inputs for a whole model."""
-
-    tables: tuple[TableInputs, ...]
-
-    @classmethod
-    def from_profile(
-        cls, model: ModelSpec, profile: ModelProfile, steps: int = 100
-    ) -> "RecShardInputs":
-        """Derive inputs from a model spec plus its training-data profile."""
-        if len(profile) != model.num_tables:
-            raise ValueError(
-                f"profile has {len(profile)} tables, model has {model.num_tables}"
-            )
-        tables = []
-        for spec, stats in zip(model.tables, profile):
-            tables.append(
-                TableInputs(
-                    name=spec.name,
-                    row_bytes=spec.row_bytes,
-                    hash_size=spec.num_rows,
-                    live_rows=stats.cdf.live_rows,
-                    icdf=stats.cdf.icdf_points(steps),
-                    avg_pooling=stats.avg_pooling,
-                    coverage=stats.coverage,
-                    total_accesses=stats.total_accesses,
-                )
-            )
-        return cls(tables=tuple(tables))
-
-    def __len__(self) -> int:
-        return len(self.tables)
 
 
 @dataclass
@@ -123,9 +74,15 @@ class FormulationHandles:
     max_cost: Var  # C, the minimized makespan (ms)
     device_costs: list[LinExpr]  # c_m expressions (ms)
 
+    def devices(self, result) -> list[int]:
+        """Each table's device in ``result``: the first device with the
+        largest assignment value."""
+        index = [[var.index for var in row] for row in self.assign]
+        return np.argmax(np.take(result.values, index), axis=0).tolist()
+
 
 def build_milp(
-    inputs: RecShardInputs,
+    workspace: PlannerWorkspace,
     topology: SystemTopology,
     batch_size: int,
     formulation: str = "convex",
@@ -137,7 +94,9 @@ def build_milp(
     """Build the RecShard MILP for any number of tiers.
 
     Args:
-        inputs: per-table statistics.
+        workspace: the profile's
+            :class:`~repro.core.workspace.PlannerWorkspace`; its ICDF
+            ``steps`` are the formulation's.
         topology: the memory hierarchy; boundary ``b`` splits tier ``b``
             from the slower tiers behind it.
         batch_size: training batch size ``B`` (Constraint 11).
@@ -155,8 +114,9 @@ def build_milp(
     if formulation not in ("convex", "step"):
         raise ValueError(f"unknown formulation {formulation!r}")
 
+    ws = workspace
     num_devices = topology.num_devices
-    num_tables = len(inputs)
+    num_tables = ws.num_tables
     tiers = topology.tiers
     num_bounds = len(tiers) - 1
     caps_mib = [tier.capacity_bytes / MIB for tier in tiers]
@@ -164,10 +124,18 @@ def build_milp(
     cap_names = ["cap_hbm", *(f"cap_tier{t}" for t in range(1, num_bounds)),
                  "cap_host"]
 
+    # Per-table statistics as Python numbers (the model's coefficients).
+    row_bytes = ws.row_bytes.tolist()
+    hash_sizes = ws.hash_sizes.tolist()
+    live_rows = ws.live_rows.tolist()
+    total_accesses = ws.total_accesses.tolist()
+    coverages = ws.coverage.tolist() if use_coverage else [1.0] * num_tables
+    poolings = ws.avg_pooling.tolist() if use_pooling else [1.0] * num_tables
+    fractions = ws.fractions.tolist()
     # Per (table, tier): a row's bytes at the tier's precision over fp32.
+    tier_rb = [ws.tier_row_bytes(tier.precision).tolist() for tier in tiers]
     scales = [
-        [tier.row_bytes_for(t.row_bytes) / t.row_bytes for tier in tiers]
-        for t in inputs.tables
+        [rb[j] / row_bytes[j] for rb in tier_rb] for j in range(num_tables)
     ]
 
     def at(b: int) -> str:
@@ -191,10 +159,11 @@ def build_milp(
     # One (pct, mem) point on each table's ICDF per tier boundary.
     pct: list[list[Var]] = []
     mem: list[list[Var]] = []
-    for j, table in enumerate(inputs.tables):
-        live_mib = table.live_bytes / MIB
-        has_accesses = table.total_accesses > 0
-        row_mib = table.row_bytes / MIB
+    for j in range(num_tables):
+        live_mib = live_rows[j] * row_bytes[j] / MIB
+        has_accesses = total_accesses[j] > 0
+        row_mib = row_bytes[j] / MIB
+        rows = ws.frac_rows[j].tolist()
         pct.append([])
         mem.append([])
         for b in range(num_bounds):
@@ -217,31 +186,25 @@ def build_milp(
                 # mem >= every chord of the sampled ICDF; the chords'
                 # upper envelope equals the piecewise-linear ICDF
                 # (convexity).
-                for k, (slope, intercept) in enumerate(table.icdf.convex_cuts()):
+                cuts = convex_cuts(fractions, rows)
+                for k, (slope, intercept) in enumerate(cuts):
                     model.add(
                         mem_j >= pct_j * (slope * row_mib) + intercept * row_mib,
                         name=f"icdf_cut[{j}]{at(b)}[{k}]",
                     )
                 continue
             # The paper's step binaries (Constraints 4-7).
-            steps = table.icdf.steps
             x = [
                 model.binary_var(name=f"x[{i}][{j}]{at(b)}")
-                for i in range(steps + 1)
+                for i in range(ws.steps + 1)
             ]
             model.add(lin_sum(x) == 1, name=f"one_step[{j}]{at(b)}")
             model.add(
-                lin_sum(
-                    x[i] * float(table.icdf.fractions[i]) for i in range(steps + 1)
-                )
-                == pct_j,
+                lin_sum(x_i * f for x_i, f in zip(x, fractions)) == pct_j,
                 name=f"step_pct[{j}]{at(b)}",
             )
             model.add(
-                lin_sum(
-                    x[i] * (float(table.icdf.rows[i]) * row_mib)
-                    for i in range(steps + 1)
-                )
+                lin_sum(x_i * (r * row_mib) for x_i, r in zip(x, rows))
                 == mem_j,
                 name=f"step_mem[{j}]{at(b)}",
             )
@@ -253,12 +216,12 @@ def build_milp(
     for m in range(num_devices):
         tier_terms: list[list] = [[] for _ in tiers]
         cost_terms: list = []
-        for j, table in enumerate(inputs.tables):
+        for j in range(num_tables):
             p_mj = assign[m][j]
-            live_mib = table.live_bytes / MIB
+            live_mib = live_rows[j] * row_bytes[j] / MIB
             charge_mib = (
-                table.live_bytes if reclaim_dead else table.total_bytes
-            ) / MIB
+                live_rows[j] if reclaim_dead else hash_sizes[j]
+            ) * row_bytes[j] / MIB
             scale = scales[j]
             held: list[Var] = []
             for b in range(num_bounds):
@@ -276,14 +239,12 @@ def build_milp(
                 held.append(u_mj)
             tier_terms[-1].append((p_mj * charge_mib - lin_sum(held)) * scale[-1])
 
-            if table.total_accesses <= 0:
+            if total_accesses[j] <= 0:
                 continue
             # Constraint 11: per-step demand (pool * dim * bytes * B),
             # split across tiers by the chosen access fractions.
-            pooling = table.avg_pooling if use_pooling else 1.0
-            coverage = table.coverage if use_coverage else 1.0
-            demand_bytes = pooling * table.row_bytes * batch_size
-            weight = coverage * demand_bytes * _MS
+            demand_bytes = poolings[j] * row_bytes[j] * batch_size
+            weight = coverages[j] * demand_bytes * _MS
             # p*c_j = weight * (sum_b w_b (1/BW_b - 1/BW_{b+1}) + p/BW_last)
             for b in range(num_bounds):
                 w_mj = model.continuous_var(
@@ -316,13 +277,8 @@ def build_milp(
     # devices, which the makespan alone leaves unconstrained (solver
     # indifference would otherwise strand free capacity).
     total_cost_scale = sum(
-        (t.coverage if use_coverage else 1.0)
-        * (t.avg_pooling if use_pooling else 1.0)
-        * t.row_bytes
-        * batch_size
-        * _MS
-        * inv_bw[-1]
-        for t in inputs.tables
+        coverage * pooling * rb * batch_size * _MS * inv_bw[-1]
+        for coverage, pooling, rb in zip(coverages, poolings, row_bytes)
     )
     epsilon = 1e-6 * max(total_cost_scale, 1e-12) / max(1, num_tables)
     model.minimize(max_cost - epsilon * lin_sum(v for pct_j in pct for v in pct_j))

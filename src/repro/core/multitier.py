@@ -22,8 +22,12 @@ the same positive bandwidth-delta factor, so only budgets and start
 boundaries differ between tiers).  Serving drift replans and
 ``shard_sweep`` tier grids build the workspace once per profile, and
 every tier boundary after the first resumes from the previous tier's
-boundary array.  The per-step heapq waterfill is the parity oracle in
-``tests/oracles/planner.py``.
+boundary array.  The boundaries become per-tier rows and costs in one
+vector pass per tier, and the LPT assignment reads each tier's row
+bytes from :meth:`~repro.core.workspace.PlannerWorkspace.tier_row_bytes`.
+The MILP method builds from and extracts over the same workspace.  The
+per-step heapq waterfill, with the per-table extraction and LPT it
+finished with, is the parity oracle in ``tests/oracles/planner.py``.
 
 ``warm_start`` (the outgoing plan of a drift replan) steers the LPT
 assignment toward each table's previous device home, so a replan moves
@@ -32,17 +36,15 @@ tables only where drift actually changed relative costs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
-from repro.core.formulation import MIB, RecShardInputs, build_milp
+from repro.core.formulation import MIB, build_milp
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
-from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
+from repro.stats.cdf import descending_order
 
 _MS = 1e3
 
@@ -84,7 +86,7 @@ class MultiTierSharder:
             return self.shard_from_workspace(
                 workspace, topology, warm_start=warm_start
             )
-        plan = self._shard_milp(workspace.inputs, topology)
+        plan = self._shard_milp(workspace, topology)
         # Score the result under the analytic cost model (batched
         # evaluator handles any tier count) so multi-tier plans report
         # the same estimated-makespan metadata as the two-tier sharders.
@@ -151,90 +153,69 @@ class MultiTierSharder:
             )
             boundary[:, tier] = steps_out
             start = steps_out
-        boundary_steps = [[int(b) for b in row] for row in boundary]
-        plan = self._finish_greedy(
-            ws.inputs, topology, boundary_steps, warm_start
-        )
+        plan = self._finish_greedy(ws, topology, boundary, weights, warm_start)
         return stamp_estimated_costs(
             plan, ws.model, ws.profile, topology, self.batch_size
         )
 
     def _finish_greedy(
-        self, inputs, topology, boundary_steps, warm_start
+        self, ws, topology, boundary, weights, warm_start
     ) -> ShardingPlan:
         """Boundary steps -> placements, LPT assignment, plan."""
-        inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
-        weights = [
-            t.coverage * t.avg_pooling * t.row_bytes * self.batch_size * _MS
-            for t in inputs.tables
-        ]
-        placements, costs = self._extract(
-            inputs, topology, boundary_steps, weights, inv_bw
-        )
+        rows, costs = self._extract(ws, topology, boundary, weights)
         preferred = None
-        if warm_start is not None and len(warm_start) == len(placements):
-            preferred = [warm_start[j].device for j in range(len(placements))]
+        if warm_start is not None and len(warm_start) == ws.num_tables:
+            preferred = [warm_start[j].device for j in range(ws.num_tables)]
         device_of = self._assign_lpt(
-            inputs, topology, placements, costs, preferred=preferred
+            ws, topology, rows, costs, preferred=preferred
         )
-        final = [
-            TablePlacement(p.table_index, device_of[p.table_index], p.rows_per_tier)
-            for p in placements
+        placements = [
+            TablePlacement(j, device, tuple(table_rows))
+            for j, (device, table_rows) in enumerate(zip(device_of, rows))
         ]
         metadata = {"solver": "greedy"}
         if preferred is not None:
             metadata["warm_started"] = True
         _stamp_tier_precisions(metadata, topology)
         return ShardingPlan(
-            strategy=self.name, placements=final, metadata=metadata
+            strategy=self.name, placements=placements, metadata=metadata
         )
 
-    def _extract(self, inputs, topology, boundary_steps, weights, inv_bw):
-        """Boundary steps -> per-tier row counts and expected costs."""
-        num_tiers = topology.num_tiers
-        placements = []
-        costs = []
-        for j, table in enumerate(inputs.tables):
-            icdf = table.icdf
-            cum_rows = [
-                math.ceil(icdf.rows[boundary_steps[j][t]] - 1e-9)
-                for t in range(num_tiers - 1)
-            ]
-            rows = []
-            prev = 0
-            for t in range(num_tiers - 1):
-                rows.append(cum_rows[t] - prev)
-                prev = cum_rows[t]
-            rows.append(table.hash_size - prev)  # tail + dead rows
-            placements.append(
-                TablePlacement(table_index=j, device=0, rows_per_tier=tuple(rows))
-            )
-            fracs = [
-                float(icdf.fractions[boundary_steps[j][t]])
-                for t in range(num_tiers - 1)
-            ]
-            fracs.append(1.0)
-            cost = 0.0
-            prev_frac = 0.0
-            for t in range(num_tiers):
-                cost += (
-                    weights[j] * (fracs[t] - prev_frac) * inv_bw[t]
-                    if t < len(fracs)
-                    else 0.0
-                )
-                prev_frac = fracs[t] if t < len(fracs) else prev_frac
-            costs.append(cost if table.total_accesses > 0 else 0.0)
-        return placements, costs
+    @staticmethod
+    def _extract(ws, topology, boundary, weights):
+        """Boundary steps -> per-tier row counts and expected costs.
 
-    def _assign_lpt(self, inputs, topology, placements, costs, preferred=None):
+        ``boundary`` holds each table's cumulative ICDF step per tier
+        boundary.  Tier ``t`` holds the grid rows between boundaries
+        ``t - 1`` and ``t``; the last tier the tail and the dead rows.
+        A table's cost accumulates tier by tier, each tier's term
+        ``(weight * covered fraction) * (1 / bandwidth)``: the per-table
+        loop's float order, so the costs, and the LPT order they set,
+        match the oracle's bit for bit.
+        """
+        cum_rows = np.take_along_axis(ws.grid_rows, boundary, axis=1)
+        rows = np.diff(cum_rows, axis=1, prepend=0, append=ws.hash_sizes[:, None])
+        fracs = ws.fractions[boundary]
+        costs = np.zeros(ws.num_tables)
+        prev = 0.0
+        for t, tier in enumerate(topology.tiers):
+            frac = fracs[:, t] if t < fracs.shape[1] else 1.0
+            costs += weights * (frac - prev) * (1.0 / tier.bandwidth)
+            prev = frac
+        costs[ws.total_accesses <= 0] = 0.0
+        return rows.tolist(), costs
+
+    @staticmethod
+    def _assign_lpt(ws, topology, rows, costs, preferred=None):
         """Least-loaded placement under per-device per-tier capacities.
 
-        With ``preferred`` (per-table device hints from a warm-start
-        plan), a table stays on its hinted device whenever its splits
-        fit there.  When no device fits a table's current splits, the
-        splits are demoted tier by tier (rows cascade toward slower
-        tiers) until the device with the most free space can hold the
-        table.
+        Tables go in descending cost order (ties by index).  With
+        ``preferred`` (per-table device hints from a warm-start plan), a
+        table stays on its hinted device whenever its splits fit there.
+        When no device fits a table's current splits, the splits (rows
+        of ``rows``, updated in place) are demoted tier by tier (rows
+        cascade toward slower tiers) until the device with the most
+        free space can hold the table.
         """
         num_devices = topology.num_devices
         num_tiers = topology.num_tiers
@@ -243,18 +224,15 @@ class MultiTierSharder:
             [tier.capacity_bytes for tier in topology.tiers]
             for _ in range(num_devices)
         ]
-        device_of = [0] * len(placements)
-        order = sorted(range(len(placements)), key=lambda j: -costs[j])
-        for j in order:
-            placement = placements[j]
-            tier_rb = [
-                quantized_row_bytes(inputs.tables[j].row_bytes, tier.precision)
-                for tier in topology.tiers
-            ]
-            need = [
-                r * tier_rb[t]
-                for t, r in enumerate(placement.rows_per_tier)
-            ]
+        tier_rb = np.stack(
+            [ws.tier_row_bytes(tier.precision) for tier in topology.tiers],
+            axis=1,
+        ).tolist()
+        cost_of = costs.tolist()
+        device_of = [0] * len(rows)
+        for j in descending_order(costs).tolist():
+            table_rows, table_rb = rows[j], tier_rb[j]
+            need = [r * rb for r, rb in zip(table_rows, table_rb)]
             candidates = [
                 m
                 for m in range(num_devices)
@@ -269,26 +247,20 @@ class MultiTierSharder:
                 device = max(
                     range(num_devices), key=lambda m: sum(free[m][:-1])
                 )
-                rows = list(placement.rows_per_tier)
                 for t in range(num_tiers - 1):
-                    max_rows = max(0, free[device][t] // tier_rb[t])
-                    overflow = rows[t] - max_rows
+                    max_rows = max(0, free[device][t] // table_rb[t])
+                    overflow = table_rows[t] - max_rows
                     if overflow > 0:
-                        rows[t] -= overflow
-                        rows[t + 1] += overflow
-                if rows[-1] * tier_rb[-1] > free[device][-1]:
+                        table_rows[t] -= overflow
+                        table_rows[t + 1] += overflow
+                if table_rows[-1] * table_rb[-1] > free[device][-1]:
                     raise PlanError(
                         f"multi-tier: table {j} fits no device even after "
                         "demotion"
                     )
-                placements[j] = TablePlacement(
-                    table_index=placement.table_index,
-                    device=placement.device,
-                    rows_per_tier=tuple(rows),
-                )
-                need = [r * tier_rb[t] for t, r in enumerate(rows)]
+                need = [r * rb for r, rb in zip(table_rows, table_rb)]
             device_of[j] = device
-            loads[device] += costs[j]
+            loads[device] += cost_of[j]
             for t, n in enumerate(need):
                 free[device][t] -= n
         return device_of
@@ -296,9 +268,9 @@ class MultiTierSharder:
     # ------------------------------------------------------------------
     # MILP: the one formulation, with one (pct, mem) point per boundary
     # ------------------------------------------------------------------
-    def _shard_milp(self, inputs: RecShardInputs, topology) -> ShardingPlan:
+    def _shard_milp(self, ws, topology) -> ShardingPlan:
         handles = build_milp(
-            inputs, topology, batch_size=self.batch_size, formulation="step"
+            ws, topology, batch_size=self.batch_size, formulation="step"
         )
         result = handles.model.solve(
             time_limit=self.time_limit, mip_gap=self.mip_gap
@@ -307,26 +279,22 @@ class MultiTierSharder:
             raise RuntimeError(
                 f"multi-tier MILP produced no incumbent (status={result.status})"
             )
-
-        placements = []
-        for j, table in enumerate(inputs.tables):
-            device = max(
-                range(topology.num_devices),
-                key=lambda m: result.value(handles.assign[m][j]),
+        # Each boundary's rows, floored, clipped and kept ordered.
+        mem_mib = np.take(
+            result.values, [[var.index for var in mem] for mem in handles.mem]
+        ).reshape(ws.num_tables, topology.num_tiers - 1)
+        hash_sizes = ws.hash_sizes[:, None]
+        cum_rows = np.maximum.accumulate(
+            np.minimum((mem_mib * MIB + 1e-6) // ws.row_bytes[:, None], hash_sizes),
+            axis=1,
+        ).astype(np.int64)
+        rows = np.diff(cum_rows, axis=1, prepend=0, append=hash_sizes)
+        placements = [
+            TablePlacement(j, device, tuple(table_rows))
+            for j, (device, table_rows) in enumerate(
+                zip(handles.devices(result), rows.tolist())
             )
-            # Each boundary's rows, floored, clipped and kept ordered.
-            cum_rows = np.maximum.accumulate([
-                min((result.value(mem) * MIB + 1e-6) // table.row_bytes,
-                    table.hash_size)
-                for mem in handles.mem[j]
-            ]).astype(np.int64)
-            rows_per_tier = np.diff(cum_rows, prepend=0, append=table.hash_size)
-            placements.append(
-                TablePlacement(
-                    table_index=j, device=device,
-                    rows_per_tier=tuple(rows_per_tier.tolist()),
-                )
-            )
+        ]
         metadata = {
             "solver": f"milp/{result.solver}",
             "objective_ms": result.objective,

@@ -58,7 +58,6 @@ class RecShardSharder:
         use_coverage: bool = True,
         use_pooling: bool = True,
         reclaim_dead: bool = False,
-        symmetry_breaking: bool = True,
         fallback: bool = True,
         name: str = "RecShard",
     ):
@@ -70,7 +69,6 @@ class RecShardSharder:
         self.use_coverage = use_coverage
         self.use_pooling = use_pooling
         self.reclaim_dead = reclaim_dead
-        self.symmetry_breaking = symmetry_breaking
         self.fallback = fallback
         self.name = name
 
@@ -90,7 +88,7 @@ class RecShardSharder:
         ``warm_start`` is accepted but ignored).
 
         One workspace (``workspace``, or one built here) feeds the MILP
-        inputs, the fast candidate, and both cost stamps.
+        model, its extraction, the fast candidate, and both cost stamps.
         """
         if topology.num_tiers != 2:
             raise ValueError(
@@ -100,14 +98,13 @@ class RecShardSharder:
         workspace = sharder_workspace(model, profile, self.steps, workspace)
         start = time.perf_counter()
         handles = build_milp(
-            workspace.inputs,
+            workspace,
             topology,
             batch_size=self.batch_size,
             formulation=self.formulation,
             use_coverage=self.use_coverage,
             use_pooling=self.use_pooling,
             reclaim_dead=self.reclaim_dead,
-            symmetry_breaking=self.symmetry_breaking,
         )
         build_time = time.perf_counter() - start
         result = handles.model.solve(
@@ -190,24 +187,23 @@ class RecShardSharder:
         solver's ``mem`` budget caps the result to preserve capacity
         feasibility (float slack is repaired afterwards).
         """
-        inputs = workspace.inputs
+        ws = workspace
+        devices = handles.devices(result)
+        row_bytes = ws.row_bytes.tolist()
+        hash_sizes = ws.hash_sizes.tolist()
         placements = []
-        for j, table in enumerate(inputs.tables):
-            device = max(
-                range(topology.num_devices),
-                key=lambda m: result.value(handles.assign[m][j]),
-            )
-            mem_bytes = result.value(handles.mem[j][0]) * MIB + 1e-6
+        for j, mem in enumerate(handles.mem):
+            mem_bytes = result.value(mem[0]) * MIB + 1e-6
             pct_value = min(1.0, max(0.0, result.value(handles.pct[j][0])))
-            icdf = table.icdf
-            wanted = math.ceil(icdf.interpolate_rows(pct_value) - 1e-9)
-            budget = int(mem_bytes // table.row_bytes)
-            hbm_rows = max(0, min(wanted, budget, table.hash_size))
+            rows = float(np.interp(pct_value, ws.fractions, ws.frac_rows[j]))
+            wanted = math.ceil(rows - 1e-9)
+            budget = int(mem_bytes // row_bytes[j])
+            hbm_rows = max(0, min(wanted, budget, hash_sizes[j]))
             placements.append(
                 TablePlacement(
                     table_index=j,
-                    device=device,
-                    rows_per_tier=(hbm_rows, table.hash_size - hbm_rows),
+                    device=devices[j],
+                    rows_per_tier=(hbm_rows, hash_sizes[j] - hbm_rows),
                 )
             )
         self._repair_capacity(placements, workspace, topology)
@@ -216,9 +212,7 @@ class RecShardSharder:
         _stamp_tier_precisions(metadata, topology)
         if self.reclaim_dead:
             metadata["reclaim_dead"] = True
-            metadata["dead_rows"] = [
-                t.hash_size - t.live_rows for t in inputs.tables
-            ]
+            metadata["dead_rows"] = (ws.hash_sizes - ws.live_rows).tolist()
         return ShardingPlan(
             strategy=self.name, placements=placements, metadata=metadata
         )

@@ -1,14 +1,17 @@
-"""Planner workspace: per-profile tensors shared across sharder calls.
+"""Planner workspace: the one planner-input format.
 
 The planner's inputs are pure statistics (Section 4.2): per-table ICDF
 grids, marginal densities and row geometry.  A
 :class:`PlannerWorkspace` stacks them into arrays built once per
 profile, so drift replans and sweep points do not pay the per-table
-Python loops again:
+Python loops again.  Every sharder reads them: the fast sharder, the
+multi-tier greedy, the MILP (:func:`~repro.core.formulation.build_milp`
+builds its model from them) and both MILP extractions.  It holds:
 
 * the sampled ICDF as dense ``(tables, steps + 1)`` grids — fractional
-  rows (exactly the scalar ``icdf_points`` values, produced by the
-  vectorized CDF query) and their ceil'd integer row counts;
+  rows (one vectorized CDF query per table,
+  :meth:`~repro.stats.cdf.FrequencyCDF.fractional_rows_for_coverage_many`)
+  and their ceil'd integer row counts;
 * marginal matrices over ``(tables, steps)``: coverage gained and rows
   / bytes spent per ICDF step, the raw material of the waterfill's
   marginal-density selection;
@@ -20,10 +23,10 @@ counts belong to the profile
 (:class:`~repro.stats.profiler.ModelProfile`), which the evaluator and
 replica selection read directly.
 
-The workspace is reused across :class:`~repro.core.fast.RecShardFastSharder`
-calls, warm-started drift replans (:meth:`refresh` refills the buffers
-in place from a new observed profile — no reallocation), and the
-:func:`shard_sweep` grids behind ``repro plan --sweep``.
+The workspace is reused across sharder calls, warm-started drift
+replans (:meth:`refresh` refills the buffers in place from a new
+observed profile — no reallocation), and the :func:`shard_sweep` grids
+behind ``repro plan --sweep``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ import math
 
 import numpy as np
 
-from repro.core.formulation import RecShardInputs, TableInputs
 from repro.core.plan import PlanError
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
-from repro.stats.cdf import PiecewiseICDF
 
 
 class PlannerWorkspace:
@@ -87,9 +88,7 @@ class PlannerWorkspace:
         The model geometry (table count, hash sizes, row bytes) must
         match the workspace's; only the profiled statistics change.
         Reusing the allocated buffers is what keeps drift replans cheap
-        — the serving layer calls this once per replan.  Any
-        :attr:`inputs` previously handed out alias these buffers and
-        must be considered stale after a refresh.
+        — the serving layer calls this once per replan.
         """
         if len(profile) != self.num_tables:
             raise ValueError(
@@ -116,7 +115,6 @@ class PlannerWorkspace:
         self.d_grid_rows[...] = self.grid_rows[:, 1:] - self.grid_rows[:, :-1]
         self.live_bytes = self.live_rows * self.row_bytes
         self._profile = profile
-        self._inputs = None
 
     @property
     def profile(self):
@@ -146,37 +144,6 @@ class PlannerWorkspace:
                 cached = (dim * bits + 7) // 8 + overhead
             self._tier_row_bytes_cache[precision] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    @property
-    def inputs(self) -> RecShardInputs:
-        """The scalar pipeline's :class:`RecShardInputs` view.
-
-        Built lazily (per refresh) from the workspace buffers; the
-        per-table ``PiecewiseICDF`` objects are zero-copy views of the
-        stacked grids, so the scalar helpers (`LPT assignment`, split
-        resizing) the two sharder paths share read the same numbers.
-        """
-        if self._inputs is None:
-            tables = []
-            for j, spec in enumerate(self.model.tables):
-                tables.append(
-                    TableInputs(
-                        name=spec.name,
-                        row_bytes=int(self.row_bytes[j]),
-                        hash_size=int(self.hash_sizes[j]),
-                        live_rows=int(self.live_rows[j]),
-                        icdf=PiecewiseICDF(
-                            fractions=self.fractions,
-                            rows=self.frac_rows[j],
-                        ),
-                        avg_pooling=float(self.avg_pooling[j]),
-                        coverage=float(self.coverage[j]),
-                        total_accesses=float(self.total_accesses[j]),
-                    )
-                )
-            self._inputs = RecShardInputs(tables=tuple(tables))
-        return self._inputs
 
 
 def sharder_workspace(

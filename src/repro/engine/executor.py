@@ -49,10 +49,9 @@ compose with every strategy:
   greedy least-loaded over running per-device byte counters (ties to
   the lowest device id; the counters see each batch's home-lane bytes
   before its replicated lookups, in trace order).  Each feature's
-  routed counts come in closed form (:func:`least_loaded_counts` — the
-  greedy sequence is the ``n`` smallest pops across per-device
-  arithmetic progressions), bit-identical to assigning lookup by
-  lookup.  Routed accesses are counted on the *serving* device's
+  routed counts come in closed form (:func:`least_loaded_counts` — a
+  level water-fill over the counters' quotients by the row bytes),
+  bit-identical to assigning lookup by lookup.  Routed accesses are counted on the *serving* device's
   fastest tier, so the per-device access totals
   (``RunMetrics.load_imbalance``) show the balancing effect directly.
 
@@ -650,12 +649,14 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
 
     Models assigning ``n`` items of ``w`` bytes each, one at a time, to
     the device with the smallest byte counter (ties to the lowest
-    device id), updating the counter after each item.  The assignment
-    sequence is exactly the ``n`` lexicographically smallest
-    ``(value, device)`` pairs popped from the per-device arithmetic
-    progressions ``load[d] + m * w`` — so one integer binary search for
-    the value of the ``n``-th pop replaces the per-item loop, and the
-    result is bit-identical to the per-item argmin loop.
+    device id), updating the counter after each item.  With
+    ``q, r = divmod(load, w)``, device ``d``'s ``m``-th item lands at
+    ``(q_d + m) * w + r_d``: items fill *levels* ``q_d + m``, lowest
+    level first, and within one level by ``(r_d, d)``.  So the greedy is
+    a water-fill: the items fill every level below some ``K``, giving
+    each device ``max(0, K - q_d)`` items, and the rest go one each to
+    the devices at or below ``K`` in ``(r_d, d)`` order.  Exact integer
+    arithmetic, bit-identical to the per-item argmin loop.
 
     Args:
         load: current per-device byte counters (not modified).
@@ -666,33 +667,27 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
         (num_devices,) int64 item counts summing to ``n``.
     """
     load = np.asarray(load, dtype=np.int64)
-    counts = np.zeros(load.size, dtype=np.int64)
     if n <= 0:
-        return counts
+        return np.zeros(load.size, dtype=np.int64)
     if w <= 0:
         raise ValueError(f"item weight must be positive, got {w}")
-
-    def pops_below(value: int) -> int:
-        """How many progression terms are strictly below ``value``."""
-        return int(np.maximum(0, (value - load + w - 1) // w).sum())
-
-    lo = int(load.min())
-    hi = lo + n * w  # the n-th pop is at most lo + (n - 1) * w
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pops_below(mid + 1) >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    nth_value = lo
-    counts = np.maximum(0, (nth_value - load + w - 1) // w)
+    q, r = np.divmod(load, w)
+    # Filling levels up to q_(k) (the k-th smallest q) takes
+    # k * q_(k) - (q_(1) + ... + q_(k)) items, non-decreasing in k; the
+    # largest k it fits in fixes the level K the n items reach.
+    sorted_q = np.sort(q)
+    prefix = np.cumsum(sorted_q)
+    k = int(np.count_nonzero(
+        np.arange(1, q.size + 1) * sorted_q - prefix <= n
+    ))
+    level = (n + int(prefix[k - 1])) // k
+    counts = np.maximum(0, level - q)
     remaining = n - int(counts.sum())
-    if remaining > 0:
-        # Pops tied at the n-th value resolve by device id, lowest first.
-        tied = np.flatnonzero(
-            (nth_value >= load) & ((nth_value - load) % w == 0)
-        )
-        counts[tied[:remaining]] += 1
+    if remaining:
+        # One more item each, at level K, by (residue, device id).
+        at_level = np.flatnonzero(q <= level)
+        by_residue = at_level[np.argsort(r[at_level], kind="stable")]
+        counts[by_residue[:remaining]] += 1
     return counts
 
 

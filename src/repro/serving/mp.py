@@ -235,11 +235,11 @@ class MultiProcessServer:
             overload=overload,
         )
         # Freeze the plan: the pool never replans, so the spine's drift
-        # machinery (monitor, profiler, sharder) is dropped; _account
-        # runs only the spine's per-batch accounting steps.
+        # machinery (sharder, and the monitor with its profiler) is
+        # dropped; _account runs only the spine's per-batch accounting
+        # steps.
         spine.sharder = None
         spine.monitor = None
-        spine._profiler = None
         self._spine = spine
         self.workers = int(workers)
         self.queue_depth = (

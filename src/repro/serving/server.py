@@ -30,11 +30,12 @@ aggregator also runs around its reduction.
 Serving also closes the loop the paper opens in Section 3.5: feature
 statistics drift, so a plan optimal at deployment decays.  The server
 tracks observed per-feature statistics online (a streaming
-:class:`~repro.stats.profiler.TraceProfiler`), compares them against
-the profile the active plan was built from (:class:`DriftMonitor`), and
-when drift exceeds a threshold re-shards from the *observed* profile
-and hot-swaps the executor — the drift-triggered replan the paper
-argues periodic re-sharding should provide.  The replacement plan is
+:class:`~repro.stats.profiler.TraceProfiler`, owned by the install's
+:class:`DriftMonitor`), compares them against the profile the active
+plan was built from, and when drift exceeds a threshold re-shards from
+the *observed* profile and hot-swaps the executor — the
+drift-triggered replan the paper argues periodic re-sharding should
+provide.  The replacement plan is
 built *off the critical path*: warm-started from the previous plan's
 cut points when the sharder supports it, installed by pointer swap, and
 its wall-clock build cost surfaced in
@@ -84,9 +85,6 @@ class ServingConfig:
         drift_check_every_batches: how often the monitor is consulted.
         drift_min_samples: observations required before the monitor may
             trigger (guards against small-sample noise).
-        profile_sample_rate: fraction of served samples folded into the
-            online profile used for replanning (Section 4.1 finds <=1%
-            suffices in production; the default profiles everything).
     """
 
     max_batch_size: int = 256
@@ -95,7 +93,6 @@ class ServingConfig:
     drift_threshold_pct: float = 5.0
     drift_check_every_batches: int = 16
     drift_min_samples: int = 1024
-    profile_sample_rate: float = 1.0
 
     def __post_init__(self):
         # Range tests, not ``x < 0`` guards: NaN fails every comparison.
@@ -117,14 +114,17 @@ class ServingConfig:
 class DriftMonitor:
     """Online drift detector for per-feature pooling statistics.
 
-    Accumulates, per feature, how many samples had the feature present
-    and how many lookups they produced; the ratio is the observed
-    average pooling factor, compared against the baseline profile the
-    current plan was sharded from.  Mean absolute percent change across
-    observable features is the drift signal (the quantity Figure 9
-    tracks over production months).
+    Owns the install's one online accumulator, a
+    :class:`~repro.stats.profiler.TraceProfiler` (:attr:`profiler`) fed
+    every served sample: its per-feature present-sample and lookup
+    tallies give the observed average pooling factor, compared against
+    the baseline profile the current plan was sharded from, and its
+    per-row counts are the observed profile a replan shards from.  Mean
+    absolute percent change across observable features is the drift
+    signal (the quantity Figure 9 tracks over production months).
 
     Args:
+        model: spec of the served model.
         profile: baseline :class:`~repro.stats.profiler.ModelProfile`.
         threshold_pct: drift level (percent) that makes
             :meth:`should_replan` true.
@@ -134,7 +134,14 @@ class DriftMonitor:
     #: present-sample floor below which a feature's estimate is noise.
     MIN_PRESENT = 16
 
-    def __init__(self, profile, threshold_pct: float = 5.0, min_samples: int = 1024):
+    def __init__(
+        self,
+        model: ModelSpec,
+        profile,
+        threshold_pct: float = 5.0,
+        min_samples: int = 1024,
+    ):
+        self.model = model
         self.threshold_pct = float(threshold_pct)
         self.min_samples = int(min_samples)
         self.reset(profile)
@@ -144,48 +151,30 @@ class DriftMonitor:
         self._baseline = np.array(
             [stats.avg_pooling for stats in profile], dtype=np.float64
         )
-        num_tables = len(self._baseline)
-        self._present = np.zeros(num_tables, dtype=np.int64)
-        self._lookups = np.zeros(num_tables, dtype=np.int64)
-        self._samples = 0
+        self.profiler = TraceProfiler(self.model, sample_rate=1.0)
 
     @property
     def samples_observed(self) -> int:
-        return self._samples
+        return self.profiler.samples
 
     def observe(self, batch: JaggedBatch) -> None:
-        """Fold one served batch into the observed statistics.
-
-        Vectorized across features: every feature of a jagged batch
-        shares the same ``batch_size + 1`` offsets length, so presence
-        and lookup tallies reduce to one stacked-offsets pass instead
-        of a Python loop per feature.
-        """
-        if batch.num_features != self._present.size:
-            raise ValueError(
-                f"batch has {batch.num_features} features, monitor tracks "
-                f"{self._present.size}"
-            )
-        self._samples += batch.batch_size
-        if not batch.num_features:
-            return
-        offsets = np.stack([f.offsets for f in batch])
-        self._present += np.count_nonzero(np.diff(offsets, axis=1), axis=1)
-        self._lookups += offsets[:, -1]
+        """Fold one served batch into the install's profiler."""
+        self.profiler.consume(batch)
 
     def drift_pct(self) -> float:
         """Mean |percent change| of pooling vs baseline, observable features."""
-        eligible = (self._present >= self.MIN_PRESENT) & (self._baseline > 0)
+        present = self.profiler.present
+        eligible = (present >= self.MIN_PRESENT) & (self._baseline > 0)
         if not eligible.any():
             return 0.0
-        observed = self._lookups[eligible] / self._present[eligible]
+        observed = self.profiler.lookups[eligible] / present[eligible]
         baseline = self._baseline[eligible]
         return float(np.mean(np.abs(observed - baseline) / baseline) * 100.0)
 
     def should_replan(self) -> bool:
         """Whether enough drift has accumulated to justify re-sharding."""
         return (
-            self._samples >= self.min_samples
+            self.samples_observed >= self.min_samples
             and self.drift_pct() >= self.threshold_pct
         )
 
@@ -339,7 +328,7 @@ class LookupServer:
             plan if plan is not None else self._build_plan(profile), profile
         )
         # The construction-time install, kept so a post-drill reset can
-        # restore the exact initial plan (and profiler seeding) and make
+        # restore the exact initial plan (and its drift baseline) and make
         # a second stream replay the no-fault baseline bit for bit.
         self._initial_install = (self.plan, self.profile)
 
@@ -405,19 +394,12 @@ class LookupServer:
         # Drift tracking only exists where a replan is possible: a
         # fixed-plan server skips the per-batch profiling entirely.
         self.monitor = None
-        self._profiler = None
         if self.sharder is not None:
             self.monitor = DriftMonitor(
+                self.model,
                 profile,
                 threshold_pct=self.config.drift_threshold_pct,
                 min_samples=self.config.drift_min_samples,
-            )
-            # Distinct sampling seed per install so consecutive observed
-            # profiles draw independent Bernoulli sequences.
-            self._profiler = TraceProfiler(
-                self.model,
-                sample_rate=self.config.profile_sample_rate,
-                seed=self._num_installs,
             )
         self._num_installs += 1
 
@@ -430,8 +412,8 @@ class LookupServer:
         per-stream metrics, e.g. repeated benchmark rounds.
 
         After a failure drill (or any replan) the *initial* plan is
-        reinstalled with the install counter rewound, so profiler
-        seeding, routing counters, replica sets, and metrics all replay
+        reinstalled with the install counter rewound, so the drift
+        baseline, routing counters, replica sets, and metrics all replay
         — the next stream reproduces a fresh server's no-fault baseline
         bit for bit.  The chaos script is disarmed by default (a drill
         is one-shot per arming); pass ``rearm_chaos=True`` to rewind it
@@ -559,12 +541,7 @@ class LookupServer:
         )
         if self.sharder is None:
             return
-        # Two deliberate accumulators: the monitor watches *all* served
-        # traffic (cheap per-feature tallies, accurate drift signal);
-        # the profiler Bernoulli-subsamples at profile_sample_rate to
-        # bound the cost of the full per-row counts a replan needs.
         self.monitor.observe(batch)
-        self._profiler.consume(batch)
         self._batches_since_check += 1
         if self._batches_since_check >= self.config.drift_check_every_batches:
             self._batches_since_check = 0
@@ -652,7 +629,7 @@ class LookupServer:
         re-shard overhead stays observable.
         """
         build_start = time.perf_counter()
-        observed = self._profiler.finish()
+        observed = self.monitor.profiler.finish()
         plan = self._build_plan(observed, warm_start=self.plan)
         self._install(plan, observed)
         build_ms = (time.perf_counter() - build_start) * 1e3

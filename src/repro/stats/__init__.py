@@ -7,7 +7,7 @@ factor, and the coverage.  This package computes them from traces
 (:func:`analytic_profile`).
 """
 
-from repro.stats.cdf import FrequencyCDF, PiecewiseICDF
+from repro.stats.cdf import FrequencyCDF
 from repro.stats.profiler import (
     ModelProfile,
     TableStats,
@@ -20,7 +20,6 @@ from repro.stats.summary import characterization_summary, quantiles
 __all__ = [
     "FrequencyCDF",
     "ModelProfile",
-    "PiecewiseICDF",
     "TableStats",
     "TraceProfiler",
     "analytic_profile",

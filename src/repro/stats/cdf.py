@@ -9,7 +9,12 @@ The ICDF — rows as a function of covered access fraction — is *convex*
 for every table: rows are ranked by descending frequency, so each extra
 unit of coverage costs at least as many rows as the previous one.  That
 convexity is what lets the convex MILP formulation replace the paper's
-per-step binaries with linear cuts (see ``repro/core/formulation.py``).
+per-step binaries with linear cuts (:func:`convex_cuts`, read by
+``repro/core/formulation.py``).
+
+The ICDF grids themselves are sampled for every table at once by the
+planner workspace (:class:`~repro.core.workspace.PlannerWorkspace`),
+through :meth:`FrequencyCDF.fractional_rows_for_coverage_many`.
 
 A profiled table's coverage prefix is not its own array: it is a
 read-only slot of its :class:`~repro.stats.profiler.ModelProfile`'s one
@@ -18,8 +23,6 @@ once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,36 +125,19 @@ class FrequencyCDF:
         rows = int(np.searchsorted(self._cum_fraction, fraction, side="left")) + 1
         return min(rows, self.live_rows)
 
-    def fractional_rows_for_coverage(self, fraction: float) -> float:
-        """Continuous-relaxation row count covering ``fraction`` of accesses.
-
-        Interpolates within the marginal row: covering half of row *k*'s
-        access mass costs half a row.  Unlike the integer version this
-        function is exactly convex in ``fraction`` (marginal rows per
-        unit of coverage, ``1 / count_k``, never decreases), which the
-        convex MILP formulation requires of its sampled points.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if fraction == 0.0 or self.total == 0:
-            return 0.0
-        k = int(np.searchsorted(self._cum_fraction, fraction, side="left"))
-        if k >= self.live_rows:
-            return float(self.live_rows)
-        prev_cum = self._cum_fraction[k - 1] if k > 0 else 0.0
-        row_mass = self._cum_fraction[k] - prev_cum
-        partial = (fraction - prev_cum) / row_mass if row_mass > 0 else 1.0
-        return float(k + partial)
-
     def fractional_rows_for_coverage_many(
         self, fractions: np.ndarray
     ) -> np.ndarray:
-        """Vectorized :meth:`fractional_rows_for_coverage`.
+        """Continuous-relaxation row counts covering each of ``fractions``.
 
-        Runs the same searchsorted + within-row interpolation for a
-        whole grid of coverage fractions at once, producing bit-identical
-        values to the scalar method (the planner workspace relies on
-        this to build ICDF grids without the per-point Python loop).
+        Interpolates within the marginal row: covering half of row *k*'s
+        access mass costs half a row.  Unlike the integer
+        :meth:`rows_for_coverage` this is exactly convex in the fraction
+        (marginal rows per unit of coverage, ``1 / count_k``, never
+        decreases), which the convex MILP formulation requires of its
+        sampled points.  The planner workspace fills its ICDF grids with
+        it; the per-point query it replaced is the oracles' sampler in
+        ``tests/oracles/icdf.py``, pinned equal element for element.
         """
         fractions = np.asarray(fractions, dtype=np.float64)
         if not np.all((fractions >= 0.0) & (fractions <= 1.0)):
@@ -172,22 +158,6 @@ class FrequencyCDF:
         rows = np.where(k >= self.live_rows, float(self.live_rows), rows)
         return np.where(fractions == 0.0, 0.0, rows)
 
-    def icdf_points(self, steps: int = 100) -> "PiecewiseICDF":
-        """The paper's piecewise ICDF: ``steps + 1`` uniformly spaced
-        coverage fractions and the (fractional) rows needed for each
-        (Constraints 4-7).  Fractional rows keep the sampled points in
-        exactly convex position; consumers round up when materializing a
-        split.
-        """
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        fractions = np.linspace(0.0, 1.0, steps + 1)
-        rows = np.array(
-            [self.fractional_rows_for_coverage(f) for f in fractions],
-            dtype=np.float64,
-        )
-        return PiecewiseICDF(fractions=fractions, rows=rows)
-
     def curve(self, points: int = 200) -> tuple[np.ndarray, np.ndarray]:
         """(row fraction, access fraction) pairs for plotting (Figure 5)."""
         if self.hash_size == 0 or self.total == 0:
@@ -202,48 +172,24 @@ class FrequencyCDF:
         return self.row_order[: max(0, rows)]
 
 
-@dataclass(frozen=True)
-class PiecewiseICDF:
-    """Sampled ICDF points: coverage fractions and rows required."""
+def convex_cuts(fractions, rows) -> list[tuple[float, float]]:
+    """Linear cuts ``rows >= slope * fraction + intercept`` of one ICDF grid.
 
-    fractions: np.ndarray
-    rows: np.ndarray
-
-    def __post_init__(self):
-        if self.fractions.shape != self.rows.shape:
-            raise ValueError("fractions and rows must align")
-        if np.any(np.diff(self.fractions) <= 0):
-            raise ValueError("fractions must be strictly increasing")
-        if np.any(np.diff(self.rows) < -1e-9):
-            raise ValueError("rows must be non-decreasing (ICDF property)")
-
-    @property
-    def steps(self) -> int:
-        return self.fractions.size - 1
-
-    def convex_cuts(self) -> list[tuple[float, float]]:
-        """Linear cuts ``rows >= slope * fraction + intercept``.
-
-        The sampled points are in convex position (rows per unit coverage
-        is non-decreasing), so every chord between consecutive points is a
-        global under-estimator of the piecewise-linear interpolation, and
-        the maximum over all chords *equals* it.  These cuts therefore
-        encode the ICDF exactly (up to sampling) without binaries.
-        """
-        cuts: list[tuple[float, float]] = []
-        for i in range(self.steps):
-            x0, x1 = float(self.fractions[i]), float(self.fractions[i + 1])
-            y0, y1 = float(self.rows[i]), float(self.rows[i + 1])
-            slope = (y1 - y0) / (x1 - x0)
-            cuts.append((slope, y0 - slope * x0))
-        # Drop dominated duplicates (equal-slope segments from flat regions).
-        deduped: list[tuple[float, float]] = []
-        for slope, intercept in cuts:
-            if deduped and abs(deduped[-1][0] - slope) < 1e-12:
-                continue
-            deduped.append((slope, intercept))
-        return deduped
-
-    def interpolate_rows(self, fraction: float) -> float:
-        """Piecewise-linear rows estimate at ``fraction``."""
-        return float(np.interp(fraction, self.fractions, self.rows))
+    ``fractions`` and ``rows`` are one table's sampled ICDF points (a
+    row of a workspace's ``frac_rows`` over its shared ``fractions``).
+    The points are in convex position (rows per unit coverage is
+    non-decreasing), so every chord between consecutive points is a
+    global under-estimator of the piecewise-linear interpolation, and
+    the maximum over all chords *equals* it.  These cuts therefore
+    encode the ICDF exactly (up to sampling) without binaries.  Chords
+    whose slope repeats the last kept one (flat regions) are dropped.
+    """
+    xs = np.asarray(fractions, dtype=np.float64).tolist()
+    ys = np.asarray(rows, dtype=np.float64).tolist()
+    cuts: list[tuple[float, float]] = []
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        if cuts and abs(cuts[-1][0] - slope) < 1e-12:
+            continue
+        cuts.append((slope, y0 - slope * x0))
+    return cuts

@@ -207,7 +207,23 @@ class TraceProfiler:
         self._counts_flat = np.zeros(int(self._row_base[-1]), dtype=np.float64)
         self._shift_scratch = np.empty(0, dtype=np.int64)
         self._present = np.zeros(model.num_tables, dtype=np.int64)
+        self._lookups = np.zeros(model.num_tables, dtype=np.int64)
         self._samples = 0
+
+    @property
+    def samples(self) -> int:
+        """Samples folded in so far."""
+        return self._samples
+
+    @property
+    def present(self) -> np.ndarray:
+        """Per-table count of folded samples with the feature present."""
+        return self._present
+
+    @property
+    def lookups(self) -> np.ndarray:
+        """Per-table lookups folded in so far."""
+        return self._lookups
 
     def consume(self, batch: JaggedBatch) -> int:
         """Fold one batch into the profile; returns samples accepted.
@@ -216,7 +232,8 @@ class TraceProfiler:
         table's row base into a flattened feature-major buffer and
         counted with a single ``bincount``; presence tallies come from
         one stacked-offsets pass.  No Python loop per feature per batch
-        beyond the buffer fill.
+        beyond the buffer fill.  The same offsets pass tallies per-table
+        lookups, which the online drift monitor reads.
         """
         if batch.num_features != self.model.num_tables:
             raise ValueError(
@@ -269,6 +286,7 @@ class TraceProfiler:
             )
         offsets = np.stack([f.offsets for f in batch])
         self._present += np.count_nonzero(np.diff(offsets, axis=1), axis=1)
+        self._lookups += offsets[:, -1]
         return accepted
 
     def finish(self) -> ModelProfile:

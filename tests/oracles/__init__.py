@@ -4,6 +4,8 @@ Each layer of ``src/repro`` ships one path.  The slower, simpler code
 those paths replaced lives here, unchanged in behaviour, so parity
 suites and benches can check the shipped results against it:
 
+* :mod:`tests.oracles.icdf` — the per-point ICDF sampler and the
+  per-table records the scalar planners read;
 * :mod:`tests.oracles.planner` — the per-step heapq fast and multi-tier
   greedy sharders, and the MILP sharder's heapq refill;
 * :mod:`tests.oracles.branch_bound` — a pure-Python branch and bound

@@ -15,9 +15,12 @@ resizing and plan emission, walking one :class:`_TableState` object
 per table — the state the shipped sharder keeps as two vectors — so
 the parity suites check the shipped LPT as well;
 ``ScalarFastSharder.assign_states`` is also the LPT oracle on its own.
-:class:`ScalarMultiTierSharder` reuses the shipped multi-tier LPT.
-Both ``shard`` methods take the sharder protocol's ``workspace``
-keyword and ignore it: they re-derive every statistic per call.
+:class:`ScalarMultiTierSharder` carries its own per-table boundary
+extraction and LPT, the loops the shipped sharder replaced with
+vector passes over the workspace.  Both ``shard`` methods take the
+sharder protocol's ``workspace`` keyword and ignore it: they re-derive
+every statistic per call from the profile, through the scalar ICDF
+sampler of :mod:`tests.oracles.icdf` (:func:`~tests.oracles.icdf.table_inputs`).
 
 :class:`HeapqRefillSharder` is the MILP sharder with its original
 per-device refill: a heapq over each table's next ICDF step, charged at
@@ -41,13 +44,13 @@ import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
-from repro.core.formulation import RecShardInputs, TableInputs
 from repro.core.multitier import MultiTierSharder
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.recshard import RecShardSharder
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.topology import SystemTopology
+from tests.oracles.icdf import TableInputs, table_inputs
 
 _MS = 1e3
 
@@ -164,8 +167,8 @@ class ScalarFastSharder(RecShardFastSharder):
     ) -> ShardingPlan:
         if topology.num_tiers != 2:
             raise ValueError("RecShardFastSharder targets two-tier topologies")
-        inputs = RecShardInputs.from_profile(model, profile, steps=self.steps)
-        states = self.table_states(inputs, topology)
+        tables = table_inputs(model, profile, self.steps)
+        states = self.table_states(tables, topology)
         hbm_budget = topology.hbm.capacity_bytes * topology.num_devices
         preferred = None
         if warm_start is not None and len(warm_start) == len(states):
@@ -183,7 +186,7 @@ class ScalarFastSharder(RecShardFastSharder):
         # additional hot rows.
         self._refill(states, device_of, hbm_free)
         return stamp_estimated_costs(
-            self._emit_states(states, device_of, topology, inputs, preferred),
+            self._emit_states(states, device_of, topology, tables, preferred),
             model, profile, topology, self.batch_size,
         )
 
@@ -263,7 +266,7 @@ class ScalarFastSharder(RecShardFastSharder):
             loads[device_of[state.index]] += state.cost()
         return loads
 
-    def _emit_states(self, states, device_of, topology, inputs, preferred):
+    def _emit_states(self, states, device_of, topology, tables, preferred):
         """Materialize placements and metadata (the caller stamps costs)."""
         placements = []
         for state in states:
@@ -281,14 +284,12 @@ class ScalarFastSharder(RecShardFastSharder):
         _stamp_tier_precisions(metadata, topology)
         if self.reclaim_dead:
             metadata["reclaim_dead"] = True
-            metadata["dead_rows"] = [
-                t.hash_size - t.live_rows for t in inputs.tables
-            ]
+            metadata["dead_rows"] = [t.hash_size - t.live_rows for t in tables]
         return ShardingPlan(
             strategy=self.name, placements=placements, metadata=metadata
         )
 
-    def table_states(self, inputs, topology) -> list[_StepState]:
+    def table_states(self, tables, topology) -> list[_StepState]:
         """One split state per table, at ICDF step 0."""
         return [
             _StepState(
@@ -298,7 +299,7 @@ class ScalarFastSharder(RecShardFastSharder):
                 hbm_row_bytes=topology.hbm.row_bytes_for(t.row_bytes),
                 host_row_bytes=topology.uvm.row_bytes_for(t.row_bytes),
             )
-            for j, t in enumerate(inputs.tables)
+            for j, t in enumerate(tables)
         ]
 
     @staticmethod
@@ -438,44 +439,44 @@ class ScalarMultiTierSharder(MultiTierSharder):
         warm_start: ShardingPlan | None = None,
         workspace: PlannerWorkspace | None = None,
     ) -> ShardingPlan:
-        inputs = RecShardInputs.from_profile(model, profile, steps=self.steps)
-        plan = self._shard_greedy(inputs, topology, warm_start=warm_start)
+        tables = table_inputs(model, profile, self.steps)
+        plan = self._shard_greedy(tables, topology, warm_start=warm_start)
         return stamp_estimated_costs(plan, model, profile, topology, self.batch_size)
 
     def _shard_greedy(
-        self, inputs: RecShardInputs, topology,
+        self, tables: list[TableInputs], topology,
         warm_start: ShardingPlan | None = None,
     ) -> ShardingPlan:
         num_tiers = topology.num_tiers
         inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
         weights = [
             t.coverage * t.avg_pooling * t.row_bytes * self.batch_size * _MS
-            for t in inputs.tables
+            for t in tables
         ]
         # boundary_steps[j][t] = ICDF step index of boundary t (cumulative).
-        boundary_steps = [[0] * (num_tiers - 1) for _ in inputs.tables]
+        boundary_steps = [[0] * (num_tiers - 1) for _ in tables]
 
         for tier in range(num_tiers - 1):
             budget = topology.tiers[tier].capacity_bytes * topology.num_devices
             tier_rb = [
                 quantized_row_bytes(t.row_bytes, topology.tiers[tier].precision)
-                for t in inputs.tables
+                for t in tables
             ]
             # Bytes already committed to this tier is zero: boundaries are
             # cumulative, so tier t holds rows between boundaries t-1 and t.
             heap: list[tuple[float, int]] = []
 
             def step_bytes(j: int, step: int) -> int:
-                icdf = inputs.tables[j].icdf
+                icdf = tables[j].icdf
                 d_rows = math.ceil(icdf.rows[step + 1] - 1e-9) - math.ceil(
                     icdf.rows[step] - 1e-9
                 )
                 return d_rows * tier_rb[j]
 
             def push(j: int) -> None:
-                icdf = inputs.tables[j].icdf
+                icdf = tables[j].icdf
                 step = boundary_steps[j][tier]
-                if step >= icdf.steps or inputs.tables[j].total_accesses <= 0:
+                if step >= icdf.steps or tables[j].total_accesses <= 0:
                     return
                 d_frac = float(icdf.fractions[step + 1] - icdf.fractions[step])
                 d_bytes = step_bytes(j, step)
@@ -483,7 +484,7 @@ class ScalarMultiTierSharder(MultiTierSharder):
                 density = gain / d_bytes if d_bytes else float("inf")
                 heapq.heappush(heap, (-density, j))
 
-            for j in range(len(inputs.tables)):
+            for j in range(len(tables)):
                 boundary_steps[j][tier] = (
                     boundary_steps[j][tier - 1] if tier > 0 else 0
                 )
@@ -492,7 +493,7 @@ class ScalarMultiTierSharder(MultiTierSharder):
             while heap and remaining > 0:
                 _, j = heapq.heappop(heap)
                 step = boundary_steps[j][tier]
-                if step >= inputs.tables[j].icdf.steps:
+                if step >= tables[j].icdf.steps:
                     continue
                 d_bytes = step_bytes(j, step)
                 if d_bytes > remaining:
@@ -501,7 +502,132 @@ class ScalarMultiTierSharder(MultiTierSharder):
                 remaining -= d_bytes
                 push(j)
 
-        return self._finish_greedy(inputs, topology, boundary_steps, warm_start)
+        return self._finish_tables(tables, topology, boundary_steps, warm_start)
+
+    def _finish_tables(
+        self, tables, topology, boundary_steps, warm_start
+    ) -> ShardingPlan:
+        """Boundary steps -> placements, LPT assignment, plan."""
+        inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
+        weights = [
+            t.coverage * t.avg_pooling * t.row_bytes * self.batch_size * _MS
+            for t in tables
+        ]
+        placements, costs = self._extract_tables(
+            tables, topology, boundary_steps, weights, inv_bw
+        )
+        preferred = None
+        if warm_start is not None and len(warm_start) == len(placements):
+            preferred = [warm_start[j].device for j in range(len(placements))]
+        device_of = self._assign_tables(
+            tables, topology, placements, costs, preferred=preferred
+        )
+        final = [
+            TablePlacement(p.table_index, device_of[p.table_index], p.rows_per_tier)
+            for p in placements
+        ]
+        metadata = {"solver": "greedy"}
+        if preferred is not None:
+            metadata["warm_started"] = True
+        _stamp_tier_precisions(metadata, topology)
+        return ShardingPlan(
+            strategy=self.name, placements=final, metadata=metadata
+        )
+
+    @staticmethod
+    def _extract_tables(tables, topology, boundary_steps, weights, inv_bw):
+        """Boundary steps -> per-tier row counts and expected costs."""
+        num_tiers = topology.num_tiers
+        placements = []
+        costs = []
+        for j, table in enumerate(tables):
+            icdf = table.icdf
+            cum_rows = [
+                math.ceil(icdf.rows[boundary_steps[j][t]] - 1e-9)
+                for t in range(num_tiers - 1)
+            ]
+            rows = []
+            prev = 0
+            for t in range(num_tiers - 1):
+                rows.append(cum_rows[t] - prev)
+                prev = cum_rows[t]
+            rows.append(table.hash_size - prev)  # tail + dead rows
+            placements.append(
+                TablePlacement(table_index=j, device=0, rows_per_tier=tuple(rows))
+            )
+            fracs = [
+                float(icdf.fractions[boundary_steps[j][t]])
+                for t in range(num_tiers - 1)
+            ]
+            fracs.append(1.0)
+            cost = 0.0
+            prev_frac = 0.0
+            for t in range(num_tiers):
+                cost += weights[j] * (fracs[t] - prev_frac) * inv_bw[t]
+                prev_frac = fracs[t]
+            costs.append(cost if table.total_accesses > 0 else 0.0)
+        return placements, costs
+
+    @staticmethod
+    def _assign_tables(tables, topology, placements, costs, preferred=None):
+        """Least-loaded placement under per-device per-tier capacities,
+        demoting rows toward slower tiers when no device fits."""
+        num_devices = topology.num_devices
+        num_tiers = topology.num_tiers
+        loads = [0.0] * num_devices
+        free = [
+            [tier.capacity_bytes for tier in topology.tiers]
+            for _ in range(num_devices)
+        ]
+        device_of = [0] * len(placements)
+        order = sorted(range(len(placements)), key=lambda j: -costs[j])
+        for j in order:
+            placement = placements[j]
+            tier_rb = [
+                quantized_row_bytes(tables[j].row_bytes, tier.precision)
+                for tier in topology.tiers
+            ]
+            need = [
+                r * tier_rb[t]
+                for t, r in enumerate(placement.rows_per_tier)
+            ]
+            candidates = [
+                m
+                for m in range(num_devices)
+                if all(free[m][t] >= need[t] for t in range(num_tiers))
+            ]
+            if preferred is not None and preferred[j] in candidates:
+                device = preferred[j]
+            elif candidates:
+                device = min(candidates, key=lambda m: loads[m])
+            else:
+                # Demote rows toward slower tiers on the roomiest device.
+                device = max(
+                    range(num_devices), key=lambda m: sum(free[m][:-1])
+                )
+                rows = list(placement.rows_per_tier)
+                for t in range(num_tiers - 1):
+                    max_rows = max(0, free[device][t] // tier_rb[t])
+                    overflow = rows[t] - max_rows
+                    if overflow > 0:
+                        rows[t] -= overflow
+                        rows[t + 1] += overflow
+                if rows[-1] * tier_rb[-1] > free[device][-1]:
+                    raise PlanError(
+                        f"multi-tier: table {j} fits no device even after "
+                        "demotion"
+                    )
+                placements[j] = TablePlacement(
+                    table_index=placement.table_index,
+                    device=placement.device,
+                    rows_per_tier=tuple(rows),
+                )
+                need = [r * tier_rb[t] for t, r in enumerate(rows)]
+            device_of[j] = device
+            loads[device] += costs[j]
+            for t, n in enumerate(need):
+                free[device][t] -= n
+        return device_of
 
 
 # ----------------------------------------------------------------------
@@ -511,14 +637,14 @@ class HeapqRefillSharder(RecShardSharder):
     """The MILP sharder with the heapq per-device refill."""
 
     def _refill(self, placements, workspace, topology) -> None:
-        inputs = workspace.inputs
+        tables = table_inputs(workspace.model, workspace.profile, workspace.steps)
         cap = topology.hbm.capacity_bytes
         for device in range(topology.num_devices):
             members = [
                 (i, p) for i, p in enumerate(placements) if p.device == device
             ]
             free = cap - sum(
-                p.hbm_rows * inputs.tables[p.table_index].row_bytes
+                p.hbm_rows * tables[p.table_index].row_bytes
                 for _, p in members
             )
             if free <= 0:
@@ -527,7 +653,7 @@ class HeapqRefillSharder(RecShardSharder):
             # or below its current HBM rows.
             steps = {}
             for i, p in members:
-                icdf = inputs.tables[p.table_index].icdf
+                icdf = tables[p.table_index].icdf
                 step = (
                     int(np.searchsorted(icdf.rows, p.hbm_rows + 1e-9, side="right")) - 1
                 )
@@ -537,7 +663,7 @@ class HeapqRefillSharder(RecShardSharder):
 
             def push(i: int) -> None:
                 placement = placements[i]
-                table = inputs.tables[placement.table_index]
+                table = tables[placement.table_index]
                 icdf = table.icdf
                 step = steps[i]
                 if step >= icdf.steps or table.total_accesses <= 0:
@@ -557,7 +683,7 @@ class HeapqRefillSharder(RecShardSharder):
             while heap:
                 _, i, d_rows = heapq.heappop(heap)
                 placement = placements[i]
-                table = inputs.tables[placement.table_index]
+                table = tables[placement.table_index]
                 d_bytes = d_rows * table.row_bytes
                 if d_bytes > free:
                     continue

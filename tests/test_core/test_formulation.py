@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from repro.core.formulation import RecShardInputs, build_milp
+from repro.core.formulation import build_milp
+from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
 from repro.milp.result import SolveStatus
 from repro.stats import analytic_profile
@@ -24,25 +25,24 @@ def model_digest(model) -> str:
 
 class TestInputs:
     def test_from_profile(self, small_model, small_profile):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=10)
-        assert len(inputs) == small_model.num_tables
-        table = inputs.tables[0]
-        assert table.hash_size == small_model.tables[0].num_rows
-        assert table.icdf.steps == 10
-        assert table.avg_pooling > 0
+        ws = PlannerWorkspace(small_model, small_profile, steps=10)
+        assert ws.num_tables == small_model.num_tables
+        assert ws.hash_sizes[0] == small_model.tables[0].num_rows
+        assert ws.frac_rows.shape == (small_model.num_tables, 11)
+        assert ws.avg_pooling[0] > 0
 
     def test_profile_length_mismatch(self, small_model, small_profile):
         small_profile.tables.pop()
         with pytest.raises(ValueError):
-            RecShardInputs.from_profile(small_model, small_profile)
+            PlannerWorkspace(small_model, small_profile)
 
 
 class TestBuildMilp:
     def test_structure_counts(self, small_model, small_profile, tight_topology):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
-        handles = build_milp(inputs, tight_topology, batch_size=256)
+        ws = PlannerWorkspace(small_model, small_profile, steps=8)
+        handles = build_milp(ws, tight_topology, batch_size=256)
         num_devices = tight_topology.num_devices
-        num_tables = len(inputs)
+        num_tables = ws.num_tables
         assert len(handles.assign) == num_devices
         assert len(handles.assign[0]) == num_tables
         assert len(handles.pct) == num_tables
@@ -52,18 +52,18 @@ class TestBuildMilp:
     def test_step_formulation_has_step_binaries(
         self, small_model, small_profile, tight_topology
     ):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
+        ws = PlannerWorkspace(small_model, small_profile, steps=8)
         handles = build_milp(
-            inputs, tight_topology, batch_size=256, formulation="step"
+            ws, tight_topology, batch_size=256, formulation="step"
         )
-        expected = tight_topology.num_devices * len(inputs) + len(inputs) * 9
+        expected = tight_topology.num_devices * ws.num_tables + ws.num_tables * 9
         assert handles.model.num_binary == expected
 
     def test_three_tier_structure(self, small_model, small_profile, topo3):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
-        tables, devices = len(inputs), topo3.num_devices
-        convex = build_milp(inputs, topo3, batch_size=256)
-        step = build_milp(inputs, topo3, batch_size=256, formulation="step")
+        ws = PlannerWorkspace(small_model, small_profile, steps=8)
+        tables, devices = ws.num_tables, topo3.num_devices
+        convex = build_milp(ws, topo3, batch_size=256)
+        step = build_milp(ws, topo3, batch_size=256, formulation="step")
         for handles in (convex, step):
             assert [len(p) for p in handles.pct] == [2] * tables
             assert [len(m) for m in handles.mem] == [2] * tables
@@ -81,8 +81,8 @@ class TestBuildMilp:
     def test_three_tier_boundaries_ordered(
         self, small_model, small_profile, topo3
     ):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=8)
-        handles = build_milp(inputs, topo3, batch_size=256)
+        ws = PlannerWorkspace(small_model, small_profile, steps=8)
+        handles = build_milp(ws, topo3, batch_size=256)
         result = handles.model.solve(time_limit=60)
         assert result.status.has_solution
         for pct_j, mem_j in zip(handles.pct, handles.mem):
@@ -103,35 +103,35 @@ class TestBuildMilp:
     )
     def test_two_tier_model_is_pinned(self, kwargs, digest):
         # The digests were taken from the two-tier-only formulation the
-        # general one replaced: at two tiers it emits the same variables,
-        # constraints and coefficients, in the same order.
+        # general one replaced, built from per-table objects sampled by
+        # the scalar ICDF query: at two tiers, from a workspace, it emits
+        # the same variables, constraints and coefficients, in the same
+        # order.
         model = build_model(num_tables=5, rows=128, seed=3)
         topology = SystemTopology.two_tier(
             2, int(model.total_bytes * 0.3 / 2), 200e9, model.total_bytes, 10e9
         )
-        inputs = RecShardInputs.from_profile(
-            model, analytic_profile(model), steps=6
-        )
-        handles = build_milp(inputs, topology, batch_size=64, **kwargs)
+        ws = PlannerWorkspace(model, analytic_profile(model), steps=6)
+        handles = build_milp(ws, topology, batch_size=64, **kwargs)
         assert model_digest(handles.model) == digest
 
     def test_unknown_formulation(self, small_model, small_profile, tight_topology):
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=4)
+        ws = PlannerWorkspace(small_model, small_profile, steps=4)
         with pytest.raises(ValueError):
-            build_milp(inputs, tight_topology, batch_size=64, formulation="magic")
+            build_milp(ws, tight_topology, batch_size=64, formulation="magic")
 
 
 class TestSolutionProperties:
     def solve(self, model, profile, topology, **kwargs):
-        inputs = RecShardInputs.from_profile(model, profile, steps=10)
-        handles = build_milp(inputs, topology, batch_size=256, **kwargs)
+        ws = PlannerWorkspace(model, profile, steps=10)
+        handles = build_milp(ws, topology, batch_size=256, **kwargs)
         result = handles.model.solve(time_limit=60)
         assert result.status.has_solution
-        return inputs, handles, result
+        return ws, handles, result
 
     def test_each_table_assigned_once(self, small_model, small_profile, tight_topology):
-        inputs, handles, result = self.solve(small_model, small_profile, tight_topology)
-        for j in range(len(inputs)):
+        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
+        for j in range(ws.num_tables):
             total = sum(
                 result.value(handles.assign[m][j])
                 for m in range(tight_topology.num_devices)
@@ -139,12 +139,12 @@ class TestSolutionProperties:
             assert total == pytest.approx(1.0)
 
     def test_hbm_capacity_respected(self, small_model, small_profile, tight_topology):
-        inputs, handles, result = self.solve(small_model, small_profile, tight_topology)
+        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
         cap_mib = tight_topology.hbm.capacity_bytes / 2**20
         for m in range(tight_topology.num_devices):
             used = sum(
                 result.value(handles.mem[j][0])
-                for j in range(len(inputs))
+                for j in range(ws.num_tables)
                 if result.value(handles.assign[m][j]) > 0.5
             )
             assert used <= cap_mib * (1 + 1e-6)
@@ -152,8 +152,8 @@ class TestSolutionProperties:
     def test_roomy_topology_puts_everything_in_hbm(
         self, small_model, small_profile, roomy_topology
     ):
-        inputs, handles, result = self.solve(small_model, small_profile, roomy_topology)
-        for j, table in enumerate(inputs.tables):
+        ws, handles, result = self.solve(small_model, small_profile, roomy_topology)
+        for j in range(ws.num_tables):
             assert result.value(handles.pct[j][0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_step_and_convex_agree(self, small_model, small_profile, tight_topology):
@@ -161,11 +161,9 @@ class TestSolutionProperties:
         # a refinement of the on-grid step formulation: never worse, and
         # converging to it as the grid refines.
         def solve(formulation, steps):
-            inputs = RecShardInputs.from_profile(
-                small_model, small_profile, steps=steps
-            )
+            ws = PlannerWorkspace(small_model, small_profile, steps=steps)
             handles = build_milp(
-                inputs, tight_topology, batch_size=256, formulation=formulation
+                ws, tight_topology, batch_size=256, formulation=formulation
             )
             return handles.model.solve(time_limit=60)
 
@@ -189,7 +187,7 @@ class TestSolutionProperties:
     def test_makespan_bounds_device_costs(
         self, small_model, small_profile, tight_topology
     ):
-        inputs, handles, result = self.solve(small_model, small_profile, tight_topology)
+        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
         # The objective carries a vanishing secondary term; compare
         # against the makespan variable itself.
         makespan = result.value(handles.max_cost)
@@ -227,8 +225,8 @@ class TestSolutionProperties:
             uvm_capacity=int((live + total) / 2),
             uvm_bandwidth=10e9,
         )
-        inputs = RecShardInputs.from_profile(small_model, small_profile, steps=6)
-        strict = build_milp(inputs, topo, batch_size=64, reclaim_dead=False)
-        relaxed = build_milp(inputs, topo, batch_size=64, reclaim_dead=True)
+        ws = PlannerWorkspace(small_model, small_profile, steps=6)
+        strict = build_milp(ws, topo, batch_size=64, reclaim_dead=False)
+        relaxed = build_milp(ws, topo, batch_size=64, reclaim_dead=True)
         assert strict.model.solve(time_limit=30).status == SolveStatus.INFEASIBLE
         assert relaxed.model.solve(time_limit=30).status.has_solution

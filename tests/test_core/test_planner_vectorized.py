@@ -40,6 +40,7 @@ from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from repro.stats.profiler import TraceProfiler
 from repro.data.synthetic import TraceGenerator
+from tests.oracles.icdf import fractional_rows_for_coverage, table_inputs
 from tests.oracles.planner import (
     ScalarFastSharder,
     coverage_of_rows_many,
@@ -430,7 +431,7 @@ class TestVectorizedCdfQueries:
         np.testing.assert_array_equal(
             cdf.fractional_rows_for_coverage_many(fractions),
             np.array(
-                [cdf.fractional_rows_for_coverage(float(f)) for f in fractions]
+                [fractional_rows_for_coverage(cdf, float(f)) for f in fractions]
             ),
         )
         with pytest.raises(ValueError):
@@ -732,7 +733,9 @@ class TestLptOracle:
             preferred = None
             if seed % 2:
                 preferred = rng.integers(0, devices, tables).tolist()
-            states = oracle.table_states(splits.ws.inputs, topology)
+            states = oracle.table_states(
+                table_inputs(model, profile, sharder.steps), topology
+            )
             for state, step, extra in zip(states, splits.step, splits.extra):
                 state.step, state.extra_rows = int(step), int(extra)
             step0, extra0 = splits.step.copy(), splits.extra.copy()

@@ -3,7 +3,7 @@
 The executor's replica lane has three classification entry points
 (jagged and ranked batches through the lane-code loop, and the
 per-lookup remap of ``tests.oracles.engine.ScalarExecutor``) and two routing
-disciplines (closed-form :func:`least_loaded_counts`, the oracle's
+disciplines (the water-fill :func:`least_loaded_counts`, the oracle's
 per-lookup argmin).  Every
 combination must produce bit-identical metrics, and the routed
 accesses must conserve the batch's lookups.
@@ -93,11 +93,19 @@ class TestLeastLoadedCounts:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_item_greedy(self, seed):
         rng = np.random.default_rng(seed)
-        for _ in range(100):
+        for case in range(300):
             devices = int(rng.integers(1, 10))
-            load = rng.integers(0, 2000, size=devices).astype(np.int64)
             n = int(rng.integers(0, 80))
             w = int(rng.integers(1, 100))
+            if case % 3 == 0:
+                load = rng.integers(0, 2000, size=devices)
+            elif case % 3 == 1:  # counters far above the batch's bytes
+                load = rng.integers(0, 10**12, size=devices)
+            else:  # one residue mod w shared by every device
+                load = rng.integers(0, 20, size=devices) * w + int(
+                    rng.integers(0, w)
+                )
+            load = load.astype(np.int64)
             fast = least_loaded_counts(load, n, w)
             reference = np.zeros(devices, dtype=np.int64)
             running = load.copy()

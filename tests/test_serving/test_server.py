@@ -187,7 +187,7 @@ class TestLookupServer:
 class TestDriftMonitor:
     def test_no_drift_on_matching_traffic(self, world):
         model, profile, _ = world
-        monitor = DriftMonitor(profile, threshold_pct=5.0, min_samples=64)
+        monitor = DriftMonitor(model, profile, threshold_pct=5.0, min_samples=64)
         generator = TraceGenerator(model, batch_size=256, seed=11)
         for batch in generator.batches(4):
             monitor.observe(batch)
@@ -197,7 +197,7 @@ class TestDriftMonitor:
 
     def test_detects_pooling_drift(self, world):
         model, profile, _ = world
-        monitor = DriftMonitor(profile, threshold_pct=5.0, min_samples=64)
+        monitor = DriftMonitor(model, profile, threshold_pct=5.0, min_samples=64)
         drifted = DriftModel(user_plateau=40.0, content_plateau=40.0).drift_model(
             model, month=20
         )
@@ -209,7 +209,7 @@ class TestDriftMonitor:
 
     def test_reset_rebaselines(self, world):
         model, profile, _ = world
-        monitor = DriftMonitor(profile, threshold_pct=5.0, min_samples=64)
+        monitor = DriftMonitor(model, profile, threshold_pct=5.0, min_samples=64)
         drifted_model = DriftModel(user_plateau=40.0, content_plateau=40.0).drift_model(
             model, month=20
         )
@@ -224,7 +224,7 @@ class TestDriftMonitor:
 
     def test_min_samples_guard(self, world):
         model, profile, _ = world
-        monitor = DriftMonitor(profile, threshold_pct=0.0, min_samples=10_000)
+        monitor = DriftMonitor(model, profile, threshold_pct=0.0, min_samples=10_000)
         generator = TraceGenerator(model, batch_size=64, seed=14)
         monitor.observe(next(generator.batches(1)))
         assert not monitor.should_replan()

@@ -1,11 +1,17 @@
-"""Tests for frequency CDFs and their piecewise inverse (Section 4.2)."""
+"""Tests for frequency CDFs and their piecewise inverse (Section 4.2).
+
+The ICDF grids are sampled by the oracles' scalar sampler
+(:func:`tests.oracles.icdf.icdf_points`); :func:`convex_cuts` is the
+shipped encoding the convex MILP reads.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.cdf import FrequencyCDF, PiecewiseICDF
+from repro.stats.cdf import FrequencyCDF, convex_cuts
+from tests.oracles.icdf import PiecewiseICDF, icdf_points
 
 counts_arrays = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=200
@@ -97,7 +103,7 @@ class TestFrequencyCDF:
 
 class TestPiecewiseICDF:
     def build(self, counts, steps=10):
-        return FrequencyCDF(np.asarray(counts, dtype=float)).icdf_points(steps)
+        return icdf_points(FrequencyCDF(np.asarray(counts, dtype=float)), steps)
 
     def test_endpoints(self):
         icdf = self.build([5, 3, 1, 0], steps=10)
@@ -115,7 +121,7 @@ class TestPiecewiseICDF:
     def test_convexity_of_sampled_points(self, counts, steps):
         # Marginal rows per coverage step never decrease: the property the
         # convex formulation relies on.
-        icdf = FrequencyCDF(counts).icdf_points(steps)
+        icdf = icdf_points(FrequencyCDF(counts), steps)
         diffs = np.diff(icdf.rows)
         # Convexity in the exact ICDF can be broken by <1-row rounding at
         # grid points; allow that slack.
@@ -123,16 +129,16 @@ class TestPiecewiseICDF:
 
     def test_convex_cuts_reproduce_interpolation(self):
         rng = np.random.default_rng(2)
-        icdf = FrequencyCDF(rng.pareto(1.5, 400)).icdf_points(20)
-        cuts = icdf.convex_cuts()
+        icdf = icdf_points(FrequencyCDF(rng.pareto(1.5, 400)), 20)
+        cuts = convex_cuts(icdf.fractions, icdf.rows)
         for frac in np.linspace(0, 1, 33):
             envelope = max(slope * frac + intercept for slope, intercept in cuts)
-            assert envelope <= icdf.interpolate_rows(frac) + 1.0
+            assert envelope <= np.interp(frac, icdf.fractions, icdf.rows) + 1.0
 
     def test_cuts_lower_bound_grid_points(self):
         rng = np.random.default_rng(3)
-        icdf = FrequencyCDF(rng.pareto(0.8, 200)).icdf_points(25)
-        cuts = icdf.convex_cuts()
+        icdf = icdf_points(FrequencyCDF(rng.pareto(0.8, 200)), 25)
+        cuts = convex_cuts(icdf.fractions, icdf.rows)
         for frac, rows in zip(icdf.fractions, icdf.rows):
             for slope, intercept in cuts:
                 assert slope * frac + intercept <= rows + 1e-6
@@ -149,4 +155,4 @@ class TestPiecewiseICDF:
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):
-            FrequencyCDF(np.ones(4)).icdf_points(0)
+            icdf_points(FrequencyCDF(np.ones(4)), 0)
