@@ -34,8 +34,21 @@ The model is built from a :class:`~repro.core.workspace.PlannerWorkspace`
 — the one planner-input format the fast and multi-tier sharders solve
 on too: its shared coverage grid and per-table ``frac_rows`` give the
 sampled ICDF points, and its per-table vectors the row geometry,
-pooling, coverage and access totals.  Coefficients are read through
-``tolist()``, so the model holds plain Python numbers.
+pooling, coverage and access totals.  The coefficients are computed on
+those vectors and emitted directly as the arrays HiGHS solves (a
+:class:`~repro.milp.problem.MilpProblem`), with no intermediate model.
+The layout is fixed, because it fixes HiGHS's branching and the
+branch-and-bound oracle's:
+
+* columns: ``C``; ``p[m][j]`` device-major; per table and boundary
+  ``pct``, ``mem`` and (step encoding) the step binaries; per device
+  and table the ``u``s, then (tables with accesses) the ``w``s;
+* rows: one assignment row per table; per table and boundary the
+  ordering rows, then the ICDF rows; per device and table the ``u``
+  rows, then the ``w`` rows; per device its capacity rows and makespan
+  row; then the symmetry rows.
+
+``tests/test_core/test_formulation.py`` pins the arrays by digest.
 
 The per-GPU capacity and cost terms multiply the binary ``p[m][j]`` with
 the continuous ``pct[j]`` / ``mem[j]``; these bilinear products are
@@ -56,7 +69,8 @@ import numpy as np
 
 from repro.core.workspace import PlannerWorkspace
 from repro.memory.topology import SystemTopology
-from repro.milp.model import LinExpr, Model, Var, lin_sum
+from repro.milp.problem import MilpProblem
+from repro.milp.result import SolveResult
 from repro.stats.cdf import convex_cuts
 
 MIB = 2**20
@@ -65,20 +79,48 @@ _MS = 1e3  # seconds -> milliseconds
 
 @dataclass
 class FormulationHandles:
-    """The built model plus the variables needed to extract a plan."""
+    """The built problem plus the indices that read a plan off a solution.
 
-    model: Model
-    assign: list[list[Var]]  # assign[m][j] == p_mj
-    pct: list[list[Var]]  # pct[j][b], access fraction above boundary b
-    mem: list[list[Var]]  # mem[j][b], MiB above boundary b (fp32 rows)
-    max_cost: Var  # C, the minimized makespan (ms)
-    device_costs: list[LinExpr]  # c_m expressions (ms)
+    ``assign``, ``pct``, ``mem`` and ``max_cost`` are column indices;
+    ``makespan_rows[m]`` is the row ``c_m - C <= 0`` (Constraint 1), so
+    device ``m``'s cost is that row's activity plus ``C``.
+    """
 
-    def devices(self, result) -> list[int]:
+    problem: MilpProblem
+    assign: np.ndarray  # (devices, tables): p_mj
+    pct: np.ndarray  # (tables, boundaries): access fraction above b
+    mem: np.ndarray  # (tables, boundaries): MiB above b (fp32 rows)
+    max_cost: int  # C, the minimized makespan (ms)
+    makespan_rows: np.ndarray  # (devices,)
+
+    def devices(self, result: SolveResult) -> list[int]:
         """Each table's device in ``result``: the first device with the
         largest assignment value."""
-        index = [[var.index for var in row] for row in self.assign]
-        return np.argmax(np.take(result.values, index), axis=0).tolist()
+        return np.argmax(result.values[self.assign], axis=0).tolist()
+
+
+def solve_metadata(
+    result: SolveResult, problem: MilpProblem, formulation: str,
+    build_seconds: float,
+) -> dict:
+    """The plan metadata both MILP sharders stamp for one solve."""
+    return {
+        "solver": f"milp/{result.solver}/{formulation}",
+        "milp_status": result.status.value,
+        "milp_message": result.message,
+        "objective_ms": result.objective,
+        "solve_seconds": result.solve_time,
+        "build_seconds": build_seconds,
+        "mip_gap": result.gap,
+        "nodes": result.nodes,
+        "variables": problem.num_vars,
+        "constraints": problem.num_rows,
+    }
+
+
+def _starts(widths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive blocks of ``widths`` starts."""
+    return np.cumsum(widths) - widths
 
 
 def build_milp(
@@ -113,164 +155,217 @@ def build_milp(
     """
     if formulation not in ("convex", "step"):
         raise ValueError(f"unknown formulation {formulation!r}")
+    from scipy import sparse  # here, so ``import repro`` skips scipy
 
     ws = workspace
     num_devices = topology.num_devices
     num_tables = ws.num_tables
     tiers = topology.tiers
     num_bounds = len(tiers) - 1
-    caps_mib = [tier.capacity_bytes / MIB for tier in tiers]
     inv_bw = [1.0 / tier.bandwidth for tier in tiers]
-    cap_names = ["cap_hbm", *(f"cap_tier{t}" for t in range(1, num_bounds)),
-                 "cap_host"]
+    caps_mib = np.array([tier.capacity_bytes / MIB for tier in tiers])
 
-    # Per-table statistics as Python numbers (the model's coefficients).
-    row_bytes = ws.row_bytes.tolist()
-    hash_sizes = ws.hash_sizes.tolist()
-    live_rows = ws.live_rows.tolist()
-    total_accesses = ws.total_accesses.tolist()
-    coverages = ws.coverage.tolist() if use_coverage else [1.0] * num_tables
-    poolings = ws.avg_pooling.tolist() if use_pooling else [1.0] * num_tables
-    fractions = ws.fractions.tolist()
+    # Per-table statistics.
+    row_bytes = ws.row_bytes
+    row_mib = row_bytes / MIB
+    live_mib = ws.live_rows * row_bytes / MIB
+    charge_mib = (ws.live_rows if reclaim_dead else ws.hash_sizes) * row_bytes / MIB
     # Per (table, tier): a row's bytes at the tier's precision over fp32.
-    tier_rb = [ws.tier_row_bytes(tier.precision).tolist() for tier in tiers]
-    scales = [
-        [rb[j] / row_bytes[j] for rb in tier_rb] for j in range(num_tables)
+    scale = np.stack(
+        [ws.tier_row_bytes(tier.precision) / row_bytes for tier in tiers], axis=1
+    )
+    coverages = ws.coverage if use_coverage else np.ones(num_tables)
+    poolings = ws.avg_pooling if use_pooling else np.ones(num_tables)
+    has_acc = ws.total_accesses > 0
+    step_count = ws.steps + 1 if formulation == "step" else 0
+
+    # Columns.  C is column 0, then p[m][j] device-major (Constraints 2-3).
+    assign = 1 + np.arange(num_devices * num_tables).reshape(
+        num_devices, num_tables
+    )
+    # One (pct, mem) point on each table's ICDF per tier boundary, each
+    # followed by its step binaries x[i] (tables with accesses only).
+    per_bound = 2 + step_count * has_acc
+    pct = (
+        1 + assign.size + _starts(num_bounds * per_bound)[:, None]
+        + np.arange(num_bounds) * per_bound[:, None]
+    )
+    mem = pct + 1
+    step_x = pct[has_acc][:, :, None] + 2 + np.arange(step_count)
+    # Per device and table: u_b = p * (mem_b - mem_{b-1}) (the MiB tier b
+    # holds), then w_b = p * pct_b for tables with accesses.
+    pair_width = num_bounds * (1 + has_acc)
+    device_width = int(pair_width.sum())
+    device_col0 = 1 + assign.size + int((num_bounds * per_bound).sum())
+    u = (
+        device_col0 + device_width * np.arange(num_devices)[:, None, None]
+        + _starts(pair_width)[:, None] + np.arange(num_bounds)
+    )
+    w = (u + num_bounds)[:, has_acc]
+    num_vars = device_col0 + num_devices * device_width
+
+    lower = np.zeros(num_vars)
+    upper = np.ones(num_vars)
+    upper[0] = np.inf
+    upper[pct] = np.where(has_acc, 1.0, 0.0)[:, None]
+    upper[mem] = live_mib[:, None]
+    upper[u] = live_mib[:, None]
+    integrality = np.zeros(num_vars, dtype=np.uint8)
+    integrality[assign] = 1
+    integrality[step_x] = 1
+
+    # Rows.  Per table: its assignment row, then per boundary the
+    # ordering rows (b > 0) and the ICDF rows — the chords of the
+    # sampled ICDF (convex) or the three step rows — or one mem <= 0
+    # row for a table without accesses.
+    cuts = [
+        convex_cuts(ws.fractions, ws.frac_rows[j])
+        if has_acc[j] and formulation == "convex" else []
+        for j in range(num_tables)
     ]
+    icdf_rows = (
+        np.array([len(c) for c in cuts]) if formulation == "convex"
+        else np.full(num_tables, 3)
+    )
+    per_bound_rows = np.where(has_acc, icdf_rows + 2, 1)
+    table_rows = num_bounds * per_bound_rows - 2 * has_acc
+    # icdf[j, b]: boundary b's first ICDF row (or its mem <= 0 row).
+    icdf = (
+        num_tables + _starts(table_rows)[:, None]
+        + np.arange(num_bounds) * per_bound_rows[:, None]
+    )
+    # Per device: three rows per u and per w, then one capacity row per
+    # tier and the makespan row.
+    pair_rows = 3 * pair_width
+    device_row0 = (
+        num_tables + table_rows.sum()
+        + (pair_rows.sum() + num_bounds + 2) * np.arange(num_devices)
+    )
+    u_row = (
+        device_row0[:, None, None] + _starts(pair_rows)[:, None]
+        + 3 * np.arange(num_bounds)
+    )
+    w_row = (u_row + 3 * num_bounds)[:, has_acc]
+    cap_row = device_row0[:, None] + pair_rows.sum() + np.arange(num_bounds + 1)
+    makespan_row = cap_row[:, -1] + 1
+    sym_row = makespan_row[-1] + 1 + np.arange(num_devices - 1)
+    num_rows = int(makespan_row[-1]) + 1 + symmetry_breaking * sym_row.size
 
-    def at(b: int) -> str:
-        """Boundary suffix of a name; two-tier models have one boundary."""
-        return f"[{b}]" if num_bounds > 1 else ""
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    vals: list[np.ndarray] = []
 
-    model = Model("recshard")
-    max_cost = model.continuous_var(lb=0.0, name="C")
+    def put(row, col, val) -> None:
+        row, col, val = np.broadcast_arrays(row, col, val)
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(val.ravel())
 
-    # p_mj: table -> GPU assignment (Constraints 2-3).
-    assign = [
-        [model.binary_var(name=f"p[{m}][{j}]") for j in range(num_tables)]
-        for m in range(num_devices)
-    ]
-    for j in range(num_tables):
-        model.add(
-            lin_sum(assign[m][j] for m in range(num_devices)) == 1,
-            name=f"assign_once[{j}]",
+    row_lower = np.full(num_rows, -np.inf)
+    row_upper = np.full(num_rows, np.inf)
+
+    # Each table on exactly one device.
+    put(np.arange(num_tables), assign, 1.0)
+    row_lower[:num_tables] = row_upper[:num_tables] = 1.0
+
+    dead = ~has_acc
+    put(icdf[dead], mem[dead], 1.0)
+    row_upper[icdf[dead]] = 0.0
+    # Consecutive boundaries are ordered: pct_{b-1} <= pct_b, likewise mem.
+    later = icdf[has_acc][:, 1:]
+    for col, offset in ((pct, 2), (mem, 1)):
+        put(later - offset, col[has_acc][:, :-1], 1.0)
+        put(later - offset, col[has_acc][:, 1:], -1.0)
+        row_upper[later - offset] = 0.0
+
+    if formulation == "convex":
+        # mem >= every chord of the sampled ICDF; the chords' upper
+        # envelope equals the piecewise-linear ICDF (convexity).
+        table = np.repeat(np.arange(num_tables), icdf_rows)
+        chord = np.arange(icdf_rows.sum()) - np.repeat(_starts(icdf_rows), icdf_rows)
+        slope, intercept = (
+            np.array([c for cs in cuts for c in cs]).reshape(-1, 2).T
         )
+        cut_row = icdf[table] + chord[:, None]
+        put(cut_row, mem[table], 1.0)
+        put(cut_row, pct[table], -(slope * row_mib[table])[:, None])
+        row_lower[cut_row] = (intercept * row_mib[table])[:, None]
+    else:
+        # The paper's step binaries (Constraints 4-7): one step taken,
+        # and pct / mem are the chosen step's point.
+        first = icdf[has_acc][:, :, None]
+        put(first, step_x, 1.0)
+        put(first + 1, step_x, ws.fractions)
+        put(first[..., 0] + 1, pct[has_acc], -1.0)
+        step_mib = ws.frac_rows[has_acc] * row_mib[has_acc][:, None]
+        put(first + 2, step_x, step_mib[:, None, :])
+        put(first[..., 0] + 2, mem[has_acc], -1.0)
+        row_lower[first] = row_upper[first] = 1.0
+        for k in (1, 2):
+            row_lower[first + k] = row_upper[first + k] = 0.0
 
-    # One (pct, mem) point on each table's ICDF per tier boundary.
-    pct: list[list[Var]] = []
-    mem: list[list[Var]] = []
-    for j in range(num_tables):
-        live_mib = live_rows[j] * row_bytes[j] / MIB
-        has_accesses = total_accesses[j] > 0
-        row_mib = row_bytes[j] / MIB
-        rows = ws.frac_rows[j].tolist()
-        pct.append([])
-        mem.append([])
-        for b in range(num_bounds):
-            pct_j = model.continuous_var(
-                lb=0.0, ub=1.0 if has_accesses else 0.0,
-                name=f"pct[{j}]{at(b)}",
-            )
-            mem_j = model.continuous_var(
-                lb=0.0, ub=live_mib, name=f"mem[{j}]{at(b)}"
-            )
-            pct[j].append(pct_j)
-            mem[j].append(mem_j)
-            if not has_accesses:
-                model.add(mem_j <= 0.0, name=f"mem_zero[{j}]{at(b)}")
-                continue
-            if b:  # consecutive boundaries are ordered
-                model.add(pct[j][b - 1] <= pct_j + 0.0, name=f"pct_order[{j}]{at(b)}")
-                model.add(mem[j][b - 1] <= mem_j + 0.0, name=f"mem_order[{j}]{at(b)}")
-            if formulation == "convex":
-                # mem >= every chord of the sampled ICDF; the chords'
-                # upper envelope equals the piecewise-linear ICDF
-                # (convexity).
-                cuts = convex_cuts(fractions, rows)
-                for k, (slope, intercept) in enumerate(cuts):
-                    model.add(
-                        mem_j >= pct_j * (slope * row_mib) + intercept * row_mib,
-                        name=f"icdf_cut[{j}]{at(b)}[{k}]",
-                    )
-                continue
-            # The paper's step binaries (Constraints 4-7).
-            x = [
-                model.binary_var(name=f"x[{i}][{j}]{at(b)}")
-                for i in range(ws.steps + 1)
-            ]
-            model.add(lin_sum(x) == 1, name=f"one_step[{j}]{at(b)}")
-            model.add(
-                lin_sum(x_i * f for x_i, f in zip(x, fractions)) == pct_j,
-                name=f"step_pct[{j}]{at(b)}",
-            )
-            model.add(
-                lin_sum(x_i * (r * row_mib) for x_i, r in zip(x, rows))
-                == mem_j,
-                name=f"step_mem[{j}]{at(b)}",
-            )
+    # Linearized products, exact for binary p (bounded-product rows):
+    # u <= p * live, u <= mem_b, u >= mem_b - (1 - p) * live.
+    p_u = assign[:, :, None]
+    put(u_row, u, 1.0)
+    put(u_row, p_u, -live_mib[:, None])
+    for k in (1, 2):
+        put(u_row + k, u, 1.0)
+        put(u_row + k, mem, -1.0)
+        put(u_row[..., 1:] + k, mem[:, :-1], 1.0)
+    put(u_row + 2, p_u, -live_mib[:, None])
+    row_upper[u_row] = row_upper[u_row + 1] = 0.0
+    row_lower[u_row + 2] = -live_mib[:, None]
+    # w <= p, w <= pct_b, w >= pct_b + p - 1.
+    p_w = assign[:, has_acc, None]
+    for k in (0, 1, 2):
+        put(w_row + k, w, 1.0)
+    put(w_row, p_w, -1.0)
+    put(w_row + 1, pct[has_acc], -1.0)
+    put(w_row + 2, pct[has_acc], -1.0)
+    put(w_row + 2, p_w, -1.0)
+    row_upper[w_row] = row_upper[w_row + 1] = 0.0
+    row_lower[w_row + 2] = -1.0
 
-    # Linearized products u_b = p * (mem_b - mem_{b-1}) (the MiB tier b
-    # holds) and w_b = p * pct_b, then capacity and cost constraints per
-    # device.  Each tier is charged at its own precision's row bytes.
-    device_costs: list[LinExpr] = []
-    for m in range(num_devices):
-        tier_terms: list[list] = [[] for _ in tiers]
-        cost_terms: list = []
-        for j in range(num_tables):
-            p_mj = assign[m][j]
-            live_mib = live_rows[j] * row_bytes[j] / MIB
-            charge_mib = (
-                live_rows[j] if reclaim_dead else hash_sizes[j]
-            ) * row_bytes[j] / MIB
-            scale = scales[j]
-            held: list[Var] = []
-            for b in range(num_bounds):
-                mem_b = mem[j][b] - mem[j][b - 1] if b else mem[j][b] + 0.0
-                u_mj = model.continuous_var(
-                    lb=0.0, ub=live_mib, name=f"u[{m}][{j}]{at(b)}"
-                )
-                model.add(u_mj <= p_mj * live_mib, name=f"u_on[{m}][{j}]{at(b)}")
-                model.add(u_mj <= mem_b, name=f"u_mem[{m}][{j}]{at(b)}")
-                model.add(
-                    u_mj >= mem_b - (1.0 - p_mj) * live_mib,
-                    name=f"u_lb[{m}][{j}]{at(b)}",
-                )
-                tier_terms[b].append(u_mj * scale[b])
-                held.append(u_mj)
-            tier_terms[-1].append((p_mj * charge_mib - lin_sum(held)) * scale[-1])
+    # Per-device capacity (Constraints 9-10), each tier charged at its
+    # own precision's row bytes: tier b < last holds u_b, the last tier
+    # the charged rows less everything held above it.
+    for t in range(num_bounds):
+        put(cap_row[:, t, None], u[:, :, t], scale[:, t])
+    put(cap_row[:, -1, None], assign, charge_mib * scale[:, -1])
+    put(cap_row[:, -1, None, None], u, -scale[:, -1, None])
+    row_upper[cap_row] = caps_mib
 
-            if total_accesses[j] <= 0:
-                continue
-            # Constraint 11: per-step demand (pool * dim * bytes * B),
-            # split across tiers by the chosen access fractions.
-            demand_bytes = poolings[j] * row_bytes[j] * batch_size
-            weight = coverages[j] * demand_bytes * _MS
-            # p*c_j = weight * (sum_b w_b (1/BW_b - 1/BW_{b+1}) + p/BW_last)
-            for b in range(num_bounds):
-                w_mj = model.continuous_var(
-                    lb=0.0, ub=1.0, name=f"w[{m}][{j}]{at(b)}"
-                )
-                model.add(w_mj <= p_mj + 0.0, name=f"w_on[{m}][{j}]{at(b)}")
-                model.add(w_mj <= pct[j][b] + 0.0, name=f"w_pct[{m}][{j}]{at(b)}")
-                model.add(
-                    w_mj >= pct[j][b] + p_mj - 1.0, name=f"w_lb[{m}][{j}]{at(b)}"
-                )
-                cost_terms.append(w_mj * (weight * (inv_bw[b] - inv_bw[b + 1])))
-            cost_terms.append(p_mj * (weight * inv_bw[-1]))
-
-        for t, terms in enumerate(tier_terms):
-            model.add(lin_sum(terms) <= caps_mib[t], name=f"{cap_names[t]}[{m}]")
-        cost_m = lin_sum(cost_terms)
-        device_costs.append(cost_m)
-        model.add(cost_m <= max_cost + 0.0, name=f"makespan[{m}]")  # Constraint 1
-
+    # Constraint 11: per-step demand (pool * dim * bytes * B), split
+    # across tiers by the access fractions:
+    # p*c_j = weight * (sum_b w_b (1/BW_b - 1/BW_{b+1}) + p/BW_last).
+    weight = (coverages * (poolings * row_bytes * batch_size) * _MS)[has_acc]
+    bw = np.array(inv_bw)
+    w_cost = weight[:, None] * (bw[:-1] - bw[1:])
+    p_cost = weight * inv_bw[-1]
+    # Constraint 1: every device's cost is at most C.
+    put(makespan_row[:, None, None], w, w_cost)
+    put(makespan_row[:, None], assign[:, has_acc], p_cost)
+    put(makespan_row, 0, -1.0)
+    row_upper[makespan_row] = 0.0
     if symmetry_breaking:
         # Devices are interchangeable; forcing non-increasing cost order
-        # removes the M! permutation symmetry from the search tree.
-        for m in range(num_devices - 1):
-            model.add(
-                device_costs[m] >= device_costs[m + 1], name=f"sym[{m}]"
-            )
+        # (c_m - c_{m+1} >= 0) removes the M! permutation symmetry from
+        # the search tree.
+        for side, sign in ((slice(None, -1), 1.0), (slice(1, None), -1.0)):
+            put(sym_row[:, None, None], w[side], w_cost * sign)
+            put(sym_row[:, None], assign[side][:, has_acc], p_cost * sign)
+        row_lower[sym_row] = 0.0
+
+    # Zero right-hand sides are stored as -0.0, the sign the pinned
+    # array digests carry.
+    row_lower[row_lower == 0.0] = -0.0
+    row_upper[row_upper == 0.0] = -0.0
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = vals != 0.0
+    matrix = sparse.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(num_rows, num_vars)
+    )
 
     # Primary objective: the makespan C (Constraint 1).  A vanishing
     # secondary term rewards coverage in faster tiers on non-critical
@@ -278,15 +373,22 @@ def build_milp(
     # indifference would otherwise strand free capacity).
     total_cost_scale = sum(
         coverage * pooling * rb * batch_size * _MS * inv_bw[-1]
-        for coverage, pooling, rb in zip(coverages, poolings, row_bytes)
+        for coverage, pooling, rb in zip(
+            coverages.tolist(), poolings.tolist(), row_bytes.tolist()
+        )
     )
     epsilon = 1e-6 * max(total_cost_scale, 1e-12) / max(1, num_tables)
-    model.minimize(max_cost - epsilon * lin_sum(v for pct_j in pct for v in pct_j))
+    c = np.zeros(num_vars)
+    c[0] = 1.0
+    c[pct] = -epsilon
+    problem = MilpProblem(
+        c, integrality, lower, upper, matrix, row_lower, row_upper
+    )
     return FormulationHandles(
-        model=model,
+        problem=problem,
         assign=assign,
         pct=pct,
         mem=mem,
-        max_cost=max_cost,
-        device_costs=device_costs,
+        max_cost=0,
+        makespan_rows=makespan_row,
     )

@@ -36,11 +36,13 @@ tables only where drift actually changed relative costs.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
-from repro.core.formulation import MIB, build_milp
+from repro.core.formulation import MIB, build_milp, solve_metadata
 from repro.core.plan import PlanError, ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
@@ -269,20 +271,23 @@ class MultiTierSharder:
     # MILP: the one formulation, with one (pct, mem) point per boundary
     # ------------------------------------------------------------------
     def _shard_milp(self, ws, topology) -> ShardingPlan:
+        start = time.perf_counter()
         handles = build_milp(
             ws, topology, batch_size=self.batch_size, formulation="step"
         )
-        result = handles.model.solve(
-            time_limit=self.time_limit, mip_gap=self.mip_gap
+        build_time = time.perf_counter() - start
+        from repro.milp import scipy_backend  # see RecShardSharder.shard
+
+        result = scipy_backend.solve(
+            handles.problem, time_limit=self.time_limit, mip_gap=self.mip_gap
         )
         if not result.status.has_solution:
             raise RuntimeError(
-                f"multi-tier MILP produced no incumbent (status={result.status})"
+                "multi-tier MILP produced no incumbent "
+                f"(status={result.status.value}: {result.message})"
             )
         # Each boundary's rows, floored, clipped and kept ordered.
-        mem_mib = np.take(
-            result.values, [[var.index for var in mem] for mem in handles.mem]
-        ).reshape(ws.num_tables, topology.num_tiers - 1)
+        mem_mib = result.values[handles.mem]
         hash_sizes = ws.hash_sizes[:, None]
         cum_rows = np.maximum.accumulate(
             np.minimum((mem_mib * MIB + 1e-6) // ws.row_bytes[:, None], hash_sizes),
@@ -295,12 +300,7 @@ class MultiTierSharder:
                 zip(handles.devices(result), rows.tolist())
             )
         ]
-        metadata = {
-            "solver": f"milp/{result.solver}",
-            "objective_ms": result.objective,
-            "solve_seconds": result.solve_time,
-            "milp_status": result.status.value,
-        }
+        metadata = solve_metadata(result, handles.problem, "step", build_time)
         _stamp_tier_precisions(metadata, topology)
         return ShardingPlan(
             strategy=self.name, placements=placements, metadata=metadata

@@ -24,11 +24,11 @@ import numpy as np
 
 from repro.core.evaluate import stamp_estimated_costs
 from repro.core.fast import RecShardFastSharder, _stamp_tier_precisions
-from repro.core.formulation import MIB, build_milp
+from repro.core.formulation import MIB, build_milp, solve_metadata
 from repro.core.plan import ShardingPlan, TablePlacement
 from repro.core.workspace import PlannerWorkspace, sharder_workspace
 from repro.memory.topology import SystemTopology
-from repro.milp.result import SolveResult
+from repro.milp.result import SolveResult, SolveStatus
 
 
 class RecShardSharder:
@@ -107,8 +107,15 @@ class RecShardSharder:
             reclaim_dead=self.reclaim_dead,
         )
         build_time = time.perf_counter() - start
-        result = handles.model.solve(
-            time_limit=self.time_limit, mip_gap=self.mip_gap
+        # Looked up on each solve, so tests can swap in an oracle; the
+        # import stays here to keep scipy out of ``import repro``.
+        from repro.milp import scipy_backend
+
+        result = scipy_backend.solve(
+            handles.problem, time_limit=self.time_limit, mip_gap=self.mip_gap
+        )
+        stamp = solve_metadata(
+            result, handles.problem, self.formulation, build_time
         )
 
         milp_plan = None
@@ -117,22 +124,15 @@ class RecShardSharder:
                 self._extract_plan(workspace, topology, handles, result),
                 model, profile, topology, self.batch_size,
             )
-            milp_plan.metadata.update(
-                {
-                    "solver": f"milp/{result.solver}/{self.formulation}",
-                    "milp_status": result.status.value,
-                    "objective_ms": result.objective,
-                    "solve_seconds": result.solve_time,
-                    "build_seconds": build_time,
-                    "mip_gap": result.gap,
-                    "variables": len(handles.model.variables),
-                    "constraints": len(handles.model.constraints),
-                }
-            )
+            milp_plan.metadata.update(stamp)
         elif not self.fallback:
+            advice = (
+                "raise time_limit" if result.status is SolveStatus.TIME_LIMIT
+                else "check the model"
+            )
             raise RuntimeError(
-                f"MILP produced no incumbent (status={result.status}); "
-                "enable fallback or raise time_limit"
+                f"MILP produced no incumbent (status={result.status.value}: "
+                f"{result.message}); enable fallback or {advice}"
             )
 
         if not self.fallback:
@@ -142,23 +142,19 @@ class RecShardSharder:
         # by the same evaluator as the MILP incumbent.
         fast_plan = self._fast().shard_from_workspace(workspace, topology)
         if milp_plan is None:
-            fast_plan.metadata["solver"] = "fast-fallback"
-            fast_plan.metadata["milp_status"] = result.status.value
-            return fast_plan
-        if (
+            solver = "fast-fallback"
+        elif (
             fast_plan.metadata["estimated_max_cost_ms"]
             < milp_plan.metadata["estimated_max_cost_ms"]
         ):
-            fast_plan.metadata.update(
-                {
-                    "solver": "fast-beat-milp",
-                    "milp_status": result.status.value,
-                    "milp_objective_ms": result.objective,
-                    "solve_seconds": result.solve_time,
-                }
-            )
-            return fast_plan
-        return milp_plan
+            solver = "fast-beat-milp"
+        else:
+            return milp_plan
+        # The fast plan carries the MILP's solve stamp; the objective is
+        # the MILP's, not this plan's.
+        stamp["milp_objective_ms"] = stamp.pop("objective_ms")
+        fast_plan.metadata.update(stamp, solver=solver)
+        return fast_plan
 
     def _fast(self) -> RecShardFastSharder:
         """The fast sharder with this sharder's statistics switches."""
@@ -191,10 +187,12 @@ class RecShardSharder:
         devices = handles.devices(result)
         row_bytes = ws.row_bytes.tolist()
         hash_sizes = ws.hash_sizes.tolist()
+        mem_mib = result.values[handles.mem[:, 0]].tolist()
+        pcts = result.values[handles.pct[:, 0]].tolist()
         placements = []
-        for j, mem in enumerate(handles.mem):
-            mem_bytes = result.value(mem[0]) * MIB + 1e-6
-            pct_value = min(1.0, max(0.0, result.value(handles.pct[j][0])))
+        for j in range(ws.num_tables):
+            mem_bytes = mem_mib[j] * MIB + 1e-6
+            pct_value = min(1.0, max(0.0, pcts[j]))
             rows = float(np.interp(pct_value, ws.fractions, ws.frac_rows[j]))
             wanted = math.ceil(rows - 1e-9)
             budget = int(mem_bytes // row_bytes[j])

@@ -1,20 +1,19 @@
 """Mixed integer linear programming substrate.
 
 The paper solves its sharding formulation with Gurobi.  Gurobi is not
-available here, so this package provides the equivalent substrate from
-scratch: a small modeling language (:class:`~repro.milp.model.Model`,
-:class:`~repro.milp.model.Var`, :class:`~repro.milp.model.LinExpr`) that
-compiles to scipy's HiGHS MILP solver.
+available here, so models are built directly in the matrix form that
+scipy's HiGHS MILP solver takes: a :class:`~repro.milp.problem.MilpProblem`
+holds the objective, integrality, variable bounds and one sparse
+constraint matrix with row bounds, and
+:func:`~repro.milp.scipy_backend.solve` hands those arrays to
+:func:`scipy.optimize.milp`.
 """
 
-from repro.milp.model import Constraint, LinExpr, Model, Var
+from repro.milp.problem import MilpProblem
 from repro.milp.result import SolveResult, SolveStatus
 
 __all__ = [
-    "Constraint",
-    "LinExpr",
-    "Model",
+    "MilpProblem",
     "SolveResult",
     "SolveStatus",
-    "Var",
 ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
 
 class SolveStatus(enum.Enum):
     """Terminal state of a solve call."""
@@ -24,14 +25,14 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class SolveResult:
-    """Outcome of solving a :class:`~repro.milp.model.Model`.
+    """Outcome of solving a :class:`~repro.milp.problem.MilpProblem`.
 
     Attributes:
         status: terminal solver state.
         solver: name of the solver that produced the result (plans
             record it in their ``solver`` metadata).
         objective: objective value of the incumbent (``None`` without one).
-        values: variable values indexed by variable position in the model.
+        values: the incumbent, indexed by column (empty without one).
         solve_time: wall-clock seconds spent in the solver.
         gap: relative MIP gap of the incumbent, when the solver reports it.
         nodes: number of branch-and-bound nodes explored, when known.
@@ -41,14 +42,8 @@ class SolveResult:
     status: SolveStatus
     solver: str = "highs"
     objective: float | None = None
-    values: list[float] = field(default_factory=list)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
     solve_time: float = 0.0
     gap: float | None = None
     nodes: int | None = None
     message: str = ""
-
-    def value(self, var) -> float:
-        """Return the incumbent value of ``var`` (a :class:`Var`)."""
-        if not self.status.has_solution:
-            raise ValueError(f"no solution available (status={self.status})")
-        return self.values[var.index]

@@ -1,57 +1,39 @@
-"""The HiGHS solver: compile a :class:`repro.milp.Model` to scipy.optimize.milp."""
+"""The HiGHS solver: hand a :class:`~repro.milp.problem.MilpProblem`'s
+arrays to :func:`scipy.optimize.milp`."""
 
 from __future__ import annotations
 
 import time
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.milp.model import Model
+from repro.milp.problem import MilpProblem
 from repro.milp.result import SolveResult, SolveStatus
 
 # scipy.optimize.milp status codes (from HiGHS):
-#   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-_STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
+#   0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded,
+#   4 other (see the message).  Without an incumbent, a status missing
+#   here is a solver error.
+_NO_INCUMBENT = {
+    1: SolveStatus.TIME_LIMIT,
     2: SolveStatus.INFEASIBLE,
     3: SolveStatus.UNBOUNDED,
 }
 
 
-def _build_constraint_matrix(
-    compiled,
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-    """Assemble the sparse row-major constraint matrix and its bounds."""
-    data: list[float] = []
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    lbs: list[float] = []
-    ubs: list[float] = []
-    for row, (coeffs, lb, ub) in enumerate(compiled.rows):
-        for col, coef in coeffs.items():
-            if coef != 0.0:
-                data.append(coef)
-                row_idx.append(row)
-                col_idx.append(col)
-        lbs.append(lb)
-        ubs.append(ub)
-    matrix = sparse.csr_matrix(
-        (data, (row_idx, col_idx)), shape=(len(compiled.rows), compiled.num_vars)
-    )
-    return matrix, np.asarray(lbs), np.asarray(ubs)
-
-
-def solve_with_highs(
-    model: Model,
+def solve(
+    problem: MilpProblem,
     time_limit: float | None = None,
     mip_gap: float | None = None,
 ) -> SolveResult:
-    """Solve ``model`` with scipy's HiGHS MILP solver."""
-    compiled = model.compile()
-    start = time.perf_counter()
+    """Solve ``problem`` with scipy's HiGHS MILP solver.
 
+    Args:
+        time_limit: wall-clock limit in seconds.
+        mip_gap: relative optimality gap at which to stop early.
+    """
+    start = time.perf_counter()
     options: dict = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
@@ -59,42 +41,41 @@ def solve_with_highs(
         options["mip_rel_gap"] = float(mip_gap)
 
     constraints = None
-    if compiled.rows:
-        matrix, lbs, ubs = _build_constraint_matrix(compiled)
-        constraints = LinearConstraint(matrix, lbs, ubs)
-
+    if problem.num_rows:
+        constraints = LinearConstraint(
+            problem.matrix, problem.row_lower, problem.row_upper
+        )
     result = milp(
-        c=np.asarray(compiled.objective),
-        integrality=np.asarray(compiled.integrality),
-        bounds=Bounds(np.asarray(compiled.lower), np.asarray(compiled.upper)),
+        c=problem.c,
+        integrality=problem.integrality,
+        bounds=Bounds(problem.lower, problem.upper),
         constraints=constraints,
         options=options,
     )
     elapsed = time.perf_counter() - start
+    nodes = getattr(result, "mip_node_count", None)
+    message = str(result.message)
 
-    if result.x is not None:
-        status = _STATUS_MAP.get(result.status, SolveStatus.FEASIBLE)
-        # A solution returned under a hit limit is an incumbent, not optimal.
-        if result.status == 1:
-            status = SolveStatus.FEASIBLE
-        values = [float(v) for v in result.x]
-        # Snap integer variables that HiGHS leaves at 0.9999999 etc.
-        for var in model.variables:
-            if var.integer:
-                values[var.index] = float(round(values[var.index]))
+    if result.x is None:
         return SolveResult(
-            status=status,
-            objective=float(result.fun),
-            values=values,
+            status=_NO_INCUMBENT.get(result.status, SolveStatus.ERROR),
             solve_time=elapsed,
-            gap=getattr(result, "mip_gap", None),
-            nodes=getattr(result, "mip_node_count", None),
-            message=str(result.message),
+            nodes=nodes,
+            message=message,
         )
-
-    status = _STATUS_MAP.get(result.status, SolveStatus.TIME_LIMIT)
-    if result.status == 1:
-        status = SolveStatus.TIME_LIMIT
+    # A solution returned under a hit limit is an incumbent, not optimal.
+    status = SolveStatus.OPTIMAL if result.status == 0 else SolveStatus.FEASIBLE
+    values = np.array(result.x, dtype=np.float64)
+    # Snap integer variables that HiGHS leaves at 0.9999999 etc. (+ 0.0
+    # turns a rounded -0.0 into 0.0).
+    integer = problem.integrality.astype(bool)
+    values[integer] = np.round(values[integer]) + 0.0
     return SolveResult(
-        status=status, solve_time=elapsed, message=str(result.message)
+        status=status,
+        objective=float(result.fun),
+        values=values,
+        solve_time=elapsed,
+        gap=getattr(result, "mip_gap", None),
+        nodes=nodes,
+        message=message,
     )

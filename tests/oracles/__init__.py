@@ -9,8 +9,9 @@ suites and benches can check the shipped results against it:
 * :mod:`tests.oracles.planner` — the per-step heapq fast and multi-tier
   greedy sharders, and the MILP sharder's heapq refill;
 * :mod:`tests.oracles.branch_bound` — a pure-Python branch and bound
-  that stops on a node budget, cross-checking HiGHS and pinning the
-  golden MILP plan;
+  over the same :class:`~repro.milp.problem.MilpProblem` arrays, with
+  its own feasibility check, that stops on a node budget,
+  cross-checking HiGHS and pinning the golden MILP plan;
 * :mod:`tests.oracles.engine` — the per-lookup remap-table executor
   with argmin replica routing;
 * :mod:`tests.oracles.serving` — per-request objects, the FIFO

@@ -1,15 +1,18 @@
 """A pure-Python branch-and-bound MILP solver: the MILP oracle.
 
 Built on HiGHS LP relaxations through :func:`scipy.optimize.linprog`, it
-cross-checks :meth:`repro.milp.Model.solve` (scipy's HiGHS MILP) on small
-models and pins the golden MILP plan independently of the installed
-HiGHS's branching.  It uses best-first search with most-fractional
-branching and a simple LP-rounding primal heuristic, and stops on its
-node budget alone, so a run is the same on any machine.
+solves the same :class:`~repro.milp.problem.MilpProblem` arrays as
+:func:`repro.milp.scipy_backend.solve` (scipy's HiGHS MILP),
+cross-checks it on small problems and pins the golden MILP plan
+independently of the installed HiGHS's branching.  It uses best-first
+search with most-fractional branching and a simple LP-rounding primal
+heuristic (its candidates pass :func:`check_feasible`), and stops on
+its node budget alone, so a run is the same on any machine.
 
-It is intended for models with tens of integer variables.  ``src`` has
-no hook for it: :func:`branch_and_bound` swaps it in for HiGHS within a
-``with`` block.
+It is intended for problems with tens of integer variables.  ``src``
+has no hook for it: the MILP sharders call ``scipy_backend.solve``
+through the module, and :func:`branch_and_bound` swaps that module
+global for this solver within a ``with`` block.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.milp import scipy_backend
-from repro.milp.model import Model
+from repro.milp.problem import MilpProblem
 from repro.milp.result import SolveResult, SolveStatus
 
 _INF = float("inf")
@@ -40,33 +43,42 @@ class _Node:
     upper: np.ndarray = field(compare=False)
 
 
-class _CooBuilder:
-    """Accumulates constraint rows as COO triplets, then emits CSR."""
+def check_feasible(
+    problem: MilpProblem, values: np.ndarray, tol: float = 1e-6
+) -> bool:
+    """Whether ``values`` satisfies every bound, integrality and row of
+    ``problem`` within ``tol``."""
+    integer = problem.integrality.astype(bool)
+    activity = problem.matrix @ values
+    return bool(
+        np.all(values >= problem.lower - tol)
+        and np.all(values <= problem.upper + tol)
+        and np.all(np.abs(values[integer] - np.round(values[integer])) <= tol)
+        and np.all(activity >= problem.row_lower - tol)
+        and np.all(activity <= problem.row_upper + tol)
+    )
 
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._data: list[float] = []
-        self._rhs: list[float] = []
 
-    def add_row(self, coeffs: dict, rhs: float, sign: float = 1.0) -> None:
-        row = len(self._rhs)
-        for col, coef in coeffs.items():
-            self._rows.append(row)
-            self._cols.append(col)
-            self._data.append(sign * coef)
-        self._rhs.append(rhs)
-
-    def build(self):
-        """CSR matrix + rhs vector, or (None, None) when no rows exist."""
-        if not self._rhs:
-            return None, None
-        matrix = sparse.coo_matrix(
-            (self._data, (self._rows, self._cols)),
-            shape=(len(self._rhs), self.num_vars),
-        ).tocsr()
-        return matrix, np.array(self._rhs)
+def _split_rows(problem: MilpProblem):
+    """``A_ub, b_ub, A_eq, b_eq`` for :func:`scipy.optimize.linprog`, in
+    row order: an equality row goes to ``A_eq``; any other row gives
+    ``A_ub`` its upper side, then its negated lower side.  Empty
+    halves are ``None``."""
+    matrix = problem.matrix
+    lo, hi = problem.row_lower, problem.row_upper
+    eq = np.flatnonzero(lo == hi)
+    upper = np.flatnonzero((lo != hi) & (hi < _INF))
+    lower = np.flatnonzero((lo != hi) & (lo > -_INF))
+    a_ub = b_ub = a_eq = b_eq = None
+    rows = np.concatenate([upper, lower])
+    if rows.size:
+        order = np.lexsort((np.repeat([0, 1], [upper.size, lower.size]), rows))
+        sign = np.repeat([1.0, -1.0], [upper.size, lower.size])[order]
+        a_ub = sparse.diags(sign) @ matrix[rows[order]]
+        b_ub = sign * np.concatenate([hi[upper], lo[lower]])[order]
+    if eq.size:
+        a_eq, b_eq = matrix[eq], lo[eq]
+    return a_ub, b_ub, a_eq, b_eq
 
 
 def _solve_lp(objective, a_ub, b_ub, a_eq, b_eq, lower, upper):
@@ -87,52 +99,38 @@ def _solve_lp(objective, a_ub, b_ub, a_eq, b_eq, lower, upper):
 
 @contextmanager
 def branch_and_bound(node_limit: int = 200_000):
-    """Within the block, :meth:`Model.solve` runs :func:`solve_branch_bound`
-    with ``node_limit`` nodes; the wall-clock ``time_limit`` it is given
-    is ignored."""
-    original = scipy_backend.solve_with_highs
+    """Within the block, ``scipy_backend.solve`` runs
+    :func:`solve_branch_bound` with ``node_limit`` nodes; the wall-clock
+    ``time_limit`` it is given is ignored."""
+    original = scipy_backend.solve
 
-    def solve(model, time_limit=None, mip_gap=None):
-        return solve_branch_bound(model, mip_gap=mip_gap, node_limit=node_limit)
+    def solve(problem, time_limit=None, mip_gap=None):
+        return solve_branch_bound(
+            problem, mip_gap=mip_gap, node_limit=node_limit
+        )
 
-    scipy_backend.solve_with_highs = solve
+    scipy_backend.solve = solve
     try:
         yield
     finally:
-        scipy_backend.solve_with_highs = original
+        scipy_backend.solve = original
 
 
 def solve_branch_bound(
-    model: Model,
+    problem: MilpProblem,
     mip_gap: float | None = None,
     node_limit: int = 200_000,
 ) -> SolveResult:
-    """Solve ``model`` by best-first branch and bound over at most
+    """Solve ``problem`` by best-first branch and bound over at most
     ``node_limit`` LP nodes (the root LP is not counted)."""
-    compiled = model.compile()
     start = time.perf_counter()
     gap_target = mip_gap if mip_gap is not None else 1e-6
 
-    objective = np.asarray(compiled.objective)
-    int_mask = np.asarray(compiled.integrality, dtype=bool)
-    base_lower = np.asarray(compiled.lower, dtype=float)
-    base_upper = np.asarray(compiled.upper, dtype=float)
-
-    # Split two-sided rows into <= / == matrices once, assembling COO
-    # triplets directly — never materializing a dense num_vars-wide row
-    # per constraint (the formulations are ~99% sparse at paper scale).
-    ub = _CooBuilder(compiled.num_vars)
-    eq = _CooBuilder(compiled.num_vars)
-    for coeffs, row_lb, row_ub in compiled.rows:
-        if row_lb == row_ub:
-            eq.add_row(coeffs, row_lb, sign=1.0)
-            continue
-        if row_ub < _INF:
-            ub.add_row(coeffs, row_ub, sign=1.0)
-        if row_lb > -_INF:
-            ub.add_row(coeffs, -row_lb, sign=-1.0)
-    a_ub, b_ub = ub.build()
-    a_eq, b_eq = eq.build()
+    objective = problem.c
+    int_mask = problem.integrality.astype(bool)
+    base_lower = problem.lower
+    base_upper = problem.upper
+    a_ub, b_ub, a_eq, b_eq = _split_rows(problem)
 
     counter = itertools.count()
     root_obj, root_x = _solve_lp(
@@ -156,8 +154,7 @@ def solve_branch_bound(
         nonlocal best_obj, best_x
         candidate = x.copy()
         candidate[int_mask] = np.round(candidate[int_mask])
-        values = [float(v) for v in candidate]
-        if model.check_feasible(values, tol=1e-6):
+        if check_feasible(problem, candidate, tol=1e-6):
             obj = float(objective @ candidate)
             if obj < best_obj:
                 best_obj = obj
@@ -220,7 +217,7 @@ def solve_branch_bound(
         status=status,
         solver="branch_bound",
         objective=best_obj,
-        values=[float(v) for v in best_x],
+        values=best_x,
         solve_time=elapsed,
         gap=gap,
         nodes=explored,

@@ -1,26 +1,70 @@
 """Tests for the RecShard MILP formulation (Sections 4.2 and 4.4)."""
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from repro.core.formulation import build_milp
+from repro.core.formulation import MIB, build_milp
 from repro.core.workspace import PlannerWorkspace
+from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
-from repro.milp.result import SolveStatus
+from repro.milp import scipy_backend
+from repro.milp.result import SolveResult, SolveStatus
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
 
-def model_digest(model) -> str:
-    """Every variable, constraint and objective term, in model order."""
-    parts = [(v.name, v.lb, v.ub, v.integer) for v in model.variables]
-    parts += [
-        (c.name, c.sense, tuple(c.expr.coeffs.items()), c.expr.constant)
-        for c in model.constraints
-    ]
-    parts.append((tuple(model.objective.coeffs.items()), model.objective.constant))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+def problem_digest(problem) -> str:
+    """SHA-256 over the arrays HiGHS solves, at canonical dtypes: the
+    objective, integrality, variable bounds, the CSR matrix with sorted
+    column indices, and the row bounds."""
+    matrix = problem.matrix.copy()
+    matrix.sort_indices()
+    digest = hashlib.sha256()
+    for array, dtype in (
+        (problem.c, np.float64),
+        (problem.integrality, np.int64),
+        (problem.lower, np.float64),
+        (problem.upper, np.float64),
+        (matrix.indptr, np.int64),
+        (matrix.indices, np.int64),
+        (matrix.data, np.float64),
+        (problem.row_lower, np.float64),
+        (problem.row_upper, np.float64),
+    ):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def num_binary(problem) -> int:
+    return int(
+        np.count_nonzero(
+            (problem.integrality == 1) & (problem.lower == 0) & (problem.upper == 1)
+        )
+    )
+
+
+def pinned_world(num_tiers: int):
+    """Five tables on two devices; the three-tier ladder stores its
+    slower tiers at fp16 and int8."""
+    model = build_model(num_tables=5, rows=128, seed=3)
+    total = model.total_bytes
+    if num_tiers == 2:
+        topology = SystemTopology.two_tier(
+            2, int(total * 0.3 / 2), 200e9, total, 10e9
+        )
+    else:
+        topology = SystemTopology(
+            num_devices=2,
+            tiers=(
+                MemoryTier("hbm", int(total * 0.2 / 2), 200e9),
+                MemoryTier("dram", int(total * 0.4 / 2), 10e9, precision="fp16"),
+                MemoryTier("ssd", total, 1e9, precision="int8"),
+            ),
+        )
+    return PlannerWorkspace(model, analytic_profile(model), steps=6), topology
 
 
 class TestInputs:
@@ -43,11 +87,11 @@ class TestBuildMilp:
         handles = build_milp(ws, tight_topology, batch_size=256)
         num_devices = tight_topology.num_devices
         num_tables = ws.num_tables
-        assert len(handles.assign) == num_devices
-        assert len(handles.assign[0]) == num_tables
-        assert len(handles.pct) == num_tables
+        assert handles.assign.shape == (num_devices, num_tables)
+        assert handles.pct.shape == handles.mem.shape == (num_tables, 1)
+        assert handles.makespan_rows.shape == (num_devices,)
         # Binary count: only the assignment variables in convex form.
-        assert handles.model.num_binary == num_devices * num_tables
+        assert num_binary(handles.problem) == num_devices * num_tables
 
     def test_step_formulation_has_step_binaries(
         self, small_model, small_profile, tight_topology
@@ -57,63 +101,136 @@ class TestBuildMilp:
             ws, tight_topology, batch_size=256, formulation="step"
         )
         expected = tight_topology.num_devices * ws.num_tables + ws.num_tables * 9
-        assert handles.model.num_binary == expected
+        assert num_binary(handles.problem) == expected
 
     def test_three_tier_structure(self, small_model, small_profile, topo3):
         ws = PlannerWorkspace(small_model, small_profile, steps=8)
         tables, devices = ws.num_tables, topo3.num_devices
         convex = build_milp(ws, topo3, batch_size=256)
         step = build_milp(ws, topo3, batch_size=256, formulation="step")
+        caps_mib = [tier.capacity_bytes / MIB for tier in topo3.tiers]
         for handles in (convex, step):
-            assert [len(p) for p in handles.pct] == [2] * tables
-            assert [len(m) for m in handles.mem] == [2] * tables
-            names = [c.name for c in handles.model.constraints]
-            assert sum(n.startswith("cap_") for n in names) == 3 * devices
-            # One u (held MiB) and one w (served fraction) per
-            # (device, table, boundary).
-            for prefix in ("u[", "w["):
-                assert sum(
-                    v.name.startswith(prefix) for v in handles.model.variables
-                ) == devices * tables * 2
-        assert convex.model.num_binary == devices * tables
-        assert step.model.num_binary == devices * tables + tables * 2 * 9
+            problem = handles.problem
+            assert handles.pct.shape == handles.mem.shape == (tables, 2)
+            # One capacity row per (device, tier), just before the
+            # device's makespan row.
+            cap_rows = handles.makespan_rows[:, None] - 3 + np.arange(3)
+            assert problem.row_upper[cap_rows].tolist() == [caps_mib] * devices
+            # The continuous columns: C, (pct, mem) per (table,
+            # boundary), and one u (held MiB) and one w (served
+            # fraction) per (device, table, boundary).
+            assert np.count_nonzero(problem.integrality == 0) == (
+                1 + tables * 2 * 2 + 2 * (devices * tables * 2)
+            )
+        assert num_binary(convex.problem) == devices * tables
+        assert num_binary(step.problem) == devices * tables + tables * 2 * 9
 
     def test_three_tier_boundaries_ordered(
         self, small_model, small_profile, topo3
     ):
         ws = PlannerWorkspace(small_model, small_profile, steps=8)
         handles = build_milp(ws, topo3, batch_size=256)
-        result = handles.model.solve(time_limit=60)
+        result = scipy_backend.solve(handles.problem, time_limit=60)
         assert result.status.has_solution
-        for pct_j, mem_j in zip(handles.pct, handles.mem):
-            assert result.value(pct_j[0]) <= result.value(pct_j[1]) + 1e-9
-            assert result.value(mem_j[0]) <= result.value(mem_j[1]) + 1e-9
+        for handle in (handles.pct, handles.mem):
+            values = result.values[handle]
+            assert np.all(values[:, 0] <= values[:, 1] + 1e-9)
 
     @pytest.mark.parametrize(
-        "kwargs, digest",
+        "num_tiers, kwargs, digest, shape",
         [
-            ({}, "e459dd30338abafe"),
-            ({"formulation": "step"}, "500c1a04a07b3882"),
+            (2, {}, "ab8a2624513b6a88", (41, 102, 282)),
+            (2, {"formulation": "step"}, "56e21d84a0c8d981", (76, 87, 327)),
             (
+                2,
                 {"reclaim_dead": True, "use_coverage": False,
                  "use_pooling": False, "symmetry_breaking": False},
-                "ebe1d246c158c59f",
+                "d10b92f022f67cc4",
+                (41, 101, 262),
             ),
+            (3, {}, "e5cd175132ea9ce4", (71, 204, 562)),
+            (3, {"formulation": "step"}, "9e6bc821fb23ce34", (141, 174, 652)),
         ],
     )
-    def test_two_tier_model_is_pinned(self, kwargs, digest):
-        # The digests were taken from the two-tier-only formulation the
-        # general one replaced, built from per-table objects sampled by
-        # the scalar ICDF query: at two tiers, from a workspace, it emits
-        # the same variables, constraints and coefficients, in the same
-        # order.
-        model = build_model(num_tables=5, rows=128, seed=3)
-        topology = SystemTopology.two_tier(
-            2, int(model.total_bytes * 0.3 / 2), 200e9, model.total_bytes, 10e9
+    def test_problem_arrays_are_pinned(self, num_tiers, kwargs, digest, shape):
+        # The digests were taken from the modelling-language build the
+        # array build replaced (compiled, then lowered to CSR): the same
+        # columns, rows and coefficients bit for bit, so HiGHS and the
+        # branch-and-bound oracle branch as before.
+        ws, topology = pinned_world(num_tiers)
+        problem = build_milp(ws, topology, batch_size=64, **kwargs).problem
+        assert (problem.num_vars, problem.num_rows, problem.matrix.nnz) == shape
+        assert problem_digest(problem) == digest
+
+    def test_four_tier_structure(self, small_model, small_profile):
+        total = small_model.total_bytes
+        topo4 = SystemTopology(
+            num_devices=2,
+            tiers=(
+                MemoryTier("hbm", int(total * 0.1 / 2), 200e9),
+                MemoryTier("dram", int(total * 0.2 / 2), 20e9),
+                MemoryTier("ssd", int(total * 0.3 / 2), 2e9),
+                MemoryTier("hdd", total, 0.5e9),
+            ),
+        )
+        ws = PlannerWorkspace(small_model, small_profile, steps=8)
+        tables, devices = ws.num_tables, topo4.num_devices
+        for formulation, binaries in (("convex", 0), ("step", tables * 3 * 9)):
+            handles = build_milp(ws, topo4, batch_size=256, formulation=formulation)
+            problem = handles.problem
+            assert handles.pct.shape == handles.mem.shape == (tables, 3)
+            cap_rows = handles.makespan_rows[:, None] - 4 + np.arange(4)
+            caps_mib = [tier.capacity_bytes / MIB for tier in topo4.tiers]
+            assert problem.row_upper[cap_rows].tolist() == [caps_mib] * devices
+            assert num_binary(problem) == devices * tables + binaries
+            result = scipy_backend.solve(problem, time_limit=60)
+            assert result.status.has_solution
+            for handle in (handles.pct, handles.mem):
+                values = result.values[handle]
+                assert np.all(np.diff(values, axis=1) >= -1e-9)
+
+    @pytest.mark.parametrize("formulation", ["convex", "step"])
+    def test_table_without_accesses(self, formulation, tight_topology):
+        # Coverage 0: the table is never looked up, so it serves no
+        # fraction, holds no fast-tier MiB and gets no step binaries.
+        model = build_model(num_tables=4, rows=128, seed=5)
+        dead = model.tables[0]
+        model = dataclasses.replace(
+            model,
+            tables=(
+                dataclasses.replace(
+                    dead, feature=dataclasses.replace(dead.feature, coverage=0.0)
+                ),
+                *model.tables[1:],
+            ),
         )
         ws = PlannerWorkspace(model, analytic_profile(model), steps=6)
-        handles = build_milp(ws, topology, batch_size=64, **kwargs)
-        assert model_digest(handles.model) == digest
+        assert ws.total_accesses[0] == 0 < ws.total_accesses[1:].min()
+        handles = build_milp(ws, tight_topology, batch_size=64, formulation=formulation)
+        problem = handles.problem
+        assert problem.upper[handles.pct[0, 0]] == 0.0
+        (mem_row,) = problem.matrix[:, handles.mem[0, 0]].nonzero()[0][:1]
+        assert problem.matrix[mem_row].nnz == 1
+        assert problem.row_upper[mem_row] == 0.0
+        steps = 7 if formulation == "step" else 0
+        assert num_binary(problem) == (
+            tight_topology.num_devices * ws.num_tables + (ws.num_tables - 1) * steps
+        )
+        result = scipy_backend.solve(problem, time_limit=60)
+        assert result.status.has_solution
+        assert result.values[handles.mem[0, 0]] == pytest.approx(0.0, abs=1e-9)
+
+    def test_devices_take_the_first_largest_assignment(
+        self, small_model, small_profile, tight_topology
+    ):
+        ws = PlannerWorkspace(small_model, small_profile, steps=4)
+        handles = build_milp(ws, tight_topology, batch_size=64)
+        values = np.zeros(handles.problem.num_vars)
+        values[handles.assign[:, 0]] = [0.4, 0.6]
+        values[handles.assign[:, 1]] = 0.5  # a tie goes to device 0
+        values[handles.assign[1, 2:]] = 1.0
+        devices = handles.devices(SolveResult(SolveStatus.FEASIBLE, values=values))
+        assert devices == [1, 0] + [1] * (ws.num_tables - 2)
 
     def test_unknown_formulation(self, small_model, small_profile, tight_topology):
         ws = PlannerWorkspace(small_model, small_profile, steps=4)
@@ -125,36 +242,28 @@ class TestSolutionProperties:
     def solve(self, model, profile, topology, **kwargs):
         ws = PlannerWorkspace(model, profile, steps=10)
         handles = build_milp(ws, topology, batch_size=256, **kwargs)
-        result = handles.model.solve(time_limit=60)
+        result = scipy_backend.solve(handles.problem, time_limit=60)
         assert result.status.has_solution
         return ws, handles, result
 
     def test_each_table_assigned_once(self, small_model, small_profile, tight_topology):
-        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
-        for j in range(ws.num_tables):
-            total = sum(
-                result.value(handles.assign[m][j])
-                for m in range(tight_topology.num_devices)
-            )
-            assert total == pytest.approx(1.0)
+        _, handles, result = self.solve(small_model, small_profile, tight_topology)
+        totals = result.values[handles.assign].sum(axis=0)
+        assert totals == pytest.approx(np.ones(totals.size))
 
     def test_hbm_capacity_respected(self, small_model, small_profile, tight_topology):
-        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
+        _, handles, result = self.solve(small_model, small_profile, tight_topology)
         cap_mib = tight_topology.hbm.capacity_bytes / 2**20
-        for m in range(tight_topology.num_devices):
-            used = sum(
-                result.value(handles.mem[j][0])
-                for j in range(ws.num_tables)
-                if result.value(handles.assign[m][j]) > 0.5
-            )
-            assert used <= cap_mib * (1 + 1e-6)
+        on_device = result.values[handles.assign] > 0.5
+        used = on_device @ result.values[handles.mem[:, 0]]
+        assert np.all(used <= cap_mib * (1 + 1e-6))
 
     def test_roomy_topology_puts_everything_in_hbm(
         self, small_model, small_profile, roomy_topology
     ):
-        ws, handles, result = self.solve(small_model, small_profile, roomy_topology)
-        for j in range(ws.num_tables):
-            assert result.value(handles.pct[j][0]) == pytest.approx(1.0, abs=1e-6)
+        _, handles, result = self.solve(small_model, small_profile, roomy_topology)
+        hbm_fractions = result.values[handles.pct[:, 0]]
+        assert hbm_fractions == pytest.approx(np.ones(hbm_fractions.size), abs=1e-6)
 
     def test_step_and_convex_agree(self, small_model, small_profile, tight_topology):
         # The convex formulation allows continuous split points, so it is
@@ -165,7 +274,7 @@ class TestSolutionProperties:
             handles = build_milp(
                 ws, tight_topology, batch_size=256, formulation=formulation
             )
-            return handles.model.solve(time_limit=60)
+            return scipy_backend.solve(handles.problem, time_limit=60)
 
         res_convex = solve("convex", 40)
         res_step = solve("step", 40)
@@ -187,12 +296,14 @@ class TestSolutionProperties:
     def test_makespan_bounds_device_costs(
         self, small_model, small_profile, tight_topology
     ):
-        ws, handles, result = self.solve(small_model, small_profile, tight_topology)
+        _, handles, result = self.solve(small_model, small_profile, tight_topology)
         # The objective carries a vanishing secondary term; compare
-        # against the makespan variable itself.
-        makespan = result.value(handles.max_cost)
-        for cost_expr in handles.device_costs:
-            assert cost_expr.value(result.values) <= makespan * (1 + 1e-6)
+        # against the makespan variable itself.  Makespan row m reads
+        # c_m - C, so the device costs are its activity plus C.
+        makespan = result.values[handles.max_cost]
+        rows = handles.problem.matrix[handles.makespan_rows]
+        device_costs = rows @ result.values + makespan
+        assert np.all(device_costs <= makespan * (1 + 1e-6))
         assert makespan == pytest.approx(result.objective, rel=1e-3)
 
     def test_ablation_flags_change_cost_surface(
@@ -228,5 +339,6 @@ class TestSolutionProperties:
         ws = PlannerWorkspace(small_model, small_profile, steps=6)
         strict = build_milp(ws, topo, batch_size=64, reclaim_dead=False)
         relaxed = build_milp(ws, topo, batch_size=64, reclaim_dead=True)
-        assert strict.model.solve(time_limit=30).status == SolveStatus.INFEASIBLE
-        assert relaxed.model.solve(time_limit=30).status.has_solution
+        strict_result = scipy_backend.solve(strict.problem, time_limit=30)
+        assert strict_result.status == SolveStatus.INFEASIBLE
+        assert scipy_backend.solve(relaxed.problem, time_limit=30).status.has_solution

@@ -11,6 +11,7 @@ from repro.core import (
     PlannerWorkspace,
     RecShardFastSharder,
     RecShardSharder,
+    build_milp,
 )
 from repro.core.evaluate import (
     expected_device_costs_ms,
@@ -21,10 +22,17 @@ from repro.memory.topology import SystemTopology
 from repro.stats import analytic_profile
 from repro.stats.profiler import ModelProfile
 from tests.oracles.branch_bound import branch_and_bound
+from tests.test_milp.test_solvers import highs_error
 from tests.oracles.planner import HeapqRefillSharder
 from tests.test_core.conftest import build_model
 
 BATCH = 256
+
+#: The solve stamp both MILP sharders put on their plans.
+SOLVE_STAMP = {
+    "solver", "milp_status", "milp_message", "objective_ms", "solve_seconds",
+    "build_seconds", "mip_gap", "nodes", "variables", "constraints",
+}
 
 
 class TestRecShardSharder:
@@ -55,9 +63,27 @@ class TestRecShardSharder:
         assert split_tables, "expected fine-grained splits under memory pressure"
 
     def test_metadata_records_solver(self, small_model, small_profile, tight_topology):
+        plan = self.shard(small_model, small_profile, tight_topology, fallback=False)
+        assert SOLVE_STAMP <= plan.metadata.keys()
+        assert plan.metadata["solver"] == "milp/highs/convex"
+        assert plan.metadata["nodes"] >= 0
+        ws = PlannerWorkspace(small_model, small_profile, steps=12)
+        problem = build_milp(ws, tight_topology, batch_size=BATCH).problem
+        assert (plan.metadata["variables"], plan.metadata["constraints"]) == (
+            problem.num_vars, problem.num_rows
+        )
+
+    def test_highs_error_is_not_reported_as_time_limit(
+        self, small_model, small_profile, tight_topology, monkeypatch
+    ):
+        message = highs_error(monkeypatch)
         plan = self.shard(small_model, small_profile, tight_topology)
-        assert "solver" in plan.metadata
-        assert "milp_status" in plan.metadata
+        assert plan.metadata["solver"] == "fast-fallback"
+        assert plan.metadata["milp_status"] == "error"
+        assert plan.metadata["milp_message"] == message
+        with pytest.raises(RuntimeError, match=message) as raised:
+            self.shard(small_model, small_profile, tight_topology, fallback=False)
+        assert "time_limit" not in str(raised.value)
 
     def test_beats_or_matches_fast(self, small_model, small_profile, tight_topology):
         milp_plan = self.shard(small_model, small_profile, tight_topology)
@@ -104,6 +130,25 @@ class TestRecShardSharder:
         assert plan.metadata["solver"] in (
             "milp/branch_bound/convex", "fast-beat-milp"
         )
+
+    def test_fast_plan_carries_the_milp_stamp(self):
+        # A loose gap stops the oracle at a poor incumbent, so the fast
+        # plan wins; it reports the MILP's solve under the same keys,
+        # the MILP's objective renamed.
+        model = build_model(num_tables=4, rows=64, seed=17)
+        topology = SystemTopology.two_tier(
+            2, int(model.total_bytes * 0.45 / 2), 200e9, model.total_bytes, 10e9
+        )
+        with branch_and_bound():
+            plan = RecShardSharder(batch_size=64, steps=6, mip_gap=0.99).shard(
+                model, analytic_profile(model), topology
+            )
+        meta = plan.metadata
+        assert meta["solver"] == "fast-beat-milp"
+        assert SOLVE_STAMP - {"solver", "objective_ms"} <= meta.keys()
+        assert "objective_ms" not in meta
+        assert meta["milp_objective_ms"] > meta["estimated_max_cost_ms"]
+        assert meta["nodes"] >= 1
 
     def test_rejects_non_two_tier(self, small_model, small_profile, topo3):
         with pytest.raises(ValueError, match="two-tier"):
@@ -266,6 +311,8 @@ class TestMultiTierSharder:
             batch_size=BATCH, steps=6, method="milp", time_limit=120
         ).shard(small_model, small_profile, topo3)
         plan.validate(small_model, topo3)
+        assert SOLVE_STAMP <= plan.metadata.keys()
+        assert plan.metadata["solver"] == "milp/highs/step"
 
     def test_two_tier_reduces_to_recshard_shape(
         self, small_model, small_profile, tight_topology
